@@ -25,7 +25,7 @@
 //   --csv PATH         mirror the table to CSV
 //   --json PATH        machine-readable results (BENCH_*.json format)
 //
-// Used as the Release-mode `sharded-smoke` CI job with
+// Run by the Release-mode smoke (tools/smoke.sh) with
 // --check-identical, which also exercises LRU eviction under real
 // walk access patterns (the 25% run cannot hold the graph).
 

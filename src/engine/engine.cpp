@@ -4,12 +4,13 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 
 #include "core/batch_means.h"
 #include "core/batched_estimator.h"
-#include "core/multi_estimator.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -17,228 +18,207 @@ namespace grw {
 
 namespace {
 
-// A unit the engine can drive: one or more engine chains advanced by one
-// task. Scalar units hold one chain (one RNG stream); batched units hold
-// a lane batch of chains walked in lockstep (BatchedEstimator) — but
-// chain c keeps the RNG stream DeriveSeed(base_seed, first_stream + c)
-// either way, which is what keeps the two modes bit-identical. Each
-// chain produces one or more EstimateResult streams (GraphletEstimator
-// has one; MultiSizeEstimator has one per registered size).
-class EngineChain {
+// What a chain of access type A reads: the ShardStore for out-of-core
+// chains, the in-memory Graph for full-access and crawl chains.
+template <class A>
+using SourceOf =
+    std::conditional_t<std::is_same_v<A, ShardedAccess>, ShardStore, Graph>;
+
+// Access types with a batched (lockstep multi-lane) kernel. Sharded
+// chains have none: locality seeding needs ResetInRange, which the
+// batched walk lacks, so the engine rejects sharded x batch up front.
+template <class A>
+constexpr bool kHasBatchedKernel = !std::is_same_v<A, ShardedAccess>;
+
+// Chain `chain`'s private crawler options. Everything chain-specific —
+// the budget share and the failure schedule — depends on the *global*
+// chain index alone, so the batched lane grouping cannot move either.
+CrawlAccess::Options CrawlOptionsFor(const EngineOptions& opt, int chain) {
+  const EngineOptions::CrawlConfig& crawl = opt.crawl;
+  CrawlAccess::Options options;
+  options.cache_entries = crawl.cache_entries;
+  options.latency_us = crawl.latency_us;
+  if (crawl.fail_prob > 0.0) {
+    options.failure.fail_prob = crawl.fail_prob;
+    options.failure.max_retries = crawl.fail_max_retries;
+    options.failure.backoff_base_us = crawl.fail_backoff_us;
+    options.failure.backoff_max_us = crawl.fail_backoff_max_us;
+    options.failure.seed =
+        DeriveSeed(crawl.fail_seed, static_cast<uint64_t>(chain));
+  }
+  if (crawl.budget_queries > 0) {
+    // Fixed share of the total budget (B >= chains was validated, so
+    // every share is positive). A chain stops after the step that
+    // crosses its share, so the total can overshoot B by at most one
+    // step's fetches per chain — reported honestly in
+    // EngineResult::access.
+    options.query_budget =
+        ChainBudgetShare(crawl.budget_queries, opt.chains, chain);
+  }
+  return options;
+}
+
+// The one chain type: global chains [first, first + count) advanced by
+// one pool task, reading the graph through access type A (Graph,
+// CrawlAccess or ShardedAccess). Crawl and sharded chains each own a
+// private access object; full-access chains read the Graph directly. A
+// unit drives either one scalar GraphletEstimatorT (count == 1) or a
+// BatchedEstimatorT lane batch — chain c's RNG stream is
+// DeriveSeed(base_seed, chain_offset + c) either way, which is what keeps
+// the two kernels bit-identical.
+template <class A>
+class ChainUnit {
  public:
-  virtual ~EngineChain() = default;
-  /// Chains in this unit; chain indices below are unit-local [0, n).
-  virtual int NumChains() const { return 1; }
-  /// Chain c of the unit seeds its stream DeriveSeed(base_seed,
-  /// first_stream + c).
-  virtual void Reset(uint64_t base_seed, uint64_t first_stream) = 0;
-  virtual void Run(uint64_t steps) = 0;
-  virtual void Snapshot(int chain, std::vector<EstimateResult>* out)
-      const = 0;
-  /// Crawl chains: true once the chain's distinct-query share is spent
-  /// (the chain sits out the unit's Run() rounds from then on).
-  virtual bool BudgetExhausted(int chain) const {
-    (void)chain;
+  ChainUnit(const SourceOf<A>& source, const EstimatorConfig& config,
+            const EngineOptions& opt, int first, int count)
+      : count_(count) {
+    if constexpr (!std::is_same_v<A, Graph>) {
+      access_.reserve(count);
+      for (int j = 0; j < count; ++j) {
+        if constexpr (std::is_same_v<A, CrawlAccess>) {
+          access_.push_back(std::make_unique<CrawlAccess>(
+              source, CrawlOptionsFor(opt, first + j)));
+        } else {
+          access_.push_back(std::make_unique<A>(source));
+        }
+      }
+    }
+    const uint64_t first_stream = opt.chain_offset + first;
+    if constexpr (kHasBatchedKernel<A>) {
+      if (opt.batch.enabled) {
+        if constexpr (std::is_same_v<A, Graph>) {
+          batched_.emplace(source, config, count);
+        } else {
+          std::vector<const A*> lanes;
+          for (const auto& a : access_) lanes.push_back(a.get());
+          batched_.emplace(std::span<const A* const>(lanes), config);
+        }
+        batched_->Reset(opt.base_seed, first_stream);
+        return;
+      }
+    }
+    if constexpr (std::is_same_v<A, Graph>) {
+      scalar_.emplace(source, config);
+    } else {
+      scalar_.emplace(*access_[0], config);
+    }
+    if constexpr (std::is_same_v<A, ShardedAccess>) {
+      if (opt.sharded.locality_seeding) {
+        // Contiguous chain blocks per shard: chain c's affinity shard is
+        // floor(c * S / C) — a function of the global chain index alone,
+        // so the assignment (and with it the RNG consumption) is
+        // identical at any thread count.
+        const uint32_t s = static_cast<uint32_t>(
+            (static_cast<uint64_t>(first) * source.NumShards()) /
+            static_cast<uint64_t>(opt.chains));
+        const auto [lo, hi] = source.ShardRange(s);
+        scalar_->SetStartRange(lo, hi);
+      }
+    }
+    scalar_->Reset(DeriveSeed(opt.base_seed, first_stream));
+  }
+
+  int count() const { return count_; }
+
+  void Run(uint64_t steps) {
+    if constexpr (kHasBatchedKernel<A>) {
+      if (batched_) return batched_->Run(steps);
+    }
+    scalar_->Run(steps);
+  }
+
+  // Chain j of the unit (unit-local index).
+  EstimateResult Result(int j) const {
+    if constexpr (kHasBatchedKernel<A>) {
+      if (batched_) return batched_->Result(j);
+    }
+    return scalar_->Result();
+  }
+
+  // Crawl chains: true once chain j's distinct-query share is spent (it
+  // sits out the unit's Run() rounds from then on).
+  bool BudgetExhausted(int j) const {
+    if constexpr (kAccessHasQueryBudget<A>) {
+      return access_[j]->BudgetExhausted();
+    }
     return false;
   }
-  /// Crawl chains: the chain's private access accounting, else nullptr.
-  virtual const CrawlStats* AccessStats(int chain) const {
-    (void)chain;
-    return nullptr;
-  }
-};
 
-class SingleSizeChain final : public EngineChain {
- public:
-  SingleSizeChain(const Graph& g, const EstimatorConfig& config)
-      : estimator_(g, config) {}
-  void Reset(uint64_t base_seed, uint64_t first_stream) override {
-    estimator_.Reset(DeriveSeed(base_seed, first_stream));
-  }
-  void Run(uint64_t steps) override { estimator_.Run(steps); }
-  void Snapshot(int, std::vector<EstimateResult>* out) const override {
-    out->assign(1, estimator_.Result());
-  }
+  // Crawl and sharded chains: chain j's private access object.
+  const A& access(int j) const { return *access_[j]; }
 
  private:
-  GraphletEstimator estimator_;
+  int count_;
+  std::vector<std::unique_ptr<A>> access_;  // per chain; empty for Graph
+  std::optional<GraphletEstimatorT<A>> scalar_;
+  std::optional<BatchedEstimatorT<A>> batched_;
 };
 
-// A lane batch of full-access chains in lockstep.
-class BatchedSingleSizeChain final : public EngineChain {
- public:
-  BatchedSingleSizeChain(const Graph& g, const EstimatorConfig& config,
-                         int lanes)
-      : estimator_(g, config, lanes) {}
-  int NumChains() const override { return estimator_.lanes(); }
-  void Reset(uint64_t base_seed, uint64_t first_stream) override {
-    estimator_.Reset(base_seed, first_stream);
+// Both constructors' checks, including which modes compose: the crawl
+// cache simulates remote-API access over one flat graph and the batched
+// kernel has no locality seeding, so sharded storage takes neither.
+template <class A>
+void ValidateEngine(const SourceOf<A>& source, const EstimatorConfig& config,
+                    const EngineOptions& opt) {
+  if (opt.chains < 0) {
+    throw std::invalid_argument("EstimationEngine: chains must be >= 0");
   }
-  void Run(uint64_t steps) override { estimator_.Run(steps); }
-  void Snapshot(int chain, std::vector<EstimateResult>* out) const override {
-    out->assign(1, estimator_.Result(chain));
-  }
-
- private:
-  BatchedEstimator estimator_;
-};
-
-// One crawler: a private LRU-cached access (its local copy of whatever it
-// fetched) driving the same estimator code through static dispatch.
-class CrawlSingleSizeChain final : public EngineChain {
- public:
-  CrawlSingleSizeChain(const Graph& g, const EstimatorConfig& config,
-                       const CrawlAccess::Options& access_options)
-      : access_(g, access_options), estimator_(access_, config) {}
-  void Reset(uint64_t base_seed, uint64_t first_stream) override {
-    access_.ResetCache();  // a fresh crawler: empty cache, zero counters
-    estimator_.Reset(DeriveSeed(base_seed, first_stream));
-  }
-  void Run(uint64_t steps) override { estimator_.Run(steps); }
-  void Snapshot(int, std::vector<EstimateResult>* out) const override {
-    out->assign(1, estimator_.Result());
-  }
-  bool BudgetExhausted(int) const override {
-    return access_.BudgetExhausted();
-  }
-  const CrawlStats* AccessStats(int) const override {
-    return &access_.stats();
-  }
-
- private:
-  CrawlAccess access_;
-  GraphletEstimatorT<CrawlAccess> estimator_;
-};
-
-// A lane batch of crawl chains: one private crawler per lane (with that
-// lane's budget share), so lane accounting matches the scalar chains.
-class BatchedCrawlSingleSizeChain final : public EngineChain {
- public:
-  BatchedCrawlSingleSizeChain(
-      const Graph& g, const EstimatorConfig& config,
-      const std::vector<CrawlAccess::Options>& lane_options) {
-    access_.reserve(lane_options.size());
-    for (const auto& options : lane_options) {
-      access_.push_back(std::make_unique<CrawlAccess>(g, options));
+  if constexpr (std::is_same_v<A, ShardedAccess>) {
+    if (opt.crawl.enabled) {
+      throw std::invalid_argument(
+          "EstimationEngine: crawl mode does not compose with sharded "
+          "storage (the crawl cache simulates remote-API access over one "
+          "flat graph)");
     }
-    lane_ptrs_.reserve(access_.size());
-    for (const auto& a : access_) lane_ptrs_.push_back(a.get());
-    estimator_ = std::make_unique<BatchedEstimatorT<CrawlAccess>>(
-        std::span<const CrawlAccess* const>(lane_ptrs_), config);
+    if (opt.batch.enabled) {
+      throw std::invalid_argument(
+          "EstimationEngine: batch mode needs a monolithic CSR; run "
+          "sharded graphs with the scalar kernels");
+    }
   }
-  int NumChains() const override { return estimator_->lanes(); }
-  void Reset(uint64_t base_seed, uint64_t first_stream) override {
-    for (auto& a : access_) a->ResetCache();
-    estimator_->Reset(base_seed, first_stream);
+  if (opt.crawl.enabled && opt.crawl.budget_queries > 0 &&
+      opt.crawl.budget_queries < static_cast<uint64_t>(opt.chains)) {
+    // A share of zero would mean "no budget" for that chain and the total
+    // would silently overspend; refuse the degenerate split instead.
+    throw std::invalid_argument(
+        "EstimationEngine: budget_queries must be >= chains (every chain "
+        "needs a positive distinct-query share)");
   }
-  void Run(uint64_t steps) override { estimator_->Run(steps); }
-  void Snapshot(int chain, std::vector<EstimateResult>* out) const override {
-    out->assign(1, estimator_->Result(chain));
+  if (opt.batch.enabled && opt.batch.lanes < 1) {
+    throw std::invalid_argument(
+        "EstimationEngine: batch.lanes must be >= 1");
   }
-  bool BudgetExhausted(int chain) const override {
-    return access_[chain]->BudgetExhausted();
+  if (opt.chains > 0) {
+    // Validate the estimator configuration eagerly (and warm the
+    // k-indexed singletons) instead of failing inside the pool. A probe
+    // over a ShardedAccess reads only sizes, no shard payloads.
+    if constexpr (std::is_same_v<A, ShardedAccess>) {
+      const ShardedAccess access(source);
+      const GraphletEstimatorT<ShardedAccess> probe(access, config);
+    } else {
+      const GraphletEstimator probe(source, config);
+    }
   }
-  const CrawlStats* AccessStats(int chain) const override {
-    return &access_[chain]->stats();
-  }
-
- private:
-  std::vector<std::unique_ptr<CrawlAccess>> access_;
-  std::vector<const CrawlAccess*> lane_ptrs_;
-  std::unique_ptr<BatchedEstimatorT<CrawlAccess>> estimator_;
-};
-
-// One out-of-core chain: a private ShardedAccess pin cache over the
-// shared ShardStore, driving the same estimator code through static
-// dispatch. With locality seeding the chain's Reset anchors the walk in
-// its affinity shard's vertex range.
-class ShardedSingleSizeChain final : public EngineChain {
- public:
-  ShardedSingleSizeChain(const ShardStore& store,
-                         const EstimatorConfig& config)
-      : access_(store), estimator_(access_, config) {}
-  void SetStartRange(VertexId lo, VertexId hi) {
-    estimator_.SetStartRange(lo, hi);
-  }
-  void Reset(uint64_t base_seed, uint64_t first_stream) override {
-    estimator_.Reset(DeriveSeed(base_seed, first_stream));
-  }
-  void Run(uint64_t steps) override { estimator_.Run(steps); }
-  void Snapshot(int, std::vector<EstimateResult>* out) const override {
-    out->assign(1, estimator_.Result());
-  }
-
- private:
-  ShardedAccess access_;
-  GraphletEstimatorT<ShardedAccess> estimator_;
-};
-
-class MultiSizeChain final : public EngineChain {
- public:
-  MultiSizeChain(const Graph& g, int d, const std::vector<int>& sizes,
-                 bool css, bool nb)
-      : estimator_(g, d, sizes, css, nb) {}
-  void Reset(uint64_t base_seed, uint64_t first_stream) override {
-    estimator_.Reset(DeriveSeed(base_seed, first_stream));
-  }
-  void Run(uint64_t steps) override { estimator_.Run(steps); }
-  void Snapshot(int, std::vector<EstimateResult>* out) const override {
-    out->clear();
-    out->reserve(estimator_.Sizes().size());
-    for (int k : estimator_.Sizes()) out->push_back(estimator_.Result(k));
-  }
-  const std::vector<int>& Sizes() const { return estimator_.Sizes(); }
-
- private:
-  MultiSizeEstimator estimator_;
-};
-
-// Shared round loop over `streams` result streams per chain.
-struct LoopOutput {
-  std::vector<EstimateResult> merged;                  // per stream
-  std::vector<std::vector<EstimateResult>> per_chain;  // [chain][stream]
-  std::vector<std::vector<double>> standard_errors;    // per stream
-  double max_rel_error = std::numeric_limits<double>::infinity();
-  bool converged = false;
-  bool cancelled = false;
-  bool budget_exhausted = false;
-  CrawlStats access;                        // summed in chain order
-  std::vector<CrawlStats> per_chain_access;  // crawl mode only
-  int rounds = 0;
-  uint64_t steps_per_chain = 0;
-  double seconds = 0.0;
-  double steps_per_second = 0.0;
-};
+}
 
 // A convergence verdict needs enough batches for the across-batch
 // variance to mean something; with C chains this is reached after
 // ceil(8 / C) rounds.
 constexpr int kMinBatchesForStop = 8;
 
-// `make_chain(first, count)` builds the unit covering global chains
-// [first, first + count); `unit_width` is the widest unit (the last unit
-// of an uneven split is narrower). Scalar mode is unit_width == 1.
-LoopOutput RunLoop(
-    int streams, const EngineOptions& opt, int unit_width,
-    const std::function<std::unique_ptr<EngineChain>(int, int)>&
-        make_chain) {
-  if (opt.chains < 0) {
-    throw std::invalid_argument("engine: chains must be >= 0");
-  }
-  if (unit_width < 1) {
-    throw std::invalid_argument("engine: batch lanes must be >= 1");
-  }
-  LoopOutput out;
-  out.merged.assign(streams, {});
-  out.standard_errors.assign(streams, {});
+// The round loop over chains of access type A. Units are `batch.lanes`
+// chains wide in batch mode (the last unit of an uneven split is
+// narrower) and one chain wide otherwise.
+template <class A>
+EngineResult RunLoop(const SourceOf<A>& source, const EstimatorConfig& config,
+                     const EngineOptions& opt) {
+  EngineResult out;
+  out.max_rel_error = std::numeric_limits<double>::infinity();
   if (opt.chains == 0 || opt.max_steps == 0) return out;
 
   const int chains = opt.chains;
+  const int unit_width = opt.batch.enabled ? opt.batch.lanes : 1;
   const int units = (chains + unit_width - 1) / unit_width;
-  const auto unit_first = [&](int u) { return u * unit_width; };
-  const auto unit_count = [&](int u) {
-    return std::min(chains, (u + 1) * unit_width) - unit_first(u);
-  };
   ChainPool& pool = opt.pool != nullptr ? *opt.pool : ChainPool::Shared();
 
   uint64_t round_steps = opt.round_steps;
@@ -250,27 +230,25 @@ LoopOutput RunLoop(
   }
 
   WallTimer timer;
-  std::vector<std::unique_ptr<EngineChain>> chain_objs(units);
+  std::vector<std::unique_ptr<ChainUnit<A>>> unit(units);
   pool.ForEach(
       static_cast<size_t>(units),
       [&](size_t u) {
-        const int iu = static_cast<int>(u);
-        chain_objs[u] = make_chain(unit_first(iu), unit_count(iu));
-        chain_objs[u]->Reset(opt.base_seed,
-                             opt.chain_offset + unit_first(iu));
+        const int first = static_cast<int>(u) * unit_width;
+        unit[u] = std::make_unique<ChainUnit<A>>(
+            source, config, opt, first,
+            std::min(chains, first + unit_width) - first);
       },
       opt.threads);
 
   out.per_chain.assign(chains, {});
-  // Previous round's cumulative weights, [chain][stream], for batch diffs.
-  std::vector<std::vector<std::vector<double>>> prev_weights(chains);
-  std::vector<BatchMeansAccumulator> accumulators(streams);
+  // Previous round's cumulative weights per chain, for batch diffs.
+  std::vector<std::vector<double>> prev_weights(chains);
+  BatchMeansAccumulator accumulator;
   // Walk steps each chain had completed at the previous round boundary:
   // a budget-exhausted chain stops advancing, and a stalled chain must
-  // not feed zero batches into the convergence accumulators.
+  // not feed zero batches into the convergence accumulator.
   std::vector<uint64_t> prev_steps(chains, 0);
-  const bool budget_mode =
-      opt.crawl.enabled && opt.crawl.budget_queries > 0;
 
   uint64_t done = 0;
   while (done < opt.max_steps) {
@@ -286,10 +264,10 @@ LoopOutput RunLoop(
     pool.ForEach(
         static_cast<size_t>(units),
         [&](size_t u) {
-          const int iu = static_cast<int>(u);
-          chain_objs[u]->Run(delta);
-          for (int j = 0; j < unit_count(iu); ++j) {
-            chain_objs[u]->Snapshot(j, &out.per_chain[unit_first(iu) + j]);
+          unit[u]->Run(delta);
+          const size_t first = u * static_cast<size_t>(unit_width);
+          for (int j = 0; j < unit[u]->count(); ++j) {
+            out.per_chain[first + j] = unit[u]->Result(j);
           }
         },
         opt.threads);
@@ -297,47 +275,32 @@ LoopOutput RunLoop(
     ++out.rounds;
 
     // Merge in chain order (fixed regardless of completion order).
-    for (int s = 0; s < streams; ++s) out.merged[s] = {};
-    for (int c = 0; c < chains; ++c) {
-      for (int s = 0; s < streams; ++s) {
-        MergeInto(out.merged[s], out.per_chain[c][s]);
-      }
+    out.merged = {};
+    for (const EstimateResult& chain : out.per_chain) {
+      MergeInto(out.merged, chain);
     }
 
-    // One batch per (chain, stream): the weight accumulated this round,
-    // normalized to a concentration vector. Chains that made no progress
-    // (budget spent mid-earlier-round) contribute no batch.
+    // One batch per chain: the weight accumulated this round, normalized
+    // to a concentration vector. Chains that made no progress (budget
+    // spent mid-earlier-round) contribute no batch.
+    uint64_t actual_steps = 0;
     for (int c = 0; c < chains; ++c) {
-      const uint64_t chain_steps = out.per_chain[c][0].steps;
+      const uint64_t chain_steps = out.per_chain[c].steps;
+      actual_steps += chain_steps;
       if (chain_steps == prev_steps[c]) continue;
       prev_steps[c] = chain_steps;
-      if (prev_weights[c].empty()) prev_weights[c].resize(streams);
-      for (int s = 0; s < streams; ++s) {
-        accumulators[s].AddBatch(BatchFromCumulativeWeights(
-            out.per_chain[c][s].weights, prev_weights[c][s]));
-      }
+      accumulator.AddBatch(BatchFromCumulativeWeights(
+          out.per_chain[c].weights, prev_weights[c]));
     }
 
-    // Convergence metric: worst monitored relative error over streams.
-    double max_rel = -std::numeric_limits<double>::infinity();
-    for (int s = 0; s < streams; ++s) {
-      const double rel = accumulators[s].MaxRelativeError(
-          out.merged[s].concentrations, opt.min_concentration);
-      if (std::isnan(rel)) {
-        max_rel = rel;  // a stream with no weight yet blocks stopping
-        break;
-      }
-      max_rel = std::max(max_rel, rel);
-    }
-    out.max_rel_error = max_rel;
+    // NaN while no type has weight (blocks stopping), +inf before two
+    // batches exist.
+    out.max_rel_error = accumulator.MaxRelativeError(
+        out.merged.concentrations, opt.min_concentration);
     out.seconds = timer.Seconds();
     out.steps_per_chain = done;
     // Actual transitions, not done * chains: budget-exhausted chains fall
     // behind the lockstep schedule. Identical for full-access runs.
-    uint64_t actual_steps = 0;
-    for (int c = 0; c < chains; ++c) {
-      actual_steps += out.per_chain[c][0].steps;
-    }
     out.steps_per_second =
         out.seconds > 0.0
             ? static_cast<double>(actual_steps) / out.seconds
@@ -352,7 +315,7 @@ LoopOutput RunLoop(
       progress.total_steps = actual_steps;
       progress.seconds = out.seconds;
       progress.steps_per_second = out.steps_per_second;
-      progress.max_rel_error = max_rel;
+      progress.max_rel_error = out.max_rel_error;
       opt.on_progress(progress);
     }
 
@@ -360,8 +323,9 @@ LoopOutput RunLoop(
     // alone (initial-state transients are concentrated there) and never
     // with fewer than kMinBatchesForStop batches.
     if (opt.target_nrmse > 0.0 && out.rounds >= 2 &&
-        accumulators[0].NumBatches() >= kMinBatchesForStop &&
-        std::isfinite(max_rel) && max_rel <= opt.target_nrmse) {
+        accumulator.NumBatches() >= kMinBatchesForStop &&
+        std::isfinite(out.max_rel_error) &&
+        out.max_rel_error <= opt.target_nrmse) {
       out.converged = true;
       break;
     }
@@ -370,39 +334,37 @@ LoopOutput RunLoop(
     // distinct-query share is spent — a per-chain verdict no thread
     // schedule can change, so the break lands on the same round at any
     // thread count.
-    if (budget_mode) {
-      bool all_spent = true;
-      for (int u = 0; u < units && all_spent; ++u) {
-        for (int j = 0; j < unit_count(u); ++j) {
-          all_spent = all_spent && chain_objs[u]->BudgetExhausted(j);
+    if constexpr (kAccessHasQueryBudget<A>) {
+      if (opt.crawl.budget_queries > 0) {
+        bool all_spent = true;
+        for (int u = 0; u < units && all_spent; ++u) {
+          for (int j = 0; j < unit[u]->count(); ++j) {
+            all_spent = all_spent && unit[u]->BudgetExhausted(j);
+          }
         }
-      }
-      if (all_spent) {
-        out.budget_exhausted = true;
-        break;
+        if (all_spent) {
+          out.budget_exhausted = true;
+          break;
+        }
       }
     }
   }
 
   // Crawl accounting: per-chain breakdown plus the chain-order sum.
-  if (opt.crawl.enabled) {
+  if constexpr (std::is_same_v<A, CrawlAccess>) {
     out.per_chain_access.reserve(chains);
-    for (int u = 0; u < units; ++u) {
-      for (int j = 0; j < unit_count(u); ++j) {
-        const CrawlStats* stats = chain_objs[u]->AccessStats(j);
-        out.per_chain_access.push_back(stats != nullptr ? *stats
-                                                        : CrawlStats{});
+    for (const auto& u : unit) {
+      for (int j = 0; j < u->count(); ++j) {
+        out.per_chain_access.push_back(u->access(j).stats());
         out.access.MergeFrom(out.per_chain_access.back());
       }
     }
   }
 
-  for (int s = 0; s < streams; ++s) {
-    // Fewer than two batches carry no spread information: leave the
-    // stream's errors empty (unknown) rather than reporting zeros.
-    if (accumulators[s].NumBatches() >= 2) {
-      out.standard_errors[s] = accumulators[s].StandardErrors();
-    }
+  // Fewer than two batches carry no spread information: leave the errors
+  // empty (unknown) rather than reporting zeros.
+  if (accumulator.NumBatches() >= 2) {
+    out.standard_errors = accumulator.StandardErrors();
   }
   return out;
 }
@@ -419,213 +381,30 @@ EstimationEngine::EstimationEngine(const Graph& g,
                                    const EstimatorConfig& config,
                                    EngineOptions options)
     : g_(&g), config_(config), options_(std::move(options)) {
-  if (options_.chains < 0) {
-    throw std::invalid_argument("EstimationEngine: chains must be >= 0");
-  }
-  if (options_.crawl.enabled && options_.crawl.budget_queries > 0 &&
-      options_.crawl.budget_queries <
-          static_cast<uint64_t>(options_.chains)) {
-    // A share of zero would mean "no budget" for that chain and the total
-    // would silently overspend; refuse the degenerate split instead.
-    throw std::invalid_argument(
-        "EstimationEngine: budget_queries must be >= chains (every chain "
-        "needs a positive distinct-query share)");
-  }
-  if (options_.batch.enabled && options_.batch.lanes < 1) {
-    throw std::invalid_argument(
-        "EstimationEngine: batch.lanes must be >= 1");
-  }
-  if (options_.chains > 0) {
-    // Validate the estimator configuration eagerly (and warm the
-    // k-indexed singletons) instead of failing inside the pool.
-    const GraphletEstimator probe(g, config_);
-    (void)probe;
-  }
+  ValidateEngine<Graph>(g, config_, options_);
 }
 
 EstimationEngine::EstimationEngine(const ShardStore& store,
                                    const EstimatorConfig& config,
                                    EngineOptions options)
     : store_(&store), config_(config), options_(std::move(options)) {
-  if (options_.chains < 0) {
-    throw std::invalid_argument("EstimationEngine: chains must be >= 0");
-  }
-  if (options_.crawl.enabled) {
-    throw std::invalid_argument(
-        "EstimationEngine: crawl mode does not compose with sharded "
-        "storage (the crawl cache simulates remote-API access over one "
-        "flat graph)");
-  }
-  if (options_.batch.enabled) {
-    throw std::invalid_argument(
-        "EstimationEngine: batch mode needs a monolithic CSR; run "
-        "sharded graphs with the scalar kernels");
-  }
-  if (options_.chains > 0) {
-    // Same eager validation as the monolithic constructor; constructing
-    // the estimator reads only sizes, no shard payloads.
-    const ShardedAccess probe_access(store);
-    const GraphletEstimatorT<ShardedAccess> probe(probe_access, config_);
-    (void)probe;
-  }
-}
-
-EngineResult EstimationEngine::RunSharded() {
-  const ShardStore& store = *store_;
-  const EstimatorConfig& config = config_;
-  const int chains = options_.chains;
-  const uint32_t num_shards = store.NumShards();
-
-  LoopOutput loop = RunLoop(
-      1, options_, 1,
-      [&](int first, int) -> std::unique_ptr<EngineChain> {
-        auto chain = std::make_unique<ShardedSingleSizeChain>(store, config);
-        if (options_.sharded.locality_seeding) {
-          // Contiguous chain blocks per shard: chain c's affinity shard
-          // is floor(c * S / C) — a function of the global chain index
-          // alone, so the assignment (and with it the RNG consumption)
-          // is identical at any thread count.
-          const uint32_t s = static_cast<uint32_t>(
-              (static_cast<uint64_t>(first) * num_shards) /
-              static_cast<uint64_t>(chains));
-          const auto [lo, hi] = store.ShardRange(s);
-          chain->SetStartRange(lo, hi);
-        }
-        return chain;
-      });
-
-  EngineResult result;
-  result.merged = std::move(loop.merged[0]);
-  result.per_chain.reserve(loop.per_chain.size());
-  for (auto& streams : loop.per_chain) {
-    if (!streams.empty()) result.per_chain.push_back(std::move(streams[0]));
-  }
-  result.standard_errors = std::move(loop.standard_errors[0]);
-  result.max_rel_error = loop.max_rel_error;
-  result.converged = loop.converged;
-  result.cancelled = loop.cancelled;
-  result.rounds = loop.rounds;
-  result.steps_per_chain = loop.steps_per_chain;
-  result.seconds = loop.seconds;
-  result.steps_per_second = loop.steps_per_second;
-  result.shards = store.stats();
-  return result;
+  ValidateEngine<ShardedAccess>(store, config_, options_);
 }
 
 EngineResult EstimationEngine::Run() {
-  if (store_ != nullptr) return RunSharded();
-  const Graph& g = *g_;
-  const EstimatorConfig& config = config_;
-  const EngineOptions::CrawlConfig& crawl = options_.crawl;
-  const int chains = options_.chains;
-
-  // A chain's budget share depends on its *global* index alone, so the
-  // batched grouping cannot move budget between chains.
-  const auto chain_access_options = [&](int c) {
-    CrawlAccess::Options access_options;
-    access_options.cache_entries = crawl.cache_entries;
-    access_options.latency_us = crawl.latency_us;
-    if (crawl.fail_prob > 0.0) {
-      access_options.failure.fail_prob = crawl.fail_prob;
-      access_options.failure.max_retries = crawl.fail_max_retries;
-      access_options.failure.backoff_base_us = crawl.fail_backoff_us;
-      access_options.failure.backoff_max_us = crawl.fail_backoff_max_us;
-      // Global chain index, like the budget share below: the failure
-      // schedule is a property of the chain, not of the thread or the
-      // batch unit it lands in.
-      access_options.failure.seed =
-          DeriveSeed(crawl.fail_seed, static_cast<uint64_t>(c));
-    }
-    if (crawl.budget_queries > 0) {
-      // Fixed share of the total budget (B >= chains was validated, so
-      // every share is positive). A chain stops after the step that
-      // crosses its share, so the total can overshoot B by at most one
-      // step's fetches per chain — reported honestly in
-      // EngineResult::access.
-      access_options.query_budget =
-          ChainBudgetShare(crawl.budget_queries, chains, c);
-    }
-    return access_options;
-  };
-
-  const bool batched = options_.batch.enabled;
-  const int unit_width = batched ? options_.batch.lanes : 1;
-  LoopOutput loop = RunLoop(
-      1, options_, unit_width,
-      [&](int first, int count) -> std::unique_ptr<EngineChain> {
-        if (!crawl.enabled) {
-          if (batched) {
-            return std::make_unique<BatchedSingleSizeChain>(g, config,
-                                                            count);
-          }
-          return std::make_unique<SingleSizeChain>(g, config);
-        }
-        if (batched) {
-          std::vector<CrawlAccess::Options> lane_options;
-          lane_options.reserve(count);
-          for (int j = 0; j < count; ++j) {
-            lane_options.push_back(chain_access_options(first + j));
-          }
-          return std::make_unique<BatchedCrawlSingleSizeChain>(
-              g, config, lane_options);
-        }
-        return std::make_unique<CrawlSingleSizeChain>(
-            g, config, chain_access_options(first));
-      });
-
-  EngineResult result;
-  result.merged = std::move(loop.merged[0]);
-  result.per_chain.reserve(loop.per_chain.size());
-  for (auto& streams : loop.per_chain) {
-    if (!streams.empty()) result.per_chain.push_back(std::move(streams[0]));
+  if (store_ == nullptr) {
+    return options_.crawl.enabled
+               ? RunLoop<CrawlAccess>(*g_, config_, options_)
+               : RunLoop<Graph>(*g_, config_, options_);
   }
-  result.standard_errors = std::move(loop.standard_errors[0]);
-  result.max_rel_error = loop.max_rel_error;
-  result.converged = loop.converged;
-  result.cancelled = loop.cancelled;
-  result.budget_exhausted = loop.budget_exhausted;
-  result.access = loop.access;
-  result.per_chain_access = std::move(loop.per_chain_access);
-  result.rounds = loop.rounds;
-  result.steps_per_chain = loop.steps_per_chain;
-  result.seconds = loop.seconds;
-  result.steps_per_second = loop.steps_per_second;
-  return result;
-}
-
-MultiSizeEngineResult RunMultiSizeEngine(const Graph& g, int d,
-                                         const std::vector<int>& sizes,
-                                         bool css, bool nb,
-                                         const EngineOptions& options) {
-  if (options.crawl.enabled) {
-    throw std::invalid_argument(
-        "RunMultiSizeEngine: crawl mode is single-size only");
-  }
-  if (options.batch.enabled) {
-    throw std::invalid_argument(
-        "RunMultiSizeEngine: batch mode is single-size only");
-  }
-  // Construct one probe to validate configuration and learn the
-  // deduplicated, sorted size list (MultiSizeEstimator normalizes it).
-  MultiSizeEstimator probe(g, d, sizes, css, nb);
-  const std::vector<int> ordered = probe.Sizes();
-
-  LoopOutput loop = RunLoop(
-      static_cast<int>(ordered.size()), options, 1, [&](int, int) {
-        return std::make_unique<MultiSizeChain>(g, d, ordered, css, nb);
-      });
-
-  MultiSizeEngineResult result;
-  for (size_t s = 0; s < ordered.size(); ++s) {
-    result.merged[ordered[s]] = std::move(loop.merged[s]);
-    result.standard_errors[ordered[s]] = std::move(loop.standard_errors[s]);
-  }
-  result.max_rel_error = loop.max_rel_error;
-  result.converged = loop.converged;
-  result.rounds = loop.rounds;
-  result.steps_per_chain = loop.steps_per_chain;
-  result.seconds = loop.seconds;
-  result.steps_per_second = loop.steps_per_second;
+  // The store's counters are lifetime totals shared by every run on it:
+  // report this run's faults / hits / evictions as a before/after delta.
+  const ShardStats before = store_->stats();
+  EngineResult result = RunLoop<ShardedAccess>(*store_, config_, options_);
+  result.shards = store_->stats();
+  result.shards.faults -= before.faults;
+  result.shards.hits -= before.hits;
+  result.shards.evictions -= before.evictions;
   return result;
 }
 

@@ -17,20 +17,28 @@
 // round snapshots — so results (including where the engine stops) are
 // bit-identical at any thread count.
 //
-// Crawl mode (EngineOptions::crawl): each chain owns a private CrawlAccess
-// (graph/access.h) — an LRU neighbor cache plus per-query accounting — and
-// the estimator stack reads the graph exclusively through it (static
-// dispatch, so full-access runs compile to the unchanged hot path). A
-// total distinct-query budget B is split across chains in fixed shares;
-// each chain stops itself the moment its share is spent, inside its own
-// run loop — a per-chain decision that no thread schedule can perturb, so
+// Execution modes compose through one chain type. A chain reads the
+// graph through an access type chosen per run: the in-memory Graph
+// (full access), a private CrawlAccess per chain (crawl mode), or a
+// private ShardedAccess per chain over a shared ShardStore (the sharded
+// constructor). Independently of that, EngineOptions::batch picks the
+// kernel: scalar GraphletEstimatorT chains, or BatchedEstimatorT lane
+// batches walked in lockstep. Both kernels and all three access types
+// give bit-identical estimates (static dispatch, so full-access runs
+// compile to the unchanged hot path). Sharded storage composes with
+// neither crawl nor batch mode; the constructors reject those pairs.
+//
+// Crawl mode: each chain's CrawlAccess (graph/access.h) is an LRU
+// neighbor cache plus per-query accounting. A total distinct-query
+// budget B is split across chains in fixed shares; each chain stops
+// itself the moment its share is spent, inside its own run loop — a
+// per-chain decision that no thread schedule can perturb, so
 // budget-stopped results are bit-identical at any thread count too.
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "core/estimator.h"
@@ -206,9 +214,13 @@ struct EngineResult {
   /// chain order), and the per-chain breakdown. Empty/zero otherwise.
   CrawlStats access;
   std::vector<CrawlStats> per_chain_access;
-  /// Sharded mode only: the store's residency accounting at the end of
-  /// the run (faults, hits, evictions, peak resident bytes). All-zero
-  /// otherwise.
+  /// Sharded mode only: faults, hits and evictions are this run's own
+  /// (a before/after delta of the store's counters); resident_bytes,
+  /// resident_shards and budget_bytes are the store's state at the end
+  /// of the run, and peak_resident_bytes is the store's lifetime
+  /// high-water mark. Concurrent runs sharing one store (grw_serve
+  /// requests on one registration) see each other's counts mixed into
+  /// their deltas. All-zero otherwise.
   ShardStats shards;
   int rounds = 0;
   /// Lockstep schedule position at the stop (budget-stalled chains may
@@ -230,8 +242,9 @@ class EstimationEngine {
   /// Sharded out-of-core run: chains read through per-chain
   /// ShardedAccess over `store` (which must outlive the engine).
   /// Crawl and batch modes do not compose with sharded storage — the
-  /// crawl cache simulates remote-API access and the batched kernels
-  /// want one flat CSR — so either throws std::invalid_argument here.
+  /// crawl cache simulates remote-API access over one flat graph and the
+  /// batched kernel has no locality seeding — so either throws
+  /// std::invalid_argument here.
   EstimationEngine(const ShardStore& store, const EstimatorConfig& config,
                    EngineOptions options);
 
@@ -243,37 +256,10 @@ class EstimationEngine {
   const EngineOptions& options() const { return options_; }
 
  private:
-  EngineResult RunSharded();
-
   const Graph* g_ = nullptr;            // full-access / crawl modes
   const ShardStore* store_ = nullptr;   // sharded mode
   EstimatorConfig config_;
   EngineOptions options_;
 };
-
-/// Multi-size outcome: one merged result per registered graphlet size.
-struct MultiSizeEngineResult {
-  std::map<int, EstimateResult> merged;
-  std::map<int, std::vector<double>> standard_errors;
-  double max_rel_error = 0.0;
-  /// True when every size's monitored types reached the target.
-  bool converged = false;
-  int rounds = 0;
-  uint64_t steps_per_chain = 0;
-  double seconds = 0.0;
-  double steps_per_second = 0.0;
-};
-
-/// Engine entry point for MultiSizeEstimator: each chain is ONE shared
-/// walk on G(d) feeding every size in `sizes`; convergence gates on all
-/// sizes at once. Options are honored as in EstimationEngine, except
-/// crawl mode (full access only; throws std::invalid_argument if
-/// options.crawl.enabled — the multi-size estimator is not templated on
-/// the access policy yet) and batch mode (throws likewise — the shared
-/// multi-size walk has no batched kernel yet).
-MultiSizeEngineResult RunMultiSizeEngine(const Graph& g, int d,
-                                         const std::vector<int>& sizes,
-                                         bool css, bool nb,
-                                         const EngineOptions& options);
 
 }  // namespace grw

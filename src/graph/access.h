@@ -23,19 +23,12 @@
 //                  access as exhausted, which the estimator's run loop
 //                  checks — the check compiles away entirely for
 //                  FullAccess.
-//
-// RestrictedAccess (bottom of this file) predates the policy family and is
-// kept for the baselines/examples that share one facade across threads: it
-// is thread-safe and counts API calls, but has no cache, no latency model
-// and no budget. New code should prefer CrawlAccess.
 
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <concepts>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -165,8 +158,7 @@ class CrawlAccess {
   CrawlAccess(const Graph& g, const Options& options);
 
   /// Number of nodes/edges. NOT available through real crawl APIs;
-  /// exposed for walk seeding and constructor validation in simulations
-  /// (matches RestrictedAccess::NumNodesForSeeding).
+  /// exposed for walk seeding and constructor validation in simulations.
   VertexId NumNodes() const { return g_->NumNodes(); }
   uint64_t NumEdges() const { return g_->NumEdges(); }
 
@@ -300,89 +292,6 @@ class CrawlAccess {
   // Private stream for the failure model; reseeded by ResetCache() so a
   // fresh crawler replays the same failure schedule.
   mutable Rng fail_rng_;
-};
-
-/// Neighbor-list-only view of a graph with API-call accounting.
-/// Thread-safe: one facade may be shared across the engine's chains; the
-/// counters are relaxed atomics (statistics, not synchronization points).
-/// No cache, latency model or budget — use CrawlAccess for those.
-class RestrictedAccess {
- public:
-  explicit RestrictedAccess(const Graph& g)
-      : g_(&g),
-        seen_words_((g.NumNodes() + 63) / 64) {
-    for (auto& word : seen_words_) word.store(0, std::memory_order_relaxed);
-  }
-
-  /// Degree of v (one API call — profile fetch).
-  uint32_t Degree(VertexId v) const {
-    Count(v);
-    return g_->Degree(v);
-  }
-
-  /// Full friend list of v (one API call).
-  std::span<const VertexId> Neighbors(VertexId v) const {
-    Count(v);
-    return g_->Neighbors(v);
-  }
-
-  /// Uniform random neighbor of v (one API call; OSN APIs with paging
-  /// support this with a random page index). Requires Degree(v) > 0.
-  VertexId RandomNeighbor(VertexId v, Rng& rng) const {
-    Count(v);
-    return g_->Neighbor(v, static_cast<uint32_t>(
-                               rng.UniformInt(g_->Degree(v))));
-  }
-
-  /// Adjacency test between two already-visited nodes. Costs one call to
-  /// u's friend list: implemented client-side by searching that list, but
-  /// we account for its fetch conservatively.
-  bool HasEdge(VertexId u, VertexId v) const {
-    Count(u);
-    return g_->HasEdge(u, v);
-  }
-
-  /// Number of nodes. NOT available through real APIs; exposed for
-  /// seeding the walk in simulations only.
-  VertexId NumNodesForSeeding() const { return g_->NumNodes(); }
-
-  /// Distinct nodes queried — the paper's cost model: a crawler keeps
-  /// every list it ever fetched, so repeat queries to the same node are
-  /// free. (Used to charge repeats too; RawQueryCount preserves that.)
-  uint64_t QueryCount() const {
-    return distinct_.load(std::memory_order_relaxed);
-  }
-
-  /// Every API call including repeats to the same node. O(1) relaxed load.
-  uint64_t RawQueryCount() const {
-    return raw_.load(std::memory_order_relaxed);
-  }
-
-  /// Zeroes both counters and the distinct-node registry. Not safe
-  /// concurrently with counting calls.
-  void ResetQueryCounts() {
-    raw_.store(0, std::memory_order_relaxed);
-    distinct_.store(0, std::memory_order_relaxed);
-    for (auto& word : seen_words_) word.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  void Count(VertexId v) const {
-    raw_.fetch_add(1, std::memory_order_relaxed);
-    const uint64_t bit = 1ULL << (v & 63u);
-    // fetch_or tells us atomically whether this thread set the bit first,
-    // so the distinct count is exact even under contention.
-    const uint64_t before =
-        seen_words_[v >> 6].fetch_or(bit, std::memory_order_relaxed);
-    if ((before & bit) == 0) {
-      distinct_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  const Graph* g_;
-  mutable std::atomic<uint64_t> raw_{0};
-  mutable std::atomic<uint64_t> distinct_{0};
-  mutable std::vector<std::atomic<uint64_t>> seen_words_;
 };
 
 }  // namespace grw

@@ -266,17 +266,12 @@ GrwbInfo InspectGraphBinary(const std::string& path) {
 bool IsGraphBinaryFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
-    throw std::runtime_error("LoadGraph: cannot open " + path);
+    throw std::runtime_error("IsGraphBinaryFile: cannot open " + path);
   }
   uint32_t magic = 0;
   const bool got = std::fread(&magic, sizeof magic, 1, f) == 1;
   std::fclose(f);
   return got && magic == kGrwbMagic;
-}
-
-Graph LoadGraph(const std::string& path, bool largest_cc) {
-  if (IsGraphBinaryFile(path)) return LoadGraphBinary(path);
-  return LoadEdgeList(path, largest_cc);
 }
 
 }  // namespace grw

@@ -98,8 +98,8 @@ void SaveGraphBinary(const Graph& g, const std::string& path,
 /// path and the failed check.
 Graph LoadGraphBinary(const std::string& path, bool verify_checksum = false);
 
-/// DEPRECATION NOTE: LoadGraphBinary and LoadGraph below predate the
-/// unified open API and survive as thin compatibility entry points —
+/// DEPRECATION NOTE: LoadGraphBinary predates the unified open API and
+/// survives as the monolithic loader GraphSource::Open is built on —
 /// GraphSource::Open (graph/source.h) is the one loader that also
 /// understands sharded manifests and carries the index/verify/relabel/
 /// budget knobs in one options struct. New call sites must go through
@@ -112,10 +112,5 @@ GrwbInfo InspectGraphBinary(const std::string& path);
 /// True iff the file starts with the `.grwb` magic (false for short files;
 /// throws only if the file cannot be opened).
 bool IsGraphBinaryFile(const std::string& path);
-
-/// Format-detecting loader: `.grwb` snapshots load via LoadGraphBinary
-/// (snapshots are already simplified, so largest_cc is ignored); anything
-/// else parses as a text edge list via LoadEdgeList(path, largest_cc).
-Graph LoadGraph(const std::string& path, bool largest_cc = true);
 
 }  // namespace grw

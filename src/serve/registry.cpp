@@ -79,13 +79,6 @@ std::optional<GraphSource> SnapshotRegistry::FindSource(
   return it->second;
 }
 
-std::optional<Graph> SnapshotRegistry::Find(const std::string& id) const {
-  MutexLock lock(mu_);
-  auto it = entries_.find(id);
-  if (it == entries_.end() || it->second.sharded()) return std::nullopt;
-  return it->second.graph();
-}
-
 std::vector<GraphListEntry> SnapshotRegistry::List() const {
   MutexLock lock(mu_);
   std::vector<GraphListEntry> out;

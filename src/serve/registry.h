@@ -71,12 +71,6 @@ class SnapshotRegistry {
   std::optional<GraphSource> FindSource(const std::string& id) const
       GRW_EXCLUDES(mu_);
 
-  /// DEPRECATED monolithic lookup, kept for pre-GraphSource call sites:
-  /// the graph bound to `id` as a cheap copy. nullopt for unknown ids
-  /// AND for sharded bindings (they have no resident Graph) — callers
-  /// that can serve out-of-core graphs use FindSource.
-  std::optional<Graph> Find(const std::string& id) const GRW_EXCLUDES(mu_);
-
   /// LIST-able view of every binding, in id order.
   std::vector<GraphListEntry> List() const GRW_EXCLUDES(mu_);
 

@@ -156,14 +156,10 @@ void ServeScheduler::RunJob(Job& job) {
           registry_->FindSource(req.graph);
       if (!source.has_value()) {
         response = ErrorResponse("unknown graph '" + req.graph + "'");
-      } else if (source->sharded() && req.crawl) {
-        // The crawl cache simulates remote-API access over one flat
-        // graph; it does not compose with out-of-core storage.
-        response = ErrorResponse(
-            "graph '" + req.graph +
-            "' is sharded (out-of-core); crawl mode is unavailable on "
-            "sharded graphs");
       } else {
+        // Mode combinations the engine cannot run (sharded x crawl,
+        // sharded x batch) throw from its constructor and land in the
+        // catch below as an error reply.
         EngineOptions options = ToEngineOptions(req);
         options.threads = options_.engine_threads;
         options.pool = options_.pool;  // nullptr = ChainPool::Shared()

@@ -15,7 +15,7 @@
 //     literal `false` unless the build sets -DGRW_FAULT_INJECTION
 //     (CMake option of the same name, default OFF). The tuned hot
 //     paths from PRs 4/6 compile to identical code in normal builds;
-//     the perf-bench gates run with the option off and are unaffected.
+//     the release-smoke gates run with the option off and are unaffected.
 //   * CONFIGURABLE WITHOUT RECOMPILING — a spec string names sites and
 //     triggers, read from the GRW_FAULT_SPEC / GRW_FAULT_SEED
 //     environment on first use (so `GRW_FAULT_SPEC='*=p0.01' grw ...`

@@ -1,8 +1,7 @@
-// Tests for the graph access layer (graph/access.h): the RestrictedAccess
-// crawling facade's distinct-vs-raw query accounting (the paper's cost
-// model charges only distinct neighbor-list fetches) and the CrawlAccess
+// Tests for the graph access layer (graph/access.h): the CrawlAccess
 // policy — LRU eviction order, hit/miss accounting under adversarial
-// revisit patterns, latency accumulation, and budget exhaustion.
+// revisit patterns (the paper's cost model charges only distinct
+// neighbor-list fetches), latency accumulation, and budget exhaustion.
 
 #include "graph/access.h"
 
@@ -11,88 +10,9 @@
 #include <vector>
 
 #include "graph/generators.h"
-#include "util/parallel.h"
-#include "util/rng.h"
 
 namespace grw {
 namespace {
-
-TEST(RestrictedAccessTest, CountsEveryKindOfCall) {
-  const Graph g = KarateClub();
-  RestrictedAccess api(g);
-  EXPECT_EQ(api.RawQueryCount(), 0u);
-  (void)api.Degree(0);
-  (void)api.Neighbors(1);
-  Rng rng(1);
-  (void)api.RandomNeighbor(2, rng);
-  (void)api.HasEdge(0, 1);
-  (void)api.NumNodesForSeeding();  // simulation-only; not an API call
-  EXPECT_EQ(api.RawQueryCount(), 4u);
-  api.ResetQueryCounts();
-  EXPECT_EQ(api.RawQueryCount(), 0u);
-  EXPECT_EQ(api.QueryCount(), 0u);
-}
-
-TEST(RestrictedAccessTest, QueryCountChargesDistinctNodesOnly) {
-  // Regression: QueryCount() used to count repeat queries to the same
-  // node. The paper's cost model charges one API call per *distinct*
-  // neighbor-list fetch — a crawler keeps what it downloaded.
-  const Graph g = KarateClub();
-  RestrictedAccess api(g);
-  for (int i = 0; i < 10; ++i) (void)api.Degree(0);
-  EXPECT_EQ(api.QueryCount(), 1u);
-  EXPECT_EQ(api.RawQueryCount(), 10u);
-  (void)api.Neighbors(0);  // same node, any call kind: still distinct=1
-  EXPECT_EQ(api.QueryCount(), 1u);
-  (void)api.Neighbors(5);
-  EXPECT_EQ(api.QueryCount(), 2u);
-  // HasEdge(u, v) fetches u's list: charges u, not v.
-  (void)api.HasEdge(7, 8);
-  EXPECT_EQ(api.QueryCount(), 3u);
-  (void)api.HasEdge(7, 9);
-  EXPECT_EQ(api.QueryCount(), 3u);
-  EXPECT_EQ(api.RawQueryCount(), 14u);
-  api.ResetQueryCounts();
-  (void)api.Degree(0);
-  EXPECT_EQ(api.QueryCount(), 1u);  // registry cleared by the reset
-}
-
-TEST(RestrictedAccessTest, CountersAreExactUnderConcurrency) {
-  // 8 threads x 40k mixed calls against one shared facade: raw must
-  // account for every call, distinct for every node exactly once even
-  // when threads race to set the same bit.
-  const Graph g = KarateClub();
-  const RestrictedAccess api(g);
-  constexpr size_t kThreads = 8;
-  constexpr uint64_t kCallsPerThread = 40000;
-  ParallelFor(
-      kThreads,
-      [&](size_t t) {
-        Rng rng(100 + t);
-        const VertexId n = api.NumNodesForSeeding();
-        for (uint64_t i = 0; i < kCallsPerThread; ++i) {
-          const auto v = static_cast<VertexId>(i % n);
-          switch (i % 4) {
-            case 0:
-              (void)api.Degree(v);
-              break;
-            case 1:
-              (void)api.Neighbors(v);
-              break;
-            case 2:
-              (void)api.RandomNeighbor(v, rng);
-              break;
-            default:
-              (void)api.HasEdge(v, static_cast<VertexId>((v + 1) % n));
-              break;
-          }
-        }
-      },
-      kThreads);
-  EXPECT_EQ(api.RawQueryCount(), kThreads * kCallsPerThread);
-  // Every node is queried by every thread; distinct = all of them, once.
-  EXPECT_EQ(api.QueryCount(), g.NumNodes());
-}
 
 // ---------------------------------------------------------- CrawlAccess --
 

@@ -295,9 +295,6 @@ TEST(BatchedEngineTest, RejectsInvalidBatchConfigs) {
   options.batch.enabled = true;
   options.batch.lanes = 0;
   EXPECT_THROW(EstimationEngine(g, config, options), std::invalid_argument);
-  options.batch.lanes = 8;
-  EXPECT_THROW(RunMultiSizeEngine(g, 2, {4}, false, false, options),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -198,13 +198,5 @@ TEST(CrawlEngineTest, BudgetSmallerThanChainCountIsRejected) {
                std::invalid_argument);
 }
 
-TEST(CrawlEngineTest, MultiSizeEngineRejectsCrawlMode) {
-  const Graph g = KarateClub();
-  EngineOptions options;
-  options.crawl.enabled = true;
-  EXPECT_THROW(RunMultiSizeEngine(g, 1, {3}, false, false, options),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace grw

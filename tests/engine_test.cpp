@@ -432,32 +432,5 @@ TEST(EngineTest, NullCancelAndFalseCancelRunToCompletion) {
   EXPECT_EQ(a.rounds, b.rounds);
 }
 
-TEST(MultiSizeEngineTest, MatchesPerSizeStructureAndDeterminism) {
-  Rng rng(21);
-  const Graph g = LargestConnectedComponent(HolmeKim(200, 4, 0.5, rng));
-  EngineOptions options;
-  options.chains = 4;
-  options.max_steps = 3000;
-  options.base_seed = 5;
-  const MultiSizeEngineResult a =
-      RunMultiSizeEngine(g, 2, {3, 4}, false, false, options);
-  ASSERT_EQ(a.merged.size(), 2u);
-  ASSERT_TRUE(a.merged.count(3));
-  ASSERT_TRUE(a.merged.count(4));
-  EXPECT_EQ(a.merged.at(3).steps, 4u * 3000u);
-  // Concentrations normalized per size.
-  for (int k : {3, 4}) {
-    double sum = 0.0;
-    for (double c : a.merged.at(k).concentrations) sum += c;
-    EXPECT_NEAR(sum, 1.0, 1e-9);
-  }
-  // Determinism across thread counts.
-  options.threads = 1;
-  const MultiSizeEngineResult b =
-      RunMultiSizeEngine(g, 2, {4, 3, 3}, false, false, options);
-  EXPECT_EQ(a.merged.at(3).weights, b.merged.at(3).weights);
-  EXPECT_EQ(a.merged.at(4).weights, b.merged.at(4).weights);
-}
-
 }  // namespace
 }  // namespace grw

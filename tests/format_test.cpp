@@ -16,6 +16,7 @@
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/io.h"
+#include "graph/source.h"
 #include "util/rng.h"
 
 namespace grw {
@@ -357,8 +358,11 @@ TEST(FormatTest, LoadGraphAutoDetectsBothFormats) {
   const std::string bin = TempPath("grw_format_auto.grwb");
   SaveEdgeList(g, text);
   SaveGraphBinary(g, bin);
-  const Graph from_text = LoadGraph(text, /*largest_cc=*/false);
-  const Graph from_bin = LoadGraph(bin);
+  OpenOptions options;
+  options.build_index = false;
+  options.largest_cc = false;
+  const Graph from_text = GraphSource::Open(text, options).graph();
+  const Graph from_bin = GraphSource::Open(bin, options).graph();
   EXPECT_EQ(from_text.Summary(), g.Summary());
   EXPECT_EQ(from_bin.Summary(), g.Summary());
   ExpectIdenticalCsr(from_text, from_bin);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -20,6 +22,7 @@
 #include "graph/builder.h"
 #include "graph/format.h"
 #include "graph/generators.h"
+#include "graph/sharding.h"
 #include "serve/client.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
@@ -194,17 +197,19 @@ TEST(RegistryTest, SharedSnapshotsReuseBackingAndUnknownIdsMiss) {
   registry.Register("b", path.string());  // same bytes, different id
   EXPECT_EQ(registry.size(), 2u);
 
-  const auto ga = registry.Find("a");
-  const auto gb = registry.Find("b");
-  ASSERT_TRUE(ga.has_value());
-  ASSERT_TRUE(gb.has_value());
+  const auto sa = registry.FindSource("a");
+  const auto sb = registry.FindSource("b");
+  ASSERT_TRUE(sa.has_value());
+  ASSERT_TRUE(sb.has_value());
+  const Graph* ga = &sa->graph();
+  const Graph* gb = &sb->graph();
   EXPECT_EQ(ga->NumNodes(), g.NumNodes());
   // Two ids over identical bytes share one mapping and one index.
   EXPECT_EQ(ga->RawNeighbors().data(), gb->RawNeighbors().data());
   EXPECT_EQ(ga->adjacency_index(), gb->adjacency_index());
   EXPECT_NE(ga->adjacency_index(), nullptr);
 
-  EXPECT_FALSE(registry.Find("nope").has_value());
+  EXPECT_FALSE(registry.FindSource("nope").has_value());
   const auto list = registry.List();
   ASSERT_EQ(list.size(), 2u);
   EXPECT_EQ(list[0].id, "a");
@@ -296,6 +301,40 @@ TEST(SchedulerTest, DeadlineCancelsLongRun) {
   EXPECT_NE(response.find("deadline exceeded"), std::string::npos)
       << response;
   EXPECT_NE(response.find("\"ok\": false"), std::string::npos);
+}
+
+TEST(SchedulerTest, ShardedRegistrationRefusesCrawlAndBatchRequests) {
+  namespace fs = std::filesystem;
+  Rng rng(13);
+  const Graph g = LargestConnectedComponent(HolmeKim(400, 4, 0.5, rng));
+  const fs::path dir = fs::temp_directory_path() /
+                       ("serve_sharded_modes." + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  ShardingOptions sharding;
+  sharding.num_shards = 4;
+  WriteShardedGraph(g, dir.string(), sharding);
+
+  SnapshotRegistry registry;
+  registry.Register("s", dir.string());
+  ServeScheduler scheduler(&registry, SmallScheduler(1));
+
+  // crawl=1 reaches the engine, whose validation rejects sharded x crawl;
+  // batch=1 is not a protocol field, so the parser refuses it first.
+  const std::string crawl =
+      scheduler.HandleLine("ESTIMATE graph=s k=3 steps=2000 crawl=1");
+  EXPECT_NE(crawl.find("\"ok\": false"), std::string::npos) << crawl;
+  EXPECT_NE(crawl.find("crawl mode does not compose with sharded"),
+            std::string::npos)
+      << crawl;
+  const std::string batch =
+      scheduler.HandleLine("ESTIMATE graph=s k=3 steps=2000 batch=1");
+  EXPECT_NE(batch.find("\"ok\": false"), std::string::npos) << batch;
+  // The worker survives the refusals and serves the next valid request.
+  const std::string ok =
+      scheduler.HandleLine("ESTIMATE graph=s k=3 steps=2000");
+  EXPECT_NE(ok.find("\"ok\": true"), std::string::npos) << ok;
+  EXPECT_EQ(scheduler.stats().completed, 1u);
+  fs::remove_all(dir);
 }
 
 TEST(SchedulerTest, DrainRefusesNewWorkAndIsIdempotent) {

@@ -276,6 +276,33 @@ TEST(ShardedEngineTest, LocalitySeedingStartsChainsInAffinityShards) {
   fs::remove_all(dir);
 }
 
+TEST(ShardedEngineTest, ShardStatsCoverOnlyTheirOwnRun) {
+  // Two identical runs on one unbounded store: the second finds every
+  // shard the first faulted already resident, so it faults nothing and
+  // every one of its Acquire calls (same seeds, same walk, same count as
+  // the first run's faults + hits) is a hit.
+  Rng rng(37);
+  const Graph g = LargestConnectedComponent(HolmeKim(400, 4, 0.3, rng));
+  const std::string dir = TempDir("grw_engine_stats_delta");
+  ShardInto(g, dir, 8);
+  const ShardStore store(LoadShardManifest(dir), {});
+  const EstimatorConfig config{4, 2, true, false};
+  EngineOptions options = BaseOptions(/*chains=*/2, /*threads=*/1);
+  options.max_steps = 2000;
+
+  const EngineResult first = EstimationEngine(store, config, options).Run();
+  const EngineResult second = EstimationEngine(store, config, options).Run();
+  EXPECT_EQ(first.shards.faults, 8u);
+  EXPECT_EQ(second.shards.faults, 0u);
+  EXPECT_EQ(second.shards.hits, first.shards.faults + first.shards.hits);
+  EXPECT_EQ(second.shards.evictions, 0u);
+  // Residency state and the high-water mark describe the store itself.
+  EXPECT_EQ(second.shards.resident_shards, 8u);
+  EXPECT_EQ(second.shards.peak_resident_bytes,
+            first.shards.peak_resident_bytes);
+  fs::remove_all(dir);
+}
+
 TEST(ShardedEngineTest, RejectsCrawlAndBatchModes) {
   const Graph g = RegularGraph();
   const std::string dir = TempDir("grw_engine_reject");

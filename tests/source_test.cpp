@@ -108,7 +108,7 @@ TEST_F(SourceTest, OpenMatchesDeprecatedAliases) {
   for (VertexId v = 0; v < via_alias.NumNodes(); ++v) {
     ASSERT_EQ(via_alias.Degree(v), via_source.Degree(v));
   }
-  const Graph text_alias = LoadGraph(text_, /*largest_cc=*/false);
+  const Graph text_alias = LoadEdgeList(text_, /*largest_cc=*/false);
   const Graph text_source = GraphSource::Open(text_, options).graph();
   EXPECT_EQ(text_alias.Summary(), text_source.Summary());
 }

@@ -30,7 +30,7 @@ Checks (each is a function named check_*; `--list` prints them):
                     goes through grw::io (EINTR retry, partial-write
                     loops, timeouts, fault-injection sites) so no call
                     path silently skips the hardening.
-  graphsource-open  no direct LoadGraph / LoadGraphBinary call sites
+  graphsource-open  no direct LoadGraphBinary call sites
                     outside the format layer itself, GraphSource, the
                     loader microbenchmark, and tests/ — everything else
                     opens graphs through GraphSource::Open so text,
@@ -65,7 +65,7 @@ TEST_MACRO_RE = re.compile(r"\b(?:TEST|TEST_F|TEST_P|TYPED_TEST)\s*\(")
 GBENCH_INCLUDE_RE = re.compile(r'#include\s+[<"]benchmark/benchmark\.h[>"]')
 DOC_REF_RE = re.compile(r"`((?:src|tests|bench|tools|docs|examples)/[^`]+)`")
 RAW_POSIX_IO_RE = re.compile(r"::(?:read|write|send|recv|connect)\s*\(")
-GRAPHSOURCE_RE = re.compile(r"\bLoadGraph(?:Binary)?\s*\(")
+GRAPHSOURCE_RE = re.compile(r"\bLoadGraphBinary\s*\(")
 FORMAT_HEADER = os.path.join("src", "graph", "format.h")
 FORMAT_IMPL = os.path.join("src", "graph", "format.cpp")
 GRAPHSOURCE_IMPL = os.path.join("src", "graph", "source.cpp")
@@ -243,15 +243,15 @@ def check_graphsource_open(root):
     for rel in iter_source_files(root):
         if rel in allowed:
             continue
-        # tests/ may exercise the deprecated aliases (alias-equivalence
-        # coverage is exactly what keeps them honest).
+        # tests/ may exercise the deprecated alias (alias-equivalence
+        # coverage is exactly what keeps it honest).
         if rel.split(os.sep)[0] == "tests":
             continue
         for lineno, line in enumerate(read_code_lines(root, rel), start=1):
             if GRAPHSOURCE_RE.search(line):
                 findings.append((
                     rel, lineno,
-                    "direct LoadGraph/LoadGraphBinary call — open graphs "
+                    "direct LoadGraphBinary call — open graphs "
                     "through GraphSource::Open so sharded manifests work "
                     "everywhere"))
     return findings
