@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -19,6 +20,7 @@
 #include "core/estimator.h"
 #include "engine/engine.h"
 #include "graph/builder.h"
+#include "graph/format.h"
 #include "graph/generators.h"
 #include "graph/sharding.h"
 #include "util/rng.h"
@@ -155,6 +157,50 @@ TEST(ShardStoreTest, PinSurvivesEviction) {
   fs::remove_all(dir);
 }
 
+// Flips one byte of `path` in place: same inode, no rename, so a live
+// mapping of the file sees the change once its pages refault.
+void FlipByteInPlace(const std::string& path, uint64_t offset) {
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  unsigned char value = 0;
+  ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+  ASSERT_EQ(std::fread(&value, 1, 1, f), 1u);
+  value ^= 1u;
+  ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&value, 1, 1, f), 1u);
+  std::fclose(f);
+}
+
+TEST(ShardStoreTest, ReadmissionRechecksShard) {
+  // Every re-admission of an evicted shard re-runs the open-time header
+  // checks, plus the full payload scan under verify_on_fault — a shard
+  // damaged while the store is open is caught on its next fault, and
+  // the failed fault leaves nothing charged.
+  const Graph g = RegularGraph();
+  for (const bool verify : {true, false}) {
+    const std::string dir = TempDir("grw_store_recheck");
+    const ShardManifest m = ShardInto(g, dir, 4);
+    ShardStore::Options options;
+    options.resident_budget_bytes = 1;  // floor: one resident shard
+    options.verify_on_fault = verify;
+    const ShardStore store(LoadShardManifest(dir), options);
+
+    store.Acquire(0);
+    // verify: the last neighbor byte, which only the payload scan reads;
+    // no verify: a header byte, covered by the header checksum.
+    const uint64_t offset = verify ? m.shards[0].file_bytes - 1 : 8;
+    FlipByteInPlace(m.ShardPath(0), offset);
+    store.Acquire(1);
+    ASSERT_FALSE(store.Resident(0));
+    EXPECT_THROW(store.Acquire(0), SnapshotCorruptError)
+        << "verify_on_fault=" << verify;
+    EXPECT_FALSE(store.Resident(0));
+    EXPECT_TRUE(store.Resident(1));
+    EXPECT_EQ(store.stats().faults, 2u);
+    fs::remove_all(dir);
+  }
+}
+
 TEST(ShardedAccessTest, ReadsMatchGraphEverywhere) {
   // Every accessor, every node, every budget: answers must be identical
   // to the monolithic Graph — including HasEdge's tie-breaking.
@@ -246,6 +292,27 @@ TEST(ShardedEngineTest, BitIdenticalToMonolithicAcrossThreadsAndBudgets) {
       }
     }
   }
+  fs::remove_all(dir);
+}
+
+TEST(ShardedEngineTest, SingleThreadStatsUnchanged) {
+  // One thread makes the Acquire stream deterministic, so the residency
+  // counters are exact functions of the LRU policy, the kPins MRU and
+  // the walk. The constants pin all three against silent drift.
+  Rng rng(23);
+  const Graph g = LargestConnectedComponent(HolmeKim(400, 4, 0.3, rng));
+  const std::string dir = TempDir("grw_engine_stats_pinned");
+  const ShardManifest m = ShardInto(g, dir, 8);
+  ShardStore::Options store_options;
+  store_options.resident_budget_bytes = m.TotalShardBytes() / 4;
+  const ShardStore store(LoadShardManifest(dir), store_options);
+  const EstimatorConfig config{4, 2, true, false};
+  const EngineResult result =
+      EstimationEngine(store, config, BaseOptions(/*chains=*/4, 1)).Run();
+  EXPECT_EQ(result.shards.faults, 7513u);
+  EXPECT_EQ(result.shards.hits, 78u);
+  EXPECT_EQ(result.shards.evictions, 7512u);
+  EXPECT_EQ(result.shards.peak_resident_bytes, 4120u);
   fs::remove_all(dir);
 }
 
