@@ -34,6 +34,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -78,12 +79,14 @@ std::vector<int> ParseClientList(const std::string& list) {
   return clients;
 }
 
+// Nearest-rank percentile: the smallest sample with at least p of the
+// samples at or below it, so p99 of 100 samples is the 99th, not the max.
 double Percentile(std::vector<double> v, double p) {
   if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());
-  const size_t idx = std::min(
-      v.size() - 1, static_cast<size_t>(p * static_cast<double>(v.size())));
-  return v[idx];
+  const double rank = std::ceil(p * static_cast<double>(v.size()));
+  const size_t idx = rank < 1.0 ? 0 : static_cast<size_t>(rank) - 1;
+  return v[std::min(idx, v.size() - 1)];
 }
 
 // Load-shed probe: a RETRY_AFTER response means the server answered but

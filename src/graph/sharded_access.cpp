@@ -1,29 +1,45 @@
 #include "graph/sharded_access.h"
 
 #include <utility>
+#include <vector>
 
 namespace grw {
 
-ShardStore::ShardStore(ShardManifest manifest, const Options& options)
-    : manifest_(std::move(manifest)), options_(options) {
-  const uint32_t shards = manifest_.NumShards();
-  // Catch missing files, torn shards and stale manifests at open time —
-  // the store's analogue of the monolithic loader's eager header
-  // validation — instead of minutes into a walk. The probe mappings are
-  // dropped immediately: the store starts with nothing resident.
-  for (uint32_t s = 0; s < shards; ++s) {
-    (void)MapShard(manifest_, s, options_.verify_on_fault);
+namespace {
+
+// Catch missing files, torn shards and stale manifests at open time —
+// the store's analogue of the monolithic loader's eager header
+// validation — instead of minutes into a walk. The check touches pages;
+// they are dropped right away so the store starts with nothing resident.
+std::vector<MappedShard> MapAllShards(const ShardManifest& manifest,
+                                      bool verify) {
+  std::vector<MappedShard> shards;
+  shards.reserve(manifest.NumShards());
+  for (uint32_t s = 0; s < manifest.NumShards(); ++s) {
+    shards.push_back(MapShard(manifest, s, verify));
+    shards.back().DropPages();
   }
+  return shards;
+}
+
+}  // namespace
+
+ShardStore::ShardStore(ShardManifest manifest, const Options& options)
+    : manifest_(std::move(manifest)),
+      options_(options),
+      shards_(MapAllShards(manifest_, options_.verify_on_fault)) {
+  const uint32_t shards = manifest_.NumShards();
   MutexLock lock(mu_);
-  resident_.assign(shards, nullptr);
+  resident_.assign(shards, false);
   prev_.assign(shards, kNone);
   next_.assign(shards, kNone);
   stats_.budget_bytes = options_.resident_budget_bytes;
 }
 
-std::shared_ptr<const MappedShard> ShardStore::Acquire(uint32_t s) const {
+const MappedShard* ShardStore::Acquire(uint32_t s) const {
+  const MappedShard& shard = shards_[s];
   MutexLock lock(mu_);
-  if (resident_[s] != nullptr) {
+  if (resident_[s]) {
     ++stats_.hits;
     if (head_ != s) {
       // Unlink, push front (MRU).
@@ -36,31 +52,31 @@ std::shared_ptr<const MappedShard> ShardStore::Acquire(uint32_t s) const {
       if (head_ != kNone) prev_[head_] = s; else tail_ = s;
       head_ = s;
     }
-    return resident_[s];
+    return &shard;
   }
 
-  // Fault: map under the lock. The mmap + header check is microseconds;
-  // the expensive part — actual page-ins — happens lazily on the
-  // caller's reads, outside any lock. Holding mu_ keeps the accounting
-  // exact (two chains faulting the same shard resolve to one mapping).
-  auto shard = std::make_shared<const MappedShard>(
-      MapShard(manifest_, s, options_.verify_on_fault));
+  // Fault: re-check the held mapping under the lock (a throw leaves the
+  // shard non-resident and nothing charged), then charge it. The header
+  // check is a few page touches; the expensive part — actual page-ins —
+  // happens lazily on the caller's reads, outside any lock. Holding mu_
+  // keeps the accounting exact (two chains faulting the same shard
+  // resolve to one admission).
+  CheckShardBytes(manifest_, s, shard.file(), options_.verify_on_fault);
   ++stats_.faults;
-  stats_.resident_bytes += shard->bytes();
+  stats_.resident_bytes += shard.bytes();
   ++stats_.resident_shards;
-  resident_[s] = shard;
+  resident_[s] = true;
   prev_[s] = kNone;
   next_[s] = head_;
   if (head_ != kNone) prev_[head_] = s; else tail_ = s;
   head_ = s;
   EvictOverBudgetLocked(s);
-  // Peak is sampled *after* eviction: a fresh mmap has no pages
-  // faulted in yet, and the victim's pages are dropped before the
-  // caller touches the new shard, so the pre-eviction sum was never
-  // real memory.
+  // Peak is sampled *after* eviction: the new shard's pages fault in
+  // only as the caller reads them, and the victim's pages are dropped
+  // before that, so the pre-eviction sum was never real memory.
   stats_.peak_resident_bytes =
       std::max(stats_.peak_resident_bytes, stats_.resident_bytes);
-  return shard;
+  return &shard;
 }
 
 void ShardStore::EvictOverBudgetLocked(uint32_t keep) const {
@@ -81,20 +97,21 @@ void ShardStore::EvictOverBudgetLocked(uint32_t keep) const {
     if (n != kNone) prev_[n] = p; else tail_ = p;
     prev_[victim] = kNone;
     next_[victim] = kNone;
-    // Drop the pages before releasing the reference: if no chain holds
-    // a pin the memory is returned to the kernel right now; if one
-    // does, its reads refault from disk — latency, never corruption.
-    resident_[victim]->DropPages();
-    stats_.resident_bytes -= resident_[victim]->bytes();
+    // Eviction only drops pages; the mapping stays. A chain still
+    // reading the victim refaults from disk — latency, never corruption.
+    // The drop stays under mu_: measured outside it, wall time per
+    // answer fell but CPU per walk step rose.
+    shards_[victim].DropPages();
+    stats_.resident_bytes -= shards_[victim].bytes();
     --stats_.resident_shards;
     ++stats_.evictions;
-    resident_[victim] = nullptr;
+    resident_[victim] = false;
   }
 }
 
 bool ShardStore::Resident(uint32_t s) const {
   MutexLock lock(mu_);
-  return resident_[s] != nullptr;
+  return resident_[s];
 }
 
 ShardStats ShardStore::stats() const {
@@ -103,11 +120,10 @@ ShardStats ShardStore::stats() const {
 }
 
 const MappedShard& ShardedAccess::Miss(VertexId v) const {
-  std::shared_ptr<const MappedShard> shard =
-      store_->Acquire(store_->ShardOf(v));
-  for (int j = kPins - 1; j > 0; --j) pins_[j] = std::move(pins_[j - 1]);
-  pins_[0] = std::move(shard);
-  return *pins_[0];
+  const MappedShard* shard = store_->Acquire(store_->ShardOf(v));
+  for (int j = kPins - 1; j > 0; --j) pins_[j] = pins_[j - 1];
+  pins_[0] = shard;
+  return *shard;
 }
 
 }  // namespace grw

@@ -4,13 +4,17 @@
 //
 // Two layers, mirroring the engine's sharing model:
 //
-//   ShardStore    — ONE per graph, thread-safe. Owns the manifest and an
-//                   LRU of mapped shards under a resident-byte budget.
-//                   Acquire(shard) returns a shared_ptr pin: eviction
-//                   drops the store's reference and madvises the pages
-//                   away, but a chain holding a pin keeps the mapping
-//                   valid (evicted pages refault from disk — slower,
-//                   never wrong). Counters land in ShardStats.
+//   ShardStore    — ONE per graph, thread-safe. Owns the manifest, one
+//                   mapping per shard held for the store's lifetime, and
+//                   an LRU of resident shards under a resident-byte
+//                   budget. Residency is a flag plus a budget charge: a
+//                   fault re-checks the held mapping's bytes and charges
+//                   them, eviction only drops the pages (madvise) —
+//                   nothing is re-opened or unmapped. Acquire(shard)
+//                   returns a plain pointer that stays valid for the
+//                   store's lifetime; a chain reading an evicted shard
+//                   refaults its pages from disk (slower, never wrong).
+//                   Counters land in ShardStats.
 //   ShardedAccess — one per chain, NOT thread-safe, cheap. Mirrors the
 //                   Graph read API (NumNodes/Degree/Neighbors/Neighbor/
 //                   HasEdge) over a tiny MRU pin cache, so consecutive
@@ -23,12 +27,18 @@
 // runs at any budget and any thread count (tests/sharded_engine_test.cpp
 // gates this). The budget changes only WHEN pages are resident, never
 // what they contain.
+//
+// Like a monolithic `.grwb` mapping, the held mappings read the shard
+// generation that was opened: writers replace shards by rename, never by
+// truncating in place, so a regenerated directory needs a new store.
+// Each shard costs one mapping for the store's lifetime, so the kernel's
+// per-process map limit (vm.max_map_count, 65530 by default) bounds the
+// shard count per store.
 
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -42,7 +52,8 @@ namespace grw {
 /// Residency accounting, additive only in the sense of one store per
 /// graph: the engine surfaces a snapshot in EngineResult.
 struct ShardStats {
-  /// Shard loads (mmap + header validation) — cold or re-faulted.
+  /// Shard admissions (header re-validation + budget charge) — cold or
+  /// re-faulted.
   uint64_t faults = 0;
   /// Acquire() calls answered by an already-resident shard.
   uint64_t hits = 0;
@@ -84,8 +95,9 @@ class ShardStore {
 
   /// Takes a validated manifest (LoadShardManifest). Eagerly maps and
   /// header-checks every shard once (catching missing/stale shards at
-  /// open, like the monolithic loader's eager header validation), then
-  /// unmaps them: the store starts empty, nothing charged to the budget.
+  /// open, like the monolithic loader's eager header validation), keeps
+  /// the mappings for the store's lifetime and drops their pages: the
+  /// store starts empty, nothing resident or charged to the budget.
   ShardStore(ShardManifest manifest, const Options& options);
 
   ShardStore(const ShardStore&) = delete;
@@ -107,11 +119,13 @@ class ShardStore {
             static_cast<VertexId>(info.first_node + info.num_rows)};
   }
 
-  /// Pins shard s resident and returns it. The pin (shared ownership)
-  /// stays readable across a later eviction; the store merely stops
-  /// charging evicted shards to its budget and drops their pages.
-  std::shared_ptr<const MappedShard> Acquire(uint32_t s) const
-      GRW_EXCLUDES(mu_);
+  /// Makes shard s resident and returns it. The pointer stays valid and
+  /// readable for the store's lifetime, across later evictions; the
+  /// store merely stops charging evicted shards to its budget and drops
+  /// their pages. A fault (s not resident) re-runs CheckShardBytes on
+  /// the held mapping and throws SnapshotCorruptError, leaving s
+  /// non-resident, if the shard was damaged since it was opened.
+  const MappedShard* Acquire(uint32_t s) const GRW_EXCLUDES(mu_);
 
   /// True iff shard s is currently resident (tests).
   bool Resident(uint32_t s) const GRW_EXCLUDES(mu_);
@@ -124,13 +138,15 @@ class ShardStore {
 
   const ShardManifest manifest_;
   const Options options_;
+  // Every shard, mapped once at open; never resized, so pointers into it
+  // stay valid for the store's lifetime.
+  const std::vector<MappedShard> shards_;
 
   // LRU over resident shards, CrawlAccess-style intrusive lists indexed
-  // by shard id (kNone = not resident / list end).
+  // by shard id (kNone = list end).
   static constexpr uint32_t kNone = 0xFFFFFFFFu;
   mutable Mutex mu_;
-  mutable std::vector<std::shared_ptr<const MappedShard>> resident_
-      GRW_GUARDED_BY(mu_);
+  mutable std::vector<bool> resident_ GRW_GUARDED_BY(mu_);
   mutable std::vector<uint32_t> prev_ GRW_GUARDED_BY(mu_);
   mutable std::vector<uint32_t> next_ GRW_GUARDED_BY(mu_);
   mutable uint32_t head_ GRW_GUARDED_BY(mu_) = kNone;  // most recent
@@ -141,9 +157,10 @@ class ShardStore {
 /// Per-chain read facade over a ShardStore, shaped exactly like Graph's
 /// read API so the templated estimation stack (walkers, sample window,
 /// CSS, estimator) accepts it via static dispatch. NOT thread-safe: one
-/// instance per chain, like CrawlAccess. Holds up to kPins shard pins in
-/// MRU order; the common case — every read of a G(d) step landing in the
-/// walker's current shard(s) — is a couple of range compares, no lock.
+/// instance per chain, like CrawlAccess. Holds up to kPins shard pointers
+/// in MRU order; the common case — every read of a G(d) step landing in
+/// the walker's current shard(s) — is a couple of range compares, no
+/// lock.
 class ShardedAccess {
  public:
   explicit ShardedAccess(const ShardStore& store) : store_(&store) {}
@@ -153,10 +170,9 @@ class ShardedAccess {
 
   uint32_t Degree(VertexId v) const { return Shard(v).Degree(v); }
 
-  /// Sorted neighbors of v (global ids). The span stays valid while this
-  /// access holds the shard pinned — i.e. at least until kPins other
-  /// shards have been touched; the walk layer only holds spans within
-  /// one step, well inside that window.
+  /// Sorted neighbors of v (global ids). The span stays valid for the
+  /// store's lifetime; its pages may be dropped by an eviction and
+  /// refault on the next read.
   std::span<const VertexId> Neighbors(VertexId v) const {
     return Shard(v).Neighbors(v);
   }
@@ -182,27 +198,27 @@ class ShardedAccess {
   const MappedShard& Shard(VertexId v) const {
     // MRU scan: slot 0 is the hottest (the walker's current shard).
     for (int i = 0; i < kPins; ++i) {
-      const MappedShard* shard = pins_[i].get();
+      const MappedShard* shard = pins_[i];
       if (shard != nullptr && v >= shard->first_node() &&
           v < shard->end_node()) {
         if (i != 0) Promote(i);
-        return *pins_[0];
+        return *shard;
       }
     }
     return Miss(v);
   }
 
   void Promote(int i) const {
-    std::shared_ptr<const MappedShard> hit = std::move(pins_[i]);
-    for (int j = i; j > 0; --j) pins_[j] = std::move(pins_[j - 1]);
-    pins_[0] = std::move(hit);
+    const MappedShard* hit = pins_[i];
+    for (int j = i; j > 0; --j) pins_[j] = pins_[j - 1];
+    pins_[0] = hit;
   }
 
   // Cold path, out of line: ask the store, install at slot 0.
   const MappedShard& Miss(VertexId v) const;
 
   const ShardStore* store_;
-  mutable std::shared_ptr<const MappedShard> pins_[kPins];
+  mutable const MappedShard* pins_[kPins] = {};
 };
 
 }  // namespace grw

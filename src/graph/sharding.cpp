@@ -92,8 +92,12 @@ uint64_t HeaderChecksum(const Header& h) {
   throw SnapshotCorruptError("LoadShardManifest: " + path + ": " + why);
 }
 
-[[noreturn]] void BadShard(const std::string& path, const std::string& why) {
-  throw SnapshotCorruptError("MapShard: " + path + ": " + why);
+// Takes the manifest and index, not a path: the shard path string is
+// built only when a check actually fails, never on the fault hot path.
+[[noreturn]] void BadShard(const ShardManifest& manifest, uint32_t index,
+                           const std::string& why) {
+  throw SnapshotCorruptError("MapShard: " + manifest.ShardPath(index) +
+                             ": " + why);
 }
 
 uint64_t ShardFileBytes(uint64_t num_rows, uint64_t num_half_edges) {
@@ -212,38 +216,6 @@ std::vector<uint64_t> PlanCuts(std::span<const uint64_t> offsets, uint64_t n,
     }
   }
   return cuts;
-}
-
-GrwsShardHeader ValidateShardHeader(const std::string& path,
-                                    const unsigned char* data,
-                                    size_t file_bytes) {
-  if (file_bytes < sizeof(GrwsShardHeader)) {
-    BadShard(path, "file too small for a .grws shard header (" +
-                       std::to_string(file_bytes) + " bytes)");
-  }
-  GrwsShardHeader h;
-  std::memcpy(&h, data, sizeof h);
-  if (h.magic != kGrwsMagic) {
-    BadShard(path, "bad magic (not a .grws shard)");
-  }
-  if (h.version != kGrwsVersion) {
-    BadShard(path, "unsupported shard version " + std::to_string(h.version) +
-                       " (expected " + std::to_string(kGrwsVersion) + ")");
-  }
-  if (h.header_checksum != HeaderChecksum(h)) {
-    BadShard(path, "shard header checksum mismatch (corrupted header)");
-  }
-  if (h.total_nodes > std::numeric_limits<VertexId>::max() ||
-      h.first_node + h.num_rows > h.total_nodes) {
-    BadShard(path, "shard vertex range exceeds the graph's node count");
-  }
-  if (file_bytes != ShardFileBytes(h.num_rows, h.num_half_edges)) {
-    BadShard(path, "truncated or oversized shard: " +
-                       std::to_string(file_bytes) + " bytes, header implies " +
-                       std::to_string(ShardFileBytes(h.num_rows,
-                                                     h.num_half_edges)));
-  }
-  return h;
 }
 
 }  // namespace
@@ -516,79 +488,119 @@ uint64_t ShardContentChecksum(const ShardManifest& manifest) {
 
 void MappedShard::DropPages() const { file_.DropPages(); }
 
+void CheckShardBytes(const ShardManifest& manifest, uint32_t index,
+                     const MappedFile& file, bool verify_checksum) {
+  const size_t file_bytes = file.size();
+  if (file_bytes < sizeof(GrwsShardHeader)) {
+    BadShard(manifest, index, "file too small for a .grws shard header (" +
+                                  std::to_string(file_bytes) + " bytes)");
+  }
+  GrwsShardHeader h;
+  std::memcpy(&h, file.data(), sizeof h);
+  if (h.magic != kGrwsMagic) {
+    BadShard(manifest, index, "bad magic (not a .grws shard)");
+  }
+  if (h.version != kGrwsVersion) {
+    BadShard(manifest, index,
+             "unsupported shard version " + std::to_string(h.version) +
+                 " (expected " + std::to_string(kGrwsVersion) + ")");
+  }
+  if (h.header_checksum != HeaderChecksum(h)) {
+    BadShard(manifest, index,
+             "shard header checksum mismatch (corrupted header)");
+  }
+  if (h.total_nodes > std::numeric_limits<VertexId>::max() ||
+      h.first_node + h.num_rows > h.total_nodes) {
+    BadShard(manifest, index,
+             "shard vertex range exceeds the graph's node count");
+  }
+  if (file_bytes != ShardFileBytes(h.num_rows, h.num_half_edges)) {
+    BadShard(manifest, index,
+             "truncated or oversized shard: " + std::to_string(file_bytes) +
+                 " bytes, header implies " +
+                 std::to_string(ShardFileBytes(h.num_rows, h.num_half_edges)));
+  }
+  const ShardInfo& info = manifest.shards[index];
+  if (h.shard_index != index) {
+    BadShard(manifest, index,
+             "shard index mismatch: header says " +
+                 std::to_string(h.shard_index) + ", manifest slot is " +
+                 std::to_string(index));
+  }
+  if (h.first_node != info.first_node || h.num_rows != info.num_rows ||
+      h.num_half_edges != info.num_half_edges) {
+    BadShard(manifest, index,
+             "shard vertex range disagrees with the manifest "
+             "(stale manifest or mixed shard generations)");
+  }
+  if (h.total_nodes != manifest.total_nodes || h.flags != manifest.flags) {
+    BadShard(manifest, index,
+             "shard global header fields disagree with the manifest "
+             "(mixed shard generations)");
+  }
+  if (h.data_checksum != info.data_checksum) {
+    BadShard(manifest, index,
+             "checksum disagreement between shard and manifest "
+             "(stale manifest: the shard was rewritten without "
+             "rewriting " + std::string(kShardManifestName) +
+                 ", or vice versa)");
+  }
+
+  const std::span<const uint64_t> offsets(
+      reinterpret_cast<const uint64_t*>(file.data() +
+                                        sizeof(GrwsShardHeader)),
+      h.num_rows + 1);
+  const std::span<const VertexId> neighbors(
+      reinterpret_cast<const VertexId*>(offsets.data() + offsets.size()),
+      h.num_half_edges);
+  // Cheap structural sanity touching only the offsets edges.
+  if (offsets.front() != 0 || offsets.back() != h.num_half_edges) {
+    BadShard(manifest, index,
+             "shard offsets inconsistent with header (corrupted data)");
+  }
+  if (verify_checksum) {
+    for (size_t r = 0; r + 1 < offsets.size(); ++r) {
+      if (offsets[r] > offsets[r + 1]) {
+        BadShard(manifest, index,
+                 "shard offsets not monotone at row " + std::to_string(r));
+      }
+    }
+    for (size_t i = 0; i < neighbors.size(); ++i) {
+      if (neighbors[i] >= h.total_nodes) {
+        BadShard(manifest, index,
+                 "neighbor id out of range at index " + std::to_string(i));
+      }
+    }
+    if (DataChecksum(offsets, neighbors) != h.data_checksum) {
+      BadShard(manifest, index,
+               "data checksum mismatch (corrupted shard payload)");
+    }
+  }
+}
+
 MappedShard MapShard(const ShardManifest& manifest, uint32_t index,
                      bool verify_checksum) {
   const std::string path = manifest.ShardPath(index);
   std::error_code ec;
   if (!std::filesystem::exists(path, ec)) {
-    BadShard(path, "missing shard file (manifest " + manifest.path +
-                       " names " + std::to_string(manifest.NumShards()) +
-                       " shards)");
+    BadShard(manifest, index,
+             "missing shard file (manifest " + manifest.path + " names " +
+                 std::to_string(manifest.NumShards()) + " shards)");
   }
   MappedFile file = MappedFile::Open(path);
-  const GrwsShardHeader h = ValidateShardHeader(path, file.data(),
-                                                file.size());
-  const ShardInfo& info = manifest.shards[index];
-  if (h.shard_index != index) {
-    BadShard(path, "shard index mismatch: header says " +
-                       std::to_string(h.shard_index) + ", manifest slot is " +
-                       std::to_string(index));
-  }
-  if (h.first_node != info.first_node || h.num_rows != info.num_rows ||
-      h.num_half_edges != info.num_half_edges) {
-    BadShard(path, "shard vertex range disagrees with the manifest "
-                   "(stale manifest or mixed shard generations)");
-  }
-  if (h.total_nodes != manifest.total_nodes || h.flags != manifest.flags) {
-    BadShard(path, "shard global header fields disagree with the manifest "
-                   "(mixed shard generations)");
-  }
-  if (h.data_checksum != info.data_checksum) {
-    BadShard(path, "checksum disagreement between shard and manifest "
-                   "(stale manifest: the shard was rewritten without "
-                   "rewriting " + std::string(kShardManifestName) +
-                   ", or vice versa)");
-  }
+  CheckShardBytes(manifest, index, file, verify_checksum);
 
+  // Every field below was just checked against the manifest entry.
+  const ShardInfo& info = manifest.shards[index];
   MappedShard shard;
   shard.index_ = index;
-  shard.first_node_ = h.first_node;
-  shard.num_rows_ = h.num_rows;
+  shard.first_node_ = info.first_node;
+  shard.num_rows_ = info.num_rows;
   shard.bytes_ = file.size();
   shard.offsets_ = reinterpret_cast<const uint64_t*>(
       file.data() + sizeof(GrwsShardHeader));
   shard.neighbors_ = reinterpret_cast<const VertexId*>(
-      file.data() + sizeof(GrwsShardHeader) +
-      (h.num_rows + 1) * sizeof(uint64_t));
-
-  // Cheap structural sanity touching only the offsets edges.
-  if (shard.offsets_[0] != 0 ||
-      shard.offsets_[h.num_rows] != h.num_half_edges) {
-    BadShard(path, "shard offsets inconsistent with header (corrupted "
-                   "data)");
-  }
-  if (verify_checksum) {
-    const std::span<const uint64_t> offsets(shard.offsets_,
-                                            h.num_rows + 1);
-    const std::span<const VertexId> neighbors(shard.neighbors_,
-                                              h.num_half_edges);
-    for (size_t r = 0; r + 1 < offsets.size(); ++r) {
-      if (offsets[r] > offsets[r + 1]) {
-        BadShard(path, "shard offsets not monotone at row " +
-                           std::to_string(r));
-      }
-    }
-    for (size_t i = 0; i < neighbors.size(); ++i) {
-      if (neighbors[i] >= h.total_nodes) {
-        BadShard(path, "neighbor id out of range at index " +
-                           std::to_string(i));
-      }
-    }
-    if (DataChecksum(offsets, neighbors) != h.data_checksum) {
-      BadShard(path, "data checksum mismatch (corrupted shard payload)");
-    }
-  }
-
+      shard.offsets_ + info.num_rows + 1);
   shard.file_ = std::move(file);
   return shard;
 }

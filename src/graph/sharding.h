@@ -160,7 +160,8 @@ uint64_t ShardContentChecksum(const ShardManifest& manifest);
 
 /// One mapped shard: validated header + CSR slices. Row r of the shard
 /// is global vertex first_node() + r; neighbors carry global ids.
-/// Produced by MapShard; owned by the residency layer (sharded_access.h).
+/// Produced by MapShard; owned by the residency layer (sharded_access.h),
+/// which holds the mapping for its whole lifetime.
 class MappedShard {
  public:
   uint32_t index() const { return index_; }
@@ -171,6 +172,8 @@ class MappedShard {
   uint64_t num_rows() const { return num_rows_; }
   /// Bytes charged against a residency budget (the whole mapped file).
   uint64_t bytes() const { return bytes_; }
+  /// The underlying mapping (CheckShardBytes re-validates it).
+  const MappedFile& file() const { return file_; }
 
   uint32_t Degree(VertexId v) const {
     const uint64_t r = v - first_node_;
@@ -199,12 +202,21 @@ class MappedShard {
   const VertexId* neighbors_ = nullptr;  // global ids
 };
 
-/// Maps shard `index` of `manifest` and validates its header against the
-/// manifest entry (magic, version, index, range, sizes, and checksum
-/// agreement — a disagreement is the "stale manifest" corruption class).
-/// With `verify_checksum`, additionally checks offsets monotonicity,
+/// Validates the bytes of shard `index` of `manifest`, as mapped in
+/// `file`: its header against the manifest entry (magic, version, index,
+/// range, sizes, and checksum agreement — a disagreement is the "stale
+/// manifest" corruption class) and the offsets' end points. With
+/// `verify_checksum`, additionally checks offsets monotonicity,
 /// neighbor-id bounds against the global node count, and the full data
-/// checksum. Throws SnapshotCorruptError naming the shard path.
+/// checksum. Throws SnapshotCorruptError naming the shard path. The one
+/// home of the shard checks: MapShard runs it at open, and the residency
+/// layer re-runs it on every fault of a held mapping.
+void CheckShardBytes(const ShardManifest& manifest, uint32_t index,
+                     const MappedFile& file, bool verify_checksum);
+
+/// Maps shard `index` of `manifest` and validates it (CheckShardBytes).
+/// Throws SnapshotCorruptError naming the shard path, also when the
+/// shard file is missing.
 MappedShard MapShard(const ShardManifest& manifest, uint32_t index,
                      bool verify_checksum = false);
 

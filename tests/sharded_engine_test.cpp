@@ -1,8 +1,8 @@
 // Tests for the out-of-core estimation path: ShardStore's LRU residency
-// accounting (eviction order, byte budget, pin semantics), ShardedAccess
-// read equivalence, and the acceptance gate — engine runs over sharded
-// storage are bit-identical to monolithic runs at 1, 2, and 8 threads,
-// whether or not the budget covers the graph.
+// accounting (eviction order, byte budget, pin semantics, re-admission
+// checks), ShardedAccess read equivalence, and the acceptance gate —
+// engine runs over sharded storage are bit-identical to monolithic runs
+// at 1, 2, and 8 threads, whether or not the budget covers the graph.
 
 #include "graph/sharded_access.h"
 
@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -134,7 +133,7 @@ TEST(ShardStoreTest, UnboundedBudgetNeverEvicts) {
 
 TEST(ShardStoreTest, PinSurvivesEviction) {
   // A chain's pin keeps an evicted shard readable: the store drops its
-  // reference and its pages, but the mapping refaults from disk.
+  // pages, but the mapping stays and refaults from disk.
   const Graph g = RegularGraph();
   const std::string dir = TempDir("grw_store_pin");
   ShardInto(g, dir, 4);
@@ -142,7 +141,7 @@ TEST(ShardStoreTest, PinSurvivesEviction) {
   options.resident_budget_bytes = 1;  // floor: one resident shard
   const ShardStore store(LoadShardManifest(dir), options);
 
-  const std::shared_ptr<const MappedShard> pin = store.Acquire(0);
+  const MappedShard* pin = store.Acquire(0);
   store.Acquire(1);
   store.Acquire(2);
   ASSERT_FALSE(store.Resident(0));
@@ -152,7 +151,8 @@ TEST(ShardStoreTest, PinSurvivesEviction) {
   // Re-acquiring after eviction is a fresh fault, not a hit.
   const ShardStats stats = store.stats();
   EXPECT_EQ(stats.faults, 3u);
-  store.Acquire(0);
+  // ...of the same mapping: shards are mapped once per store.
+  EXPECT_EQ(store.Acquire(0), pin);
   EXPECT_EQ(store.stats().faults, 4u);
   fs::remove_all(dir);
 }
