@@ -26,27 +26,18 @@
 // work; enumeration dominates an SRW step, so steps/s here is the
 // end-to-end walk rate (bench_micro_walks has the full-walk variant).
 //
-// Part 3 — live walk throughput, scalar vs batched kernel
-// (walk/batched_walk.h): real transitions (StateDegree + Step, draws and
-// all) on the indexed graph, one scalar chain vs 8 lanes in lockstep on
-// one thread. Total transitions per second — the number the estimator's
-// hot loop actually sees.
-//
 // Flags:
 //   --n N                  Holme-Kim nodes (default 250000 -> ~1.25M edges)
 //   --param M              Holme-Kim edges per node (default 5)
 //   --queries Q            queries per regime (default 2000000)
 //   --srw3-steps N         trajectory length for d=3 (default 2000)
 //   --srw4-steps N         trajectory length for d=4 (default 200)
-//   --lanes W              batched kernel lanes (default 8)
 //   --runs R               best-of-R timing (default 3)
 //   --check-speedup X      exit 1 unless indexed speedup >= X on BOTH the
 //                          miss-heavy and hub-hub regimes AND >= 1.0x on
 //                          EVERY regime (the index must never lose) (CI)
 //   --check-walk-speedup Y exit 1 unless scratch+idx/reference >= Y for
 //                          BOTH SRW3 and SRW4 (CI gate)
-//   --check-batched-speedup Z exit 1 unless batched/scalar live-walk
-//                          throughput >= Z for BOTH SRW3 and SRW4 (CI)
 //   --csv PATH             mirror of the Part 1 (HasEdge regimes) table
 //   --json PATH            machine-readable mirror of ALL parts (the
 //                          BENCH_HASEDGE.json trajectory format)
@@ -63,7 +54,6 @@
 #include "graph/generators.h"
 #include "util/rng.h"
 #include "util/timer.h"
-#include "walk/batched_walk.h"
 #include "walk/subgraph_walk.h"
 
 namespace {
@@ -101,10 +91,6 @@ std::pair<double, uint64_t> TimeQueries(const QuerySet& q, int runs,
   return {seconds / static_cast<double>(q.u.size()) * 1e9, hits};
 }
 
-// Keeps a benched computation's result alive without benchmark-library
-// dependencies (this bench is a standalone main).
-volatile uint64_t g_sink = 0;
-
 std::vector<VertexId> SampleFrom(const std::vector<VertexId>& pool,
                                  size_t count, grw::Rng& rng) {
   std::vector<VertexId> out(count);
@@ -129,12 +115,10 @@ int main(int argc, char** argv) {
   const size_t queries =
       flags.GetSize("queries", 2000000);
   const int runs = flags.GetInt32("runs", 3);
-  const int lanes = flags.GetInt32("lanes", 8);
   const auto linear_cutoff =
       flags.GetUInt32("linear-cutoff", 0);
   const double check_speedup = flags.GetDouble("check-speedup", 0.0);
   const double check_walk = flags.GetDouble("check-walk-speedup", 0.0);
-  const double check_batched = flags.GetDouble("check-batched-speedup", 0.0);
 
   grw::Rng gen_rng(7);
   grw::WallTimer gen_timer;
@@ -318,70 +302,6 @@ int main(int argc, char** argv) {
   }
   walk_table.Print();
 
-  // ---- Part 3: live walk throughput, scalar vs batched kernel ----------
-  grw::Table batched_table(
-      "Live G(d) walk transitions/s, scalar chain vs " +
-      std::to_string(lanes) + "-lane batched kernel (best of " +
-      std::to_string(runs) + ")");
-  batched_table.SetHeader(
-      {"walk", "transitions", "scalar", "batched", "speedup"});
-  double srw3_batched_speedup = 0.0;
-  double srw4_batched_speedup = 0.0;
-  for (const int d : {3, 4}) {
-    const auto steps = flags.GetSize(
-        "srw" + std::to_string(d) + "-steps", d == 3 ? 2000 : 200);
-    // Both sides do the estimator's per-transition work — StateDegree
-    // then Step — on the indexed graph, re-seeded identically per run.
-    const double scalar_s = BestOfSeconds(runs, [&] {
-      grw::SubgraphWalk walk(indexed, d);
-      grw::Rng rng(23 * d);
-      walk.Reset(rng);
-      uint64_t sink = 0;
-      for (size_t s = 0; s < steps; ++s) {
-        sink += walk.StateDegree();
-        walk.Step(rng);
-      }
-      g_sink = g_sink + sink;
-    });
-    const double batched_s = BestOfSeconds(runs, [&] {
-      grw::BatchedWalk walk(indexed, d, lanes);
-      std::vector<grw::Rng> rng(lanes);
-      for (int j = 0; j < lanes; ++j) {
-        rng[j].Seed(grw::DeriveSeed(23 * d, j));
-        walk.ResetLane(j, rng[j]);
-      }
-      uint64_t sink = 0;
-      for (size_t s = 0; s < steps; ++s) {
-        walk.PrepareLanes();
-        for (int j = 0; j < lanes; ++j) {
-          sink += walk.LaneStateDegree(j);
-          walk.StepLane(j, rng[j]);
-        }
-      }
-      g_sink = g_sink + sink;
-    });
-    // Aggregate throughput: the batched run advances lanes * steps
-    // transitions in batched_s seconds on the same single thread.
-    const double scalar_rate = static_cast<double>(steps) / scalar_s;
-    const double batched_rate =
-        static_cast<double>(steps) * lanes / batched_s;
-    const double speedup = batched_rate / scalar_rate;
-    if (d == 3) srw3_batched_speedup = speedup;
-    if (d == 4) srw4_batched_speedup = speedup;
-    batched_table.AddRow(
-        {"SRW" + std::to_string(d),
-         std::to_string(steps) + "x" + std::to_string(lanes),
-         grw::Table::Num(scalar_rate, 0), grw::Table::Num(batched_rate, 0),
-         grw::Table::Num(speedup, 2) + "x"});
-    const std::string id = "srw" + std::to_string(d);
-    metrics.push_back(
-        {id + "_scalar_walk_steps_per_s", scalar_rate, "steps/s"});
-    metrics.push_back(
-        {id + "_batched_steps_per_s", batched_rate, "steps/s"});
-    metrics.push_back({id + "_batched_speedup", speedup, "x"});
-  }
-  batched_table.Print();
-
   grw::bench::MaybeWriteCsv(flags, table);
   grw::bench::MaybeWriteJson(flags, "micro_hasedge", plain.Summary(),
                              metrics);
@@ -421,22 +341,6 @@ int main(int argc, char** argv) {
       std::printf("OK: SRW3 %.1fx / SRW4 %.1fx steps/s vs reference, "
                   "required >= %.2fx\n",
                   srw3_speedup, srw4_speedup, check_walk);
-    }
-  }
-  if (check_batched > 0.0) {
-    if (srw3_batched_speedup < check_batched ||
-        srw4_batched_speedup < check_batched) {
-      std::fprintf(stderr,
-                   "FAIL: batched walk throughput below %.2fx scalar "
-                   "(SRW3 %.2fx, SRW4 %.2fx)\n",
-                   check_batched, srw3_batched_speedup,
-                   srw4_batched_speedup);
-      ok = false;
-    } else {
-      std::printf("OK: batched kernel SRW3 %.2fx / SRW4 %.2fx scalar "
-                  "throughput, required >= %.2fx\n",
-                  srw3_batched_speedup, srw4_batched_speedup,
-                  check_batched);
     }
   }
   return ok ? 0 : 1;

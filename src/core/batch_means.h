@@ -8,9 +8,9 @@
 // spread of these (asymptotically independent) estimates as a standard
 // error for the full-chain estimate.
 //
-// BatchedEstimator wraps GraphletEstimator, snapshotting the accumulators
-// every `steps/batches` transitions; batch b's estimate uses only the
-// weight accumulated inside the batch (differences of snapshots).
+// EstimateWithErrorBars runs one GraphletEstimator, snapshotting the
+// accumulators every `steps/batches` transitions; batch b's estimate uses
+// only the weight accumulated inside the batch (differences of snapshots).
 
 #pragma once
 

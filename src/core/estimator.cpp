@@ -30,8 +30,6 @@ std::unique_ptr<StateWalker> MakeWalker(const G& g, int d, bool nb) {
   return std::make_unique<SubgraphWalkT<G>>(g, d, nb);
 }
 
-}  // namespace
-
 // Validated before any member initializer touches the k-indexed
 // singletons (catalog, classifier, CSS tables).
 EstimatorConfig ValidateEstimatorConfig(const EstimatorConfig& config) {
@@ -43,6 +41,8 @@ EstimatorConfig ValidateEstimatorConfig(const EstimatorConfig& config) {
   }
   return config;
 }
+
+}  // namespace
 
 template <class G>
 double WindowSampleWeight(const G& g, const EstimatorConfig& config, int l,

@@ -100,16 +100,9 @@ EstimateResult MergeResults(const std::vector<EstimateResult>& parts);
 std::vector<double> CountEstimatesFromResult(const EstimateResult& result,
                                              uint64_t relationship_edges);
 
-/// Validates an estimator configuration — k within the catalog range,
-/// 1 <= d < k — and returns it; throws std::invalid_argument otherwise.
-/// Shared by the scalar and batched (core/batched_estimator.h) stacks.
-EstimatorConfig ValidateEstimatorConfig(const EstimatorConfig& config);
-
-/// The weight of one valid window sample (the scalar and batched
-/// estimators share this verbatim — any divergence would break their
-/// bit-equivalence contract): CSS table evaluation for css && d <= 2,
-/// direct Algorithm-3 CSS with G(d) degree probes (through `scratch`) for
-/// css && d >= 3, else the base interior-degree-product / alpha weight of
+/// The weight of one valid window sample: CSS table evaluation for
+/// css && d <= 2, direct Algorithm-3 CSS with G(d) degree probes (through
+/// `scratch`) for css && d >= 3, else the base interior-degree-product / alpha weight of
 /// Theorem 2 (nominal degrees under NB). `css_table` may be null unless
 /// css && d <= 2; `alpha` is the AlphaTable(k, d) column.
 template <class G>

@@ -5,12 +5,10 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <type_traits>
 
 #include "core/batch_means.h"
-#include "core/batched_estimator.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -24,15 +22,9 @@ template <class A>
 using SourceOf =
     std::conditional_t<std::is_same_v<A, ShardedAccess>, ShardStore, Graph>;
 
-// Access types with a batched (lockstep multi-lane) kernel. Sharded
-// chains have none: locality seeding needs ResetInRange, which the
-// batched walk lacks, so the engine rejects sharded x batch up front.
-template <class A>
-constexpr bool kHasBatchedKernel = !std::is_same_v<A, ShardedAccess>;
-
 // Chain `chain`'s private crawler options. Everything chain-specific —
-// the budget share and the failure schedule — depends on the *global*
-// chain index alone, so the batched lane grouping cannot move either.
+// the budget share and the failure schedule — depends on the global
+// chain index alone, so no thread schedule can move either.
 CrawlAccess::Options CrawlOptionsFor(const EngineOptions& opt, int chain) {
   const EngineOptions::CrawlConfig& crawl = opt.crawl;
   CrawlAccess::Options options;
@@ -58,49 +50,32 @@ CrawlAccess::Options CrawlOptionsFor(const EngineOptions& opt, int chain) {
   return options;
 }
 
-// The one chain type: global chains [first, first + count) advanced by
-// one pool task, reading the graph through access type A (Graph,
-// CrawlAccess or ShardedAccess). Crawl and sharded chains each own a
-// private access object; full-access chains read the Graph directly. A
-// unit drives either one scalar GraphletEstimatorT (count == 1) or a
-// BatchedEstimatorT lane batch — chain c's RNG stream is
-// DeriveSeed(base_seed, chain_offset + c) either way, which is what keeps
-// the two kernels bit-identical.
+// The one chain type: global chain `chain` reading the graph through
+// access type A (Graph, CrawlAccess or ShardedAccess). Crawl and sharded
+// chains own a private access object; full-access chains read the Graph
+// directly. The chain's RNG stream is DeriveSeed(base_seed,
+// chain_offset + chain), whichever pool thread runs it.
+//
+// Cache-line aligned: a chain's estimator writes its counters, RNG and
+// sample window every step, on whichever pool thread claimed it, while
+// neighbouring units are read and written by other threads. Unaligned,
+// adjacent units share lines; that cost crawl PSRW (16 chains on 4
+// threads, 4-core Xeon VM) 7–9% of its steps per CPU second.
 template <class A>
-class ChainUnit {
+class alignas(64) ChainUnit {
  public:
   ChainUnit(const SourceOf<A>& source, const EstimatorConfig& config,
-            const EngineOptions& opt, int first, int count)
-      : count_(count) {
-    if constexpr (!std::is_same_v<A, Graph>) {
-      access_.reserve(count);
-      for (int j = 0; j < count; ++j) {
-        if constexpr (std::is_same_v<A, CrawlAccess>) {
-          access_.push_back(std::make_unique<CrawlAccess>(
-              source, CrawlOptionsFor(opt, first + j)));
-        } else {
-          access_.push_back(std::make_unique<A>(source));
-        }
-      }
-    }
-    const uint64_t first_stream = opt.chain_offset + first;
-    if constexpr (kHasBatchedKernel<A>) {
-      if (opt.batch.enabled) {
-        if constexpr (std::is_same_v<A, Graph>) {
-          batched_.emplace(source, config, count);
-        } else {
-          std::vector<const A*> lanes;
-          for (const auto& a : access_) lanes.push_back(a.get());
-          batched_.emplace(std::span<const A* const>(lanes), config);
-        }
-        batched_->Reset(opt.base_seed, first_stream);
-        return;
-      }
-    }
+            const EngineOptions& opt, int chain) {
     if constexpr (std::is_same_v<A, Graph>) {
-      scalar_.emplace(source, config);
+      estimator_.emplace(source, config);
     } else {
-      scalar_.emplace(*access_[0], config);
+      if constexpr (std::is_same_v<A, CrawlAccess>) {
+        access_ = std::make_unique<CrawlAccess>(source,
+                                                CrawlOptionsFor(opt, chain));
+      } else {
+        access_ = std::make_unique<A>(source);
+      }
+      estimator_.emplace(*access_, config);
     }
     if constexpr (std::is_same_v<A, ShardedAccess>) {
       if (opt.sharded.locality_seeding) {
@@ -109,54 +84,39 @@ class ChainUnit {
         // so the assignment (and with it the RNG consumption) is
         // identical at any thread count.
         const uint32_t s = static_cast<uint32_t>(
-            (static_cast<uint64_t>(first) * source.NumShards()) /
+            (static_cast<uint64_t>(chain) * source.NumShards()) /
             static_cast<uint64_t>(opt.chains));
         const auto [lo, hi] = source.ShardRange(s);
-        scalar_->SetStartRange(lo, hi);
+        estimator_->SetStartRange(lo, hi);
       }
     }
-    scalar_->Reset(DeriveSeed(opt.base_seed, first_stream));
+    estimator_->Reset(DeriveSeed(opt.base_seed, opt.chain_offset + chain));
   }
 
-  int count() const { return count_; }
+  void Run(uint64_t steps) { estimator_->Run(steps); }
 
-  void Run(uint64_t steps) {
-    if constexpr (kHasBatchedKernel<A>) {
-      if (batched_) return batched_->Run(steps);
-    }
-    scalar_->Run(steps);
-  }
+  EstimateResult Result() const { return estimator_->Result(); }
 
-  // Chain j of the unit (unit-local index).
-  EstimateResult Result(int j) const {
-    if constexpr (kHasBatchedKernel<A>) {
-      if (batched_) return batched_->Result(j);
-    }
-    return scalar_->Result();
-  }
-
-  // Crawl chains: true once chain j's distinct-query share is spent (it
-  // sits out the unit's Run() rounds from then on).
-  bool BudgetExhausted(int j) const {
+  // Crawl chains: true once the distinct-query share is spent (the chain
+  // sits out Run() rounds from then on).
+  bool BudgetExhausted() const {
     if constexpr (kAccessHasQueryBudget<A>) {
-      return access_[j]->BudgetExhausted();
+      return access_->BudgetExhausted();
     }
     return false;
   }
 
-  // Crawl and sharded chains: chain j's private access object.
-  const A& access(int j) const { return *access_[j]; }
+  // Crawl and sharded chains: the private access object.
+  const A& access() const { return *access_; }
 
  private:
-  int count_;
-  std::vector<std::unique_ptr<A>> access_;  // per chain; empty for Graph
-  std::optional<GraphletEstimatorT<A>> scalar_;
-  std::optional<BatchedEstimatorT<A>> batched_;
+  std::unique_ptr<A> access_;  // null for Graph
+  std::optional<GraphletEstimatorT<A>> estimator_;
 };
 
 // Both constructors' checks, including which modes compose: the crawl
-// cache simulates remote-API access over one flat graph and the batched
-// kernel has no locality seeding, so sharded storage takes neither.
+// cache simulates remote-API access over one flat graph, so sharded
+// storage does not take it.
 template <class A>
 void ValidateEngine(const SourceOf<A>& source, const EstimatorConfig& config,
                     const EngineOptions& opt) {
@@ -170,11 +130,6 @@ void ValidateEngine(const SourceOf<A>& source, const EstimatorConfig& config,
           "storage (the crawl cache simulates remote-API access over one "
           "flat graph)");
     }
-    if (opt.batch.enabled) {
-      throw std::invalid_argument(
-          "EstimationEngine: batch mode needs a monolithic CSR; run "
-          "sharded graphs with the scalar kernels");
-    }
   }
   if (opt.crawl.enabled && opt.crawl.budget_queries > 0 &&
       opt.crawl.budget_queries < static_cast<uint64_t>(opt.chains)) {
@@ -183,10 +138,6 @@ void ValidateEngine(const SourceOf<A>& source, const EstimatorConfig& config,
     throw std::invalid_argument(
         "EstimationEngine: budget_queries must be >= chains (every chain "
         "needs a positive distinct-query share)");
-  }
-  if (opt.batch.enabled && opt.batch.lanes < 1) {
-    throw std::invalid_argument(
-        "EstimationEngine: batch.lanes must be >= 1");
   }
   if (opt.chains > 0) {
     // Validate the estimator configuration eagerly (and warm the
@@ -206,9 +157,7 @@ void ValidateEngine(const SourceOf<A>& source, const EstimatorConfig& config,
 // ceil(8 / C) rounds.
 constexpr int kMinBatchesForStop = 8;
 
-// The round loop over chains of access type A. Units are `batch.lanes`
-// chains wide in batch mode (the last unit of an uneven split is
-// narrower) and one chain wide otherwise.
+// The round loop over chains of access type A.
 template <class A>
 EngineResult RunLoop(const SourceOf<A>& source, const EstimatorConfig& config,
                      const EngineOptions& opt) {
@@ -217,8 +166,6 @@ EngineResult RunLoop(const SourceOf<A>& source, const EstimatorConfig& config,
   if (opt.chains == 0 || opt.max_steps == 0) return out;
 
   const int chains = opt.chains;
-  const int unit_width = opt.batch.enabled ? opt.batch.lanes : 1;
-  const int units = (chains + unit_width - 1) / unit_width;
   ChainPool& pool = opt.pool != nullptr ? *opt.pool : ChainPool::Shared();
 
   uint64_t round_steps = opt.round_steps;
@@ -230,14 +177,12 @@ EngineResult RunLoop(const SourceOf<A>& source, const EstimatorConfig& config,
   }
 
   WallTimer timer;
-  std::vector<std::unique_ptr<ChainUnit<A>>> unit(units);
+  std::vector<std::unique_ptr<ChainUnit<A>>> unit(chains);
   pool.ForEach(
-      static_cast<size_t>(units),
-      [&](size_t u) {
-        const int first = static_cast<int>(u) * unit_width;
-        unit[u] = std::make_unique<ChainUnit<A>>(
-            source, config, opt, first,
-            std::min(chains, first + unit_width) - first);
+      static_cast<size_t>(chains),
+      [&](size_t c) {
+        unit[c] = std::make_unique<ChainUnit<A>>(source, config, opt,
+                                                 static_cast<int>(c));
       },
       opt.threads);
 
@@ -262,13 +207,10 @@ EngineResult RunLoop(const SourceOf<A>& source, const EstimatorConfig& config,
     const uint64_t delta = std::min<uint64_t>(round_steps,
                                               opt.max_steps - done);
     pool.ForEach(
-        static_cast<size_t>(units),
-        [&](size_t u) {
-          unit[u]->Run(delta);
-          const size_t first = u * static_cast<size_t>(unit_width);
-          for (int j = 0; j < unit[u]->count(); ++j) {
-            out.per_chain[first + j] = unit[u]->Result(j);
-          }
+        static_cast<size_t>(chains),
+        [&](size_t c) {
+          unit[c]->Run(delta);
+          out.per_chain[c] = unit[c]->Result();
         },
         opt.threads);
     done += delta;
@@ -336,12 +278,9 @@ EngineResult RunLoop(const SourceOf<A>& source, const EstimatorConfig& config,
     // thread count.
     if constexpr (kAccessHasQueryBudget<A>) {
       if (opt.crawl.budget_queries > 0) {
-        bool all_spent = true;
-        for (int u = 0; u < units && all_spent; ++u) {
-          for (int j = 0; j < unit[u]->count(); ++j) {
-            all_spent = all_spent && unit[u]->BudgetExhausted(j);
-          }
-        }
+        const bool all_spent = std::all_of(
+            unit.begin(), unit.end(),
+            [](const auto& u) { return u->BudgetExhausted(); });
         if (all_spent) {
           out.budget_exhausted = true;
           break;
@@ -354,10 +293,8 @@ EngineResult RunLoop(const SourceOf<A>& source, const EstimatorConfig& config,
   if constexpr (std::is_same_v<A, CrawlAccess>) {
     out.per_chain_access.reserve(chains);
     for (const auto& u : unit) {
-      for (int j = 0; j < u->count(); ++j) {
-        out.per_chain_access.push_back(u->access(j).stats());
-        out.access.MergeFrom(out.per_chain_access.back());
-      }
+      out.per_chain_access.push_back(u->access().stats());
+      out.access.MergeFrom(out.per_chain_access.back());
     }
   }
 

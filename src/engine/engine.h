@@ -21,12 +21,10 @@
 // graph through an access type chosen per run: the in-memory Graph
 // (full access), a private CrawlAccess per chain (crawl mode), or a
 // private ShardedAccess per chain over a shared ShardStore (the sharded
-// constructor). Independently of that, EngineOptions::batch picks the
-// kernel: scalar GraphletEstimatorT chains, or BatchedEstimatorT lane
-// batches walked in lockstep. Both kernels and all three access types
-// give bit-identical estimates (static dispatch, so full-access runs
-// compile to the unchanged hot path). Sharded storage composes with
-// neither crawl nor batch mode; the constructors reject those pairs.
+// constructor). Every chain is one GraphletEstimatorT, and all three
+// access types give bit-identical estimates (static dispatch, so
+// full-access runs compile to the unchanged hot path). Sharded storage
+// does not compose with crawl mode; the sharded constructor rejects it.
 //
 // Crawl mode: each chain's CrawlAccess (graph/access.h) is an LRU
 // neighbor cache plus per-query accounting. A total distinct-query
@@ -131,21 +129,6 @@ struct EngineOptions {
   };
   CrawlConfig crawl;
 
-  /// Batched walk kernels (walk/batched_walk.h): chains are grouped into
-  /// units of `lanes` chains advanced in lockstep by one task, with
-  /// cross-lane prefetch and vectorized signature rejection. Estimates,
-  /// stopping points and crawl accounting are bit-identical to the scalar
-  /// path at any thread count — chain c keeps its RNG stream
-  /// DeriveSeed(base_seed, chain_offset + c) regardless of which unit it
-  /// lands in (tests/batched_walk_test.cpp gates this).
-  struct BatchConfig {
-    bool enabled = false;
-    /// Lanes per unit; the last unit takes chains % lanes when the chain
-    /// count does not divide evenly. 8 covers one AVX2 signature batch.
-    int lanes = 8;
-  };
-  BatchConfig batch;
-
   /// Sharded out-of-core mode (the ShardStore engine constructor): every
   /// chain reads through its own ShardedAccess over the shared store.
   /// Estimates are bit-identical to a full-access run on the same graph
@@ -182,10 +165,9 @@ struct EngineOptions {
 
 /// Chain `chain`'s fixed share of a total distinct-query budget split
 /// across `chains` chains: floor(B/chains) each, remainder to the first
-/// B % chains chains. Depends on the chain's global index alone (batched
-/// lane grouping cannot move budget between chains) and the shares sum
-/// exactly to `budget_queries` over chain in [0, chains). The engine
-/// validates B >= chains, so every share is positive there.
+/// B % chains chains. Depends on the chain's global index alone and the
+/// shares sum exactly to `budget_queries` over chain in [0, chains). The
+/// engine validates B >= chains, so every share is positive there.
 uint64_t ChainBudgetShare(uint64_t budget_queries, int chains, int chain);
 
 /// Outcome of one engine run.
@@ -241,9 +223,8 @@ class EstimationEngine {
 
   /// Sharded out-of-core run: chains read through per-chain
   /// ShardedAccess over `store` (which must outlive the engine).
-  /// Crawl and batch modes do not compose with sharded storage — the
-  /// crawl cache simulates remote-API access over one flat graph and the
-  /// batched kernel has no locality seeding — so either throws
+  /// Crawl mode does not compose with sharded storage — the crawl cache
+  /// simulates remote-API access over one flat graph — so it throws
   /// std::invalid_argument here.
   EstimationEngine(const ShardStore& store, const EstimatorConfig& config,
                    EngineOptions options);

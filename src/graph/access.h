@@ -45,8 +45,7 @@ using FullAccess = Graph;
 
 /// Whether access policy G carries a distinct-query budget its run loop
 /// must poll (CrawlAccess does). For Graph this is false and every budget
-/// check guarded by it compiles away. Shared by the scalar and batched
-/// estimator run loops.
+/// check guarded by it compiles away.
 template <class G>
 constexpr bool kAccessHasQueryBudget = requires(const G& g) {
   { g.BudgetExhausted() } -> std::convertible_to<bool>;

@@ -82,76 +82,6 @@ uint64_t SignatureProbeBatch(uint64_t signature, const VertexId* candidates,
   return SignatureProbeBatchScalar(signature, candidates, count);
 }
 
-uint64_t AdjacencyIndex::PairProbeBatchScalar(const VertexId* us,
-                                              const VertexId* vs,
-                                              int count) const {
-  uint64_t mask = 0;
-  for (int i = 0; i < count; ++i) {
-    mask |= ((meta_[us[i]].signature &
-              NeighborSignatureBit(vs[i])) != 0
-                 ? 1ull
-                 : 0ull)
-            << i;
-  }
-  return mask;
-}
-
-#if defined(GRW_SIMD_AVX2)
-
-__attribute__((target("avx2"))) uint64_t AdjacencyIndex::PairProbeBatchAvx2(
-    const VertexId* us, const VertexId* vs, int count) const {
-  // Four (u, v) pairs per iteration: gather sig(u) straight from the
-  // 16-byte records (64-bit lane index u*2, scale 8), hash v to its bit
-  // position with the split 32x32 multiply, test, pack.
-  const auto* base = reinterpret_cast<const long long*>(meta_.data());
-  const __m256i k_lo = _mm256_set1_epi64x(0x7F4A7C15ll);
-  const __m256i k_hi = _mm256_set1_epi64x(0x9E3779B9ll);
-  const __m256i one = _mm256_set1_epi64x(1);
-  uint64_t mask = 0;
-  int i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i u64s = _mm256_cvtepu32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(us + i)));
-    const __m256i sig =
-        _mm256_i64gather_epi64(base, _mm256_slli_epi64(u64s, 1), 8);
-    const __m256i v = _mm256_cvtepu32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(vs + i)));
-    const __m256i prod = _mm256_add_epi64(
-        _mm256_mul_epu32(v, k_lo),
-        _mm256_slli_epi64(_mm256_mul_epu32(v, k_hi), 32));
-    const __m256i shift = _mm256_srli_epi64(prod, 58);
-    const __m256i bit =
-        _mm256_and_si256(_mm256_srlv_epi64(sig, shift), one);
-    const __m256i hit = _mm256_cmpeq_epi64(bit, one);
-    mask |= static_cast<uint64_t>(
-                _mm256_movemask_pd(_mm256_castsi256_pd(hit)))
-            << i;
-  }
-  if (i < count) {
-    mask |= PairProbeBatchScalar(us + i, vs + i, count - i) << i;
-  }
-  return mask;
-}
-
-#else  // !GRW_SIMD_AVX2
-
-uint64_t AdjacencyIndex::PairProbeBatchAvx2(const VertexId* us,
-                                            const VertexId* vs,
-                                            int count) const {
-  return PairProbeBatchScalar(us, vs, count);
-}
-
-#endif  // GRW_SIMD_AVX2
-
-uint64_t AdjacencyIndex::PairProbeBatch(const VertexId* us,
-                                        const VertexId* vs,
-                                        int count) const {
-  if (SignatureProbeBatchHasAvx2()) {
-    return PairProbeBatchAvx2(us, vs, count);
-  }
-  return PairProbeBatchScalar(us, vs, count);
-}
-
 AdjacencyIndex::AdjacencyIndex(const Graph& g,
                                const AdjacencyIndexOptions& options)
     : backing_(g.backing()),

@@ -35,8 +35,8 @@
 // Batched probes: SignatureProbeBatch() evaluates one node's signature
 // against a whole candidate array at once, vectorized with AVX2 where the
 // CPU has it (runtime-dispatched; bit-identical scalar fallback
-// otherwise). The batched walk kernels (walk/batched_walk.h) use it to
-// reject most non-edges of a probe batch with a handful of vector ops.
+// otherwise). SignatureProbeBatchHasAvx2() also gates the AVX2 list scan
+// inside HasEdge.
 //
 // The index is an overlay: it stores no adjacency of its own beyond the
 // bitset rows, keeps the CSR's lowest-degree-endpoint probe orientation,
@@ -176,30 +176,6 @@ class AdjacencyIndex {
                           ListLength(small, small_meta), large);
   }
 
-  /// Batched signature rejection: bit i of the result is set iff the
-  /// index *cannot* rule out the edge (u, candidates[i]) from u's
-  /// signature alone. Clear bits are certain misses. count <= 64.
-  uint64_t ProbeBatch(VertexId u, const VertexId* candidates,
-                      int count) const {
-    return SignatureProbeBatch(meta_[u].signature, candidates, count);
-  }
-
-  /// Pairwise batched rejection over the fused record array: bit i of the
-  /// result is set iff the signature of us[i] admits vs[i] (edge possibly
-  /// present — confirm with HasEdge); clear bits are certain misses.
-  /// count <= 64. The batched walk kernels gather one probe per lane and
-  /// reject most of the batch in a handful of vector ops (the AVX2 path
-  /// gathers four signatures per iteration straight from the records).
-  uint64_t PairProbeBatch(const VertexId* us, const VertexId* vs,
-                          int count) const;
-  /// The two implementations behind PairProbeBatch, exposed for the
-  /// SIMD-vs-scalar parity property tests. Identical masks on every input
-  /// (the AVX2 variant requires SignatureProbeBatchHasAvx2()).
-  uint64_t PairProbeBatchScalar(const VertexId* us, const VertexId* vs,
-                                int count) const;
-  uint64_t PairProbeBatchAvx2(const VertexId* us, const VertexId* vs,
-                              int count) const;
-
   /// Membership test over a sorted neighbor list slice — the two
   /// implementations behind the probe's list scan, exposed for the
   /// SIMD-vs-scalar parity property tests. LinearContains is the scalar
@@ -247,8 +223,7 @@ class AdjacencyIndex {
     uint16_t degree = 0;     // min(true degree, kDegreeCap)
     uint16_t hub_slot = kNoHub;
   };
-  static_assert(sizeof(NodeMeta) == 16,
-                "PairProbeBatchAvx2 gathers signatures at 16-byte stride");
+  static_assert(sizeof(NodeMeta) == 16, "one 16-byte record per node");
 
   /// Start of u's neighbor list. The record's 32-bit offset covers graphs
   /// up to 2^32 half-edges; beyond that the constructor sets

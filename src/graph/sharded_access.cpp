@@ -42,15 +42,8 @@ const MappedShard* ShardStore::Acquire(uint32_t s) const {
   if (resident_[s]) {
     ++stats_.hits;
     if (head_ != s) {
-      // Unlink, push front (MRU).
-      const uint32_t p = prev_[s];
-      const uint32_t n = next_[s];
-      if (p != kNone) next_[p] = n; else head_ = n;
-      if (n != kNone) prev_[n] = p; else tail_ = p;
-      prev_[s] = kNone;
-      next_[s] = head_;
-      if (head_ != kNone) prev_[head_] = s; else tail_ = s;
-      head_ = s;
+      Unlink(s);
+      PushFront(s);
     }
     return &shard;
   }
@@ -66,10 +59,7 @@ const MappedShard* ShardStore::Acquire(uint32_t s) const {
   stats_.resident_bytes += shard.bytes();
   ++stats_.resident_shards;
   resident_[s] = true;
-  prev_[s] = kNone;
-  next_[s] = head_;
-  if (head_ != kNone) prev_[head_] = s; else tail_ = s;
-  head_ = s;
+  PushFront(s);
   EvictOverBudgetLocked(s);
   // Peak is sampled *after* eviction: the new shard's pages fault in
   // only as the caller reads them, and the victim's pages are dropped
@@ -91,12 +81,7 @@ void ShardStore::EvictOverBudgetLocked(uint32_t keep) const {
       victim = prev_[victim];
       if (victim == kNone) break;  // only the kept shard remains
     }
-    const uint32_t p = prev_[victim];
-    const uint32_t n = next_[victim];
-    if (p != kNone) next_[p] = n; else head_ = n;
-    if (n != kNone) prev_[n] = p; else tail_ = p;
-    prev_[victim] = kNone;
-    next_[victim] = kNone;
+    Unlink(victim);
     // Eviction only drops pages; the mapping stays. A chain still
     // reading the victim refaults from disk — latency, never corruption.
     // The drop stays under mu_: measured outside it, wall time per
@@ -107,6 +92,20 @@ void ShardStore::EvictOverBudgetLocked(uint32_t keep) const {
     ++stats_.evictions;
     resident_[victim] = false;
   }
+}
+
+void ShardStore::Unlink(uint32_t s) const {
+  const uint32_t p = prev_[s];
+  const uint32_t n = next_[s];
+  if (p != kNone) next_[p] = n; else head_ = n;
+  if (n != kNone) prev_[n] = p; else tail_ = p;
+}
+
+void ShardStore::PushFront(uint32_t s) const {
+  prev_[s] = kNone;
+  next_[s] = head_;
+  if (head_ != kNone) prev_[head_] = s; else tail_ = s;
+  head_ = s;
 }
 
 bool ShardStore::Resident(uint32_t s) const {

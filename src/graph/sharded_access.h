@@ -135,6 +135,9 @@ class ShardStore {
 
  private:
   void EvictOverBudgetLocked(uint32_t keep) const GRW_REQUIRES(mu_);
+  // LRU list edits: take s out of the list / insert it as most recent.
+  void Unlink(uint32_t s) const GRW_REQUIRES(mu_);
+  void PushFront(uint32_t s) const GRW_REQUIRES(mu_);
 
   const ShardManifest manifest_;
   const Options options_;

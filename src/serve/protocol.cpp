@@ -279,7 +279,7 @@ std::string OverloadedResponse(std::string_view error,
 
 std::string PingResponse(const RequestLimits& limits) {
   std::string out = ResponseHead() + ", \"ok\": true, \"pong\": true";
-  out += ", \"capabilities\": {\"batch\": true, \"crawl\": true, "
+  out += ", \"capabilities\": {\"batch\": false, \"crawl\": true, "
          "\"sharded\": true}";
   out += ", \"limits\": {\"max_steps\": " +
          std::to_string(limits.max_steps) +

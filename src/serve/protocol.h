@@ -16,8 +16,9 @@
 // error naming the supported version, so a new client talking to an old
 // server fails loudly at the first exchange instead of misparsing
 // replies. PING doubles as capability discovery: its response lists the
-// server's optional features (batch, crawl, sharded) and its request
-// limits, so clients can feature-gate without try-and-see.
+// server's optional features (crawl, sharded; batch is always false — the
+// key stays so v=1 clients that read it still parse the reply) and its
+// request limits, so clients can feature-gate without try-and-see.
 //
 // Field semantics and *defaults* mirror `grw estimate` exactly — d
 // defaults to (k == 3 ? 1 : 2), css to (d <= 2), nb to (k == 3), steps to
@@ -112,7 +113,7 @@ EngineOptions ToEngineOptions(const EstimateRequest& req);
 std::string ErrorResponse(std::string_view error);
 
 /// Capability discovery: `{"v":1,"ok":true,"pong":true,"capabilities":
-/// {"batch":true,"crawl":true,"sharded":true},"limits":{...}}` echoing
+/// {"batch":false,"crawl":true,"sharded":true},"limits":{...}}` echoing
 /// the server's request limits.
 std::string PingResponse(const RequestLimits& limits);
 

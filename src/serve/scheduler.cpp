@@ -157,9 +157,9 @@ void ServeScheduler::RunJob(Job& job) {
       if (!source.has_value()) {
         response = ErrorResponse("unknown graph '" + req.graph + "'");
       } else {
-        // Mode combinations the engine cannot run (sharded x crawl,
-        // sharded x batch) throw from its constructor and land in the
-        // catch below as an error reply.
+        // Mode combinations the engine cannot run (sharded x crawl)
+        // throw from its constructor and land in the catch below as an
+        // error reply.
         EngineOptions options = ToEngineOptions(req);
         options.threads = options_.engine_threads;
         options.pool = options_.pool;  // nullptr = ChainPool::Shared()

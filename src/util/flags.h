@@ -6,8 +6,8 @@
 //
 // Numeric values are parsed *strictly* — the whole string must be a valid
 // in-range number — and a malformed value is a hard error with a
-// diagnostic (`flag --lanes: invalid integer 'abc'`), never a silent
-// misparse: `--budget-queries=10k` used to read as 10 and `--lanes=abc`
+// diagnostic (`flag --steps: invalid integer 'abc'`), never a silent
+// misparse: `--budget-queries=10k` used to read as 10 and `--steps=abc`
 // as 0. The underlying ParseInt64/ParseDouble/ParseBool helpers are
 // exposed because the serve request protocol (src/serve/protocol.h)
 // applies the same strictness to untrusted request fields, where the

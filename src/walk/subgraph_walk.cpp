@@ -66,18 +66,6 @@ uint64_t EnumerateGdNeighbors(const G& g, std::span<const VertexId> state,
       }
     }
   }
-  return EnumerateGdNeighborsWithRows(g, state, srows, out_neighbors,
-                                      scratch);
-}
-
-template <class G>
-uint64_t EnumerateGdNeighborsWithRows(const G& g,
-                                      std::span<const VertexId> state,
-                                      const uint32_t* srows,
-                                      std::vector<VertexId>* out_neighbors,
-                                      GdScratch& scratch) {
-  const int d = static_cast<int>(state.size());
-  assert(d >= 1 && d <= 32);
 
   std::vector<VertexId>& base = scratch.base;
   std::vector<VertexId>& candidate = scratch.candidate;
@@ -294,12 +282,6 @@ template uint64_t EnumerateGdNeighbors<Graph>(const Graph&,
 template uint64_t EnumerateGdNeighbors<CrawlAccess>(
     const CrawlAccess&, std::span<const VertexId>, std::vector<VertexId>*,
     GdScratch&);
-template uint64_t EnumerateGdNeighborsWithRows<Graph>(
-    const Graph&, std::span<const VertexId>, const uint32_t*,
-    std::vector<VertexId>*, GdScratch&);
-template uint64_t EnumerateGdNeighborsWithRows<CrawlAccess>(
-    const CrawlAccess&, std::span<const VertexId>, const uint32_t*,
-    std::vector<VertexId>*, GdScratch&);
 template uint64_t SubgraphStateDegree<Graph>(const Graph&,
                                              std::span<const VertexId>,
                                              GdScratch&);
@@ -311,9 +293,6 @@ template bool InducedSubgraphConnected<ShardedAccess>(
 template uint64_t EnumerateGdNeighbors<ShardedAccess>(
     const ShardedAccess&, std::span<const VertexId>, std::vector<VertexId>*,
     GdScratch&);
-template uint64_t EnumerateGdNeighborsWithRows<ShardedAccess>(
-    const ShardedAccess&, std::span<const VertexId>, const uint32_t*,
-    std::vector<VertexId>*, GdScratch&);
 template uint64_t SubgraphStateDegree<ShardedAccess>(
     const ShardedAccess&, std::span<const VertexId>, GdScratch&);
 template class SubgraphWalkT<Graph>;

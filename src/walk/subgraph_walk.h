@@ -73,19 +73,6 @@ inline void EnumerateGdNeighbors(const G& g,
   EnumerateGdNeighbors(g, state, out_neighbors, scratch);
 }
 
-/// As EnumerateGdNeighbors, but with the state's internal adjacency rows
-/// (bit j of state_rows[i] = edge state[i]~state[j]) supplied by the
-/// caller instead of probed here. The batched walk kernel builds the rows
-/// for a whole lane batch at once (vectorized signature rejection) and
-/// feeds them in; results are identical to the probing overload given
-/// correct rows.
-template <class G>
-uint64_t EnumerateGdNeighborsWithRows(const G& g,
-                                      std::span<const VertexId> state,
-                                      const uint32_t* state_rows,
-                                      std::vector<VertexId>* out_neighbors,
-                                      GdScratch& scratch);
-
 /// The pre-acceleration enumerator: per-call vector allocations and a full
 /// adjacency-probing BFS per candidate. Kept verbatim as the behavioral
 /// reference — tests assert the accelerated path emits the identical

@@ -291,46 +291,6 @@ TEST(SimdParityTest, SignatureProbeBatchAvx2MatchesScalarOnRandomBatches) {
   }
 }
 
-TEST(SimdParityTest, PairProbeBatchAvx2MatchesScalarOnRandomBatches) {
-  // Same property for the gathered pair-probe kernel: per-pair admit
-  // verdicts from the index's signature array, AVX2 vs scalar, on random
-  // vertex pairs of a real indexed graph.
-  if (!SignatureProbeBatchHasAvx2()) {
-    GTEST_SKIP() << "no AVX2 at runtime; dispatched path is scalar";
-  }
-  Rng graph_rng(13);
-  Graph g = BarabasiAlbert(500, 4, graph_rng);
-  g.BuildAdjacencyIndex();
-  const AdjacencyIndex& index = *g.adjacency_index();
-  Rng rng(20240608);
-  std::vector<VertexId> us(64);
-  std::vector<VertexId> vs(64);
-  for (int trial = 0; trial < 10000; ++trial) {
-    const int count = static_cast<int>(rng.UniformInt(65));
-    for (int i = 0; i < count; ++i) {
-      us[i] = static_cast<VertexId>(rng.UniformInt(g.NumNodes()));
-      vs[i] = static_cast<VertexId>(rng.UniformInt(g.NumNodes()));
-    }
-    const uint64_t scalar =
-        index.PairProbeBatchScalar(us.data(), vs.data(), count);
-    const uint64_t avx2 =
-        index.PairProbeBatchAvx2(us.data(), vs.data(), count);
-    ASSERT_EQ(scalar, avx2) << "trial " << trial << " count " << count;
-    ASSERT_EQ(index.PairProbeBatch(us.data(), vs.data(), count), scalar);
-    if (count < 64) {
-      ASSERT_EQ(scalar >> count, 0ull);
-    }
-    // Soundness spot check: an admitted=0 pair is never a real edge (the
-    // signature filter has no false negatives).
-    for (int i = 0; i < count; ++i) {
-      if (((scalar >> i) & 1ull) == 0) {
-        ASSERT_FALSE(g.HasEdge(us[i], vs[i]))
-            << "filter rejected a real edge " << us[i] << "-" << vs[i];
-      }
-    }
-  }
-}
-
 TEST(SimdParityTest, VectorContainsAvx2MatchesLinearScanOnSortedLists) {
   // Same property for the branchless masked membership scan that
   // resolves short/mid lists in HasEdge: identical verdicts to the

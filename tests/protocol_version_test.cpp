@@ -95,7 +95,12 @@ TEST(ProtocolVersionTest, PingAdvertisesCapabilitiesAndLimits) {
   EXPECT_TRUE(doc->Find("pong")->IsTrue());
   const JsonValue* caps = doc->Find("capabilities");
   ASSERT_NE(caps, nullptr);
-  EXPECT_TRUE(caps->Find("batch")->IsTrue());
+  // No request field selects a batched kernel; the key stays, false, so
+  // v=1 clients that read it still parse the reply.
+  const JsonValue* batch = caps->Find("batch");
+  ASSERT_NE(batch, nullptr);
+  EXPECT_EQ(batch->type, JsonValue::Type::kBool);
+  EXPECT_FALSE(batch->boolean);
   EXPECT_TRUE(caps->Find("crawl")->IsTrue());
   EXPECT_TRUE(caps->Find("sharded")->IsTrue());
   const JsonValue* limits = doc->Find("limits");

@@ -370,7 +370,7 @@ TEST(ShardedEngineTest, ShardStatsCoverOnlyTheirOwnRun) {
   fs::remove_all(dir);
 }
 
-TEST(ShardedEngineTest, RejectsCrawlAndBatchModes) {
+TEST(ShardedEngineTest, RejectsCrawlMode) {
   const Graph g = RegularGraph();
   const std::string dir = TempDir("grw_engine_reject");
   ShardInto(g, dir, 2);
@@ -380,11 +380,6 @@ TEST(ShardedEngineTest, RejectsCrawlAndBatchModes) {
   EngineOptions crawl = BaseOptions(2, 1);
   crawl.crawl.enabled = true;
   EXPECT_THROW(EstimationEngine(store, config, crawl),
-               std::invalid_argument);
-
-  EngineOptions batch = BaseOptions(2, 1);
-  batch.batch.enabled = true;
-  EXPECT_THROW(EstimationEngine(store, config, batch),
                std::invalid_argument);
   fs::remove_all(dir);
 }

@@ -28,7 +28,6 @@
 #include "graph/generators.h"
 #include "util/rng.h"
 #include "util/stats.h"
-#include "walk/batched_walk.h"
 #include "walk/edge_walk.h"
 #include "walk/node_walk.h"
 #include "walk/subgraph_walk.h"
@@ -226,215 +225,113 @@ TEST(EdgeWalkDistributionTest, TransitionsAreUniformOverNeighborStates) {
   EXPECT_LT(stat, ChiSquareCriticalValue(df, kTailZ)) << "df=" << df;
 }
 
-// ---------------------------------------------------------------------
-// Batched kernels (walk/batched_walk.h). The equivalence suite
-// (tests/batched_walk_test.cpp) already pins every lane to its scalar
-// chain bit for bit; these tests make the *statistical* claim directly
-// against the batched API — PrepareLanes + StepLane with independent
-// per-lane streams — so a future change that weakened the contract would
-// still have to produce correctly distributed walks to pass.
-
-// Advances all lanes one transition through the batched step protocol.
-template <class G>
-void StepAllLanes(BatchedWalkT<G>& walk, std::vector<Rng>& rng) {
-  walk.PrepareLanes();
-  for (int j = 0; j < walk.lanes(); ++j) walk.StepLane(j, rng[j]);
+// Every connected induced d-node subgraph of a small g (the G(d) state
+// space), each as a sorted node set.
+void CollectStates(const Graph& g, int d, std::vector<VertexId>& prefix,
+                   std::vector<std::vector<VertexId>>& out) {
+  if (static_cast<int>(prefix.size()) == d) {
+    if (InducedSubgraphConnected(g, prefix)) out.push_back(prefix);
+    return;
+  }
+  const VertexId first = prefix.empty() ? 0 : prefix.back() + 1;
+  for (VertexId v = first; v < g.NumNodes(); ++v) {
+    prefix.push_back(v);
+    CollectStates(g, d, prefix, out);
+    prefix.pop_back();
+  }
 }
 
-std::vector<Rng> LaneRngs(BatchedWalkT<Graph>& walk, uint64_t seed) {
-  std::vector<Rng> rng(walk.lanes());
-  for (int j = 0; j < walk.lanes(); ++j) {
-    rng[j].Seed(DeriveSeed(seed, j));
-    walk.ResetLane(j, rng[j]);
-  }
-  return rng;
-}
-
-TEST(BatchedWalkDistributionTest, NodeStationaryChiSquarePooledOverLanes) {
-  // Each lane is an independent chain with the same stationary law
-  // pi(v) = d_v / 2|E|, so thinned visits pool into one multinomial.
-  const Graph g = KarateClub();
-  BatchedWalk walk(g, /*d=*/1, /*lanes=*/8);
-  std::vector<Rng> rng = LaneRngs(walk, 3001);
-  std::vector<double> observed(g.NumNodes(), 0.0);
-  const uint64_t rounds = 2500;  // rounds * lanes pooled samples
-  for (uint64_t s = 0; s < rounds; ++s) {
-    for (uint64_t t = 0; t < kThin; ++t) StepAllLanes(walk, rng);
-    for (int j = 0; j < walk.lanes(); ++j) {
-      observed[walk.LaneNodes(j)[0]] += 1.0;
-    }
-  }
-  const double samples = static_cast<double>(rounds * walk.lanes());
-  const double two_m = 2.0 * static_cast<double>(g.NumEdges());
-  std::vector<double> expected(g.NumNodes(), 0.0);
-  for (VertexId v = 0; v < g.NumNodes(); ++v) {
-    expected[v] = static_cast<double>(g.Degree(v)) / two_m * samples;
-    ASSERT_GE(expected[v], 5.0) << "cell too thin for chi-square";
-  }
-  const double stat = ChiSquareStatistic(observed, expected);
-  const int df = static_cast<int>(g.NumNodes()) - 1;
-  EXPECT_LT(stat, ChiSquareCriticalValue(df, kTailZ)) << "df=" << df;
-}
-
-TEST(BatchedWalkDistributionTest, EdgeStationaryChiSquarePooledOverLanes) {
-  // pi(e_uv) = (d_u + d_v - 2) / 2|R(2)| on G(2), pooled over lanes.
-  const Graph g = KarateClub();
-  BatchedWalk walk(g, /*d=*/2, /*lanes=*/8);
-  std::vector<Rng> rng = LaneRngs(walk, 3002);
-  std::map<std::pair<VertexId, VertexId>, double> observed;
-  const uint64_t rounds = 4000;
-  for (uint64_t s = 0; s < rounds; ++s) {
-    for (uint64_t t = 0; t < kThin; ++t) StepAllLanes(walk, rng);
-    for (int j = 0; j < walk.lanes(); ++j) {
-      const auto nodes = walk.LaneNodes(j);
-      observed[{nodes[0], nodes[1]}] += 1.0;
-    }
-  }
-  const double samples = static_cast<double>(rounds * walk.lanes());
-  const double two_r2 = 2.0 * static_cast<double>(g.WedgeCount());
-  std::vector<double> obs_cells;
-  std::vector<double> exp_cells;
-  for (VertexId u = 0; u < g.NumNodes(); ++u) {
-    for (VertexId v : g.Neighbors(u)) {
-      if (u >= v) continue;
-      const double expected =
-          static_cast<double>(g.Degree(u) + g.Degree(v) - 2) / two_r2 *
-          samples;
-      ASSERT_GE(expected, 5.0) << "cell too thin for chi-square";
-      const auto it = observed.find({u, v});
-      obs_cells.push_back(it == observed.end() ? 0.0 : it->second);
-      exp_cells.push_back(expected);
-    }
-  }
-  const double stat = ChiSquareStatistic(obs_cells, exp_cells);
-  const int df = static_cast<int>(exp_cells.size()) - 1;
-  EXPECT_LT(stat, ChiSquareCriticalValue(df, kTailZ)) << "df=" << df;
-}
-
-TEST(BatchedWalkDistributionTest,
-     SubgraphStationaryChiSquarePooledOverLanes) {
-  // pi(s) = deg_{G(3)}(s) / 2|R(3)| on a fixture small enough to
-  // enumerate the full G(3) state space for the expected counts.
-  const Graph g = Lollipop(4, 2);
-  BatchedWalk walk(g, /*d=*/3, /*lanes=*/8);
-  std::vector<Rng> rng = LaneRngs(walk, 3003);
+// Chi-square GOF of thinned SubgraphWalk visits vs
+// pi(s) = deg_{G(d)}(s) / 2|R(d)| over the enumerated G(d) state space.
+void CheckSubgraphStationary(const Graph& g, int d, bool nb, uint64_t seed,
+                             uint64_t samples) {
+  SubgraphWalk walk(g, d, nb);
+  Rng rng(seed);
+  walk.Reset(rng);
   std::map<std::vector<VertexId>, double> observed;
-  const uint64_t rounds = 3000;
-  for (uint64_t s = 0; s < rounds; ++s) {
-    for (uint64_t t = 0; t < kThin; ++t) StepAllLanes(walk, rng);
-    for (int j = 0; j < walk.lanes(); ++j) {
-      const auto nodes = walk.LaneNodes(j);
-      observed[std::vector<VertexId>(nodes.begin(), nodes.end())] += 1.0;
-    }
+  for (uint64_t s = 0; s < samples; ++s) {
+    for (uint64_t t = 0; t < kThin; ++t) walk.Step(rng);
+    const auto nodes = walk.Nodes();
+    observed[std::vector<VertexId>(nodes.begin(), nodes.end())] += 1.0;
   }
-  const double samples = static_cast<double>(rounds * walk.lanes());
+  std::vector<VertexId> prefix;
+  std::vector<std::vector<VertexId>> states;
+  CollectStates(g, d, prefix, states);
   double degree_sum = 0.0;
-  std::vector<std::pair<std::vector<VertexId>, double>> states;
-  for (VertexId a = 0; a < g.NumNodes(); ++a) {
-    for (VertexId b = a + 1; b < g.NumNodes(); ++b) {
-      for (VertexId c = b + 1; c < g.NumNodes(); ++c) {
-        const std::vector<VertexId> nodes = {a, b, c};
-        if (!InducedSubgraphConnected(g, nodes)) continue;
-        const double deg =
-            static_cast<double>(SubgraphStateDegree(g, nodes));
-        states.emplace_back(nodes, deg);
-        degree_sum += deg;
-      }
-    }
+  std::vector<double> degrees;
+  for (const auto& nodes : states) {
+    degrees.push_back(static_cast<double>(SubgraphStateDegree(g, nodes)));
+    degree_sum += degrees.back();
   }
   std::vector<double> obs_cells;
   std::vector<double> exp_cells;
-  for (const auto& [nodes, deg] : states) {
-    const double expected = deg / degree_sum * samples;
+  for (size_t i = 0; i < states.size(); ++i) {
+    const double expected =
+        degrees[i] / degree_sum * static_cast<double>(samples);
     ASSERT_GE(expected, 5.0) << "cell too thin for chi-square";
-    const auto it = observed.find(nodes);
+    const auto it = observed.find(states[i]);
     obs_cells.push_back(it == observed.end() ? 0.0 : it->second);
     exp_cells.push_back(expected);
   }
   const double stat = ChiSquareStatistic(obs_cells, exp_cells);
   const int df = static_cast<int>(exp_cells.size()) - 1;
-  EXPECT_LT(stat, ChiSquareCriticalValue(df, kTailZ)) << "df=" << df;
+  EXPECT_LT(stat, ChiSquareCriticalValue(df, kTailZ))
+      << "d=" << d << " nb=" << nb << " df=" << df;
 }
 
-TEST(BatchedWalkDistributionTest, NodeTransitionsUniformOverNeighbors) {
-  // Conditional on lane j sitting at v, StepLane's next node is uniform
-  // over N(v) — pooled per-state chi-square across all lanes (each
-  // transition is an i.i.d. draw regardless of which lane made it).
-  const Graph g = KarateClub();
-  BatchedWalk walk(g, /*d=*/1, /*lanes=*/8);
-  std::vector<Rng> rng = LaneRngs(walk, 3004);
-  std::vector<std::vector<double>> counts(g.NumNodes());
-  for (VertexId v = 0; v < g.NumNodes(); ++v) {
-    counts[v].assign(g.Degree(v), 0.0);
-  }
-  std::vector<double> visits(g.NumNodes(), 0.0);
-  const uint64_t rounds = 40000;
-  std::vector<VertexId> prev(walk.lanes());
-  for (int j = 0; j < walk.lanes(); ++j) prev[j] = walk.LaneNodes(j)[0];
-  for (uint64_t s = 0; s < rounds; ++s) {
-    StepAllLanes(walk, rng);
-    for (int j = 0; j < walk.lanes(); ++j) {
-      const VertexId cur = walk.LaneNodes(j)[0];
-      ASSERT_TRUE(g.HasEdge(prev[j], cur))
-          << "lane emitted a non-edge " << prev[j] << "-" << cur;
-      const auto neighbors = g.Neighbors(prev[j]);
-      const auto it =
-          std::lower_bound(neighbors.begin(), neighbors.end(), cur);
-      ASSERT_TRUE(it != neighbors.end() && *it == cur);
-      counts[prev[j]][static_cast<size_t>(it - neighbors.begin())] += 1.0;
-      visits[prev[j]] += 1.0;
-      prev[j] = cur;
-    }
-  }
-  double stat = 0.0;
-  int df = 0;
-  for (VertexId v = 0; v < g.NumNodes(); ++v) {
-    if (g.Degree(v) < 2 || visits[v] < 5.0 * g.Degree(v)) continue;
-    const std::vector<double> expected(
-        g.Degree(v), visits[v] / static_cast<double>(g.Degree(v)));
-    stat += ChiSquareStatistic(counts[v], expected);
-    df += static_cast<int>(g.Degree(v)) - 1;
-  }
-  ASSERT_GT(df, 0);
-  EXPECT_LT(stat, ChiSquareCriticalValue(df, kTailZ)) << "df=" << df;
+TEST(SubgraphWalkDistributionTest, StationaryChiSquare) {
+  // The only chi-square checks of the G(d) walk for d >= 3, on fixtures
+  // small enough to enumerate the full state space. The NB walk keeps the
+  // same stationary law (paper Section 4.2).
+  CheckSubgraphStationary(Lollipop(4, 2), /*d=*/3, /*nb=*/false,
+                          /*seed=*/3003, /*samples=*/24000);
+  CheckSubgraphStationary(Lollipop(5, 2), /*d=*/4, /*nb=*/false,
+                          /*seed=*/3006, /*samples=*/24000);
+  CheckSubgraphStationary(Lollipop(4, 2), /*d=*/3, /*nb=*/true,
+                          /*seed=*/3007, /*samples=*/24000);
 }
 
-TEST(BatchedWalkDistributionTest,
-     SubgraphTransitionsUniformOverGdNeighbors) {
+TEST(SubgraphWalkDistributionTest, TransitionsUniformOverGdNeighbors) {
   // From state s the walk picks uniformly among deg_{G(3)}(s) neighbor
   // states; pool per-state chi-squares over frequently visited states.
+  // Every observed next state must be a G(3) neighbor of s.
   const Graph g = Lollipop(5, 2);
-  BatchedWalk walk(g, /*d=*/3, /*lanes=*/4);
-  std::vector<Rng> rng = LaneRngs(walk, 3005);
+  SubgraphWalk walk(g, /*d=*/3);
+  Rng rng(3005);
+  walk.Reset(rng);
   using State = std::vector<VertexId>;
   std::map<State, std::map<State, double>> transitions;
   std::map<State, double> visits;
-  std::vector<State> prev(walk.lanes());
-  for (int j = 0; j < walk.lanes(); ++j) {
-    const auto nodes = walk.LaneNodes(j);
-    prev[j].assign(nodes.begin(), nodes.end());
-  }
-  const uint64_t rounds = 30000;
-  for (uint64_t s = 0; s < rounds; ++s) {
-    StepAllLanes(walk, rng);
-    for (int j = 0; j < walk.lanes(); ++j) {
-      const auto nodes = walk.LaneNodes(j);
-      State cur(nodes.begin(), nodes.end());
-      transitions[prev[j]][cur] += 1.0;
-      visits[prev[j]] += 1.0;
-      prev[j] = std::move(cur);
-    }
+  State prev(walk.Nodes().begin(), walk.Nodes().end());
+  const uint64_t steps = 120000;
+  for (uint64_t s = 0; s < steps; ++s) {
+    walk.Step(rng);
+    State cur(walk.Nodes().begin(), walk.Nodes().end());
+    transitions[prev][cur] += 1.0;
+    visits[prev] += 1.0;
+    prev = std::move(cur);
   }
   double stat = 0.0;
   int df = 0;
+  std::vector<VertexId> neighbors;
   for (const auto& [state, outs] : transitions) {
-    const double deg = static_cast<double>(SubgraphStateDegree(g, state));
+    neighbors.clear();
+    EnumerateGdNeighbors(g, state, &neighbors);
+    std::vector<State> valid;
+    for (size_t i = 0; i < neighbors.size(); i += state.size()) {
+      valid.emplace_back(neighbors.begin() + i,
+                         neighbors.begin() + i + state.size());
+    }
+    for (const auto& [next, count] : outs) {
+      ASSERT_NE(std::find(valid.begin(), valid.end(), next), valid.end())
+          << "walk moved to a state that is not a G(3) neighbor";
+    }
+    const double deg = static_cast<double>(valid.size());
     if (visits[state] < 5.0 * deg) continue;
     std::vector<double> obs;
     for (const auto& [next, count] : outs) obs.push_back(count);
     // Unvisited neighbor states are zero-count cells.
-    while (obs.size() < static_cast<size_t>(deg)) obs.push_back(0.0);
-    ASSERT_LE(obs.size(), static_cast<size_t>(deg));
+    while (obs.size() < valid.size()) obs.push_back(0.0);
     const std::vector<double> expected(obs.size(), visits[state] / deg);
     stat += ChiSquareStatistic(obs, expected);
     df += static_cast<int>(deg) - 1;

@@ -31,7 +31,6 @@
 //   grw estimate <graph> --k K [--d D] [--css 0|1] [--nb 0|1]
 //       [--steps N] [--seed S] [--chains C] [--threads T] [--counts]
 //       [--target-nrmse X] [--max-steps N] [--quiet] [--no-index]
-//       [--batch] [--lanes W]
 //       [--crawl] [--budget-queries B] [--cache-size C] [--latency-us L]
 //       [--fail-prob P] [--fail-retries R] [--fail-backoff-us U]
 //       [--resident-budget-mb M] [--locality-seed]
@@ -49,10 +48,7 @@
 //       fetch-failure model (bounded retries, exponential backoff +
 //       jitter, deterministic per chain) whose retries/giveups/backoff
 //       land in the crawl-cost report. Estimates are bit-identical to
-//       the full-access run; only cost and stopping change. --batch runs
-//       chains through the W-lane SoA walk kernel (walk/batched_walk.h,
-//       --lanes per unit, default 8) — same estimates bit-for-bit, higher
-//       single-thread throughput via cross-lane prefetch + SIMD probes.
+//       the full-access run; only cost and stopping change.
 //       --raw swaps the table for machine-readable `label value` lines
 //       (%.17g), diffable against `grw query --raw`. On a sharded graph
 //       (a `grw shard` directory or its MANIFEST.grws) the engine runs
@@ -62,8 +58,8 @@
 //       start positions, so estimates differ from — but converge like —
 //       the default seeding). Estimates under any budget are
 //       bit-identical to the monolithic run; a residency report follows
-//       the table. --counts, --batch, and crawl flags need the
-//       monolithic graph and are rejected on sharded inputs.
+//       the table. --counts and crawl flags need the monolithic graph
+//       and are rejected on sharded inputs.
 //   grw query <id> [--host H] [--port P] [--raw] [--send 'LINE']
 //       [estimation flags as in `estimate`] [--deadline-ms MS]
 //       [--tenant NAME]
@@ -136,8 +132,6 @@ int Usage() {
       "  estimate <graph> --k K [--chains C] [--target-nrmse X]\n"
       "           [--max-steps N] ...     random-walk estimation with\n"
       "                                   convergence-driven stopping\n"
-      "           [--batch] [--lanes W]  batched SoA walk kernel: same\n"
-      "                                   estimates, lockstep lanes\n"
       "           [--crawl] [--budget-queries B] [--cache-size C]\n"
       "           [--latency-us L]         crawl scenario: LRU-cached\n"
       "                                   restricted access, stop at B\n"
@@ -604,17 +598,6 @@ int CmdEstimate(const grw::Flags& flags) {
   options.crawl.fail_prob = fail_prob;
   options.crawl.fail_max_retries = fail_retries;
   options.crawl.fail_backoff_us = fail_backoff_us;
-
-  // Batched kernel: estimates are bit-identical to the scalar path, so
-  // this is purely a throughput knob. --lanes implies --batch.
-  const int64_t lanes = flags.GetInt("lanes", 0);
-  if (flags.Has("lanes") && lanes < 1) {
-    throw std::runtime_error("--lanes must be >= 1");
-  }
-  options.batch.enabled = flags.GetBool("batch") || flags.Has("lanes");
-  if (lanes > 0) {
-    options.batch.lanes = static_cast<int>(lanes);
-  }
 
   // Locality seeding: each chain starts inside its affinity shard, so
   // chains fault disjoint working sets under a tight budget. Opt-in

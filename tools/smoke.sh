@@ -29,7 +29,6 @@ step "Convert + crawl workflow smoke"
 ./grw_cli convert smoke.edges smoke.grwb --relabel-degree
 ./grw_cli info smoke.grwb
 ./grw_cli estimate smoke.grwb --k 4 --steps 50000 --quiet
-./grw_cli estimate smoke.grwb --k 4 --steps 50000 --quiet --batch
 ./grw_cli estimate smoke.grwb --k 4 --budget-queries 5000 \
   --cache-size 4096 --latency-us 100 --chains 2 --max-steps 200000
 
@@ -37,13 +36,8 @@ step "Loader bench (gated)"
 ./bench_loader --check-speedup 5 --json bench_loader.json
 
 step "HasEdge + walk bench (gated)"
-# --check-batched-speedup is an anti-regression floor, not the expected
-# value: the 8-lane kernel wins ~1.2-1.6x on quiet hardware, but shared
-# CI runners add enough timing noise that a 1.0 floor would flake. 0.7
-# still catches a real slowdown in the batched path (observed noise
-# keeps honest runs above ~0.85).
 ./bench_micro_hasedge --check-speedup 2 --check-walk-speedup 1.3 \
-  --check-batched-speedup 0.7 --json bench_hasedge.json
+  --json bench_hasedge.json
 
 step "Access bench (gated on bit-identical estimates)"
 ./bench_access --check-identical --json bench_access.json
@@ -80,11 +74,8 @@ test -n "$PORT" || { cat serve.err; exit 1; }
   --chains 2 --raw > served.txt
 diff local.txt served.txt
 
-# Every chain kernel and access type runs the same walk: the batched
-# kernel and a crawl with an unbounded cache must match the plain run.
-./grw_cli estimate smoke.grwb --k 4 --steps 50000 --chains 2 \
-  --quiet --raw --batch > batch.txt
-diff local.txt batch.txt
+# Every access type runs the same walk: a crawl with an unbounded cache
+# must match the plain run.
 ./grw_cli estimate smoke.grwb --k 4 --steps 50000 --chains 2 \
   --quiet --raw --crawl --cache-size 0 > crawl.txt
 diff local.txt crawl.txt
