@@ -156,6 +156,8 @@ class GraphletEstimatorT {
   std::vector<double> CountEstimates(uint64_t relationship_edges) const;
 
   const EstimatorConfig& config() const { return config_; }
+  /// AlphaTable(k, d): alpha^k_i per catalog id.
+  const std::vector<int64_t>& alpha() const { return alpha_; }
   int NumTypes() const { return num_types_; }
   uint64_t Steps() const { return steps_; }
 

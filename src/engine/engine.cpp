@@ -6,9 +6,12 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
+#include <vector>
 
 #include "core/batch_means.h"
+#include "graphlet/catalog.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -143,11 +146,24 @@ void ValidateEngine(const SourceOf<A>& source, const EstimatorConfig& config,
     // Validate the estimator configuration eagerly (and warm the
     // k-indexed singletons) instead of failing inside the pool. A probe
     // over a ShardedAccess reads only sizes, no shard payloads.
+    std::vector<int64_t> alpha;
     if constexpr (std::is_same_v<A, ShardedAccess>) {
       const ShardedAccess access(source);
-      const GraphletEstimatorT<ShardedAccess> probe(access, config);
+      alpha = GraphletEstimatorT<ShardedAccess>(access, config).alpha();
     } else {
-      const GraphletEstimator probe(source, config);
+      alpha = GraphletEstimator(source, config).alpha();
+    }
+    // The paper's rule for choosing d: the walk on G(d) never samples a
+    // type with alpha = 0, which would silently read 0.
+    const auto zero = std::find(alpha.begin(), alpha.end(), 0);
+    if (zero != alpha.end()) {
+      throw std::invalid_argument(
+          "EstimationEngine: k=" + std::to_string(config.k) + " d=" +
+          std::to_string(config.d) + " cannot estimate the " +
+          GraphletCatalog::ForSize(config.k)
+              .Get(static_cast<int>(zero - alpha.begin()))
+              .name +
+          " (alpha = 0: the walk never samples it); use a larger d");
     }
   }
 }

@@ -217,7 +217,8 @@ struct EngineResult {
 class EstimationEngine {
  public:
   /// Validates eagerly: throws std::invalid_argument on a bad estimator
-  /// configuration or chains < 0.
+  /// configuration, a (k, d) with an alpha = 0 type (which the walk can
+  /// never sample), or chains < 0.
   EstimationEngine(const Graph& g, const EstimatorConfig& config,
                    EngineOptions options);
 

@@ -4,16 +4,17 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
-#include "graph/io.h"
 #include "graph/mapped_file.h"
+#include "graph/source.h"
 #include "util/fault.h"
 #include "util/posix_io.h"
 
@@ -21,7 +22,9 @@ namespace grw {
 
 namespace {
 
-// Fixed 64-byte header; see format.h for the field-by-field layout.
+// Fixed 64-byte header; see format.h for the field-by-field layout. It
+// is memcpy'd whole, so it must stay padding-free (HeaderChecksum
+// asserts the size and the trailing checksum's offset).
 struct GrwbHeader {
   uint32_t magic;
   uint32_t version;
@@ -31,64 +34,25 @@ struct GrwbHeader {
   uint64_t neighbors_bytes;
   uint64_t data_checksum;
   uint32_t flags;
-  uint32_t reserved;
-  uint64_t header_checksum;
+  uint32_t reserved = 0;
+  uint64_t header_checksum = 0;
 };
-static_assert(sizeof(GrwbHeader) == 64, "GrwbHeader must be 64 bytes");
-// The header is written/read by memcpy of the in-memory representation;
-// keep it free of padding so the layout is the documented one.
-static_assert(offsetof(GrwbHeader, header_checksum) == 56);
-
-constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-uint64_t Fnv1a(const void* data, size_t bytes, uint64_t seed) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  uint64_t h = seed;
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-uint64_t DataChecksum(std::span<const uint64_t> offsets,
-                      std::span<const VertexId> neighbors) {
-  uint64_t h = Fnv1a(offsets.data(), offsets.size_bytes(), kFnvOffsetBasis);
-  return Fnv1a(neighbors.data(), neighbors.size_bytes(), h);
-}
-
-uint64_t HeaderChecksum(const GrwbHeader& h) {
-  return Fnv1a(&h, offsetof(GrwbHeader, header_checksum), kFnvOffsetBasis);
-}
 
 [[noreturn]] void Bad(const std::string& path, const std::string& why) {
-  throw SnapshotCorruptError("LoadGraphBinary: " + path + ": " + why);
+  throw SnapshotCorruptError("ValidateGrwb: " + path + ": " + why);
 }
 
-// Validates everything that can be checked without touching the data
-// pages: magic, version, internal size consistency, file size, and the
-// header checksum.
-GrwbHeader ValidateHeader(const std::string& path, const unsigned char* data,
-                          size_t file_bytes) {
-  if (file_bytes < sizeof(GrwbHeader)) {
-    Bad(path, "file too small for a .grwb header (" +
-                  std::to_string(file_bytes) + " bytes)");
-  }
+// Validates a mapped `.grwb` and returns its header: the shared header
+// check, the header's own size fields (overflow-free: num_nodes is
+// bounded by the 32-bit id space first, and neighbors_bytes is checked
+// by division), then the shared CSR check — a full scan with `verify`.
+GrwbHeader ValidateGrwb(const std::string& path, const MappedFile& file,
+                        bool verify) {
   GrwbHeader h;
-  std::memcpy(&h, data, sizeof h);
-  if (h.magic != kGrwbMagic) Bad(path, "bad magic (not a .grwb snapshot)");
-  if (h.version != kGrwbVersion) {
-    Bad(path, "unsupported version " + std::to_string(h.version) +
-                  " (expected " + std::to_string(kGrwbVersion) + ")");
+  if (auto why = snapshot::ReadHeader(file, kGrwbMagic, kGrwbVersion,
+                                      ".grwb snapshot", h)) {
+    Bad(path, *why);
   }
-  if (h.header_checksum != HeaderChecksum(h)) {
-    Bad(path, "header checksum mismatch (corrupted header)");
-  }
-  // Ordered so that every arithmetic step below is overflow-free even for
-  // adversarial headers: num_nodes is bounded by the 32-bit id space
-  // first (so (n + 1) * 8 fits), and neighbors_bytes is derived from the
-  // real file size by subtraction instead of multiplying num_half_edges.
   if (h.num_nodes > std::numeric_limits<VertexId>::max()) {
     Bad(path, "num_nodes " + std::to_string(h.num_nodes) +
                   " exceeds the 32-bit node id space");
@@ -96,20 +60,14 @@ GrwbHeader ValidateHeader(const std::string& path, const unsigned char* data,
   if (h.offsets_bytes != (h.num_nodes + 1) * sizeof(uint64_t)) {
     Bad(path, "offsets_bytes inconsistent with num_nodes");
   }
-  if (file_bytes < sizeof(GrwbHeader) ||
-      file_bytes - sizeof(GrwbHeader) < h.offsets_bytes) {
-    Bad(path, "truncated file: offsets array extends past end of file");
-  }
-  if (h.neighbors_bytes != file_bytes - sizeof(GrwbHeader) - h.offsets_bytes) {
-    Bad(path,
-        "truncated or oversized file: " + std::to_string(file_bytes) +
-            " bytes, header implies " +
-            std::to_string(sizeof(GrwbHeader) + h.offsets_bytes +
-                           h.neighbors_bytes));
-  }
   if (h.neighbors_bytes % sizeof(VertexId) != 0 ||
-      h.num_half_edges != h.neighbors_bytes / sizeof(VertexId)) {
+      h.neighbors_bytes / sizeof(VertexId) != h.num_half_edges) {
     Bad(path, "neighbors_bytes inconsistent with num_half_edges");
+  }
+  if (auto why = snapshot::CheckCsr(
+          file, {h.num_nodes, h.num_half_edges, h.num_nodes, h.data_checksum},
+          verify, {"file", "offsets array", "node", "snapshot"})) {
+    Bad(path, *why);
   }
   return h;
 }
@@ -133,134 +91,50 @@ void SaveGraphBinary(const Graph& g, const std::string& path, uint32_t flags) {
   const std::span<const uint64_t> out_offsets =
       offsets.empty() ? std::span<const uint64_t>(kEmptyOffsets) : offsets;
 
-  GrwbHeader h{};
-  h.magic = kGrwbMagic;
-  h.version = kGrwbVersion;
-  h.num_nodes = g.NumNodes();
-  h.num_half_edges = neighbors.size();
-  h.offsets_bytes = out_offsets.size_bytes();
-  h.neighbors_bytes = neighbors.size_bytes();
-  h.data_checksum = DataChecksum(out_offsets, neighbors);
-  h.flags = flags;
-  h.reserved = 0;
-  h.header_checksum = HeaderChecksum(h);
-
-  // Crash-safe write discipline: stage into a same-directory temp file,
-  // fsync it, then atomically rename over the destination and fsync the
-  // directory. Every interruption point leaves `path` either absent or
-  // a complete old/new snapshot; a leftover temp never passes the
-  // loader's magic/size/checksum validation as `path`.
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0 || GRW_FAULT("grwb.save.open")) {
-    if (fd >= 0) {
-      ::close(fd);
-      ::unlink(tmp.c_str());
-    }
-    throw std::runtime_error("SaveGraphBinary: cannot open " + tmp + ": " +
-                             std::strerror(fd < 0 ? errno : EIO));
-  }
-  const auto fail = [&](const std::string& what, int err) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    throw std::runtime_error("SaveGraphBinary: " + what + " " + tmp + ": " +
-                             std::strerror(err));
-  };
-
-  io::IoResult w = io::WriteAll(fd, &h, sizeof h);
-  if (w.ok()) w = io::WriteAll(fd, out_offsets.data(), out_offsets.size_bytes());
-  // Chaos site simulating the process dying with the payload half
-  // written (same disk state as `kill -9` mid-convert): the destination
-  // must still be absent or the previous complete snapshot.
-  if (GRW_FAULT("grwb.save.crash")) ::_exit(137);
-  if (w.ok()) w = io::WriteAll(fd, neighbors.data(), neighbors.size_bytes());
-  if (!w.ok() || GRW_FAULT("grwb.save.write")) {
-    fail("write failure on", w.ok() ? EIO : w.error);
-  }
-  // Data must be durable BEFORE the rename publishes it: rename-then-
-  // fsync could surface a complete-looking file with unwritten pages
-  // after power loss.
-  if (io::Fsync(fd) < 0) fail("fsync failure on", errno);
-  if (::close(fd) < 0) {
-    const int err = errno;
-    ::unlink(tmp.c_str());
-    throw std::runtime_error("SaveGraphBinary: close failure on " + tmp +
-                             ": " + std::strerror(err));
-  }
-  if (::rename(tmp.c_str(), path.c_str()) < 0 ||
-      GRW_FAULT("grwb.save.rename")) {
-    const int err = errno != 0 ? errno : EIO;
-    ::unlink(tmp.c_str());
-    throw std::runtime_error("SaveGraphBinary: cannot rename " + tmp +
-                             " to " + path + ": " + std::strerror(err));
-  }
-  // Make the rename itself durable (best effort: some filesystems
-  // refuse O_RDONLY directory fsync; the data above is already synced).
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash + 1);
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
-  if (dir_fd >= 0) {
-    io::Fsync(dir_fd);
-    ::close(dir_fd);
-  }
+  GrwbHeader h{.magic = kGrwbMagic,
+               .version = kGrwbVersion,
+               .num_nodes = g.NumNodes(),
+               .num_half_edges = neighbors.size(),
+               .offsets_bytes = out_offsets.size_bytes(),
+               .neighbors_bytes = neighbors.size_bytes(),
+               .data_checksum = snapshot::DataChecksum(out_offsets, neighbors),
+               .flags = flags};
+  h.header_checksum = snapshot::HeaderChecksum(h);
+  snapshot::AtomicWriteFile(path,
+                            {{&h, sizeof h},
+                             {out_offsets.data(), out_offsets.size_bytes()},
+                             {neighbors.data(), neighbors.size_bytes()}},
+                            "SaveGraphBinary");
 }
 
-Graph LoadGraphBinary(const std::string& path, bool verify_checksum) {
+std::optional<GraphSource> GraphSource::OpenGraphBinary(
+    const std::string& path, bool verify) {
   MappedFile file = MappedFile::Open(path);
-  const GrwbHeader h = ValidateHeader(path, file.data(), file.size());
-
+  if (file.size() < sizeof kGrwbMagic ||
+      std::memcmp(file.data(), &kGrwbMagic, sizeof kGrwbMagic) != 0) {
+    return std::nullopt;
+  }
+  const GrwbHeader h = ValidateGrwb(path, file, verify);
+  GraphSource source;
+  source.kind_ = GraphSourceKind::kBinary;
+  source.checksum_ = h.data_checksum;
+  source.relabeled_ = (h.flags & kGrwbFlagDegreeRelabeled) != 0;
   // The offsets array starts at byte 64 of a page-aligned mapping, so both
   // reinterpreted arrays are naturally aligned for their element types.
-  const auto* offsets_ptr =
-      reinterpret_cast<const uint64_t*>(file.data() + sizeof(GrwbHeader));
-  const auto* neighbors_ptr = reinterpret_cast<const VertexId*>(
-      file.data() + sizeof(GrwbHeader) + h.offsets_bytes);
-  const std::span<const uint64_t> offsets(
-      offsets_ptr, static_cast<size_t>(h.num_nodes) + 1);
+  const std::span<const uint64_t> offsets(snapshot::CsrOffsets(file),
+                                          h.num_nodes + 1);
   const std::span<const VertexId> neighbors(
-      neighbors_ptr, static_cast<size_t>(h.num_half_edges));
-
-  // Cheap structural sanity touching only the first and last offset page.
-  if (offsets.front() != 0 || offsets.back() != h.num_half_edges) {
-    Bad(path, "offsets array inconsistent with header (corrupted data)");
-  }
-  if (verify_checksum) {
-    // Full structural validation for untrusted files: the checksum only
-    // catches accidental corruption, while these invariants are what the
-    // walk code actually relies on to stay in bounds.
-    for (size_t v = 0; v + 1 < offsets.size(); ++v) {
-      if (offsets[v] > offsets[v + 1]) {
-        Bad(path, "offsets array not monotone at node " + std::to_string(v));
-      }
-    }
-    for (size_t i = 0; i < neighbors.size(); ++i) {
-      if (neighbors[i] >= h.num_nodes) {
-        Bad(path, "neighbor id out of range at index " + std::to_string(i));
-      }
-    }
-    if (DataChecksum(offsets, neighbors) != h.data_checksum) {
-      Bad(path, "data checksum mismatch (corrupted snapshot)");
-    }
-  }
-
-  return Graph(offsets, neighbors,
-               std::make_shared<MappedBacking>(std::move(file)));
+      snapshot::CsrNeighbors(file, h.num_nodes), h.num_half_edges);
+  source.graph_ = Graph(offsets, neighbors,
+                        std::make_shared<MappedBacking>(std::move(file)));
+  return source;
 }
 
 GrwbInfo InspectGraphBinary(const std::string& path) {
   const MappedFile file = MappedFile::Open(path);
-  const GrwbHeader h = ValidateHeader(path, file.data(), file.size());
-  GrwbInfo info;
-  info.version = h.version;
-  info.num_nodes = h.num_nodes;
-  info.num_half_edges = h.num_half_edges;
-  info.flags = h.flags;
-  info.file_bytes = file.size();
-  info.data_checksum = h.data_checksum;
-  return info;
+  const GrwbHeader h = ValidateGrwb(path, file, /*verify=*/false);
+  return {h.version, h.num_nodes, h.num_half_edges,
+          h.flags, file.size(), h.data_checksum};
 }
 
 bool IsGraphBinaryFile(const std::string& path) {
@@ -273,5 +147,126 @@ bool IsGraphBinaryFile(const std::string& path) {
   std::fclose(f);
   return got && magic == kGrwbMagic;
 }
+
+namespace snapshot {
+
+uint64_t Fnv1a(const void* data, size_t bytes, uint64_t seed) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint64_t h = seed;
+  for (size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+uint64_t DataChecksum(std::span<const uint64_t> offsets,
+                      std::span<const VertexId> neighbors) {
+  return Fnv1a(neighbors.data(), neighbors.size_bytes(),
+               Fnv1a(offsets.data(), offsets.size_bytes()));
+}
+
+void AtomicWriteFile(
+    const std::string& path,
+    std::initializer_list<std::pair<const void*, size_t>> parts,
+    const char* who) {
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  int fd = -1;
+  const auto fail = [&](const std::string& what, int err) {
+    if (fd >= 0) ::close(fd);
+    ::unlink(tmp.c_str());
+    throw std::runtime_error(std::string(who) + ": " + what + ": " +
+                             std::strerror(err));
+  };
+  fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) fail("cannot open " + tmp, errno);
+  if (GRW_FAULT("snapshot.save.open")) fail("cannot open " + tmp, EIO);
+
+  io::IoResult w;
+  for (auto part = parts.begin(); part != parts.end() && w.ok(); ++part) {
+    // Chaos site: the process dies (as under `kill -9`) with the last
+    // part unwritten. `path` must still be absent or the previous
+    // complete file, and the torn temp must fail validation.
+    if (part + 1 == parts.end() && GRW_FAULT("snapshot.save.crash")) {
+      ::_exit(137);
+    }
+    w = io::WriteAll(fd, part->first, part->second);
+  }
+  if (!w.ok() || GRW_FAULT("snapshot.save.write")) {
+    fail("write failure on " + tmp, w.ok() ? EIO : w.error);
+  }
+  // Data must be durable BEFORE the rename publishes it: rename-then-
+  // fsync could surface a complete-looking file with unwritten pages
+  // after power loss.
+  if (io::Fsync(fd) < 0) fail("fsync failure on " + tmp, errno);
+  const int closed = ::close(std::exchange(fd, -1));
+  if (closed < 0) fail("close failure on " + tmp, errno);
+  if (::rename(tmp.c_str(), path.c_str()) < 0 ||
+      GRW_FAULT("snapshot.save.rename")) {
+    fail("cannot rename " + tmp + " to " + path, errno != 0 ? errno : EIO);
+  }
+  // Make the rename itself durable (best effort: some filesystems
+  // refuse O_RDONLY directory fsync; the data above is already synced).
+  const size_t slash = path.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? std::string(".") : path.substr(0, slash + 1);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
+  if (dir_fd >= 0) {
+    io::Fsync(dir_fd);
+    ::close(dir_fd);
+  }
+}
+
+bool CsrSizeMatches(uint64_t file_bytes, const CsrFields& fields) {
+  if (file_bytes < kHeaderBytes) return false;
+  const uint64_t payload = file_bytes - kHeaderBytes;
+  // num_rows + 1 offsets must fit, so (num_rows + 1) * 8 <= payload.
+  if (fields.num_rows >= payload / sizeof(uint64_t)) return false;
+  const uint64_t neighbor_bytes =
+      payload - (fields.num_rows + 1) * sizeof(uint64_t);
+  return neighbor_bytes % sizeof(VertexId) == 0 &&
+         neighbor_bytes / sizeof(VertexId) == fields.num_half_edges;
+}
+
+std::optional<std::string> CheckCsr(const MappedFile& file,
+                                    const CsrFields& fields, bool verify,
+                                    const CsrWords& words) {
+  if (!CsrSizeMatches(file.size(), fields)) {
+    return std::string("truncated or oversized ") + words.file + ": " +
+           std::to_string(file.size()) + " bytes, header implies " +
+           std::to_string(fields.num_rows) + " " + words.row + "s and " +
+           std::to_string(fields.num_half_edges) + " neighbor ids";
+  }
+  const std::span<const uint64_t> offsets(CsrOffsets(file),
+                                          fields.num_rows + 1);
+  const std::span<const VertexId> neighbors(
+      CsrNeighbors(file, fields.num_rows), fields.num_half_edges);
+  // Touches only the first and last offset page.
+  if (offsets.front() != 0 || offsets.back() != fields.num_half_edges) {
+    return std::string(words.offsets) +
+           " inconsistent with header (corrupted data)";
+  }
+  if (!verify) return std::nullopt;
+  // The checksum only catches accidental corruption; the scans are the
+  // invariants the walk code relies on to stay in bounds.
+  for (uint64_t r = 0; r < fields.num_rows; ++r) {
+    if (offsets[r] > offsets[r + 1]) {
+      return std::string(words.offsets) + " not monotone at " + words.row +
+             " " + std::to_string(r);
+    }
+  }
+  for (uint64_t i = 0; i < neighbors.size(); ++i) {
+    if (neighbors[i] >= fields.id_bound) {
+      return "neighbor id out of range at index " + std::to_string(i);
+    }
+  }
+  if (DataChecksum(offsets, neighbors) != fields.data_checksum) {
+    return std::string("data checksum mismatch (corrupted ") +
+           words.payload + ")";
+  }
+  return std::nullopt;
+}
+
+}  // namespace snapshot
 
 }  // namespace grw

@@ -23,19 +23,26 @@
 //   byte 64     offsets array   (n + 1) x u64, 8-byte aligned
 //   byte 64+ob  neighbors array (2|E|) x u32,  4-byte aligned
 //
-// The loader mmaps the file and points the Graph's CSR spans directly into
-// the mapping (zero copy; pages fault in on first touch). Header fields and
-// the header checksum are validated eagerly; the full data checksum is
-// opt-in because verifying it touches every page, which defeats the lazy
-// load — turn it on for untrusted files and in tests.
+// GraphSource::Open (graph/source.h) mmaps the file and points the
+// Graph's CSR spans directly into the mapping (zero copy; pages fault in
+// on first touch). The header, file size and offsets' end points are
+// validated eagerly; the full payload check (OpenOptions::verify) is
+// opt-in because it touches every page, which defeats the lazy load.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <initializer_list>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "graph/graph.h"
+#include "graph/mapped_file.h"
 
 namespace grw {
 
@@ -73,44 +80,125 @@ struct GrwbInfo {
   }
 };
 
-/// Writes g as a `.grwb` snapshot, crash-safely: the bytes go to a
-/// temporary file in the same directory, are fsync'd, and only then
-/// atomically rename(2)d over `path` (followed by a directory fsync so
-/// the rename itself is durable). A crash at ANY point leaves either
-/// the old complete snapshot or the new complete snapshot at `path` —
-/// never a torn file — plus at worst an orphaned `path + ".tmp.<pid>"`
-/// that the loader rejects (no .grwb magic at best, failed checksum at
-/// worst). This also means a live reader's mmap is never truncated in
-/// place: rename swaps the directory entry, the old inode survives
-/// until unmapped. `flags` is stored verbatim in the header (pass
-/// kGrwbFlagDegreeRelabeled when g came from RelabelByDegree). Throws
-/// std::runtime_error on I/O failure (temp file already unlinked).
+/// Writes g as a `.grwb` snapshot through snapshot::AtomicWriteFile, so a
+/// crash never leaves a torn file at `path`. `flags` is stored verbatim
+/// in the header (pass kGrwbFlagDegreeRelabeled when g came from
+/// RelabelByDegree). Throws std::runtime_error on I/O failure.
 void SaveGraphBinary(const Graph& g, const std::string& path,
                      uint32_t flags = 0);
 
-/// Memory-maps a `.grwb` snapshot and returns a Graph whose CSR spans view
-/// the mapping (zero copy; the mapping lives as long as any copy of the
-/// Graph). Magic, version, sizes (overflow-safely, against the real file
-/// size), and the header checksum are always validated; with
-/// verify_checksum the whole file is read to additionally check offsets
-/// monotonicity, neighbor-id bounds, and the data checksum — use it for
-/// files from untrusted sources. Throws SnapshotCorruptError naming the
-/// path and the failed check.
-Graph LoadGraphBinary(const std::string& path, bool verify_checksum = false);
-
-/// DEPRECATION NOTE: LoadGraphBinary predates the unified open API and
-/// survives as the monolithic loader GraphSource::Open is built on —
-/// GraphSource::Open (graph/source.h) is the one loader that also
-/// understands sharded manifests and carries the index/verify/relabel/
-/// budget knobs in one options struct. New call sites must go through
-/// GraphSource (the `graphsource-open` lint rule rejects fresh direct
-/// LoadGraphBinary calls outside it).
-
-/// Reads and validates only the header. Throws like LoadGraphBinary.
+/// Validates the header, the file size and the offsets' end points, and
+/// returns the header fields. Throws SnapshotCorruptError naming the
+/// path and the failed check. Loading is GraphSource::Open's job.
 GrwbInfo InspectGraphBinary(const std::string& path);
 
 /// True iff the file starts with the `.grwb` magic (false for short files;
 /// throws only if the file cannot be opened).
 bool IsGraphBinaryFile(const std::string& path);
+
+// The snapshot codec, shared with the sharded `.grws` layout
+// (graph/sharding.h): the checksum recipe, the crash-safe file write,
+// the header check, and the bounds check of a CSR payload — a 64-byte
+// header, then (num_rows + 1) u64 offsets and num_half_edges u32 ids.
+namespace snapshot {
+
+/// Every header is 64 bytes and ends with its u64 header checksum.
+inline constexpr uint64_t kHeaderBytes = 64;
+
+inline constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
+inline constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+
+/// FNV-1a over `bytes` bytes, continuing from `seed`.
+uint64_t Fnv1a(const void* data, size_t bytes,
+               uint64_t seed = kFnvOffsetBasis);
+
+/// FNV-1a over the offsets bytes, continued over the neighbor bytes.
+uint64_t DataChecksum(std::span<const uint64_t> offsets,
+                      std::span<const VertexId> neighbors);
+
+/// FNV-1a over the header bytes before its trailing header_checksum.
+/// Headers are memcpy'd whole, so they must be padding-free.
+template <class Header>
+uint64_t HeaderChecksum(const Header& h) {
+  static_assert(sizeof(Header) == kHeaderBytes);
+  static_assert(offsetof(Header, header_checksum) == kHeaderBytes - 8);
+  return Fnv1a(&h, offsetof(Header, header_checksum));
+}
+
+/// Copies `file`'s header into `h` and checks the file is long enough,
+/// then the magic, version and header checksum. Returns what failed, or
+/// nullopt; `kind` names the file in the message (".grws shard").
+template <class Header>
+std::optional<std::string> ReadHeader(const MappedFile& file, uint32_t magic,
+                                      uint32_t version, const char* kind,
+                                      Header& h) {
+  if (file.size() < sizeof h) {
+    return "file too small for a " + std::string(kind) + " header (" +
+           std::to_string(file.size()) + " bytes)";
+  }
+  std::memcpy(&h, file.data(), sizeof h);
+  if (h.magic != magic) return "bad magic (not a " + std::string(kind) + ")";
+  if (h.version != version) {
+    return "unsupported " + std::string(kind) + " version " +
+           std::to_string(h.version) + " (expected " +
+           std::to_string(version) + ")";
+  }
+  if (h.header_checksum != HeaderChecksum(h)) {
+    return std::string(kind) + " header checksum mismatch (corrupted header)";
+  }
+  return std::nullopt;
+}
+
+/// Writes the concatenated `parts` to `path + ".tmp.<pid>"`, fsyncs it,
+/// renames it over `path`, then fsyncs the directory (best effort). A
+/// crash at any point leaves `path` absent or complete (old or new), and
+/// a live reader's mapping is never truncated. Throws std::runtime_error
+/// prefixed with `who`, the temp file unlinked. Fault sites:
+/// snapshot.save.{open,crash,write,rename}; `crash` exits the process
+/// with the last part unwritten.
+void AtomicWriteFile(
+    const std::string& path,
+    std::initializer_list<std::pair<const void*, size_t>> parts,
+    const char* who);
+
+/// The CSR fields of a snapshot header.
+struct CsrFields {
+  uint64_t num_rows = 0;
+  uint64_t num_half_edges = 0;
+  uint64_t id_bound = 0;  // every neighbor id must be below it
+  uint64_t data_checksum = 0;
+};
+
+/// The caller's nouns for CheckCsr's messages.
+struct CsrWords {
+  const char* file;     // "truncated or oversized <file>"
+  const char* offsets;  // "<offsets> not monotone at ..."
+  const char* row;      // "... at <row> 7"
+  const char* payload;  // "data checksum mismatch (corrupted <payload>)"
+};
+
+/// True iff `file_bytes` is exactly a header plus the payload `fields`
+/// describes. Overflow-free for any header: it subtracts from and
+/// divides the file size, never multiplies header counts.
+bool CsrSizeMatches(uint64_t file_bytes, const CsrFields& fields);
+
+/// The bounds check of `file`'s CSR payload: its size and the offsets'
+/// end points; with `verify`, also offsets monotonicity, neighbor-id
+/// bounds and the data checksum. Returns what failed, or nullopt. O(1)
+/// without verify, and builds no string on success.
+std::optional<std::string> CheckCsr(const MappedFile& file,
+                                    const CsrFields& fields, bool verify,
+                                    const CsrWords& words);
+
+/// The payload arrays of a file that passed CheckCsr.
+inline const uint64_t* CsrOffsets(const MappedFile& file) {
+  return reinterpret_cast<const uint64_t*>(file.data() + kHeaderBytes);
+}
+inline const VertexId* CsrNeighbors(const MappedFile& file,
+                                    uint64_t num_rows) {
+  return reinterpret_cast<const VertexId*>(CsrOffsets(file) + num_rows + 1);
+}
+
+}  // namespace snapshot
 
 }  // namespace grw

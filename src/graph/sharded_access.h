@@ -88,7 +88,7 @@ class ShardStore {
     uint64_t resident_budget_bytes = 0;
     /// Full payload verification (checksum + structural scan) on every
     /// shard fault, not just the first: the out-of-core analogue of
-    /// LoadGraphBinary(verify_checksum). Off by default — faults are
+    /// OpenOptions::verify for a `.grwb`. Off by default — faults are
     /// the hot path.
     bool verify_on_fault = false;
   };

@@ -1,11 +1,7 @@
 #include "graph/sharding.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
-#include <cerrno>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
@@ -17,15 +13,14 @@
 #include <utility>
 
 #include "graph/mapped_file.h"
-#include "util/fault.h"
-#include "util/posix_io.h"
 
 namespace grw {
 
 namespace {
 
 // On-disk headers; both 64 bytes like GrwbHeader, memcpy'd whole, so
-// they must stay padding-free with the checksum as the final field.
+// they must stay padding-free with the checksum as the final field
+// (HeaderChecksum asserts both).
 struct GrwsShardHeader {
   uint32_t magic;
   uint32_t version;
@@ -36,10 +31,8 @@ struct GrwsShardHeader {
   uint64_t total_nodes;  // global count, for neighbor-id bound checks
   uint64_t num_half_edges;
   uint64_t data_checksum;  // over rebased offsets then neighbors
-  uint64_t header_checksum;
+  uint64_t header_checksum = 0;
 };
-static_assert(sizeof(GrwsShardHeader) == 64);
-static_assert(offsetof(GrwsShardHeader, header_checksum) == 56);
 
 struct GrwmHeader {
   uint32_t magic;
@@ -51,40 +44,19 @@ struct GrwmHeader {
   uint64_t table_checksum;  // over histogram bytes then shard records
   uint64_t reserved = 0;
   uint64_t reserved2 = 0;
-  uint64_t header_checksum;
+  uint64_t header_checksum = 0;
 };
-static_assert(sizeof(GrwmHeader) == 64);
-static_assert(offsetof(GrwmHeader, header_checksum) == 56);
 
 // The shard records are the ShardInfo structs verbatim: five u64 fields,
 // trivially copyable, no padding.
 static_assert(sizeof(ShardInfo) == 40);
 static_assert(std::is_trivially_copyable_v<ShardInfo>);
 
-constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-uint64_t Fnv1a(const void* data, size_t bytes, uint64_t seed) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  uint64_t h = seed;
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-// Same checksum recipe as the monolithic format (format.cpp): FNV-1a
-// over the offsets bytes, continued over the neighbors bytes.
-uint64_t DataChecksum(std::span<const uint64_t> offsets,
-                      std::span<const VertexId> neighbors) {
-  uint64_t h = Fnv1a(offsets.data(), offsets.size_bytes(), kFnvOffsetBasis);
-  return Fnv1a(neighbors.data(), neighbors.size_bytes(), h);
-}
-
-template <class Header>
-uint64_t HeaderChecksum(const Header& h) {
-  return Fnv1a(&h, offsetof(Header, header_checksum), kFnvOffsetBasis);
+// FNV-1a over the degree histogram, continued over the shard records.
+uint64_t TableChecksum(const ShardManifest& m) {
+  return snapshot::Fnv1a(
+      m.shards.data(), m.shards.size() * sizeof(ShardInfo),
+      snapshot::Fnv1a(m.degree_histogram.data(), sizeof(m.degree_histogram)));
 }
 
 [[noreturn]] void BadManifest(const std::string& path,
@@ -100,72 +72,20 @@ uint64_t HeaderChecksum(const Header& h) {
                              ": " + why);
 }
 
+// Writer side only; readers use the overflow-free CsrSizeMatches.
 uint64_t ShardFileBytes(uint64_t num_rows, uint64_t num_half_edges) {
   return sizeof(GrwsShardHeader) + (num_rows + 1) * sizeof(uint64_t) +
          num_half_edges * sizeof(VertexId);
 }
 
-// Crash-safe multi-part file write: same-directory temp, WriteAll each
-// part, fsync, close, atomic rename, directory fsync — the discipline of
-// SaveGraphBinary (format.cpp), shared by shard and manifest writes.
-// The chaos sites mirror the grwb.save.* family.
-void AtomicWriteFile(
-    const std::string& path,
-    std::initializer_list<std::pair<const void*, size_t>> parts) {
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0 || GRW_FAULT("grws.save.open")) {
-    if (fd >= 0) {
-      ::close(fd);
-      ::unlink(tmp.c_str());
-    }
-    throw std::runtime_error("WriteShardedGraph: cannot open " + tmp + ": " +
-                             std::strerror(fd < 0 ? errno : EIO));
-  }
-  const auto fail = [&](const std::string& what, int err) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    throw std::runtime_error("WriteShardedGraph: " + what + " " + tmp +
-                             ": " + std::strerror(err));
-  };
-
-  io::IoResult w;
-  for (const auto& [data, len] : parts) {
-    w = io::WriteAll(fd, data, len);
-    if (!w.ok()) break;
-  }
-  // Chaos site simulating a crash with the payload half written: the
-  // destination must remain absent or the previous complete file, and —
-  // because the manifest is written last — the directory as a whole must
-  // remain either not-yet-sharded or fully consistent.
-  if (GRW_FAULT("grws.save.crash")) ::_exit(137);
-  if (!w.ok() || GRW_FAULT("grws.save.write")) {
-    fail("write failure on", w.ok() ? EIO : w.error);
-  }
-  if (io::Fsync(fd) < 0) fail("fsync failure on", errno);
-  if (::close(fd) < 0) {
-    const int err = errno;
-    ::unlink(tmp.c_str());
-    throw std::runtime_error("WriteShardedGraph: close failure on " + tmp +
-                             ": " + std::strerror(err));
-  }
-  if (::rename(tmp.c_str(), path.c_str()) < 0 ||
-      GRW_FAULT("grws.save.rename")) {
-    const int err = errno != 0 ? errno : EIO;
-    ::unlink(tmp.c_str());
-    throw std::runtime_error("WriteShardedGraph: cannot rename " + tmp +
-                             " to " + path + ": " + std::strerror(err));
-  }
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash + 1);
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
-  if (dir_fd >= 0) {
-    io::Fsync(dir_fd);
-    ::close(dir_fd);
-  }
+// The manifest file of `path`: the path itself, or the manifest inside
+// it when `path` is a directory.
+std::string ManifestPath(const std::string& path) {
+  std::error_code ec;
+  if (!std::filesystem::is_directory(path, ec)) return path;
+  std::string mpath = path;
+  while (!mpath.empty() && mpath.back() == '/') mpath.pop_back();
+  return mpath + "/" + kShardManifestName;
 }
 
 // Cut points of the vertex-range partition: `cuts[s]` is one past the
@@ -282,86 +202,60 @@ ShardManifest WriteShardedGraph(const Graph& g, const std::string& dir,
     const std::span<const VertexId> slice =
         neighbors.subspan(base, half);
 
-    GrwsShardHeader h{};
-    h.magic = kGrwsMagic;
-    h.version = kGrwsVersion;
-    h.shard_index = s;
-    h.flags = options.flags;
-    h.first_node = start;
-    h.num_rows = rows;
-    h.total_nodes = n;
-    h.num_half_edges = half;
-    h.data_checksum = DataChecksum(local, slice);
-    h.header_checksum = HeaderChecksum(h);
+    GrwsShardHeader h{.magic = kGrwsMagic,
+                      .version = kGrwsVersion,
+                      .shard_index = s,
+                      .flags = options.flags,
+                      .first_node = start,
+                      .num_rows = rows,
+                      .total_nodes = n,
+                      .num_half_edges = half,
+                      .data_checksum = snapshot::DataChecksum(local, slice)};
+    h.header_checksum = snapshot::HeaderChecksum(h);
+    manifest.shards.push_back(
+        {start, rows, half, ShardFileBytes(rows, half), h.data_checksum});
 
-    ShardInfo info;
-    info.first_node = start;
-    info.num_rows = rows;
-    info.num_half_edges = half;
-    info.file_bytes = ShardFileBytes(rows, half);
-    info.data_checksum = h.data_checksum;
-    manifest.shards.push_back(info);
-
-    AtomicWriteFile(manifest.ShardPath(s),
-                    {{&h, sizeof h},
-                     {local.data(), local.size() * sizeof(uint64_t)},
-                     {slice.data(), slice.size_bytes()}});
+    snapshot::AtomicWriteFile(
+        manifest.ShardPath(s),
+        {{&h, sizeof h},
+         {local.data(), local.size() * sizeof(uint64_t)},
+         {slice.data(), slice.size_bytes()}},
+        "WriteShardedGraph");
     start = end;
   }
 
-  GrwmHeader mh{};
-  mh.magic = kGrwmMagic;
-  mh.version = kGrwsVersion;
-  mh.num_shards = static_cast<uint32_t>(manifest.shards.size());
-  mh.flags = options.flags;
-  mh.total_nodes = n;
-  mh.total_half_edges = neighbors.size();
-  mh.table_checksum =
-      Fnv1a(manifest.shards.data(), manifest.shards.size() * sizeof(ShardInfo),
-            Fnv1a(manifest.degree_histogram.data(),
-                  sizeof(manifest.degree_histogram), kFnvOffsetBasis));
-  mh.header_checksum = HeaderChecksum(mh);
+  GrwmHeader mh{.magic = kGrwmMagic,
+                .version = kGrwsVersion,
+                .num_shards = static_cast<uint32_t>(manifest.shards.size()),
+                .flags = options.flags,
+                .total_nodes = n,
+                .total_half_edges = neighbors.size(),
+                .table_checksum = TableChecksum(manifest)};
+  mh.header_checksum = snapshot::HeaderChecksum(mh);
 
-  AtomicWriteFile(manifest.path,
-                  {{&mh, sizeof mh},
-                   {manifest.degree_histogram.data(),
-                    sizeof(manifest.degree_histogram)},
-                   {manifest.shards.data(),
-                    manifest.shards.size() * sizeof(ShardInfo)}});
+  snapshot::AtomicWriteFile(manifest.path,
+                            {{&mh, sizeof mh},
+                             {manifest.degree_histogram.data(),
+                              sizeof(manifest.degree_histogram)},
+                             {manifest.shards.data(),
+                              manifest.shards.size() * sizeof(ShardInfo)}},
+                            "WriteShardedGraph");
   return manifest;
 }
 
 ShardManifest LoadShardManifest(const std::string& path, bool verify_shards) {
-  std::string mpath = path;
+  const std::string mpath = ManifestPath(path);
   std::error_code ec;
-  if (std::filesystem::is_directory(path, ec)) {
-    while (!mpath.empty() && mpath.back() == '/') mpath.pop_back();
-    mpath += "/";
-    mpath += kShardManifestName;
-    if (!std::filesystem::exists(mpath, ec)) {
-      BadManifest(mpath, "directory holds no " +
-                             std::string(kShardManifestName) +
-                             " (not a sharded graph)");
-    }
+  if (mpath != path && !std::filesystem::exists(mpath, ec)) {
+    BadManifest(mpath, "directory holds no " +
+                           std::string(kShardManifestName) +
+                           " (not a sharded graph)");
   }
   const MappedFile file = MappedFile::Open(mpath);
-  if (file.size() < sizeof(GrwmHeader)) {
-    BadManifest(mpath, "file too small for a manifest header (" +
-                           std::to_string(file.size()) + " bytes)");
-  }
   GrwmHeader h;
-  std::memcpy(&h, file.data(), sizeof h);
-  if (h.magic != kGrwmMagic) {
-    BadManifest(mpath, "bad magic (not a sharded-graph manifest)");
-  }
-  if (h.version != kGrwsVersion) {
-    BadManifest(mpath, "unsupported manifest version " +
-                           std::to_string(h.version) + " (expected " +
-                           std::to_string(kGrwsVersion) + ")");
-  }
-  if (h.header_checksum != HeaderChecksum(h)) {
-    BadManifest(mpath, "manifest header checksum mismatch (corrupted "
-                       "header)");
+  if (auto why = snapshot::ReadHeader(file, kGrwmMagic, kGrwsVersion,
+                                      "sharded-graph manifest", h)) {
+    BadManifest(mpath, *why);
   }
   if (h.num_shards == 0) {
     BadManifest(mpath, "manifest names zero shards");
@@ -398,11 +292,7 @@ ShardManifest LoadShardManifest(const std::string& path, bool verify_shards) {
                   sizeof(manifest.degree_histogram),
               manifest.shards.size() * sizeof(ShardInfo));
 
-  const uint64_t table_checksum =
-      Fnv1a(manifest.shards.data(), manifest.shards.size() * sizeof(ShardInfo),
-            Fnv1a(manifest.degree_histogram.data(),
-                  sizeof(manifest.degree_histogram), kFnvOffsetBasis));
-  if (table_checksum != h.table_checksum) {
+  if (TableChecksum(manifest) != h.table_checksum) {
     BadManifest(mpath, "shard-table checksum mismatch (corrupted manifest "
                        "payload)");
   }
@@ -429,8 +319,8 @@ ShardManifest LoadShardManifest(const std::string& path, bool verify_shards) {
                       " (nodes " + std::to_string(expected_first) + ".." +
                       std::to_string(info.first_node - 1) + " unassigned)");
     }
-    if (info.file_bytes != ShardFileBytes(info.num_rows,
-                                          info.num_half_edges)) {
+    if (!snapshot::CsrSizeMatches(info.file_bytes,
+                                  {info.num_rows, info.num_half_edges})) {
       BadManifest(mpath, "shard " + std::to_string(s) +
                              " file size inconsistent with its row/edge "
                              "counts");
@@ -458,17 +348,11 @@ ShardManifest LoadShardManifest(const std::string& path, bool verify_shards) {
 }
 
 bool IsShardManifestPath(const std::string& path) {
+  const std::string mpath = ManifestPath(path);
   std::error_code ec;
-  std::string mpath = path;
-  if (std::filesystem::is_directory(path, ec)) {
-    while (!mpath.empty() && mpath.back() == '/') mpath.pop_back();
-    mpath += "/";
-    mpath += kShardManifestName;
-    if (!std::filesystem::exists(mpath, ec)) return false;
-  }
+  if (!std::filesystem::exists(mpath, ec)) return false;
   std::FILE* f = std::fopen(mpath.c_str(), "rb");
   if (f == nullptr) {
-    if (!std::filesystem::exists(mpath, ec)) return false;
     throw std::runtime_error("IsShardManifestPath: cannot open " + mpath);
   }
   uint32_t magic = 0;
@@ -481,7 +365,7 @@ uint64_t ShardContentChecksum(const ShardManifest& manifest) {
   uint64_t checksum = 0;
   for (const ShardInfo& s : manifest.shards) {
     checksum ^= s.data_checksum;
-    checksum = checksum * kFnvPrime + s.num_rows;
+    checksum = checksum * snapshot::kFnvPrime + s.num_rows;
   }
   return checksum;
 }
@@ -490,36 +374,13 @@ void MappedShard::DropPages() const { file_.DropPages(); }
 
 void CheckShardBytes(const ShardManifest& manifest, uint32_t index,
                      const MappedFile& file, bool verify_checksum) {
-  const size_t file_bytes = file.size();
-  if (file_bytes < sizeof(GrwsShardHeader)) {
-    BadShard(manifest, index, "file too small for a .grws shard header (" +
-                                  std::to_string(file_bytes) + " bytes)");
-  }
   GrwsShardHeader h;
-  std::memcpy(&h, file.data(), sizeof h);
-  if (h.magic != kGrwsMagic) {
-    BadShard(manifest, index, "bad magic (not a .grws shard)");
+  if (auto why = snapshot::ReadHeader(file, kGrwsMagic, kGrwsVersion,
+                                      ".grws shard", h)) {
+    BadShard(manifest, index, *why);
   }
-  if (h.version != kGrwsVersion) {
-    BadShard(manifest, index,
-             "unsupported shard version " + std::to_string(h.version) +
-                 " (expected " + std::to_string(kGrwsVersion) + ")");
-  }
-  if (h.header_checksum != HeaderChecksum(h)) {
-    BadShard(manifest, index,
-             "shard header checksum mismatch (corrupted header)");
-  }
-  if (h.total_nodes > std::numeric_limits<VertexId>::max() ||
-      h.first_node + h.num_rows > h.total_nodes) {
-    BadShard(manifest, index,
-             "shard vertex range exceeds the graph's node count");
-  }
-  if (file_bytes != ShardFileBytes(h.num_rows, h.num_half_edges)) {
-    BadShard(manifest, index,
-             "truncated or oversized shard: " + std::to_string(file_bytes) +
-                 " bytes, header implies " +
-                 std::to_string(ShardFileBytes(h.num_rows, h.num_half_edges)));
-  }
+  // The manifest's partition of [0, total_nodes) was validated at load,
+  // so agreeing with it bounds the header's vertex range too.
   const ShardInfo& info = manifest.shards[index];
   if (h.shard_index != index) {
     BadShard(manifest, index,
@@ -545,36 +406,13 @@ void CheckShardBytes(const ShardManifest& manifest, uint32_t index,
              "rewriting " + std::string(kShardManifestName) +
                  ", or vice versa)");
   }
-
-  const std::span<const uint64_t> offsets(
-      reinterpret_cast<const uint64_t*>(file.data() +
-                                        sizeof(GrwsShardHeader)),
-      h.num_rows + 1);
-  const std::span<const VertexId> neighbors(
-      reinterpret_cast<const VertexId*>(offsets.data() + offsets.size()),
-      h.num_half_edges);
-  // Cheap structural sanity touching only the offsets edges.
-  if (offsets.front() != 0 || offsets.back() != h.num_half_edges) {
-    BadShard(manifest, index,
-             "shard offsets inconsistent with header (corrupted data)");
-  }
-  if (verify_checksum) {
-    for (size_t r = 0; r + 1 < offsets.size(); ++r) {
-      if (offsets[r] > offsets[r + 1]) {
-        BadShard(manifest, index,
-                 "shard offsets not monotone at row " + std::to_string(r));
-      }
-    }
-    for (size_t i = 0; i < neighbors.size(); ++i) {
-      if (neighbors[i] >= h.total_nodes) {
-        BadShard(manifest, index,
-                 "neighbor id out of range at index " + std::to_string(i));
-      }
-    }
-    if (DataChecksum(offsets, neighbors) != h.data_checksum) {
-      BadShard(manifest, index,
-               "data checksum mismatch (corrupted shard payload)");
-    }
+  if (auto why = snapshot::CheckCsr(file,
+                                    {h.num_rows, h.num_half_edges,
+                                     h.total_nodes, h.data_checksum},
+                                    verify_checksum,
+                                    {"shard", "shard offsets", "row",
+                                     "shard payload"})) {
+    BadShard(manifest, index, *why);
   }
 }
 
@@ -596,11 +434,8 @@ MappedShard MapShard(const ShardManifest& manifest, uint32_t index,
   shard.index_ = index;
   shard.first_node_ = info.first_node;
   shard.num_rows_ = info.num_rows;
-  shard.bytes_ = file.size();
-  shard.offsets_ = reinterpret_cast<const uint64_t*>(
-      file.data() + sizeof(GrwsShardHeader));
-  shard.neighbors_ = reinterpret_cast<const VertexId*>(
-      shard.offsets_ + info.num_rows + 1);
+  shard.offsets_ = snapshot::CsrOffsets(file);
+  shard.neighbors_ = snapshot::CsrNeighbors(file, info.num_rows);
   shard.file_ = std::move(file);
   return shard;
 }

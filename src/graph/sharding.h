@@ -24,12 +24,10 @@
 // isolated nodes) so tooling can reason about shard balance without
 // touching any shard.
 //
-// Durability inherits the PR 9 discipline: every file — shards first,
-// manifest LAST — is staged to a same-directory temp file, fsync'd, and
-// atomically renamed into place (directory fsync after). A crash leaves
-// either no manifest (the directory is not a sharded graph yet) or a
-// complete, consistent one; a manifest is never visible before every
-// shard it names.
+// The checksums, the crash-safe writer and the CSR bounds check are the
+// `.grwb` codec (snapshot:: in graph/format.h). Shards are written
+// first, the manifest LAST, so a crash leaves either no manifest (the
+// directory is not a sharded graph yet) or a complete, consistent one.
 //
 // Corruption is a first-class citizen: every distinct failure shape —
 // manifest header damage, shard-table checksum mismatch, overlapping or
@@ -141,7 +139,7 @@ ShardManifest WriteShardedGraph(const Graph& g, const std::string& dir,
 /// `verify_shards` every shard file is additionally opened and its
 /// header cross-checked against the table (existence, ranges, sizes,
 /// checksum agreement) plus a full payload checksum + structural scan —
-/// the sharded analogue of LoadGraphBinary's verify_checksum. Throws
+/// the sharded analogue of OpenOptions::verify for a `.grwb`. Throws
 /// SnapshotCorruptError naming the offending file and check.
 ShardManifest LoadShardManifest(const std::string& path,
                                 bool verify_shards = false);
@@ -169,9 +167,8 @@ class MappedShard {
   VertexId end_node() const {
     return static_cast<VertexId>(first_node_ + num_rows_);
   }
-  uint64_t num_rows() const { return num_rows_; }
   /// Bytes charged against a residency budget (the whole mapped file).
-  uint64_t bytes() const { return bytes_; }
+  uint64_t bytes() const { return file_.size(); }
   /// The underlying mapping (CheckShardBytes re-validates it).
   const MappedFile& file() const { return file_; }
 
@@ -197,20 +194,17 @@ class MappedShard {
   uint32_t index_ = 0;
   uint64_t first_node_ = 0;
   uint64_t num_rows_ = 0;
-  uint64_t bytes_ = 0;
   const uint64_t* offsets_ = nullptr;    // num_rows + 1, rebased to 0
   const VertexId* neighbors_ = nullptr;  // global ids
 };
 
 /// Validates the bytes of shard `index` of `manifest`, as mapped in
-/// `file`: its header against the manifest entry (magic, version, index,
-/// range, sizes, and checksum agreement — a disagreement is the "stale
-/// manifest" corruption class) and the offsets' end points. With
-/// `verify_checksum`, additionally checks offsets monotonicity,
-/// neighbor-id bounds against the global node count, and the full data
-/// checksum. Throws SnapshotCorruptError naming the shard path. The one
-/// home of the shard checks: MapShard runs it at open, and the residency
-/// layer re-runs it on every fault of a held mapping.
+/// `file`: its header against the manifest entry (a disagreement is the
+/// "stale manifest" corruption class), then snapshot::CheckCsr with the
+/// global node count as the id bound. O(1) without `verify_checksum`,
+/// and builds no string unless it throws SnapshotCorruptError naming the
+/// shard path. MapShard runs it at open, and the residency layer
+/// re-runs it on every fault of a held mapping.
 void CheckShardBytes(const ShardManifest& manifest, uint32_t index,
                      const MappedFile& file, bool verify_checksum);
 

@@ -1,19 +1,21 @@
 #include "graph/source.h"
 
+#include <filesystem>
 #include <stdexcept>
 
 #include "graph/builder.h"
-#include "graph/format.h"
 #include "graph/io.h"
 
 namespace grw {
 
 GraphSource GraphSource::Open(const std::string& path,
                               const OpenOptions& options) {
-  GraphSource source;
-  source.path_ = path;
-
-  if (IsShardManifestPath(path)) {
+  // A directory is only ever a sharded graph; without a manifest,
+  // LoadShardManifest says so.
+  std::error_code ec;
+  if (IsShardManifestPath(path) || std::filesystem::is_directory(path, ec)) {
+    GraphSource source;
+    source.path_ = path;
     source.kind_ = GraphSourceKind::kSharded;
     ShardManifest manifest = LoadShardManifest(path, options.verify);
     source.checksum_ = ShardContentChecksum(manifest);
@@ -26,24 +28,19 @@ GraphSource GraphSource::Open(const std::string& path,
     return source;
   }
 
-  if (IsGraphBinaryFile(path)) {
-    source.kind_ = GraphSourceKind::kBinary;
-    const GrwbInfo info = InspectGraphBinary(path);
-    source.checksum_ = info.data_checksum;
-    source.relabeled_ = info.DegreeRelabeled();
-    source.graph_ = LoadGraphBinary(path, options.verify);
-    if (options.build_index) source.graph_.BuildAdjacencyIndex();
-    return source;
+  std::optional<GraphSource> source = OpenGraphBinary(path, options.verify);
+  if (!source.has_value()) {
+    source.emplace();
+    source->kind_ = GraphSourceKind::kText;
+    source->graph_ = LoadEdgeList(path, options.largest_cc);
+    if (options.relabel_degree) {
+      source->graph_ = RelabelByDegree(source->graph_);
+      source->relabeled_ = true;
+    }
   }
-
-  source.kind_ = GraphSourceKind::kText;
-  source.graph_ = LoadEdgeList(path, options.largest_cc);
-  if (options.relabel_degree) {
-    source.graph_ = RelabelByDegree(source.graph_);
-    source.relabeled_ = true;
-  }
-  if (options.build_index) source.graph_.BuildAdjacencyIndex();
-  return source;
+  source->path_ = path;
+  if (options.build_index) source->graph_.BuildAdjacencyIndex();
+  return *std::move(source);
 }
 
 GraphSource GraphSource::FromGraph(Graph g, const std::string& label) {

@@ -9,7 +9,8 @@
 //   text edge list       -> LoadEdgeList (optionally largest CC,
 //                           optionally degree-relabeled) — an in-memory
 //                           Graph;
-//   monolithic `.grwb`   -> LoadGraphBinary — a zero-copy mmap'd Graph;
+//   monolithic `.grwb`   -> one mapping, validated once — a zero-copy
+//                           mmap'd Graph;
 //   sharded manifest     -> LoadShardManifest + a ShardStore under the
 //      (file or its dir)    requested resident-byte budget — an
 //                           out-of-core graph served shard by shard.
@@ -23,16 +24,14 @@
 // store (shared_ptr), exactly like copying a Graph. Corruption anywhere
 // — monolithic or per shard — throws the same typed SnapshotCorruptError
 // with a path-qualified message, so quarantine call sites (grw_serve)
-// handle every layout with one catch.
-//
-// LoadGraph / LoadGraphBinary remain as thin deprecated aliases for the
-// monolithic kinds; new call sites must come through here
-// (tools/lint_invariants.py bans fresh direct LoadGraphBinary calls).
+// handle every layout with one catch. There is no other loader: the
+// `.grwb` mapping code is a private member, so nothing bypasses Open.
 
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "graph/graph.h"
@@ -122,6 +121,11 @@ class GraphSource {
   std::string Summary() const;
 
  private:
+  /// Open's `.grwb` branch (format.cpp): maps `path` once; nullopt if it
+  /// lacks the `.grwb` magic, else the validated source.
+  static std::optional<GraphSource> OpenGraphBinary(const std::string& path,
+                                                    bool verify);
+
   GraphSourceKind kind_ = GraphSourceKind::kText;
   std::string path_;
   uint64_t checksum_ = 0;

@@ -7,8 +7,10 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/alpha.h"
 #include "core/estimator.h"
 #include "engine/chain_pool.h"
 #include "engine/engine.h"
@@ -346,6 +348,44 @@ TEST(EngineTest, RejectsBadConfiguration) {
   EXPECT_THROW(
       EstimationEngine(g, EstimatorConfig{3, 3, false, false}, options),
       std::invalid_argument);
+}
+
+TEST(EngineTest, AcceptsExactlyTheEstimableKdPairs) {
+  // A (k, d) with an alpha = 0 type cannot estimate that type at all;
+  // the engine refuses it, naming the type. The paper's Tables 2 and 3:
+  // only d = 1 has zeros for k = 4 (the 3-star) and k = 5.
+  const Graph g = KarateClub();
+  EngineOptions options;
+  options.chains = 1;
+  for (int k = 3; k <= 5; ++k) {
+    for (int d = 1; d < k; ++d) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " d=" + std::to_string(d));
+      const bool estimable = !(d == 1 && k >= 4);
+      bool has_zero = false;
+      for (int64_t a : AlphaTable(k, d)) has_zero = has_zero || a == 0;
+      EXPECT_EQ(has_zero, !estimable);
+      for (const bool css : {false, true}) {
+        const EstimatorConfig config{k, d, css && d <= 2, false};
+        if (estimable) {
+          EXPECT_NO_THROW(EstimationEngine(g, config, options));
+          continue;
+        }
+        try {
+          EstimationEngine engine(g, config, options);
+          ADD_FAILURE() << "accepted an unestimable configuration";
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find("alpha = 0"),
+                    std::string::npos)
+              << e.what();
+          if (k == 4) {
+            EXPECT_NE(std::string(e.what()).find("3-star"),
+                      std::string::npos)
+                << e.what();
+          }
+        }
+      }
+    }
+  }
 }
 
 // -------------------------------------------------- budget + cancel --

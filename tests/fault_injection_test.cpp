@@ -42,6 +42,7 @@
 #include "graph/builder.h"
 #include "graph/format.h"
 #include "graph/generators.h"
+#include "graph/source.h"
 #include "serve/client.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
@@ -57,6 +58,12 @@ namespace fs = std::filesystem;
 
 std::string TempPath(const std::string& name) {
   return (fs::temp_directory_path() / name).string();
+}
+
+// The lazy `.grwb` open, without the index build.
+Graph OpenGrwb(const std::string& path, bool verify = false) {
+  return GraphSource::Open(path, {.build_index = false, .verify = verify})
+      .graph();
 }
 
 // Every test leaves the process-global injector disarmed: the
@@ -414,7 +421,7 @@ TEST_F(FaultTest, SaveCrashNeverLeavesALoadableDestination) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    fault::Configure("grwb.save.crash=once");
+    fault::Configure("snapshot.save.crash=once");
     SaveGraphBinary(KarateClub(), path);
     ::_exit(0);  // not reached: the site _exit(137)s mid-save
   }
@@ -426,14 +433,14 @@ TEST_F(FaultTest, SaveCrashNeverLeavesALoadableDestination) {
   // The destination path must not exist at all: the temp file was never
   // renamed over it. Any leftover temp must not pass for a snapshot.
   EXPECT_FALSE(fs::exists(path));
-  EXPECT_THROW(LoadGraphBinary(path), std::exception);
+  EXPECT_THROW(OpenGrwb(path), std::exception);
   for (const auto& entry : fs::directory_iterator(fs::temp_directory_path())) {
     const std::string name = entry.path().filename().string();
     if (name.rfind("grw_fault_crash.grwb.tmp.", 0) == 0) {
       // The leftover carries the magic (it IS an interrupted .grwb
       // write) but must fail validation — nothing can load it as a
       // snapshot.
-      EXPECT_THROW(LoadGraphBinary(entry.path().string()),
+      EXPECT_THROW(OpenGrwb(entry.path().string()),
                    SnapshotCorruptError)
           << name;
       fs::remove(entry.path());
@@ -447,7 +454,7 @@ TEST_F(FaultTest, SaveWriteFailureCleansUpAndRetrySucceeds) {
   }
   const std::string path = TempPath("grw_fault_savefail.grwb");
   fs::remove(path);
-  fault::Configure("grwb.save.write=once");
+  fault::Configure("snapshot.save.write=once");
   EXPECT_THROW(SaveGraphBinary(KarateClub(), path), std::runtime_error);
   EXPECT_FALSE(fs::exists(path));  // nothing half-written at the target
   // The failed attempt unlinked its temp file.
@@ -459,7 +466,7 @@ TEST_F(FaultTest, SaveWriteFailureCleansUpAndRetrySucceeds) {
   // Disarmed, the same save succeeds and round-trips.
   fault::Configure("");
   SaveGraphBinary(KarateClub(), path);
-  const Graph loaded = LoadGraphBinary(path, /*verify_checksum=*/true);
+  const Graph loaded = OpenGrwb(path, /*verify=*/true);
   EXPECT_EQ(loaded.Summary(), KarateClub().Summary());
   fs::remove(path);
 }
@@ -472,7 +479,7 @@ TEST_F(FaultTest, MmapShrinkDetectionRefusesTheMapping) {
   SaveGraphBinary(KarateClub(), path);
   fault::Configure("mmap.shrink=once");
   try {
-    LoadGraphBinary(path);
+    OpenGrwb(path);
     FAIL() << "expected the shrink check to throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("truncated while mapping"),
@@ -480,7 +487,7 @@ TEST_F(FaultTest, MmapShrinkDetectionRefusesTheMapping) {
         << e.what();
   }
   fault::Configure("");
-  EXPECT_NO_THROW(LoadGraphBinary(path));
+  EXPECT_NO_THROW(OpenGrwb(path));
   fs::remove(path);
 }
 

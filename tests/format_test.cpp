@@ -4,9 +4,11 @@
 #include "graph/format.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -24,6 +26,12 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+// The lazy `.grwb` open, without the index build.
+Graph OpenGrwb(const std::string& path, bool verify = false) {
+  return GraphSource::Open(path, {.build_index = false, .verify = verify})
+      .graph();
 }
 
 // Byte-level span equality of the two CSR arrays.
@@ -53,7 +61,7 @@ TEST(FormatTest, RoundTripIsBitIdentical) {
   const std::string path = TempPath("grw_format_roundtrip.grwb");
   for (const Graph& g : graphs) {
     SaveGraphBinary(g, path);
-    const Graph loaded = LoadGraphBinary(path, /*verify_checksum=*/true);
+    const Graph loaded = OpenGrwb(path, /*verify=*/true);
     EXPECT_EQ(loaded.Summary(), g.Summary());
     ExpectIdenticalCsr(g, loaded);
   }
@@ -63,7 +71,7 @@ TEST(FormatTest, RoundTripIsBitIdentical) {
 TEST(FormatTest, RoundTripEmptyGraph) {
   const std::string path = TempPath("grw_format_empty.grwb");
   SaveGraphBinary(Graph(), path);
-  const Graph loaded = LoadGraphBinary(path, /*verify_checksum=*/true);
+  const Graph loaded = OpenGrwb(path, /*verify=*/true);
   EXPECT_EQ(loaded.NumNodes(), 0u);
   EXPECT_EQ(loaded.NumEdges(), 0u);
   EXPECT_EQ(loaded.Summary(), Graph().Summary());
@@ -77,7 +85,7 @@ TEST(FormatTest, MmapLoadGivesIdenticalEstimates) {
   const Graph g = LargestConnectedComponent(HolmeKim(600, 4, 0.3, rng));
   const std::string path = TempPath("grw_format_estimates.grwb");
   SaveGraphBinary(g, path);
-  const Graph mapped = LoadGraphBinary(path);
+  const Graph mapped = OpenGrwb(path);
 
   const EstimatorConfig config{4, 2, true, false};
   const EstimateResult from_vectors =
@@ -100,7 +108,7 @@ TEST(FormatTest, GraphSharesMappingAcrossCopies) {
   SaveGraphBinary(g, path);
   Graph copy;
   {
-    const Graph mapped = LoadGraphBinary(path);
+    const Graph mapped = OpenGrwb(path);
     copy = mapped;
     EXPECT_EQ(copy.RawNeighbors().data(), mapped.RawNeighbors().data());
   }
@@ -125,7 +133,10 @@ TEST(FormatTest, InspectReportsHeaderFields) {
 class FormatCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = TempPath("grw_format_corrupt.grwb");
+    // ctest runs each case as its own process, possibly in parallel, so
+    // the file must be unique per process.
+    path_ = TempPath("grw_format_corrupt." + std::to_string(::getpid()) +
+                     ".grwb");
     SaveGraphBinary(KarateClub(), path_);
   }
   void TearDown() override { std::filesystem::remove(path_); }
@@ -165,29 +176,31 @@ std::string CorruptionMessage(Fn load) {
 
 TEST_F(FormatCorruptionTest, RejectsBadMagic) {
   Poke(0, 'X');
-  EXPECT_THROW(LoadGraphBinary(path_), std::runtime_error);
+  // Without the magic GraphSource::Open does not see a `.grwb` at all;
+  // the header reader is what reports it.
+  EXPECT_THROW(InspectGraphBinary(path_), std::runtime_error);
   EXPECT_FALSE(IsGraphBinaryFile(path_));
 }
 
 TEST_F(FormatCorruptionTest, RejectsUnsupportedVersion) {
   Poke(4, 99);  // version field; header checksum catches it first or not,
                 // either way the load must throw
-  EXPECT_THROW(LoadGraphBinary(path_), std::runtime_error);
+  EXPECT_THROW(OpenGrwb(path_), std::runtime_error);
 }
 
 TEST_F(FormatCorruptionTest, RejectsCorruptedHeaderField) {
   Poke(8, 0xFF);  // num_nodes low byte: header checksum mismatch
-  EXPECT_THROW(LoadGraphBinary(path_), std::runtime_error);
+  EXPECT_THROW(OpenGrwb(path_), std::runtime_error);
 }
 
 TEST_F(FormatCorruptionTest, RejectsTruncatedFile) {
   Truncate(std::filesystem::file_size(path_) - 5);
-  EXPECT_THROW(LoadGraphBinary(path_), std::runtime_error);
+  EXPECT_THROW(OpenGrwb(path_), std::runtime_error);
 }
 
 TEST_F(FormatCorruptionTest, RejectsFileShorterThanHeader) {
   Truncate(10);
-  EXPECT_THROW(LoadGraphBinary(path_), std::runtime_error);
+  EXPECT_THROW(OpenGrwb(path_), std::runtime_error);
 }
 
 TEST_F(FormatCorruptionTest, RejectsForgedHeaderWithOverflowingSizes) {
@@ -218,9 +231,9 @@ TEST_F(FormatCorruptionTest, RejectsForgedHeaderWithOverflowingSizes) {
   ASSERT_NE(f, nullptr);
   ASSERT_EQ(std::fwrite(&header, sizeof header, 1, f), 1u);
   std::fclose(f);
-  EXPECT_THROW(LoadGraphBinary(path_, /*verify_checksum=*/true),
+  EXPECT_THROW(OpenGrwb(path_, /*verify=*/true),
                std::runtime_error);
-  EXPECT_THROW(LoadGraphBinary(path_), std::runtime_error);
+  EXPECT_THROW(OpenGrwb(path_), std::runtime_error);
 }
 
 TEST_F(FormatCorruptionTest, VerifyRejectsNonMonotoneOffsets) {
@@ -228,8 +241,8 @@ TEST_F(FormatCorruptionTest, VerifyRejectsNonMonotoneOffsets) {
   // first/last entries (the lazy spot-check) stay intact: the lazy load
   // accepts it, the verifying load must not.
   Poke(64 + 8 + 6, 0x7F);  // high-ish byte of offsets[1]
-  EXPECT_NO_THROW(LoadGraphBinary(path_));
-  EXPECT_THROW(LoadGraphBinary(path_, /*verify_checksum=*/true),
+  EXPECT_NO_THROW(OpenGrwb(path_));
+  EXPECT_THROW(OpenGrwb(path_, /*verify=*/true),
                std::runtime_error);
 }
 
@@ -237,7 +250,7 @@ TEST_F(FormatCorruptionTest, VerifyRejectsOutOfRangeNeighborId) {
   const uint64_t data_start =
       64 + (uint64_t{KarateClub().NumNodes()} + 1) * 8;
   Poke(data_start + 2, 0xFF);  // neighbor id becomes >= num_nodes
-  EXPECT_THROW(LoadGraphBinary(path_, /*verify_checksum=*/true),
+  EXPECT_THROW(OpenGrwb(path_, /*verify=*/true),
                std::runtime_error);
 }
 
@@ -247,7 +260,7 @@ TEST_F(FormatCorruptionTest, ChecksumCatchesFlippedDataByte) {
   const uint64_t data_start =
       64 + (uint64_t{KarateClub().NumNodes()} + 1) * 8;
   Poke(data_start + 3, 0xAB);
-  EXPECT_THROW(LoadGraphBinary(path_, /*verify_checksum=*/true),
+  EXPECT_THROW(OpenGrwb(path_, /*verify=*/true),
                std::runtime_error);
 }
 
@@ -271,7 +284,7 @@ TEST_F(FormatCorruptionTest, CorruptionErrorsAreTypedAndDescriptive) {
   }
   Poke(data_start, low ^ 1u);
   std::string msg = CorruptionMessage(
-      [&] { LoadGraphBinary(path_, /*verify_checksum=*/true); });
+      [&] { OpenGrwb(path_, /*verify=*/true); });
   EXPECT_NE(msg.find(path_), std::string::npos) << msg;
   EXPECT_NE(msg.find("data checksum mismatch"), std::string::npos) << msg;
 
@@ -279,7 +292,7 @@ TEST_F(FormatCorruptionTest, CorruptionErrorsAreTypedAndDescriptive) {
   // naming both the actual and the implied size.
   SaveGraphBinary(KarateClub(), path_);
   Truncate(std::filesystem::file_size(path_) - 5);
-  msg = CorruptionMessage([&] { LoadGraphBinary(path_); });
+  msg = CorruptionMessage([&] { OpenGrwb(path_); });
   EXPECT_NE(msg.find("truncated or oversized file"), std::string::npos)
       << msg;
   EXPECT_NE(msg.find("header implies"), std::string::npos) << msg;
@@ -290,14 +303,70 @@ TEST_F(FormatCorruptionTest, CorruptionErrorsAreTypedAndDescriptive) {
   // expect the header checksum to catch the edit first.
   SaveGraphBinary(KarateClub(), path_);
   Poke(24, 0xEE);
-  msg = CorruptionMessage([&] { LoadGraphBinary(path_); });
+  msg = CorruptionMessage([&] { OpenGrwb(path_); });
   EXPECT_NE(msg.find("header checksum mismatch"), std::string::npos) << msg;
 
   // Garbage magic reports "not a .grwb snapshot", not a generic failure.
   SaveGraphBinary(KarateClub(), path_);
   Poke(0, 'Z');
-  msg = CorruptionMessage([&] { LoadGraphBinary(path_); });
+  msg = CorruptionMessage([&] { InspectGraphBinary(path_); });
   EXPECT_NE(msg.find("bad magic"), std::string::npos) << msg;
+}
+
+TEST_F(FormatCorruptionTest, ForgedSizeFieldsAreRejectedAtOpen) {
+  // One lie per header size field, with the header and data checksums
+  // forged to match, so only the size checks can object. Each must be
+  // refused by the lazy open: a count that slips through turns into
+  // out-of-bounds reads during the walk. Header layout: num_nodes 8,
+  // num_half_edges 16, offsets_bytes 24, neighbors_bytes 32,
+  // data_checksum 40, header_checksum 56.
+  const auto fnv = [](const unsigned char* p, size_t n) {
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ull;
+    }
+    return h;
+  };
+  constexpr uint64_t k2to62 = uint64_t{1} << 62;
+  const uint64_t n = KarateClub().NumNodes();
+  const uint64_t half = 2 * KarateClub().NumEdges();
+  struct Row {
+    const char* field;
+    uint64_t at;
+    uint64_t value;
+    bool bump_last_offset;  // keep offsets[n] == num_half_edges
+  };
+  const Row rows[] = {
+      {"num_nodes + 1", 8, n + 1, false},
+      {"num_nodes + 2^62", 8, n + k2to62, false},
+      {"num_half_edges + 2^62", 16, half + k2to62, true},
+      {"offsets_bytes + 2^61", 24, (n + 1) * 8 + (uint64_t{1} << 61), false},
+      {"neighbors_bytes + 2^62", 32, half * 4 + k2to62, false},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.field);
+    SaveGraphBinary(KarateClub(), path_);
+    std::vector<unsigned char> bytes(std::filesystem::file_size(path_));
+    std::FILE* f = std::fopen(path_.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+    std::memcpy(bytes.data() + row.at, &row.value, sizeof row.value);
+    if (row.bump_last_offset) {
+      std::memcpy(bytes.data() + 64 + n * 8, &row.value, sizeof row.value);
+    }
+    const uint64_t data = fnv(bytes.data() + 64, bytes.size() - 64);
+    std::memcpy(bytes.data() + 40, &data, sizeof data);
+    const uint64_t header = fnv(bytes.data(), 56);
+    std::memcpy(bytes.data() + 56, &header, sizeof header);
+    f = std::fopen(path_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+    EXPECT_THROW(OpenGrwb(path_), SnapshotCorruptError);
+    EXPECT_THROW(InspectGraphBinary(path_), SnapshotCorruptError);
+  }
 }
 
 TEST(FormatTest, SaveLeavesNoTempLitterOnSuccess) {
@@ -316,10 +385,10 @@ TEST(FormatTest, SaveLeavesNoTempLitterOnSuccess) {
   EXPECT_EQ(entries, 1u);
   // Overwrite in place: readers of the old inode are unaffected and
   // still no litter appears.
-  const Graph old_mapping = LoadGraphBinary(path);
+  const Graph old_mapping = OpenGrwb(path);
   SaveGraphBinary(Complete(6), path);
   EXPECT_EQ(old_mapping.Summary(), KarateClub().Summary());
-  EXPECT_EQ(LoadGraphBinary(path).Summary(), Complete(6).Summary());
+  EXPECT_EQ(OpenGrwb(path).Summary(), Complete(6).Summary());
   entries = 0;
   for ([[maybe_unused]] const auto& entry : fs::directory_iterator(dir)) {
     ++entries;
@@ -346,8 +415,8 @@ TEST(FormatTest, AbandonedTempFileIsNotAValidSnapshot) {
   fs::resize_file(tmp, donor_size / 2);
 
   EXPECT_FALSE(fs::exists(path));
-  EXPECT_THROW(LoadGraphBinary(path), std::exception);
-  EXPECT_THROW(LoadGraphBinary(tmp), SnapshotCorruptError);
+  EXPECT_THROW(OpenGrwb(path), std::exception);
+  EXPECT_THROW(OpenGrwb(tmp), SnapshotCorruptError);
   fs::remove_all(dir);
 }
 
@@ -406,7 +475,7 @@ TEST(RelabelByDegreeTest, RoundTripsThroughSnapshot) {
   const Graph r = RelabelByDegree(g);
   const std::string path = TempPath("grw_format_relabel.grwb");
   SaveGraphBinary(r, path, kGrwbFlagDegreeRelabeled);
-  const Graph loaded = LoadGraphBinary(path, /*verify_checksum=*/true);
+  const Graph loaded = OpenGrwb(path, /*verify=*/true);
   ExpectIdenticalCsr(r, loaded);
   EXPECT_TRUE(InspectGraphBinary(path).DegreeRelabeled());
   std::filesystem::remove(path);

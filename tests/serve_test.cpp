@@ -435,6 +435,18 @@ TEST_F(ServeEndToEndTest, MalformedLinesGetErrorsAndConnectionSurvives) {
   EXPECT_TRUE(ok->Find("ok")->IsTrue());
 }
 
+TEST_F(ServeEndToEndTest, UnestimableKdGetsATypedError) {
+  // SRW1 never samples the 3-star (alpha = 0): the engine's validation
+  // refuses the request instead of answering 0 for it.
+  QueryClient client("127.0.0.1", server_->port());
+  const auto json =
+      ParseJson(client.RoundTrip("ESTIMATE graph=fix k=4 d=1 steps=2000"));
+  ASSERT_TRUE(json.has_value());
+  EXPECT_FALSE(json->Find("ok")->IsTrue());
+  ASSERT_NE(json->Find("error"), nullptr);
+  EXPECT_NE(json->Find("error")->str.find("3-star"), std::string::npos);
+}
+
 TEST_F(ServeEndToEndTest, StopDrainsGracefullyWithClientsConnected) {
   QueryClient client("127.0.0.1", server_->port());
   const auto before =

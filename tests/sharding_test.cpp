@@ -16,12 +16,14 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "graph/builder.h"
 #include "graph/format.h"
 #include "graph/generators.h"
+#include "graph/source.h"
 #include "util/rng.h"
 
 namespace grw {
@@ -257,17 +259,19 @@ class ShardingCorruptionTest : public ::testing::Test {
   // Rewrites the manifest from the (tampered) `manifest_` fields with
   // CORRECT checksums, so only the semantic validation can object — the
   // way a buggy or malicious resharder would corrupt the layout.
+  static constexpr uint64_t kBasis = 0xcbf29ce484222325ull;
+
+  // FNV-1a, as the writer computes it.
+  static uint64_t fnv(const void* data, size_t bytes, uint64_t seed) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < bytes; ++i) {
+      seed ^= p[i];
+      seed *= 0x100000001b3ull;
+    }
+    return seed;
+  }
+
   void RewriteManifestWithValidChecksums() {
-    constexpr uint64_t kBasis = 0xcbf29ce484222325ull;
-    constexpr uint64_t kPrime = 0x100000001b3ull;
-    const auto fnv = [&](const void* data, size_t bytes, uint64_t seed) {
-      const auto* p = static_cast<const unsigned char*>(data);
-      for (size_t i = 0; i < bytes; ++i) {
-        seed ^= p[i];
-        seed *= kPrime;
-      }
-      return seed;
-    };
     struct {
       uint32_t magic = kGrwmMagic;
       uint32_t version = kGrwsVersion;
@@ -300,6 +304,34 @@ class ShardingCorruptionTest : public ::testing::Test {
                           manifest_.shards.size(), f),
               manifest_.shards.size());
     std::fclose(f);
+  }
+
+  // Overwrites the u64 at byte `at` of a 64-byte file header and
+  // re-forges the header checksum (its last 8 bytes) to match.
+  void ForgeHeaderField(const std::string& path, uint64_t at,
+                        uint64_t value) {
+    std::vector<unsigned char> bytes(fs::file_size(path));
+    std::FILE* f = std::fopen(path.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::memcpy(bytes.data() + at, &value, sizeof value);
+    const uint64_t checksum = fnv(bytes.data(), 56, kBasis);
+    std::memcpy(bytes.data() + 56, &checksum, sizeof checksum);
+    ASSERT_EQ(std::fseek(f, 0, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, 64, f), 64u);
+    std::fclose(f);
+  }
+
+  uint64_t ReadU64(const std::string& path, uint64_t at) {
+    uint64_t value = 0;
+    for (int b = 7; b >= 0; --b) value = (value << 8) | Peek(path, at + b);
+    return value;
+  }
+
+  void WriteU64(const std::string& path, uint64_t at, uint64_t value) {
+    for (int b = 0; b < 8; ++b) {
+      Poke(path, at + b, static_cast<unsigned char>(value >> (8 * b)));
+    }
   }
 
   template <typename Fn>
@@ -435,6 +467,78 @@ TEST_F(ShardingCorruptionTest, ShardHeaderDamage) {
   const std::string msg = CorruptionMessage([&] { MapShard(manifest_, 0); });
   EXPECT_NE(msg.find("shard header checksum mismatch"), std::string::npos)
       << msg;
+}
+
+TEST_F(ShardingCorruptionTest, ForgedSizeFieldsAreRejectedAtOpen) {
+  // One lie per size field, with every header, table and data checksum
+  // forged to match, so only the size checks can object. Each must be
+  // refused at open, without verify: a count that slips through turns
+  // into out-of-bounds reads during the walk.
+  //   Shard header: magic 0, version 4, shard_index 8, flags 12,
+  //   first_node 16, num_rows 24, total_nodes 32, num_half_edges 40,
+  //   data_checksum 48.  Manifest header: num_shards 8 (u32),
+  //   total_nodes 16, total_half_edges 24.
+  constexpr uint64_t k2to62 = uint64_t{1} << 62;
+  constexpr uint32_t kShard = 1;
+  const std::string shard = manifest_.ShardPath(kShard);
+  const uint64_t rows = manifest_.shards[kShard].num_rows;
+  const uint64_t half = manifest_.shards[kShard].num_half_edges;
+  const uint64_t last_offset = 64 + rows * sizeof(uint64_t);
+
+  // Rewrites the shard's last offset, re-forges its data checksum over
+  // the payload bytes, and records the lie in the manifest as well.
+  const auto forge_shard = [&](uint64_t new_rows, uint64_t new_half) {
+    WriteU64(shard, last_offset, new_half);
+    std::vector<unsigned char> bytes(fs::file_size(shard));
+    std::FILE* f = std::fopen(shard.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+    const uint64_t data = fnv(bytes.data() + 64, bytes.size() - 64, kBasis);
+    ForgeHeaderField(shard, 24, new_rows);
+    ForgeHeaderField(shard, 40, new_half);
+    ForgeHeaderField(shard, 48, data);
+    manifest_.total_half_edges += new_half - half;
+    manifest_.shards[kShard].num_rows = new_rows;
+    manifest_.shards[kShard].num_half_edges = new_half;
+    manifest_.shards[kShard].data_checksum = data;
+    RewriteManifestWithValidChecksums();
+  };
+
+  struct Row {
+    const char* field;
+    std::function<void()> lie;
+  };
+  const Row rows_table[] = {
+      // The product (half + 2^62) * 4 wraps to half * 4, so a size check
+      // that multiplies sees a file of exactly the right length.
+      {"shard num_half_edges + 2^62",
+       [&] { forge_shard(rows, half + k2to62); }},
+      {"shard num_half_edges + 1", [&] { forge_shard(rows, half + 1); }},
+      // (rows + 2^61 + 1) * 8 wraps the same way.
+      {"shard num_rows + 2^61",
+       [&] { forge_shard(rows + (uint64_t{1} << 61), half); }},
+      {"manifest num_shards + 1",
+       [&] {
+         ForgeHeaderField(manifest_.path, 8,
+                          (ReadU64(manifest_.path, 8) & ~0xFFFFFFFFull) |
+                              (manifest_.NumShards() + 1));
+       }},
+      {"manifest total_half_edges + 2^62",
+       [&] {
+         ForgeHeaderField(manifest_.path, 24,
+                          manifest_.total_half_edges + k2to62);
+       }},
+  };
+  for (const Row& row : rows_table) {
+    SCOPED_TRACE(row.field);
+    ShardingOptions options;
+    options.num_shards = 3;
+    manifest_ = WriteShardedGraph(g_, dir_, options);
+    ASSERT_NO_THROW(GraphSource::Open(dir_));
+    row.lie();
+    EXPECT_THROW(GraphSource::Open(dir_), SnapshotCorruptError);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for GraphSource::Open (graph/source.*): one open path across
 // text edge lists, monolithic `.grwb` snapshots, and sharded manifests —
 // kind auto-detection, OpenOptions plumbing, content identity, typed
-// corruption errors, and the deprecated aliases staying equivalent.
+// corruption errors, and the text parser staying equivalent.
 
 #include "graph/source.h"
 
@@ -98,16 +98,11 @@ TEST_F(SourceTest, KindMismatchedAccessorsThrowLogicError) {
 }
 
 TEST_F(SourceTest, OpenMatchesDeprecatedAliases) {
-  // The thin aliases and the unified path must load identical bytes.
+  // The text parser and the unified path must load identical graphs.
+  // (`.grwb` has no loader besides GraphSource::Open any more.)
   OpenOptions options;
   options.build_index = false;
   options.largest_cc = false;
-  const Graph via_alias = LoadGraphBinary(binary_);
-  const Graph via_source = GraphSource::Open(binary_, options).graph();
-  ASSERT_EQ(via_alias.NumNodes(), via_source.NumNodes());
-  for (VertexId v = 0; v < via_alias.NumNodes(); ++v) {
-    ASSERT_EQ(via_alias.Degree(v), via_source.Degree(v));
-  }
   const Graph text_alias = LoadEdgeList(text_, /*largest_cc=*/false);
   const Graph text_source = GraphSource::Open(text_, options).graph();
   EXPECT_EQ(text_alias.Summary(), text_source.Summary());

@@ -84,6 +84,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -284,19 +285,16 @@ int CmdConvert(const grw::Flags& flags) {
   grw::WallTimer save_timer;
   grw::SaveGraphBinary(g, out, grwb_flags);
   const double save_s = save_timer.Seconds();
-  if (flags.GetBool("verify", true)) {
-    // Full checksum read-back: cheap relative to the conversion, and a
-    // corrupted snapshot discovered now is a bench run saved later.
-    grw::OpenOptions check;
-    check.build_index = false;
-    check.verify = true;
-    (void)grw::GraphSource::Open(out, check);
-  }
-  const grw::GrwbInfo info = grw::InspectGraphBinary(out);
+  // Read-back, by default with the full checksum pass: cheap relative to
+  // the conversion, and a corrupted snapshot discovered now is a bench
+  // run saved later.
+  const grw::GraphSource saved = grw::GraphSource::Open(
+      out, {.build_index = false, .verify = flags.GetBool("verify", true)});
   std::printf("wrote %s: %s%s, %.1f MiB (load %s, convert+write %s)\n",
               out.c_str(), g.Summary().c_str(),
-              info.DegreeRelabeled() ? ", degree-relabeled" : "",
-              static_cast<double>(info.file_bytes) / (1024.0 * 1024.0),
+              saved.degree_relabeled() ? ", degree-relabeled" : "",
+              static_cast<double>(std::filesystem::file_size(out)) /
+                  (1024.0 * 1024.0),
               grw::Table::Duration(load_s).c_str(),
               grw::Table::Duration(save_s).c_str());
   return 0;
@@ -437,16 +435,15 @@ int CmdInfo(const grw::Flags& flags) {
       grw::IsShardManifestPath(flags.positional()[1])) {
     return ShardedInfo(flags.positional()[1], flags.GetBool("verify"));
   }
-  const grw::Graph g = LoadPositional(flags, 1);
+  grw::OpenOptions options;
+  options.build_index = false;
+  const grw::GraphSource source = OpenPositional(flags, 1, options);
+  const grw::Graph& g = source.graph();
   grw::Table table("graph statistics");
   table.SetHeader({"quantity", "value"});
-  if (flags.positional().size() > 1 &&
-      !grw::FindDataset(flags.positional()[1]).has_value() &&
-      grw::IsGraphBinaryFile(flags.positional()[1])) {
-    const grw::GrwbInfo info =
-        grw::InspectGraphBinary(flags.positional()[1]);
-    table.AddRow({"format", "grwb v" + std::to_string(info.version) +
-                                (info.DegreeRelabeled()
+  if (source.kind() == grw::GraphSourceKind::kBinary) {
+    table.AddRow({"format", "grwb v" + std::to_string(grw::kGrwbVersion) +
+                                (source.degree_relabeled()
                                      ? " (degree-relabeled)"
                                      : "")});
   }

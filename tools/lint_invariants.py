@@ -30,12 +30,6 @@ Checks (each is a function named check_*; `--list` prints them):
                     goes through grw::io (EINTR retry, partial-write
                     loops, timeouts, fault-injection sites) so no call
                     path silently skips the hardening.
-  graphsource-open  no direct LoadGraphBinary call sites
-                    outside the format layer itself, GraphSource, the
-                    loader microbenchmark, and tests/ — everything else
-                    opens graphs through GraphSource::Open so text,
-                    monolithic .grwb, and sharded manifests all work at
-                    every entry point.
 
 Usage:
   tools/lint_invariants.py [--root DIR]   lint the tree (exit 1 on findings)
@@ -65,11 +59,6 @@ TEST_MACRO_RE = re.compile(r"\b(?:TEST|TEST_F|TEST_P|TYPED_TEST)\s*\(")
 GBENCH_INCLUDE_RE = re.compile(r'#include\s+[<"]benchmark/benchmark\.h[>"]')
 DOC_REF_RE = re.compile(r"`((?:src|tests|bench|tools|docs|examples)/[^`]+)`")
 RAW_POSIX_IO_RE = re.compile(r"::(?:read|write|send|recv|connect)\s*\(")
-GRAPHSOURCE_RE = re.compile(r"\bLoadGraphBinary\s*\(")
-FORMAT_HEADER = os.path.join("src", "graph", "format.h")
-FORMAT_IMPL = os.path.join("src", "graph", "format.cpp")
-GRAPHSOURCE_IMPL = os.path.join("src", "graph", "source.cpp")
-LOADER_BENCH = os.path.join("bench", "bench_loader.cpp")
 
 
 def strip_comments(lines):
@@ -237,26 +226,6 @@ def check_raw_posix_io(root):
         exclude=(POSIX_IO_IMPL,))
 
 
-def check_graphsource_open(root):
-    findings = []
-    allowed = {FORMAT_HEADER, FORMAT_IMPL, GRAPHSOURCE_IMPL, LOADER_BENCH}
-    for rel in iter_source_files(root):
-        if rel in allowed:
-            continue
-        # tests/ may exercise the deprecated alias (alias-equivalence
-        # coverage is exactly what keeps it honest).
-        if rel.split(os.sep)[0] == "tests":
-            continue
-        for lineno, line in enumerate(read_code_lines(root, rel), start=1):
-            if GRAPHSOURCE_RE.search(line):
-                findings.append((
-                    rel, lineno,
-                    "direct LoadGraphBinary call — open graphs "
-                    "through GraphSource::Open so sharded manifests work "
-                    "everywhere"))
-    return findings
-
-
 ALL_CHECKS = [
     ("raw-sync", check_raw_sync),
     ("detach", check_detach),
@@ -266,7 +235,6 @@ ALL_CHECKS = [
     ("bench-json", check_bench_json),
     ("doc-refs", check_doc_refs),
     ("raw-posix-io", check_raw_posix_io),
-    ("graphsource-open", check_graphsource_open),
 ]
 
 
@@ -337,9 +305,6 @@ def self_test():
                          "- see `src/ghost_file.cpp` for details\n"),
             "raw-posix-io": ("src/bad_io.cpp",
                              "ssize_t n = ::write(fd, data, len);\n"),
-            "graphsource-open": ("src/bad_open.cpp",
-                                 "grw::Graph g = grw::LoadGraphBinary(p);"
-                                 "\n"),
         }
         for rule, (rel, content) in seeds.items():
             with tempfile.TemporaryDirectory() as seeded:
