@@ -110,15 +110,6 @@ GraphletEstimatorT<G>::GraphletEstimatorT(const G& g,
 }
 
 template <class G>
-void GraphletEstimatorT<G>::SetStartRange(VertexId lo, VertexId hi) {
-  if (lo >= hi || hi > g_->NumNodes()) {
-    throw std::invalid_argument("SetStartRange: need lo < hi <= NumNodes()");
-  }
-  start_lo_ = lo;
-  start_hi_ = hi;
-}
-
-template <class G>
 void GraphletEstimatorT<G>::Reset(uint64_t seed) {
   rng_.Seed(seed);
   std::fill(weights_.begin(), weights_.end(), 0.0);
@@ -126,11 +117,7 @@ void GraphletEstimatorT<G>::Reset(uint64_t seed) {
   steps_ = 0;
   valid_samples_ = 0;
 
-  if (start_lo_ < start_hi_) {
-    walker_->ResetInRange(rng_, start_lo_, start_hi_);
-  } else {
-    walker_->Reset(rng_);
-  }
+  walker_->Reset(rng_);
   window_.Clear();
   window_.Push(walker_->Nodes(), 0);
   // Fill the window: l states need l-1 transitions (Algorithm 1 line 3).

@@ -130,14 +130,6 @@ class GraphletEstimatorT {
   /// Never budget-gated: a crawl needs at least the seeding transitions.
   void Reset(uint64_t seed);
 
-  /// Locality hint for sharded storage: subsequent Reset()s anchor the
-  /// walk's initial state at a node drawn from [lo, hi) instead of the
-  /// whole node range (StateWalker::ResetInRange). Changes only the
-  /// initial distribution — still asymptotically unbiased, but not
-  /// bit-identical to an unhinted run, so the engine keeps it opt-in.
-  /// Requires lo < hi <= NumNodes(); call before Reset.
-  void SetStartRange(VertexId lo, VertexId hi);
-
   /// Advances the chain up to `steps` transitions, accumulating one
   /// candidate sample per transition. With a crawl access policy the loop
   /// returns early once the access reports its distinct-query budget
@@ -179,9 +171,6 @@ class GraphletEstimatorT {
   std::unique_ptr<StateWalker> walker_;
   SampleWindowT<G> window_;
   Rng rng_;
-  // Start-range hint (SetStartRange); lo == hi means "none" (whole graph).
-  VertexId start_lo_ = 0;
-  VertexId start_hi_ = 0;
   // Reused by the CSS d >= 3 degree probes (SampleWeight is const but the
   // scratch is pure workspace — no observable state).
   mutable GdScratch gd_scratch_;

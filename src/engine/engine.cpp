@@ -80,19 +80,6 @@ class alignas(64) ChainUnit {
       }
       estimator_.emplace(*access_, config);
     }
-    if constexpr (std::is_same_v<A, ShardedAccess>) {
-      if (opt.sharded.locality_seeding) {
-        // Contiguous chain blocks per shard: chain c's affinity shard is
-        // floor(c * S / C) — a function of the global chain index alone,
-        // so the assignment (and with it the RNG consumption) is
-        // identical at any thread count.
-        const uint32_t s = static_cast<uint32_t>(
-            (static_cast<uint64_t>(chain) * source.NumShards()) /
-            static_cast<uint64_t>(opt.chains));
-        const auto [lo, hi] = source.ShardRange(s);
-        estimator_->SetStartRange(lo, hi);
-      }
-    }
     estimator_->Reset(DeriveSeed(opt.base_seed, opt.chain_offset + chain));
   }
 

@@ -129,24 +129,6 @@ struct EngineOptions {
   };
   CrawlConfig crawl;
 
-  /// Sharded out-of-core mode (the ShardStore engine constructor): every
-  /// chain reads through its own ShardedAccess over the shared store.
-  /// Estimates are bit-identical to a full-access run on the same graph
-  /// at any resident budget and thread count — unless locality seeding
-  /// is turned on, which trades that for fewer cross-shard faults.
-  struct ShardedConfig {
-    /// Anchor chain c's initial state in the vertex range of its
-    /// affinity shard floor(c * num_shards / chains) — contiguous chain
-    /// blocks per shard, so a budget-bound run starts with disjoint
-    /// working sets instead of every chain faulting every shard at once.
-    /// Changes the initial distribution only (still asymptotically
-    /// unbiased, see StateWalker::ResetInRange) but NOT bit-identical to
-    /// the default seeding — hence opt-in, and the CI identity gate runs
-    /// with it off.
-    bool locality_seeding = false;
-  };
-  ShardedConfig sharded;
-
   /// Invoked after every round with a progress snapshot.
   std::function<void(const EngineProgress&)> on_progress;
 

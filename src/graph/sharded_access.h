@@ -112,12 +112,6 @@ class ShardStore {
 
   /// The shard holding vertex v.
   uint32_t ShardOf(VertexId v) const { return manifest_.ShardOf(v); }
-  /// Vertex range [first, end) of shard s.
-  std::pair<VertexId, VertexId> ShardRange(uint32_t s) const {
-    const ShardInfo& info = manifest_.shards[s];
-    return {static_cast<VertexId>(info.first_node),
-            static_cast<VertexId>(info.first_node + info.num_rows)};
-  }
 
   /// Makes shard s resident and returns it. The pointer stays valid and
   /// readable for the store's lifetime, across later evictions; the

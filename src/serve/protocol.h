@@ -37,7 +37,7 @@
 // produce a one-line error *response* — never a crash, never a silent
 // misparse. Server-side resource limits (max steps, max chains) are
 // enforced here too, so a hostile "huge budget" request dies at parse
-// time instead of occupying a worker.
+// time instead of taking a run slot.
 
 #pragma once
 
@@ -77,7 +77,7 @@ struct EstimateRequest {
   bool crawl = false;
   uint64_t budget_queries = 0;
   uint64_t cache_entries = 0;
-  /// 0 = no deadline. Measured from admission (queue wait counts).
+  /// 0 = no deadline. Measured from admission (waiting counts).
   double deadline_ms = 0.0;
   std::string tenant;
 };

@@ -24,13 +24,7 @@ std::string DeadlineError(uint64_t steps_per_chain) {
 
 ServeScheduler::ServeScheduler(const SnapshotRegistry* registry,
                                SchedulerOptions options)
-    : registry_(registry), options_(options) {
-  const int workers = std::max(1, options_.workers);
-  workers_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
+    : registry_(registry), options_(options) {}
 
 ServeScheduler::~ServeScheduler() { Drain(); }
 
@@ -58,14 +52,12 @@ std::string ServeScheduler::HandleLine(std::string_view line) {
 }
 
 std::string ServeScheduler::SubmitEstimate(EstimateRequest request) {
-  Job job;
-  job.admitted = std::chrono::steady_clock::now();
+  std::optional<Clock::time_point> deadline;
   if (request.deadline_ms > 0.0) {
-    job.has_deadline = true;
-    job.deadline =
-        job.admitted + std::chrono::microseconds(static_cast<int64_t>(
-                           request.deadline_ms * 1000.0));
+    deadline = Clock::now() + std::chrono::microseconds(static_cast<int64_t>(
+                                  request.deadline_ms * 1000.0));
   }
+  const int workers = std::max(1, options_.workers);
 
   {
     MutexLock lock(mu_);
@@ -77,7 +69,11 @@ std::string ServeScheduler::SubmitEstimate(EstimateRequest request) {
     // any work, so the client can safely back off and resend
     // (QueryWithRetry in client.h does). The chaos site forces this arm
     // so injection exercises the whole shed-retry-succeed loop.
-    if (queue_.size() >= options_.queue_limit || GRW_FAULT("serve.admit")) {
+    // Full once `workers` run and `queue_limit` more wait (written so
+    // that no queue_limit can overflow the sum).
+    const size_t slots = static_cast<size_t>(workers);
+    if ((in_flight_ >= slots && in_flight_ - slots >= options_.queue_limit) ||
+        GRW_FAULT("serve.admit")) {
       ++stats_.rejected_queue;
       ++stats_.errors;
       return OverloadedResponse("server overloaded (queue full)",
@@ -105,132 +101,92 @@ std::string ServeScheduler::SubmitEstimate(EstimateRequest request) {
       }
       request.crawl = true;
       request.budget_queries = cap;
-      job.tenant_cap = cap;
     }
-    job.request = std::move(request);
     ++stats_.accepted;
-    queue_.push_back(&job);
+    ++in_flight_;
+    // Start in admission order, once fewer than `workers` jobs run.
+    const uint64_t ticket = next_ticket_++;
+    while (ticket != next_start_ || running_ >= workers) cv_.Wait(mu_);
+    ++next_start_;
+    ++running_;
+    cv_.NotifyAll();  // the next ticket may fit in another free slot
   }
-  queue_cv_.NotifyOne();
 
-  MutexLock lock(job.mu);
-  // Explicit wait loop so the analysis checks job.done against job.mu.
-  while (!job.done) job.cv.Wait(job.mu);
-  return std::move(job.response);
+  Outcome outcome = RunJob(request, deadline);
+
+  MutexLock lock(mu_);
+  if (outcome.ok) {
+    ++stats_.completed;
+  } else {
+    ++stats_.errors;
+  }
+  // Charge real consumption even for cancelled/failed runs: the
+  // distinct fetches happened either way.
+  if (outcome.charged_distinct > 0 && !request.tenant.empty() &&
+      options_.tenant_budget > 0) {
+    tenant_spent_[request.tenant] += outcome.charged_distinct;
+  }
+  --running_;
+  --in_flight_;
+  // Under the lock: once in_flight_ reads zero, Drain (and with it the
+  // destructor) may return, so nothing may touch *this after unlocking.
+  cv_.NotifyAll();
+  return std::move(outcome.response);
 }
 
-void ServeScheduler::WorkerLoop() {
-  while (true) {
-    Job* job = nullptr;
-    {
-      MutexLock lock(mu_);
-      while (!draining_ && queue_.empty()) queue_cv_.Wait(mu_);
-      if (queue_.empty()) return;  // draining and nothing left
-      job = queue_.front();
-      queue_.pop_front();
-    }
-    RunJob(*job);
-  }
-}
-
-void ServeScheduler::RunJob(Job& job) {
-  const EstimateRequest& req = job.request;
-  std::string response;
-  bool ok = false;
-  // Worker-local until the locked accounting block below: the submitter
-  // never reads it, so it needs no lock and no field on the Job.
-  uint64_t charged_distinct = 0;
-
+ServeScheduler::Outcome ServeScheduler::RunJob(
+    const EstimateRequest& req,
+    std::optional<Clock::time_point> deadline) const {
+  Outcome out;
   try {
-    // Chaos site: a worker blowing up mid-job must surface as a clean
+    // Chaos site: a job blowing up mid-run must surface as a clean
     // structured error on THIS request and leave the pool healthy.
     if (GRW_FAULT("serve.job")) {
       throw std::runtime_error("injected fault: serve.job");
     }
-    if (job.has_deadline &&
-        std::chrono::steady_clock::now() >= job.deadline) {
-      // Expired while queued: answer without occupying the pool.
-      response = ErrorResponse(DeadlineError(0));
+    if (deadline.has_value() && Clock::now() >= *deadline) {
+      // Expired while waiting: answer without occupying the pool.
+      out.response = ErrorResponse(DeadlineError(0));
+      return out;
+    }
+    const std::optional<GraphSource> source =
+        registry_->FindSource(req.graph);
+    if (!source.has_value()) {
+      out.response = ErrorResponse("unknown graph '" + req.graph + "'");
+      return out;
+    }
+    // Mode combinations the engine cannot run (sharded x crawl) throw
+    // from its constructor and land in the catch below as an error reply.
+    EngineOptions options = ToEngineOptions(req);
+    options.threads = options_.engine_threads;
+    options.pool = options_.pool;  // nullptr = ChainPool::Shared()
+    if (deadline.has_value()) {
+      options.cancel = [at = *deadline] { return Clock::now() >= at; };
+    }
+    EstimationEngine engine =
+        source->sharded()
+            ? EstimationEngine(source->shards(), req.config, options)
+            : EstimationEngine(source->graph(), req.config, options);
+    const EngineResult result = engine.Run();
+    out.charged_distinct = result.access.distinct_fetches;
+    if (result.cancelled) {
+      out.response = ErrorResponse(DeadlineError(result.steps_per_chain));
     } else {
-      const std::optional<GraphSource> source =
-          registry_->FindSource(req.graph);
-      if (!source.has_value()) {
-        response = ErrorResponse("unknown graph '" + req.graph + "'");
-      } else {
-        // Mode combinations the engine cannot run (sharded x crawl)
-        // throw from its constructor and land in the catch below as an
-        // error reply.
-        EngineOptions options = ToEngineOptions(req);
-        options.threads = options_.engine_threads;
-        options.pool = options_.pool;  // nullptr = ChainPool::Shared()
-        if (job.has_deadline) {
-          const auto deadline = job.deadline;
-          options.cancel = [deadline] {
-            return std::chrono::steady_clock::now() >= deadline;
-          };
-        }
-        EstimationEngine engine =
-            source->sharded()
-                ? EstimationEngine(source->shards(), req.config, options)
-                : EstimationEngine(source->graph(), req.config, options);
-        const EngineResult result = engine.Run();
-        charged_distinct = result.access.distinct_fetches;
-        if (result.cancelled) {
-          response = ErrorResponse(DeadlineError(result.steps_per_chain));
-        } else {
-          response = EstimateResponse(req, result);
-          ok = true;
-        }
-      }
+      out.response = EstimateResponse(req, result);
+      out.ok = true;
     }
   } catch (const std::exception& e) {
-    response = ErrorResponse(e.what());
+    out.response = ErrorResponse(e.what());
   } catch (...) {
-    response = ErrorResponse("internal error");
+    out.response = ErrorResponse("internal error");
   }
-
-  {
-    MutexLock lock(mu_);
-    if (ok) {
-      ++stats_.completed;
-    } else {
-      ++stats_.errors;
-    }
-    // Charge real consumption even for cancelled/failed runs: the
-    // distinct fetches happened either way.
-    if (charged_distinct > 0 && !req.tenant.empty() &&
-        options_.tenant_budget > 0) {
-      tenant_spent_[req.tenant] += charged_distinct;
-    }
-  }
-
-  {
-    MutexLock lock(job.mu);
-    job.response = std::move(response);
-    job.done = true;
-    // Notify INSIDE the critical section: the Job lives on the
-    // submitter's stack and is destroyed the moment the submitter
-    // observes done. Signalling after unlocking would race that
-    // destruction (the submitter can be past Wait() the instant the
-    // mutex is released); under the lock, it cannot observe done until
-    // this scope closes.
-    job.cv.NotifyOne();
-  }
+  return out;
 }
 
 void ServeScheduler::Drain() {
-  // drain_mu_ serializes concurrent Drain calls (Stop + destructor);
-  // only the first joins the workers, later calls find them gone.
-  MutexLock drain_lock(drain_mu_);
-  {
-    MutexLock lock(mu_);
-    draining_ = true;
-  }
-  queue_cv_.NotifyAll();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
+  MutexLock lock(mu_);
+  draining_ = true;
+  while (in_flight_ > 0) cv_.Wait(mu_);
 }
 
 ServeScheduler::Stats ServeScheduler::stats() const {

@@ -1,18 +1,23 @@
 // Fair multi-tenant scheduler: many concurrent requests, one shared
 // ChainPool.
 //
-// Connection threads hand request lines to HandleLine(); estimation jobs
-// are executed by a fixed worker pool in strict admission (FIFO) order:
+// Connection threads hand request lines to HandleLine(), and each
+// estimation job runs on the thread that submitted it; the scheduler owns
+// no threads. It only decides when a job may start:
 //
-//   admission   a bounded queue. When `queue_limit` jobs are already
-//               waiting, the request is rejected *immediately* with an
-//               overloaded error — a overwhelmed daemon sheds load
-//               instead of accumulating unbounded latency.
-//   fairness    workers pop FIFO, and every job runs its engine rounds on
-//               the ONE shared ChainPool (EngineOptions::pool), whose job
-//               submission is itself serialized — so R concurrent
-//               requests interleave at round granularity rather than one
-//               request monopolizing the machine until completion.
+//   admission   at most `workers + queue_limit` jobs are in flight
+//               (running or waiting). A request beyond that is rejected
+//               *immediately* with an overloaded error — an overwhelmed
+//               daemon sheds load instead of accumulating unbounded
+//               latency. `queue_limit` 0 means no waiting at all, not
+//               no service.
+//   fairness    admission hands out FIFO tickets; a job starts once its
+//               ticket is next and fewer than `workers` jobs are running.
+//               Every job runs its engine rounds on the ONE shared
+//               ChainPool (EngineOptions::pool), whose job submission is
+//               itself serialized — so R concurrent requests interleave
+//               at round granularity rather than one request
+//               monopolizing the machine until completion.
 //   tenants     optional per-tenant distinct-query budgets reusing the
 //               engine's crawl machinery (EngineOptions::crawl): each
 //               request of tenant T runs with a crawl budget capped by
@@ -24,28 +29,26 @@
 //               boundary by at most their own caps — never another
 //               tenant's.
 //   deadlines   deadline_ms arms EngineOptions::cancel with an absolute
-//               deadline measured from admission (queue wait counts); a
+//               deadline measured from admission (waiting counts); a
 //               job cancelled mid-run answers `deadline exceeded` with
 //               the steps it completed. Jobs whose deadline passes while
-//               still queued are answered without running at all.
-//   drain       Drain() stops admitting, lets queued + running jobs
-//               finish, and joins the workers — the SIGTERM half of the
-//               daemon's graceful shutdown.
+//               still waiting are answered without running at all.
+//   drain       Drain() stops admitting and waits until nothing is in
+//               flight — the SIGTERM half of the daemon's graceful
+//               shutdown.
 //
-// Workers never die with a request: every job runs inside a try/catch
-// and any exception (unknown graph shapes, engine validation, OOM-ish
-// std::bad_alloc) becomes an error response.
+// A request never takes its caller down: every job runs inside a
+// try/catch and any exception (unknown graph shapes, engine validation,
+// OOM-ish std::bad_alloc) becomes an error response.
 
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <vector>
 
 #include "engine/chain_pool.h"
 #include "serve/protocol.h"
@@ -55,7 +58,7 @@
 namespace grw::serve {
 
 struct SchedulerOptions {
-  /// Concurrent estimation jobs (worker threads popping the queue).
+  /// Estimation jobs running at once.
   int workers = 4;
   /// Jobs allowed to *wait* beyond the ones running; further submissions
   /// are rejected with an overloaded error.
@@ -93,7 +96,7 @@ class ServeScheduler {
   /// internal errors all come back as error responses.
   std::string HandleLine(std::string_view line);
 
-  /// Stops admitting, finishes queued + running jobs, joins workers.
+  /// Stops admitting and blocks until every admitted job has answered.
   /// Idempotent; HandleLine after Drain answers with an error.
   void Drain();
 
@@ -103,44 +106,36 @@ class ServeScheduler {
     uint64_t errors = 0;          // error responses of any kind
     uint64_t rejected_queue = 0;  // admission-control rejections
   };
-  /// Consistent snapshot of the counters, taken under the queue mutex —
-  /// the drain report and monitoring never read half-updated totals.
+  /// Consistent snapshot of the counters, taken under the lock — the
+  /// drain report and monitoring never read half-updated totals.
   Stats stats() const GRW_EXCLUDES(mu_);
 
  private:
-  struct Job {
-    // Written by the submitter before enqueue, read by the worker that
-    // dequeues it: the queue mutex orders the hand-off, so no lock is
-    // needed on these after admission.
-    EstimateRequest request;
-    std::chrono::steady_clock::time_point admitted;
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline;
-    uint64_t tenant_cap = 0;  // effective crawl budget, 0 = none
+  using Clock = std::chrono::steady_clock;
 
-    // Completion signalling (the submitting connection thread waits).
-    // `mu` is a leaf in the lock order: nothing else is ever acquired
-    // while it is held.
-    Mutex mu;
-    CondVar cv;
-    bool done GRW_GUARDED_BY(mu) = false;
-    std::string response GRW_GUARDED_BY(mu);
+  struct Outcome {
+    std::string response;
+    bool ok = false;                // the response is an estimate
+    uint64_t charged_distinct = 0;  // distinct fetches the run made
   };
 
   std::string SubmitEstimate(EstimateRequest request) GRW_EXCLUDES(mu_);
-  void RunJob(Job& job) GRW_EXCLUDES(mu_);
-  void WorkerLoop() GRW_EXCLUDES(mu_);
+  Outcome RunJob(const EstimateRequest& req,
+                 std::optional<Clock::time_point> deadline) const
+      GRW_EXCLUDES(mu_);
   void CountError() GRW_EXCLUDES(mu_);
 
   const SnapshotRegistry* registry_;
   SchedulerOptions options_;
-  // Spawned in the constructor, joined only by Drain (under drain_mu_).
-  std::vector<std::thread> workers_ GRW_GUARDED_BY(drain_mu_);
 
-  Mutex drain_mu_ GRW_ACQUIRED_BEFORE(mu_);  // serializes Drain callers
   mutable Mutex mu_;
-  CondVar queue_cv_;
-  std::deque<Job*> queue_ GRW_GUARDED_BY(mu_);
+  // Waited on by jobs for their turn to start and by Drain for in_flight_
+  // to reach zero; every state change notifies all.
+  CondVar cv_;
+  uint64_t next_ticket_ GRW_GUARDED_BY(mu_) = 0;  // next one handed out
+  uint64_t next_start_ GRW_GUARDED_BY(mu_) = 0;   // next one to start
+  int running_ GRW_GUARDED_BY(mu_) = 0;
+  size_t in_flight_ GRW_GUARDED_BY(mu_) = 0;  // admitted, not yet answered
   bool draining_ GRW_GUARDED_BY(mu_) = false;
   Stats stats_ GRW_GUARDED_BY(mu_);
   std::map<std::string, uint64_t> tenant_spent_ GRW_GUARDED_BY(mu_);

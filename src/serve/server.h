@@ -10,7 +10,7 @@
 // Shutdown is graceful and deterministic (the daemon's SIGTERM path):
 // Stop() closes the listener, half-closes every connection's read side
 // (in-flight requests still answer over the intact write side), joins
-// the connection threads, then drains the scheduler — queued and running
+// the connection threads, then drains the scheduler — running and waiting
 // jobs finish, new ones are refused.
 //
 // Usable in-process (tests and the bench load generator start a server

@@ -48,17 +48,6 @@ class EdgeWalkT final : public StateWalker {
     has_prev_ = false;
   }
 
-  void ResetInRange(Rng& rng, VertexId lo, VertexId hi) override {
-    // Anchor one endpoint in [lo, hi); the incident edge may of course
-    // leave the range — a hint, not a fence.
-    const VertexId u = lo + static_cast<VertexId>(rng.UniformInt(hi - lo));
-    const VertexId w = g_->Neighbor(
-        u, static_cast<uint32_t>(rng.UniformInt(g_->Degree(u))));
-    nodes_[0] = u < w ? u : w;
-    nodes_[1] = u < w ? w : u;
-    has_prev_ = false;
-  }
-
   void Step(Rng& rng) override {
     const VertexId u = nodes_[0];
     const VertexId v = nodes_[1];

@@ -38,11 +38,6 @@ class NodeWalkT final : public StateWalker {
     has_prev_ = false;
   }
 
-  void ResetInRange(Rng& rng, VertexId lo, VertexId hi) override {
-    current_ = lo + static_cast<VertexId>(rng.UniformInt(hi - lo));
-    has_prev_ = false;
-  }
-
   void Step(Rng& rng) override {
     const uint32_t deg = g_->Degree(current_);
     VertexId next = g_->Neighbor(

@@ -208,20 +208,14 @@ uint64_t SubgraphStateDegree(const G& g, std::span<const VertexId> state,
 
 template <class G>
 void SubgraphWalkT<G>::Reset(Rng& rng) {
-  ResetInRange(rng, 0, g_->NumNodes());
-}
-
-template <class G>
-void SubgraphWalkT<G>::ResetInRange(Rng& rng, VertexId lo, VertexId hi) {
-  // Grow a connected d-set from a random start node in [lo, hi) by
-  // repeatedly adding a random neighbor of a random member (the grown set
-  // may leave the range — the range only anchors the start). Retry from
-  // scratch if the region around the start is too small (cannot happen in
-  // a connected graph with n > d, but the loop also guards against
-  // pathological RNG luck).
+  // Grow a connected d-set from a random start node by repeatedly adding
+  // a random neighbor of a random member. Retry from scratch if the
+  // region around the start is too small (cannot happen in a connected
+  // graph with n > d, but the loop also guards against pathological RNG
+  // luck).
   while (true) {
     nodes_.clear();
-    nodes_.push_back(lo + static_cast<VertexId>(rng.UniformInt(hi - lo)));
+    nodes_.push_back(static_cast<VertexId>(rng.UniformInt(g_->NumNodes())));
     int guard = 0;
     while (static_cast<int>(nodes_.size()) < d_ && guard++ < 16 * d_) {
       const VertexId anchor = nodes_[rng.UniformInt(nodes_.size())];

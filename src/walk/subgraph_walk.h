@@ -121,8 +121,6 @@ class SubgraphWalkT final : public StateWalker {
 
   void Reset(Rng& rng) override;
 
-  void ResetInRange(Rng& rng, VertexId lo, VertexId hi) override;
-
   void Step(Rng& rng) override;
 
   std::span<const VertexId> Nodes() const override {

@@ -35,22 +35,6 @@ class StateWalker {
   /// (SLLN, paper Theorem 1).
   virtual void Reset(Rng& rng) = 0;
 
-  /// Reset with the starting state anchored at a node drawn uniformly
-  /// from [lo, hi) — locality-aware seeding for sharded storage: a chain
-  /// anchored in its assigned shard's vertex range begins (and, on
-  /// degree-relabeled graphs, tends to stay) in-shard. A LOCALITY HINT,
-  /// not a correctness knob: it changes only the initial distribution,
-  /// which the SLLN note above already covers, so estimates remain
-  /// asymptotically unbiased — but they are not bit-identical to
-  /// default-seeded runs, which is why the engine keeps it opt-in. The
-  /// default implementation ignores the range and falls back to Reset;
-  /// all built-in walks override it. Requires lo < hi <= NumNodes().
-  virtual void ResetInRange(Rng& rng, VertexId lo, VertexId hi) {
-    (void)lo;
-    (void)hi;
-    Reset(rng);
-  }
-
   /// Advances one transition of the walk.
   virtual void Step(Rng& rng) = 0;
 

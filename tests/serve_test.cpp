@@ -13,11 +13,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/paper_ids.h"
+#include "engine/chain_pool.h"
 #include "engine/engine.h"
 #include "graph/builder.h"
 #include "graph/format.h"
@@ -350,6 +352,133 @@ TEST(SchedulerTest, DrainRefusesNewWorkAndIsIdempotent) {
       scheduler.HandleLine("ESTIMATE graph=karate k=3 steps=1000");
   EXPECT_NE(after.find("\"ok\": false"), std::string::npos);
   EXPECT_NE(after.find("server draining"), std::string::npos) << after;
+}
+
+// Holds `pool` busy until Open(): every engine job submitted to it in the
+// meantime blocks in ForEach, so a test can keep requests in flight for
+// exactly as long as it needs without sleeping.
+class PoolGate {
+ public:
+  explicit PoolGate(ChainPool& pool)
+      : holder_([this, &pool] {
+          pool.ForEach(1, [this](size_t) {
+            held_.store(true);
+            opened_.wait();
+          });
+        }) {
+    while (!held_.load()) std::this_thread::yield();
+  }
+  ~PoolGate() { Open(); }
+  PoolGate(const PoolGate&) = delete;
+  PoolGate& operator=(const PoolGate&) = delete;
+
+  void Open() {
+    if (!holder_.joinable()) return;
+    open_.set_value();
+    holder_.join();
+  }
+
+ private:
+  std::atomic<bool> held_{false};
+  std::promise<void> open_;
+  std::future<void> opened_ = open_.get_future();
+  std::thread holder_;  // last: starts after the members above exist
+};
+
+template <typename Pred>
+void WaitUntil(Pred pred) {
+  while (!pred()) std::this_thread::yield();
+}
+
+// Admitted or shed: the scheduler has decided `n` requests.
+bool Decided(const ServeScheduler& scheduler, uint64_t n) {
+  const ServeScheduler::Stats stats = scheduler.stats();
+  return stats.accepted + stats.rejected_queue == n;
+}
+
+TEST(SchedulerTest, AdmitsWorkersPlusQueueLimitInFlight) {
+  SnapshotRegistry registry;
+  registry.RegisterGraph("karate", KarateClub());
+  ChainPool pool(2);
+  const std::string request =
+      "ESTIMATE graph=karate k=3 steps=1000 chains=2";
+  const auto ok = [](const std::string& reply) {
+    return reply.find("\"ok\": true") != std::string::npos;
+  };
+
+  {  // (a) queue_limit 0 still runs `workers` jobs at once.
+    SchedulerOptions options = SmallScheduler(4);
+    options.queue_limit = 0;
+    options.pool = &pool;
+    ServeScheduler scheduler(&registry, options);
+    PoolGate gate(pool);
+    std::vector<std::string> replies(4);
+    std::vector<std::thread> clients;
+    for (int i = 0; i < 4; ++i) {
+      clients.emplace_back(
+          [&, i] { replies[i] = scheduler.HandleLine(request); });
+    }
+    WaitUntil([&] { return Decided(scheduler, 4); });
+    gate.Open();
+    for (std::thread& client : clients) client.join();
+    for (const std::string& reply : replies) EXPECT_TRUE(ok(reply)) << reply;
+    EXPECT_EQ(scheduler.stats().rejected_queue, 0u);
+  }
+
+  {  // (b) One worker, no waiting room: a second request is shed.
+    SchedulerOptions options = SmallScheduler(1);
+    options.queue_limit = 0;
+    options.pool = &pool;
+    ServeScheduler scheduler(&registry, options);
+    PoolGate gate(pool);
+    std::string first;
+    std::thread client([&] { first = scheduler.HandleLine(request); });
+    WaitUntil([&] { return Decided(scheduler, 1); });
+    const std::string shed = scheduler.HandleLine(request);
+    gate.Open();
+    client.join();
+    EXPECT_TRUE(ok(first)) << first;
+    EXPECT_NE(shed.find(kErrorCodeRetryAfter), std::string::npos) << shed;
+    EXPECT_EQ(scheduler.stats().accepted, 1u);
+    EXPECT_EQ(scheduler.stats().rejected_queue, 1u);
+  }
+
+  {  // (c) Waiting jobs start in admission order.
+    SchedulerOptions options = SmallScheduler(1);
+    options.queue_limit = 2;
+    options.pool = &pool;
+    ServeScheduler scheduler(&registry, options);
+    PoolGate gate(pool);
+    std::string first;
+    std::string second;
+    std::string third;
+    uint64_t completed_before_third = 0;
+    std::thread a([&] { first = scheduler.HandleLine(request); });
+    WaitUntil([&] { return Decided(scheduler, 1); });
+    std::thread b([&] {
+      second = scheduler.HandleLine(
+          "ESTIMATE graph=karate k=3 steps=100000 chains=2");
+    });
+    WaitUntil([&] { return Decided(scheduler, 2); });
+    // Fails without touching the pool as soon as it starts.
+    std::thread c([&] {
+      third = scheduler.HandleLine("ESTIMATE graph=ghost k=3");
+      completed_before_third = scheduler.stats().completed;
+    });
+    WaitUntil([&] { return Decided(scheduler, 3); });
+    gate.Open();
+    a.join();
+    b.join();
+    c.join();
+    EXPECT_TRUE(ok(first)) << first;
+    EXPECT_TRUE(ok(second)) << second;
+    EXPECT_NE(third.find("unknown graph 'ghost'"), std::string::npos)
+        << third;
+    // With one worker, the second request started and answered before
+    // the third could start.
+    EXPECT_EQ(completed_before_third, 2u);
+    EXPECT_EQ(scheduler.stats().rejected_queue, 0u);
+  }
 }
 
 // ------------------------------------------------------------- end-to-end --

@@ -316,33 +316,6 @@ TEST(ShardedEngineTest, SingleThreadStatsUnchanged) {
   fs::remove_all(dir);
 }
 
-TEST(ShardedEngineTest, LocalitySeedingStartsChainsInAffinityShards) {
-  Rng rng(31);
-  const Graph g = LargestConnectedComponent(HolmeKim(400, 4, 0.3, rng));
-  const std::string dir = TempDir("grw_engine_locality");
-  ShardInto(g, dir, 4);
-  const ShardStore store(LoadShardManifest(dir), {});
-  const EstimatorConfig config{4, 2, true, false};
-
-  EngineOptions options = BaseOptions(/*chains=*/8, /*threads=*/2);
-  options.sharded.locality_seeding = true;
-  EstimationEngine engine(store, config, options);
-  const EngineResult result = engine.Run();
-
-  // Changed start distribution, same estimator: concentrations are still
-  // a probability vector and every chain ran its full budget.
-  double sum = 0.0;
-  for (const double c : result.merged.concentrations) {
-    EXPECT_GE(c, 0.0);
-    EXPECT_LE(c, 1.0);
-    sum += c;
-  }
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-  EXPECT_EQ(result.steps_per_chain, options.max_steps);
-  EXPECT_GT(result.shards.faults, 0u);
-  fs::remove_all(dir);
-}
-
 TEST(ShardedEngineTest, ShardStatsCoverOnlyTheirOwnRun) {
   // Two identical runs on one unbounded store: the second finds every
   // shard the first faulted already resident, so it faults nothing and
@@ -382,41 +355,6 @@ TEST(ShardedEngineTest, RejectsCrawlMode) {
   EXPECT_THROW(EstimationEngine(store, config, crawl),
                std::invalid_argument);
   fs::remove_all(dir);
-}
-
-TEST(ShardedEngineTest, SetStartRangeValidation) {
-  const Graph g = RegularGraph();
-  GraphletEstimator estimator(g, EstimatorConfig{4, 2, true, false});
-  EXPECT_THROW(estimator.SetStartRange(10, 10), std::invalid_argument);
-  EXPECT_THROW(estimator.SetStartRange(20, 10), std::invalid_argument);
-  EXPECT_THROW(estimator.SetStartRange(0, g.NumNodes() + 1),
-               std::invalid_argument);
-  EXPECT_NO_THROW(estimator.SetStartRange(0, g.NumNodes()));
-}
-
-TEST(ShardedEngineTest, FullRangeSeedingIsBitIdenticalToDefault) {
-  // SetStartRange(0, n) consumes the RNG exactly like the default reset,
-  // so the whole run — not just the start node — matches bit for bit.
-  // (This is the invariant that lets Reset delegate to ResetInRange.)
-  Rng rng(41);
-  const Graph g = LargestConnectedComponent(HolmeKim(300, 4, 0.4, rng));
-  const EstimatorConfig config{4, 2, true, false};
-
-  GraphletEstimator plain(g, config);
-  plain.Reset(7);
-  plain.Run(2000);
-
-  GraphletEstimator ranged(g, config);
-  ranged.SetStartRange(0, g.NumNodes());
-  ranged.Reset(7);
-  ranged.Run(2000);
-
-  const EstimateResult a = plain.Result();
-  const EstimateResult b = ranged.Result();
-  ASSERT_EQ(a.concentrations.size(), b.concentrations.size());
-  for (size_t i = 0; i < a.concentrations.size(); ++i) {
-    EXPECT_EQ(a.concentrations[i], b.concentrations[i]) << "graphlet " << i;
-  }
 }
 
 }  // namespace

@@ -33,7 +33,7 @@
 //       [--target-nrmse X] [--max-steps N] [--quiet] [--no-index]
 //       [--crawl] [--budget-queries B] [--cache-size C] [--latency-us L]
 //       [--fail-prob P] [--fail-retries R] [--fail-backoff-us U]
-//       [--resident-budget-mb M] [--locality-seed]
+//       [--resident-budget-mb M]
 //       Random-walk estimation (the paper's Algorithm 1) on the parallel
 //       estimation engine: --chains independent chains merged into one
 //       estimate; with --target-nrmse the engine stops as soon as the
@@ -53,13 +53,10 @@
 //       (%.17g), diffable against `grw query --raw`. On a sharded graph
 //       (a `grw shard` directory or its MANIFEST.grws) the engine runs
 //       out-of-core through the shard LRU: --resident-budget-mb caps
-//       resident shard bytes (0 = unbounded) and --locality-seed starts
-//       each chain inside an affinity shard (better residency; changes
-//       start positions, so estimates differ from — but converge like —
-//       the default seeding). Estimates under any budget are
-//       bit-identical to the monolithic run; a residency report follows
-//       the table. --counts and crawl flags need the monolithic graph
-//       and are rejected on sharded inputs.
+//       resident shard bytes (0 = unbounded). Estimates under any budget
+//       are bit-identical to the monolithic run; a residency report
+//       follows the table. --counts and crawl flags need the monolithic
+//       graph and are rejected on sharded inputs.
 //   grw query <id> [--host H] [--port P] [--raw] [--send 'LINE']
 //       [estimation flags as in `estimate`] [--deadline-ms MS]
 //       [--tenant NAME]
@@ -106,6 +103,7 @@
 #include "graphlet/catalog.h"
 #include "serve/client.h"
 #include "serve/json.h"
+#include "serve/protocol.h"
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -143,12 +141,9 @@ int Usage() {
       "                                   model; estimates unchanged)\n"
       "           [--raw]                  `label value` lines instead of\n"
       "                                   the table (diffable vs query)\n"
-      "           [--resident-budget-mb M] [--locality-seed]\n"
-      "                                   sharded graphs run out-of-core\n"
+      "           [--resident-budget-mb M] sharded graphs run out-of-core\n"
       "                                   under a resident shard-byte\n"
-      "                                   budget (0 = unbounded), with\n"
-      "                                   optional per-chain affinity-\n"
-      "                                   shard seeding\n"
+      "                                   budget (0 = unbounded)\n"
       "  query <id> [--host H] [--port P] [--raw] [--send 'LINE']\n"
       "           [estimation flags] [--deadline-ms MS] [--tenant NAME]\n"
       "                                   query a running grw_serve daemon;\n"
@@ -532,27 +527,28 @@ int CmdEstimate(const grw::Flags& flags) {
         "report concentrations only");
   }
 
-  // Engine knobs: chains fan out on the persistent pool; --target-nrmse
-  // enables convergence-driven early stopping, capped by --max-steps
-  // (default: the --steps budget). Validate before any signed value is
-  // narrowed into the unsigned engine fields.
-  grw::EngineOptions options;
-  options.chains = flags.GetInt32("chains", 1);
-  if (options.chains < 1) {
+  // Engine knobs, gathered as the serve request they mirror so that
+  // serve::ToEngineOptions is the one owner of the round slicing: chains
+  // fan out on the persistent pool; --target-nrmse enables
+  // convergence-driven early stopping, capped by --max-steps (default:
+  // the --steps budget). Validate before any signed value is narrowed
+  // into the unsigned engine fields.
+  grw::serve::EstimateRequest request;
+  request.chains = flags.GetInt32("chains", 1);
+  if (request.chains < 1) {
     throw std::runtime_error("--chains must be >= 1");
   }
   const int64_t threads = flags.GetInt("threads", 0);
   if (threads < 0) {
     throw std::runtime_error("--threads must be >= 0");
   }
-  options.threads = static_cast<unsigned>(threads);
-  options.base_seed = flags.GetUInt64("seed", 42);
-  options.target_nrmse = flags.GetDouble("target-nrmse", 0.0);
+  request.seed = flags.GetUInt64("seed", 42);
+  request.target_nrmse = flags.GetDouble("target-nrmse", 0.0);
   const int64_t max_steps = flags.GetInt("max-steps", steps);
   if (max_steps < 1) {
     throw std::runtime_error("--steps / --max-steps must be >= 1");
   }
-  options.max_steps = static_cast<uint64_t>(max_steps);
+  request.max_steps = static_cast<uint64_t>(max_steps);
 
   // Crawl scenario: any crawl knob switches every chain onto its own
   // CrawlAccess (LRU neighbor cache + per-query accounting). Estimates
@@ -583,36 +579,22 @@ int CmdEstimate(const grw::Flags& flags) {
   // the run onto crawl accounting (with no budget / no latency), exactly
   // like `--cache-size 0` means crawl with an unbounded cache. Any
   // failure-model knob implies crawl too.
-  options.crawl.enabled = flags.GetBool("crawl") ||
-                          flags.Has("budget-queries") ||
-                          flags.Has("cache-size") || flags.Has("latency-us") ||
-                          flags.Has("fail-prob") ||
-                          flags.Has("fail-retries") ||
-                          flags.Has("fail-backoff-us");
-  options.crawl.budget_queries = static_cast<uint64_t>(budget_queries);
-  options.crawl.cache_entries = static_cast<uint64_t>(cache_size);
+  request.crawl = flags.GetBool("crawl") || flags.Has("budget-queries") ||
+                  flags.Has("cache-size") || flags.Has("latency-us") ||
+                  flags.Has("fail-prob") || flags.Has("fail-retries") ||
+                  flags.Has("fail-backoff-us");
+  request.budget_queries = static_cast<uint64_t>(budget_queries);
+  request.cache_entries = static_cast<uint64_t>(cache_size);
+
+  // The round slicing comes pinned from the request, so --quiet (which
+  // only drops the progress callback) cannot change the batch structure
+  // and thus the reported standard errors. CLI-only knobs follow.
+  grw::EngineOptions options = grw::serve::ToEngineOptions(request);
+  options.threads = static_cast<unsigned>(threads);
   options.crawl.latency_us = latency_us;
   options.crawl.fail_prob = fail_prob;
   options.crawl.fail_max_retries = fail_retries;
   options.crawl.fail_backoff_us = fail_backoff_us;
-
-  // Locality seeding: each chain starts inside its affinity shard, so
-  // chains fault disjoint working sets under a tight budget. Opt-in
-  // because it changes the start distribution (still unbiased, not
-  // bit-identical to default seeding).
-  options.sharded.locality_seeding = flags.GetBool("locality-seed");
-  if (options.sharded.locality_seeding && !sharded) {
-    throw std::runtime_error(
-        "--locality-seed only applies to sharded graphs");
-  }
-
-  if (options.target_nrmse > 0.0 || options.chains > 1) {
-    // Fix the round slicing here so --quiet (which only drops the
-    // progress callback) cannot change the batch structure and thus the
-    // reported standard errors.
-    options.round_steps =
-        grw::EngineOptions::DefaultRoundSteps(options.max_steps);
-  }
   if (!quiet && (options.target_nrmse > 0.0 || options.chains > 1)) {
     options.on_progress = [](const grw::EngineProgress& p) {
       std::fprintf(stderr,

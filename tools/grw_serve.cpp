@@ -13,13 +13,15 @@
 // dataset names work too), then answers the line/JSON protocol of
 // src/serve/protocol.h on a
 // TCP socket until SIGTERM/SIGINT, which triggers a graceful drain:
-// in-flight and queued requests finish, new ones are refused, and the
+// running and waiting requests finish, new ones are refused, and the
 // daemon exits 0 after printing how much it served.
 //
 //   --port 0          ephemeral port; the bound port is printed on the
 //                     "listening" line (scripts parse it)
-//   --workers N       concurrent estimation jobs (default 4)
-//   --queue N         admission-control queue bound (default 64)
+//   --workers N       estimation jobs running at once (default 4)
+//   --queue N         jobs allowed to wait beyond those (default 64); at
+//                     most N + --workers requests are in flight, the
+//                     rest are shed with RETRY_AFTER. 0 = no waiting.
 //   --engine-threads  pool threads per job, 0 = all (default 0: jobs
 //                     multiplex round-by-round on the shared ChainPool)
 //   --tenant-budget B lifetime distinct-query allowance per tenant id
@@ -69,7 +71,10 @@ int Usage() {
       "  list, or a dataset name from `grw datasets`.\n"
       "  Snapshot payloads are checksum-verified at registration; corrupt\n"
       "  snapshots/shards are quarantined (skipped with a log line).\n"
-      "  --no-verify trusts the files and skips the full read.\n",
+      "  --no-verify trusts the files and skips the full read.\n"
+      "  At most --workers (default 4) requests run at once and --queue\n"
+      "  (default 64) more wait; the rest are shed with RETRY_AFTER.\n"
+      "  --queue 0 means no waiting, not no service.\n",
       stderr);
   return 2;
 }
@@ -174,7 +179,7 @@ int main(int argc, char** argv) {
     nanosleep(&nap, nullptr);
   }
 
-  server.Stop();  // graceful: drains queued + in-flight requests
+  server.Stop();  // graceful: running and waiting requests finish
   const grw::serve::ServeScheduler::Stats stats = server.stats();
   std::printf(
       "grw_serve drained: %llu requests answered (%llu ok, %llu errors, "
