@@ -15,8 +15,6 @@
 //                 re-parsing text). Sharded manifests are rejected here —
 //                 the table harnesses need the whole graph resident; use
 //                 bench/bench_sharded.cpp for out-of-core measurements.
-//   --no-index    skip attaching the AdjacencyIndex to loaded graphs
-//                 (results are bit-identical either way; only speed moves)
 
 #pragma once
 
@@ -29,7 +27,6 @@
 
 #include "eval/datasets.h"
 #include "eval/ground_truth.h"
-#include "graph/adjacency.h"
 #include "graph/graph.h"
 #include "graph/source.h"
 #include "util/flags.h"
@@ -50,17 +47,11 @@ inline std::vector<BenchGraph> LoadBenchGraphs(const Flags& flags,
                                                DatasetTier max_tier,
                                                double default_scale = 1.0) {
   std::vector<BenchGraph> graphs;
-  // Every HasEdge on the bench hot paths routes through the adjacency
-  // acceleration index; --no-index reverts to plain binary search
-  // (identical results, for A/B timing).
-  const bool attach_index = !flags.GetBool("no-index");
   const std::string path = flags.GetString("graph", "");
   if (!path.empty()) {
     BenchGraph bg;
     bg.name = path;
-    OpenOptions open;
-    open.build_index = false;  // attached below, under --no-index control
-    GraphSource source = GraphSource::Open(path, open);
+    const GraphSource source = GraphSource::Open(path);
     if (source.sharded()) {
       throw std::runtime_error(
           "--graph " + path +
@@ -68,7 +59,6 @@ inline std::vector<BenchGraph> LoadBenchGraphs(const Flags& flags,
           "graph resident — use bench_sharded for out-of-core runs");
     }
     bg.graph = source.graph();
-    if (attach_index) bg.graph.BuildAdjacencyIndex();
     // Real files get a key derived from their shape.
     bg.cache_key = "file_n" + std::to_string(bg.graph.NumNodes()) + "_m" +
                    std::to_string(bg.graph.NumEdges());
@@ -80,7 +70,6 @@ inline std::vector<BenchGraph> LoadBenchGraphs(const Flags& flags,
     BenchGraph bg;
     bg.name = name;
     bg.graph = MakeDatasetByName(name, scale);
-    if (attach_index) bg.graph.BuildAdjacencyIndex();
     bg.cache_key = DatasetCacheKey(name, scale);
     std::fprintf(stderr, "[bench] %s: %s\n", name.c_str(),
                  bg.graph.Summary().c_str());

@@ -100,19 +100,17 @@ int main(int argc, char** argv) {
   const grw::Graph from_text = grw::LoadEdgeList(text_path, false);
   const double text_s = text_timer.Seconds();
 
-  // No index build: only the mapping and its validation are timed.
-  const grw::OpenOptions lazy{.build_index = false};
-  const grw::OpenOptions verified{.build_index = false, .verify = true};
+  const grw::OpenOptions verified{.verify = true};
   const double lazy_s =
-      BestOf(runs, [&] { (void)grw::GraphSource::Open(bin_path, lazy); });
+      BestOf(runs, [&] { (void)grw::GraphSource::Open(bin_path); });
   uint64_t sink = 0;
   const double touch_s = BestOf(runs, [&] {
-    sink ^= TouchAll(grw::GraphSource::Open(bin_path, lazy).graph());
+    sink ^= TouchAll(grw::GraphSource::Open(bin_path).graph());
   });
   const double verify_s =
       BestOf(runs, [&] { (void)grw::GraphSource::Open(bin_path, verified); });
 
-  const grw::Graph from_bin = grw::GraphSource::Open(bin_path, lazy).graph();
+  const grw::Graph from_bin = grw::GraphSource::Open(bin_path).graph();
   if (from_bin.Summary() != g.Summary() ||
       from_text.Summary() != g.Summary() ||
       TouchAll(from_bin) != TouchAll(g)) {

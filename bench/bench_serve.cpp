@@ -119,11 +119,10 @@ int main(int argc, char** argv) {
   // Fixture graph, registered in memory — the bench measures the serve
   // layer, not snapshot loading (bench_loader covers that).
   grw::Rng rng(7);
-  grw::Graph fixture =
+  const grw::Graph fixture =
       grw::HolmeKim(flags.GetUInt32("n", 5000),
                     flags.GetUInt32("param", 4), 0.5,
                     rng);
-  fixture.BuildAdjacencyIndex();
   const std::string context = "holme-kim fixture: " + fixture.Summary() +
                               ", steps=" + std::to_string(steps) +
                               ", chains=" + std::to_string(chains);

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   grw::CrawlAccess::Options crawl_opt;
   crawl_opt.query_budget = api_budget;
   grw::CrawlAccess api(graph, crawl_opt);
-  grw::EstimatorConfig config{3, 1, true, true, 0};  // SRW1CSSNB
+  grw::EstimatorConfig config{3, 1, true, true};  // SRW1CSSNB
   grw::GraphletEstimatorT<grw::CrawlAccess> estimator(api, config);
   estimator.Reset(2026);
   // The distinct-query budget is the binding constraint: the cache makes

@@ -126,11 +126,6 @@ void GraphletEstimatorT<G>::Reset(uint64_t seed) {
     walker_->Step(rng_);
     window_.Push(walker_->Nodes(), 0);
   }
-  for (uint64_t i = 0; i < config_.burn_in; ++i) {
-    window_.SetNewestDegree(walker_->StateDegree());
-    walker_->Step(rng_);
-    window_.Push(walker_->Nodes(), 0);
-  }
 }
 
 template <class G>

@@ -55,9 +55,6 @@ struct EstimatorConfig {
   bool css = false;
   /// Non-backtracking walk (Section 4.2).
   bool nb = false;
-  /// Transitions discarded after Reset() before accumulation begins.
-  /// The paper uses none (Algorithm 1); exposed for experimentation.
-  uint64_t burn_in = 0;
 
   /// Paper-style method name, e.g. "SRW2CSS", "SRW1CSSNB".
   std::string Name() const;
@@ -125,8 +122,8 @@ class GraphletEstimatorT {
   GraphletEstimatorT(const G& g, const EstimatorConfig& config);
 
   /// Starts a fresh chain: re-seeds the RNG, picks a random initial state,
-  /// walks l-1 transitions to fill the window (Algorithm 1 line 3) plus
-  /// config.burn_in discarded transitions, and zeroes all accumulators.
+  /// walks l-1 transitions to fill the window (Algorithm 1 line 3), and
+  /// zeroes all accumulators.
   /// Never budget-gated: a crawl needs at least the seeding transitions.
   void Reset(uint64_t seed);
 

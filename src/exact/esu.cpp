@@ -102,15 +102,17 @@ void ForEachConnectedSubgraph(
   runner.Run();
 }
 
-std::vector<int64_t> CountGraphletsEsu(const Graph& g, int k) {
+std::vector<int64_t> CountGraphletsEsu(const Graph& graph, int k) {
   assert(k >= 3 && k <= kMaxGraphletSize);
   const GraphletClassifier& classifier = GraphletClassifier::ForSize(k);
   std::vector<int64_t> counts(GraphletCatalog::ForSize(k).NumTypes(), 0);
   // Classification does C(k,2) HasEdge probes per enumerated subgraph —
-  // millions on any interesting graph — so callers should attach an
-  // adjacency index first (grw_cli exact and LoadBenchGraphs do, unless
-  // --no-index asks for the binary-search baseline; counts are identical
-  // either way).
+  // millions on any interesting graph — the one regime where the
+  // adjacency index beats binary search, so this is the one place that
+  // builds it. The copy shares the caller's CSR; counts are identical
+  // either way.
+  Graph g = graph;
+  if (g.adjacency_index() == nullptr) g.BuildAdjacencyIndex();
   ForEachConnectedSubgraph(
       g, k, [&](std::span<const VertexId> nodes) {
         uint32_t mask = 0;

@@ -33,7 +33,8 @@ void ForEachConnectedSubgraph(
 /// 3 <= k <= kMaxGraphletSize. Time grows with the number of k-subgraphs;
 /// intended for ground truth on small/medium graphs (paper Table 5 computes
 /// 5-node ground truth only for its four smallest datasets for the same
-/// reason).
+/// reason). Edge probes go through an AdjacencyIndex, attached to a local
+/// copy of `g` when it has none.
 std::vector<int64_t> CountGraphletsEsu(const Graph& g, int k);
 
 /// Number of connected induced d-node subgraphs |H(d)|.

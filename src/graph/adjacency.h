@@ -41,10 +41,13 @@
 // The index is an overlay: it stores no adjacency of its own beyond the
 // bitset rows, keeps the CSR's lowest-degree-endpoint probe orientation,
 // and returns bit-identical answers to Graph::HasEdgeBinarySearch. Attach
-// one via Graph::BuildAdjacencyIndex() and every HasEdge caller — sample
-// window, G(d) enumeration, clustering metrics, baselines, exact counters
-// — routes through it transparently. Construction is a deterministic
-// parallel pass over the CSR (same index at any thread count).
+// one via Graph::BuildAdjacencyIndex() and every HasEdge caller on that
+// graph routes through it transparently. Only exact ESU counting
+// (exact/esu.cpp) attaches one: it probes C(k,2) pairs per enumerated
+// subgraph, the one regime where the index beats binary search end to
+// end; walks, crawls and serve read by binary search. Construction is a
+// deterministic parallel pass over the CSR (same index at any thread
+// count).
 
 #pragma once
 

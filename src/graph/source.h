@@ -49,10 +49,11 @@ enum class GraphSourceKind {
 /// Knobs of GraphSource::Open. Fields apply to the kinds noted; the rest
 /// ignore them, so one options struct can serve a path of unknown kind.
 struct OpenOptions {
-  /// Build and attach the AdjacencyIndex (O(1)-ish HasEdge). Monolithic
-  /// kinds only: a sharded graph has no global CSR to index, its HasEdge
-  /// is the per-shard binary search.
-  bool build_index = true;
+  /// Build and attach the AdjacencyIndex (monolithic kinds only). Off:
+  /// every open path reads by binary search, and exact ESU counting
+  /// attaches the index itself (exact/esu.cpp). Only the per-layer
+  /// benchmark (e2ebench/layers.cpp) names this field.
+  bool build_index = false;
   /// Full payload validation: data checksum + structural scan for
   /// `.grwb`, per-shard checksums + scans for sharded. Costs a full read
   /// of every byte — for untrusted files and registration paths.
@@ -74,7 +75,7 @@ struct OpenOptions {
 };
 
 /// An opened graph of any storage kind. Cheap to copy; copies share the
-/// backing (mapping, store, index).
+/// backing (mapping or store).
 class GraphSource {
  public:
   GraphSource() = default;

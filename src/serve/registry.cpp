@@ -31,8 +31,7 @@ const GraphSource* SnapshotRegistry::FindResidentLocked(
 }
 
 void SnapshotRegistry::Register(const std::string& id,
-                                const std::string& path, bool build_index,
-                                bool verify,
+                                const std::string& path, bool verify,
                                 uint64_t resident_budget_bytes) {
   const std::string content_key = ContentKey(path);
 
@@ -40,21 +39,20 @@ void SnapshotRegistry::Register(const std::string& id,
     MutexLock lock(mu_);
     if (!content_key.empty()) {
       if (const GraphSource* resident = FindResidentLocked(content_key)) {
-        entries_[id] = *resident;  // shares mapping/store + warm index
+        entries_[id] = *resident;  // shares the mapping/store
         return;
       }
     }
   }
 
-  // Load outside the lock: mmap is fast but text parsing, verification
-  // and index builds are not, and a slow registration must not block
+  // Load outside the lock: mmap is fast but text parsing and
+  // verification are not, and a slow registration must not block
   // lookups. Two threads racing to register the same content both load;
   // the second insert below merely replaces an identical resident source
   // — wasted work, never a wrong answer. Payloads are verified here (see
   // header) so corruption surfaces as SnapshotCorruptError at
   // registration, not as garbage estimates at query time.
   OpenOptions options;
-  options.build_index = build_index;
   options.verify = verify;
   options.resident_budget_bytes = resident_budget_bytes;
   GraphSource source = GraphSource::Open(path, options);

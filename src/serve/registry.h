@@ -7,16 +7,14 @@
 // three storage kinds with the same code: text edge lists (parsed once),
 // monolithic `.grwb` snapshots (one mmap, pages fault on demand), and
 // sharded out-of-core graphs (a ShardStore under a resident-byte
-// budget). Warm state is shared aggressively:
+// budget). Resident state is shared:
 //
 //   * bindings are keyed by (path, content checksum): two ids registered
-//     over the same bytes share ONE GraphSource — one mapping and one
-//     AdjacencyIndex for `.grwb`, one ShardStore (one residency budget,
-//     one LRU) for sharded — so multi-tenant aliases of a popular graph
-//     cost nothing extra. For a shared sharded graph the FIRST
-//     registration's resident budget wins;
-//   * the AdjacencyIndex is built exactly once per distinct snapshot, at
-//     registration — requests never pay the index build;
+//     over the same bytes share ONE GraphSource — one mapping for
+//     `.grwb`, one ShardStore (one residency budget, one LRU) for
+//     sharded — so multi-tenant aliases of a popular graph cost nothing
+//     extra. For a shared sharded graph the FIRST registration's
+//     resident budget wins;
 //   * lookups return a GraphSource *copy* (shared backing): a request
 //     keeps its graph alive even if the id is replaced mid-run.
 //
@@ -43,7 +41,7 @@ class SnapshotRegistry {
   /// Opens `path` via GraphSource::Open and registers it under `id`,
   /// replacing any previous binding of the id. Re-registering unchanged
   /// content (same path + checksum) reuses the resident source and its
-  /// warm index/store; changed content loads fresh. Text edge lists
+  /// mapping/store; changed content loads fresh. Text edge lists
   /// have checksum 0 and are never shared by key.
   ///
   /// With `verify` (the default), snapshot payloads are fully validated
@@ -56,16 +54,16 @@ class SnapshotRegistry {
   /// shard LRU (0 = unbounded; ignored for monolithic kinds). Throws
   /// std::runtime_error on other load failures.
   void Register(const std::string& id, const std::string& path,
-                bool build_index = true, bool verify = true,
-                uint64_t resident_budget_bytes = 0) GRW_EXCLUDES(mu_);
+                bool verify = true, uint64_t resident_budget_bytes = 0)
+      GRW_EXCLUDES(mu_);
 
   /// Registers an in-memory graph (tests, the bench load generator).
   void RegisterGraph(const std::string& id, Graph graph,
                      const std::string& label = "<memory>")
       GRW_EXCLUDES(mu_);
 
-  /// The source bound to `id`, as a cheap copy sharing backing and
-  /// index/store; nullopt for unknown ids. The scheduler dispatches on
+  /// The source bound to `id`, as a cheap copy sharing its mapping or
+  /// store; nullopt for unknown ids. The scheduler dispatches on
   /// kind(): monolithic sources run the full-access engine, sharded
   /// sources the out-of-core one.
   std::optional<GraphSource> FindSource(const std::string& id) const

@@ -41,10 +41,10 @@ TEST(CrawlEstimatorTest, BitIdenticalToFullAccessAcrossConfigs) {
   // read path (walker transition, window probe, CSS degree, G(d)
   // enumeration) is exercised.
   const std::vector<EstimatorConfig> configs = {
-      {3, 1, true, true, 0},    // SRW1CSSNB: NodeWalk + CSS table
-      {4, 2, true, false, 0},   // SRW2CSS:   EdgeWalk + CSS table
-      {4, 2, false, false, 0},  // SRW2:      interior-degree weights
-      {5, 3, false, false, 0},  // SRW3:      SubgraphWalk enumeration
+      {3, 1, true, true},    // SRW1CSSNB: NodeWalk + CSS table
+      {4, 2, true, false},   // SRW2CSS:   EdgeWalk + CSS table
+      {4, 2, false, false},  // SRW2:      interior-degree weights
+      {5, 3, false, false},  // SRW3:      SubgraphWalk enumeration
   };
   for (const EstimatorConfig& config : configs) {
     const uint64_t steps = config.d >= 3 ? 500 : 5000;
@@ -64,7 +64,7 @@ TEST(CrawlEstimatorTest, CacheSizeOneMatchesUnboundedEstimates) {
   // degenerate one-entry cache must produce the same estimate as the
   // unbounded one, while paying visibly more fetches.
   const Graph g = TestGraph();
-  const EstimatorConfig config{4, 2, true, false, 0};
+  const EstimatorConfig config{4, 2, true, false};
 
   CrawlAccess unbounded(g, {});
   const EstimateResult a =
@@ -86,7 +86,7 @@ TEST(CrawlEstimatorTest, CacheSizeOneMatchesUnboundedEstimates) {
 
 TEST(CrawlEngineTest, CrawlRunMatchesFullAccessRunAtAnyThreadCount) {
   const Graph g = TestGraph();
-  const EstimatorConfig config{4, 2, true, false, 0};
+  const EstimatorConfig config{4, 2, true, false};
   EngineOptions base;
   base.chains = 4;
   base.max_steps = 4000;
@@ -112,7 +112,7 @@ TEST(CrawlEngineTest, CrawlRunMatchesFullAccessRunAtAnyThreadCount) {
 
 TEST(CrawlEngineTest, BudgetStopIsDeterministicAcrossThreadCounts) {
   const Graph g = TestGraph();
-  const EstimatorConfig config{4, 2, true, false, 0};
+  const EstimatorConfig config{4, 2, true, false};
   constexpr uint64_t kBudget = 1500;
 
   EngineResult reference;
@@ -159,7 +159,7 @@ TEST(CrawlEngineTest, BudgetStopIsDeterministicAcrossThreadCounts) {
 
 TEST(CrawlEngineTest, AccessStatsSumOverChains) {
   const Graph g = TestGraph();
-  const EstimatorConfig config{3, 1, true, true, 0};
+  const EstimatorConfig config{3, 1, true, true};
   EngineOptions options;
   options.chains = 4;
   options.max_steps = 2000;
@@ -194,7 +194,7 @@ TEST(CrawlEngineTest, BudgetSmallerThanChainCountIsRejected) {
   options.chains = 8;
   options.crawl.enabled = true;
   options.crawl.budget_queries = 2;
-  EXPECT_THROW(EstimationEngine(g, {3, 1, false, false, 0}, options),
+  EXPECT_THROW(EstimationEngine(g, {3, 1, false, false}, options),
                std::invalid_argument);
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/alpha.h"
 #include "core/rsize.h"
@@ -17,6 +18,12 @@
 #include "util/rng.h"
 
 namespace grw {
+
+// Prints a test parameter by its method, not as a byte dump of the struct.
+void PrintTo(const EstimatorConfig& config, std::ostream* os) {
+  *os << "k=" << config.k << " " << config.Name();
+}
+
 namespace {
 
 // Renormalizes `truth` over the types observable by the method (alpha > 0)
@@ -197,16 +204,6 @@ TEST(EstimatorTest, ConfigNamesFollowPaperConvention) {
   EXPECT_EQ((EstimatorConfig{4, 2, true, false}).Name(), "SRW2CSS");
   EXPECT_EQ((EstimatorConfig{3, 1, true, true}).Name(), "SRW1CSSNB");
   EXPECT_EQ((EstimatorConfig{5, 4, false, true}).Name(), "SRW4NB");
-}
-
-TEST(EstimatorTest, BurnInIsHonored) {
-  const Graph g = KarateClub();
-  EstimatorConfig config{3, 1, false, false};
-  config.burn_in = 100;
-  GraphletEstimator estimator(g, config);
-  estimator.Reset(3);
-  estimator.Run(100);
-  EXPECT_EQ(estimator.Result().steps, 100u);
 }
 
 TEST(EstimatorTest, RelationshipEdgeCountClosedForms) {

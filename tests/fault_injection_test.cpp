@@ -60,10 +60,9 @@ std::string TempPath(const std::string& name) {
   return (fs::temp_directory_path() / name).string();
 }
 
-// The lazy `.grwb` open, without the index build.
+// The lazy `.grwb` open.
 Graph OpenGrwb(const std::string& path, bool verify = false) {
-  return GraphSource::Open(path, {.build_index = false, .verify = verify})
-      .graph();
+  return GraphSource::Open(path, {.verify = verify}).graph();
 }
 
 // Every test leaves the process-global injector disarmed: the
@@ -202,8 +201,7 @@ TEST_F(FaultTest, ScheduleIsThreadCountInvariantAndSnapshotCounts) {
 
 TEST_F(FaultTest, CrawlFailureModelKeepsEstimatesBitIdentical) {
   Rng rng(23);
-  Graph g = LargestConnectedComponent(HolmeKim(400, 4, 0.5, rng));
-  g.BuildAdjacencyIndex();
+  const Graph g = LargestConnectedComponent(HolmeKim(400, 4, 0.5, rng));
   const EstimatorConfig config{4, 2, true, false};
 
   EngineOptions clean;
@@ -496,8 +494,8 @@ TEST_F(FaultTest, ChaosEightClientsZeroWrongAnswers) {
     GTEST_SKIP() << "needs -DGRW_FAULT_INJECTION=1 (chaos build)";
   }
   Rng rng(31);
-  Graph fixture = LargestConnectedComponent(HolmeKim(500, 4, 0.5, rng));
-  fixture.BuildAdjacencyIndex();
+  const Graph fixture =
+      LargestConnectedComponent(HolmeKim(500, 4, 0.5, rng));
 
   // The reference answer, computed before any fault is armed.
   const std::string line = "ESTIMATE graph=fix k=4 steps=8000 chains=2";
@@ -600,8 +598,7 @@ TEST_F(FaultTest, CrawlFetchSiteChargesResilienceCounters) {
     GTEST_SKIP() << "needs -DGRW_FAULT_INJECTION=1 (chaos build)";
   }
   Rng rng(41);
-  Graph g = LargestConnectedComponent(HolmeKim(300, 4, 0.5, rng));
-  g.BuildAdjacencyIndex();
+  const Graph g = LargestConnectedComponent(HolmeKim(300, 4, 0.5, rng));
   const EstimatorConfig config{3, 1, true, true};
   EngineOptions options;
   options.max_steps = 3000;

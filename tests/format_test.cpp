@@ -28,10 +28,9 @@ std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
-// The lazy `.grwb` open, without the index build.
+// The lazy `.grwb` open.
 Graph OpenGrwb(const std::string& path, bool verify = false) {
-  return GraphSource::Open(path, {.build_index = false, .verify = verify})
-      .graph();
+  return GraphSource::Open(path, {.verify = verify}).graph();
 }
 
 // Byte-level span equality of the two CSR arrays.
@@ -428,7 +427,6 @@ TEST(FormatTest, LoadGraphAutoDetectsBothFormats) {
   SaveEdgeList(g, text);
   SaveGraphBinary(g, bin);
   OpenOptions options;
-  options.build_index = false;
   options.largest_cc = false;
   const Graph from_text = GraphSource::Open(text, options).graph();
   const Graph from_bin = GraphSource::Open(bin, options).graph();

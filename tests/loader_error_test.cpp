@@ -21,7 +21,12 @@ class LoaderErrorTest : public ::testing::Test {
   }
 
   void WriteFile(const std::string& content) {
-    path_ = (std::filesystem::temp_directory_path() / "grw_loader_error.txt")
+    // One file per test: ctest runs the tests of this binary as parallel
+    // processes, and a shared name lets one test read another's input.
+    const std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    path_ = (std::filesystem::temp_directory_path() /
+             ("grw_loader_error_" + name + ".txt"))
                 .string();
     std::FILE* f = std::fopen(path_.c_str(), "wb");
     ASSERT_NE(f, nullptr);

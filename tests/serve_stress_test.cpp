@@ -30,9 +30,7 @@ namespace {
 
 Graph SmallFixture() {
   Rng rng(23);
-  Graph g = LargestConnectedComponent(HolmeKim(300, 4, 0.5, rng));
-  g.BuildAdjacencyIndex();
-  return g;
+  return LargestConnectedComponent(HolmeKim(300, 4, 0.5, rng));
 }
 
 bool LooksLikeJsonObject(const std::string& s) {

@@ -206,10 +206,10 @@ TEST(RegistryTest, SharedSnapshotsReuseBackingAndUnknownIdsMiss) {
   const Graph* ga = &sa->graph();
   const Graph* gb = &sb->graph();
   EXPECT_EQ(ga->NumNodes(), g.NumNodes());
-  // Two ids over identical bytes share one mapping and one index.
+  // Two ids over identical bytes share one mapping; neither builds an
+  // index (serve reads by binary search).
   EXPECT_EQ(ga->RawNeighbors().data(), gb->RawNeighbors().data());
-  EXPECT_EQ(ga->adjacency_index(), gb->adjacency_index());
-  EXPECT_NE(ga->adjacency_index(), nullptr);
+  EXPECT_EQ(ga->adjacency_index(), nullptr);
 
   EXPECT_FALSE(registry.FindSource("nope").has_value());
   const auto list = registry.List();
@@ -488,7 +488,6 @@ class ServeEndToEndTest : public ::testing::Test {
   void SetUp() override {
     Rng rng(17);
     fixture_ = LargestConnectedComponent(HolmeKim(800, 4, 0.5, rng));
-    fixture_.BuildAdjacencyIndex();
     registry_.RegisterGraph("fix", fixture_);
     ServerOptions options;
     options.port = 0;

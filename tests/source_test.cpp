@@ -55,7 +55,6 @@ class SourceTest : public ::testing::Test {
 
 TEST_F(SourceTest, OpenAutoDetectsAllThreeKinds) {
   OpenOptions options;
-  options.build_index = false;
   options.largest_cc = false;  // the fixture graph is already one CC
 
   const GraphSource text = GraphSource::Open(text_, options);
@@ -87,12 +86,10 @@ TEST_F(SourceTest, OpenAutoDetectsAllThreeKinds) {
 }
 
 TEST_F(SourceTest, KindMismatchedAccessorsThrowLogicError) {
-  OpenOptions options;
-  options.build_index = false;
-  const GraphSource binary = GraphSource::Open(binary_, options);
+  const GraphSource binary = GraphSource::Open(binary_);
   EXPECT_NO_THROW(binary.graph());
   EXPECT_THROW(binary.shards(), std::logic_error);
-  const GraphSource sharded = GraphSource::Open(sharded_, options);
+  const GraphSource sharded = GraphSource::Open(sharded_);
   EXPECT_NO_THROW(sharded.shards());
   EXPECT_THROW(sharded.graph(), std::logic_error);
 }
@@ -101,7 +98,6 @@ TEST_F(SourceTest, OpenMatchesDeprecatedAliases) {
   // The text parser and the unified path must load identical graphs.
   // (`.grwb` has no loader besides GraphSource::Open any more.)
   OpenOptions options;
-  options.build_index = false;
   options.largest_cc = false;
   const Graph text_alias = LoadEdgeList(text_, /*largest_cc=*/false);
   const Graph text_source = GraphSource::Open(text_, options).graph();
@@ -109,6 +105,11 @@ TEST_F(SourceTest, OpenMatchesDeprecatedAliases) {
 }
 
 TEST_F(SourceTest, OpenOptionsPlumbing) {
+  // By default no open path builds an index: walks read by binary
+  // search, and exact ESU counting attaches its own.
+  EXPECT_EQ(
+      GraphSource::Open(binary_, OpenOptions{}).graph().adjacency_index(),
+      nullptr);
   // build_index reaches the monolithic kinds.
   OpenOptions with_index;
   with_index.build_index = true;
@@ -116,15 +117,9 @@ TEST_F(SourceTest, OpenOptionsPlumbing) {
                 .graph()
                 .adjacency_index(),
             nullptr);
-  OpenOptions no_index;
-  no_index.build_index = false;
-  EXPECT_EQ(GraphSource::Open(binary_, no_index)
-                .graph()
-                .adjacency_index(),
-            nullptr);
 
   // relabel_degree applies to text input and is reported.
-  OpenOptions relabel = no_index;
+  OpenOptions relabel;
   relabel.relabel_degree = true;
   const GraphSource relabeled = GraphSource::Open(text_, relabel);
   EXPECT_TRUE(relabeled.degree_relabeled());
@@ -134,7 +129,7 @@ TEST_F(SourceTest, OpenOptionsPlumbing) {
   }
 
   // The resident budget lands in the shard store's options and stats.
-  OpenOptions budget = no_index;
+  OpenOptions budget;
   budget.resident_budget_bytes = 123456;
   const GraphSource sharded = GraphSource::Open(sharded_, budget);
   EXPECT_EQ(sharded.shards().options().resident_budget_bytes, 123456u);
@@ -142,25 +137,20 @@ TEST_F(SourceTest, OpenOptionsPlumbing) {
 }
 
 TEST_F(SourceTest, CopiesShareTheBacking) {
-  OpenOptions options;
-  options.build_index = false;
-  const GraphSource original = GraphSource::Open(sharded_, options);
+  const GraphSource original = GraphSource::Open(sharded_);
   const GraphSource copy = original;
   // Same store object, not a second mmap of the graph.
   EXPECT_EQ(&copy.shards(), &original.shards());
-  const GraphSource mono = GraphSource::Open(binary_, options);
+  const GraphSource mono = GraphSource::Open(binary_);
   const GraphSource mono_copy = mono;
   EXPECT_EQ(mono_copy.graph().RawNeighbors().data(),
             mono.graph().RawNeighbors().data());
 }
 
 TEST_F(SourceTest, SummaryNamesTheKind) {
-  OpenOptions options;
-  options.build_index = false;
-  EXPECT_NE(GraphSource::Open(binary_, options).Summary().find("n="),
+  EXPECT_NE(GraphSource::Open(binary_).Summary().find("n="),
             std::string::npos);
-  const std::string sharded_summary =
-      GraphSource::Open(sharded_, options).Summary();
+  const std::string sharded_summary = GraphSource::Open(sharded_).Summary();
   EXPECT_NE(sharded_summary.find("sharded"), std::string::npos)
       << sharded_summary;
 }
@@ -187,7 +177,6 @@ TEST_F(SourceTest, CorruptionThrowsTypedErrorForEveryKind) {
     std::fclose(f);
   };
   OpenOptions verify;
-  verify.build_index = false;
   verify.verify = true;
 
   // Monolithic: flip a payload byte past the header + offsets.
@@ -204,9 +193,7 @@ TEST_F(SourceTest, CorruptionThrowsTypedErrorForEveryKind) {
   // Sharded with a missing shard fails even without verify: the store's
   // eager header probe requires every named shard to exist.
   fs::remove(m.ShardPath(1));
-  OpenOptions lazy;
-  lazy.build_index = false;
-  EXPECT_THROW(GraphSource::Open(sharded_, lazy), SnapshotCorruptError);
+  EXPECT_THROW(GraphSource::Open(sharded_), SnapshotCorruptError);
 }
 
 TEST_F(SourceTest, OpenRejectsMissingPath) {

@@ -30,8 +30,8 @@
 //       Exact induced graphlet counts and concentrations.
 //   grw estimate <graph> --k K [--d D] [--css 0|1] [--nb 0|1]
 //       [--steps N] [--seed S] [--chains C] [--threads T] [--counts]
-//       [--target-nrmse X] [--max-steps N] [--quiet] [--no-index]
-//       [--crawl] [--budget-queries B] [--cache-size C] [--latency-us L]
+//       [--target-nrmse X] [--max-steps N] [--quiet] [--crawl]
+//       [--budget-queries B] [--cache-size C] [--latency-us L]
 //       [--fail-prob P] [--fail-retries R] [--fail-backoff-us U]
 //       [--resident-budget-mb M]
 //       Random-walk estimation (the paper's Algorithm 1) on the parallel
@@ -73,10 +73,6 @@
 // Every place a <graph> is taken, text edge lists, `.grwb` snapshots, and
 // registry dataset names are all accepted (format auto-detected).
 // Every command accepts --help-free flag forms --name value / --name=value.
-//
-// `estimate` and `exact` attach the adjacency acceleration index
-// (graph/adjacency.h) after loading — estimates are bit-identical with or
-// without it, so --no-index exists purely for A/B timing.
 
 #include <cstdint>
 #include <cstdio>
@@ -92,7 +88,6 @@
 #include "eval/datasets.h"
 #include "exact/exact.h"
 #include "exact/triangle.h"
-#include "graph/adjacency.h"
 #include "graph/builder.h"
 #include "graph/format.h"
 #include "graph/generators.h"
@@ -165,7 +160,7 @@ int Usage() {
 // in-memory sources, everything else goes through GraphSource::Open's
 // auto-detection (sharded manifest / .grwb snapshot / text edge list).
 grw::GraphSource OpenPositional(const grw::Flags& flags, size_t index,
-                                const grw::OpenOptions& options) {
+                                const grw::OpenOptions& options = {}) {
   if (flags.positional().size() <= index) {
     throw std::runtime_error("missing <graph> argument");
   }
@@ -182,9 +177,7 @@ grw::GraphSource OpenPositional(const grw::Flags& flags, size_t index,
 // (exact enumeration, global statistics). Rejects sharded sources with
 // a pointer at the commands that do serve them.
 grw::Graph LoadPositional(const grw::Flags& flags, size_t index) {
-  grw::OpenOptions options;
-  options.build_index = false;  // commands attach their own (--no-index)
-  const grw::GraphSource source = OpenPositional(flags, index, options);
+  const grw::GraphSource source = OpenPositional(flags, index);
   if (source.sharded()) {
     throw std::runtime_error(
         "'" + flags.positional()[index] +
@@ -255,7 +248,6 @@ int CmdConvert(const grw::Flags& flags) {
     g = grw::MakeDatasetByName(in, flags.GetDouble("scale", 1.0));
   } else {
     grw::OpenOptions open;
-    open.build_index = false;
     open.largest_cc = flags.GetBool("lcc", true);
     const grw::GraphSource source = grw::GraphSource::Open(in, open);
     if (source.sharded()) {
@@ -284,7 +276,7 @@ int CmdConvert(const grw::Flags& flags) {
   // the conversion, and a corrupted snapshot discovered now is a bench
   // run saved later.
   const grw::GraphSource saved = grw::GraphSource::Open(
-      out, {.build_index = false, .verify = flags.GetBool("verify", true)});
+      out, {.verify = flags.GetBool("verify", true)});
   std::printf("wrote %s: %s%s, %.1f MiB (load %s, convert+write %s)\n",
               out.c_str(), g.Summary().c_str(),
               saved.degree_relabeled() ? ", degree-relabeled" : "",
@@ -311,7 +303,6 @@ int CmdShard(const grw::Flags& flags) {
     g = grw::MakeDatasetByName(in, flags.GetDouble("scale", 1.0));
   } else {
     grw::OpenOptions open;
-    open.build_index = false;
     open.largest_cc = flags.GetBool("lcc", true);
     const grw::GraphSource source = grw::GraphSource::Open(in, open);
     if (source.sharded()) {
@@ -430,9 +421,7 @@ int CmdInfo(const grw::Flags& flags) {
       grw::IsShardManifestPath(flags.positional()[1])) {
     return ShardedInfo(flags.positional()[1], flags.GetBool("verify"));
   }
-  grw::OpenOptions options;
-  options.build_index = false;
-  const grw::GraphSource source = OpenPositional(flags, 1, options);
+  const grw::GraphSource source = OpenPositional(flags, 1);
   const grw::Graph& g = source.graph();
   grw::Table table("graph statistics");
   table.SetHeader({"quantity", "value"});
@@ -458,10 +447,7 @@ int CmdInfo(const grw::Flags& flags) {
 }
 
 int CmdExact(const grw::Flags& flags) {
-  grw::Graph g = LoadPositional(flags, 1);
-  // ESU classifies every enumerated subgraph with C(k,2) HasEdge probes;
-  // the index pays for itself within the first few thousand subgraphs.
-  if (!flags.GetBool("no-index")) g.BuildAdjacencyIndex();
+  const grw::Graph g = LoadPositional(flags, 1);
   const int k = flags.GetInt32("k", 4);
   grw::WallTimer timer;
   const auto counts = grw::ExactGraphletCounts(g, k);
@@ -489,27 +475,12 @@ int CmdEstimate(const grw::Flags& flags) {
     throw std::runtime_error("--resident-budget-mb must be >= 0");
   }
   grw::OpenOptions open;
-  open.build_index = false;  // attached below so --no-index can skip it
   open.resident_budget_bytes = static_cast<uint64_t>(budget_mb) << 20;
   const grw::GraphSource source = OpenPositional(flags, 1, open);
   const bool sharded = source.sharded();
 
   grw::Graph g;  // resident path only; stays empty for sharded sources
   if (!sharded) g = source.graph();
-  if (!sharded && !flags.GetBool("no-index")) {
-    grw::WallTimer index_timer;
-    g.BuildAdjacencyIndex();
-    if (!quiet) {
-      const grw::AdjacencyIndex& index = *g.adjacency_index();
-      std::fprintf(stderr,
-                   "[index] %u hubs (deg >= %u), %.1f MiB, built in %s\n",
-                   index.num_hubs(), index.hub_threshold(),
-                   static_cast<double>(index.bitset_bytes() +
-                                       index.signature_bytes()) /
-                       (1 << 20),
-                   grw::Table::Duration(index_timer.Seconds()).c_str());
-    }
-  }
   grw::EstimatorConfig config;
   config.k = flags.GetInt32("k", 4);
   config.d = flags.GetInt32("d", config.k == 3 ? 1 : 2);

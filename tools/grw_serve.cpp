@@ -2,12 +2,12 @@
 //
 //   grw_serve [--host H] [--port P] [--workers N] [--queue N]
 //             [--engine-threads T] [--tenant-budget B] [--max-steps N]
-//             [--max-chains N] [--retry-after-ms MS] [--no-index]
-//             [--no-verify] [--resident-budget-mb M] <id>=<graph> ...
+//             [--max-chains N] [--retry-after-ms MS] [--no-verify]
+//             [--resident-budget-mb M] <id>=<graph> ...
 //
 // Loads every <id>=<graph> binding into a resident SnapshotRegistry
 // through GraphSource::Open (`.grwb` snapshots mmap in microseconds and
-// share warm adjacency indexes across ids; sharded out-of-core graphs —
+// share one mapping across ids; sharded out-of-core graphs —
 // a `grw shard` output directory or its MANIFEST.grws — serve under the
 // --resident-budget-mb shard-LRU budget; text edge lists and registry
 // dataset names work too), then answers the line/JSON protocol of
@@ -61,7 +61,7 @@ int Usage() {
   std::fputs(
       "usage: grw_serve [--host H] [--port P] [--workers N] [--queue N]\n"
       "                 [--engine-threads T] [--tenant-budget B]\n"
-      "                 [--max-steps N] [--max-chains N] [--no-index]\n"
+      "                 [--max-steps N] [--max-chains N]\n"
       "                 [--no-verify] [--retry-after-ms MS]\n"
       "                 [--resident-budget-mb M]\n"
       "                 <id>=<graph> [<id>=<graph> ...]\n"
@@ -104,7 +104,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "grw_serve: --retry-after-ms must be >= 0\n");
     return 2;
   }
-  const bool build_index = !flags.GetBool("no-index");
   const bool verify = !flags.GetBool("no-verify");
   const uint64_t resident_budget_bytes =
       flags.GetUInt64("resident-budget-mb", 0) << 20;
@@ -123,13 +122,10 @@ int main(int argc, char** argv) {
       const std::string id = binding.substr(0, eq);
       const std::string path = binding.substr(eq + 1);
       if (grw::FindDataset(path).has_value()) {
-        grw::Graph g = grw::MakeDatasetByName(path, 1.0);
-        if (build_index) g.BuildAdjacencyIndex();
-        registry.RegisterGraph(id, std::move(g), path);
+        registry.RegisterGraph(id, grw::MakeDatasetByName(path, 1.0), path);
       } else {
         try {
-          registry.Register(id, path, build_index, verify,
-                            resident_budget_bytes);
+          registry.Register(id, path, verify, resident_budget_bytes);
         } catch (const grw::SnapshotCorruptError& e) {
           // Quarantine: the id stays unbound (queries for it get a
           // clean "unknown graph" error), the file(s) — monolithic or

@@ -30,6 +30,12 @@ Checks (each is a function named check_*; `--list` prints them):
                     goes through grw::io (EINTR retry, partial-write
                     loops, timeouts, fault-injection sites) so no call
                     path silently skips the hardening.
+  adjacency-index-owner
+                    no Graph::BuildAdjacencyIndex() call outside
+                    src/graph/, src/exact/esu.cpp (exact ESU counting, the
+                    one owner of the decision), the index's own test and
+                    its two micro benches: every other path reads by
+                    binary search.
 
 Usage:
   tools/lint_invariants.py [--root DIR]   lint the tree (exit 1 on findings)
@@ -59,6 +65,14 @@ TEST_MACRO_RE = re.compile(r"\b(?:TEST|TEST_F|TEST_P|TYPED_TEST)\s*\(")
 GBENCH_INCLUDE_RE = re.compile(r'#include\s+[<"]benchmark/benchmark\.h[>"]')
 DOC_REF_RE = re.compile(r"`((?:src|tests|bench|tools|docs|examples)/[^`]+)`")
 RAW_POSIX_IO_RE = re.compile(r"::(?:read|write|send|recv|connect)\s*\(")
+BUILD_INDEX_RE = re.compile(r"\bBuildAdjacencyIndex\s*\(")
+INDEX_OWNER_DIR = os.path.join("src", "graph") + os.sep
+INDEX_OWNERS = (
+    os.path.join("src", "exact", "esu.cpp"),
+    os.path.join("tests", "adjacency_test.cpp"),
+    os.path.join("bench", "bench_micro_hasedge.cpp"),
+    os.path.join("bench", "bench_micro_walks.cpp"),
+)
 
 
 def strip_comments(lines):
@@ -226,6 +240,16 @@ def check_raw_posix_io(root):
         exclude=(POSIX_IO_IMPL,))
 
 
+def check_adjacency_index_owner(root):
+    exclude = tuple(rel for rel in iter_source_files(root)
+                    if rel.startswith(INDEX_OWNER_DIR)) + INDEX_OWNERS
+    return grep_rule(
+        root, BUILD_INDEX_RE,
+        "BuildAdjacencyIndex outside its owner — only exact ESU counting "
+        "(src/exact/esu.cpp) attaches the index; read by binary search",
+        exclude=exclude)
+
+
 ALL_CHECKS = [
     ("raw-sync", check_raw_sync),
     ("detach", check_detach),
@@ -235,6 +259,7 @@ ALL_CHECKS = [
     ("bench-json", check_bench_json),
     ("doc-refs", check_doc_refs),
     ("raw-posix-io", check_raw_posix_io),
+    ("adjacency-index-owner", check_adjacency_index_owner),
 ]
 
 
@@ -275,6 +300,8 @@ def _make_clean_tree(root):
     _write(root, "src/x.h", "\n")
     _write(root, "src/x.cpp", "\n")
     _write(root, "ROADMAP.md", "see `tests/a_test.cpp`\n")
+    _write(root, "src/exact/esu.cpp", "g.BuildAdjacencyIndex();\n")
+    _write(root, "src/graph/source.cpp", "g.BuildAdjacencyIndex();\n")
 
 
 def self_test():
@@ -305,6 +332,8 @@ def self_test():
                          "- see `src/ghost_file.cpp` for details\n"),
             "raw-posix-io": ("src/bad_io.cpp",
                              "ssize_t n = ::write(fd, data, len);\n"),
+            "adjacency-index-owner": ("tools/bad_index.cpp",
+                                      "g.BuildAdjacencyIndex();\n"),
         }
         for rule, (rel, content) in seeds.items():
             with tempfile.TemporaryDirectory() as seeded:
