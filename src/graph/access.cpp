@@ -1,10 +1,22 @@
 #include "graph/access.h"
 
+#include <sys/mman.h>
+
 #include <cmath>
+#include <new>
 
 #include "util/fault.h"
 
 namespace grw {
+
+void* MapPages(size_t bytes) {
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+}
+
+void UnmapPages(void* p, size_t bytes) noexcept { ::munmap(p, bytes); }
 
 CrawlAccess::CrawlAccess(const Graph& g, const Options& options)
     : g_(&g), opt_(options), fail_rng_(options.failure.seed) {

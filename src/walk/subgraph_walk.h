@@ -1,31 +1,45 @@
 // Random walk on G(d) for d >= 3: states are connected induced d-node
-// subgraphs, enumerated on the fly.
+// subgraphs, and a step moves to a uniform neighbor state: one that drops
+// a vertex z of the state and adds a vertex w so the result stays
+// connected.
 //
 // This is the walk behind SRW3 and SRW4 — i.e. PSRW (Wang et al.) when
 // d = k-1 — kept as the paper's main comparison method. Per Section 5,
-// drawing a *uniform* neighbor of a state s requires generating all
-// neighbors: every t = (V(s) \ {v_out}) ∪ {v_in} with v_in adjacent to the
-// remainder and t connected. That costs O(d^2 |E|/|V|) per step, which is
-// exactly why the paper argues for walking with small d; our Table 6 bench
-// reproduces the resulting runtime gap.
+// drawing a uniform neighbor of a state means generating all of its
+// neighbors, O(d^2 |E|/|V|) per step, which is why the paper argues for
+// walking with small d; our Table 6 bench reproduces the resulting
+// runtime gap. At d = 3 the listing can be skipped but the list work
+// cannot: a step still merges the state vertices' neighbor lists, so the
+// argument holds with a smaller constant. The two regimes:
 //
-// Hot-path design: enumeration reuses a caller-owned GdScratch (zero
-// allocations once warm) and checks candidate connectivity incrementally —
-// the state's internal adjacency mask is built once per call with C(d,2)
-// edge queries, each evicted vertex derives its base mask by bit surgery,
-// and candidates come from a (d-1)-way sorted merge of the base vertices'
-// neighbor lists: each distinct v_in arrives in ascending order *with its
-// base-adjacency mask already assembled* (v_in is adjacent to base[i] iff
-// it surfaced from list i), so a candidate costs zero edge queries — just
-// an O(d) bitmask BFS. The pre-optimization path is preserved as
-// EnumerateGdNeighborsReference for the equivalence tests and the
-// micro-bench baseline.
+// * d = 3: counted in closed form. For the sorted state {s0, s1, s2}, drop
+//   z and keep the pair x < y. If x ~ y, every vertex of N(x) ∪ N(y)
+//   outside the state is a valid w: d_x + d_y - |N(x) ∩ N(y)| - 3 of them
+//   when the state is connected. If x !~ y, w must join them: the
+//   |N(x) ∩ N(y)| - 1 common neighbors other than z. The degree is three
+//   intersection counts, and a step draws pick < degree, chooses z from
+//   the running per-z counts, and walks one merge of N(x) and N(y) to the
+//   pick-th qualifying w. No neighbor state is ever written out, and the
+//   order (z ascending, then w ascending) is the enumerator's, so the
+//   walk reaches the same state as a pick from the written-out list.
+// * d >= 4: enumerated. Each step writes out every neighbor state and
+//   picks one. The enumerator reuses a caller-owned GdScratch (zero
+//   allocations once warm): the state's internal adjacency mask is built
+//   once per call with C(d,2) edge queries, each evicted vertex derives
+//   its base mask by bit surgery, and candidates come from a (d-1)-way
+//   sorted merge of the base vertices' neighbor lists, so each distinct
+//   v_in arrives in ascending order with its base-adjacency mask already
+//   assembled and costs zero edge queries, just an O(d) bitmask BFS.
+//   EnumerateGdNeighbors serves every d and is the test oracle for the
+//   closed form; the pre-optimization path is preserved as
+//   EnumerateGdNeighborsReference for the equivalence tests and the
+//   micro-bench baseline.
 //
 // Everything here is templated on the graph access policy (graph/access.h)
-// with explicit instantiations for Graph (full access — the unchanged PR 4
-// hot path) and CrawlAccess in subgraph_walk.cpp. Each edge query and
-// neighbor-list read goes through the policy, so a crawl simulation
-// charges the enumeration its true API cost.
+// with explicit instantiations for Graph (full access), CrawlAccess and
+// ShardedAccess in subgraph_walk.cpp. Each edge query and neighbor-list
+// read goes through the policy, so a crawl simulation charges the walk
+// its true API cost.
 
 #pragma once
 
@@ -82,7 +96,8 @@ void EnumerateGdNeighborsReference(const Graph& g,
                                    std::span<const VertexId> state,
                                    std::vector<VertexId>* out_neighbors);
 
-/// Degree of `state` in G(d): the number of neighbors above.
+/// Degree of `state` in G(d): the number of neighbors above. Closed form
+/// (three intersection counts) when state.size() == 3, enumerated above.
 template <class G>
 uint64_t SubgraphStateDegree(const G& g, std::span<const VertexId> state,
                              GdScratch& scratch);
@@ -100,6 +115,16 @@ inline uint64_t SubgraphStateDegree(const G& g,
 template <class G>
 bool InducedSubgraphConnected(const G& g, std::span<const VertexId> nodes);
 
+/// The G(3) degree of a 3-vertex state split by the vertex a move drops:
+/// count[z] neighbor states keep the other two vertices of the state, and
+/// bit z of pair_edges says whether those two are adjacent. Filled by the
+/// closed-form count in subgraph_walk.cpp.
+struct G3Split {
+  std::array<uint64_t, 3> count = {};
+  uint32_t pair_edges = 0;
+  uint64_t Total() const { return count[0] + count[1] + count[2]; }
+};
+
 /// Random walk on connected induced d-node subgraphs of G, d >= 3,
 /// through access policy G.
 template <class G = Graph>
@@ -115,6 +140,7 @@ class SubgraphWalkT final : public StateWalker {
     }
     nodes_.reserve(d);
     prev_.reserve(d);
+    next_.reserve(d);
   }
 
   int d() const override { return d_; }
@@ -127,10 +153,11 @@ class SubgraphWalkT final : public StateWalker {
     return {nodes_.data(), nodes_.size()};
   }
 
-  /// Number of neighbor states; triggers (cached) neighbor enumeration.
+  /// Number of neighbor states, computed once per state: the closed-form
+  /// per-z counts at d = 3, the written-out neighbor list at d >= 4.
   uint64_t StateDegree() const override {
-    EnsureNeighbors();
-    return neighbors_.size() / d_;
+    EnsureDegree();
+    return d_ == 3 ? g3_.Total() : neighbors_.size() / d_;
   }
 
   bool non_backtracking() const override { return nb_; }
@@ -141,21 +168,19 @@ class SubgraphWalkT final : public StateWalker {
   uint64_t DegreeOfState(std::span<const VertexId> state_nodes) const;
 
  private:
-  void EnsureNeighbors() const {
-    if (!neighbors_valid_) {
-      neighbors_.clear();
-      EnumerateGdNeighbors(*g_, Nodes(), &neighbors_, scratch_);
-      neighbors_valid_ = true;
-    }
-  }
+  void EnsureDegree() const;
+  // Writes the pick-th neighbor state (enumeration order) into next_.
+  void Locate(uint64_t pick);
 
   const G* g_;
   int d_;
   bool nb_;
   std::vector<VertexId> nodes_;  // sorted
   std::vector<VertexId> prev_;   // sorted; empty until first Step
-  mutable std::vector<VertexId> neighbors_;  // flattened neighbor states
-  mutable bool neighbors_valid_ = false;
+  std::vector<VertexId> next_;   // the located move, before it is taken
+  mutable bool degree_valid_ = false;
+  mutable G3Split g3_;                       // d == 3
+  mutable std::vector<VertexId> neighbors_;  // d >= 4: flattened states
   mutable GdScratch scratch_;
 };
 

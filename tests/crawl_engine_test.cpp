@@ -44,7 +44,10 @@ TEST(CrawlEstimatorTest, BitIdenticalToFullAccessAcrossConfigs) {
       {3, 1, true, true},    // SRW1CSSNB: NodeWalk + CSS table
       {4, 2, true, false},   // SRW2CSS:   EdgeWalk + CSS table
       {4, 2, false, false},  // SRW2:      interior-degree weights
-      {5, 3, false, false},  // SRW3:      SubgraphWalk enumeration
+      {5, 3, false, false},  // SRW3:      SubgraphWalk, closed-form G(3)
+      {4, 3, false, false},  // PSRW:      the crawl-psrw3 configuration
+      {4, 3, false, true},   // PSRW NB:   located moves redrawn off prev
+      {5, 3, true, false},   // SRW3CSS:   DegreeOfState per window state
   };
   for (const EstimatorConfig& config : configs) {
     const uint64_t steps = config.d >= 3 ? 500 : 5000;

@@ -270,25 +270,29 @@ TEST(ShardedEngineTest, BitIdenticalToMonolithicAcrossThreadsAndBudgets) {
   const Graph g = LargestConnectedComponent(HolmeKim(400, 4, 0.3, rng));
   const std::string dir = TempDir("grw_engine_identity");
   const ShardManifest m = ShardInto(g, dir, 6);
-  const EstimatorConfig config{4, 2, true, false};
+  // SRW2CSS, and PSRW at d = 3 (closed-form G(3) degree and moves).
+  for (const EstimatorConfig config :
+       {EstimatorConfig{4, 2, true, false},
+        EstimatorConfig{4, 3, false, false}}) {
+    SCOPED_TRACE(config.Name());
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      const EngineOptions options = BaseOptions(/*chains=*/8, threads);
+      EstimationEngine mono(g, config, options);
+      const EngineResult reference = mono.Run();
 
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    const EngineOptions options = BaseOptions(/*chains=*/8, threads);
-    EstimationEngine mono(g, config, options);
-    const EngineResult reference = mono.Run();
-
-    for (const uint64_t budget : {uint64_t{0}, m.shards[0].file_bytes}) {
-      ShardStore::Options store_options;
-      store_options.resident_budget_bytes = budget;
-      const ShardStore store(LoadShardManifest(dir), store_options);
-      EstimationEngine sharded(store, config, options);
-      const EngineResult result = sharded.Run();
-      ExpectIdenticalResults(reference, result);
-      // Residency accounting surfaced through the result.
-      EXPECT_GT(result.shards.faults, 0u);
-      EXPECT_EQ(result.shards.budget_bytes, budget);
-      if (budget > 0) {
-        EXPECT_GT(result.shards.evictions, 0u);
+      for (const uint64_t budget : {uint64_t{0}, m.shards[0].file_bytes}) {
+        ShardStore::Options store_options;
+        store_options.resident_budget_bytes = budget;
+        const ShardStore store(LoadShardManifest(dir), store_options);
+        EstimationEngine sharded(store, config, options);
+        const EngineResult result = sharded.Run();
+        ExpectIdenticalResults(reference, result);
+        // Residency accounting surfaced through the result.
+        EXPECT_GT(result.shards.faults, 0u);
+        EXPECT_EQ(result.shards.budget_bytes, budget);
+        if (budget > 0) {
+          EXPECT_GT(result.shards.evictions, 0u);
+        }
       }
     }
   }

@@ -121,14 +121,14 @@ TEST(NodeWalkDistributionTest, TransitionsAreUniformOverNeighborsAndReal) {
   EXPECT_LT(stat, ChiSquareCriticalValue(df, kTailZ)) << "df=" << df;
 }
 
-TEST(EdgeWalkDistributionTest, StationaryChiSquareOnKarateClub) {
-  // pi(e_uv) = (d_u + d_v - 2) / 2|R(2)| (paper Section 2.2 on G(2)).
-  const Graph g = KarateClub();
-  EdgeWalk walk(g);
-  Rng rng(2005);
+// Chi-square GOF of thinned EdgeWalk visits vs
+// pi(e_uv) = (d_u + d_v - 2) / 2|R(2)| (paper Section 2.2 on G(2)).
+void CheckEdgeStationary(const Graph& g, bool nb, uint64_t seed,
+                         uint64_t samples) {
+  EdgeWalk walk(g, nb);
+  Rng rng(seed);
   walk.Reset(rng);
   std::map<std::pair<VertexId, VertexId>, double> observed;
-  const uint64_t samples = 30000;
   for (uint64_t s = 0; s < samples; ++s) {
     for (uint64_t t = 0; t < kThin; ++t) walk.Step(rng);
     const auto nodes = walk.Nodes();
@@ -151,29 +151,49 @@ TEST(EdgeWalkDistributionTest, StationaryChiSquareOnKarateClub) {
   }
   const double stat = ChiSquareStatistic(obs_cells, exp_cells);
   const int df = static_cast<int>(exp_cells.size()) - 1;
-  EXPECT_LT(stat, ChiSquareCriticalValue(df, kTailZ)) << "df=" << df;
+  EXPECT_LT(stat, ChiSquareCriticalValue(df, kTailZ))
+      << "df=" << df << " nb=" << nb;
+}
+
+TEST(EdgeWalkDistributionTest, StationaryChiSquareOnKarateClub) {
+  // The NB walk keeps the same stationary law (paper Section 4.2).
+  CheckEdgeStationary(KarateClub(), /*nb=*/false, /*seed=*/2005,
+                      /*samples=*/30000);
+  CheckEdgeStationary(KarateClub(), /*nb=*/true, /*seed=*/2008,
+                      /*samples=*/30000);
 }
 
 TEST(EdgeWalkDistributionTest, EveryStateIsARealEdgeSharingOneEndpoint) {
   // G(2) adjacency: consecutive edge states share exactly d - 1 = 1
-  // vertex, and every state is an existing edge of G.
+  // vertex, and every state is an existing edge of G. The NB walk also
+  // never returns to the previous state while it has another neighbor.
   const Graph g = KarateClub();
-  EdgeWalk walk(g);
-  Rng rng(2006);
-  walk.Reset(rng);
-  std::vector<VertexId> prev(walk.Nodes().begin(), walk.Nodes().end());
-  ASSERT_TRUE(g.HasEdge(prev[0], prev[1]));
-  for (int s = 0; s < 20000; ++s) {
-    walk.Step(rng);
-    const auto nodes = walk.Nodes();
-    ASSERT_TRUE(g.HasEdge(nodes[0], nodes[1]))
-        << "state is not an edge: " << nodes[0] << "-" << nodes[1];
-    int shared = 0;
-    for (VertexId a : prev) {
-      if (a == nodes[0] || a == nodes[1]) ++shared;
+  for (const bool nb : {false, true}) {
+    SCOPED_TRACE(nb ? "NB" : "plain");
+    EdgeWalk walk(g, nb);
+    Rng rng(2006);
+    walk.Reset(rng);
+    std::vector<VertexId> before;
+    std::vector<VertexId> prev(walk.Nodes().begin(), walk.Nodes().end());
+    ASSERT_TRUE(g.HasEdge(prev[0], prev[1]));
+    for (int s = 0; s < 20000; ++s) {
+      const uint64_t degree = walk.StateDegree();
+      walk.Step(rng);
+      const std::vector<VertexId> cur(walk.Nodes().begin(),
+                                      walk.Nodes().end());
+      ASSERT_TRUE(g.HasEdge(cur[0], cur[1]))
+          << "state is not an edge: " << cur[0] << "-" << cur[1];
+      int shared = 0;
+      for (VertexId a : prev) {
+        if (a == cur[0] || a == cur[1]) ++shared;
+      }
+      ASSERT_EQ(shared, 1) << "consecutive states must share one endpoint";
+      if (nb && degree >= 2) {
+        ASSERT_NE(cur, before) << "NB walk backtracked at step " << s;
+      }
+      before = std::move(prev);
+      prev = cur;
     }
-    ASSERT_EQ(shared, 1) << "consecutive states must share one endpoint";
-    prev.assign(nodes.begin(), nodes.end());
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -231,6 +232,108 @@ TEST(SubgraphWalkTest, StationaryDistributionOnSmallGraph) {
   }
   for (const auto& [nodes, deg] : states) expected[nodes] = deg / degree_sum;
   ExpectStationary(visits, expected, steps, 0.12);
+}
+
+// Walks PSRW at d = 3 for `steps` states and checks both halves of the
+// closed form against the written-out neighbor list at every state: the
+// degree (walk and free function), and the move, which must land on
+// neighbors[pick] for the pick a copy of the walk's Rng draws (redrawn
+// while it names the previous state under NB). Returns how many visited
+// states held a pair of vertices whose degrees differ more than 16x.
+int ExpectG3StepsFollowEnumeration(const Graph& g, bool nb, uint64_t seed,
+                                   int steps) {
+  SubgraphWalk walk(g, 3, nb);
+  Rng rng(seed);
+  walk.Reset(rng);
+  std::vector<VertexId> neighbors;
+  std::vector<VertexId> prev;
+  int skewed = 0;
+  for (int s = 0; s < steps; ++s) {
+    const std::vector<VertexId> state(walk.Nodes().begin(),
+                                      walk.Nodes().end());
+    neighbors.clear();
+    EnumerateGdNeighbors(g, state, &neighbors);
+    const uint64_t count = neighbors.size() / 3;
+    EXPECT_EQ(SubgraphStateDegree(g, state), count) << "step " << s;
+    EXPECT_EQ(walk.StateDegree(), count) << "step " << s;
+
+    uint32_t lo = g.Degree(state[0]);
+    uint32_t hi = lo;
+    for (const VertexId v : state) {
+      lo = std::min(lo, g.Degree(v));
+      hi = std::max(hi, g.Degree(v));
+    }
+    skewed += hi > 16 * lo;
+
+    Rng oracle = rng;
+    uint64_t pick = oracle.UniformInt(count);
+    const auto picked = [&](uint64_t i) {
+      return std::vector<VertexId>(neighbors.begin() + 3 * i,
+                                   neighbors.begin() + 3 * i + 3);
+    };
+    if (nb && !prev.empty() && count >= 2) {
+      while (picked(pick) == prev) pick = oracle.UniformInt(count);
+    }
+    walk.Step(rng);
+    const std::vector<VertexId> next(walk.Nodes().begin(),
+                                     walk.Nodes().end());
+    if (next != picked(pick)) {
+      ADD_FAILURE() << "step " << s << " left the enumeration order";
+      return skewed;
+    }
+    prev = state;
+  }
+  return skewed;
+}
+
+TEST(SubgraphWalkTest, ClosedFormG3MatchesEnumerationOnHubGraph) {
+  // Holme-Kim hubs next to degree-3 vertices: the merges meet lists of
+  // very different lengths, and the walk visits both triangles and paths.
+  Rng rng(2718);
+  const Graph g = LargestConnectedComponent(HolmeKim(3000, 3, 0.5, rng));
+  ASSERT_GT(g.MaxDegree(), 16u * 3u);
+  for (const bool nb : {false, true}) {
+    SCOPED_TRACE(nb ? "NB" : "plain");
+    const int steps = 20000;
+    const int skewed = ExpectG3StepsFollowEnumeration(g, nb, 31 + nb, steps);
+    EXPECT_GT(skewed, steps / 10) << "too few hub states visited";
+  }
+}
+
+TEST(SubgraphWalkTest, ClosedFormG3OnHandBuiltStates) {
+  // Triangle 0-1-2 with 1-3, 1-4, 2-4 and 3-5:
+  //   5 - 3 - 1 - 0
+  //           | \ |
+  //           4 - 2
+  const Graph g = FromEdges(
+      6, {{0, 1}, {0, 2}, {1, 2}, {1, 3}, {1, 4}, {2, 4}, {3, 5}});
+  struct Case {
+    std::vector<VertexId> state;
+    std::vector<VertexId> neighbors;  // flattened, enumeration order
+  };
+  const std::vector<Case> cases = {
+      // Triangle: every kept pair is an edge; drop 0 -> {3, 4}, drop 1
+      // -> {4}, drop 2 -> {3, 4}.
+      {{0, 1, 2}, {1, 2, 3, 1, 2, 4, 0, 2, 4, 0, 1, 3, 0, 1, 4}},
+      // Path 1-3-5. Dropping 1 keeps the edge 3-5, whose lists hold only
+      // the state. Dropping the middle 3 keeps 1 !~ 5, whose only common
+      // neighbor is 3 itself: both per-z counts are 0.
+      {{1, 3, 5}, {0, 1, 3, 1, 2, 3, 1, 3, 4}},
+      // Path 0-2-4: dropping the middle 2 keeps 0 !~ 4 with common
+      // neighbors {1, 2}; only 1 is outside the state.
+      {{0, 2, 4}, {1, 2, 4, 0, 1, 4, 0, 1, 2}},
+  };
+  for (const Case& c : cases) {
+    std::vector<VertexId> out;
+    EnumerateGdNeighbors(g, c.state, &out);
+    EXPECT_EQ(out, c.neighbors) << "state " << c.state[0] << c.state[1]
+                                << c.state[2];
+    EXPECT_EQ(SubgraphStateDegree(g, c.state), c.neighbors.size() / 3);
+  }
+  // Every state of this graph, the zero-count ones included, is reached
+  // and left in enumeration order.
+  ExpectG3StepsFollowEnumeration(g, /*nb=*/false, 5, 2000);
+  ExpectG3StepsFollowEnumeration(g, /*nb=*/true, 6, 2000);
 }
 
 TEST(WalkGuardsTest, TooSmallGraphsAreRejected) {

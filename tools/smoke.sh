@@ -82,6 +82,13 @@ diff local.txt served.txt
 ./grw_cli estimate smoke.grwb --k 4 --steps 50000 --chains 2 \
   --quiet --raw --crawl --cache-size 0 > crawl.txt
 diff local.txt crawl.txt
+# The same at d = 3 (PSRW: closed-form G(3) degrees and moves), through a
+# 256-list cache: about 5% of the graph, so the crawl evicts and refetches.
+./grw_cli estimate smoke.grwb --k 4 --d 3 --steps 50000 --chains 2 \
+  --quiet --raw > local3.txt
+./grw_cli estimate smoke.grwb --k 4 --d 3 --steps 50000 --chains 2 \
+  --quiet --raw --crawl --cache-size 256 > crawl3.txt
+diff local3.txt crawl3.txt
 
 # Malformed requests: error response (client exits 1), daemon stays
 # healthy.
@@ -111,6 +118,12 @@ step "Out-of-core estimate is bit-identical under 25% budget"
 ./grw_cli estimate big.shards --resident-budget-mb 2 \
   --k 4 --steps 50000 --chains 4 --quiet --raw > sharded.txt
 diff mono.txt sharded.txt
+# The same at d = 3.
+./grw_cli estimate big.grwb --k 4 --d 3 --steps 50000 --chains 4 \
+  --quiet --raw > mono3.txt
+./grw_cli estimate big.shards --resident-budget-mb 2 \
+  --k 4 --d 3 --steps 50000 --chains 4 --quiet --raw > sharded3.txt
+diff mono3.txt sharded3.txt
 
 step "bench_sharded identity gate across budget fractions"
 ./bench_sharded --n 8000 --steps 20000 --chains 8 \
