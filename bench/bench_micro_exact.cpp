@@ -1,6 +1,6 @@
 // Micro benchmarks: exact counters (triangles, formula-based 4-node, ESU
-// enumeration) and baseline samplers (alias construction/sampling, wedge
-// and path samples).
+// enumeration and counting) and baseline samplers (alias
+// construction/sampling, wedge and path samples).
 
 #include <benchmark/benchmark.h>
 
@@ -47,6 +47,17 @@ void BM_EsuEnumeration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EsuEnumeration)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
+
+// Enumeration plus classification: the gap to BM_EsuEnumeration at the same
+// k is what reading each subgraph's adjacency mask costs.
+void BM_EsuCounts(benchmark::State& state) {
+  const grw::Graph& g = SmallGraph();
+  const int k = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(grw::CountGraphletsEsu(g, k));
+  }
+}
+BENCHMARK(BM_EsuCounts)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
 
 void BM_AliasConstruction(benchmark::State& state) {
   const grw::Graph& g = SmallGraph();

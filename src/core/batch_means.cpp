@@ -59,37 +59,4 @@ double BatchMeansAccumulator::MaxRelativeError(
   return max_rel;
 }
 
-BatchedEstimate EstimateWithErrorBars(const Graph& g,
-                                      const EstimatorConfig& config,
-                                      uint64_t steps, int batches,
-                                      uint64_t seed) {
-  if (batches < 2 || steps < static_cast<uint64_t>(batches)) {
-    throw std::invalid_argument(
-        "EstimateWithErrorBars: need batches >= 2 and steps >= batches");
-  }
-  GraphletEstimator estimator(g, config);
-  estimator.Reset(seed);
-
-  BatchedEstimate result;
-  std::vector<double> prev_weights;
-  uint64_t done = 0;
-  for (int b = 0; b < batches; ++b) {
-    const uint64_t target = steps * (b + 1) / batches;
-    estimator.Run(target - done);
-    done = target;
-    result.batch_estimates.push_back(BatchFromCumulativeWeights(
-        estimator.Result().weights, prev_weights));
-  }
-
-  const EstimateResult final = estimator.Result();
-  result.concentrations = final.concentrations;
-  result.steps = final.steps;
-  BatchMeansAccumulator accumulator;
-  for (const auto& batch : result.batch_estimates) {
-    accumulator.AddBatch(batch);
-  }
-  result.standard_errors = accumulator.StandardErrors();
-  return result;
-}
-
 }  // namespace grw

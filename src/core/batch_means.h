@@ -7,20 +7,22 @@
 // the concentration estimate within each batch, and use the across-batch
 // spread of these (asymptotically independent) estimates as a standard
 // error for the full-chain estimate.
-//
-// EstimateWithErrorBars runs one GraphletEstimator, snapshotting the
-// accumulators every `steps/batches` transitions; batch b's estimate uses
-// only the weight accumulated inside the batch (differences of snapshots).
 
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/estimator.h"
 #include "util/stats.h"
 
 namespace grw {
+
+/// Within-batch concentration vector from cumulative weight snapshots:
+/// batch_i = (now_i - prev_i) / sum_j (now_j - prev_j), all zero when no
+/// weight accrued in the batch. `prev` entries beyond its length count
+/// as zero (first batch), and `prev` is updated to `now`.
+std::vector<double> BatchFromCumulativeWeights(
+    const std::vector<double>& now, std::vector<double>& prev);
 
 /// Online batch-means accumulator: feed one concentration vector per
 /// batch (a contiguous chain segment, or a whole independent chain — any
@@ -30,15 +32,6 @@ namespace grw {
 /// treats every (chain, round) segment as a batch and stops when the
 /// relative standard error of every non-negligible concentration is
 /// below the target.
-/// Within-batch concentration vector from cumulative weight snapshots:
-/// batch_i = (now_i - prev_i) / sum_j (now_j - prev_j), all zero when no
-/// weight accrued in the batch. `prev` entries beyond its length count
-/// as zero (first batch), and `prev` is updated to `now`. This is THE
-/// batching rule — shared by EstimateWithErrorBars and the engine's
-/// round loop so the two cannot drift.
-std::vector<double> BatchFromCumulativeWeights(
-    const std::vector<double>& now, std::vector<double>& prev);
-
 class BatchMeansAccumulator {
  public:
   /// Registers one batch. Every batch must have the same length
@@ -63,25 +56,5 @@ class BatchMeansAccumulator {
   std::vector<RunningStat> stats_;  // per type, across batches
   int batches_ = 0;
 };
-
-/// Concentration estimates with batch-means standard errors.
-struct BatchedEstimate {
-  /// Full-chain concentration estimates per catalog id.
-  std::vector<double> concentrations;
-  /// Batch-means standard error per catalog id: the standard deviation
-  /// of the per-batch concentration estimates divided by sqrt(B).
-  std::vector<double> standard_errors;
-  /// The per-batch concentration estimates, [batch][type].
-  std::vector<std::vector<double>> batch_estimates;
-  uint64_t steps = 0;
-};
-
-/// Runs one chain of `config` for `steps` transitions split into
-/// `batches` equal batches and assembles batch-means error bars.
-/// Requires batches >= 2 and steps >= batches.
-BatchedEstimate EstimateWithErrorBars(const Graph& g,
-                                      const EstimatorConfig& config,
-                                      uint64_t steps, int batches,
-                                      uint64_t seed);
 
 }  // namespace grw

@@ -33,18 +33,11 @@ void ForEachConnectedSubgraph(
 /// 3 <= k <= kMaxGraphletSize. Time grows with the number of k-subgraphs;
 /// intended for ground truth on small/medium graphs (paper Table 5 computes
 /// 5-node ground truth only for its four smallest datasets for the same
-/// reason). Edge probes go through an AdjacencyIndex, attached to a local
-/// copy of `g` when it has none.
+/// reason). Each subgraph's adjacency mask comes from the neighbor scans
+/// the enumeration already makes; there is no edge probe per subgraph.
 std::vector<int64_t> CountGraphletsEsu(const Graph& g, int k);
 
 /// Number of connected induced d-node subgraphs |H(d)|.
 uint64_t CountConnectedSubgraphs(const Graph& g, int d);
-
-/// Graphlet degree vector of node v: result[o] = number of connected
-/// induced k-node subgraphs containing v in which v occupies orbit o
-/// (orbit ids per graphlet/orbits.h). Enumeration-based — intended for
-/// small/medium graphs (same cost profile as exact counting).
-std::vector<int64_t> GraphletDegreeVector(const Graph& g, VertexId v,
-                                          int k);
 
 }  // namespace grw

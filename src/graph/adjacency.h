@@ -42,10 +42,11 @@
 // bitset rows, keeps the CSR's lowest-degree-endpoint probe orientation,
 // and returns bit-identical answers to Graph::HasEdgeBinarySearch. Attach
 // one via Graph::BuildAdjacencyIndex() and every HasEdge caller on that
-// graph routes through it transparently. Only exact ESU counting
-// (exact/esu.cpp) attaches one: it probes C(k,2) pairs per enumerated
-// subgraph, the one regime where the index beats binary search end to
-// end; walks, crawls and serve read by binary search. Construction is a
+// graph routes through it transparently. No product path attaches one:
+// walks, crawls, serve and exact counting read by binary search, and the
+// index's only remaining users are the per-layer benchmark
+// (e2ebench/layers.cpp), its two micro benches and its own tests.
+// Construction is a
 // deterministic parallel pass over the CSR (same index at any thread
 // count).
 

@@ -50,9 +50,9 @@ enum class GraphSourceKind {
 /// ignore them, so one options struct can serve a path of unknown kind.
 struct OpenOptions {
   /// Build and attach the AdjacencyIndex (monolithic kinds only). Off:
-  /// every open path reads by binary search, and exact ESU counting
-  /// attaches the index itself (exact/esu.cpp). Only the per-layer
-  /// benchmark (e2ebench/layers.cpp) names this field.
+  /// every open path reads by binary search. The index's only remaining
+  /// users are the per-layer benchmark (e2ebench/layers.cpp, the one
+  /// reader of this field), its two micro benches and its own tests.
   bool build_index = false;
   /// Full payload validation: data checksum + structural scan for
   /// `.grwb`, per-shard checksums + scans for sharded. Costs a full read

@@ -22,7 +22,6 @@ GraphletClassifier::GraphletClassifier(int k) : k_(k) {
     info.type = static_cast<int16_t>(catalog.IdForCanonicalMask(canon));
     assert(info.type >= 0);
     for (int i = 0; i < k; ++i) {
-      info.canonical_label_of[i] = static_cast<uint8_t>(perm[i]);
       info.position_of[perm[i]] = static_cast<uint8_t>(i);
     }
   }

@@ -25,11 +25,8 @@ namespace grw {
 struct MaskInfo {
   /// Catalog id of the pattern, or -1 if the mask is disconnected.
   int16_t type = -1;
-  /// canonical_label_of[i] = canonical label of the vertex at observed
-  /// position i (valid only when type >= 0).
-  std::array<uint8_t, kMaxGraphletSize> canonical_label_of = {};
-  /// position_of[c] = observed position of canonical label c (the inverse
-  /// permutation; valid only when type >= 0).
+  /// position_of[c] = observed position of canonical label c (valid only
+  /// when type >= 0).
   std::array<uint8_t, kMaxGraphletSize> position_of = {};
 };
 

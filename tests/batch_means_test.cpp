@@ -1,4 +1,5 @@
-// Tests for batch-means error bars.
+// Tests for batch-means error bars: the accumulator, and the standard
+// errors the estimation engine reports from it.
 
 #include "core/batch_means.h"
 
@@ -7,6 +8,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "engine/engine.h"
 #include "exact/exact.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
@@ -15,6 +17,18 @@
 
 namespace grw {
 namespace {
+
+// One engine chain of `steps` transitions in 20 rounds: the engine's
+// batch-means standard errors then come from 20 batches of that chain.
+EngineResult RunOneChain(const Graph& g, const EstimatorConfig& config,
+                         uint64_t steps, uint64_t seed) {
+  EngineOptions options;
+  options.chains = 1;
+  options.max_steps = steps;
+  options.round_steps = steps / 20;
+  options.base_seed = seed;
+  return EstimationEngine(g, config, options).Run();
+}
 
 TEST(BatchMeansTest, ErrorBarsCoverTheTruthMostOfTheTime) {
   Rng rng(19);
@@ -26,11 +40,12 @@ TEST(BatchMeansTest, ErrorBarsCoverTheTruthMostOfTheTime) {
   int covered = 0;
   const int trials = 30;
   for (int trial = 0; trial < trials; ++trial) {
-    const auto est = EstimateWithErrorBars(
-        g, EstimatorConfig{3, 1, true, false}, 40000, 20, 700 + trial);
+    const EngineResult est = RunOneChain(
+        g, EstimatorConfig{3, 1, true, false}, 40000, 700 + trial);
+    ASSERT_EQ(est.rounds, 20);
     // 3-sigma interval; batch means underestimates slightly on short
     // correlated chains, so ask for a generous coverage level.
-    if (std::abs(est.concentrations[triangle] - truth[triangle]) <=
+    if (std::abs(est.merged.concentrations[triangle] - truth[triangle]) <=
         3.0 * est.standard_errors[triangle]) {
       ++covered;
     }
@@ -47,30 +62,17 @@ TEST(BatchMeansTest, ErrorsShrinkWithMoreSteps) {
   double long_se = 0.0;
   const int reps = 8;
   for (int r = 0; r < reps; ++r) {
-    short_se += EstimateWithErrorBars(g, EstimatorConfig{3, 1, false, false},
-                                      4000, 10, 40 + r)
+    short_se += RunOneChain(g, EstimatorConfig{3, 1, false, false}, 4000,
+                            40 + r)
                     .standard_errors[triangle] /
                 reps;
-    long_se += EstimateWithErrorBars(g, EstimatorConfig{3, 1, false, false},
-                                     64000, 10, 80 + r)
+    long_se += RunOneChain(g, EstimatorConfig{3, 1, false, false}, 64000,
+                           80 + r)
                    .standard_errors[triangle] /
                reps;
   }
   // 16x the steps should shrink the error by roughly 4x; require 2x.
   EXPECT_LT(long_se, short_se / 2.0);
-}
-
-TEST(BatchMeansTest, BatchEstimatesStructure) {
-  const Graph g = KarateClub();
-  const auto est = EstimateWithErrorBars(
-      g, EstimatorConfig{4, 2, false, false}, 5000, 5, 3);
-  EXPECT_EQ(est.batch_estimates.size(), 5u);
-  EXPECT_EQ(est.steps, 5000u);
-  for (const auto& batch : est.batch_estimates) {
-    double sum = 0.0;
-    for (double c : batch) sum += c;
-    EXPECT_NEAR(sum, 1.0, 1e-9);
-  }
 }
 
 TEST(BatchMeansAccumulatorTest, StandardErrorsMatchClosedForm) {
@@ -114,16 +116,6 @@ TEST(BatchMeansAccumulatorTest, RejectsChangingBatchLength) {
   empty_first.AddBatch({});
   EXPECT_EQ(empty_first.NumBatches(), 1);
   EXPECT_THROW(empty_first.AddBatch({0.5, 0.5}), std::invalid_argument);
-}
-
-TEST(BatchMeansTest, RejectsDegenerateBatching) {
-  const Graph g = KarateClub();
-  EXPECT_THROW(EstimateWithErrorBars(g, EstimatorConfig{3, 1, false, false},
-                                     100, 1, 1),
-               std::invalid_argument);
-  EXPECT_THROW(EstimateWithErrorBars(g, EstimatorConfig{3, 1, false, false},
-                                     3, 10, 1),
-               std::invalid_argument);
 }
 
 }  // namespace

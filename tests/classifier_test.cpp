@@ -35,15 +35,17 @@ TEST(ClassifierTest, PermutationsMapMaskToCanonicalForm) {
     for (uint32_t mask = 0; mask < num_masks; ++mask) {
       const MaskInfo& info = classifier.Info(mask);
       if (info.type < 0) continue;
-      // Applying the stored permutation must produce the canonical mask.
+      // position_of is a permutation, and relabeling the mask by its
+      // inverse (position -> canonical label) gives the canonical mask.
       int perm[kMaxGraphletSize];
-      for (int i = 0; i < k; ++i) perm[i] = info.canonical_label_of[i];
+      std::fill(perm, perm + k, -1);
+      for (int c = 0; c < k; ++c) {
+        ASSERT_LT(info.position_of[c], k);
+        EXPECT_EQ(perm[info.position_of[c]], -1);
+        perm[info.position_of[c]] = c;
+      }
       EXPECT_EQ(ApplyPermutation(mask, k, perm),
                 catalog.Get(info.type).canonical_mask);
-      // position_of must invert canonical_label_of.
-      for (int i = 0; i < k; ++i) {
-        EXPECT_EQ(info.position_of[info.canonical_label_of[i]], i);
-      }
     }
   }
 }

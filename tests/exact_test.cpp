@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "exact/esu.h"
 #include "exact/four_count.h"
 #include "exact/triangle.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graphlet/catalog.h"
+#include "graphlet/classifier.h"
 #include "graphlet/noninduced.h"
 #include "util/rng.h"
 
@@ -120,6 +124,44 @@ TEST(EsuTest, GraphletCountsOnFixtures) {
   // K5: every 4-subset is a 4-clique.
   const auto k5_counts = CountGraphletsEsu(Complete(5), 4);
   EXPECT_EQ(k5_counts[c4.IdByName("4-clique")], 5);
+}
+
+// The reference classification CountGraphletsEsu replaced: C(k,2)
+// Graph::HasEdge probes per enumerated subgraph.
+std::vector<int64_t> CountGraphletsByEdgeProbes(const Graph& g, int k) {
+  const GraphletClassifier& classifier = GraphletClassifier::ForSize(k);
+  std::vector<int64_t> counts(GraphletCatalog::ForSize(k).NumTypes(), 0);
+  ForEachConnectedSubgraph(g, k, [&](std::span<const VertexId> nodes) {
+    uint32_t mask = 0;
+    for (int i = 0; i < k; ++i) {
+      for (int j = i + 1; j < k; ++j) {
+        if (g.HasEdge(nodes[i], nodes[j])) mask = MaskWithEdge(mask, k, i, j);
+      }
+    }
+    counts[classifier.Type(mask)]++;
+  });
+  return counts;
+}
+
+TEST(EsuTest, CountsMatchEdgeProbeOracle) {
+  // A Holme-Kim graph with a degree-100 hub for k <= 5. At k = 6 that hub
+  // alone spans C(100, 5) = 75M subgraphs, too many for a unit test, so
+  // k = 6 runs on a smaller graph from the same family.
+  Rng big_rng(1);
+  const Graph hub = LargestConnectedComponent(HolmeKim(800, 2, 0.5, big_rng));
+  VertexId max_degree = 0;
+  for (VertexId v = 0; v < hub.NumNodes(); ++v) {
+    max_degree = std::max<VertexId>(max_degree, hub.Degree(v));
+  }
+  ASSERT_GE(max_degree, 100u);
+  Rng small_rng(1);
+  const Graph small =
+      LargestConnectedComponent(HolmeKim(150, 2, 0.5, small_rng));
+  for (int k = 3; k <= 6; ++k) {
+    const Graph& g = k <= 5 ? hub : small;
+    EXPECT_EQ(CountGraphletsEsu(g, k), CountGraphletsByEdgeProbes(g, k))
+        << "k=" << k;
+  }
 }
 
 TEST(FourCountTest, MatchesEsuOnRandomGraphs) {

@@ -32,10 +32,8 @@ Checks (each is a function named check_*; `--list` prints them):
                     path silently skips the hardening.
   adjacency-index-owner
                     no Graph::BuildAdjacencyIndex() call outside
-                    src/graph/, src/exact/esu.cpp (exact ESU counting, the
-                    one owner of the decision), the index's own test and
-                    its two micro benches: every other path reads by
-                    binary search.
+                    src/graph/, the index's own test and its two micro
+                    benches: every product path reads by binary search.
 
 Usage:
   tools/lint_invariants.py [--root DIR]   lint the tree (exit 1 on findings)
@@ -68,7 +66,6 @@ RAW_POSIX_IO_RE = re.compile(r"::(?:read|write|send|recv|connect)\s*\(")
 BUILD_INDEX_RE = re.compile(r"\bBuildAdjacencyIndex\s*\(")
 INDEX_OWNER_DIR = os.path.join("src", "graph") + os.sep
 INDEX_OWNERS = (
-    os.path.join("src", "exact", "esu.cpp"),
     os.path.join("tests", "adjacency_test.cpp"),
     os.path.join("bench", "bench_micro_hasedge.cpp"),
     os.path.join("bench", "bench_micro_walks.cpp"),
@@ -245,8 +242,8 @@ def check_adjacency_index_owner(root):
                     if rel.startswith(INDEX_OWNER_DIR)) + INDEX_OWNERS
     return grep_rule(
         root, BUILD_INDEX_RE,
-        "BuildAdjacencyIndex outside its owner — only exact ESU counting "
-        "(src/exact/esu.cpp) attaches the index; read by binary search",
+        "BuildAdjacencyIndex outside src/graph/ and the index's own "
+        "test and benches; read by binary search",
         exclude=exclude)
 
 
@@ -300,7 +297,6 @@ def _make_clean_tree(root):
     _write(root, "src/x.h", "\n")
     _write(root, "src/x.cpp", "\n")
     _write(root, "ROADMAP.md", "see `tests/a_test.cpp`\n")
-    _write(root, "src/exact/esu.cpp", "g.BuildAdjacencyIndex();\n")
     _write(root, "src/graph/source.cpp", "g.BuildAdjacencyIndex();\n")
 
 
@@ -317,25 +313,25 @@ def self_test():
         clean = run_checks(root)
         expect(clean == [], "clean tree produces no findings")
 
-        seeds = {
-            "raw-sync": ("src/bad_sync.cpp", "std::mutex naked;\n"),
-            "detach": ("src/bad_detach.cpp", "worker.detach();\n"),
-            "naked-new-array": ("src/bad_new.cpp",
-                                "int* p = new int[n];\n"),
-            "unchecked-cast": ("src/bad_cast.cpp",
-                               "int n = static_cast<int>(flags.GetInt(\"n\","
-                               " 1));\n"),
-            "tests-registered": ("tests/empty_test.cpp",
-                                 "// no test macros here\n"),
-            "bench-json": ("bench/bench_nojson.cpp", "int main() {}\n"),
-            "doc-refs": ("CHANGES.md",
-                         "- see `src/ghost_file.cpp` for details\n"),
-            "raw-posix-io": ("src/bad_io.cpp",
-                             "ssize_t n = ::write(fd, data, len);\n"),
-            "adjacency-index-owner": ("tools/bad_index.cpp",
-                                      "g.BuildAdjacencyIndex();\n"),
-        }
-        for rule, (rel, content) in seeds.items():
+        seeds = [
+            ("raw-sync", "src/bad_sync.cpp", "std::mutex naked;\n"),
+            ("detach", "src/bad_detach.cpp", "worker.detach();\n"),
+            ("naked-new-array", "src/bad_new.cpp", "int* p = new int[n];\n"),
+            ("unchecked-cast", "src/bad_cast.cpp",
+             "int n = static_cast<int>(flags.GetInt(\"n\", 1));\n"),
+            ("tests-registered", "tests/empty_test.cpp",
+             "// no test macros here\n"),
+            ("bench-json", "bench/bench_nojson.cpp", "int main() {}\n"),
+            ("doc-refs", "CHANGES.md",
+             "- see `src/ghost_file.cpp` for details\n"),
+            ("raw-posix-io", "src/bad_io.cpp",
+             "ssize_t n = ::write(fd, data, len);\n"),
+            ("adjacency-index-owner", "tools/bad_index.cpp",
+             "g.BuildAdjacencyIndex();\n"),
+            ("adjacency-index-owner", "src/exact/esu.cpp",
+             "g.BuildAdjacencyIndex();\n"),
+        ]
+        for rule, rel, content in seeds:
             with tempfile.TemporaryDirectory() as seeded:
                 _make_clean_tree(seeded)
                 _write(seeded, rel, content)
