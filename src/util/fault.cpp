@@ -225,18 +225,24 @@ void FaultSite::ResetScheduleLocked() {
   fired_.store(0, std::memory_order_relaxed);
 }
 
-void FaultSite::Resolve(uint64_t epoch) {
+void FaultSite::Resolve() {
   Registry& r = GetRegistry();
   MutexLock lock(r.mu);
-  triggers_ = Triggers{};
+  // Threads that raced here for the same configuration resolve it once:
+  // the losers must not rewrite triggers_ while the winner's callers
+  // already read it without the lock.
+  const uint64_t epoch = r.epoch.load(std::memory_order_relaxed);
+  if (epoch_.load(std::memory_order_relaxed) == epoch) return;
+  Triggers triggers;
   for (const Clause& clause : r.clauses) {
     if (!Matches(clause.pattern, name_)) continue;
-    triggers_.probability = clause.probability;
-    triggers_.p = clause.p;
-    triggers_.nth = clause.nth;
-    triggers_.once_at = clause.once_at;
+    triggers.probability = clause.probability;
+    triggers.p = clause.p;
+    triggers.nth = clause.nth;
+    triggers.once_at = clause.once_at;
     break;  // first matching clause wins
   }
+  triggers_ = triggers;
   seed_ = r.seed;
   epoch_.store(epoch, std::memory_order_release);
 }
@@ -244,8 +250,10 @@ void FaultSite::Resolve(uint64_t epoch) {
 bool FaultSite::Fire() {
   EnsureConfigured();
   Registry& r = GetRegistry();
-  const uint64_t epoch = r.epoch.load(std::memory_order_acquire);
-  if (epoch_.load(std::memory_order_acquire) != epoch) Resolve(epoch);
+  if (epoch_.load(std::memory_order_acquire) !=
+      r.epoch.load(std::memory_order_acquire)) {
+    Resolve();
+  }
 
   const uint64_t total = calls_.fetch_add(1, std::memory_order_relaxed) + 1;
   const uint64_t ordinal = total - base_.load(std::memory_order_relaxed);

@@ -125,7 +125,7 @@ class FaultSite {
     uint64_t once_at = 0;  // fire when ordinal == once_at
   };
 
-  void Resolve(uint64_t epoch);
+  void Resolve();
 
   const char* name_;
   std::atomic<uint64_t> calls_{0};
