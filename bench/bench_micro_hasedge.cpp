@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
                grw::Table::Duration(gen_timer.Seconds()).c_str(),
                index.num_hubs(), index.hub_threshold(),
                static_cast<double>(index.bitset_bytes()) / (1 << 20),
-               static_cast<double>(index.signature_bytes()) / (1 << 20),
+               static_cast<double>(index.metadata_bytes()) / (1 << 20),
                grw::Table::Duration(index_s).c_str());
 
   // ---- Part 1: query regimes -------------------------------------------

@@ -2,10 +2,8 @@
 
 #include <cassert>
 #include <stdexcept>
-#include <type_traits>
 
 #include "core/alpha.h"
-#include "core/rsize.h"
 #include "graph/access.h"
 #include "graph/sharded_access.h"
 #include "walk/edge_walk.h"
@@ -223,31 +221,6 @@ std::vector<double> CountEstimatesFromResult(const EstimateResult& result,
     counts[i] = result.weights[i] * scale;
   }
   return counts;
-}
-
-template <class G>
-std::vector<double> GraphletEstimatorT<G>::CountEstimates() const {
-  if constexpr (!std::is_same_v<G, Graph>) {
-    throw std::logic_error(
-        "CountEstimates(): closed-form |R(d)| aggregates full-graph "
-        "degrees — unavailable through a crawl; pass it explicitly");
-  } else {
-    if (config_.d > 2) {
-      throw std::logic_error(
-          "CountEstimates(): no closed-form |R(d)| for d >= 3; pass it "
-          "explicitly");
-    }
-    return CountEstimates(RelationshipEdgeCount(*g_, config_.d));
-  }
-}
-
-template <class G>
-std::vector<double> GraphletEstimatorT<G>::CountEstimates(
-    uint64_t relationship_edges) const {
-  EstimateResult snapshot;
-  snapshot.weights = weights_;
-  snapshot.steps = steps_;
-  return CountEstimatesFromResult(snapshot, relationship_edges);
 }
 
 template <class G>

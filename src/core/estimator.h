@@ -137,13 +137,6 @@ class GraphletEstimatorT {
   /// the convergence experiments, paper Figure 6).
   EstimateResult Result() const;
 
-  /// Count estimates C^k_i (Eq. 4) using the closed-form |R(d)|;
-  /// requires d <= 2 and full access (|R(d)| aggregates degrees of the
-  /// whole graph — a crawler cannot know it). For d >= 3 or crawl access
-  /// pass a precomputed |R(d)|.
-  std::vector<double> CountEstimates() const;
-  std::vector<double> CountEstimates(uint64_t relationship_edges) const;
-
   const EstimatorConfig& config() const { return config_; }
   /// AlphaTable(k, d): alpha^k_i per catalog id.
   const std::vector<int64_t>& alpha() const { return alpha_; }

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 
 #include "core/alpha.h"
@@ -46,6 +47,12 @@ std::vector<int> BuildPaperOrder(int k) {
             catalog.IdByName("chordal-cycle"),
             catalog.IdByName("4-clique")};
   }
+  if (k == kMaxGraphletSize) {
+    // The paper numbers no 6-node graphlets: catalog order.
+    std::vector<int> order(static_cast<size_t>(catalog.NumTypes()));
+    std::iota(order.begin(), order.end(), 0);
+    return order;
+  }
   assert(k == 5);
   // Match each catalog graphlet's (alpha_SRW1/2, alpha_SRW2/2) pair to the
   // unique Table 3 column carrying it.
@@ -79,30 +86,18 @@ std::vector<int> BuildPaperOrder(int k) {
 }  // namespace
 
 const std::vector<int>& PaperOrder(int k) {
-  assert(k >= 3 && k <= 5);
-  static std::once_flag flags[6];
-  static std::vector<int> orders[6];
+  assert(k >= 3 && k <= kMaxGraphletSize);
+  static std::once_flag flags[kMaxGraphletSize + 1];
+  static std::vector<int> orders[kMaxGraphletSize + 1];
   std::call_once(flags[k], [k] { orders[k] = BuildPaperOrder(k); });
   return orders[k];
 }
 
-const std::vector<int>& PaperPositionOfCatalogId(int k) {
-  assert(k >= 3 && k <= 5);
-  static std::once_flag flags[6];
-  static std::vector<int> inverse[6];
-  std::call_once(flags[k], [k] {
-    const std::vector<int>& order = PaperOrder(k);
-    inverse[k].assign(order.size(), -1);
-    for (size_t pos = 0; pos < order.size(); ++pos) {
-      inverse[k][order[pos]] = static_cast<int>(pos);
-    }
-  });
-  return inverse[k];
-}
-
 std::string PaperLabel(int k, int paper_pos) {
-  if (k == 5) return "g5_" + std::to_string(paper_pos + 1);
-  return "g" + std::to_string(k) + std::to_string(paper_pos + 1);
+  // k >= 5 positions run past 9, so an underscore separates them.
+  std::string label = std::to_string(k);
+  if (k >= 5) label += '_';
+  return 'g' + label + std::to_string(paper_pos + 1);
 }
 
 const std::vector<std::vector<int64_t>>& PaperAlphaHalfTable(int k) {

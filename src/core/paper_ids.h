@@ -22,13 +22,12 @@
 namespace grw {
 
 /// paper_pos (0-based: paper id i corresponds to index i-1) -> catalog id,
-/// for k in {3, 4, 5}.
+/// for k in 3..6. The paper numbers no 6-node graphlets: k = 6 is
+/// catalog order.
 const std::vector<int>& PaperOrder(int k);
 
-/// Inverse of PaperOrder: catalog id -> 0-based paper position.
-const std::vector<int>& PaperPositionOfCatalogId(int k);
-
-/// Paper label for a 0-based paper position, e.g. "g31", "g46", "g5_17".
+/// Paper label for a 0-based paper position, e.g. "g31", "g46", "g5_17",
+/// "g6_112".
 std::string PaperLabel(int k, int paper_pos);
 
 /// The alpha^k_i / 2 values printed in paper Tables 2 and 3, indexed

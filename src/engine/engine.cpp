@@ -25,6 +25,9 @@ template <class A>
 using SourceOf =
     std::conditional_t<std::is_same_v<A, ShardedAccess>, ShardStore, Graph>;
 
+// Base of every chain's failure-model seed ("fail" seed).
+constexpr uint64_t kFailSeed = 0x6661696c5eedULL;
+
 // Chain `chain`'s private crawler options. Everything chain-specific —
 // the budget share and the failure schedule — depends on the global
 // chain index alone, so no thread schedule can move either.
@@ -37,9 +40,8 @@ CrawlAccess::Options CrawlOptionsFor(const EngineOptions& opt, int chain) {
     options.failure.fail_prob = crawl.fail_prob;
     options.failure.max_retries = crawl.fail_max_retries;
     options.failure.backoff_base_us = crawl.fail_backoff_us;
-    options.failure.backoff_max_us = crawl.fail_backoff_max_us;
     options.failure.seed =
-        DeriveSeed(crawl.fail_seed, static_cast<uint64_t>(chain));
+        DeriveSeed(kFailSeed, static_cast<uint64_t>(chain));
   }
   if (crawl.budget_queries > 0) {
     // Fixed share of the total budget (B >= chains was validated, so
@@ -159,6 +161,9 @@ void ValidateEngine(const SourceOf<A>& source, const EstimatorConfig& config,
 // variance to mean something; with C chains this is reached after
 // ceil(8 / C) rounds.
 constexpr int kMinBatchesForStop = 8;
+// Types with merged concentration below this floor are not gated on
+// (their relative error is dominated by shot noise).
+constexpr double kMinConcentration = 1e-3;
 
 // The round loop over chains of access type A.
 template <class A>
@@ -241,7 +246,7 @@ EngineResult RunLoop(const SourceOf<A>& source, const EstimatorConfig& config,
     // NaN while no type has weight (blocks stopping), +inf before two
     // batches exist.
     out.max_rel_error = accumulator.MaxRelativeError(
-        out.merged.concentrations, opt.min_concentration);
+        out.merged.concentrations, kMinConcentration);
     out.seconds = timer.Seconds();
     out.steps_per_chain = done;
     // Actual transitions, not done * chains: budget-exhausted chains fall

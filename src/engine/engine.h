@@ -94,9 +94,6 @@ struct EngineOptions {
     const uint64_t rounds = max_steps / 32;
     return rounds < 256 ? 256 : rounds;
   }
-  /// Types with merged concentration below this floor are not gated on
-  /// (their relative error is dominated by shot noise).
-  double min_concentration = 1e-3;
 
   /// Restricted-access (crawl) simulation of the paper's OSN setting.
   struct CrawlConfig {
@@ -118,14 +115,12 @@ struct EngineOptions {
     /// per-attempt failure probability, bounded retries with exponential
     /// backoff + jitter. Cost-only — estimates stay bit-identical; the
     /// retries / giveups / backoff totals land in EngineResult::access.
-    /// Each chain gets a private failure RNG seeded
-    /// DeriveSeed(fail_seed, global chain index): deterministic at any
-    /// thread count, and the walk RNG stream is never consumed.
+    /// Each chain gets a private failure RNG seeded from a fixed seed and
+    /// its global chain index: deterministic at any thread count, and the
+    /// walk RNG stream is never consumed.
     double fail_prob = 0.0;
     int fail_max_retries = 4;
     double fail_backoff_us = 1000.0;
-    double fail_backoff_max_us = 1e6;
-    uint64_t fail_seed = 0x6661696c5eedULL;  // "fail" seed
   };
   CrawlConfig crawl;
 

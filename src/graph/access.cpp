@@ -9,6 +9,17 @@
 
 namespace grw {
 
+namespace {
+
+// Cap on a single backoff wait, and the modeled cost of the slow-path
+// fallback after a giveup.
+constexpr double kBackoffMaxUs = 1e6;
+// Uniform extra wait fraction in [0, kBackoffJitter) per backoff
+// (decorrelates retry storms).
+constexpr double kBackoffJitter = 0.5;
+
+}  // namespace
+
 void* MapPages(size_t bytes) {
   void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
@@ -34,25 +45,6 @@ CrawlAccess::CrawlAccess(const Graph& g, const Options& options)
   ever_fetched_.assign((n + 63) / 64, 0);
 }
 
-void CrawlAccess::ResetStats() {
-  stats_ = CrawlStats{};
-  // The distinct-fetch registry belongs to the accounting phase the
-  // counters describe: keeping it would make post-reset distinct counts
-  // (and the budget) skip nodes fetched before the reset.
-  std::fill(ever_fetched_.begin(), ever_fetched_.end(), 0);
-}
-
-void CrawlAccess::ResetCache() {
-  for (uint32_t s = 0; s < used_; ++s) slot_of_[node_of_[s]] = kNoSlot;
-  std::fill(ever_fetched_.begin(), ever_fetched_.end(), 0);
-  head_ = tail_ = kNoSlot;
-  used_ = 0;
-  stats_ = CrawlStats{};
-  // A fresh crawler replays the same failure schedule: determinism per
-  // (seed, fetch ordinal), independent of what ran before the reset.
-  fail_rng_.Seed(opt_.failure.seed);
-}
-
 void CrawlAccess::SimulateTransientFailures() const {
   const Options::FailureModel& f = opt_.failure;
   // Each attempt fails independently with fail_prob; the loop models
@@ -66,12 +58,12 @@ void CrawlAccess::SimulateTransientFailures() const {
       // Past the fast-path budget the crawler escalates to its slow
       // reliable path; model that as one maximal wait. Data still
       // arrives — the failure model never alters what Fetch returns.
-      stats_.backoff_latency_us += f.backoff_max_us;
+      stats_.backoff_latency_us += kBackoffMaxUs;
       break;
     }
     double wait = f.backoff_base_us * std::ldexp(1.0, attempt);
-    if (wait > f.backoff_max_us) wait = f.backoff_max_us;
-    wait += wait * f.jitter * fail_rng_.UniformReal();
+    if (wait > kBackoffMaxUs) wait = kBackoffMaxUs;
+    wait += wait * kBackoffJitter * fail_rng_.UniformReal();
     stats_.backoff_latency_us += wait;
     ++stats_.retries;
     ++attempt;

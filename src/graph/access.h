@@ -152,7 +152,8 @@ class CrawlAccess {
 
     /// Transient-fetch-failure model: real crawl APIs rate-limit and
     /// 5xx, and a crawler answers with bounded retries under
-    /// exponential backoff plus jitter. Like latency_us this is a COST
+    /// exponential backoff plus a uniform jitter of up to half the wait,
+    /// drawn from the failure RNG. Like latency_us this is a COST
     /// model, not a data model: a failed attempt charges retries /
     /// giveups / backoff_latency_us in CrawlStats (after the retry
     /// budget the crawler is modeled as escalating to its slow reliable
@@ -164,14 +165,10 @@ class CrawlAccess {
       double fail_prob = 0.0;
       /// Retry attempts before giving up on the fast path.
       int max_retries = 4;
-      /// First backoff wait; doubles per retry: base * 2^attempt.
+      /// First backoff wait; doubles per retry: base * 2^attempt, capped
+      /// at 1 s (also the modeled cost of the slow-path fallback after a
+      /// giveup).
       double backoff_base_us = 1000.0;
-      /// Cap on a single backoff wait (also the modeled cost of the
-      /// slow-path fallback after a giveup).
-      double backoff_max_us = 1e6;
-      /// Uniform extra wait fraction in [0, jitter) per backoff, drawn
-      /// from the failure RNG (decorrelates retry storms).
-      double jitter = 0.5;
       /// Seed of the PRIVATE failure RNG stream. The engine derives one
       /// per chain from the chain's global index, so failure schedules
       /// replay exactly at any thread count; the walk RNG is never
@@ -224,17 +221,8 @@ class CrawlAccess {
   }
 
   const CrawlStats& stats() const { return stats_; }
-  const Options& options() const { return opt_; }
   /// Effective LRU capacity after clamping (0/oversize -> NumNodes()).
   uint32_t CacheCapacity() const { return capacity_; }
-
-  /// Starts a new accounting phase: zeroes the counters and the
-  /// distinct-fetch registry, keeping the cached lists (reads of cached
-  /// nodes stay free, and a cache miss counts as distinct again).
-  void ResetStats();
-  /// Drops every cached list and the distinct-fetch registry, then zeroes
-  /// the counters: a fresh crawler against the same backend.
-  void ResetCache();
 
  private:
   static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
@@ -315,8 +303,7 @@ class CrawlAccess {
   mutable uint32_t tail_ = kNoSlot;            // least recently used
   mutable uint32_t used_ = 0;
   mutable PageVector<uint64_t> ever_fetched_;  // distinct-fetch bitset
-  // Private stream for the failure model; reseeded by ResetCache() so a
-  // fresh crawler replays the same failure schedule.
+  // Private stream for the failure model.
   mutable Rng fail_rng_;
 };
 

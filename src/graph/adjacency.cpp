@@ -11,52 +11,7 @@
 
 namespace grw {
 
-uint64_t SignatureProbeBatchScalar(uint64_t signature,
-                                   const VertexId* candidates, int count) {
-  uint64_t mask = 0;
-  for (int i = 0; i < count; ++i) {
-    mask |= ((signature >> ((candidates[i] * 0x9E3779B97F4A7C15ull) >> 58)) &
-             1ull)
-            << i;
-  }
-  return mask;
-}
-
 #if defined(GRW_SIMD_AVX2)
-
-__attribute__((target("avx2"))) uint64_t SignatureProbeBatchAvx2(
-    uint64_t signature, const VertexId* candidates, int count) {
-  // Four candidates per iteration, widened to 64-bit lanes. The hash is
-  // v * K >> 58 with v < 2^32, so the low-64 product splits exactly into
-  // two 32x32->64 multiplies: v*K_lo + ((v*K_hi) << 32). _mm256_mul_epu32
-  // multiplies the low 32 bits of each lane, which is all three operands
-  // need.
-  const __m256i k_lo = _mm256_set1_epi64x(0x7F4A7C15ll);
-  const __m256i k_hi = _mm256_set1_epi64x(0x9E3779B9ll);
-  const __m256i sig = _mm256_set1_epi64x(static_cast<long long>(signature));
-  const __m256i one = _mm256_set1_epi64x(1);
-  uint64_t mask = 0;
-  int i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i v = _mm256_cvtepu32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(candidates + i)));
-    const __m256i prod = _mm256_add_epi64(
-        _mm256_mul_epu32(v, k_lo),
-        _mm256_slli_epi64(_mm256_mul_epu32(v, k_hi), 32));
-    const __m256i shift = _mm256_srli_epi64(prod, 58);
-    const __m256i bit =
-        _mm256_and_si256(_mm256_srlv_epi64(sig, shift), one);
-    const __m256i hit = _mm256_cmpeq_epi64(bit, one);
-    mask |= static_cast<uint64_t>(
-                _mm256_movemask_pd(_mm256_castsi256_pd(hit)))
-            << i;
-  }
-  if (i < count) {
-    mask |= SignatureProbeBatchScalar(signature, candidates + i, count - i)
-            << i;
-  }
-  return mask;
-}
 
 bool SignatureProbeBatchHasAvx2() {
   static const bool kHasAvx2 = __builtin_cpu_supports("avx2");
@@ -65,22 +20,9 @@ bool SignatureProbeBatchHasAvx2() {
 
 #else  // !GRW_SIMD_AVX2
 
-uint64_t SignatureProbeBatchAvx2(uint64_t signature,
-                                 const VertexId* candidates, int count) {
-  return SignatureProbeBatchScalar(signature, candidates, count);
-}
-
 bool SignatureProbeBatchHasAvx2() { return false; }
 
 #endif  // GRW_SIMD_AVX2
-
-uint64_t SignatureProbeBatch(uint64_t signature, const VertexId* candidates,
-                             int count) {
-  if (SignatureProbeBatchHasAvx2()) {
-    return SignatureProbeBatchAvx2(signature, candidates, count);
-  }
-  return SignatureProbeBatchScalar(signature, candidates, count);
-}
 
 AdjacencyIndex::AdjacencyIndex(const Graph& g,
                                const AdjacencyIndexOptions& options)

@@ -32,11 +32,8 @@
 // split layout regressed — skip the signature math entirely once the
 // record says the resolving list is short.
 //
-// Batched probes: SignatureProbeBatch() evaluates one node's signature
-// against a whole candidate array at once, vectorized with AVX2 where the
-// CPU has it (runtime-dispatched; bit-identical scalar fallback
-// otherwise). SignatureProbeBatchHasAvx2() also gates the AVX2 list scan
-// inside HasEdge.
+// SignatureProbeBatchHasAvx2() gates the AVX2 list scan inside HasEdge
+// (runtime-dispatched; bit-identical scalar scan otherwise).
 //
 // The index is an overlay: it stores no adjacency of its own beyond the
 // bitset rows, keeps the CSR's lowest-degree-endpoint probe orientation,
@@ -62,30 +59,13 @@ namespace grw {
 
 /// The multiplicative (Fibonacci) hash picking one of 64 signature bits
 /// for a vertex id; the high bits of the product are well mixed even for
-/// dense sequential ids. Shared by the index and the vectorized probes.
+/// dense sequential ids.
 inline uint64_t NeighborSignatureBit(VertexId v) {
   return 1ull << ((v * 0x9E3779B97F4A7C15ull) >> 58);
 }
 
-/// Evaluates `signature` against `count` candidate ids (count <= 64):
-/// bit i of the result is 1 iff the signature *admits* candidates[i]
-/// (possible edge — needs an exact check); 0 proves the edge absent.
-/// Scalar reference implementation.
-uint64_t SignatureProbeBatchScalar(uint64_t signature,
-                                   const VertexId* candidates, int count);
-
-/// AVX2 implementation of the same contract (4 candidates per vector op).
-/// Only callable when SignatureProbeBatchHasAvx2() is true.
-uint64_t SignatureProbeBatchAvx2(uint64_t signature,
-                                 const VertexId* candidates, int count);
-
 /// True when this binary carries the AVX2 path and the CPU supports it.
 bool SignatureProbeBatchHasAvx2();
-
-/// Runtime-dispatched batch probe: AVX2 when available, scalar otherwise.
-/// Both paths return identical masks for every input (property-tested).
-uint64_t SignatureProbeBatch(uint64_t signature, const VertexId* candidates,
-                             int count);
 
 /// Tuning knobs for AdjacencyIndex construction.
 struct AdjacencyIndexOptions {
@@ -203,8 +183,6 @@ class AdjacencyIndex {
   uint64_t metadata_bytes() const {
     return meta_.size() * sizeof(NodeMeta);
   }
-  /// Back-compat alias for the pre-fusion stat name.
-  uint64_t signature_bytes() const { return metadata_bytes(); }
 
  private:
   static constexpr uint16_t kNoHub = 0xFFFFu;

@@ -3,7 +3,6 @@
 #include <filesystem>
 #include <stdexcept>
 
-#include "graph/builder.h"
 #include "graph/io.h"
 
 namespace grw {
@@ -22,7 +21,6 @@ GraphSource GraphSource::Open(const std::string& path,
     source.relabeled_ = manifest.DegreeRelabeled();
     ShardStore::Options store_options;
     store_options.resident_budget_bytes = options.resident_budget_bytes;
-    store_options.verify_on_fault = options.verify_on_fault;
     source.store_ =
         std::make_shared<ShardStore>(std::move(manifest), store_options);
     return source;
@@ -33,10 +31,6 @@ GraphSource GraphSource::Open(const std::string& path,
     source.emplace();
     source->kind_ = GraphSourceKind::kText;
     source->graph_ = LoadEdgeList(path, options.largest_cc);
-    if (options.relabel_degree) {
-      source->graph_ = RelabelByDegree(source->graph_);
-      source->relabeled_ = true;
-    }
   }
   source->path_ = path;
   if (options.build_index) source->graph_.BuildAdjacencyIndex();

@@ -6,9 +6,8 @@
 // none aware of more than one storage layout. GraphSource::Open collapses
 // them: it sniffs the path and dispatches to
 //
-//   text edge list       -> LoadEdgeList (optionally largest CC,
-//                           optionally degree-relabeled) — an in-memory
-//                           Graph;
+//   text edge list       -> LoadEdgeList (optionally largest CC) — an
+//                           in-memory Graph;
 //   monolithic `.grwb`   -> one mapping, validated once — a zero-copy
 //                           mmap'd Graph;
 //   sharded manifest     -> LoadShardManifest + a ShardStore under the
@@ -62,16 +61,9 @@ struct OpenOptions {
   /// walk theory assumes a connected graph). Snapshots were simplified
   /// at convert time.
   bool largest_cc = true;
-  /// Text kind only: relabel nodes in degree-descending order (improves
-  /// walk locality and the adjacency index's hub tier). Snapshot kinds
-  /// carry their relabel flag from convert time instead.
-  bool relabel_degree = false;
   /// Sharded kind only: resident-byte budget for the shard LRU
   /// (ShardStore::Options); 0 = unbounded.
   uint64_t resident_budget_bytes = 0;
-  /// Sharded kind only: re-verify shard payloads on every fault, not
-  /// just at open (ShardStore::Options::verify_on_fault).
-  bool verify_on_fault = false;
 };
 
 /// An opened graph of any storage kind. Cheap to copy; copies share the

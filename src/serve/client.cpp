@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -21,6 +22,38 @@
 #include "util/rng.h"
 
 namespace grw::serve {
+
+std::string EstimateRequestLine(const Flags& flags, const std::string& graph) {
+  std::string line =
+      "ESTIMATE graph=" + graph + " k=" + std::to_string(flags.GetInt("k", 4));
+  const auto integer = [&](const char* field, const char* flag) {
+    if (flags.Has(flag)) {
+      line += std::string(" ") + field + "=" +
+              std::to_string(flags.GetInt(flag, 0));
+    }
+  };
+  const auto boolean = [&](const char* field) {
+    if (flags.Has(field)) {
+      line += std::string(" ") + field + (flags.GetBool(field) ? "=1" : "=0");
+    }
+  };
+  integer("d", "d");
+  boolean("css");
+  boolean("nb");
+  integer("steps", flags.Has("max-steps") ? "max-steps" : "steps");
+  integer("seed", "seed");
+  integer("chains", "chains");
+  if (flags.Has("target-nrmse")) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g",
+                  flags.GetDouble("target-nrmse", 0.0));
+    line += std::string(" target_nrmse=") + buf;
+  }
+  if (flags.GetBool("crawl")) line += " crawl=1";
+  integer("budget", "budget-queries");
+  integer("cache", "cache-size");
+  return line;
+}
 
 QueryClient::QueryClient(const std::string& host, int port)
     : QueryClient(host, port, Options{}) {}
@@ -105,6 +138,11 @@ std::string QueryClient::RoundTrip(const std::string& line) {
 
 namespace {
 
+// Extra uniform wait fraction in [0, kJitter) per backoff, drawn from a
+// stream seeded with kJitterSeed.
+constexpr double kJitter = 0.5;
+constexpr uint64_t kJitterSeed = 0x72657472795eedULL;
+
 // A load-shed response carries "code": "RETRY_AFTER" plus the server's
 // backoff hint; anything else — including unparseable bytes — is a final
 // answer. Returns the hint in ms (>= 0) or a negative value for "not a
@@ -132,8 +170,18 @@ QueryOutcome QueryWithRetry(const std::string& host, int port,
                             const QueryClient::Options& options,
                             const RetryPolicy& policy) {
   QueryOutcome out;
-  Rng jitter_rng(policy.seed);
+  Rng jitter_rng(kJitterSeed);
   const int max_retries = std::max(0, policy.max_retries);
+
+  // Waits the policy's backoff for `attempt`, at least `hint_ms`, capped
+  // at backoff_max_ms, plus jitter.
+  const auto back_off = [&](int attempt, double hint_ms) {
+    double wait = policy.backoff_base_ms * std::ldexp(1.0, attempt);
+    wait = std::min(std::max(wait, hint_ms), policy.backoff_max_ms);
+    wait += wait * kJitter * jitter_rng.UniformReal();
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(static_cast<int64_t>(wait * 1000.0)));
+  };
 
   // One reusable connection across load-shed retries (the stream stays
   // healthy — the server ANSWERED), but rebuilt from scratch after any
@@ -156,11 +204,7 @@ QueryOutcome QueryWithRetry(const std::string& host, int port,
         return out;
       }
       // Policy backoff only — a transport failure has no server hint.
-      double wait = policy.backoff_base_ms * std::ldexp(1.0, attempt);
-      wait = std::min(wait, policy.backoff_max_ms);
-      wait += wait * policy.jitter * jitter_rng.UniformReal();
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(static_cast<int64_t>(wait * 1000.0)));
+      back_off(attempt, 0.0);
       continue;
     }
 
@@ -176,12 +220,7 @@ QueryOutcome QueryWithRetry(const std::string& host, int port,
     // Load shed: honor the server's hint, but never beyond the policy
     // cap, and at least the policy's own backoff curve so a zero hint
     // still spaces attempts out.
-    double wait = policy.backoff_base_ms * std::ldexp(1.0, attempt);
-    wait = std::max(wait, hint_ms);
-    wait = std::min(wait, policy.backoff_max_ms);
-    wait += wait * policy.jitter * jitter_rng.UniformReal();
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(static_cast<int64_t>(wait * 1000.0)));
+    back_off(attempt, hint_ms);
   }
 }
 

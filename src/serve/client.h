@@ -19,7 +19,18 @@
 #include <cstdint>
 #include <string>
 
+#include "util/flags.h"
+
 namespace grw::serve {
+
+/// The ESTIMATE line for graph id `graph` from the estimation flags that
+/// `grw query` sends and `grw estimate` parses and runs locally, so every
+/// default and range check is the protocol parser's: --k (default 4),
+/// --d, --css, --nb, --steps / --max-steps (the step cap; --max-steps
+/// wins), --seed, --chains, --target-nrmse, --crawl, --budget-queries
+/// and --cache-size, each only if set. Values go through the typed flag
+/// getters, so none can smuggle in a second field.
+std::string EstimateRequestLine(const Flags& flags, const std::string& graph);
 
 class QueryClient {
  public:
@@ -57,18 +68,15 @@ class QueryClient {
 };
 
 /// Retry policy for QueryWithRetry: exponential backoff base * 2^attempt
-/// capped at max, plus a uniform jitter fraction, REAL wall-clock sleeps
-/// (unlike the crawl failure model, a live client actually waits).
+/// capped at max, plus up to half again as uniform jitter from a
+/// fixed-seed stream (so a fleet of shed clients does not resend in
+/// lockstep), REAL wall-clock sleeps (unlike the crawl failure model, a
+/// live client actually waits).
 struct RetryPolicy {
   /// Retries after the first attempt (so max_retries + 1 attempts total).
   int max_retries = 4;
   double backoff_base_ms = 25.0;
   double backoff_max_ms = 2'000.0;
-  /// Extra uniform wait fraction in [0, jitter) per backoff, so a fleet
-  /// of shed clients does not resend in lockstep.
-  double jitter = 0.5;
-  /// Seed for the jitter stream (deterministic tests).
-  uint64_t seed = 0x72657472795eedULL;
 };
 
 /// The result of one logical query through the retry loop.

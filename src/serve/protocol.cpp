@@ -54,7 +54,7 @@ std::string CheckVersion(const std::string& value) {
   return {};
 }
 
-// Field accumulator with CLI-identical default resolution at the end.
+// Field accumulator with the request defaults resolved at the end.
 struct EstimateFields {
   EstimateRequest req;
   bool have_k = false;
@@ -119,12 +119,12 @@ struct EstimateFields {
       if (*v < 0.0) return "field target_nrmse: must be >= 0";
       req.target_nrmse = *v;
     } else if (key == "seed") {
-      // Non-negative: a negative seed used to wrap to a huge uint64,
-      // silently desynchronizing "same seed" reproductions across tools.
-      const std::optional<int64_t> v = ParseInt64(value);
-      if (!v.has_value()) return bad("integer");
-      if (*v < 0) return "field seed: must be >= 0";
-      req.seed = static_cast<uint64_t>(*v);
+      // The range `--seed` takes; a negative seed must not wrap to a huge
+      // uint64 and desynchronize "same seed" reproductions across tools.
+      if (!get_int(0, std::numeric_limits<int64_t>::max(), n, err)) {
+        return err;
+      }
+      req.seed = static_cast<uint64_t>(n);
     } else if (key == "chains") {
       if (!get_int(1, limits.max_chains, n, err)) return err;
       req.chains = static_cast<int>(n);
@@ -161,8 +161,8 @@ struct EstimateFields {
   std::string Finish() {
     if (req.graph.empty()) return "missing required field graph";
     if (!have_k) return "missing required field k";
-    // The CLI's defaults, in the CLI's order: d from k, css from the
-    // *resolved* d, nb from k.
+    // The request defaults, in order: d from k, css from the *resolved*
+    // d, nb from k.
     if (!have_d) req.config.d = req.config.k == 3 ? 1 : 2;
     if (req.config.d >= req.config.k) {
       return "field d: must satisfy 1 <= d < k";
@@ -244,15 +244,13 @@ EngineOptions ToEngineOptions(const EstimateRequest& req) {
   options.crawl.enabled = req.crawl;
   options.crawl.budget_queries = req.budget_queries;
   options.crawl.cache_entries = req.cache_entries;
-  if (req.target_nrmse > 0.0 || req.chains > 1) {
-    // The CLI pins the round slicing whenever convergence checking or
-    // multi-chain merging is on; reproduce it exactly or stopping points
-    // (and thus estimates under target_nrmse) would diverge.
-    options.round_steps = EngineOptions::DefaultRoundSteps(req.max_steps);
-  } else if (req.deadline_ms > 0.0) {
-    // Cancellation lands on round boundaries; a single giant round would
-    // make the deadline unenforceable. Round slicing never changes the
-    // merged estimate of a run without early stopping.
+  // Pin the round slicing whenever convergence checking or multi-chain
+  // merging is on, so stopping points (and thus estimates under
+  // target_nrmse) never depend on whether progress is reported. A
+  // deadline needs round boundaries for cancellation to land on; round
+  // slicing never changes the merged estimate of a run without early
+  // stopping.
+  if (req.target_nrmse > 0.0 || req.chains > 1 || req.deadline_ms > 0.0) {
     options.round_steps = EngineOptions::DefaultRoundSteps(req.max_steps);
   }
   return options;

@@ -20,13 +20,13 @@
 // key stays so v=1 clients that read it still parse the reply) and its
 // request limits, so clients can feature-gate without try-and-see.
 //
-// Field semantics and *defaults* mirror `grw estimate` exactly — d
-// defaults to (k == 3 ? 1 : 2), css to (d <= 2), nb to (k == 3), steps to
-// 100000, seed to 42, chains to 1 — and ToEngineOptions() reproduces the
-// CLI's round-steps pinning, so a served estimate is bit-identical to the
-// CLI run with the same snapshot and fields (the CI serve smoke diffs the
-// two). `budget`/`cache`/`crawl` switch the request onto the crawl
-// accounting layer like the CLI's crawl flags; `deadline_ms` arms
+// The request defaults live here and nowhere else — d defaults to
+// (k == 3 ? 1 : 2), css to (d <= 2), nb to (k == 3), steps to 100000,
+// seed to 42, chains to 1. `grw query` sends, and `grw estimate` parses
+// here without request limits, the same line (EstimateRequestLine,
+// client.h), so a served estimate is bit-identical to the CLI run with
+// the same snapshot and flags by construction. `budget`/`cache`/`crawl`
+// switch the request onto the crawl accounting layer; `deadline_ms` arms
 // cooperative cancellation (EngineOptions::cancel) measured from
 // admission; `tenant` attributes the request to a per-tenant
 // distinct-query budget when the server enforces one.
@@ -42,6 +42,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -62,18 +63,24 @@ inline constexpr int kProtocolVersion = 1;
 struct RequestLimits {
   uint64_t max_steps = 50'000'000;
   int max_chains = 256;
+
+  /// No caps: `grw estimate` runs its request locally.
+  static RequestLimits None() {
+    return {static_cast<uint64_t>(std::numeric_limits<int64_t>::max()),
+            std::numeric_limits<int>::max()};
+  }
 };
 
-/// One parsed ESTIMATE request. Defaults match `grw estimate`.
+/// One parsed ESTIMATE request, with the request defaults.
 struct EstimateRequest {
   std::string graph;
-  EstimatorConfig config;  // k/d/css/nb resolved to CLI defaults
+  EstimatorConfig config;  // k/d/css/nb resolved to the defaults
   uint64_t max_steps = 100000;
   uint64_t seed = 42;
   int chains = 1;
   double target_nrmse = 0.0;
-  /// Crawl accounting: enabled by crawl=1 or a budget/cache field, like
-  /// the CLI's presence-based crawl flags.
+  /// Crawl accounting: enabled by crawl=1 or by the presence of a budget
+  /// or cache field.
   bool crawl = false;
   uint64_t budget_queries = 0;
   uint64_t cache_entries = 0;
@@ -101,9 +108,9 @@ ParsedRequest ParseRequestLine(std::string_view line,
                                const RequestLimits& limits);
 
 /// Engine options for a parsed request: chains/steps/seed/target plus the
-/// crawl block, with round_steps pinned by the same rule as the CLI (so
-/// stopping points — and therefore estimates — match `grw estimate`
-/// bit-for-bit). A request with a deadline additionally pins round_steps
+/// crawl block, with round_steps pinned whenever a target or several
+/// chains are set (so the batch structure never depends on progress
+/// reporting). A request with a deadline additionally pins round_steps
 /// so cancellation has round boundaries to land on; that never changes
 /// the merged estimate of a completed run. The caller wires pool/cancel.
 EngineOptions ToEngineOptions(const EstimateRequest& req);

@@ -146,29 +146,6 @@ TEST(CrawlAccessTest, BudgetExhaustionOnDistinctFetches) {
   EXPECT_EQ(crawl.Degree(3), g.Degree(3));
 }
 
-TEST(CrawlAccessTest, ResetCacheAndStats) {
-  const Graph g = KarateClub();
-  CrawlAccess::Options opt;
-  opt.cache_entries = 3;
-  CrawlAccess crawl(g, opt);
-  for (VertexId v = 0; v < 6; ++v) (void)crawl.Degree(v);
-  crawl.ResetStats();
-  EXPECT_EQ(crawl.stats().fetches, 0u);
-  EXPECT_TRUE(crawl.Cached(5));  // cache retained
-  // A new accounting phase: a cached node reads as a hit, an evicted one
-  // as a *distinct* fetch again (the registry reset with the counters).
-  (void)crawl.Degree(5);
-  EXPECT_EQ(crawl.stats().cache_hits, 1u);
-  (void)crawl.Degree(0);  // evicted before the reset
-  EXPECT_EQ(crawl.stats().distinct_fetches, 1u);
-  EXPECT_EQ(crawl.stats().Refetches(), 0u);
-  crawl.ResetCache();
-  EXPECT_FALSE(crawl.Cached(5));
-  (void)crawl.Degree(5);
-  // Distinct registry was cleared too: 5 counts as distinct again.
-  EXPECT_EQ(crawl.stats().distinct_fetches, 1u);
-}
-
 TEST(CrawlAccessTest, CacheSizeOneStillAnswersEverythingCorrectly) {
   // Capacity 1 is the degenerate LRU; results must stay exact.
   const Graph g = Lollipop(8, 5);

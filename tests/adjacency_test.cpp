@@ -254,45 +254,8 @@ TEST(AdjacencyDeterminismTest, EngineBitIdenticalIndexOnOffAnyThreads) {
   }
 }
 
-TEST(SimdParityTest, SignatureProbeBatchAvx2MatchesScalarOnRandomBatches) {
-  // Randomized property: the AVX2 and scalar signature-rejection kernels
-  // compute the same admit mask on every batch — random signatures
-  // (including all-ones/all-zeros extremes), random candidate ids across
-  // the whole 32-bit range, random counts 0..64.
-  if (!SignatureProbeBatchHasAvx2()) {
-    GTEST_SKIP() << "no AVX2 at runtime; dispatched path is scalar";
-  }
-  Rng rng(20240607);
-  std::vector<VertexId> candidates(64);
-  for (int trial = 0; trial < 10000; ++trial) {
-    uint64_t signature = rng();
-    if (trial % 97 == 0) signature = 0;
-    if (trial % 89 == 0) signature = ~0ull;
-    const int count = static_cast<int>(rng.UniformInt(65));
-    for (int i = 0; i < count; ++i) {
-      // Mix small ids (realistic) with full-range ids (overflow probes
-      // for the split 32x32->64 multiply in the vector path).
-      candidates[i] = (trial % 2 == 0)
-                          ? static_cast<VertexId>(rng.UniformInt(100000))
-                          : static_cast<VertexId>(rng());
-    }
-    const uint64_t scalar =
-        SignatureProbeBatchScalar(signature, candidates.data(), count);
-    const uint64_t avx2 =
-        SignatureProbeBatchAvx2(signature, candidates.data(), count);
-    ASSERT_EQ(scalar, avx2)
-        << "trial " << trial << " count " << count << " sig " << signature;
-    ASSERT_EQ(SignatureProbeBatch(signature, candidates.data(), count),
-              scalar);
-    if (count < 64) {
-      // Lanes past count must never leak into the mask.
-      ASSERT_EQ(scalar >> count, 0ull);
-    }
-  }
-}
-
 TEST(SimdParityTest, VectorContainsAvx2MatchesLinearScanOnSortedLists) {
-  // Same property for the branchless masked membership scan that
+  // Randomized property for the branchless masked membership scan that
   // resolves short/mid lists in HasEdge: identical verdicts to the
   // scalar early-exit scan on every sorted list — random lengths 0..80
   // (crossing several 16-entry blocks), probes mixing present entries,

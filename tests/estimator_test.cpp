@@ -106,7 +106,8 @@ TEST(EstimatorTest, CountEstimatesApproachExactCounts) {
       GraphletEstimator estimator(g, config);
       estimator.Reset(500 + c);
       estimator.Run(100000);
-      const auto counts = estimator.CountEstimates();
+      const auto counts = CountEstimatesFromResult(
+          estimator.Result(), RelationshipEdgeCount(g, d));
       for (size_t i = 0; i < mean.size(); ++i) {
         mean[i] += counts[i] / chains;
       }
@@ -130,7 +131,8 @@ TEST(EstimatorTest, CssCountEstimatesAlsoUnbiased) {
     GraphletEstimator estimator(g, config);
     estimator.Reset(4200 + c);
     estimator.Run(150000);
-    const auto counts = estimator.CountEstimates();
+    const auto counts = CountEstimatesFromResult(
+        estimator.Result(), RelationshipEdgeCount(g, config.d));
     for (size_t i = 0; i < mean.size(); ++i) mean[i] += counts[i] / chains;
   }
   for (size_t i = 0; i < exact.size(); ++i) {

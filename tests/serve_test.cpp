@@ -1,9 +1,10 @@
 // Serve-layer tests: JSON round trips, strict protocol parsing (fuzz:
 // truncated lines, bad fields, huge budgets — always an error response,
 // never a crash), snapshot registry sharing, scheduler admission /
-// tenant budgets / deadlines, and the TCP server end to end — including
-// the headline contract: concurrent served estimates are bit-identical
-// to a direct in-process engine run.
+// tenant budgets / deadlines, and the TCP server end to end: concurrent
+// clients get the direct in-process engine run's bytes, and a k = 6
+// request does not take the daemon down. Served answers in every access
+// mode are checked against the CLI path by tests/conformance_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -573,6 +574,22 @@ TEST_F(ServeEndToEndTest, UnestimableKdGetsATypedError) {
   EXPECT_FALSE(json->Find("ok")->IsTrue());
   ASSERT_NE(json->Find("error"), nullptr);
   EXPECT_NE(json->Find("error")->str.find("3-star"), std::string::npos);
+}
+
+TEST_F(ServeEndToEndTest, SixNodeRequestIsAnsweredAndServerStaysUp) {
+  // The paper numbers no 6-node graphlets: the reply labels them in
+  // catalog order, and the daemon goes on serving.
+  QueryClient client("127.0.0.1", server_->port());
+  const auto six =
+      ParseJson(client.RoundTrip("ESTIMATE graph=fix k=6 d=2 steps=200"));
+  ASSERT_TRUE(six.has_value() && six->Find("ok")->IsTrue());
+  const JsonValue* labels = six->Find("labels");
+  ASSERT_EQ(labels->items.size(), 112u);
+  EXPECT_EQ(labels->items.back().str, "g6_112");
+  EXPECT_EQ(six->Find("concentrations")->items.size(), 112u);
+  const auto next =
+      ParseJson(client.RoundTrip("ESTIMATE graph=fix k=3 steps=2000"));
+  EXPECT_TRUE(next.has_value() && next->Find("ok")->IsTrue());
 }
 
 TEST_F(ServeEndToEndTest, StopDrainsGracefullyWithClientsConnected) {

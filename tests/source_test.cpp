@@ -118,16 +118,6 @@ TEST_F(SourceTest, OpenOptionsPlumbing) {
                 .adjacency_index(),
             nullptr);
 
-  // relabel_degree applies to text input and is reported.
-  OpenOptions relabel;
-  relabel.relabel_degree = true;
-  const GraphSource relabeled = GraphSource::Open(text_, relabel);
-  EXPECT_TRUE(relabeled.degree_relabeled());
-  const Graph& r = relabeled.graph();
-  for (VertexId v = 0; v + 1 < r.NumNodes(); ++v) {
-    ASSERT_GE(r.Degree(v), r.Degree(v + 1));
-  }
-
   // The resident budget lands in the shard store's options and stats.
   OpenOptions budget;
   budget.resident_budget_bytes = 123456;

@@ -56,15 +56,17 @@
 //       resident shard bytes (0 = unbounded). Estimates under any budget
 //       are bit-identical to the monolithic run; a residency report
 //       follows the table. --counts and crawl flags need the monolithic
-//       graph and are rejected on sharded inputs.
+//       graph and are rejected on sharded inputs. The other flags build
+//       the request `grw query` sends, parsed by the server's parser.
 //   grw query <id> [--host H] [--port P] [--raw] [--send 'LINE']
 //       [estimation flags as in `estimate`] [--deadline-ms MS]
 //       [--tenant NAME]
 //       Ask a running `grw_serve` daemon for an estimate over the line
-//       protocol (src/serve/protocol.h). The request mirrors `estimate`'s
-//       defaults field for field, so the served answer is bit-identical
-//       to a local run on the same snapshot. --send bypasses the flag
-//       mapping and ships a raw protocol line (PING, LIST, ...).
+//       protocol (src/serve/protocol.h). The request is the line
+//       `estimate` parses locally, so the served answer is bit-identical
+//       to a local run on the same snapshot by construction. --send
+//       bypasses the flag mapping and ships a raw protocol line (PING,
+//       LIST, ...).
 //       --connect-timeout-ms/--read-timeout-ms bound every wait (defaults
 //       5000/30000, -1 = forever) and --retries bounds the resilience
 //       loop: transport failures reconnect + resend, RETRY_AFTER load
@@ -236,14 +238,14 @@ int CmdGenerate(const grw::Flags& flags) {
   return 0;
 }
 
-int CmdConvert(const grw::Flags& flags) {
-  if (flags.positional().size() < 3) return Usage();
-  const std::string& in = flags.positional()[1];
-  const std::string& out = flags.positional()[2];
-
-  grw::WallTimer load_timer;
+// The monolithic graph `convert` and `shard` write out: a registry
+// dataset, or any non-sharded input (--lcc applies to edge lists),
+// relabeled by degree with --relabel-degree. Adds the snapshot flags to
+// store with it to `grwb_flags`; a degree-relabeled input stays marked
+// as such.
+grw::Graph LoadForWrite(const grw::Flags& flags, const std::string& in,
+                        uint32_t& grwb_flags) {
   grw::Graph g;
-  uint32_t grwb_flags = 0;
   if (grw::FindDataset(in).has_value()) {
     g = grw::MakeDatasetByName(in, flags.GetDouble("scale", 1.0));
   } else {
@@ -252,22 +254,30 @@ int CmdConvert(const grw::Flags& flags) {
     const grw::GraphSource source = grw::GraphSource::Open(in, open);
     if (source.sharded()) {
       throw std::runtime_error(
-          "'" + in + "' is already sharded; convert the original edge "
-          "list or .grwb snapshot instead");
+          "'" + in + "' is already sharded; start from the edge list or "
+          "monolithic .grwb it was built from");
     }
-    // Snapshot-to-snapshot conversion carries the relabel flag forward:
-    // a degree-relabeled input stays marked as such in the copy.
     if (source.degree_relabeled()) {
       grwb_flags |= grw::kGrwbFlagDegreeRelabeled;
     }
     g = source.graph();
   }
-  const double load_s = load_timer.Seconds();
-
   if (flags.GetBool("relabel-degree")) {
     g = grw::RelabelByDegree(g);
     grwb_flags |= grw::kGrwbFlagDegreeRelabeled;
   }
+  return g;
+}
+
+int CmdConvert(const grw::Flags& flags) {
+  if (flags.positional().size() < 3) return Usage();
+  const std::string& in = flags.positional()[1];
+  const std::string& out = flags.positional()[2];
+
+  grw::WallTimer load_timer;
+  uint32_t grwb_flags = 0;
+  const grw::Graph g = LoadForWrite(flags, in, grwb_flags);
+  const double load_s = load_timer.Seconds();
 
   grw::WallTimer save_timer;
   grw::SaveGraphBinary(g, out, grwb_flags);
@@ -297,30 +307,9 @@ int CmdShard(const grw::Flags& flags) {
   }
 
   grw::WallTimer load_timer;
-  grw::Graph g;
   uint32_t grwb_flags = 0;
-  if (grw::FindDataset(in).has_value()) {
-    g = grw::MakeDatasetByName(in, flags.GetDouble("scale", 1.0));
-  } else {
-    grw::OpenOptions open;
-    open.largest_cc = flags.GetBool("lcc", true);
-    const grw::GraphSource source = grw::GraphSource::Open(in, open);
-    if (source.sharded()) {
-      throw std::runtime_error(
-          "'" + in + "' is already sharded; re-shard from the edge list "
-          "or monolithic .grwb it was built from");
-    }
-    if (source.degree_relabeled()) {
-      grwb_flags |= grw::kGrwbFlagDegreeRelabeled;
-    }
-    g = source.graph();
-  }
+  const grw::Graph g = LoadForWrite(flags, in, grwb_flags);
   const double load_s = load_timer.Seconds();
-
-  if (flags.GetBool("relabel-degree")) {
-    g = grw::RelabelByDegree(g);
-    grwb_flags |= grw::kGrwbFlagDegreeRelabeled;
-  }
 
   grw::ShardingOptions sharding;
   sharding.flags = grwb_flags;
@@ -448,7 +437,8 @@ int CmdInfo(const grw::Flags& flags) {
 
 int CmdExact(const grw::Flags& flags) {
   const grw::Graph g = LoadPositional(flags, 1);
-  const int k = flags.GetInt32("k", 4);
+  const int k = static_cast<int>(
+      flags.GetIntInRange("k", 4, 3, grw::kMaxGraphletSize));
   grw::WallTimer timer;
   const auto counts = grw::ExactGraphletCounts(g, k);
   const auto conc = grw::ConcentrationsFromCounts(counts);
@@ -469,7 +459,52 @@ int CmdExact(const grw::Flags& flags) {
 }
 
 int CmdEstimate(const grw::Flags& flags) {
-  const bool quiet = flags.GetBool("quiet");
+  // The request `grw query` would send, parsed by the server's own parser
+  // (without its limits): every default, range check and crawl-presence
+  // rule of the shared flags is the protocol's. The graph field is a
+  // placeholder, as this command opens the path itself.
+  const grw::serve::ParsedRequest parsed = grw::serve::ParseRequestLine(
+      grw::serve::EstimateRequestLine(flags, "cli"),
+      grw::serve::RequestLimits::None());
+  if (!parsed.request.has_value()) throw std::runtime_error(parsed.error);
+  const grw::serve::EstimateRequest& request = parsed.request->estimate;
+  const grw::EstimatorConfig& config = request.config;
+
+  const bool counts = flags.GetBool("counts");
+  if (counts && config.d > 2) {
+    throw std::runtime_error(
+        "--counts requires --d <= 2 (no closed-form |R(d)| for d >= 3)");
+  }
+
+  // The round slicing comes pinned from the request, so --quiet (which
+  // only drops the progress callback) cannot change the batch structure
+  // and thus the reported standard errors. CLI-only knobs follow:
+  // simulated latency and a transient-failure model (cost-only —
+  // estimates are unchanged): each fetch attempt fails with --fail-prob,
+  // answered by up to --fail-retries retries under exponential backoff
+  // starting at --fail-backoff-us (doubling, capped, plus jitter). Any of
+  // them switches the run onto crawl accounting.
+  grw::EngineOptions options = grw::serve::ToEngineOptions(request);
+  grw::EngineOptions::CrawlConfig& crawl = options.crawl;
+  const int64_t threads = flags.GetInt("threads", 0);
+  crawl.latency_us = flags.GetDouble("latency-us", 0.0);
+  crawl.fail_prob = flags.GetDouble("fail-prob", 0.0);
+  crawl.fail_max_retries = flags.GetInt32("fail-retries", 4);
+  crawl.fail_backoff_us = flags.GetDouble("fail-backoff-us", 1000.0);
+  if (threads < 0 || crawl.latency_us < 0.0 || crawl.fail_max_retries < 0 ||
+      crawl.fail_backoff_us < 0.0) {
+    throw std::runtime_error(
+        "--threads / --latency-us / --fail-retries / --fail-backoff-us "
+        "must be >= 0");
+  }
+  if (crawl.fail_prob < 0.0 || crawl.fail_prob >= 1.0) {
+    throw std::runtime_error("--fail-prob must be in [0, 1)");
+  }
+  options.threads = static_cast<unsigned>(threads);
+  crawl.enabled = crawl.enabled || flags.Has("latency-us") ||
+                  flags.Has("fail-prob") || flags.Has("fail-retries") ||
+                  flags.Has("fail-backoff-us");
+
   const int64_t budget_mb = flags.GetInt("resident-budget-mb", 0);
   if (budget_mb < 0) {
     throw std::runtime_error("--resident-budget-mb must be >= 0");
@@ -478,94 +513,15 @@ int CmdEstimate(const grw::Flags& flags) {
   open.resident_budget_bytes = static_cast<uint64_t>(budget_mb) << 20;
   const grw::GraphSource source = OpenPositional(flags, 1, open);
   const bool sharded = source.sharded();
-
-  grw::Graph g;  // resident path only; stays empty for sharded sources
-  if (!sharded) g = source.graph();
-  grw::EstimatorConfig config;
-  config.k = flags.GetInt32("k", 4);
-  config.d = flags.GetInt32("d", config.k == 3 ? 1 : 2);
-  config.css = flags.GetBool("css", config.d <= 2);
-  config.nb = flags.GetBool("nb", config.k == 3);
-  const int64_t steps = flags.GetInt("steps", 100000);
-  const bool counts = flags.GetBool("counts");
-  if (counts && config.d > 2) {
-    throw std::runtime_error(
-        "--counts requires --d <= 2 (no closed-form |R(d)| for d >= 3)");
-  }
   if (counts && sharded) {
     throw std::runtime_error(
         "--counts needs |R(d)| from the resident graph; sharded sources "
         "report concentrations only");
   }
+  grw::Graph g;  // resident path only; stays empty for sharded sources
+  if (!sharded) g = source.graph();
 
-  // Engine knobs, gathered as the serve request they mirror so that
-  // serve::ToEngineOptions is the one owner of the round slicing: chains
-  // fan out on the persistent pool; --target-nrmse enables
-  // convergence-driven early stopping, capped by --max-steps (default:
-  // the --steps budget). Validate before any signed value is narrowed
-  // into the unsigned engine fields.
-  grw::serve::EstimateRequest request;
-  request.chains = flags.GetInt32("chains", 1);
-  if (request.chains < 1) {
-    throw std::runtime_error("--chains must be >= 1");
-  }
-  const int64_t threads = flags.GetInt("threads", 0);
-  if (threads < 0) {
-    throw std::runtime_error("--threads must be >= 0");
-  }
-  request.seed = flags.GetUInt64("seed", 42);
-  request.target_nrmse = flags.GetDouble("target-nrmse", 0.0);
-  const int64_t max_steps = flags.GetInt("max-steps", steps);
-  if (max_steps < 1) {
-    throw std::runtime_error("--steps / --max-steps must be >= 1");
-  }
-  request.max_steps = static_cast<uint64_t>(max_steps);
-
-  // Crawl scenario: any crawl knob switches every chain onto its own
-  // CrawlAccess (LRU neighbor cache + per-query accounting). Estimates
-  // are bit-identical to full access; the budget adds a stopping rule on
-  // distinct neighbor-list fetches across all chains.
-  const int64_t budget_queries = flags.GetInt("budget-queries", 0);
-  const int64_t cache_size = flags.GetInt("cache-size", 0);
-  const double latency_us = flags.GetDouble("latency-us", 0.0);
-  if (budget_queries < 0 || cache_size < 0 || latency_us < 0.0) {
-    throw std::runtime_error(
-        "--budget-queries / --cache-size / --latency-us must be >= 0");
-  }
-  // Transient-failure model (cost-only — estimates are unchanged): each
-  // fetch attempt fails with --fail-prob, answered by up to
-  // --fail-retries retries under exponential backoff starting at
-  // --fail-backoff-us (doubling, capped, plus jitter).
-  const double fail_prob = flags.GetDouble("fail-prob", 0.0);
-  const int fail_retries = flags.GetInt32("fail-retries", 4);
-  const double fail_backoff_us = flags.GetDouble("fail-backoff-us", 1000.0);
-  if (fail_prob < 0.0 || fail_prob >= 1.0) {
-    throw std::runtime_error("--fail-prob must be in [0, 1)");
-  }
-  if (fail_retries < 0 || fail_backoff_us < 0.0) {
-    throw std::runtime_error(
-        "--fail-retries / --fail-backoff-us must be >= 0");
-  }
-  // Presence-based: `--budget-queries 0` / `--latency-us 0` still switch
-  // the run onto crawl accounting (with no budget / no latency), exactly
-  // like `--cache-size 0` means crawl with an unbounded cache. Any
-  // failure-model knob implies crawl too.
-  request.crawl = flags.GetBool("crawl") || flags.Has("budget-queries") ||
-                  flags.Has("cache-size") || flags.Has("latency-us") ||
-                  flags.Has("fail-prob") || flags.Has("fail-retries") ||
-                  flags.Has("fail-backoff-us");
-  request.budget_queries = static_cast<uint64_t>(budget_queries);
-  request.cache_entries = static_cast<uint64_t>(cache_size);
-
-  // The round slicing comes pinned from the request, so --quiet (which
-  // only drops the progress callback) cannot change the batch structure
-  // and thus the reported standard errors. CLI-only knobs follow.
-  grw::EngineOptions options = grw::serve::ToEngineOptions(request);
-  options.threads = static_cast<unsigned>(threads);
-  options.crawl.latency_us = latency_us;
-  options.crawl.fail_prob = fail_prob;
-  options.crawl.fail_max_retries = fail_retries;
-  options.crawl.fail_backoff_us = fail_backoff_us;
+  const bool quiet = flags.GetBool("quiet");
   if (!quiet && (options.target_nrmse > 0.0 || options.chains > 1)) {
     options.on_progress = [](const grw::EngineProgress& p) {
       std::fprintf(stderr,
@@ -734,41 +690,10 @@ int CmdQuery(const grw::Flags& flags) {
   const bool passthrough = flags.Has("send");
   if (!passthrough) {
     if (flags.positional().size() < 2) return Usage();
-    // Build the ESTIMATE line from the same flags `estimate` takes.
-    // Only fields the user actually set go on the wire — the protocol's
-    // defaults are the CLI's defaults, so omission means the same thing
-    // on both sides and the served result stays bit-identical.
-    line = "ESTIMATE graph=" + flags.positional()[1];
-    line += " k=" + std::to_string(flags.GetInt("k", 4));
-    if (flags.Has("d")) {
-      line += " d=" + std::to_string(flags.GetInt("d", 2));
-    }
-    if (flags.Has("css")) {
-      line += std::string(" css=") + (flags.GetBool("css") ? "1" : "0");
-    }
-    if (flags.Has("nb")) {
-      line += std::string(" nb=") + (flags.GetBool("nb") ? "1" : "0");
-    }
-    // The protocol's `steps` is the engine step cap, i.e. the CLI's
-    // --max-steps (defaulting to --steps).
-    line += " steps=" + std::to_string(flags.GetInt(
-                            "max-steps", flags.GetInt("steps", 100000)));
-    line += " seed=" + std::to_string(flags.GetInt("seed", 42));
-    line += " chains=" + std::to_string(flags.GetInt("chains", 1));
-    char buf[64];
-    if (flags.Has("target-nrmse")) {
-      std::snprintf(buf, sizeof(buf), "%.17g",
-                    flags.GetDouble("target-nrmse", 0.0));
-      line += std::string(" target_nrmse=") + buf;
-    }
-    if (flags.GetBool("crawl")) line += " crawl=1";
-    if (flags.Has("budget-queries")) {
-      line += " budget=" + std::to_string(flags.GetInt("budget-queries", 0));
-    }
-    if (flags.Has("cache-size")) {
-      line += " cache=" + std::to_string(flags.GetInt("cache-size", 0));
-    }
+    // The line `grw estimate` runs locally, plus the serve-only fields.
+    line = grw::serve::EstimateRequestLine(flags, flags.positional()[1]);
     if (flags.Has("deadline-ms")) {
+      char buf[32];
       std::snprintf(buf, sizeof(buf), "%.17g",
                     flags.GetDouble("deadline-ms", 0.0));
       line += std::string(" deadline_ms=") + buf;

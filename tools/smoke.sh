@@ -6,7 +6,8 @@
 #
 # BUILD_DIR must hold a Release build (-DCMAKE_BUILD_TYPE=Release) of:
 #   format_test loader_error_test access_test crawl_engine_test
-#   adjacency_test serve_test flags_test grw_cli grw_serve bench_loader
+#   conformance_test adjacency_test serve_test flags_test grw_cli
+#   grw_serve bench_loader
 #   bench_micro_hasedge bench_access bench_serve bench_sharded
 # Every step runs inside BUILD_DIR and leaves its files there; the bench
 # --json outputs (bench_*.json, BENCH_SHARDED.json) are the perf
@@ -17,11 +18,12 @@ cd "${1:-build}"
 
 step() { printf '\n=== %s\n' "$*"; }
 
-step "Release-mode access/snapshot/adjacency tests"
+step "Release-mode access/snapshot/adjacency tests and the identity matrix"
 ./format_test
 ./loader_error_test
 ./access_test
 ./crawl_engine_test
+./conformance_test
 ./adjacency_test
 
 step "Convert + crawl workflow smoke"
