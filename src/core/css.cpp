@@ -10,7 +10,6 @@
 
 #include "core/alpha.h"
 #include "graph/access.h"
-#include "graph/sharded_access.h"
 #include "graphlet/catalog.h"
 
 namespace grw {
@@ -96,18 +95,11 @@ double CssTable::Eval(const MaskInfo& info, std::span<const VertexId> nodes,
   return total;
 }
 
-// Closed policy family (graph/access.h + graph/sharded_access.h): full
-// access, crawl access, sharded access.
-template double CssTable::Eval<Graph>(const MaskInfo&,
-                                      std::span<const VertexId>,
-                                      const Graph&, bool) const;
-template double CssTable::Eval<CrawlAccess>(const MaskInfo&,
-                                            std::span<const VertexId>,
-                                            const CrawlAccess&, bool) const;
-template double CssTable::Eval<ShardedAccess>(const MaskInfo&,
-                                              std::span<const VertexId>,
-                                              const ShardedAccess&,
-                                              bool) const;
+#define GRW_INSTANTIATE(G)                                        \
+  template double CssTable::Eval<G>(                              \
+      const MaskInfo&, std::span<const VertexId>, const G&, bool) const;
+GRW_ACCESS_FAMILY(GRW_INSTANTIATE)
+#undef GRW_INSTANTIATE
 
 const CssTable& CssTable::For(int k, int d) {
   // k in [3, kMaxGraphletSize], d in {1, 2}.

@@ -65,8 +65,8 @@ class CssTable {
   /// (from GraphletClassifier) whose window vertices are `nodes` (the
   /// order the mask was built in). `nb` applies the non-backtracking
   /// nominal degree d' = max(d-1, 1). Degree reads go through the access
-  /// policy G (Graph = full access; CrawlAccess charges/caches them);
-  /// defined in css.cpp, instantiated for both policies.
+  /// policy G (a crawl cache charges/caches them); defined in css.cpp
+  /// for every GRW_ACCESS_FAMILY member (graph/access.h).
   template <class G>
   double Eval(const MaskInfo& info, std::span<const VertexId> nodes,
               const G& g, bool nb) const;

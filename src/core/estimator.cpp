@@ -5,7 +5,6 @@
 
 #include "core/alpha.h"
 #include "graph/access.h"
-#include "graph/sharded_access.h"
 #include "walk/edge_walk.h"
 #include "walk/node_walk.h"
 #include "walk/subgraph_walk.h"
@@ -76,18 +75,13 @@ double WindowSampleWeight(const G& g, const EstimatorConfig& config, int l,
   return interior_product / static_cast<double>(a);
 }
 
-template double WindowSampleWeight<Graph>(
-    const Graph&, const EstimatorConfig&, int, const CssTable*,
-    const std::vector<int64_t>&, const SampleWindowT<Graph>&,
-    const MaskInfo&, GdScratch&);
-template double WindowSampleWeight<CrawlAccess>(
-    const CrawlAccess&, const EstimatorConfig&, int, const CssTable*,
-    const std::vector<int64_t>&, const SampleWindowT<CrawlAccess>&,
-    const MaskInfo&, GdScratch&);
-template double WindowSampleWeight<ShardedAccess>(
-    const ShardedAccess&, const EstimatorConfig&, int, const CssTable*,
-    const std::vector<int64_t>&, const SampleWindowT<ShardedAccess>&,
-    const MaskInfo&, GdScratch&);
+#define GRW_INSTANTIATE(G)                                             \
+  template double WindowSampleWeight<G>(                               \
+      const G&, const EstimatorConfig&, int, const CssTable*,          \
+      const std::vector<int64_t>&, const SampleWindowT<G>&,            \
+      const MaskInfo&, GdScratch&);
+GRW_ACCESS_FAMILY(GRW_INSTANTIATE)
+#undef GRW_INSTANTIATE
 
 template <class G>
 GraphletEstimatorT<G>::GraphletEstimatorT(const G& g,
@@ -234,10 +228,8 @@ EstimateResult GraphletEstimatorT<G>::Estimate(const G& g,
   return estimator.Result();
 }
 
-// Closed policy family (graph/access.h + graph/sharded_access.h): full
-// access, crawl access, sharded access.
-template class GraphletEstimatorT<Graph>;
-template class GraphletEstimatorT<CrawlAccess>;
-template class GraphletEstimatorT<ShardedAccess>;
+#define GRW_INSTANTIATE(G) template class GraphletEstimatorT<G>;
+GRW_ACCESS_FAMILY(GRW_INSTANTIATE)
+#undef GRW_INSTANTIATE
 
 }  // namespace grw

@@ -21,10 +21,11 @@
 // The whole stack is templated on the graph access policy (graph/access.h)
 // with static dispatch: GraphletEstimatorT<Graph> (aliased as
 // GraphletEstimator) is the unchanged full-access estimator — bit-identical
-// results, no overhead — while GraphletEstimatorT<CrawlAccess> reads every
-// neighbor list, edge probe and degree through the crawl cache/accounting
-// layer and stops early once the access's distinct-query budget is
-// exhausted (the budget check compiles away entirely for full access).
+// results, no overhead — while GraphletEstimatorT<CrawlAccessT<Base>> reads
+// every neighbor list, edge probe and degree through the crawl
+// cache/accounting layer and stops early once the access's distinct-query
+// budget is exhausted (the budget check compiles away entirely for the
+// uncached readers).
 
 #pragma once
 
@@ -110,13 +111,14 @@ double WindowSampleWeight(const G& g, const EstimatorConfig& config, int l,
                           const MaskInfo& info, GdScratch& scratch);
 
 /// Random-walk graphlet concentration/count estimator over access policy
-/// G. Defined in estimator.cpp; instantiated for Graph and CrawlAccess.
+/// G. Defined in estimator.cpp for every GRW_ACCESS_FAMILY member
+/// (graph/access.h).
 template <class G = Graph>
 class GraphletEstimatorT {
  public:
   /// The graph must be connected (run LargestConnectedComponent first)
   /// and large enough for the chosen walk (> d nodes). The access object
-  /// must outlive the estimator (for CrawlAccess the caller owns the
+  /// must outlive the estimator (for a crawl access the caller owns the
   /// cache — one per chain; the engine does this).
   /// Throws std::invalid_argument on bad configuration.
   GraphletEstimatorT(const G& g, const EstimatorConfig& config);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "graph/access.h"
-#include "graph/sharded_access.h"
 
 namespace grw {
 
@@ -104,10 +103,8 @@ uint32_t SampleWindowT<G>::MaskNaive() const {
   return mask;
 }
 
-// Closed policy family (graph/access.h + graph/sharded_access.h): full
-// access, crawl access, sharded access.
-template class SampleWindowT<Graph>;
-template class SampleWindowT<CrawlAccess>;
-template class SampleWindowT<ShardedAccess>;
+#define GRW_INSTANTIATE(G) template class SampleWindowT<G>;
+GRW_ACCESS_FAMILY(GRW_INSTANTIATE)
+#undef GRW_INSTANTIATE
 
 }  // namespace grw

@@ -7,11 +7,10 @@
 // versus C(k,2) for rebuilding from scratch. Both paths are implemented;
 // tests assert they agree and the micro bench measures the gap. Each
 // query goes through the access policy's HasEdge: with full access
-// (SampleWindow = SampleWindowT<Graph>) that is Graph::HasEdge, so
-// attaching an AdjacencyIndex (graph/adjacency.h) turns the per-step
-// maintenance into k-1 O(1)-ish probes without touching this code; with
-// CrawlAccess the same probes are answered from the crawler's cached
-// neighbor lists and charged API cost on a miss.
+// (SampleWindow = SampleWindowT<Graph>) that is Graph::HasEdge, a binary
+// search of the lower-degree endpoint's list; through a crawl cache the
+// same probes are answered from the crawler's cached neighbor lists and
+// charged API cost on a miss.
 //
 // The window also snapshots each state's G(d)-degree (provided by the
 // caller as states are pushed) because the expanded-chain weight of a
@@ -42,8 +41,8 @@ struct WindowState {
 };
 
 /// Sliding window of l consecutive d-node states, reading adjacency
-/// through access policy G. Defined in sample_window.cpp; instantiated
-/// for Graph and CrawlAccess.
+/// through access policy G. Defined in sample_window.cpp for every
+/// GRW_ACCESS_FAMILY member (graph/access.h).
 template <class G = Graph>
 class SampleWindowT {
  public:

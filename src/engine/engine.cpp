@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -19,11 +18,12 @@ namespace grw {
 
 namespace {
 
-// What a chain of access type A reads: the ShardStore for out-of-core
-// chains, the in-memory Graph for full-access and crawl chains.
-template <class A>
-using SourceOf =
-    std::conditional_t<std::is_same_v<A, ShardedAccess>, ShardStore, Graph>;
+// A chain's own reader of a source: the in-memory Graph is read
+// directly, a ShardStore through a per-chain ShardedAccess.
+const Graph& ReaderOf(const Graph& g) { return g; }
+ShardedAccess ReaderOf(const ShardStore& store) {
+  return ShardedAccess(store);
+}
 
 // Base of every chain's failure-model seed ("fail" seed).
 constexpr uint64_t kFailSeed = 0x6661696c5eedULL;
@@ -31,9 +31,9 @@ constexpr uint64_t kFailSeed = 0x6661696c5eedULL;
 // Chain `chain`'s private crawler options. Everything chain-specific —
 // the budget share and the failure schedule — depends on the global
 // chain index alone, so no thread schedule can move either.
-CrawlAccess::Options CrawlOptionsFor(const EngineOptions& opt, int chain) {
+CrawlOptions CrawlOptionsFor(const EngineOptions& opt, int chain) {
   const EngineOptions::CrawlConfig& crawl = opt.crawl;
-  CrawlAccess::Options options;
+  CrawlOptions options;
   options.cache_entries = crawl.cache_entries;
   options.latency_us = crawl.latency_us;
   if (crawl.fail_prob > 0.0) {
@@ -56,10 +56,10 @@ CrawlAccess::Options CrawlOptionsFor(const EngineOptions& opt, int chain) {
 }
 
 // The one chain type: global chain `chain` reading the graph through
-// access type A (Graph, CrawlAccess or ShardedAccess). Crawl and sharded
-// chains own a private access object; full-access chains read the Graph
-// directly. The chain's RNG stream is DeriveSeed(base_seed,
-// chain_offset + chain), whichever pool thread runs it.
+// access type A, a member of GRW_ACCESS_FAMILY (graph/access.h). The
+// chain owns its access (a reference for the in-memory Graph), built by
+// `make(chain)`. Its RNG stream is DeriveSeed(base_seed, chain_offset +
+// chain), whichever pool thread runs it.
 //
 // Cache-line aligned: a chain's estimator writes its counters, RNG and
 // sample window every step, on whichever pool thread claimed it, while
@@ -67,61 +67,27 @@ CrawlAccess::Options CrawlOptionsFor(const EngineOptions& opt, int chain) {
 // adjacent units share lines; that cost crawl PSRW (16 chains on 4
 // threads, 4-core Xeon VM) 7–9% of its steps per CPU second.
 template <class A>
-class alignas(64) ChainUnit {
- public:
-  ChainUnit(const SourceOf<A>& source, const EstimatorConfig& config,
-            const EngineOptions& opt, int chain) {
-    if constexpr (std::is_same_v<A, Graph>) {
-      estimator_.emplace(source, config);
-    } else {
-      if constexpr (std::is_same_v<A, CrawlAccess>) {
-        access_ = std::make_unique<CrawlAccess>(source,
-                                                CrawlOptionsFor(opt, chain));
-      } else {
-        access_ = std::make_unique<A>(source);
-      }
-      estimator_.emplace(*access_, config);
-    }
-    estimator_->Reset(DeriveSeed(opt.base_seed, opt.chain_offset + chain));
+struct alignas(64) ChainUnit {
+  template <class MakeAccess>
+  ChainUnit(const MakeAccess& make, const EstimatorConfig& config,
+            const EngineOptions& opt, int chain)
+      : access(make(chain)), estimator(access, config) {
+    estimator.Reset(DeriveSeed(opt.base_seed, opt.chain_offset + chain));
   }
+  ChainUnit(const ChainUnit&) = delete;
+  ChainUnit& operator=(const ChainUnit&) = delete;
 
-  void Run(uint64_t steps) { estimator_->Run(steps); }
-
-  EstimateResult Result() const { return estimator_->Result(); }
-
-  // Crawl chains: true once the distinct-query share is spent (the chain
-  // sits out Run() rounds from then on).
-  bool BudgetExhausted() const {
-    if constexpr (kAccessHasQueryBudget<A>) {
-      return access_->BudgetExhausted();
-    }
-    return false;
-  }
-
-  // Crawl and sharded chains: the private access object.
-  const A& access() const { return *access_; }
-
- private:
-  std::unique_ptr<A> access_;  // null for Graph
-  std::optional<GraphletEstimatorT<A>> estimator_;
+  HeldAccess<A> access;
+  GraphletEstimatorT<A> estimator;
 };
 
-// Both constructors' checks, including which modes compose: the crawl
-// cache simulates remote-API access over one flat graph, so sharded
-// storage does not take it.
-template <class A>
-void ValidateEngine(const SourceOf<A>& source, const EstimatorConfig& config,
+// The constructors' checks. The alpha probe builds one estimator over the
+// source's reader, which reads only sizes (no shard payloads).
+template <class Source>
+void ValidateEngine(const Source& source, const EstimatorConfig& config,
                     const EngineOptions& opt) {
   if (opt.chains < 0) {
     throw std::invalid_argument("EstimationEngine: chains must be >= 0");
-  }
-  if constexpr (std::is_same_v<A, ShardedAccess>) {
-    if (opt.crawl.enabled) {
-      throw std::invalid_argument(
-          "EstimationEngine: crawl mode does not compose with sharded "
-          "storage (the crawl cache simulates remote-API access over one "
-          "flat graph)");
-    }
   }
   if (opt.crawl.enabled && opt.crawl.budget_queries > 0 &&
       opt.crawl.budget_queries < static_cast<uint64_t>(opt.chains)) {
@@ -133,15 +99,10 @@ void ValidateEngine(const SourceOf<A>& source, const EstimatorConfig& config,
   }
   if (opt.chains > 0) {
     // Validate the estimator configuration eagerly (and warm the
-    // k-indexed singletons) instead of failing inside the pool. A probe
-    // over a ShardedAccess reads only sizes, no shard payloads.
-    std::vector<int64_t> alpha;
-    if constexpr (std::is_same_v<A, ShardedAccess>) {
-      const ShardedAccess access(source);
-      alpha = GraphletEstimatorT<ShardedAccess>(access, config).alpha();
-    } else {
-      alpha = GraphletEstimator(source, config).alpha();
-    }
+    // k-indexed singletons) instead of failing inside the pool.
+    const auto& reader = ReaderOf(source);
+    const std::vector<int64_t> alpha =
+        GraphletEstimatorT(reader, config).alpha();
     // The paper's rule for choosing d: the walk on G(d) never samples a
     // type with alpha = 0, which would silently read 0.
     const auto zero = std::find(alpha.begin(), alpha.end(), 0);
@@ -165,9 +126,9 @@ constexpr int kMinBatchesForStop = 8;
 // (their relative error is dominated by shot noise).
 constexpr double kMinConcentration = 1e-3;
 
-// The round loop over chains of access type A.
-template <class A>
-EngineResult RunLoop(const SourceOf<A>& source, const EstimatorConfig& config,
+// The round loop over chains of access type A, each built by make(chain).
+template <class A, class MakeAccess>
+EngineResult RunLoop(const MakeAccess& make, const EstimatorConfig& config,
                      const EngineOptions& opt) {
   EngineResult out;
   out.max_rel_error = std::numeric_limits<double>::infinity();
@@ -189,7 +150,7 @@ EngineResult RunLoop(const SourceOf<A>& source, const EstimatorConfig& config,
   pool.ForEach(
       static_cast<size_t>(chains),
       [&](size_t c) {
-        unit[c] = std::make_unique<ChainUnit<A>>(source, config, opt,
+        unit[c] = std::make_unique<ChainUnit<A>>(make, config, opt,
                                                  static_cast<int>(c));
       },
       opt.threads);
@@ -217,8 +178,8 @@ EngineResult RunLoop(const SourceOf<A>& source, const EstimatorConfig& config,
     pool.ForEach(
         static_cast<size_t>(chains),
         [&](size_t c) {
-          unit[c]->Run(delta);
-          out.per_chain[c] = unit[c]->Result();
+          unit[c]->estimator.Run(delta);
+          out.per_chain[c] = unit[c]->estimator.Result();
         },
         opt.threads);
     done += delta;
@@ -288,7 +249,7 @@ EngineResult RunLoop(const SourceOf<A>& source, const EstimatorConfig& config,
       if (opt.crawl.budget_queries > 0) {
         const bool all_spent = std::all_of(
             unit.begin(), unit.end(),
-            [](const auto& u) { return u->BudgetExhausted(); });
+            [](const auto& u) { return u->access.BudgetExhausted(); });
         if (all_spent) {
           out.budget_exhausted = true;
           break;
@@ -298,10 +259,10 @@ EngineResult RunLoop(const SourceOf<A>& source, const EstimatorConfig& config,
   }
 
   // Crawl accounting: per-chain breakdown plus the chain-order sum.
-  if constexpr (std::is_same_v<A, CrawlAccess>) {
+  if constexpr (kAccessHasQueryBudget<A>) {
     out.per_chain_access.reserve(chains);
     for (const auto& u : unit) {
-      out.per_chain_access.push_back(u->access().stats());
+      out.per_chain_access.push_back(u->access.stats());
       out.access.MergeFrom(out.per_chain_access.back());
     }
   }
@@ -312,6 +273,25 @@ EngineResult RunLoop(const SourceOf<A>& source, const EstimatorConfig& config,
     out.standard_errors = accumulator.StandardErrors();
   }
   return out;
+}
+
+// Runs over the source's reader, behind a private crawl cache per chain
+// when crawl mode is on.
+template <class Source>
+EngineResult RunOn(const Source& source, const EstimatorConfig& config,
+                   const EngineOptions& opt) {
+  using Reader = std::remove_cvref_t<decltype(ReaderOf(source))>;
+  if (!opt.crawl.enabled) {
+    return RunLoop<Reader>(
+        [&](int) -> HeldAccess<Reader> { return ReaderOf(source); }, config,
+        opt);
+  }
+  return RunLoop<CrawlAccessT<Reader>>(
+      [&](int chain) {
+        return CrawlAccessT<Reader>(ReaderOf(source),
+                                    CrawlOptionsFor(opt, chain));
+      },
+      config, opt);
 }
 
 }  // namespace
@@ -326,26 +306,22 @@ EstimationEngine::EstimationEngine(const Graph& g,
                                    const EstimatorConfig& config,
                                    EngineOptions options)
     : g_(&g), config_(config), options_(std::move(options)) {
-  ValidateEngine<Graph>(g, config_, options_);
+  ValidateEngine(g, config_, options_);
 }
 
 EstimationEngine::EstimationEngine(const ShardStore& store,
                                    const EstimatorConfig& config,
                                    EngineOptions options)
     : store_(&store), config_(config), options_(std::move(options)) {
-  ValidateEngine<ShardedAccess>(store, config_, options_);
+  ValidateEngine(store, config_, options_);
 }
 
 EngineResult EstimationEngine::Run() {
-  if (store_ == nullptr) {
-    return options_.crawl.enabled
-               ? RunLoop<CrawlAccess>(*g_, config_, options_)
-               : RunLoop<Graph>(*g_, config_, options_);
-  }
+  if (store_ == nullptr) return RunOn(*g_, config_, options_);
   // The store's counters are lifetime totals shared by every run on it:
   // report this run's faults / hits / evictions as a before/after delta.
   const ShardStats before = store_->stats();
-  EngineResult result = RunLoop<ShardedAccess>(*store_, config_, options_);
+  EngineResult result = RunOn(*store_, config_, options_);
   result.shards = store_->stats();
   result.shards.faults -= before.faults;
   result.shards.hits -= before.hits;

@@ -18,15 +18,14 @@
 // bit-identical at any thread count.
 //
 // Execution modes compose through one chain type. A chain reads the
-// graph through an access type chosen per run: the in-memory Graph
-// (full access), a private CrawlAccess per chain (crawl mode), or a
+// graph through its source's reader — the in-memory Graph itself, or a
 // private ShardedAccess per chain over a shared ShardStore (the sharded
-// constructor). Every chain is one GraphletEstimatorT, and all three
-// access types give bit-identical estimates (static dispatch, so
-// full-access runs compile to the unchanged hot path). Sharded storage
-// does not compose with crawl mode; the sharded constructor rejects it.
+// constructor) — and in crawl mode through a private crawl cache in
+// front of that reader. Every chain is one GraphletEstimatorT, and every
+// access type gives bit-identical estimates (static dispatch, so
+// full-access runs compile to the unchanged hot path).
 //
-// Crawl mode: each chain's CrawlAccess (graph/access.h) is an LRU
+// Crawl mode: each chain's CrawlAccessT (graph/access.h) is an LRU
 // neighbor cache plus per-query accounting. A total distinct-query
 // budget B is split across chains in fixed shares; each chain stops
 // itself the moment its share is spent, inside its own run loop — a
@@ -43,7 +42,6 @@
 #include "engine/chain_pool.h"
 #include "graph/access.h"
 #include "graph/graph.h"
-#include "graph/sharded_access.h"
 
 namespace grw {
 
@@ -97,10 +95,10 @@ struct EngineOptions {
 
   /// Restricted-access (crawl) simulation of the paper's OSN setting.
   struct CrawlConfig {
-    /// Route every chain through its own CrawlAccess instead of the raw
-    /// Graph. Estimates are bit-identical either way (gated in CI by
-    /// bench_access --check-identical); only cost accounting and the
-    /// budget stop are added.
+    /// Route every chain through its own crawl cache in front of the
+    /// source's reader. Estimates are bit-identical either way (gated in
+    /// CI by bench_access --check-identical); only cost accounting and
+    /// the budget stop are added.
     bool enabled = false;
     /// Total distinct neighbor-list fetches across all chains; 0 = no
     /// budget. Split into fixed per-chain shares (remainder to the first
@@ -111,7 +109,7 @@ struct EngineOptions {
     /// Simulated API latency per fetch, microseconds (accumulated in
     /// stats, never slept).
     double latency_us = 0.0;
-    /// Transient-fetch-failure model (CrawlAccess::Options::FailureModel):
+    /// Transient-fetch-failure model (CrawlOptions::FailureModel):
     /// per-attempt failure probability, bounded retries with exponential
     /// backoff + jitter. Cost-only — estimates stay bit-identical; the
     /// retries / giveups / backoff totals land in EngineResult::access.
@@ -173,13 +171,13 @@ struct EngineResult {
   /// chain order), and the per-chain breakdown. Empty/zero otherwise.
   CrawlStats access;
   std::vector<CrawlStats> per_chain_access;
-  /// Sharded mode only: faults, hits and evictions are this run's own
-  /// (a before/after delta of the store's counters); resident_bytes,
-  /// resident_shards and budget_bytes are the store's state at the end
-  /// of the run, and peak_resident_bytes is the store's lifetime
-  /// high-water mark. Concurrent runs sharing one store (grw_serve
-  /// requests on one registration) see each other's counts mixed into
-  /// their deltas. All-zero otherwise.
+  /// Sharded storage only, crawl mode or not: faults, hits and evictions
+  /// are this run's own (a before/after delta of the store's counters);
+  /// resident_bytes, resident_shards and budget_bytes are the store's
+  /// state at the end of the run, and peak_resident_bytes is the store's
+  /// lifetime high-water mark. Concurrent runs sharing one store
+  /// (grw_serve requests on one registration) see each other's counts
+  /// mixed into their deltas. All-zero otherwise.
   ShardStats shards;
   int rounds = 0;
   /// Lockstep schedule position at the stop (budget-stalled chains may
@@ -200,10 +198,8 @@ class EstimationEngine {
                    EngineOptions options);
 
   /// Sharded out-of-core run: chains read through per-chain
-  /// ShardedAccess over `store` (which must outlive the engine).
-  /// Crawl mode does not compose with sharded storage — the crawl cache
-  /// simulates remote-API access over one flat graph — so it throws
-  /// std::invalid_argument here.
+  /// ShardedAccess over `store` (which must outlive the engine), behind
+  /// a per-chain crawl cache in crawl mode.
   EstimationEngine(const ShardStore& store, const EstimatorConfig& config,
                    EngineOptions options);
 
@@ -215,8 +211,8 @@ class EstimationEngine {
   const EngineOptions& options() const { return options_; }
 
  private:
-  const Graph* g_ = nullptr;            // full-access / crawl modes
-  const ShardStore* store_ = nullptr;   // sharded mode
+  const Graph* g_ = nullptr;            // in-memory storage
+  const ShardStore* store_ = nullptr;   // sharded storage
   EstimatorConfig config_;
   EngineOptions options_;
 };

@@ -29,9 +29,9 @@ void* MapPages(size_t bytes) {
 
 void UnmapPages(void* p, size_t bytes) noexcept { ::munmap(p, bytes); }
 
-CrawlAccess::CrawlAccess(const Graph& g, const Options& options)
-    : g_(&g), opt_(options), fail_rng_(options.failure.seed) {
-  const uint64_t n = g.NumNodes();
+CrawlCache::CrawlCache(VertexId num_nodes, const CrawlOptions& options)
+    : opt_(options), fail_rng_(options.failure.seed) {
+  const uint64_t n = num_nodes;
   // 0 or oversize means "never evict": every node's list fits.
   capacity_ = static_cast<uint32_t>(
       opt_.cache_entries == 0 || opt_.cache_entries >= n
@@ -45,8 +45,8 @@ CrawlAccess::CrawlAccess(const Graph& g, const Options& options)
   ever_fetched_.assign((n + 63) / 64, 0);
 }
 
-void CrawlAccess::SimulateTransientFailures() const {
-  const Options::FailureModel& f = opt_.failure;
+void CrawlCache::SimulateTransientFailures() {
+  const CrawlOptions::FailureModel& f = opt_.failure;
   // Each attempt fails independently with fail_prob; the loop models
   //   attempt -> fail -> wait(backoff) -> attempt -> ...
   // until an attempt succeeds or the retry budget is spent.
@@ -57,7 +57,7 @@ void CrawlAccess::SimulateTransientFailures() const {
       ++stats_.giveups;
       // Past the fast-path budget the crawler escalates to its slow
       // reliable path; model that as one maximal wait. Data still
-      // arrives — the failure model never alters what Fetch returns.
+      // arrives — the failure model never alters what a read returns.
       stats_.backoff_latency_us += kBackoffMaxUs;
       break;
     }
@@ -70,7 +70,7 @@ void CrawlAccess::SimulateTransientFailures() const {
   }
 }
 
-void CrawlAccess::RecordInjectedFailure() const {
+void CrawlCache::RecordInjectedFailure() {
   // A chaos-injected transient failure (GRW_FAULT "crawl.fetch"): one
   // failed attempt, answered by one retry that succeeds. Reachable even
   // with the probability model off, so chaos runs cover the crawl layer

@@ -6,23 +6,24 @@
 // query. Everything the estimation stack reads from a graph goes through
 // four accessors — Degree, Neighbors, Neighbor, HasEdge — so the stack
 // (walkers, sample window, CSS weights, estimator) is templated on the
-// access policy G:
+// access policy G, a member of the closed family GRW_ACCESS_FAMILY below.
+// Each storage kind has a reader, and crawl mode is a cache in front of
+// either reader:
 //
-//   FullAccess   = Graph itself. The template instantiated with Graph *is*
-//                  the pre-policy code, byte for byte: zero wrapper, zero
-//                  overhead, bit-identical estimates (asserted in tests and
-//                  gated in CI by bench_access --check-identical).
-//   CrawlAccess  = crawl semantics over an in-memory Graph backend: every
-//                  read is served from a bounded LRU cache of fetched
-//                  neighbor lists; a miss is one API call (counted, and
-//                  optionally charged a simulated latency); distinct-node
-//                  fetches are tracked separately from re-fetches of
-//                  evicted nodes so the paper's cost model (distinct
-//                  queries) and the real network cost (all fetches) are
-//                  both observable. An optional query budget marks the
-//                  access as exhausted, which the estimator's run loop
-//                  checks — the check compiles away entirely for
-//                  FullAccess.
+//   Graph          in-memory storage, read directly: the pre-policy code,
+//                  byte for byte, with zero overhead.
+//   ShardedAccess  out-of-core storage (graph/sharded_access.h).
+//   CrawlAccessT<Base>
+//                  crawl semantics over Base: a bounded LRU cache of
+//                  fetched neighbor lists, where a miss is one counted API
+//                  call to Base. Distinct-node fetches (the paper's cost
+//                  model) are tracked apart from re-fetches of evicted
+//                  nodes, and an optional query budget stops the
+//                  estimator's run loop; the check compiles away for the
+//                  uncached readers. CrawlAccess = CrawlAccessT<Graph>.
+//
+// Every member answers every read exactly as the Graph does, so estimates
+// are bit-identical across the family (tests/conformance_test.cpp).
 
 #pragma once
 
@@ -30,22 +31,34 @@
 #include <concepts>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/sharded_access.h"
 #include "util/fault.h"
 #include "util/rng.h"
 
 namespace grw {
 
-/// The zero-overhead end of the policy family: full access *is* the graph.
-/// Components templated on the access type and instantiated with Graph
-/// compile to exactly the code they had before the policy existed.
-using FullAccess = Graph;
+/// The closed access family, listed once: X(type) for each member. Files
+/// that explicitly instantiate the estimation stack expand it.
+#define GRW_ACCESS_FAMILY(X)             \
+  X(::grw::Graph)                        \
+  X(::grw::ShardedAccess)                \
+  X(::grw::CrawlAccessT<::grw::Graph>)   \
+  X(::grw::CrawlAccessT<::grw::ShardedAccess>)
+
+/// How a chain or a wrapper holds the access it reads through: the Graph
+/// by reference (it is the storage itself), any other member by value
+/// (a per-chain reader).
+template <class A>
+using HeldAccess =
+    std::conditional_t<std::is_same_v<A, Graph>, const Graph&, A>;
 
 /// Whether access policy G carries a distinct-query budget its run loop
-/// must poll (CrawlAccess does). For Graph this is false and every budget
-/// check guarded by it compiles away.
+/// must poll (the crawl members do). For the uncached readers this is
+/// false and every budget check guarded by it compiles away.
 template <class G>
 constexpr bool kAccessHasQueryBudget = requires(const G& g) {
   { g.BudgetExhausted() } -> std::convertible_to<bool>;
@@ -127,118 +140,64 @@ struct PageAllocator {
 template <class T>
 using PageVector = std::vector<T, PageAllocator<T>>;
 
-/// Neighbor-list-only crawl view of a Graph with per-query accounting and
-/// a bounded LRU neighbor cache.
-///
-/// NOT thread-safe: one instance per chain/crawler (the engine gives every
-/// chain its own). The read API mirrors Graph's, so any component
-/// templated on the access policy accepts either. All reads are const;
-/// cache and counters are mutable interior state, exactly like a real
-/// crawler's local storage.
-class CrawlAccess {
- public:
-  struct Options {
-    /// LRU capacity in cached neighbor lists; 0 = unbounded (never evict).
-    uint64_t cache_entries = 0;
-    /// Simulated latency charged per API fetch, in microseconds. Purely
-    /// virtual: accumulated in stats, never slept, so simulations stay
-    /// fast and deterministic.
-    double latency_us = 0.0;
-    /// Distinct-fetch budget; 0 = unlimited. Once reached,
-    /// BudgetExhausted() turns true and the estimator run loop stops the
-    /// chain (reads keep working — the budget is a stopping signal, not a
-    /// hard fault).
-    uint64_t query_budget = 0;
+/// How a crawler is configured; CrawlAccessT<Base>::Options.
+struct CrawlOptions {
+  /// LRU capacity in cached neighbor lists; 0 = unbounded (never evict).
+  uint64_t cache_entries = 0;
+  /// Simulated latency charged per API fetch, in microseconds. Purely
+  /// virtual: accumulated in stats, never slept, so simulations stay
+  /// fast and deterministic.
+  double latency_us = 0.0;
+  /// Distinct-fetch budget; 0 = unlimited. Once reached,
+  /// BudgetExhausted() turns true and the estimator run loop stops the
+  /// chain (reads keep working — the budget is a stopping signal, not a
+  /// hard fault).
+  uint64_t query_budget = 0;
 
-    /// Transient-fetch-failure model: real crawl APIs rate-limit and
-    /// 5xx, and a crawler answers with bounded retries under
-    /// exponential backoff plus a uniform jitter of up to half the wait,
-    /// drawn from the failure RNG. Like latency_us this is a COST
-    /// model, not a data model: a failed attempt charges retries /
-    /// giveups / backoff_latency_us in CrawlStats (after the retry
-    /// budget the crawler is modeled as escalating to its slow reliable
-    /// path), but the fetch always ultimately serves correct bytes — so
-    /// estimates stay bit-identical to a failure-free run, at any
-    /// thread count, and the chaos suite can assert exactness.
-    struct FailureModel {
-      /// Per-attempt transient failure probability; 0 disables the model.
-      double fail_prob = 0.0;
-      /// Retry attempts before giving up on the fast path.
-      int max_retries = 4;
-      /// First backoff wait; doubles per retry: base * 2^attempt, capped
-      /// at 1 s (also the modeled cost of the slow-path fallback after a
-      /// giveup).
-      double backoff_base_us = 1000.0;
-      /// Seed of the PRIVATE failure RNG stream. The engine derives one
-      /// per chain from the chain's global index, so failure schedules
-      /// replay exactly at any thread count; the walk RNG is never
-      /// consumed (consuming it would perturb the walk itself).
-      uint64_t seed = 0;
-    };
-    FailureModel failure;
+  /// Transient-fetch-failure model: real crawl APIs rate-limit and
+  /// 5xx, and a crawler answers with bounded retries under
+  /// exponential backoff plus a uniform jitter of up to half the wait,
+  /// drawn from the failure RNG. Like latency_us this is a COST
+  /// model, not a data model: a failed attempt charges retries /
+  /// giveups / backoff_latency_us in CrawlStats (after the retry
+  /// budget the crawler is modeled as escalating to its slow reliable
+  /// path), but the fetch always ultimately serves correct bytes — so
+  /// estimates stay bit-identical to a failure-free run, at any
+  /// thread count, and the chaos suite can assert exactness.
+  struct FailureModel {
+    /// Per-attempt transient failure probability; 0 disables the model.
+    double fail_prob = 0.0;
+    /// Retry attempts before giving up on the fast path.
+    int max_retries = 4;
+    /// First backoff wait; doubles per retry: base * 2^attempt, capped
+    /// at 1 s (also the modeled cost of the slow-path fallback after a
+    /// giveup).
+    double backoff_base_us = 1000.0;
+    /// Seed of the PRIVATE failure RNG stream. The engine derives one
+    /// per chain from the chain's global index, so failure schedules
+    /// replay exactly at any thread count; the walk RNG is never
+    /// consumed (consuming it would perturb the walk itself).
+    uint64_t seed = 0;
   };
+  FailureModel failure;
+};
 
-  CrawlAccess(const Graph& g, const Options& options);
+/// A crawler's local storage, apart from the bytes themselves: which
+/// nodes' lists it holds (a bounded LRU over slots), which it ever
+/// fetched, and what the fetches cost. The bytes come from the access it
+/// sits in front of.
+class CrawlCache {
+ public:
+  CrawlCache(VertexId num_nodes, const CrawlOptions& options);
 
-  /// Number of nodes/edges. NOT available through real crawl APIs;
-  /// exposed for walk seeding and constructor validation in simulations.
-  VertexId NumNodes() const { return g_->NumNodes(); }
-  uint64_t NumEdges() const { return g_->NumEdges(); }
+  /// True iff v's list is cached (a read of it would be a hit).
+  bool Holds(VertexId v) const { return slot_of_[v] != kNoSlot; }
 
-  /// Degree of v. Revealed by v's neighbor list: fetches v on a miss.
-  uint32_t Degree(VertexId v) const {
-    return static_cast<uint32_t>(Fetch(v).size());
-  }
-
-  /// Full friend list of v (sorted), fetching on a miss.
-  std::span<const VertexId> Neighbors(VertexId v) const { return Fetch(v); }
-
-  /// The i-th neighbor of v (0-based, sorted order).
-  VertexId Neighbor(VertexId v, uint32_t i) const { return Fetch(v)[i]; }
-
-  /// Adjacency test, answered client-side by searching a fetched friend
-  /// list: free (a cache hit) when either endpoint's list is cached,
-  /// otherwise one API call for u's list. Identical result to
-  /// Graph::HasEdge for every input.
-  bool HasEdge(VertexId u, VertexId v) const {
-    VertexId probe = u;
-    VertexId other = v;
-    if (slot_of_[u] == kNoSlot && slot_of_[v] != kNoSlot) {
-      probe = v;
-      other = u;
-    }
-    const std::span<const VertexId> list = Fetch(probe);
-    return std::binary_search(list.begin(), list.end(), other);
-  }
-
-  /// True iff v's neighbor list is currently in the cache (tests).
-  bool Cached(VertexId v) const { return slot_of_[v] != kNoSlot; }
-
-  /// True once the distinct-fetch budget (if any) has been reached.
-  bool BudgetExhausted() const {
-    return opt_.query_budget > 0 &&
-           stats_.distinct_fetches >= opt_.query_budget;
-  }
-
-  const CrawlStats& stats() const { return stats_; }
-  /// Effective LRU capacity after clamping (0/oversize -> NumNodes()).
-  uint32_t CacheCapacity() const { return capacity_; }
-
- private:
-  static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
-
-  // Rolls the failure model for one API fetch: draws per-attempt
-  // failures from the private failure RNG, charging retries, backoff
-  // waits and (past the retry budget) one giveup to stats_. Cold path,
-  // defined in access.cpp.
-  void SimulateTransientFailures() const;
-  // Books one chaos-injected transient failure + successful retry.
-  void RecordInjectedFailure() const;
-
-  // The one place queries happen: serves v's list from the cache (LRU
-  // touch) or issues a counted API fetch and inserts it, evicting the
-  // least-recently-used list when at capacity.
-  std::span<const VertexId> Fetch(VertexId v) const {
+  /// Reads v's list from `base` through the cache: a hit touches the
+  /// LRU; a miss is a counted API fetch that inserts v, evicting the
+  /// least-recently-used list when at capacity.
+  template <class Base>
+  std::span<const VertexId> Fetch(const Base& base, VertexId v) {
     const uint32_t slot = slot_of_[v];
     if (slot != kNoSlot) {
       ++stats_.cache_hits;
@@ -248,7 +207,7 @@ class CrawlAccess {
         Unlink(slot);
         PushFront(slot);
       }
-      return g_->Neighbors(v);
+      return base.Neighbors(v);
     }
     ++stats_.fetches;
     stats_.simulated_latency_us += opt_.latency_us;
@@ -274,37 +233,121 @@ class CrawlAccess {
     node_of_[s] = v;
     slot_of_[v] = s;
     PushFront(s);
-    return g_->Neighbors(v);
+    return base.Neighbors(v);
   }
 
-  void Unlink(uint32_t slot) const {
+  /// True once the distinct-fetch budget (if any) has been reached.
+  bool BudgetExhausted() const {
+    return opt_.query_budget > 0 &&
+           stats_.distinct_fetches >= opt_.query_budget;
+  }
+
+  const CrawlStats& stats() const { return stats_; }
+
+ private:
+  static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  // Rolls the failure model for one API fetch: draws per-attempt
+  // failures from the private failure RNG, charging retries, backoff
+  // waits and (past the retry budget) one giveup to stats_. Cold path,
+  // defined in access.cpp.
+  void SimulateTransientFailures();
+  // Books one chaos-injected transient failure + successful retry.
+  void RecordInjectedFailure();
+
+  void Unlink(uint32_t slot) {
     const uint32_t p = prev_[slot];
     const uint32_t n = next_[slot];
     if (p != kNoSlot) next_[p] = n; else head_ = n;
     if (n != kNoSlot) prev_[n] = p; else tail_ = p;
   }
 
-  void PushFront(uint32_t slot) const {
+  void PushFront(uint32_t slot) {
     prev_[slot] = kNoSlot;
     next_[slot] = head_;
     if (head_ != kNoSlot) prev_[head_] = slot; else tail_ = slot;
     head_ = slot;
   }
 
-  const Graph* g_;
-  Options opt_;
+  CrawlOptions opt_;
   uint32_t capacity_;
   bool never_evicts_ = false;  // capacity_ covers every node
-  mutable CrawlStats stats_;
-  mutable PageVector<uint32_t> slot_of_;       // node -> cache slot
-  mutable PageVector<VertexId> node_of_;       // slot -> node
-  mutable PageVector<uint32_t> prev_, next_;   // LRU list over slots
-  mutable uint32_t head_ = kNoSlot;            // most recently used
-  mutable uint32_t tail_ = kNoSlot;            // least recently used
-  mutable uint32_t used_ = 0;
-  mutable PageVector<uint64_t> ever_fetched_;  // distinct-fetch bitset
+  CrawlStats stats_;
+  PageVector<uint32_t> slot_of_;       // node -> cache slot
+  PageVector<VertexId> node_of_;       // slot -> node
+  PageVector<uint32_t> prev_, next_;   // LRU list over slots
+  uint32_t head_ = kNoSlot;            // most recently used
+  uint32_t tail_ = kNoSlot;            // least recently used
+  uint32_t used_ = 0;
+  PageVector<uint64_t> ever_fetched_;  // distinct-fetch bitset
   // Private stream for the failure model.
-  mutable Rng fail_rng_;
+  Rng fail_rng_;
 };
+
+/// Neighbor-list-only crawl view of the access Base (Graph or
+/// ShardedAccess) with per-query accounting and a bounded LRU neighbor
+/// cache in front of it.
+///
+/// NOT thread-safe: one instance per chain/crawler (the engine gives every
+/// chain its own). The read API mirrors Graph's, so any component
+/// templated on the access policy accepts it. All reads are const; the
+/// cache is mutable interior state, exactly like a real crawler's local
+/// storage.
+template <class Base>
+class CrawlAccessT {
+ public:
+  using Options = CrawlOptions;
+
+  CrawlAccessT(HeldAccess<Base> base, const Options& options)
+      : base_(base), cache_(base_.NumNodes(), options) {}
+
+  /// Number of nodes/edges. NOT available through real crawl APIs;
+  /// exposed for walk seeding and constructor validation in simulations.
+  VertexId NumNodes() const { return base_.NumNodes(); }
+  uint64_t NumEdges() const { return base_.NumEdges(); }
+
+  /// Degree of v. Revealed by v's neighbor list: fetches v on a miss.
+  uint32_t Degree(VertexId v) const {
+    return static_cast<uint32_t>(Fetch(v).size());
+  }
+
+  /// Full friend list of v (sorted), fetching on a miss.
+  std::span<const VertexId> Neighbors(VertexId v) const { return Fetch(v); }
+
+  /// The i-th neighbor of v (0-based, sorted order).
+  VertexId Neighbor(VertexId v, uint32_t i) const { return Fetch(v)[i]; }
+
+  /// Adjacency test, answered client-side by searching a fetched friend
+  /// list: free (a cache hit) when either endpoint's list is cached,
+  /// otherwise one API call for u's list. Identical result to
+  /// Graph::HasEdge for every input.
+  bool HasEdge(VertexId u, VertexId v) const {
+    VertexId probe = u;
+    VertexId other = v;
+    if (!cache_.Holds(u) && cache_.Holds(v)) {
+      probe = v;
+      other = u;
+    }
+    const std::span<const VertexId> list = Fetch(probe);
+    return std::binary_search(list.begin(), list.end(), other);
+  }
+
+  /// True once the distinct-fetch budget (if any) has been reached.
+  bool BudgetExhausted() const { return cache_.BudgetExhausted(); }
+
+  const CrawlStats& stats() const { return cache_.stats(); }
+
+ private:
+  // The one place queries happen.
+  std::span<const VertexId> Fetch(VertexId v) const {
+    return cache_.Fetch(base_, v);
+  }
+
+  HeldAccess<Base> base_;
+  mutable CrawlCache cache_;
+};
+
+/// Crawl over an in-memory Graph.
+using CrawlAccess = CrawlAccessT<Graph>;
 
 }  // namespace grw

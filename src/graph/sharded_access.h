@@ -187,8 +187,6 @@ class ShardedAccess {
     return std::binary_search(list.begin(), list.end(), v);
   }
 
-  const ShardStore& store() const { return *store_; }
-
  private:
   static constexpr int kPins = 4;
 

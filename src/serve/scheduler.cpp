@@ -155,8 +155,9 @@ ServeScheduler::Outcome ServeScheduler::RunJob(
       out.response = ErrorResponse("unknown graph '" + req.graph + "'");
       return out;
     }
-    // Mode combinations the engine cannot run (sharded x crawl) throw
-    // from its constructor and land in the catch below as an error reply.
+    // Configurations the engine refuses (an alpha = 0 (k, d), a budget
+    // below the chain count) throw from its constructor and land in the
+    // catch below as an error reply.
     EngineOptions options = ToEngineOptions(req);
     options.threads = options_.engine_threads;
     options.pool = options_.pool;  // nullptr = ChainPool::Shared()

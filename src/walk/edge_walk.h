@@ -35,8 +35,6 @@ class EdgeWalkT final : public StateWalker {
     }
   }
 
-  int d() const override { return 2; }
-
   void Reset(Rng& rng) override {
     // A random endpoint's random incident edge; the init distribution is
     // irrelevant asymptotically.
@@ -76,8 +74,6 @@ class EdgeWalkT final : public StateWalker {
     return static_cast<uint64_t>(g_->Degree(nodes_[0])) +
            g_->Degree(nodes_[1]) - 2;
   }
-
-  bool non_backtracking() const override { return nb_; }
 
  private:
   // Draws a uniform neighbor state of (nodes_[0], nodes_[1]) into (*a, *b),

@@ -5,11 +5,8 @@
 // Hardiman–Katzir clustering-coefficient estimator, which Section 6.3.1
 // shows is SRW1 in disguise.
 //
-// Templated on the graph access policy (graph/access.h): NodeWalkT<Graph>
-// is the full-access walk (aliased as NodeWalk — unchanged code), while
-// NodeWalkT<CrawlAccess> reads every neighbor list through the crawl
-// cache/accounting layer. The dispatch is static, so the full-access
-// instantiation pays nothing for the crawl scenario existing.
+// Templated on the graph access policy (graph/access.h); NodeWalk =
+// NodeWalkT<Graph> is the unchanged full-access walk, static dispatch.
 
 #pragma once
 
@@ -30,8 +27,6 @@ class NodeWalkT final : public StateWalker {
       throw std::invalid_argument("NodeWalk: graph too small");
     }
   }
-
-  int d() const override { return 1; }
 
   void Reset(Rng& rng) override {
     current_ = static_cast<VertexId>(rng.UniformInt(g_->NumNodes()));
@@ -58,8 +53,6 @@ class NodeWalkT final : public StateWalker {
   std::span<const VertexId> Nodes() const override { return {&current_, 1}; }
 
   uint64_t StateDegree() const override { return g_->Degree(current_); }
-
-  bool non_backtracking() const override { return nb_; }
 
   VertexId Current() const { return current_; }
 

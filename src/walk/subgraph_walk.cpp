@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "graph/access.h"
-#include "graph/sharded_access.h"
 
 namespace grw {
 
@@ -398,41 +397,18 @@ void SubgraphWalkT<G>::Step(Rng& rng) {
   degree_valid_ = false;
 }
 
-template <class G>
-uint64_t SubgraphWalkT<G>::DegreeOfState(
-    std::span<const VertexId> state_nodes) const {
-  return SubgraphStateDegree(*g_, state_nodes, scratch_);
-}
-
-// The policy family is closed (graph/access.h): full access and crawl
-// access. Instantiating here keeps the hot path out of every includer
-// while still compiling both policies with full optimization context.
-template bool InducedSubgraphConnected<Graph>(const Graph&,
-                                              std::span<const VertexId>);
-template bool InducedSubgraphConnected<CrawlAccess>(
-    const CrawlAccess&, std::span<const VertexId>);
-template uint64_t EnumerateGdNeighbors<Graph>(const Graph&,
-                                              std::span<const VertexId>,
-                                              std::vector<VertexId>*,
-                                              GdScratch&);
-template uint64_t EnumerateGdNeighbors<CrawlAccess>(
-    const CrawlAccess&, std::span<const VertexId>, std::vector<VertexId>*,
-    GdScratch&);
-template uint64_t SubgraphStateDegree<Graph>(const Graph&,
-                                             std::span<const VertexId>,
-                                             GdScratch&);
-template uint64_t SubgraphStateDegree<CrawlAccess>(const CrawlAccess&,
-                                                   std::span<const VertexId>,
-                                                   GdScratch&);
-template bool InducedSubgraphConnected<ShardedAccess>(
-    const ShardedAccess&, std::span<const VertexId>);
-template uint64_t EnumerateGdNeighbors<ShardedAccess>(
-    const ShardedAccess&, std::span<const VertexId>, std::vector<VertexId>*,
-    GdScratch&);
-template uint64_t SubgraphStateDegree<ShardedAccess>(
-    const ShardedAccess&, std::span<const VertexId>, GdScratch&);
-template class SubgraphWalkT<Graph>;
-template class SubgraphWalkT<CrawlAccess>;
-template class SubgraphWalkT<ShardedAccess>;
+// Instantiating here keeps the hot path out of every includer while still
+// compiling each access policy with full optimization context.
+#define GRW_INSTANTIATE(G)                                                 \
+  template bool InducedSubgraphConnected<G>(const G&,                      \
+                                            std::span<const VertexId>);    \
+  template uint64_t EnumerateGdNeighbors<G>(                               \
+      const G&, std::span<const VertexId>, std::vector<VertexId>*,         \
+      GdScratch&);                                                         \
+  template uint64_t SubgraphStateDegree<G>(                                \
+      const G&, std::span<const VertexId>, GdScratch&);                    \
+  template class SubgraphWalkT<G>;
+GRW_ACCESS_FAMILY(GRW_INSTANTIATE)
+#undef GRW_INSTANTIATE
 
 }  // namespace grw

@@ -35,9 +35,9 @@
 //   EnumerateGdNeighborsReference for the equivalence tests and the
 //   micro-bench baseline.
 //
-// Everything here is templated on the graph access policy (graph/access.h)
-// with explicit instantiations for Graph (full access), CrawlAccess and
-// ShardedAccess in subgraph_walk.cpp. Each edge query and neighbor-list
+// Everything here is templated on the graph access policy and explicitly
+// instantiated in subgraph_walk.cpp for every member of the access family
+// (GRW_ACCESS_FAMILY, graph/access.h). Each edge query and neighbor-list
 // read goes through the policy, so a crawl simulation charges the walk
 // its true API cost.
 
@@ -72,7 +72,7 @@ struct GdScratch {
 /// neighbor, each sorted; returns the neighbor count. A neighbor is any
 /// connected induced d-node subgraph sharing exactly d-1 nodes with
 /// `state`. Pass out_neighbors == nullptr to count without materializing.
-/// Defined in subgraph_walk.cpp; instantiated for Graph and CrawlAccess.
+/// Defined in subgraph_walk.cpp for every GRW_ACCESS_FAMILY member.
 template <class G>
 uint64_t EnumerateGdNeighbors(const G& g, std::span<const VertexId> state,
                               std::vector<VertexId>* out_neighbors,
@@ -143,8 +143,6 @@ class SubgraphWalkT final : public StateWalker {
     next_.reserve(d);
   }
 
-  int d() const override { return d_; }
-
   void Reset(Rng& rng) override;
 
   void Step(Rng& rng) override;
@@ -159,13 +157,6 @@ class SubgraphWalkT final : public StateWalker {
     EnsureDegree();
     return d_ == 3 ? g3_.Total() : neighbors_.size() / d_;
   }
-
-  bool non_backtracking() const override { return nb_; }
-
-  /// Degree in G(d) of an arbitrary connected induced d-node subgraph,
-  /// given as a node set. Used by CSS weighting for d >= 3 (the expensive
-  /// path the paper excludes from its benchmarks as SRW3CSS).
-  uint64_t DegreeOfState(std::span<const VertexId> state_nodes) const;
 
  private:
   void EnsureDegree() const;

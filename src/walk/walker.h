@@ -27,9 +27,6 @@ class StateWalker {
  public:
   virtual ~StateWalker() = default;
 
-  /// Dimension d of the relationship graph this walk runs on.
-  virtual int d() const = 0;
-
   /// Re-initializes the walk at a (roughly uniform) random starting state.
   /// The initial distribution does not affect asymptotic unbiasedness
   /// (SLLN, paper Theorem 1).
@@ -46,9 +43,6 @@ class StateWalker {
   /// O(1) for d <= 2; for d >= 3 this is the size of the enumerated
   /// neighbor set (computed lazily, cached until the state changes).
   virtual uint64_t StateDegree() const = 0;
-
-  /// Whether Step() avoids backtracking to the previous state.
-  virtual bool non_backtracking() const = 0;
 };
 
 }  // namespace grw

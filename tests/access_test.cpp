@@ -2,6 +2,8 @@
 // policy — LRU eviction order, hit/miss accounting under adversarial
 // revisit patterns (the paper's cost model charges only distinct
 // neighbor-list fetches), latency accumulation, and budget exhaustion.
+// What the cache holds is observed through stats() alone: re-reading a
+// cached list adds a hit, re-reading an evicted one adds a fetch.
 
 #include "graph/access.h"
 
@@ -37,16 +39,24 @@ TEST(CrawlAccessTest, ReadsMatchTheGraphExactly) {
 
 TEST(CrawlAccessTest, UnboundedCacheFetchesEachNodeOnce) {
   const Graph g = KarateClub();
-  CrawlAccess crawl(g, {});  // cache_entries = 0 -> unbounded
-  EXPECT_EQ(crawl.CacheCapacity(), g.NumNodes());
-  for (int round = 0; round < 3; ++round) {
-    for (VertexId v = 0; v < g.NumNodes(); ++v) (void)crawl.Degree(v);
+  // 0 means unbounded, and a capacity beyond the node count is clamped to
+  // it: either way every list stays cached once fetched.
+  for (const uint64_t entries : {uint64_t{0}, uint64_t{10} * g.NumNodes()}) {
+    SCOPED_TRACE(entries);
+    CrawlAccess::Options opt;
+    opt.cache_entries = entries;
+    CrawlAccess crawl(g, opt);
+    for (int round = 0; round < 3; ++round) {
+      for (VertexId v = 0; v < g.NumNodes(); ++v) {
+        (void)crawl.Degree(round == 1 ? g.NumNodes() - 1 - v : v);
+      }
+    }
+    EXPECT_EQ(crawl.stats().fetches, g.NumNodes());
+    EXPECT_EQ(crawl.stats().distinct_fetches, g.NumNodes());
+    EXPECT_EQ(crawl.stats().cache_hits, 2u * g.NumNodes());
+    EXPECT_EQ(crawl.stats().evictions, 0u);
+    EXPECT_EQ(crawl.stats().Refetches(), 0u);
   }
-  EXPECT_EQ(crawl.stats().fetches, g.NumNodes());
-  EXPECT_EQ(crawl.stats().distinct_fetches, g.NumNodes());
-  EXPECT_EQ(crawl.stats().cache_hits, 2u * g.NumNodes());
-  EXPECT_EQ(crawl.stats().evictions, 0u);
-  EXPECT_EQ(crawl.stats().Refetches(), 0u);
 }
 
 TEST(CrawlAccessTest, LruEvictsLeastRecentlyUsed) {
@@ -55,22 +65,28 @@ TEST(CrawlAccessTest, LruEvictsLeastRecentlyUsed) {
   opt.cache_entries = 2;
   CrawlAccess crawl(g, opt);
 
-  (void)crawl.Neighbors(0);  // cache: {0}
-  (void)crawl.Neighbors(1);  // cache: {1, 0}
-  EXPECT_TRUE(crawl.Cached(0));
-  EXPECT_TRUE(crawl.Cached(1));
-  (void)crawl.Neighbors(0);  // touch 0 -> LRU order now {0, 1}
-  (void)crawl.Neighbors(2);  // evicts 1 (least recently used), not 0
-  EXPECT_TRUE(crawl.Cached(0));
-  EXPECT_FALSE(crawl.Cached(1));
-  EXPECT_TRUE(crawl.Cached(2));
+  (void)crawl.Neighbors(0);  // miss, cache: {0}
+  (void)crawl.Neighbors(1);  // miss, cache: {1, 0}
+  (void)crawl.Neighbors(0);  // hit; touch 0 -> LRU order now {0, 1}
+  EXPECT_EQ(crawl.stats().cache_hits, 1u);
+  EXPECT_EQ(crawl.stats().fetches, 2u);
+  (void)crawl.Neighbors(2);  // miss; evicts 1 (least recently used) -> {2, 0}
+  EXPECT_EQ(crawl.stats().fetches, 3u);
   EXPECT_EQ(crawl.stats().evictions, 1u);
-  (void)crawl.Neighbors(1);  // re-fetch: raw grows, distinct does not
+  (void)crawl.Neighbors(0);  // hit: 0 survived -> {0, 2}
+  EXPECT_EQ(crawl.stats().cache_hits, 2u);
+  EXPECT_EQ(crawl.stats().fetches, 3u);
+  (void)crawl.Neighbors(1);  // 1 was evicted: re-fetch, evicting 2 -> {1, 0}
   EXPECT_EQ(crawl.stats().fetches, 4u);
-  EXPECT_EQ(crawl.stats().distinct_fetches, 3u);
+  EXPECT_EQ(crawl.stats().distinct_fetches, 3u);  // raw grows, distinct not
   EXPECT_EQ(crawl.stats().Refetches(), 1u);
-  EXPECT_FALSE(crawl.Cached(0));  // 0 was the LRU when 1 came back
-  EXPECT_TRUE(crawl.Cached(2));
+  EXPECT_EQ(crawl.stats().evictions, 2u);
+  (void)crawl.Neighbors(0);  // hit -> {0, 1}
+  EXPECT_EQ(crawl.stats().cache_hits, 3u);
+  (void)crawl.Neighbors(2);  // 2 was the LRU when 1 came back: re-fetch
+  EXPECT_EQ(crawl.stats().fetches, 5u);
+  EXPECT_EQ(crawl.stats().Refetches(), 2u);
+  EXPECT_EQ(crawl.stats().cache_hits, 3u);
 }
 
 TEST(CrawlAccessTest, AdversarialRevisitPatternAccounting) {
@@ -112,12 +128,16 @@ TEST(CrawlAccessTest, HasEdgePrefersCachedEndpoint) {
   // 1 is cached, 0 is not: the test searches 1's cached list — no fetch.
   (void)crawl.HasEdge(0, 1);
   EXPECT_EQ(crawl.stats().fetches, fetches_before);
-  EXPECT_FALSE(crawl.Cached(0));
   // Neither endpoint cached: one fetch (the first argument's list).
   (void)crawl.HasEdge(5, 6);
   EXPECT_EQ(crawl.stats().fetches, fetches_before + 1);
-  EXPECT_TRUE(crawl.Cached(5));
-  EXPECT_FALSE(crawl.Cached(6));
+  // 5 was fetched (reading it is a hit); 0 and 6 were not.
+  const uint64_t hits_before = crawl.stats().cache_hits;
+  (void)crawl.Neighbors(5);
+  EXPECT_EQ(crawl.stats().cache_hits, hits_before + 1);
+  (void)crawl.Neighbors(0);
+  (void)crawl.Neighbors(6);
+  EXPECT_EQ(crawl.stats().fetches, fetches_before + 3);
 }
 
 TEST(CrawlAccessTest, SimulatedLatencyAccumulatesPerFetchOnly) {

@@ -88,7 +88,9 @@ const Config kConfigs[] = {
 };
 
 // How the chains read the graph: a crawl cache (unbounded, or one list),
-// the shard store (unbounded, or one shard's bytes), or neither.
+// the shard store (unbounded, or one shard's bytes), both (the crawl cache
+// in front of the shard store; an evicting cell evicts from both), or
+// neither.
 struct Access {
   const char* name;
   const char* crawl_flags;
@@ -103,6 +105,8 @@ const Access kAccessModes[] = {
     {"crawlEvicting", "--cache-size=1", false, true},
     {"sharded", "", true, false},
     {"shardedEvicting", "", true, true},
+    {"shardedCrawl", "--cache-size=0", true, false},
+    {"shardedCrawlEvicting", "--cache-size=1", true, true},
 };
 
 // Cell parameters print as their names.
@@ -277,18 +281,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::ValuesIn(kAccessModes),
                        ::testing::Values(1u, 2u, 8u), ::testing::Bool()),
     CellName);
-
-// Crawl accounting is a view of one flat graph, so sharded storage
-// refuses it with a typed error on both entry points.
-TEST(ShardedCrawlTest, RejectedOnBothEntryPoints) {
-  const Access sharded_crawl{"shardedCrawl", "--cache-size=0", true, false};
-  EXPECT_THROW(RunCli(kConfigs[1], sharded_crawl, 1), std::invalid_argument);
-  const std::string response = RunServed(kConfigs[1], sharded_crawl, 1);
-  EXPECT_NE(response.find("\"ok\": false"), std::string::npos) << response;
-  EXPECT_NE(response.find("crawl mode does not compose with sharded"),
-            std::string::npos)
-      << response;
-}
 
 }  // namespace
 }  // namespace grw::serve

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <future>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -306,38 +307,111 @@ TEST(SchedulerTest, DeadlineCancelsLongRun) {
   EXPECT_NE(response.find("\"ok\": false"), std::string::npos);
 }
 
-TEST(SchedulerTest, ShardedRegistrationRefusesCrawlAndBatchRequests) {
-  namespace fs = std::filesystem;
-  Rng rng(13);
-  const Graph g = LargestConnectedComponent(HolmeKim(400, 4, 0.5, rng));
-  const fs::path dir = fs::temp_directory_path() /
-                       ("serve_sharded_modes." + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  ShardingOptions sharding;
-  sharding.num_shards = 4;
-  WriteShardedGraph(g, dir.string(), sharding);
+// A 4-shard copy of a seeded Holme-Kim LCC, in a directory unique to this
+// process and removed on destruction.
+struct ShardedCopy {
+  Graph graph;
+  std::filesystem::path dir;
 
+  explicit ShardedCopy(const std::string& name) {
+    Rng rng(13);
+    graph = LargestConnectedComponent(HolmeKim(400, 4, 0.5, rng));
+    dir = std::filesystem::temp_directory_path() /
+          (name + "." + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    ShardingOptions sharding;
+    sharding.num_shards = 4;
+    WriteShardedGraph(graph, dir.string(), sharding);
+  }
+  ~ShardedCopy() {
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+  }
+};
+
+// A reply's concentrations as their raw text (empty on an error reply).
+std::vector<std::string> RawConcentrations(const std::string& response) {
+  std::vector<std::string> out;
+  const std::optional<JsonValue> json = ParseJson(response);
+  if (json.has_value() && json->Find("concentrations") != nullptr) {
+    for (const JsonValue& item : json->Find("concentrations")->items) {
+      out.push_back(item.raw);
+    }
+  }
+  return out;
+}
+
+TEST(SchedulerTest, ShardedRegistrationAnswersCrawlAndRefusesBatch) {
+  const ShardedCopy copy("serve_sharded_modes");
   SnapshotRegistry registry;
-  registry.Register("s", dir.string());
+  registry.Register("s", copy.dir.string());
   ServeScheduler scheduler(&registry, SmallScheduler(1));
 
-  // crawl=1 reaches the engine, whose validation rejects sharded x crawl;
-  // batch=1 is not a protocol field, so the parser refuses it first.
-  const std::string crawl =
-      scheduler.HandleLine("ESTIMATE graph=s k=3 steps=2000 crawl=1");
-  EXPECT_NE(crawl.find("\"ok\": false"), std::string::npos) << crawl;
-  EXPECT_NE(crawl.find("crawl mode does not compose with sharded"),
-            std::string::npos)
-      << crawl;
+  // crawl=1, budget= and cache= put a crawl cache in front of the shard
+  // store; estimates match the uncached run byte for byte. batch=1 is not
+  // a protocol field, so the parser refuses it.
+  const std::string plain =
+      scheduler.HandleLine("ESTIMATE graph=s k=3 steps=2000");
+  ASSERT_NE(plain.find("\"ok\": true"), std::string::npos) << plain;
+  for (const char* mode : {"crawl=1", "budget=100000", "cache=8"}) {
+    const std::string crawl = scheduler.HandleLine(
+        std::string("ESTIMATE graph=s k=3 steps=2000 ") + mode);
+    EXPECT_NE(crawl.find("\"ok\": true"), std::string::npos) << crawl;
+    EXPECT_NE(crawl.find("\"distinct_queries\": "), std::string::npos);
+    EXPECT_NE(crawl.find("\"shards\": "), std::string::npos);
+    EXPECT_EQ(RawConcentrations(crawl), RawConcentrations(plain)) << mode;
+  }
   const std::string batch =
       scheduler.HandleLine("ESTIMATE graph=s k=3 steps=2000 batch=1");
   EXPECT_NE(batch.find("\"ok\": false"), std::string::npos) << batch;
-  // The worker survives the refusals and serves the next valid request.
+  // The worker survives the refusal and serves the next valid request.
   const std::string ok =
       scheduler.HandleLine("ESTIMATE graph=s k=3 steps=2000");
   EXPECT_NE(ok.find("\"ok\": true"), std::string::npos) << ok;
-  EXPECT_EQ(scheduler.stats().completed, 1u);
-  fs::remove_all(dir);
+  EXPECT_EQ(scheduler.stats().completed, 5u);
+}
+
+// Tenant requests run as crawl requests, so on a sharded registration
+// they take the crawl cache in front of the shard store.
+TEST(SchedulerTest, TenantRequestOnShardedRegistrationIsAnsweredAndCharged) {
+  const ShardedCopy copy("serve_sharded_tenant");
+  SnapshotRegistry registry;
+  registry.Register("s", copy.dir.string());
+  registry.RegisterGraph("flat", copy.graph);
+  const std::string request = "ESTIMATE k=3 steps=2000 chains=1";
+
+  // What one chain of this request fetches, measured on the flat graph.
+  ServeScheduler metering(&registry, SmallScheduler(1));
+  const std::optional<JsonValue> flat = ParseJson(
+      metering.HandleLine(request + " graph=flat crawl=1"));
+  ASSERT_TRUE(flat.has_value() && flat->Find("distinct_queries") != nullptr);
+  const auto distinct =
+      static_cast<uint64_t>(flat->Find("distinct_queries")->number);
+  ASSERT_GT(distinct, 0u);
+
+  // An allowance one above that: the run is never budget-stopped, and
+  // leaves one query, below a two-chain request's need.
+  SchedulerOptions options = SmallScheduler(1);
+  options.tenant_budget = distinct + 1;
+  ServeScheduler scheduler(&registry, options);
+  const std::string anon = scheduler.HandleLine(request + " graph=s");
+  ASSERT_NE(anon.find("\"ok\": true"), std::string::npos) << anon;
+  const std::string tenant =
+      scheduler.HandleLine(request + " graph=s tenant=acme");
+  ASSERT_NE(tenant.find("\"ok\": true"), std::string::npos) << tenant;
+  EXPECT_EQ(RawConcentrations(tenant), RawConcentrations(anon));
+  const std::optional<JsonValue> json = ParseJson(tenant);
+  EXPECT_EQ(json->Find("distinct_queries")->number,
+            static_cast<double>(distinct));
+  EXPECT_FALSE(json->Find("budget_exhausted")->IsTrue());
+
+  const std::string refused = scheduler.HandleLine(
+      "ESTIMATE graph=s k=3 steps=2000 chains=2 tenant=acme");
+  EXPECT_NE(refused.find("tenant 'acme': distinct-query budget exhausted "
+                         "(1 of " + std::to_string(distinct + 1) +
+                         " remaining, need >= 2)"),
+            std::string::npos)
+      << refused;
 }
 
 TEST(SchedulerTest, DrainRefusesNewWorkAndIsIdempotent) {

@@ -55,9 +55,10 @@
 //       out-of-core through the shard LRU: --resident-budget-mb caps
 //       resident shard bytes (0 = unbounded). Estimates under any budget
 //       are bit-identical to the monolithic run; a residency report
-//       follows the table. --counts and crawl flags need the monolithic
-//       graph and are rejected on sharded inputs. The other flags build
-//       the request `grw query` sends, parsed by the server's parser.
+//       follows the table. Crawl flags put each chain's crawl cache in
+//       front of the shard store. --counts needs the monolithic graph and
+//       is rejected on sharded inputs. The other flags build the request
+//       `grw query` sends, parsed by the server's parser.
 //   grw query <id> [--host H] [--port P] [--raw] [--send 'LINE']
 //       [estimation flags as in `estimate`] [--deadline-ms MS]
 //       [--tenant NAME]

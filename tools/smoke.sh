@@ -126,6 +126,14 @@ diff mono.txt sharded.txt
 ./grw_cli estimate big.shards --resident-budget-mb 2 \
   --k 4 --d 3 --steps 50000 --chains 4 --quiet --raw > sharded3.txt
 diff mono3.txt sharded3.txt
+# A crawl cache in front of the evicting shard store: a 256-list cache
+# evicts and refetches, and neither layer may move the estimate.
+./grw_cli estimate big.shards --resident-budget-mb 2 --crawl --cache-size 256 \
+  --k 4 --steps 50000 --chains 4 --quiet --raw > sharded_crawl.txt
+diff mono.txt sharded_crawl.txt
+./grw_cli estimate big.shards --resident-budget-mb 2 --crawl --cache-size 256 \
+  --k 4 --d 3 --steps 50000 --chains 4 --quiet --raw > sharded_crawl3.txt
+diff mono3.txt sharded_crawl3.txt
 
 step "bench_sharded identity gate across budget fractions"
 ./bench_sharded --n 8000 --steps 20000 --chains 8 \
