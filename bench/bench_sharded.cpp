@@ -1,14 +1,18 @@
 // Out-of-core bench: estimation accuracy and throughput on sharded
-// storage as the resident-byte budget shrinks.
+// storage as the byte budget of the chains' neighbor-list caches
+// shrinks.
 //
 // The headline invariant of the sharded path is that the *estimate*
 // never moves: the walk sequence is a function of the seed alone, so a
-// run that only ever holds 25% of the graph in memory produces
-// bit-identical concentrations to the all-resident run — the budget
-// buys memory, and pays only in page faults. This bench measures that
-// price: steps/s and NRMSE at budget fractions {100%, 50%, 25%} of the
-// total shard bytes, against the monolithic in-memory engine as the
-// baseline.
+// run whose caches hold at most 25% of the graph's bytes produces
+// bit-identical concentrations to the in-memory run — the budget buys
+// memory, and pays only in shard reads. This bench measures that price:
+// steps/s and NRMSE at budget fractions {100%, 50%, 25%} of the total
+// shard bytes, against the monolithic in-memory engine as the baseline.
+// With --reps R every configuration runs R times, in alternating order;
+// the table reports medians, and budget100_vs_monolithic is the median
+// over repetitions of the budget-100% / monolithic steps/s ratio, with
+// its interquartile range as the spread.
 //
 // Flags:
 //   --n N              Holme-Kim nodes (default 20000 -> ~80K edges)
@@ -17,6 +21,7 @@
 //   --steps N          steps per chain (default 100000)
 //   --chains C         independent chains (default 32)
 //   --threads T        worker threads (default 0 = all cores)
+//   --reps R           repetitions of every configuration (default 1)
 //   --dir PATH         scratch directory (default: system temp)
 //   --check-identical  exit 1 unless every sharded run's merged
 //                      concentrations are bit-identical to the
@@ -26,13 +31,14 @@
 //   --json PATH        machine-readable results (BENCH_*.json format)
 //
 // Run by the Release-mode smoke (tools/smoke.sh) with
-// --check-identical, which also exercises LRU eviction under real
+// --check-identical, which also exercises cache eviction under real
 // walk access patterns (the 25% run cannot hold the graph).
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,7 +61,8 @@ struct RunPoint {
   std::string name;
   double fraction = 1.0;    // of total shard bytes; <= 0 means monolithic
   double seconds = 0.0;
-  double steps_per_s = 0.0;
+  double steps_per_s = 0.0;  // median over repetitions
+  std::vector<double> rep_steps_per_s;
   double nrmse = 0.0;
   grw::ShardStats shards;   // zeros for the monolithic baseline
   std::vector<double> concentrations;
@@ -73,6 +80,15 @@ double NrmseOfDominantType(const grw::EngineResult& result,
   return grw::Nrmse(estimates, truth[static_cast<size_t>(type)]);
 }
 
+// The q-quantile of `v` by linear interpolation (v non-empty).
+double Quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -83,6 +99,7 @@ int main(int argc, char** argv) {
   const uint64_t steps = flags.GetUInt64("steps", 100000);
   const int chains = flags.GetInt32("chains", 32);
   const auto threads = flags.GetUnsigned("threads", 0);
+  const int reps = std::max(flags.GetInt32("reps", 1), 1);
   const bool check_identical = flags.GetBool("check-identical");
 
   namespace fs = std::filesystem;
@@ -131,51 +148,49 @@ int main(int argc, char** argv) {
   options.max_steps = steps;
   options.base_seed = 20240808;
 
-  std::vector<RunPoint> points;
-
-  // Monolithic in-memory baseline.
-  {
-    RunPoint p;
-    p.name = "monolithic (in-memory)";
-    p.fraction = -1.0;
-    grw::EstimationEngine engine(g, config, options);
-    grw::WallTimer t;
-    const grw::EngineResult result = engine.Run();
-    p.seconds = t.Seconds();
-    p.steps_per_s =
-        static_cast<double>(result.merged.steps) / p.seconds;
-    p.nrmse = NrmseOfDominantType(result, truth, target);
-    p.concentrations = result.merged.concentrations;
-    points.push_back(std::move(p));
+  // Monolithic in-memory baseline, then sharded runs at shrinking
+  // budgets; with --reps, every configuration once per repetition.
+  std::vector<RunPoint> points(4);
+  points[0].name = "monolithic (in-memory)";
+  points[0].fraction = -1.0;
+  const double fractions[] = {1.0, 0.5, 0.25};
+  for (size_t i = 1; i < points.size(); ++i) {
+    points[i].fraction = fractions[i - 1];
+    points[i].name = "sharded " +
+                     grw::Table::Num(fractions[i - 1] * 100.0, 0) +
+                     "% budget";
   }
-
-  // Sharded runs at shrinking budgets.
-  for (const double fraction : {1.0, 0.5, 0.25}) {
-    RunPoint p;
-    p.name = "sharded " + grw::Table::Num(fraction * 100.0, 0) + "% budget";
-    p.fraction = fraction;
-    grw::ShardStore::Options store_opt;
-    store_opt.resident_budget_bytes = static_cast<uint64_t>(
-        fraction * static_cast<double>(total_bytes));
-    const grw::ShardStore store(manifest, store_opt);
-    grw::EstimationEngine engine(store, config, options);
-    grw::WallTimer t;
-    const grw::EngineResult result = engine.Run();
-    p.seconds = t.Seconds();
-    p.steps_per_s =
-        static_cast<double>(result.merged.steps) / p.seconds;
-    p.nrmse = NrmseOfDominantType(result, truth, target);
-    p.shards = result.shards;
-    p.concentrations = result.merged.concentrations;
-    points.push_back(std::move(p));
+  for (int rep = 0; rep < reps; ++rep) {
+    for (RunPoint& p : points) {
+      std::optional<grw::ShardStore> store;
+      if (p.fraction > 0.0) {
+        grw::ShardStore::Options store_opt;
+        store_opt.resident_budget_bytes = static_cast<uint64_t>(
+            p.fraction * static_cast<double>(total_bytes));
+        store.emplace(manifest, store_opt);
+      }
+      grw::EstimationEngine engine =
+          store ? grw::EstimationEngine(*store, config, options)
+                : grw::EstimationEngine(g, config, options);
+      grw::WallTimer t;
+      const grw::EngineResult result = engine.Run();
+      p.seconds = t.Seconds();
+      p.rep_steps_per_s.push_back(
+          static_cast<double>(result.merged.steps) / p.seconds);
+      p.nrmse = NrmseOfDominantType(result, truth, target);
+      p.shards = result.shards;
+      p.concentrations = result.merged.concentrations;
+    }
   }
+  for (RunPoint& p : points) p.steps_per_s = Quantile(p.rep_steps_per_s, 0.5);
 
   const RunPoint& base = points.front();
   grw::Table table("sharded bench: " + g.Summary() + ", " +
                    std::to_string(manifest.NumShards()) + " shards, " +
                    std::to_string(chains) + " chains x " +
                    std::to_string(steps) + " steps, truth type " +
-                   std::to_string(target));
+                   std::to_string(target) + ", median of " +
+                   std::to_string(reps) + " rep(s)");
   table.SetHeader({"configuration", "steps/s", "slowdown", "NRMSE",
                    "hit rate", "evictions", "peak MiB"});
   for (const RunPoint& p : points) {
@@ -214,6 +229,19 @@ int main(int argc, char** argv) {
              (1024.0 * 1024.0),
          "MiB"});
   }
+  // Pairs of one repetition: budget 100% against the monolithic run.
+  std::vector<double> ratios;
+  for (int rep = 0; rep < reps; ++rep) {
+    ratios.push_back(points[1].rep_steps_per_s[rep] /
+                     base.rep_steps_per_s[rep]);
+  }
+  const double ratio_iqr = Quantile(ratios, 0.75) - Quantile(ratios, 0.25);
+  std::printf("budget100 / monolithic steps/s: %.3f (IQR %.3f over %d "
+              "rep(s))\n",
+              Quantile(ratios, 0.5), ratio_iqr, reps);
+  metrics.push_back(
+      {"budget100_vs_monolithic", Quantile(ratios, 0.5), "x"});
+  metrics.push_back({"budget100_vs_monolithic_iqr", ratio_iqr, "x"});
   grw::bench::MaybeWriteJson(flags, "sharded", g.Summary(), metrics);
 
   if (!flags.GetBool("keep")) {

@@ -25,6 +25,15 @@ ShardedAccess ReaderOf(const ShardStore& store) {
   return ShardedAccess(store);
 }
 
+// A chain's own shard-store counters, behind its crawl cache or not;
+// zeros for the in-memory Graph.
+ShardStats ShardStatsOf(const Graph&) { return {}; }
+ShardStats ShardStatsOf(const ShardedAccess& reader) { return reader.stats(); }
+template <class Base>
+ShardStats ShardStatsOf(const CrawlAccessT<Base>& crawl) {
+  return ShardStatsOf(crawl.base());
+}
+
 // Base of every chain's failure-model seed ("fail" seed).
 constexpr uint64_t kFailSeed = 0x6661696c5eedULL;
 
@@ -267,6 +276,17 @@ EngineResult RunLoop(const MakeAccess& make, const EstimatorConfig& config,
     }
   }
 
+  // Shard accounting: the run's own readers, summed in chain order. Every
+  // reader is alive until the run returns and its cache only grows, so
+  // the sum of their caches is the run's peak.
+  for (const auto& u : unit) {
+    const ShardStats chain = ShardStatsOf(u->access);
+    out.shards.faults += chain.faults;
+    out.shards.hits += chain.hits;
+    out.shards.evictions += chain.evictions;
+    out.shards.peak_resident_bytes += chain.peak_resident_bytes;
+  }
+
   // Fewer than two batches carry no spread information: leave the errors
   // empty (unknown) rather than reporting zeros.
   if (accumulator.NumBatches() >= 2) {
@@ -318,14 +338,15 @@ EstimationEngine::EstimationEngine(const ShardStore& store,
 
 EngineResult EstimationEngine::Run() {
   if (store_ == nullptr) return RunOn(*g_, config_, options_);
-  // The store's counters are lifetime totals shared by every run on it:
-  // report this run's faults / hits / evictions as a before/after delta.
-  const ShardStats before = store_->stats();
   EngineResult result = RunOn(*store_, config_, options_);
-  result.shards = store_->stats();
-  result.shards.faults -= before.faults;
-  result.shards.hits -= before.hits;
-  result.shards.evictions -= before.evictions;
+  const ShardStats store = store_->stats();
+  result.shards.resident_bytes = store.resident_bytes;
+  result.shards.resident_shards = store.resident_shards;
+  result.shards.budget_bytes = store.budget_bytes;
+  // Unbounded, the run's "cache" is the store's shared mappings.
+  if (!store_->bounded()) {
+    result.shards.peak_resident_bytes = store.peak_resident_bytes;
+  }
   return result;
 }
 

@@ -172,12 +172,12 @@ struct EngineResult {
   CrawlStats access;
   std::vector<CrawlStats> per_chain_access;
   /// Sharded storage only, crawl mode or not: faults, hits and evictions
-  /// are this run's own (a before/after delta of the store's counters);
-  /// resident_bytes, resident_shards and budget_bytes are the store's
-  /// state at the end of the run, and peak_resident_bytes is the store's
-  /// lifetime high-water mark. Concurrent runs sharing one store
-  /// (grw_serve requests on one registration) see each other's counts
-  /// mixed into their deltas. All-zero otherwise.
+  /// are this run's own readers' counters, summed in chain order, so
+  /// runs sharing one store (grw_serve requests on one registration)
+  /// never see each other's. peak_resident_bytes is the run's charged
+  /// cache bytes on a bounded store, or the store's charged mappings on
+  /// an unbounded one; resident_bytes, resident_shards and budget_bytes
+  /// are the store's state at the end of the run. All-zero otherwise.
   ShardStats shards;
   int rounds = 0;
   /// Lockstep schedule position at the stop (budget-stalled chains may

@@ -1,9 +1,6 @@
 #include "graph/access.h"
 
-#include <sys/mman.h>
-
 #include <cmath>
-#include <new>
 
 #include "util/fault.h"
 
@@ -19,15 +16,6 @@ constexpr double kBackoffMaxUs = 1e6;
 constexpr double kBackoffJitter = 0.5;
 
 }  // namespace
-
-void* MapPages(size_t bytes) {
-  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (p == MAP_FAILED) throw std::bad_alloc();
-  return p;
-}
-
-void UnmapPages(void* p, size_t bytes) noexcept { ::munmap(p, bytes); }
 
 CrawlCache::CrawlCache(VertexId num_nodes, const CrawlOptions& options)
     : opt_(options), fail_rng_(options.failure.seed) {

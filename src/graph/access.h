@@ -32,9 +32,11 @@
 #include <cstdint>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/mapped_file.h"
 #include "graph/sharded_access.h"
 #include "util/fault.h"
 #include "util/rng.h"
@@ -113,19 +115,15 @@ struct CrawlStats {
   }
 };
 
-/// Maps `bytes` of zeroed private memory straight from the OS (throws
-/// std::bad_alloc on failure); UnmapPages gives it back.
-void* MapPages(size_t bytes);
-void UnmapPages(void* p, size_t bytes) noexcept;
-
 /// Allocator for CrawlAccess's per-node and per-slot tables: every block
-/// is its own mapping, unmapped on release. An engine answer builds one
-/// crawler per chain, each with tables sized by the graph (1 MiB of slots
-/// at 250k nodes), and frees them all when it returns. Through malloc,
-/// the first frees raise glibc's mmap threshold, later tables land in
-/// per-thread arenas, and answer-to-answer churn fragments them: peak RSS
-/// of a 16-chain crawl PSRW run on a 250k-node graph varied by up to a
-/// third between identical runs.
+/// is its own mapping (MapPages, graph/mapped_file.h), unmapped on
+/// release. An engine answer builds one crawler per chain, each with
+/// tables sized by the graph (1 MiB of slots at 250k nodes), and frees
+/// them all when it returns. Through malloc, the first frees raise
+/// glibc's mmap threshold, later tables land in per-thread arenas, and
+/// answer-to-answer churn fragments them: peak RSS of a 16-chain crawl
+/// PSRW run on a 250k-node graph varied by up to a third between
+/// identical runs.
 template <class T>
 struct PageAllocator {
   using value_type = T;
@@ -299,7 +297,7 @@ class CrawlAccessT {
   using Options = CrawlOptions;
 
   CrawlAccessT(HeldAccess<Base> base, const Options& options)
-      : base_(base), cache_(base_.NumNodes(), options) {}
+      : base_(std::move(base)), cache_(base_.NumNodes(), options) {}
 
   /// Number of nodes/edges. NOT available through real crawl APIs;
   /// exposed for walk seeding and constructor validation in simulations.
@@ -336,6 +334,8 @@ class CrawlAccessT {
   bool BudgetExhausted() const { return cache_.BudgetExhausted(); }
 
   const CrawlStats& stats() const { return cache_.stats(); }
+  /// The access this crawler fetches from.
+  const HeldAccess<Base>& base() const { return base_; }
 
  private:
   // The one place queries happen.

@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 #include <utility>
 
@@ -23,35 +24,45 @@ namespace {
 
 }  // namespace
 
-MappedFile::~MappedFile() {
+void* MapPages(size_t bytes) {
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+}
+
+void UnmapPages(void* p, size_t bytes) noexcept { ::munmap(p, bytes); }
+
+size_t PageBytes() {
+  static const size_t bytes = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  return bytes;
+}
+
+MappedFile::~MappedFile() { Release(); }
+
+void MappedFile::Release() noexcept {
   if (data_ != nullptr) {
     ::munmap(const_cast<unsigned char*>(data_), size_);
   }
+  if (fd_ >= 0) ::close(fd_);
 }
 
 MappedFile::MappedFile(MappedFile&& other) noexcept
     : data_(std::exchange(other.data_, nullptr)),
-      size_(std::exchange(other.size_, 0)) {}
+      size_(std::exchange(other.size_, 0)),
+      fd_(std::exchange(other.fd_, -1)) {}
 
 MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
   if (this != &other) {
-    if (data_ != nullptr) {
-      ::munmap(const_cast<unsigned char*>(data_), size_);
-    }
+    Release();
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
+    fd_ = std::exchange(other.fd_, -1);
   }
   return *this;
 }
 
-void MappedFile::DropPages() const {
-  if (data_ == nullptr || size_ == 0) return;
-  // Best effort: a refusal just means the pages age out under normal
-  // memory pressure instead of immediately.
-  (void)::madvise(const_cast<unsigned char*>(data_), size_, MADV_DONTNEED);
-}
-
-MappedFile MappedFile::Open(const std::string& path) {
+MappedFile MappedFile::Open(const std::string& path, bool keep_descriptor) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) ThrowErrno("cannot open", path);
 
@@ -96,8 +107,12 @@ MappedFile MappedFile::Open(const std::string& path) {
         " bytes remain); refusing a mapping that would SIGBUS");
   }
 
-  // The mapping outlives the descriptor.
-  ::close(fd);
+  // The mapping outlives the descriptor, unless the caller keeps it.
+  if (keep_descriptor) {
+    mf.fd_ = fd;
+  } else {
+    ::close(fd);
+  }
   return mf;
 }
 

@@ -5,7 +5,8 @@
 // snapshot costs a handful of page faults instead of a full parse, and the
 // page cache is shared across processes benchmarking the same dataset.
 // POSIX-only (mmap/munmap), which matches the toolchain this project
-// targets; the wrapper is the single place a port would touch.
+// targets; the wrapper is the single place a port would touch. The
+// anonymous-page helpers below live here for the same reason.
 
 #pragma once
 
@@ -13,6 +14,20 @@
 #include <string>
 
 namespace grw {
+
+/// Maps `bytes` of zeroed private memory straight from the OS (throws
+/// std::bad_alloc on failure); UnmapPages gives it back. Pages cost
+/// memory only once touched.
+void* MapPages(size_t bytes);
+void UnmapPages(void* p, size_t bytes) noexcept;
+/// The OS page size: the unit MapPages memory is held in.
+size_t PageBytes();
+
+/// unique_ptr deleter for a MapPages block of `bytes`.
+struct PageUnmapper {
+  size_t bytes = 0;
+  void operator()(void* p) const noexcept { UnmapPages(p, bytes); }
+};
 
 /// Movable, non-copyable read-only file mapping. The mapping lives until
 /// destruction; spans handed out by the loader must not outlive it (the
@@ -29,25 +44,23 @@ class MappedFile {
 
   /// Maps `path` read-only. Throws std::runtime_error (with the path and
   /// errno text) if the file cannot be opened, stat'ed, or mapped.
-  /// An empty file yields a valid MappedFile with size() == 0.
-  static MappedFile Open(const std::string& path);
+  /// An empty file yields a valid MappedFile with size() == 0. With
+  /// `keep_descriptor` the descriptor the mapping was made from stays
+  /// open until destruction (fd()), for reads that must not map pages.
+  static MappedFile Open(const std::string& path,
+                         bool keep_descriptor = false);
 
   const unsigned char* data() const { return data_; }
   size_t size() const { return size_; }
-
-  /// Advises the kernel to drop this mapping's resident pages
-  /// (madvise(MADV_DONTNEED)). The mapping stays valid: read-only
-  /// file-backed pages refault from disk on the next touch, so this
-  /// trades latency for memory — never correctness. Best effort (some
-  /// kernels/filesystems refuse; failures are ignored). The residency
-  /// layer (graph/sharded_access.h) calls it on shard eviction so the
-  /// process's resident set actually shrinks instead of waiting for
-  /// memory pressure.
-  void DropPages() const;
+  /// The kept descriptor, or -1.
+  int fd() const { return fd_; }
 
  private:
+  void Release() noexcept;
+
   const unsigned char* data_ = nullptr;
   size_t size_ = 0;
+  int fd_ = -1;
 };
 
 }  // namespace grw

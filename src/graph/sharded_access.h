@@ -1,69 +1,111 @@
-// Budget-driven residency over a sharded graph (graph/sharding.h), and
-// the out-of-core member of the static-dispatch access-policy family
+// Out-of-core reads of a sharded graph (graph/sharding.h), and the
+// storage member of the static-dispatch access-policy family
 // (graph/access.h).
 //
 // Two layers, mirroring the engine's sharing model:
 //
-//   ShardStore    — ONE per graph, thread-safe. Owns the manifest, one
-//                   mapping per shard held for the store's lifetime, and
-//                   an LRU of resident shards under a resident-byte
-//                   budget. Residency is a flag plus a budget charge: a
-//                   fault re-checks the held mapping's bytes and charges
-//                   them, eviction only drops the pages (madvise) —
-//                   nothing is re-opened or unmapped. Acquire(shard)
-//                   returns a plain pointer that stays valid for the
-//                   store's lifetime; a chain reading an evicted shard
-//                   refaults its pages from disk (slower, never wrong).
-//                   Counters land in ShardStats.
-//   ShardedAccess — one per chain, NOT thread-safe, cheap. Mirrors the
-//                   Graph read API (NumNodes/Degree/Neighbors/Neighbor/
-//                   HasEdge) over a tiny MRU pin cache, so consecutive
-//                   reads inside one shard touch no lock at all; only a
-//                   shard *switch* goes back to the store.
+//   ShardStore    — ONE per graph, thread-safe, lock-free. Owns the
+//                   manifest and one mapping per shard, made and
+//                   header-checked at open and held for the store's
+//                   lifetime, plus the store-wide byte budget and
+//                   counters (ShardStats).
+//   ShardedAccess — one per chain, NOT thread-safe. Mirrors the Graph
+//                   read API (NumNodes/Degree/Neighbors/Neighbor/HasEdge).
+//
+// How a reader reads depends on the store's budget:
+//
+//   * Unbounded (budget 0): straight from the held mappings, like a
+//     monolithic `.grwb`; the kernel decides which pages stay resident.
+//     A shard's first read re-checks its bytes (one atomic flag per
+//     shard, no lock) and charges the shard's file size; nothing is ever
+//     evicted, so a span stays valid for the store's lifetime.
+//   * Bounded: through a neighbor-list cache the reader owns. A miss
+//     reads the row's offsets pair, then the list, with pread(2) through
+//     the descriptor the shard was mapped from, into a FIFO ring of
+//     page-mapped memory; no shard page is mapped in for it. Before every
+//     such read the store re-runs CheckShardBytes on the shard (header
+//     against the manifest, first and last offset), and the reader
+//     bounds-checks the offsets pair and the ids it read: a shard damaged
+//     after open fails with SnapshotCorruptError instead of reading out
+//     of bounds.
+//
+// The budget caps the pages every reader's cache holds, concurrent
+// engines on one store included. A cache's index and ring are page
+// mappings, each charged in full to the store before it is mapped, and
+// the ring wraps inside its mapping, so a reader never writes a page it
+// has not charged. A cache starts with a one-page index and a two-page
+// ring. While the budget has bytes left and the cache stays within
+// 1/kReaderShare of it, the index doubles when half full and the ring
+// doubles when full; a grown ring takes the cached lists along, and the
+// old one stays mapped and charged until the reader's first miss after
+// its next kHeldReads reads, so that spans into it stay valid. Past
+// that, a cache evicts its own oldest lists, except the newest
+// kKeptLists: a list that would need one of those evicted grows the ring
+// regardless of the budget, to its floor — kKeptLists + 2 entries of the
+// longest list the reader has read. So the store's charge stays within
+// the budget plus, for each reader, an index page, its floor and the
+// floors it retired during its last kHeldReads reads. A span a reader
+// returns stays valid for at least the next kHeldReads reads — the G(d)
+// merge holds up to d - 1 lists at once — because a hit on a list older
+// than the last kRecentLists insertions first copies it to the ring's
+// head.
 //
 // Every accessor returns byte-identical answers to the same read against
 // the monolithic Graph — the CSR slices ARE the same arrays, partitioned
 // — so estimates through ShardedAccess are bit-identical to full-access
-// runs at any budget and any thread count (tests/sharded_engine_test.cpp
-// gates this). The budget changes only WHEN pages are resident, never
-// what they contain.
+// runs at any budget and any thread count (tests/conformance_test.cpp
+// gates this). The budget changes only where a list is read from, never
+// what it contains.
 //
 // Like a monolithic `.grwb` mapping, the held mappings read the shard
 // generation that was opened: writers replace shards by rename, never by
 // truncating in place, so a regenerated directory needs a new store.
 // Each shard costs one mapping for the store's lifetime, so the kernel's
 // per-process map limit (vm.max_map_count, 65530 by default) bounds the
-// shard count per store.
+// shard count per store; a bounded store also keeps each shard's
+// descriptor open, so the open-file limit (ulimit -n) bounds it too.
 
 #pragma once
 
 #include <algorithm>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/mapped_file.h"
 #include "graph/sharding.h"
-#include "util/sync.h"
+#include "graphlet/catalog.h"
 
 namespace grw {
 
-/// Residency accounting, additive only in the sense of one store per
-/// graph: the engine surfaces a snapshot in EngineResult.
+/// Shard-store accounting. ShardStore::stats() reports the store's
+/// lifetime totals; an engine run reports its own readers' counters
+/// (EngineResult::shards). A live bounded reader adds its faults, hits
+/// and evictions to the store's totals every 64 faults and when it is
+/// destroyed, so the store's totals lag behind its live readers.
 struct ShardStats {
-  /// Shard admissions (header re-validation + budget charge) — cold or
-  /// re-faulted.
+  /// Reads that reached a shard file: a cache miss (bounded), a shard's
+  /// first read (unbounded), or an Acquire() that re-checked a shard.
   uint64_t faults = 0;
-  /// Acquire() calls answered by an already-resident shard.
+  /// Reads answered without one: from a reader's cache (bounded) or a
+  /// checked mapping (unbounded).
   uint64_t hits = 0;
-  /// Shards pushed out by the byte budget (pages madvised away).
+  /// Lists dropped from reader caches, to make room or when a cache grew.
   uint64_t evictions = 0;
-  /// Mapped shard bytes currently charged against the budget.
+  /// Bytes currently charged against the budget: reader caches' mappings
+  /// (bounded) or the shard files read so far (unbounded).
   uint64_t resident_bytes = 0;
-  /// High-water mark of resident_bytes over the store's lifetime.
+  /// High-water mark of the charged bytes. For a run on a bounded store,
+  /// the sum of its readers' cache sizes, which only grow while the run
+  /// lasts (a mapping a growth retires is charged to the store for a few
+  /// more reads but not counted here).
   uint64_t peak_resident_bytes = 0;
-  /// Shards currently resident.
+  /// Shards an unbounded store reads in place (checked); 0 if bounded.
   uint64_t resident_shards = 0;
   /// The configured budget (0 = unbounded), echoed for reporting.
   uint64_t budget_bytes = 0;
@@ -75,29 +117,22 @@ struct ShardStats {
   }
 };
 
-/// Thread-safe shard residency manager. Non-movable (chains hold
-/// pointers to it); construct once per graph and share by reference.
+/// Thread-safe shard store. Non-movable (readers hold pointers to it);
+/// construct once per graph and share by reference.
 class ShardStore {
  public:
   struct Options {
-    /// Resident-byte budget across all mapped shards; 0 = unbounded
-    /// (every shard stays mapped once touched — the monolithic working
-    /// set, arrived at lazily). A single shard larger than the budget
-    /// is still admitted — the walk could not proceed otherwise — so
-    /// the effective floor is max(budget, largest shard).
+    /// Byte budget across every reader's neighbor-list cache; 0 =
+    /// unbounded (read the shard mappings in place).
     uint64_t resident_budget_bytes = 0;
-    /// Full payload verification (checksum + structural scan) on every
-    /// shard fault, not just the first: the out-of-core analogue of
-    /// OpenOptions::verify for a `.grwb`. Off by default — faults are
-    /// the hot path.
-    bool verify_on_fault = false;
   };
 
   /// Takes a validated manifest (LoadShardManifest). Eagerly maps and
   /// header-checks every shard once (catching missing/stale shards at
-  /// open, like the monolithic loader's eager header validation), keeps
-  /// the mappings for the store's lifetime and drops their pages: the
-  /// store starts empty, nothing resident or charged to the budget.
+  /// open, like the monolithic loader's eager header validation) and
+  /// keeps the mappings — and, for a bounded store, their descriptors —
+  /// for the store's lifetime. Throws std::invalid_argument if a bounded
+  /// reader's floor would not fit a 32-bit ring (a degree over ~2^27).
   ShardStore(ShardManifest manifest, const Options& options);
 
   ShardStore(const ShardStore&) = delete;
@@ -109,74 +144,123 @@ class ShardStore {
   uint64_t NumEdges() const { return manifest_.total_half_edges / 2; }
   uint32_t NumShards() const { return manifest_.NumShards(); }
   const ShardManifest& manifest() const { return manifest_; }
+  bool bounded() const { return options_.resident_budget_bytes > 0; }
 
-  /// The shard holding vertex v.
   uint32_t ShardOf(VertexId v) const { return manifest_.ShardOf(v); }
 
-  /// Makes shard s resident and returns it. The pointer stays valid and
-  /// readable for the store's lifetime, across later evictions; the
-  /// store merely stops charging evicted shards to its budget and drops
-  /// their pages. A fault (s not resident) re-runs CheckShardBytes on
-  /// the held mapping and throws SnapshotCorruptError, leaving s
-  /// non-resident, if the shard was damaged since it was opened.
-  const MappedShard* Acquire(uint32_t s) const GRW_EXCLUDES(mu_);
+  /// Re-validates shard s and counts a fault, unless s is resident (a
+  /// hit). Only an unbounded store keeps shards resident: its first
+  /// Acquire of s makes s resident. The pointer stays valid for the
+  /// store's lifetime. Throws SnapshotCorruptError, counting nothing, if
+  /// the shard was damaged since it was opened.
+  const MappedShard* Acquire(uint32_t s) const;
 
-  /// True iff shard s is currently resident (tests).
-  bool Resident(uint32_t s) const GRW_EXCLUDES(mu_);
+  /// True iff shard s is resident (checked and read in place).
+  bool Resident(uint32_t s) const {
+    return resident_[s].load(std::memory_order_acquire);
+  }
 
-  ShardStats stats() const GRW_EXCLUDES(mu_);
+  ShardStats stats() const;
   const Options& options() const { return options_; }
 
  private:
-  void EvictOverBudgetLocked(uint32_t keep) const GRW_REQUIRES(mu_);
-  // LRU list edits: take s out of the list / insert it as most recent.
-  void Unlink(uint32_t s) const GRW_REQUIRES(mu_);
-  void PushFront(uint32_t s) const GRW_REQUIRES(mu_);
+  friend class ShardedAccess;
+
+  // Re-runs CheckShardBytes on shard s, then returns it.
+  const MappedShard& Recheck(uint32_t s) const;
+  // Unbounded: checks shard s on its first use and charges its bytes.
+  // True iff this call did so (the read that counts the fault).
+  bool Admit(uint32_t s) const;
+  // Adds `bytes` to the charge if that stays within the budget, or
+  // regardless when `force`; true iff charged.
+  bool Charge(uint64_t bytes, bool force) const;
+  void Release(uint64_t bytes) const;
+  // Adds a reader's counters to the store's totals.
+  void Publish(const ShardStats& delta) const;
 
   const ShardManifest manifest_;
   const Options options_;
-  // Every shard, mapped once at open; never resized, so pointers into it
-  // stay valid for the store's lifetime.
+  // Every shard, mapped once at open; never resized.
   const std::vector<MappedShard> shards_;
+  const std::unique_ptr<std::atomic<bool>[]> resident_;
+  // Bounded readers' limits, fixed at open: the longest list any row may
+  // claim (from the manifest's degree histogram), and the most bytes a
+  // cache grows to while it keeps within the budget.
+  uint64_t max_degree_ = 0;
+  uint64_t reader_share_ = 0;
 
-  // LRU over resident shards, CrawlAccess-style intrusive lists indexed
-  // by shard id (kNone = list end).
-  static constexpr uint32_t kNone = 0xFFFFFFFFu;
-  mutable Mutex mu_;
-  mutable std::vector<bool> resident_ GRW_GUARDED_BY(mu_);
-  mutable std::vector<uint32_t> prev_ GRW_GUARDED_BY(mu_);
-  mutable std::vector<uint32_t> next_ GRW_GUARDED_BY(mu_);
-  mutable uint32_t head_ GRW_GUARDED_BY(mu_) = kNone;  // most recent
-  mutable uint32_t tail_ GRW_GUARDED_BY(mu_) = kNone;  // least recent
-  mutable ShardStats stats_ GRW_GUARDED_BY(mu_);
+  // Written by every reader's misses; on its own cache line so the
+  // read-only fields above never bounce.
+  struct alignas(64) Counters {
+    std::atomic<uint64_t> charged{0};
+    std::atomic<uint64_t> peak{0};
+    std::atomic<uint64_t> faults{0};
+    std::atomic<uint64_t> hits{0};
+    std::atomic<uint64_t> evictions{0};
+    std::atomic<uint64_t> resident_shards{0};
+  };
+  mutable Counters counters_;
 };
 
 /// Per-chain read facade over a ShardStore, shaped exactly like Graph's
 /// read API so the templated estimation stack (walkers, sample window,
 /// CSS, estimator) accepts it via static dispatch. NOT thread-safe: one
-/// instance per chain, like CrawlAccess. Holds up to kPins shard pointers
-/// in MRU order; the common case — every read of a G(d) step landing in
-/// the walker's current shard(s) — is a couple of range compares, no
-/// lock.
+/// instance per chain, like CrawlAccess. Move-only: a bounded reader owns
+/// its cache's pages and their charge until destroyed.
 class ShardedAccess {
  public:
-  explicit ShardedAccess(const ShardStore& store) : store_(&store) {}
+  /// A budget share: a cache grows within the budget up to budget /
+  /// kReaderShare bytes; past that only its floor is charged regardless.
+  static constexpr uint64_t kReaderShare = 16;
+  /// Reads a returned span survives.
+  static constexpr uint32_t kHeldReads = kMaxGraphletSize;
+  /// A hit returns the cached list in place only if it is among the
+  /// newest kRecentLists insertions; an older one is copied first.
+  static constexpr uint32_t kRecentLists = kHeldReads + 1;
+  /// Lists an insertion never evicts: every span of the last kHeldReads
+  /// reads is among them.
+  static constexpr uint32_t kKeptLists = kRecentLists + kHeldReads - 1;
+  /// Words of a cache entry ahead of its list: vertex, degree, stamp.
+  static constexpr uint32_t kEntryHeader = 3;
+
+  explicit ShardedAccess(const ShardStore& store);
+  ShardedAccess(ShardedAccess&& other) noexcept;
+  ShardedAccess(const ShardedAccess&) = delete;
+  ShardedAccess& operator=(const ShardedAccess&) = delete;
+  ShardedAccess& operator=(ShardedAccess&&) = delete;
+  /// Gives the cache's pages and their charge back.
+  ~ShardedAccess();
 
   VertexId NumNodes() const { return store_->NumNodes(); }
   uint64_t NumEdges() const { return store_->NumEdges(); }
 
-  uint32_t Degree(VertexId v) const { return Shard(v).Degree(v); }
+  /// Bounded, a miss caches v's whole list: walks ask a new node's
+  /// degree several times per step and usually read its list next, so
+  /// reading only the offsets pair cost the e2e sharded-half workload
+  /// about a quarter of its steps per CPU second (4-core x86 VM).
+  uint32_t Degree(VertexId v) const {
+    return static_cast<uint32_t>(Neighbors(v).size());
+  }
 
-  /// Sorted neighbors of v (global ids). The span stays valid for the
-  /// store's lifetime; its pages may be dropped by an eviction and
-  /// refault on the next read.
+  /// Sorted neighbors of v (global ids). The span stays valid across at
+  /// least the next kHeldReads reads (for the store's lifetime when it
+  /// is unbounded).
   std::span<const VertexId> Neighbors(VertexId v) const {
-    return Shard(v).Neighbors(v);
+    if (!store_->bounded()) {
+      const uint32_t s = store_->ShardOf(v);
+      if (!store_->Resident(s)) Admit(s);
+      ++reads_;
+      return store_->shards_[s].Neighbors(v);
+    }
+    const uint32_t slot = Find(v);
+    if (slot == kNoSlot) return Miss(v);
+    const uint32_t* entry = cache_.arena.get() + cache_.index[slot].at;
+    if (cache_.stamp - entry[2] >= kRecentLists) return Renew(slot);
+    ++reads_;
+    return {entry + kEntryHeader, entry[1]};
   }
 
-  VertexId Neighbor(VertexId v, uint32_t i) const {
-    return Shard(v).Neighbors(v)[i];
-  }
+  VertexId Neighbor(VertexId v, uint32_t i) const { return Neighbors(v)[i]; }
 
   /// Binary search over the lower-degree endpoint's list — the same
   /// tie-breaking as Graph::HasEdgeBinarySearch, and the same boolean
@@ -187,33 +271,89 @@ class ShardedAccess {
     return std::binary_search(list.begin(), list.end(), v);
   }
 
+  /// This reader's counters: faults, hits, evictions, and (bounded) the
+  /// bytes of its cache's mapping as peak_resident_bytes.
+  ShardStats stats() const;
+
  private:
-  static constexpr int kPins = 4;
+  // An index slot: key = vertex + 1 (0 = empty), at = the entry's word
+  // offset in the ring.
+  struct Slot {
+    uint32_t key;
+    uint32_t at;
+  };
+  static constexpr uint32_t kNoWrap = 0xFFFFFFFFu;
+  static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
 
-  const MappedShard& Shard(VertexId v) const {
-    // MRU scan: slot 0 is the hottest (the walker's current shard).
-    for (int i = 0; i < kPins; ++i) {
-      const MappedShard* shard = pins_[i];
-      if (shard != nullptr && v >= shard->first_node() &&
-          v < shard->end_node()) {
-        if (i != 0) Promote(i);
-        return *shard;
-      }
+  // The bounded cache: a FIFO ring of entries [vertex, degree, stamp,
+  // list...] in `arena`, found through a linear-probing `index`; both are
+  // page mappings charged in full to the store. Live entries sit in
+  // [tail, head), or [tail, wrap) then [0, head) once the ring has
+  // wrapped. Mapped on the first miss; each grows by being replaced.
+  struct Cache {
+    std::unique_ptr<uint32_t[], PageUnmapper> arena;
+    std::unique_ptr<Slot[], PageUnmapper> index;
+    uint32_t capacity = 0;  // ring words
+    uint32_t mask = 0;      // index slots - 1
+    uint32_t shift = 0;     // 32 - log2(index slots)
+    uint32_t head = 0;
+    uint32_t tail = 0;
+    uint32_t wrap = kNoWrap;
+    uint32_t entries = 0;  // in the ring, including unindexed copies
+    uint32_t stamp = 0;    // insertions so far
+
+    uint64_t bytes() const {
+      return arena.get_deleter().bytes + index.get_deleter().bytes;
     }
-    return Miss(v);
+  };
+  // A ring a growth replaced, kept (and charged) until spans into it
+  // have expired: until the reader has served `until` reads.
+  struct Retired {
+    std::unique_ptr<uint32_t[], PageUnmapper> arena;
+    uint64_t until;
+  };
+
+  static uint32_t Home(const Cache& c, VertexId v) {
+    return (v * 0x9E3779B1u) >> c.shift;
+  }
+  // The index slot holding v, or kNoSlot.
+  uint32_t Find(VertexId v) const {
+    if (cache_.index == nullptr) return kNoSlot;
+    for (uint32_t i = Home(cache_, v);; i = (i + 1) & cache_.mask) {
+      const uint32_t key = cache_.index[i].key;
+      if (key == v + 1) return i;
+      if (key == 0) return kNoSlot;
+    }
   }
 
-  void Promote(int i) const {
-    const MappedShard* hit = pins_[i];
-    for (int j = i; j > 0; --j) pins_[j] = pins_[j - 1];
-    pins_[0] = hit;
-  }
-
-  // Cold path, out of line: ask the store, install at slot 0.
-  const MappedShard& Miss(VertexId v) const;
+  // Cold paths, out of line.
+  void Admit(uint32_t s) const;
+  std::span<const VertexId> Miss(VertexId v) const;
+  std::span<const VertexId> Renew(uint32_t slot) const;
+  // Makes room for a list of `degree` ids at the ring's head and returns
+  // where it goes; Commit then indexes it.
+  VertexId* Reserve(uint32_t degree) const;
+  std::span<const VertexId> Commit(VertexId v, uint32_t degree) const;
+  bool Fits(uint32_t words) const;
+  // Replaces the ring by a larger one that holds its indexed lists and
+  // an entry of `words` (with `force`, the reader's floor, charged
+  // regardless of the budget; without, only within the reader's share
+  // and the budget), retiring the old ring. True iff it did.
+  bool GrowRing(uint32_t words, bool force) const;
+  // Doubles the index, within the reader's share and the budget (or
+  // maps its first page regardless, with `force`). True iff it did.
+  bool GrowIndex(bool force) const;
+  void EvictOldest() const;
+  void Unindex(uint32_t slot) const;
+  void Publish() const;
 
   const ShardStore* store_;
-  mutable const MappedShard* pins_[kPins] = {};
+  mutable Cache cache_;
+  mutable std::vector<Retired> retired_;
+  mutable uint32_t longest_ = 0;  // words of the longest entry inserted
+  mutable uint64_t reads_ = 0;
+  mutable ShardStats own_;        // faults and evictions
+  mutable ShardStats published_;  // what the store has seen of them
 };
 
 }  // namespace grw

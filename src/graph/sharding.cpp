@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "graph/mapped_file.h"
+#include "util/posix_io.h"
 
 namespace grw {
 
@@ -370,7 +371,49 @@ uint64_t ShardContentChecksum(const ShardManifest& manifest) {
   return checksum;
 }
 
-void MappedShard::DropPages() const { file_.DropPages(); }
+void MappedShard::ReadBytes(const ShardManifest& manifest, void* out,
+                            size_t len, uint64_t offset) const {
+  const io::IoResult got = io::ReadAt(file_.fd(), out, len, offset);
+  if (got.status == io::IoResult::Status::kEof) {
+    BadShard(manifest, index_,
+             "file ends at byte " + std::to_string(offset + got.bytes) +
+                 " (truncated after open)");
+  }
+  if (!got.ok()) {
+    throw std::runtime_error("MapShard: " + manifest.ShardPath(index_) +
+                             ": read failed: " + std::strerror(got.error));
+  }
+}
+
+MappedShard::Row MappedShard::ReadRow(const ShardManifest& manifest,
+                                      VertexId v,
+                                      uint64_t max_degree) const {
+  uint64_t pair[2] = {0, 0};
+  ReadBytes(manifest, pair, sizeof pair,
+            snapshot::kHeaderBytes + (v - first_node_) * sizeof(uint64_t));
+  if (pair[0] > pair[1] || pair[1] > num_half_edges_ ||
+      pair[1] - pair[0] > max_degree) {
+    BadShard(manifest, index_,
+             "offsets of node " + std::to_string(v) +
+                 " out of bounds (corrupted shard offsets)");
+  }
+  return {pair[0], static_cast<uint32_t>(pair[1] - pair[0])};
+}
+
+void MappedShard::ReadList(const ShardManifest& manifest, Row row,
+                           VertexId* out) const {
+  ReadBytes(manifest, out, row.degree * sizeof(VertexId),
+            snapshot::kHeaderBytes + (num_rows_ + 1) * sizeof(uint64_t) +
+                row.begin * sizeof(VertexId));
+  for (uint32_t i = 0; i < row.degree; ++i) {
+    if (out[i] >= manifest.total_nodes) {
+      BadShard(manifest, index_,
+               "neighbor id out of range at index " +
+                   std::to_string(row.begin + i) +
+                   " (corrupted shard payload)");
+    }
+  }
+}
 
 void CheckShardBytes(const ShardManifest& manifest, uint32_t index,
                      const MappedFile& file, bool verify_checksum) {
@@ -417,7 +460,7 @@ void CheckShardBytes(const ShardManifest& manifest, uint32_t index,
 }
 
 MappedShard MapShard(const ShardManifest& manifest, uint32_t index,
-                     bool verify_checksum) {
+                     bool verify_checksum, bool keep_descriptor) {
   const std::string path = manifest.ShardPath(index);
   std::error_code ec;
   if (!std::filesystem::exists(path, ec)) {
@@ -425,7 +468,7 @@ MappedShard MapShard(const ShardManifest& manifest, uint32_t index,
              "missing shard file (manifest " + manifest.path + " names " +
                  std::to_string(manifest.NumShards()) + " shards)");
   }
-  MappedFile file = MappedFile::Open(path);
+  MappedFile file = MappedFile::Open(path, keep_descriptor);
   CheckShardBytes(manifest, index, file, verify_checksum);
 
   // Every field below was just checked against the manifest entry.
@@ -434,6 +477,7 @@ MappedShard MapShard(const ShardManifest& manifest, uint32_t index,
   shard.index_ = index;
   shard.first_node_ = info.first_node;
   shard.num_rows_ = info.num_rows;
+  shard.num_half_edges_ = info.num_half_edges;
   shard.offsets_ = snapshot::CsrOffsets(file);
   shard.neighbors_ = snapshot::CsrNeighbors(file, info.num_rows);
   shard.file_ = std::move(file);

@@ -3,8 +3,8 @@
 // The monolithic `.grwb` layout (graph/format.h) mmaps a whole graph and
 // lets pages fault in lazily — but the kernel decides what stays
 // resident. Graphs that dwarf RAM need the inverse: the *estimator*
-// decides which vertex ranges are resident, under an explicit byte
-// budget (ROADMAP item 3). This module supplies the storage half:
+// decides which neighbor lists stay in memory, under an explicit byte
+// budget (graph/sharded_access.h). This module supplies the storage half:
 //
 //   <dir>/MANIFEST.grws       global manifest (magic 'GRWM')
 //   <dir>/shard-00000.grws    vertex rows [0, r0)         (magic 'GRWS')
@@ -14,9 +14,8 @@
 // Each shard is self-contained and checksummed: a 64-byte header, the
 // shard's offsets slice rebased to start at 0 ((num_rows + 1) x u64),
 // and its neighbors slice with GLOBAL node ids (u32). Global ids mean a
-// walk can read an edge (u -> v) from u's shard without consulting v's —
-// crossing a shard boundary costs exactly one shard fault, on the next
-// degree/neighbor probe of v.
+// walk can read an edge (u -> v) from u's shard without consulting v's;
+// v's shard is read only when v's own list is.
 //
 // The manifest records the partition (first_node/num_rows per shard),
 // per-shard checksums, the global totals, and a log2 degree histogram
@@ -74,7 +73,7 @@ struct ShardInfo {
   /// neighbors array).
   uint64_t num_half_edges = 0;
   /// Total shard file size — header + offsets + neighbors — which is
-  /// also what residency accounting charges when the shard is mapped.
+  /// also what an unbounded store charges once it reads the shard.
   uint64_t file_bytes = 0;
   /// FNV-1a over the shard's rebased offsets then neighbors; must match
   /// the shard header's own data_checksum (a mismatch means the shard
@@ -158,8 +157,10 @@ uint64_t ShardContentChecksum(const ShardManifest& manifest);
 
 /// One mapped shard: validated header + CSR slices. Row r of the shard
 /// is global vertex first_node() + r; neighbors carry global ids.
-/// Produced by MapShard; owned by the residency layer (sharded_access.h),
-/// which holds the mapping for its whole lifetime.
+/// Produced by MapShard; owned by the shard store (sharded_access.h),
+/// which holds the mapping for its whole lifetime. Rows are read either
+/// through the mapping (Degree, Neighbors) or, without mapping a page,
+/// through the kept descriptor (ReadRow, ReadList).
 class MappedShard {
  public:
   uint32_t index() const { return index_; }
@@ -167,7 +168,7 @@ class MappedShard {
   VertexId end_node() const {
     return static_cast<VertexId>(first_node_ + num_rows_);
   }
-  /// Bytes charged against a residency budget (the whole mapped file).
+  /// The whole mapped file's size.
   uint64_t bytes() const { return file_.size(); }
   /// The underlying mapping (CheckShardBytes re-validates it).
   const MappedFile& file() const { return file_; }
@@ -181,19 +182,34 @@ class MappedShard {
     return {neighbors_ + offsets_[r], neighbors_ + offsets_[r + 1]};
   }
 
-  /// Hints the kernel to drop this shard's resident pages
-  /// (madvise(MADV_DONTNEED)). Safe at any time: the mapping stays
-  /// valid and read-only file-backed pages refault from disk, so a
-  /// reader holding this shard across an eviction only pays latency.
-  void DropPages() const;
+  /// Where v's list sits in the shard's neighbors slice.
+  struct Row {
+    uint64_t begin = 0;
+    uint32_t degree = 0;
+  };
+  /// Reads v's offsets pair through the kept descriptor (MapShard with
+  /// keep_descriptor) and bounds-checks it: monotone, inside the
+  /// neighbors slice, and no longer than `max_degree`. Throws
+  /// SnapshotCorruptError naming the shard otherwise, or if the file
+  /// ends early.
+  Row ReadRow(const ShardManifest& manifest, VertexId v,
+              uint64_t max_degree) const;
+  /// Reads the list ReadRow located into `out` (row.degree ids) through
+  /// the descriptor, and checks every id against the global node count.
+  void ReadList(const ShardManifest& manifest, Row row, VertexId* out) const;
 
  private:
   friend MappedShard MapShard(const ShardManifest& manifest, uint32_t index,
-                              bool verify_checksum);
+                              bool verify_checksum, bool keep_descriptor);
+  // Reads `len` bytes at `offset` through the descriptor, or throws.
+  void ReadBytes(const ShardManifest& manifest, void* out, size_t len,
+                 uint64_t offset) const;
+
   MappedFile file_;
   uint32_t index_ = 0;
   uint64_t first_node_ = 0;
   uint64_t num_rows_ = 0;
+  uint64_t num_half_edges_ = 0;
   const uint64_t* offsets_ = nullptr;    // num_rows + 1, rebased to 0
   const VertexId* neighbors_ = nullptr;  // global ids
 };
@@ -203,15 +219,17 @@ class MappedShard {
 /// "stale manifest" corruption class), then snapshot::CheckCsr with the
 /// global node count as the id bound. O(1) without `verify_checksum`,
 /// and builds no string unless it throws SnapshotCorruptError naming the
-/// shard path. MapShard runs it at open, and the residency layer
-/// re-runs it on every fault of a held mapping.
+/// shard path. MapShard runs it at open, and the shard store re-runs it
+/// before every read that reaches a shard file.
 void CheckShardBytes(const ShardManifest& manifest, uint32_t index,
                      const MappedFile& file, bool verify_checksum);
 
 /// Maps shard `index` of `manifest` and validates it (CheckShardBytes).
 /// Throws SnapshotCorruptError naming the shard path, also when the
-/// shard file is missing.
+/// shard file is missing. `keep_descriptor` keeps the file open for
+/// MappedShard::ReadRow / ReadList.
 MappedShard MapShard(const ShardManifest& manifest, uint32_t index,
-                     bool verify_checksum = false);
+                     bool verify_checksum = false,
+                     bool keep_descriptor = false);
 
 }  // namespace grw

@@ -61,8 +61,8 @@ struct OpenOptions {
   /// walk theory assumes a connected graph). Snapshots were simplified
   /// at convert time.
   bool largest_cc = true;
-  /// Sharded kind only: resident-byte budget for the shard LRU
-  /// (ShardStore::Options); 0 = unbounded.
+  /// Sharded kind only: byte budget for the readers' neighbor-list
+  /// caches (ShardStore::Options); 0 = unbounded.
   uint64_t resident_budget_bytes = 0;
 };
 

@@ -6,15 +6,15 @@
 // open path shared with the CLI and benches — so the registry serves all
 // three storage kinds with the same code: text edge lists (parsed once),
 // monolithic `.grwb` snapshots (one mmap, pages fault on demand), and
-// sharded out-of-core graphs (a ShardStore under a resident-byte
-// budget). Resident state is shared:
+// sharded out-of-core graphs (a ShardStore whose byte budget caps its
+// readers' neighbor-list caches). Resident state is shared:
 //
 //   * bindings are keyed by (path, content checksum): two ids registered
 //     over the same bytes share ONE GraphSource — one mapping for
-//     `.grwb`, one ShardStore (one residency budget, one LRU) for
-//     sharded — so multi-tenant aliases of a popular graph cost nothing
-//     extra. For a shared sharded graph the FIRST registration's
-//     resident budget wins;
+//     `.grwb`, one ShardStore (one budget across every request's
+//     readers) for sharded — so multi-tenant aliases of a popular graph
+//     cost nothing extra. For a shared sharded graph the FIRST
+//     registration's budget wins;
 //   * lookups return a GraphSource *copy* (shared backing): a request
 //     keeps its graph alive even if the id is replaced mid-run.
 //
@@ -51,7 +51,8 @@ class SnapshotRegistry {
   /// SnapshotCorruptError naming the offending file and the id stays
   /// unbound (the caller quarantines: skip the binding, keep the file
   /// for inspection). `resident_budget_bytes` caps a sharded graph's
-  /// shard LRU (0 = unbounded; ignored for monolithic kinds). Throws
+  /// cached neighbor-list bytes across all its requests (0 = unbounded;
+  /// ignored for monolithic kinds). Throws
   /// std::runtime_error on other load failures.
   void Register(const std::string& id, const std::string& path,
                 bool verify = true, uint64_t resident_budget_bytes = 0)

@@ -132,6 +132,34 @@ IoResult WriteAll(int fd, const void* data, size_t len, int timeout_ms) {
   return result;
 }
 
+IoResult ReadAt(int fd, void* buf, size_t len, uint64_t offset) {
+  IoResult result;
+  char* bytes = static_cast<char*>(buf);
+  while (result.bytes < len) {
+    if (GRW_FAULT("io.pread.eintr")) continue;  // as if pread() hit EINTR
+    // A short-read fault caps the chunk at one byte, proving the loop
+    // reads the rest.
+    const size_t chunk =
+        GRW_FAULT("io.pread.short") ? 1 : len - result.bytes;
+    const ssize_t n =
+        ::pread(fd, bytes + result.bytes, chunk,
+                static_cast<off_t>(offset + result.bytes));
+    if (n > 0) {
+      result.bytes += static_cast<size_t>(n);
+      continue;
+    }
+    if (n == 0) {
+      result.status = IoResult::Status::kEof;
+      return result;
+    }
+    if (errno == EINTR) continue;
+    result.status = IoResult::Status::kError;
+    result.error = errno;
+    return result;
+  }
+  return result;
+}
+
 IoResult WriteAll(int fd, std::string_view data, int timeout_ms) {
   return WriteAll(fd, data.data(), data.size(), timeout_ms);
 }

@@ -7,7 +7,8 @@
 //   * EINTR — a signal interrupting a slow syscall is a retry, not an
 //     error. Each wrapper loops.
 //   * short writes — write(2) may accept a prefix; WriteAll() loops
-//     until every byte is accepted or a real error occurs.
+//     until every byte is accepted or a real error occurs. pread(2) may
+//     return a prefix too; ReadAt() loops until the whole range is read.
 //
 // plus a third the serve layer needs for liveness:
 //
@@ -24,11 +25,13 @@
 //
 //   io.read.eintr   io.read.fail    io.write.eintr   io.write.short
 //   io.write.fail   io.connect.fail io.fsync.fail
+//   io.pread.eintr  io.pread.short
 #pragma once
 
 #include <sys/socket.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 
 namespace grw::io {
@@ -56,6 +59,12 @@ IoResult ReadSome(int fd, char* buf, size_t cap, int timeout_ms = -1);
 /// `bytes` says how many made it out (the stream is presumed poisoned).
 IoResult WriteAll(int fd, std::string_view data, int timeout_ms = -1);
 IoResult WriteAll(int fd, const void* data, size_t len, int timeout_ms = -1);
+
+/// Reads exactly `len` bytes of a regular file at `offset` with
+/// pread(2), retrying EINTR and continuing after short reads. kOk means
+/// all `len` bytes arrived; kEof means the file ended first (`bytes`
+/// says how many did); kError carries errno.
+IoResult ReadAt(int fd, void* buf, size_t len, uint64_t offset);
 
 /// connect(2) with a bounded wait (non-blocking connect + poll). Returns
 /// 0 on success; -1 with errno set on failure (ETIMEDOUT when the

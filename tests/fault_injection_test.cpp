@@ -42,6 +42,7 @@
 #include "graph/builder.h"
 #include "graph/format.h"
 #include "graph/generators.h"
+#include "graph/sharding.h"
 #include "graph/source.h"
 #include "serve/client.h"
 #include "serve/json.h"
@@ -260,6 +261,51 @@ TEST_F(FaultTest, CrawlFailureModelKeepsEstimatesBitIdentical) {
     EXPECT_EQ(giveup_run.merged.concentrations[i],
               reference.merged.concentrations[i]);
   }
+}
+
+// ---------------------------------------------------- sharded reads --
+
+TEST_F(FaultTest, ShardReadFaultsKeepEstimatesBitIdentical) {
+  // A bounded sharded estimate reads every cache miss with io::ReadAt.
+  // Injected EINTR and short reads (p = 0.01 on each site) are retried
+  // inside it, so the estimate is the fault-free one, bit for bit. In a
+  // build without injection the sites never fire and the run is simply
+  // repeated.
+  Rng rng(43);
+  const Graph g = LargestConnectedComponent(HolmeKim(400, 4, 0.5, rng));
+  const std::string dir = TempPath("grw_fault_shards");
+  fs::remove_all(dir);
+  ShardingOptions sharding;
+  sharding.num_shards = 4;
+  const ShardManifest manifest = WriteShardedGraph(g, dir, sharding);
+  const GraphSource source = GraphSource::Open(
+      dir, {.resident_budget_bytes = manifest.TotalShardBytes() / 4});
+  const EstimatorConfig config{4, 2, true, false};
+  EngineOptions options;
+  options.chains = 4;
+  options.threads = 2;
+  options.max_steps = 4000;
+  const EngineResult clean =
+      EstimationEngine(source.shards(), config, options).Run();
+
+  fault::Configure("io.pread.eintr=p0.01;io.pread.short=p0.01", 2027);
+  const EngineResult faulty =
+      EstimationEngine(source.shards(), config, options).Run();
+  const std::vector<fault::SiteCounts> counts = fault::Snapshot();
+  fault::Configure("");
+
+  EXPECT_EQ(faulty.merged.weights, clean.merged.weights);
+  EXPECT_EQ(faulty.merged.concentrations, clean.merged.concentrations);
+  if (fault::CompiledIn()) {
+    for (const char* site : {"io.pread.eintr", "io.pread.short"}) {
+      const auto it = std::find_if(
+          counts.begin(), counts.end(),
+          [&](const fault::SiteCounts& c) { return c.site == site; });
+      ASSERT_NE(it, counts.end()) << site;
+      EXPECT_GT(it->fired, 0u) << site;
+    }
+  }
+  fs::remove_all(dir);
 }
 
 // ------------------------------------------------- client resilience --

@@ -1,8 +1,9 @@
-// Tests for the out-of-core estimation path: ShardStore's LRU residency
-// accounting (eviction order, byte budget, pin semantics, re-admission
-// checks), ShardedAccess read equivalence, and the shard statistics an
-// engine run reports. That sharded runs match monolithic ones is checked
-// by tests/conformance_test.cpp.
+// Tests for the out-of-core estimation path: ShardStore's accounting and
+// re-checks of damaged shards, ShardedAccess read equivalence and its
+// neighbor-list cache (span lifetime, budget floor), and the shard
+// statistics an engine run reports, alone and next to another run on the
+// same store. That sharded runs match monolithic ones is checked by
+// tests/conformance_test.cpp.
 
 #include "graph/sharded_access.h"
 
@@ -10,10 +11,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/estimator.h"
@@ -21,6 +26,7 @@
 #include "graph/builder.h"
 #include "graph/format.h"
 #include "graph/generators.h"
+#include "graph/mapped_file.h"
 #include "graph/sharding.h"
 #include "util/rng.h"
 
@@ -52,66 +58,28 @@ ShardManifest ShardInto(const Graph& g, const std::string& dir,
   return WriteShardedGraph(g, dir, options);
 }
 
-TEST(ShardStoreTest, LruEvictionOrderUnderByteBudget) {
+TEST(ShardStoreTest, BoundedStoreKeepsNoShardResident) {
+  // A bounded store reads through reader caches, never a shard mapping:
+  // every Acquire re-checks its shard and counts a fault, and nothing is
+  // charged for it.
   const Graph g = RegularGraph();
-  const std::string dir = TempDir("grw_store_lru");
-  const ShardManifest m = ShardInto(g, dir, 4);
-  const uint64_t per_shard = m.shards[0].file_bytes;
-  for (const ShardInfo& s : m.shards) {
-    ASSERT_EQ(s.file_bytes, per_shard);  // regular graph => equal shards
-  }
-
-  ShardStore::Options options;
-  options.resident_budget_bytes = 2 * per_shard;  // exactly two shards
-  const ShardStore store(LoadShardManifest(dir), options);
-
-  store.Acquire(0);
-  store.Acquire(1);
-  EXPECT_TRUE(store.Resident(0));
-  EXPECT_TRUE(store.Resident(1));
-  EXPECT_EQ(store.stats().evictions, 0u);
-
-  // Third shard: the least-recently-used (0) goes, not the newest.
-  store.Acquire(2);
-  EXPECT_FALSE(store.Resident(0));
-  EXPECT_TRUE(store.Resident(1));
-  EXPECT_TRUE(store.Resident(2));
-
-  // Touch 1 (a hit, promoting it), then fault 3: now 2 is the LRU.
-  store.Acquire(1);
-  store.Acquire(3);
-  EXPECT_TRUE(store.Resident(1));
-  EXPECT_FALSE(store.Resident(2));
-  EXPECT_TRUE(store.Resident(3));
-
-  const ShardStats stats = store.stats();
-  EXPECT_EQ(stats.faults, 4u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.evictions, 2u);
-  EXPECT_EQ(stats.resident_shards, 2u);
-  EXPECT_EQ(stats.resident_bytes, 2 * per_shard);
-  EXPECT_EQ(stats.peak_resident_bytes, 2 * per_shard);
-  EXPECT_EQ(stats.budget_bytes, options.resident_budget_bytes);
-  fs::remove_all(dir);
-}
-
-TEST(ShardStoreTest, BudgetFloorIsOneShard) {
-  // A budget smaller than any shard still admits one shard at a time —
-  // the walk could not proceed otherwise.
-  const Graph g = RegularGraph();
-  const std::string dir = TempDir("grw_store_floor");
+  const std::string dir = TempDir("grw_store_bounded");
   const ShardManifest m = ShardInto(g, dir, 4);
   ShardStore::Options options;
   options.resident_budget_bytes = 1;
   const ShardStore store(LoadShardManifest(dir), options);
 
-  store.Acquire(0);
-  EXPECT_TRUE(store.Resident(0));
-  EXPECT_EQ(store.stats().resident_bytes, m.shards[0].file_bytes);
-  store.Acquire(1);
-  EXPECT_FALSE(store.Resident(0));
-  EXPECT_TRUE(store.Resident(1));
-  EXPECT_EQ(store.stats().resident_shards, 1u);
+  for (uint32_t s = 0; s < m.NumShards(); ++s) store.Acquire(s);
+  EXPECT_EQ(store.Acquire(0)->index(), 0u);
+  for (uint32_t s = 0; s < m.NumShards(); ++s) {
+    EXPECT_FALSE(store.Resident(s));
+  }
+  const ShardStats stats = store.stats();
+  EXPECT_EQ(stats.faults, m.NumShards() + 1u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.resident_bytes, 0u);
+  EXPECT_EQ(stats.resident_shards, 0u);
+  EXPECT_EQ(stats.budget_bytes, 1u);
   fs::remove_all(dir);
 }
 
@@ -131,32 +99,6 @@ TEST(ShardStoreTest, UnboundedBudgetNeverEvicts) {
   fs::remove_all(dir);
 }
 
-TEST(ShardStoreTest, PinSurvivesEviction) {
-  // A chain's pin keeps an evicted shard readable: the store drops its
-  // pages, but the mapping stays and refaults from disk.
-  const Graph g = RegularGraph();
-  const std::string dir = TempDir("grw_store_pin");
-  ShardInto(g, dir, 4);
-  ShardStore::Options options;
-  options.resident_budget_bytes = 1;  // floor: one resident shard
-  const ShardStore store(LoadShardManifest(dir), options);
-
-  const MappedShard* pin = store.Acquire(0);
-  store.Acquire(1);
-  store.Acquire(2);
-  ASSERT_FALSE(store.Resident(0));
-  for (VertexId v = pin->first_node(); v < pin->end_node(); ++v) {
-    ASSERT_EQ(pin->Degree(v), g.Degree(v)) << "node " << v;
-  }
-  // Re-acquiring after eviction is a fresh fault, not a hit.
-  const ShardStats stats = store.stats();
-  EXPECT_EQ(stats.faults, 3u);
-  // ...of the same mapping: shards are mapped once per store.
-  EXPECT_EQ(store.Acquire(0), pin);
-  EXPECT_EQ(store.stats().faults, 4u);
-  fs::remove_all(dir);
-}
-
 // Flips one byte of `path` in place: same inode, no rename, so a live
 // mapping of the file sees the change once its pages refault.
 void FlipByteInPlace(const std::string& path, uint64_t offset) {
@@ -172,33 +114,63 @@ void FlipByteInPlace(const std::string& path, uint64_t offset) {
 }
 
 TEST(ShardStoreTest, ReadmissionRechecksShard) {
-  // Every re-admission of an evicted shard re-runs the open-time header
-  // checks, plus the full payload scan under verify_on_fault — a shard
-  // damaged while the store is open is caught on its next fault, and
-  // the failed fault leaves nothing charged.
+  // Every read that reaches a shard file re-runs the open-time header
+  // checks first: a shard damaged while the store is open fails its next
+  // such read, which charges nothing, while lists already cached and
+  // other shards stay readable.
   const Graph g = RegularGraph();
-  for (const bool verify : {true, false}) {
+  for (const uint64_t budget : {uint64_t{0}, uint64_t{1}}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
     const std::string dir = TempDir("grw_store_recheck");
     const ShardManifest m = ShardInto(g, dir, 4);
     ShardStore::Options options;
-    options.resident_budget_bytes = 1;  // floor: one resident shard
-    options.verify_on_fault = verify;
+    options.resident_budget_bytes = budget;
     const ShardStore store(LoadShardManifest(dir), options);
+    const ShardedAccess access(store);
+    const VertexId first = 0;
+    const VertexId other = static_cast<VertexId>(m.shards[0].num_rows - 1);
+    const VertexId next_shard = static_cast<VertexId>(m.shards[1].first_node);
 
-    store.Acquire(0);
-    // verify: the last neighbor byte, which only the payload scan reads;
-    // no verify: a header byte, covered by the header checksum.
-    const uint64_t offset = verify ? m.shards[0].file_bytes - 1 : 8;
-    FlipByteInPlace(m.ShardPath(0), offset);
-    store.Acquire(1);
-    ASSERT_FALSE(store.Resident(0));
-    EXPECT_THROW(store.Acquire(0), SnapshotCorruptError)
-        << "verify_on_fault=" << verify;
+    // Unbounded, shard 0's first read would check it for good.
+    if (budget > 0) {
+      ASSERT_EQ(access.Degree(first), g.Degree(first));
+    }
+    const uint64_t charged = store.stats().resident_bytes;
+    FlipByteInPlace(m.ShardPath(0), 8);  // a header byte
+    EXPECT_THROW(access.Neighbors(other), SnapshotCorruptError);
+    EXPECT_THROW(store.Acquire(0), SnapshotCorruptError);
+    EXPECT_EQ(store.stats().resident_bytes, charged);
     EXPECT_FALSE(store.Resident(0));
-    EXPECT_TRUE(store.Resident(1));
-    EXPECT_EQ(store.stats().faults, 2u);
+    if (budget > 0) {
+      EXPECT_EQ(access.Degree(first), g.Degree(first));
+    }
+    EXPECT_EQ(access.Degree(next_shard), g.Degree(next_shard));
     fs::remove_all(dir);
   }
+}
+
+TEST(ShardedAccessTest, FlippedOffsetsEntryThrowsInsteadOfReadingOutOfBounds) {
+  // An offsets entry damaged in place after open: the two rows it bounds
+  // fail their next read with SnapshotCorruptError — the offsets pair is
+  // bounds-checked before any list is read — and the rows around them
+  // still read correctly.
+  const Graph g = RegularGraph();
+  const std::string dir = TempDir("grw_access_offsets");
+  const ShardManifest m = ShardInto(g, dir, 4);
+  ShardStore::Options options;
+  options.resident_budget_bytes = 1;
+  const ShardStore store(LoadShardManifest(dir), options);
+  const ShardedAccess access(store);
+  const uint64_t row = m.shards[0].num_rows / 2;
+  // The top byte of offsets[row + 1]: the end of `row`, the start of
+  // `row + 1`, now far past the neighbors slice.
+  FlipByteInPlace(m.ShardPath(0), 64 + (row + 1) * sizeof(uint64_t) + 7);
+  const auto v = static_cast<VertexId>(row);
+  EXPECT_THROW(access.Neighbors(v), SnapshotCorruptError);
+  EXPECT_THROW(access.Degree(v + 1), SnapshotCorruptError);
+  EXPECT_EQ(access.Degree(v - 1), g.Degree(v - 1));
+  EXPECT_EQ(access.Degree(v + 2), g.Degree(v + 2));
+  fs::remove_all(dir);
 }
 
 TEST(ShardedAccessTest, ReadsMatchGraphEverywhere) {
@@ -233,6 +205,137 @@ TEST(ShardedAccessTest, ReadsMatchGraphEverywhere) {
   fs::remove_all(dir);
 }
 
+TEST(ShardedAccessTest, RepeatReadsHitTheReaderCache) {
+  // A budget whose per-reader share holds every list twice over: each
+  // list reaches its shard file once, every later read is a hit, nothing
+  // is evicted, and the reader's reservation is the store's whole charge
+  // until the reader is destroyed.
+  Rng rng(5);
+  const Graph g = LargestConnectedComponent(HolmeKim(300, 4, 0.4, rng));
+  const std::string dir = TempDir("grw_access_hits");
+  const ShardManifest m = ShardInto(g, dir, 5);
+  ShardStore::Options options;
+  options.resident_budget_bytes =
+      4 * ShardedAccess::kReaderShare * m.TotalShardBytes();
+  const ShardStore store(LoadShardManifest(dir), options);
+  {
+    const ShardedAccess access(store);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (VertexId v = 0; v < g.NumNodes(); ++v) {
+        ASSERT_EQ(access.Degree(v), g.Degree(v));
+      }
+    }
+    const ShardStats own = access.stats();
+    EXPECT_EQ(own.faults, g.NumNodes());
+    EXPECT_EQ(own.hits, g.NumNodes());
+    EXPECT_EQ(own.evictions, 0u);
+    // Every list with its 3-word entry header, plus the copies the
+    // second pass made of lists older than kRecentLists insertions, in a
+    // ring that doubles as it fills, next to its index.
+    const uint64_t entries =
+        4 * (3 * uint64_t{g.NumNodes()} + 2 * g.NumEdges());
+    EXPECT_GT(own.peak_resident_bytes, entries);
+    EXPECT_LE(own.peak_resident_bytes, 4 * entries);
+    EXPECT_EQ(store.stats().resident_bytes, own.peak_resident_bytes);
+  }
+  const ShardStats stats = store.stats();
+  EXPECT_EQ(stats.resident_bytes, 0u);
+  EXPECT_EQ(stats.faults, g.NumNodes());
+  EXPECT_EQ(stats.hits, g.NumNodes());
+  fs::remove_all(dir);
+}
+
+TEST(ShardedAccessTest, SpansOutliveTheNextHeldReads) {
+  // The G(d) merge holds up to d - 1 lists while it fetches them: a span
+  // must survive the reader's next kHeldReads reads, hit or miss, at the
+  // smallest budget (every list is evicted as soon as it may be) and at
+  // one that keeps lists long enough for old entries to be hit again.
+  Rng rng(11);
+  const Graph g = LargestConnectedComponent(HolmeKim(500, 3, 0.4, rng));
+  const std::string dir = TempDir("grw_access_spans");
+  const ShardManifest m = ShardInto(g, dir, 4);
+  for (const uint64_t budget : {uint64_t{1}, m.TotalShardBytes()}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    ShardStore::Options options;
+    options.resident_budget_bytes = budget;
+    const ShardStore store(LoadShardManifest(dir), options);
+    const ShardedAccess access(store);
+    constexpr size_t kHeld = ShardedAccess::kHeldReads;
+    std::vector<std::pair<VertexId, std::span<const VertexId>>> held;
+    Rng pick(budget);
+    for (int read = 0; read < 20000; ++read) {
+      // Mostly a small hot set, so lists are hit at every age.
+      const VertexId v = static_cast<VertexId>(
+          pick.UniformInt(pick.Bernoulli(0.7) ? 40 : g.NumNodes()));
+      held.emplace_back(v, access.Neighbors(v));
+      if (held.size() > kHeld + 1) held.erase(held.begin());
+      for (const auto& [u, span] : held) {
+        const auto want = g.Neighbors(u);
+        ASSERT_TRUE(std::equal(span.begin(), span.end(), want.begin(),
+                               want.end()))
+            << "read " << read << ", node " << u;
+      }
+    }
+    const ShardStats own = access.stats();
+    EXPECT_GT(own.evictions, 0u);
+    EXPECT_GT(own.hits, 0u);
+  }
+  fs::remove_all(dir);
+}
+
+// This process's resident bytes, from /proc/self/statm.
+uint64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  uint64_t size = 0;
+  uint64_t resident = 0;
+  statm >> size >> resident;
+  return resident * PageBytes();
+}
+
+TEST(ShardedAccessTest, CachePagesStayWithinTheirCharge) {
+  // A reader writes only pages it has charged to the store: sixteen
+  // readers cycling through many short lists under a budget far below
+  // their shares grow the process by no more than the store's charge.
+  // One hub of degree 4000 that they never read makes any cache sized
+  // from the graph's max degree, rather than from what it read, show.
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "ThreadSanitizer's shadow memory grows with every page";
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+  GTEST_SKIP() << "ThreadSanitizer's shadow memory grows with every page";
+#endif
+#endif
+  constexpr VertexId kNodes = 20000;
+  constexpr VertexId kHub = kNodes - 1;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId v = 0; v + 1 < kHub; ++v) edges.emplace_back(v, v + 1);
+  for (VertexId v = 0; v < 4000; ++v) edges.emplace_back(v * 4, kHub);
+  const Graph g = FromEdges(kNodes, edges);
+  const std::string dir = TempDir("grw_access_pages");
+  ShardInto(g, dir, 4);
+  ShardStore::Options options;
+  options.resident_budget_bytes = 64 * 1024;
+  const ShardStore store(LoadShardManifest(dir), options);
+  std::vector<ShardedAccess> readers;
+  readers.reserve(16);
+  const uint64_t before = ResidentBytes();
+  for (int r = 0; r < 16; ++r) readers.emplace_back(store);
+  Rng pick(41);
+  for (int read = 0; read < 16 * 12000; ++read) {
+    const auto v = static_cast<VertexId>(pick.UniformInt(kHub));
+    ASSERT_EQ(readers[read % 16].Degree(v), g.Degree(v));
+  }
+  const uint64_t grown = ResidentBytes() - std::min(before, ResidentBytes());
+  const ShardStats stats = store.stats();
+  EXPECT_GT(stats.evictions, 0u);
+  // Slack for the shard pages each miss re-checks, and the heap.
+  EXPECT_LE(grown, stats.resident_bytes + 512 * 1024)
+      << "charged " << stats.resident_bytes;
+  readers.clear();
+  EXPECT_EQ(store.stats().resident_bytes, 0u);
+  fs::remove_all(dir);
+}
+
 // ------------------------------------------------------------------ engine --
 
 EngineOptions BaseOptions(int chains, unsigned threads) {
@@ -246,9 +349,10 @@ EngineOptions BaseOptions(int chains, unsigned threads) {
 }
 
 TEST(ShardedEngineTest, SingleThreadStatsUnchanged) {
-  // One thread makes the Acquire stream deterministic, so the residency
-  // counters are exact functions of the LRU policy, the kPins MRU and
-  // the walk. The constants pin all three against silent drift.
+  // One thread makes the reads deterministic even where readers compete
+  // for a budget smaller than their floors, so the counters are exact
+  // functions of the cache policy and the walk. The constants pin both
+  // against silent drift.
   Rng rng(23);
   const Graph g = LargestConnectedComponent(HolmeKim(400, 4, 0.3, rng));
   const std::string dir = TempDir("grw_engine_stats_pinned");
@@ -259,18 +363,136 @@ TEST(ShardedEngineTest, SingleThreadStatsUnchanged) {
   const EstimatorConfig config{4, 2, true, false};
   const EngineResult result =
       EstimationEngine(store, config, BaseOptions(/*chains=*/4, 1)).Run();
-  EXPECT_EQ(result.shards.faults, 7513u);
-  EXPECT_EQ(result.shards.hits, 78u);
-  EXPECT_EQ(result.shards.evictions, 7512u);
-  EXPECT_EQ(result.shards.peak_resident_bytes, 4120u);
+  EXPECT_EQ(result.shards.faults, 12098u);
+  EXPECT_EQ(result.shards.hits, 338255u);
+  EXPECT_EQ(result.shards.evictions, 11895u);
+  // Each reader's floor: one page of index, one page of ring.
+  EXPECT_EQ(result.shards.peak_resident_bytes, 4 * 2 * PageBytes());
+  fs::remove_all(dir);
+}
+
+// Two different estimates, run on one store alone and then side by side.
+struct TwoRuns {
+  EngineResult first;
+  EngineResult second;
+};
+
+TwoRuns RunTwo(const ShardStore& store, int chains, unsigned threads,
+               bool concurrently) {
+  const EstimatorConfig srw{4, 2, true, false};
+  const EstimatorConfig psrw{4, 3, false, false};
+  EngineOptions first_options = BaseOptions(chains, threads);
+  EngineOptions second_options = BaseOptions(chains, threads);
+  second_options.base_seed = 7;
+  TwoRuns runs;
+  const auto run_first = [&] {
+    runs.first = EstimationEngine(store, srw, first_options).Run();
+  };
+  const auto run_second = [&] {
+    runs.second = EstimationEngine(store, psrw, second_options).Run();
+  };
+  if (concurrently) {
+    std::thread other(run_second);
+    run_first();
+    other.join();
+  } else {
+    run_first();
+    run_second();
+  }
+  return runs;
+}
+
+void ExpectSameShardCounters(const ShardStats& a, const ShardStats& b) {
+  EXPECT_EQ(a.faults, b.faults);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.peak_resident_bytes, b.peak_resident_bytes);
+}
+
+TEST(ShardedEngineTest, ConcurrentRunsReportWhatTheyReportAlone) {
+  // Each run reports its own readers' counters, not a window of the
+  // store's totals: two runs side by side on one bounded store report
+  // exactly what each reports alone, as long as the budget covers every
+  // reader's share (8 readers here, against a share of 1/16 each).
+  Rng rng(29);
+  const Graph g = LargestConnectedComponent(HolmeKim(400, 4, 0.3, rng));
+  const std::string dir = TempDir("grw_engine_stats_concurrent");
+  const ShardManifest m = ShardInto(g, dir, 8);
+  ShardStore::Options options;
+  // A share of a quarter of the graph's bytes: readers evict.
+  options.resident_budget_bytes =
+      ShardedAccess::kReaderShare * m.TotalShardBytes() / 4;
+  const ShardStore store(LoadShardManifest(dir), options);
+
+  const TwoRuns alone = RunTwo(store, /*chains=*/4, /*threads=*/2, false);
+  const TwoRuns together = RunTwo(store, /*chains=*/4, /*threads=*/2, true);
+  EXPECT_GT(alone.first.shards.evictions, 0u);
+  EXPECT_GT(alone.second.shards.evictions, 0u);
+  ExpectSameShardCounters(together.first.shards, alone.first.shards);
+  ExpectSameShardCounters(together.second.shards, alone.second.shards);
+  EXPECT_EQ(together.first.merged.weights, alone.first.merged.weights);
+  EXPECT_EQ(together.second.merged.weights, alone.second.merged.weights);
+  // The store's totals are the four runs' sums, and every reservation
+  // was given back.
+  const ShardStats stats = store.stats();
+  EXPECT_EQ(stats.faults, 2 * (alone.first.shards.faults +
+                               alone.second.shards.faults));
+  EXPECT_EQ(stats.resident_bytes, 0u);
+  fs::remove_all(dir);
+}
+
+TEST(ShardedEngineTest, BudgetBoundsChargedBytesAcrossEngines) {
+  // Two 4-thread engines of 16 chains each on one store whose budget
+  // covers a fraction of their shares: the store's charge never exceeds
+  // the budget plus, for each reader, its floor (an index page and a ring
+  // of kKeptLists + 2 entries of the longest list) and the floors it
+  // retired in its last kHeldReads reads; peak_resident_bytes reports
+  // the maximum.
+  Rng rng(31);
+  const Graph g = LargestConnectedComponent(HolmeKim(600, 4, 0.3, rng));
+  const std::string dir = TempDir("grw_engine_budget");
+  const ShardManifest m = ShardInto(g, dir, 6);
+  ShardStore::Options options;
+  options.resident_budget_bytes = m.TotalShardBytes() / 2;
+  const ShardStore store(LoadShardManifest(dir), options);
+
+  const TwoRuns runs = RunTwo(store, /*chains=*/16, /*threads=*/4, true);
+  const uint64_t page = PageBytes();
+  const uint64_t ring_floor =
+      ((ShardedAccess::kKeptLists + 2) *
+           (ShardedAccess::kEntryHeader + g.MaxDegree()) * sizeof(VertexId) +
+       page - 1) / page * page;
+  const uint64_t floor_bytes =
+      page + (ShardedAccess::kHeldReads + 1) * ring_floor;
+  const uint64_t readers = 2 * 16 + 2;  // chains, and each engine's probe
+  const ShardStats stats = store.stats();
+  EXPECT_LE(stats.peak_resident_bytes,
+            options.resident_budget_bytes + readers * floor_bytes);
+  EXPECT_GE(stats.peak_resident_bytes, runs.first.shards.peak_resident_bytes);
+  EXPECT_GE(stats.peak_resident_bytes,
+            runs.second.shards.peak_resident_bytes);
+  EXPECT_GT(runs.first.shards.evictions, 0u);
+  EXPECT_EQ(stats.resident_bytes, 0u);
+  // The budget moved nothing but memory.
+  const TwoRuns in_memory = [&] {
+    TwoRuns r;
+    r.first = EstimationEngine(g, {4, 2, true, false}, BaseOptions(16, 4))
+                  .Run();
+    EngineOptions second = BaseOptions(16, 4);
+    second.base_seed = 7;
+    r.second = EstimationEngine(g, {4, 3, false, false}, second).Run();
+    return r;
+  }();
+  EXPECT_EQ(runs.first.merged.weights, in_memory.first.merged.weights);
+  EXPECT_EQ(runs.second.merged.weights, in_memory.second.merged.weights);
   fs::remove_all(dir);
 }
 
 TEST(ShardedEngineTest, ShardStatsCoverOnlyTheirOwnRun) {
   // Two identical runs on one unbounded store: the second finds every
-  // shard the first faulted already resident, so it faults nothing and
-  // every one of its Acquire calls (same seeds, same walk, same count as
-  // the first run's faults + hits) is a hit.
+  // shard the first checked already resident, so it faults nothing and
+  // every one of its reads (same seeds, same walk, same count as the
+  // first run's faults + hits) is a hit.
   Rng rng(37);
   const Graph g = LargestConnectedComponent(HolmeKim(400, 4, 0.3, rng));
   const std::string dir = TempDir("grw_engine_stats_delta");

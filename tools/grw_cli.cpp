@@ -19,7 +19,7 @@
 //       shard-NNNNN.grws files, every file written crash-safe. Balanced
 //       by half-edge mass across --shards, or cut at --target-shard-mb
 //       per shard (default 64). `estimate` and `grw_serve` then serve
-//       the directory under a resident-byte budget.
+//       the directory out-of-core under a byte budget.
 //   grw info <graph>
 //       Basic statistics of a graph (after simplification + LCC). For a
 //       sharded manifest (or its directory): manifest-level stats, the
@@ -52,10 +52,11 @@
 //       --raw swaps the table for machine-readable `label value` lines
 //       (%.17g), diffable against `grw query --raw`. On a sharded graph
 //       (a `grw shard` directory or its MANIFEST.grws) the engine runs
-//       out-of-core through the shard LRU: --resident-budget-mb caps
-//       resident shard bytes (0 = unbounded). Estimates under any budget
-//       are bit-identical to the monolithic run; a residency report
-//       follows the table. Crawl flags put each chain's crawl cache in
+//       out-of-core: each chain reads the neighbor lists it needs into
+//       its own cache, and --resident-budget-mb caps the cached bytes of
+//       all chains together (0 = unbounded: read the shard mappings in
+//       place). Estimates under any budget are bit-identical to the
+//       monolithic run; a shard-read report follows the table. Crawl flags put each chain's crawl cache in
 //       front of the shard store. --counts needs the monolithic graph and
 //       is rejected on sharded inputs. The other flags build the request
 //       `grw query` sends, parsed by the server's parser.
@@ -139,9 +140,10 @@ int Usage() {
       "                                   model; estimates unchanged)\n"
       "           [--raw]                  `label value` lines instead of\n"
       "                                   the table (diffable vs query)\n"
-      "           [--resident-budget-mb M] sharded graphs run out-of-core\n"
-      "                                   under a resident shard-byte\n"
-      "                                   budget (0 = unbounded)\n"
+      "           [--resident-budget-mb M] sharded graphs run out-of-core;\n"
+      "                                   caps the chains' cached\n"
+      "                                   neighbor-list bytes (0 =\n"
+      "                                   unbounded: read shards in place)\n"
       "  query <id> [--host H] [--port P] [--raw] [--send 'LINE']\n"
       "           [estimation flags] [--deadline-ms MS] [--tenant NAME]\n"
       "                                   query a running grw_serve daemon;\n"
@@ -621,8 +623,8 @@ int CmdEstimate(const grw::Flags& flags) {
       budget = buf;
     }
     std::printf(
-        "shard residency: %llu faults, %llu hits (%.1f%% hit rate), "
-        "%llu evictions; peak %.1f of %.1f MiB resident (%s, %u shards)\n",
+        "shard reads: %llu faults, %llu hits (%.1f%% hit rate), "
+        "%llu evictions; peak %.1f of %.1f MiB charged (%s, %u shards)\n",
         static_cast<unsigned long long>(s.faults),
         static_cast<unsigned long long>(s.hits), 100.0 * s.HitRate(),
         static_cast<unsigned long long>(s.evictions),

@@ -9,7 +9,7 @@
 // through GraphSource::Open (`.grwb` snapshots mmap in microseconds and
 // share one mapping across ids; sharded out-of-core graphs —
 // a `grw shard` output directory or its MANIFEST.grws — serve under the
-// --resident-budget-mb shard-LRU budget; text edge lists and registry
+// --resident-budget-mb cache budget; text edge lists and registry
 // dataset names work too), then answers the line/JSON protocol of
 // src/serve/protocol.h on a
 // TCP socket until SIGTERM/SIGINT, which triggers a graceful drain:
@@ -31,8 +31,9 @@
 //   --retry-after-ms  backoff hint in RETRY_AFTER load-shed responses
 //                     (default 50); corrupt .grwb snapshots are
 //                     quarantined at startup unless --no-verify
-//   --resident-budget-mb  resident-byte budget for each sharded
-//                     binding's shard LRU (0 = unbounded). Monolithic
+//   --resident-budget-mb  byte budget for each sharded binding's
+//                     cached neighbor lists, across all its requests
+//                     (0 = unbounded). Monolithic
 //                     bindings ignore it. Corrupt shards quarantine the
 //                     whole binding, exactly like corrupt .grwb files.
 //

@@ -25,8 +25,8 @@ Checks (each is a function named check_*; `--list` prints them):
   doc-refs          backtick-quoted repo paths in CHANGES.md / ROADMAP.md
                     (src/, tests/, bench/, tools/, docs/, examples/
                     prefixes) must resolve — stale references rot fast.
-  raw-posix-io      no ::read / ::write / ::send / ::recv / ::connect
-                    outside src/util/posix_io.cpp — socket and file IO
+  raw-posix-io      no ::read / ::pread / ::write / ::send / ::recv /
+                    ::connect outside src/util/posix_io.cpp — socket and file IO
                     goes through grw::io (EINTR retry, partial-write
                     loops, timeouts, fault-injection sites) so no call
                     path silently skips the hardening.
@@ -62,7 +62,7 @@ UNCHECKED_CAST_RE = re.compile(
 TEST_MACRO_RE = re.compile(r"\b(?:TEST|TEST_F|TEST_P|TYPED_TEST)\s*\(")
 GBENCH_INCLUDE_RE = re.compile(r'#include\s+[<"]benchmark/benchmark\.h[>"]')
 DOC_REF_RE = re.compile(r"`((?:src|tests|bench|tools|docs|examples)/[^`]+)`")
-RAW_POSIX_IO_RE = re.compile(r"::(?:read|write|send|recv|connect)\s*\(")
+RAW_POSIX_IO_RE = re.compile(r"::(?:p?read|write|send|recv|connect)\s*\(")
 BUILD_INDEX_RE = re.compile(r"\bBuildAdjacencyIndex\s*\(")
 INDEX_OWNER_DIR = os.path.join("src", "graph") + os.sep
 INDEX_OWNERS = (
@@ -230,8 +230,9 @@ def check_doc_refs(root):
 def check_raw_posix_io(root):
     return grep_rule(
         root, RAW_POSIX_IO_RE,
-        "raw ::read/::write/::send/::recv/::connect — route through "
-        "grw::io (ReadSome/WriteAll/ConnectWithTimeout in util/posix_io.h) "
+        "raw ::read/::pread/::write/::send/::recv/::connect — route "
+        "through grw::io (ReadSome/ReadAt/WriteAll/ConnectWithTimeout in "
+        "util/posix_io.h) "
         "for EINTR retry, partial-write handling, timeouts, and fault "
         "injection",
         exclude=(POSIX_IO_IMPL,))

@@ -115,8 +115,8 @@ step "Out-of-core estimate is bit-identical under 25% budget"
 
 ./grw_cli estimate big.grwb --k 4 --steps 50000 --chains 4 \
   --quiet --raw > mono.txt
-# ~10 MiB of shards against a 2 MiB budget: the store must evict to make
-# progress, and the estimate must not move.
+# ~10 MiB of shards against a 2 MiB budget: the chains' list caches must
+# evict to make progress, and the estimate must not move.
 ./grw_cli estimate big.shards --resident-budget-mb 2 \
   --k 4 --steps 50000 --chains 4 --quiet --raw > sharded.txt
 diff mono.txt sharded.txt
@@ -126,7 +126,7 @@ diff mono.txt sharded.txt
 ./grw_cli estimate big.shards --resident-budget-mb 2 \
   --k 4 --d 3 --steps 50000 --chains 4 --quiet --raw > sharded3.txt
 diff mono3.txt sharded3.txt
-# A crawl cache in front of the evicting shard store: a 256-list cache
+# A crawl cache in front of the evicting shard readers: a 256-list cache
 # evicts and refetches, and neither layer may move the estimate.
 ./grw_cli estimate big.shards --resident-budget-mb 2 --crawl --cache-size 256 \
   --k 4 --steps 50000 --chains 4 --quiet --raw > sharded_crawl.txt
