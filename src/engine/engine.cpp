@@ -182,8 +182,10 @@ EngineResult RunLoop(const MakeAccess& make, const EstimatorConfig& config,
       out.cancelled = true;
       break;
     }
-    const uint64_t delta = std::min<uint64_t>(round_steps,
-                                              opt.max_steps - done);
+    // The last round takes the remainder of max_steps / round_steps, so
+    // no batch is shorter than a round (a runt batch inflates the SE).
+    const uint64_t left = opt.max_steps - done;
+    const uint64_t delta = left / 2 >= round_steps ? round_steps : left;
     pool.ForEach(
         static_cast<size_t>(chains),
         [&](size_t c) {
@@ -277,8 +279,8 @@ EngineResult RunLoop(const MakeAccess& make, const EstimatorConfig& config,
   }
 
   // Shard accounting: the run's own readers, summed in chain order. Every
-  // reader is alive until the run returns and its cache only grows, so
-  // the sum of their caches is the run's peak.
+  // reader is alive until the run returns and its cache has one size
+  // from the start, so the sum of their caches is the run's peak.
   for (const auto& u : unit) {
     const ShardStats chain = ShardStatsOf(u->access);
     out.shards.faults += chain.faults;

@@ -82,6 +82,8 @@ struct EngineOptions {
   double target_nrmse = 0.0;
   /// Steps per convergence round; 0 picks DefaultRoundSteps(max_steps)
   /// when early stopping or progress reporting is on, else one round.
+  /// The last round also takes the remainder, max_steps mod round_steps,
+  /// so no round is shorter than round_steps unless max_steps is.
   uint64_t round_steps = 0;
 
   /// The auto round size: max_steps split into ~32 rounds, at least 256
@@ -131,7 +133,8 @@ struct EngineOptions {
   /// the merged/per-chain results are a consistent snapshot of the last
   /// completed round (so a caller may inspect, report, or resume from
   /// them). The serve layer uses this for per-request deadlines;
-  /// round_steps bounds the poll latency.
+  /// round_steps (under twice it, in the last round) bounds the poll
+  /// latency.
   std::function<bool()> cancel;
 
   /// Pool to run on; nullptr = ChainPool::Shared().
@@ -174,9 +177,9 @@ struct EngineResult {
   /// Sharded storage only, crawl mode or not: faults, hits and evictions
   /// are this run's own readers' counters, summed in chain order, so
   /// runs sharing one store (grw_serve requests on one registration)
-  /// never see each other's. peak_resident_bytes is the run's charged
-  /// cache bytes on a bounded store, or the store's charged mappings on
-  /// an unbounded one; resident_bytes, resident_shards and budget_bytes
+  /// never see each other's. peak_resident_bytes is the sum of the run's
+  /// readers' fixed-size caches on a bounded store, or the store's
+  /// charged mappings on an unbounded one; resident_bytes, resident_shards and budget_bytes
   /// are the store's state at the end of the run. All-zero otherwise.
   ShardStats shards;
   int rounds = 0;

@@ -1,6 +1,8 @@
 #include "graph/sharded_access.h"
 
+#include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -48,6 +50,11 @@ uint64_t FloorWords(uint64_t longest) {
   return (ShardedAccess::kKeptLists + 2) * longest;
 }
 
+template <class T>
+std::unique_ptr<T[], PageUnmapper> MapArray(uint64_t bytes) {
+  return {static_cast<T*>(MapPages(bytes)), PageUnmapper{bytes}};
+}
+
 }  // namespace
 
 ShardStore::ShardStore(ShardManifest manifest, const Options& options)
@@ -58,14 +65,23 @@ ShardStore::ShardStore(ShardManifest manifest, const Options& options)
           std::make_unique<std::atomic<bool>[]>(manifest_.NumShards())) {
   if (!bounded()) return;
   max_degree_ = MaxDegree(manifest_);
-  if (FloorWords(ShardedAccess::kEntryHeader + max_degree_) >
-      kMaxRingWords) {
+  const uint64_t page = PageBytes();
+  const uint64_t words = FloorWords(ShardedAccess::kEntryHeader + max_degree_);
+  ring_bytes_ = (words * sizeof(uint32_t) + page - 1) / page * page;
+  if (ring_bytes_ / sizeof(uint32_t) > kMaxRingWords) {
     throw std::invalid_argument(
         "ShardStore: degree " + std::to_string(max_degree_) +
         " is too large for a bounded store's list cache");
   }
-  reader_share_ =
-      options_.resident_budget_bytes / ShardedAccess::kReaderShare;
+  // Twice as many slots as the ring holds entries of the mean list, and
+  // at least a page of them: a power of two.
+  const uint64_t mean_words =
+      ShardedAccess::kEntryHeader +
+      manifest_.total_half_edges / std::max<uint64_t>(manifest_.total_nodes, 1);
+  const uint64_t slots = std::bit_ceil(std::max<uint64_t>(
+      2 * ring_bytes_ / sizeof(uint32_t) / mean_words,
+      page / sizeof(ShardedAccess::Slot)));
+  index_bytes_ = slots * sizeof(ShardedAccess::Slot);
 }
 
 const MappedShard& ShardStore::Recheck(uint32_t s) const {
@@ -78,7 +94,7 @@ bool ShardStore::Admit(uint32_t s) const {
   Recheck(s);
   // Two readers may both check; the one that flips the flag charges.
   if (resident_[s].exchange(true, std::memory_order_acq_rel)) return false;
-  Charge(shards_[s].bytes(), /*force=*/true);
+  Charge(shards_[s].bytes());
   counters_.resident_shards.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -94,19 +110,13 @@ const MappedShard* ShardStore::Acquire(uint32_t s) const {
   return &shards_[s];
 }
 
-bool ShardStore::Charge(uint64_t bytes, bool force) const {
-  const uint64_t budget = options_.resident_budget_bytes;
-  uint64_t now = counters_.charged.load(std::memory_order_relaxed);
-  do {
-    if (!force && now + bytes > budget) return false;
-  } while (!counters_.charged.compare_exchange_weak(
-      now, now + bytes, std::memory_order_relaxed));
+void ShardStore::Charge(uint64_t bytes) const {
+  const uint64_t now =
+      counters_.charged.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   uint64_t peak = counters_.peak.load(std::memory_order_relaxed);
-  while (peak < now + bytes &&
-         !counters_.peak.compare_exchange_weak(peak, now + bytes,
-                                               std::memory_order_relaxed)) {
+  while (peak < now && !counters_.peak.compare_exchange_weak(
+                           peak, now, std::memory_order_relaxed)) {
   }
-  return true;
 }
 
 void ShardStore::Release(uint64_t bytes) const {
@@ -134,25 +144,26 @@ ShardStats ShardStore::stats() const {
 
 // ------------------------------------------------------------ reader --
 
-namespace {
-
-// The first ring a reader maps within the budget, in pages.
-constexpr uint64_t kFirstRingPages = 2;
-
-uint64_t RoundUpToPages(uint64_t bytes) {
-  const uint64_t page = PageBytes();
-  return (bytes + page - 1) / page * page;
+ShardedAccess::ShardedAccess(const ShardStore& store) : store_(&store) {
+  if (!store.bounded()) return;
+  Cache& c = cache_;
+  store.Charge(store.ring_bytes_ + store.index_bytes_);
+  try {
+    c.arena = MapArray<uint32_t>(store.ring_bytes_);
+    c.index = MapArray<Slot>(store.index_bytes_);
+  } catch (...) {
+    store.Release(store.ring_bytes_ + store.index_bytes_);
+    throw;
+  }
+  const uint64_t slots = store.index_bytes_ / sizeof(Slot);
+  c.capacity = static_cast<uint32_t>(store.ring_bytes_ / sizeof(uint32_t));
+  c.mask = static_cast<uint32_t>(slots - 1);
+  c.shift = 32 - static_cast<uint32_t>(std::countr_zero(slots));
 }
-
-}  // namespace
-
-ShardedAccess::ShardedAccess(const ShardStore& store) : store_(&store) {}
 
 ShardedAccess::ShardedAccess(ShardedAccess&& other) noexcept
     : store_(std::exchange(other.store_, nullptr)),
       cache_(std::move(other.cache_)),
-      retired_(std::move(other.retired_)),
-      longest_(other.longest_),
       reads_(other.reads_),
       own_(other.own_),
       published_(other.published_) {}
@@ -160,9 +171,7 @@ ShardedAccess::ShardedAccess(ShardedAccess&& other) noexcept
 ShardedAccess::~ShardedAccess() {
   if (store_ == nullptr) return;  // moved from
   Publish();
-  uint64_t charged = cache_.bytes();
-  for (const Retired& r : retired_) charged += r.arena.get_deleter().bytes;
-  if (charged > 0) store_->Release(charged);
+  store_->Release(cache_.bytes());
 }
 
 ShardStats ShardedAccess::stats() const {
@@ -205,8 +214,7 @@ std::span<const VertexId> ShardedAccess::Renew(uint32_t slot) const {
   // A hit on an old entry: copy it to the head, where the next
   // kHeldReads reads cannot evict it. Unindexed first, so that making
   // room may drop the old copy without counting an eviction; its words
-  // stay intact until the copy below overwrites them (in the retired
-  // ring, if making room grew the ring).
+  // stay intact until the copy below overwrites them.
   const uint32_t* entry = cache_.arena.get() + cache_.index[slot].at;
   const VertexId v = entry[0];
   const uint32_t degree = entry[1];
@@ -218,137 +226,12 @@ std::span<const VertexId> ShardedAccess::Renew(uint32_t slot) const {
 }
 
 VertexId* ShardedAccess::Reserve(uint32_t degree) const {
-  // Spans into a retired ring have expired once kHeldReads more reads
-  // were served.
-  while (!retired_.empty() && reads_ >= retired_.front().until) {
-    store_->Release(retired_.front().arena.get_deleter().bytes);
-    retired_.erase(retired_.begin());
-  }
+  // At most half the index slots in use, then room for the entry at the
+  // head: the oldest lists go, never a kept one (EvictOldest checks).
   Cache& c = cache_;
-  const uint32_t words = kEntryHeader + degree;
-  longest_ = std::max(longest_, words);
-  // At most half the index slots in use: the index doubles, or the
-  // oldest list goes (never a kept one: the index holds twice as many).
-  if (c.index == nullptr && !GrowIndex(/*force=*/false)) {
-    GrowIndex(/*force=*/true);
-  }
-  while (c.entries >= (c.mask + 1) / 2) {
-    if (!GrowIndex(/*force=*/false)) EvictOldest();
-  }
-  // Grow the ring within the budget if it can; else evict the oldest
-  // list, but never a kept one: then grow the ring regardless.
-  while (c.arena == nullptr || !Fits(words)) {
-    if (GrowRing(words, /*force=*/false)) continue;
-    if (c.entries > kKeptLists) {
-      EvictOldest();
-    } else {
-      GrowRing(words, /*force=*/true);
-    }
-  }
+  while (c.entries >= (c.mask + 1) / 2) EvictOldest();
+  while (!Fits(kEntryHeader + degree)) EvictOldest();
   return c.arena.get() + c.head + kEntryHeader;
-}
-
-bool ShardedAccess::GrowIndex(bool force) const {
-  Cache& c = cache_;
-  const uint64_t bytes =
-      force ? PageBytes() : std::max<uint64_t>(2 * c.index.get_deleter().bytes,
-                                               PageBytes());
-  if (!force && c.bytes() - c.index.get_deleter().bytes + bytes >
-                    store_->reader_share_) {
-    return false;
-  }
-  if (!store_->Charge(bytes, force)) return false;
-  const uint64_t slots = bytes / sizeof(Slot);
-  std::unique_ptr<Slot[], PageUnmapper> old;
-  try {
-    old = std::exchange(c.index, std::unique_ptr<Slot[], PageUnmapper>(
-                                     static_cast<Slot*>(MapPages(bytes)),
-                                     PageUnmapper{bytes}));
-  } catch (...) {
-    store_->Release(bytes);
-    throw;
-  }
-  const uint32_t old_slots = c.mask + 1;
-  c.mask = static_cast<uint32_t>(slots - 1);
-  c.shift = 32 - static_cast<uint32_t>(std::countr_zero(slots));
-  if (old == nullptr) return true;
-  for (uint32_t i = 0; i < old_slots; ++i) {
-    if (old[i].key == 0) continue;
-    uint32_t j = Home(c, old[i].key - 1);
-    while (c.index[j].key != 0) j = (j + 1) & c.mask;
-    c.index[j] = old[i];
-  }
-  store_->Release(old.get_deleter().bytes);
-  return true;
-}
-
-bool ShardedAccess::GrowRing(uint32_t words, bool force) const {
-  Cache& c = cache_;
-  const uint64_t ring_bytes = c.arena.get_deleter().bytes;
-  uint64_t bytes;
-  if (force) {
-    // The floor at the longest entry so far, larger than the ring (or
-    // making room would not have reached the kept lists): past it no
-    // insertion does until a longer list arrives.
-    bytes = RoundUpToPages(FloorWords(longest_) * sizeof(uint32_t));
-  } else {
-    // The lists carried over take at most the ring's occupied words.
-    const uint32_t occupied =
-        c.wrap == kNoWrap ? c.head - c.tail : c.wrap - c.tail + c.head;
-    const uint64_t room =
-        store_->reader_share_ - std::min(store_->reader_share_, c.bytes()) +
-        ring_bytes;
-    bytes = std::min({std::max(2 * ring_bytes, kFirstRingPages * PageBytes()),
-                      room / PageBytes() * PageBytes(),
-                      kMaxRingWords * sizeof(uint32_t)});
-    if (bytes <= ring_bytes ||
-        bytes < (uint64_t{occupied} + words) * sizeof(uint32_t)) {
-      return false;
-    }
-  }
-  if (!store_->Charge(bytes, force)) return false;
-  std::unique_ptr<uint32_t[], PageUnmapper> old;
-  try {
-    old = std::exchange(c.arena, std::unique_ptr<uint32_t[], PageUnmapper>(
-                                     static_cast<uint32_t*>(MapPages(bytes)),
-                                     PageUnmapper{bytes}));
-  } catch (...) {
-    store_->Release(bytes);
-    throw;
-  }
-  const uint32_t tail = c.tail;
-  const uint32_t wrap = c.wrap;
-  const uint32_t entries = c.entries;
-  c.capacity = static_cast<uint32_t>(bytes / sizeof(uint32_t));
-  c.head = c.tail = 0;
-  c.wrap = kNoWrap;
-  c.entries = 0;
-  if (old == nullptr) return true;
-  // Carry the indexed lists over, oldest first, stamps and all; their
-  // slots move with them. The old ring stays mapped until spans into it
-  // expire.
-  uint32_t at = tail;
-  for (uint32_t n = 0; n < entries; ++n) {
-    const uint32_t* entry = old.get() + at;
-    const uint32_t entry_words = kEntryHeader + entry[1];
-    for (uint32_t i = Home(c, entry[0]); c.index[i].key != 0;
-         i = (i + 1) & c.mask) {
-      if (c.index[i].key == entry[0] + 1) {
-        if (c.index[i].at == at) {
-          std::memcpy(c.arena.get() + c.head, entry,
-                      entry_words * sizeof(uint32_t));
-          c.index[i].at = c.head;
-          c.head += entry_words;
-          ++c.entries;
-        }
-        break;
-      }
-    }
-    at += entry_words;
-    if (at == wrap) at = 0;
-  }
-  retired_.push_back({std::move(old), reads_ + kHeldReads});
-  return true;
 }
 
 bool ShardedAccess::Fits(uint32_t words) const {
@@ -383,6 +266,9 @@ std::span<const VertexId> ShardedAccess::Commit(VertexId v,
 
 void ShardedAccess::EvictOldest() const {
   Cache& c = cache_;
+  // The store sized the ring and index so that neither runs out of room
+  // while they hold no more than the kept lists.
+  assert(c.entries > kKeptLists && "eviction reached a kept list");
   const uint32_t* entry = c.arena.get() + c.tail;
   const VertexId v = entry[0];
   // Only the indexed copy of a list is an eviction; a copy Renew left

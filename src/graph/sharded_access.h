@@ -29,22 +29,16 @@
 //     after open fails with SnapshotCorruptError instead of reading out
 //     of bounds.
 //
-// The budget caps the pages every reader's cache holds, concurrent
-// engines on one store included. A cache's index and ring are page
-// mappings, each charged in full to the store before it is mapped, and
-// the ring wraps inside its mapping, so a reader never writes a page it
-// has not charged. A cache starts with a one-page index and a two-page
-// ring. While the budget has bytes left and the cache stays within
-// 1/kReaderShare of it, the index doubles when half full and the ring
-// doubles when full; a grown ring takes the cached lists along, and the
-// old one stays mapped and charged until the reader's first miss after
-// its next kHeldReads reads, so that spans into it stay valid. Past
-// that, a cache evicts its own oldest lists, except the newest
-// kKeptLists: a list that would need one of those evicted grows the ring
-// regardless of the budget, to its floor — kKeptLists + 2 entries of the
-// longest list the reader has read. So the store's charge stays within
-// the budget plus, for each reader, an index page, its floor and the
-// floors it retired during its last kHeldReads reads. A span a reader
+// Past 0 the budget's value changes nothing: every reader's cache has one
+// fixed size, computed from the manifest when the store opens. (The
+// budget is only the ceiling that a store-wide list tier will spend.) A
+// cache's ring and index are page mappings, mapped and charged to the
+// store once, when the reader is made, and given back when it is
+// destroyed; the ring wraps inside its mapping, so a reader never writes
+// a page it has not charged. The ring holds kKeptLists + 2 entries of the
+// longest list the manifest allows, so making room — the cache evicts its
+// own oldest list while its index is half full or the next list does not
+// fit — never reaches the newest kKeptLists lists. A span a reader
 // returns stays valid for at least the next kHeldReads reads — the G(d)
 // merge holds up to d - 1 lists at once — because a hit on a list older
 // than the last kRecentLists insertions first copies it to the ring's
@@ -95,15 +89,13 @@ struct ShardStats {
   /// Reads answered without one: from a reader's cache (bounded) or a
   /// checked mapping (unbounded).
   uint64_t hits = 0;
-  /// Lists dropped from reader caches, to make room or when a cache grew.
+  /// Lists dropped from reader caches to make room.
   uint64_t evictions = 0;
-  /// Bytes currently charged against the budget: reader caches' mappings
+  /// Bytes currently charged to the store: live readers' caches
   /// (bounded) or the shard files read so far (unbounded).
   uint64_t resident_bytes = 0;
   /// High-water mark of the charged bytes. For a run on a bounded store,
-  /// the sum of its readers' cache sizes, which only grow while the run
-  /// lasts (a mapping a growth retires is charged to the store for a few
-  /// more reads but not counted here).
+  /// the sum of its readers' caches, each of the store's one fixed size.
   uint64_t peak_resident_bytes = 0;
   /// Shards an unbounded store reads in place (checked); 0 if bounded.
   uint64_t resident_shards = 0;
@@ -122,8 +114,9 @@ struct ShardStats {
 class ShardStore {
  public:
   struct Options {
-    /// Byte budget across every reader's neighbor-list cache; 0 =
-    /// unbounded (read the shard mappings in place).
+    /// 0 = unbounded (read the shard mappings in place); any other value
+    /// reads through per-reader list caches of a fixed size. Reported as
+    /// ShardStats::budget_bytes.
     uint64_t resident_budget_bytes = 0;
   };
 
@@ -132,7 +125,7 @@ class ShardStore {
   /// open, like the monolithic loader's eager header validation) and
   /// keeps the mappings — and, for a bounded store, their descriptors —
   /// for the store's lifetime. Throws std::invalid_argument if a bounded
-  /// reader's floor would not fit a 32-bit ring (a degree over ~2^27).
+  /// reader's ring would not fit 32-bit offsets (a degree over ~2^27).
   ShardStore(ShardManifest manifest, const Options& options);
 
   ShardStore(const ShardStore&) = delete;
@@ -171,9 +164,8 @@ class ShardStore {
   // Unbounded: checks shard s on its first use and charges its bytes.
   // True iff this call did so (the read that counts the fault).
   bool Admit(uint32_t s) const;
-  // Adds `bytes` to the charge if that stays within the budget, or
-  // regardless when `force`; true iff charged.
-  bool Charge(uint64_t bytes, bool force) const;
+  // Adds `bytes` to the charge and raises the peak to match.
+  void Charge(uint64_t bytes) const;
   void Release(uint64_t bytes) const;
   // Adds a reader's counters to the store's totals.
   void Publish(const ShardStats& delta) const;
@@ -183,11 +175,12 @@ class ShardStore {
   // Every shard, mapped once at open; never resized.
   const std::vector<MappedShard> shards_;
   const std::unique_ptr<std::atomic<bool>[]> resident_;
-  // Bounded readers' limits, fixed at open: the longest list any row may
-  // claim (from the manifest's degree histogram), and the most bytes a
-  // cache grows to while it keeps within the budget.
+  // Bounded readers' cache, fixed at open: the longest list any row may
+  // claim (from the manifest's degree histogram), and the bytes of every
+  // reader's ring and index.
   uint64_t max_degree_ = 0;
-  uint64_t reader_share_ = 0;
+  uint64_t ring_bytes_ = 0;
+  uint64_t index_bytes_ = 0;
 
   // Written by every reader's misses; on its own cache line so the
   // read-only fields above never bounce.
@@ -209,9 +202,6 @@ class ShardStore {
 /// its cache's pages and their charge until destroyed.
 class ShardedAccess {
  public:
-  /// A budget share: a cache grows within the budget up to budget /
-  /// kReaderShare bytes; past that only its floor is charged regardless.
-  static constexpr uint64_t kReaderShare = 16;
   /// Reads a returned span survives.
   static constexpr uint32_t kHeldReads = kMaxGraphletSize;
   /// A hit returns the cached list in place only if it is among the
@@ -223,6 +213,7 @@ class ShardedAccess {
   /// Words of a cache entry ahead of its list: vertex, degree, stamp.
   static constexpr uint32_t kEntryHeader = 3;
 
+  /// Bounded, maps the cache and charges it to the store.
   explicit ShardedAccess(const ShardStore& store);
   ShardedAccess(ShardedAccess&& other) noexcept;
   ShardedAccess(const ShardedAccess&) = delete;
@@ -272,10 +263,12 @@ class ShardedAccess {
   }
 
   /// This reader's counters: faults, hits, evictions, and (bounded) the
-  /// bytes of its cache's mapping as peak_resident_bytes.
+  /// bytes of its cache as peak_resident_bytes.
   ShardStats stats() const;
 
  private:
+  friend class ShardStore;  // sizes the index in Slots
+
   // An index slot: key = vertex + 1 (0 = empty), at = the entry's word
   // offset in the ring.
   struct Slot {
@@ -289,7 +282,7 @@ class ShardedAccess {
   // list...] in `arena`, found through a linear-probing `index`; both are
   // page mappings charged in full to the store. Live entries sit in
   // [tail, head), or [tail, wrap) then [0, head) once the ring has
-  // wrapped. Mapped on the first miss; each grows by being replaced.
+  // wrapped.
   struct Cache {
     std::unique_ptr<uint32_t[], PageUnmapper> arena;
     std::unique_ptr<Slot[], PageUnmapper> index;
@@ -306,19 +299,11 @@ class ShardedAccess {
       return arena.get_deleter().bytes + index.get_deleter().bytes;
     }
   };
-  // A ring a growth replaced, kept (and charged) until spans into it
-  // have expired: until the reader has served `until` reads.
-  struct Retired {
-    std::unique_ptr<uint32_t[], PageUnmapper> arena;
-    uint64_t until;
-  };
-
   static uint32_t Home(const Cache& c, VertexId v) {
     return (v * 0x9E3779B1u) >> c.shift;
   }
   // The index slot holding v, or kNoSlot.
   uint32_t Find(VertexId v) const {
-    if (cache_.index == nullptr) return kNoSlot;
     for (uint32_t i = Home(cache_, v);; i = (i + 1) & cache_.mask) {
       const uint32_t key = cache_.index[i].key;
       if (key == v + 1) return i;
@@ -335,22 +320,12 @@ class ShardedAccess {
   VertexId* Reserve(uint32_t degree) const;
   std::span<const VertexId> Commit(VertexId v, uint32_t degree) const;
   bool Fits(uint32_t words) const;
-  // Replaces the ring by a larger one that holds its indexed lists and
-  // an entry of `words` (with `force`, the reader's floor, charged
-  // regardless of the budget; without, only within the reader's share
-  // and the budget), retiring the old ring. True iff it did.
-  bool GrowRing(uint32_t words, bool force) const;
-  // Doubles the index, within the reader's share and the budget (or
-  // maps its first page regardless, with `force`). True iff it did.
-  bool GrowIndex(bool force) const;
   void EvictOldest() const;
   void Unindex(uint32_t slot) const;
   void Publish() const;
 
   const ShardStore* store_;
   mutable Cache cache_;
-  mutable std::vector<Retired> retired_;
-  mutable uint32_t longest_ = 0;  // words of the longest entry inserted
   mutable uint64_t reads_ = 0;
   mutable ShardStats own_;        // faults and evictions
   mutable ShardStats published_;  // what the store has seen of them

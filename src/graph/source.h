@@ -10,7 +10,7 @@
 //                           in-memory Graph;
 //   monolithic `.grwb`   -> one mapping, validated once — a zero-copy
 //                           mmap'd Graph;
-//   sharded manifest     -> LoadShardManifest + a ShardStore under the
+//   sharded manifest     -> LoadShardManifest + a ShardStore with the
 //      (file or its dir)    requested resident-byte budget — an
 //                           out-of-core graph served shard by shard.
 //
@@ -42,7 +42,7 @@ namespace grw {
 enum class GraphSourceKind {
   kText,     // parsed edge list, in-memory CSR
   kBinary,   // monolithic .grwb, zero-copy mmap
-  kSharded,  // manifest + shard files, budget-driven residency
+  kSharded,  // manifest + shard files, read in place or through caches
 };
 
 /// Knobs of GraphSource::Open. Fields apply to the kinds noted; the rest
@@ -61,8 +61,8 @@ struct OpenOptions {
   /// walk theory assumes a connected graph). Snapshots were simplified
   /// at convert time.
   bool largest_cc = true;
-  /// Sharded kind only: byte budget for the readers' neighbor-list
-  /// caches (ShardStore::Options); 0 = unbounded.
+  /// Sharded kind only (ShardStore::Options): > 0 reads through
+  /// fixed-size per-reader list caches; 0 = unbounded.
   uint64_t resident_budget_bytes = 0;
 };
 

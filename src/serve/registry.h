@@ -6,13 +6,14 @@
 // open path shared with the CLI and benches — so the registry serves all
 // three storage kinds with the same code: text edge lists (parsed once),
 // monolithic `.grwb` snapshots (one mmap, pages fault on demand), and
-// sharded out-of-core graphs (a ShardStore whose byte budget caps its
-// readers' neighbor-list caches). Resident state is shared:
+// sharded out-of-core graphs (a ShardStore whose readers, under a
+// budget above 0, read through fixed-size neighbor-list caches).
+// Resident state is shared:
 //
 //   * bindings are keyed by (path, content checksum): two ids registered
 //     over the same bytes share ONE GraphSource — one mapping for
-//     `.grwb`, one ShardStore (one budget across every request's
-//     readers) for sharded — so multi-tenant aliases of a popular graph
+//     `.grwb`, one ShardStore (one budget and one charge across every
+//     request's readers) for sharded — so multi-tenant aliases of a popular graph
 //     cost nothing extra. For a shared sharded graph the FIRST
 //     registration's budget wins;
 //   * lookups return a GraphSource *copy* (shared backing): a request
@@ -50,9 +51,9 @@ class SnapshotRegistry {
   /// estimates from a silently corrupted snapshot; a mismatch throws
   /// SnapshotCorruptError naming the offending file and the id stays
   /// unbound (the caller quarantines: skip the binding, keep the file
-  /// for inspection). `resident_budget_bytes` caps a sharded graph's
-  /// cached neighbor-list bytes across all its requests (0 = unbounded;
-  /// ignored for monolithic kinds). Throws
+  /// for inspection). `resident_budget_bytes` > 0 reads a sharded graph
+  /// through fixed-size per-chain list caches, 0 reads its shard
+  /// mappings in place (ignored for monolithic kinds). Throws
   /// std::runtime_error on other load failures.
   void Register(const std::string& id, const std::string& path,
                 bool verify = true, uint64_t resident_budget_bytes = 0)

@@ -71,8 +71,8 @@ const Fixture& TheFixture() {
 
 // Estimation flags, as a user types them. One config per walk dimension
 // and weight path: CSS on and off, NB on, and the closed-form G(3) walk at
-// k = 4 and 5. Every run takes several 256-step rounds and ends on a
-// partial one; the costlier d = 3 steps get fewer of them.
+// k = 4 and 5. Every run takes several 256-step rounds, the last one
+// longer by the remainder; the costlier d = 3 steps get fewer of them.
 struct Config {
   const char* name;
   const char* flags;

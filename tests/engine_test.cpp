@@ -206,6 +206,29 @@ TEST(EngineTest, RoundSlicingDoesNotChangeChains) {
   EXPECT_EQ(one.merged.weights, many.merged.weights);
 }
 
+TEST(EngineTest, RemainderJoinsTheLastRound) {
+  // max_steps = 32r + 24 walks 24 more steps than 32r, in the same 32
+  // rounds: the last one takes the remainder instead of a 24-step round
+  // of its own, whose batch would inflate the standard errors.
+  Rng rng(19);
+  const Graph g = LargestConnectedComponent(HolmeKim(500, 4, 0.4, rng));
+  const EstimatorConfig config{4, 2, true, false};
+  constexpr uint64_t kRound = 1000;
+  const EngineResult even = RunEngine(g, config, 8, 4, 32 * kRound, kRound);
+  const EngineResult over =
+      RunEngine(g, config, 8, 4, 32 * kRound + 24, kRound);
+  EXPECT_EQ(even.rounds, 32);
+  EXPECT_EQ(over.rounds, 32);
+  EXPECT_EQ(even.merged.steps, 8 * 32 * kRound);
+  EXPECT_EQ(over.merged.steps, 8 * (32 * kRound + 24));
+  ASSERT_EQ(even.standard_errors.size(), over.standard_errors.size());
+  for (size_t t = 0; t < even.standard_errors.size(); ++t) {
+    if (even.merged.concentrations[t] < 1e-3) continue;
+    EXPECT_NEAR(over.standard_errors[t] / even.standard_errors[t], 1.0, 0.05)
+        << "type " << t;
+  }
+}
+
 TEST(EngineTest, MergedEqualsMergeOfPerChain) {
   const Graph g = KarateClub();
   const EngineResult run =

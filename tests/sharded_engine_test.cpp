@@ -1,6 +1,6 @@
 // Tests for the out-of-core estimation path: ShardStore's accounting and
 // re-checks of damaged shards, ShardedAccess read equivalence and its
-// neighbor-list cache (span lifetime, budget floor), and the shard
+// neighbor-list cache (span lifetime, its one fixed size), and the shard
 // statistics an engine run reports, alone and next to another run on the
 // same store. That sharded runs match monolithic ones is checked by
 // tests/conformance_test.cpp.
@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -205,43 +206,49 @@ TEST(ShardedAccessTest, ReadsMatchGraphEverywhere) {
   fs::remove_all(dir);
 }
 
-TEST(ShardedAccessTest, RepeatReadsHitTheReaderCache) {
-  // A budget whose per-reader share holds every list twice over: each
-  // list reaches its shard file once, every later read is a hit, nothing
-  // is evicted, and the reader's reservation is the store's whole charge
-  // until the reader is destroyed.
+void ExpectSameShardCounters(const ShardStats& a, const ShardStats& b) {
+  EXPECT_EQ(a.faults, b.faults);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.peak_resident_bytes, b.peak_resident_bytes);
+}
+
+TEST(ShardedAccessTest, ReaderCacheIsTheSameAtEveryBudget) {
+  // A bounded reader's cache has one size, fixed by the manifest: from a
+  // budget of one byte to 64 times the graph's bytes it charges the same
+  // and counts the same faults, hits and evictions. One pass over every
+  // node evicts, and the lists still in the ring — at least the newest
+  // kKeptLists — are hits when read again.
   Rng rng(5);
   const Graph g = LargestConnectedComponent(HolmeKim(300, 4, 0.4, rng));
-  const std::string dir = TempDir("grw_access_hits");
+  const std::string dir = TempDir("grw_access_fixed");
   const ShardManifest m = ShardInto(g, dir, 5);
-  ShardStore::Options options;
-  options.resident_budget_bytes =
-      4 * ShardedAccess::kReaderShare * m.TotalShardBytes();
-  const ShardStore store(LoadShardManifest(dir), options);
-  {
+  constexpr uint32_t kKept = ShardedAccess::kKeptLists;
+  std::vector<ShardStats> seen;
+  for (const uint64_t budget :
+       {uint64_t{1}, m.TotalShardBytes(), 64 * m.TotalShardBytes()}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    ShardStore::Options options;
+    options.resident_budget_bytes = budget;
+    const ShardStore store(LoadShardManifest(dir), options);
     const ShardedAccess access(store);
-    for (int pass = 0; pass < 2; ++pass) {
-      for (VertexId v = 0; v < g.NumNodes(); ++v) {
-        ASSERT_EQ(access.Degree(v), g.Degree(v));
-      }
+    for (VertexId v = 0; v < g.NumNodes(); ++v) {
+      ASSERT_EQ(access.Degree(v), g.Degree(v));
+    }
+    const ShardStats first = access.stats();
+    EXPECT_EQ(first.faults, g.NumNodes());
+    EXPECT_GT(first.evictions, 0u);
+    for (VertexId v = g.NumNodes() - kKept; v < g.NumNodes(); ++v) {
+      ASSERT_EQ(access.Degree(v), g.Degree(v));
     }
     const ShardStats own = access.stats();
-    EXPECT_EQ(own.faults, g.NumNodes());
-    EXPECT_EQ(own.hits, g.NumNodes());
-    EXPECT_EQ(own.evictions, 0u);
-    // Every list with its 3-word entry header, plus the copies the
-    // second pass made of lists older than kRecentLists insertions, in a
-    // ring that doubles as it fills, next to its index.
-    const uint64_t entries =
-        4 * (3 * uint64_t{g.NumNodes()} + 2 * g.NumEdges());
-    EXPECT_GT(own.peak_resident_bytes, entries);
-    EXPECT_LE(own.peak_resident_bytes, 4 * entries);
+    EXPECT_EQ(own.faults, first.faults);
+    EXPECT_EQ(own.hits, first.hits + kKept);
     EXPECT_EQ(store.stats().resident_bytes, own.peak_resident_bytes);
+    seen.push_back(own);
   }
-  const ShardStats stats = store.stats();
-  EXPECT_EQ(stats.resident_bytes, 0u);
-  EXPECT_EQ(stats.faults, g.NumNodes());
-  EXPECT_EQ(stats.hits, g.NumNodes());
+  ExpectSameShardCounters(seen[1], seen[0]);
+  ExpectSameShardCounters(seen[2], seen[0]);
   fs::remove_all(dir);
 }
 
@@ -349,10 +356,9 @@ EngineOptions BaseOptions(int chains, unsigned threads) {
 }
 
 TEST(ShardedEngineTest, SingleThreadStatsUnchanged) {
-  // One thread makes the reads deterministic even where readers compete
-  // for a budget smaller than their floors, so the counters are exact
-  // functions of the cache policy and the walk. The constants pin both
-  // against silent drift.
+  // One thread makes the reads deterministic, so the counters are exact
+  // functions of the cache policy and the walk. The constants pin the
+  // policy against silent drift; the in-memory run pins the walk.
   Rng rng(23);
   const Graph g = LargestConnectedComponent(HolmeKim(400, 4, 0.3, rng));
   const std::string dir = TempDir("grw_engine_stats_pinned");
@@ -363,11 +369,16 @@ TEST(ShardedEngineTest, SingleThreadStatsUnchanged) {
   const EstimatorConfig config{4, 2, true, false};
   const EngineResult result =
       EstimationEngine(store, config, BaseOptions(/*chains=*/4, 1)).Run();
-  EXPECT_EQ(result.shards.faults, 12098u);
-  EXPECT_EQ(result.shards.hits, 338255u);
-  EXPECT_EQ(result.shards.evictions, 11895u);
-  // Each reader's floor: one page of index, one page of ring.
-  EXPECT_EQ(result.shards.peak_resident_bytes, 4 * 2 * PageBytes());
+  EXPECT_EQ(result.shards.faults, 10223u);
+  EXPECT_EQ(result.shards.hits, 340130u);
+  EXPECT_EQ(result.shards.evictions, 9908u);
+  // Each reader's cache: one page of index, and a ring of kKeptLists + 2
+  // entries at the manifest's degree bound, 2^7 - 1: 7280 bytes, two pages.
+  ASSERT_EQ(std::bit_width(g.MaxDegree()), 7);
+  EXPECT_EQ(result.shards.peak_resident_bytes, 4 * 3 * PageBytes());
+  const EngineResult in_memory =
+      EstimationEngine(g, config, BaseOptions(/*chains=*/4, 1)).Run();
+  EXPECT_EQ(result.merged.weights, in_memory.merged.weights);
   fs::remove_all(dir);
 }
 
@@ -402,26 +413,16 @@ TwoRuns RunTwo(const ShardStore& store, int chains, unsigned threads,
   return runs;
 }
 
-void ExpectSameShardCounters(const ShardStats& a, const ShardStats& b) {
-  EXPECT_EQ(a.faults, b.faults);
-  EXPECT_EQ(a.hits, b.hits);
-  EXPECT_EQ(a.evictions, b.evictions);
-  EXPECT_EQ(a.peak_resident_bytes, b.peak_resident_bytes);
-}
-
 TEST(ShardedEngineTest, ConcurrentRunsReportWhatTheyReportAlone) {
   // Each run reports its own readers' counters, not a window of the
   // store's totals: two runs side by side on one bounded store report
-  // exactly what each reports alone, as long as the budget covers every
-  // reader's share (8 readers here, against a share of 1/16 each).
+  // exactly what each reports alone.
   Rng rng(29);
   const Graph g = LargestConnectedComponent(HolmeKim(400, 4, 0.3, rng));
   const std::string dir = TempDir("grw_engine_stats_concurrent");
   const ShardManifest m = ShardInto(g, dir, 8);
   ShardStore::Options options;
-  // A share of a quarter of the graph's bytes: readers evict.
-  options.resident_budget_bytes =
-      ShardedAccess::kReaderShare * m.TotalShardBytes() / 4;
+  options.resident_budget_bytes = m.TotalShardBytes() / 4;
   const ShardStore store(LoadShardManifest(dir), options);
 
   const TwoRuns alone = RunTwo(store, /*chains=*/4, /*threads=*/2, false);
@@ -442,12 +443,10 @@ TEST(ShardedEngineTest, ConcurrentRunsReportWhatTheyReportAlone) {
 }
 
 TEST(ShardedEngineTest, BudgetBoundsChargedBytesAcrossEngines) {
-  // Two 4-thread engines of 16 chains each on one store whose budget
-  // covers a fraction of their shares: the store's charge never exceeds
-  // the budget plus, for each reader, its floor (an index page and a ring
-  // of kKeptLists + 2 entries of the longest list) and the floors it
-  // retired in its last kHeldReads reads; peak_resident_bytes reports
-  // the maximum.
+  // Two 4-thread engines of 16 chains each on one store: whatever the
+  // budget, the store's charge never exceeds one fixed cache per live
+  // reader, and a run's peak_resident_bytes is exactly its chains'
+  // caches.
   Rng rng(31);
   const Graph g = LargestConnectedComponent(HolmeKim(600, 4, 0.3, rng));
   const std::string dir = TempDir("grw_engine_budget");
@@ -457,22 +456,16 @@ TEST(ShardedEngineTest, BudgetBoundsChargedBytesAcrossEngines) {
   const ShardStore store(LoadShardManifest(dir), options);
 
   const TwoRuns runs = RunTwo(store, /*chains=*/16, /*threads=*/4, true);
-  const uint64_t page = PageBytes();
-  const uint64_t ring_floor =
-      ((ShardedAccess::kKeptLists + 2) *
-           (ShardedAccess::kEntryHeader + g.MaxDegree()) * sizeof(VertexId) +
-       page - 1) / page * page;
-  const uint64_t floor_bytes =
-      page + (ShardedAccess::kHeldReads + 1) * ring_floor;
-  const uint64_t readers = 2 * 16 + 2;  // chains, and each engine's probe
   const ShardStats stats = store.stats();
-  EXPECT_LE(stats.peak_resident_bytes,
-            options.resident_budget_bytes + readers * floor_bytes);
-  EXPECT_GE(stats.peak_resident_bytes, runs.first.shards.peak_resident_bytes);
-  EXPECT_GE(stats.peak_resident_bytes,
-            runs.second.shards.peak_resident_bytes);
-  EXPECT_GT(runs.first.shards.evictions, 0u);
   EXPECT_EQ(stats.resident_bytes, 0u);
+  const uint64_t cache = ShardedAccess(store).stats().peak_resident_bytes;
+  EXPECT_GT(cache, 0u);
+  const uint64_t readers = 2 * 16 + 2;  // chains, and each engine's probe
+  EXPECT_LE(stats.peak_resident_bytes, readers * cache);
+  EXPECT_EQ(runs.first.shards.peak_resident_bytes, 16 * cache);
+  EXPECT_EQ(runs.second.shards.peak_resident_bytes, 16 * cache);
+  EXPECT_GE(stats.peak_resident_bytes, 16 * cache);
+  EXPECT_GT(runs.first.shards.evictions, 0u);
   // The budget moved nothing but memory.
   const TwoRuns in_memory = [&] {
     TwoRuns r;

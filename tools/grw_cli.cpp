@@ -52,10 +52,10 @@
 //       --raw swaps the table for machine-readable `label value` lines
 //       (%.17g), diffable against `grw query --raw`. On a sharded graph
 //       (a `grw shard` directory or its MANIFEST.grws) the engine runs
-//       out-of-core: each chain reads the neighbor lists it needs into
-//       its own cache, and --resident-budget-mb caps the cached bytes of
-//       all chains together (0 = unbounded: read the shard mappings in
-//       place). Estimates under any budget are bit-identical to the
+//       out-of-core: with --resident-budget-mb M > 0 each chain reads
+//       the neighbor lists it needs into its own cache, of one size set
+//       by the graph's degree bound whatever M is (0 = unbounded: read
+//       the shard mappings in place). Estimates under any budget are bit-identical to the
 //       monolithic run; a shard-read report follows the table. Crawl flags put each chain's crawl cache in
 //       front of the shard store. --counts needs the monolithic graph and
 //       is rejected on sharded inputs. The other flags build the request
@@ -141,8 +141,8 @@ int Usage() {
       "           [--raw]                  `label value` lines instead of\n"
       "                                   the table (diffable vs query)\n"
       "           [--resident-budget-mb M] sharded graphs run out-of-core;\n"
-      "                                   caps the chains' cached\n"
-      "                                   neighbor-list bytes (0 =\n"
+      "                                   M > 0 reads through fixed-size\n"
+      "                                   per-chain list caches (0 =\n"
       "                                   unbounded: read shards in place)\n"
       "  query <id> [--host H] [--port P] [--raw] [--send 'LINE']\n"
       "           [estimation flags] [--deadline-ms MS] [--tenant NAME]\n"

@@ -8,8 +8,8 @@
 // Loads every <id>=<graph> binding into a resident SnapshotRegistry
 // through GraphSource::Open (`.grwb` snapshots mmap in microseconds and
 // share one mapping across ids; sharded out-of-core graphs —
-// a `grw shard` output directory or its MANIFEST.grws — serve under the
-// --resident-budget-mb cache budget; text edge lists and registry
+// a `grw shard` output directory or its MANIFEST.grws — serve out of
+// core, per --resident-budget-mb; text edge lists and registry
 // dataset names work too), then answers the line/JSON protocol of
 // src/serve/protocol.h on a
 // TCP socket until SIGTERM/SIGINT, which triggers a graceful drain:
@@ -31,9 +31,10 @@
 //   --retry-after-ms  backoff hint in RETRY_AFTER load-shed responses
 //                     (default 50); corrupt .grwb snapshots are
 //                     quarantined at startup unless --no-verify
-//   --resident-budget-mb  byte budget for each sharded binding's
-//                     cached neighbor lists, across all its requests
-//                     (0 = unbounded). Monolithic
+//   --resident-budget-mb  > 0: each sharded binding's chains read
+//                     through fixed-size neighbor-list caches (the
+//                     size does not depend on the value); 0 = read
+//                     the shard mappings in place. Monolithic
 //                     bindings ignore it. Corrupt shards quarantine the
 //                     whole binding, exactly like corrupt .grwb files.
 //
@@ -68,7 +69,8 @@ int Usage() {
       "                 <id>=<graph> [<id>=<graph> ...]\n"
       "  <graph> is a .grwb snapshot (preferred: zero-copy mmap), a\n"
       "  sharded graph (a `grw shard` output dir or its MANIFEST.grws;\n"
-      "  served out-of-core under --resident-budget-mb), a text edge\n"
+      "  served out-of-core; --resident-budget-mb M > 0 reads them\n"
+      "  through fixed-size per-chain list caches), a text edge\n"
       "  list, or a dataset name from `grw datasets`.\n"
       "  Snapshot payloads are checksum-verified at registration; corrupt\n"
       "  snapshots/shards are quarantined (skipped with a log line).\n"
