@@ -345,9 +345,12 @@ EngineResult EstimationEngine::Run() {
   result.shards.resident_bytes = store.resident_bytes;
   result.shards.resident_shards = store.resident_shards;
   result.shards.budget_bytes = store.budget_bytes;
-  // Unbounded, the run's "cache" is the store's shared mappings.
+  // Unbounded, the run's "cache" is the store's shared mappings; bounded,
+  // it also read through the store's shared header and offsets pages.
   if (!store_->bounded()) {
     result.shards.peak_resident_bytes = store.peak_resident_bytes;
+  } else {
+    result.shards.peak_resident_bytes += store_->offsets_bytes();
   }
   return result;
 }

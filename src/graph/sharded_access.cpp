@@ -62,6 +62,8 @@ ShardStore::ShardStore(ShardManifest manifest, const Options& options)
       options_(options),
       shards_(MapAllShards(manifest_, bounded())),
       resident_(
+          std::make_unique<std::atomic<bool>[]>(manifest_.NumShards())),
+      offsets_charged_(
           std::make_unique<std::atomic<bool>[]>(manifest_.NumShards())) {
   if (!bounded()) return;
   max_degree_ = MaxDegree(manifest_);
@@ -87,6 +89,34 @@ ShardStore::ShardStore(ShardManifest manifest, const Options& options)
 const MappedShard& ShardStore::Recheck(uint32_t s) const {
   CheckShardBytes(manifest_, s, shards_[s].file(), /*verify_checksum=*/false);
   return shards_[s];
+}
+
+const MappedShard& ShardStore::RecheckForMiss(uint32_t s) const {
+  const MappedShard& shard = Recheck(s);
+  // Two readers may both see the flag clear; the one that flips it
+  // charges.
+  if (!offsets_charged_[s].load(std::memory_order_acquire) &&
+      !offsets_charged_[s].exchange(true, std::memory_order_acq_rel)) {
+    Charge(OffsetsPages(s));
+  }
+  return shard;
+}
+
+uint64_t ShardStore::OffsetsPages(uint32_t s) const {
+  const uint64_t page = PageBytes();
+  const uint64_t end = snapshot::kHeaderBytes +
+                       (manifest_.shards[s].num_rows + 1) * sizeof(uint64_t);
+  return (end + page - 1) / page * page;
+}
+
+uint64_t ShardStore::offsets_bytes() const {
+  uint64_t bytes = 0;
+  for (uint32_t s = 0; s < NumShards(); ++s) {
+    if (offsets_charged_[s].load(std::memory_order_acquire)) {
+      bytes += OffsetsPages(s);
+    }
+  }
+  return bytes;
 }
 
 bool ShardStore::Admit(uint32_t s) const {
@@ -199,7 +229,7 @@ void ShardedAccess::Admit(uint32_t s) const {
 }
 
 std::span<const VertexId> ShardedAccess::Miss(VertexId v) const {
-  const MappedShard& shard = store_->Recheck(store_->ShardOf(v));
+  const MappedShard& shard = store_->RecheckForMiss(store_->ShardOf(v));
   const MappedShard::Row row =
       shard.ReadRow(store_->manifest(), v, store_->max_degree_);
   shard.ReadList(store_->manifest(), row, Reserve(row.degree));

@@ -20,14 +20,17 @@
 //     shard, no lock) and charges the shard's file size; nothing is ever
 //     evicted, so a span stays valid for the store's lifetime.
 //   * Bounded: through a neighbor-list cache the reader owns. A miss
-//     reads the row's offsets pair, then the list, with pread(2) through
-//     the descriptor the shard was mapped from, into a FIFO ring of
-//     page-mapped memory; no shard page is mapped in for it. Before every
-//     such read the store re-runs CheckShardBytes on the shard (header
-//     against the manifest, first and last offset), and the reader
-//     bounds-checks the offsets pair and the ids it read: a shard damaged
-//     after open fails with SnapshotCorruptError instead of reading out
-//     of bounds.
+//     reads the row's offsets pair from the held mapping, then the list
+//     with one pread(2) through the descriptor the shard was mapped from,
+//     into a FIFO ring of page-mapped memory; no page of a neighbors
+//     slice is mapped in. Before every miss the store re-runs
+//     CheckShardBytes on the shard (header against the manifest, first
+//     and last offset), and the reader bounds-checks the offsets pair and
+//     the ids it read: a shard damaged after open fails with
+//     SnapshotCorruptError instead of reading out of bounds. A shard's
+//     first miss charges the pages of its mapping that misses read — the
+//     header and the offsets region, rounded up to pages — once, for the
+//     store's lifetime (one atomic flag per shard, no lock).
 //
 // Past 0 the budget's value changes nothing: every reader's cache has one
 // fixed size, computed from the manifest when the store opens. (The
@@ -53,7 +56,13 @@
 //
 // Like a monolithic `.grwb` mapping, the held mappings read the shard
 // generation that was opened: writers replace shards by rename, never by
-// truncating in place, so a regenerated directory needs a new store.
+// truncating in place, so a regenerated directory needs a new store. A
+// shard truncated in place after open is outside that contract. Cut
+// inside its neighbors slice, a miss on a list past the cut throws
+// SnapshotCorruptError ("truncated after open"); cut into its header or
+// offsets region, a read of the mapping past the file's end faults
+// (SIGBUS) — the per-miss re-check reads that region through the mapping
+// already, so reading the offsets pair there adds no new way to fault.
 // Each shard costs one mapping for the store's lifetime, so the kernel's
 // per-process map limit (vm.max_map_count, 65530 by default) bounds the
 // shard count per store; a bounded store also keeps each shard's
@@ -91,11 +100,14 @@ struct ShardStats {
   uint64_t hits = 0;
   /// Lists dropped from reader caches to make room.
   uint64_t evictions = 0;
-  /// Bytes currently charged to the store: live readers' caches
-  /// (bounded) or the shard files read so far (unbounded).
+  /// Bytes currently charged to the store. Bounded: live readers' caches,
+  /// plus the header and offsets pages of every shard a miss has read
+  /// (charged once, kept for the store's lifetime). Unbounded: the shard
+  /// files read so far.
   uint64_t resident_bytes = 0;
   /// High-water mark of the charged bytes. For a run on a bounded store,
-  /// the sum of its readers' caches, each of the store's one fixed size.
+  /// the sum of its readers' caches, each of the store's one fixed size,
+  /// plus the store's header and offsets pages, which every run shares.
   uint64_t peak_resident_bytes = 0;
   /// Shards an unbounded store reads in place (checked); 0 if bounded.
   uint64_t resident_shards = 0;
@@ -155,12 +167,21 @@ class ShardStore {
 
   ShardStats stats() const;
   const Options& options() const { return options_; }
+  /// Bounded: the header and offsets pages charged so far, for every
+  /// shard a miss has read. 0 for an unbounded store.
+  uint64_t offsets_bytes() const;
 
  private:
   friend class ShardedAccess;
 
   // Re-runs CheckShardBytes on shard s, then returns it.
   const MappedShard& Recheck(uint32_t s) const;
+  // Bounded: Recheck for a miss in shard s, and on s's first miss charge
+  // OffsetsPages(s).
+  const MappedShard& RecheckForMiss(uint32_t s) const;
+  // The pages of shard s's mapping that a bounded miss reads: its header
+  // and offsets region, rounded up to pages.
+  uint64_t OffsetsPages(uint32_t s) const;
   // Unbounded: checks shard s on its first use and charges its bytes.
   // True iff this call did so (the read that counts the fault).
   bool Admit(uint32_t s) const;
@@ -175,6 +196,8 @@ class ShardStore {
   // Every shard, mapped once at open; never resized.
   const std::vector<MappedShard> shards_;
   const std::unique_ptr<std::atomic<bool>[]> resident_;
+  // Bounded: shards whose header and offsets pages are charged.
+  const std::unique_ptr<std::atomic<bool>[]> offsets_charged_;
   // Bounded readers' cache, fixed at open: the longest list any row may
   // claim (from the manifest's degree histogram), and the bytes of every
   // reader's ring and index.
@@ -225,10 +248,11 @@ class ShardedAccess {
   VertexId NumNodes() const { return store_->NumNodes(); }
   uint64_t NumEdges() const { return store_->NumEdges(); }
 
-  /// Bounded, a miss caches v's whole list: walks ask a new node's
-  /// degree several times per step and usually read its list next, so
-  /// reading only the offsets pair cost the e2e sharded-half workload
-  /// about a quarter of its steps per CPU second (4-core x86 VM).
+  /// Bounded, a miss caches v's whole list, because walks usually read a
+  /// new node's list right after its degree. Answering Degree from the
+  /// offsets pair in the mapping, with no system call and no list cached,
+  /// still lost on the e2e sharded-half workload (seed 7): 400-419k
+  /// against 453-467k steps per CPU second (4-core x86 VM).
   uint32_t Degree(VertexId v) const {
     return static_cast<uint32_t>(Neighbors(v).size());
   }

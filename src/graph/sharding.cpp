@@ -371,26 +371,11 @@ uint64_t ShardContentChecksum(const ShardManifest& manifest) {
   return checksum;
 }
 
-void MappedShard::ReadBytes(const ShardManifest& manifest, void* out,
-                            size_t len, uint64_t offset) const {
-  const io::IoResult got = io::ReadAt(file_.fd(), out, len, offset);
-  if (got.status == io::IoResult::Status::kEof) {
-    BadShard(manifest, index_,
-             "file ends at byte " + std::to_string(offset + got.bytes) +
-                 " (truncated after open)");
-  }
-  if (!got.ok()) {
-    throw std::runtime_error("MapShard: " + manifest.ShardPath(index_) +
-                             ": read failed: " + std::strerror(got.error));
-  }
-}
-
 MappedShard::Row MappedShard::ReadRow(const ShardManifest& manifest,
                                       VertexId v,
                                       uint64_t max_degree) const {
-  uint64_t pair[2] = {0, 0};
-  ReadBytes(manifest, pair, sizeof pair,
-            snapshot::kHeaderBytes + (v - first_node_) * sizeof(uint64_t));
+  const uint64_t r = v - first_node_;
+  const uint64_t pair[2] = {offsets_[r], offsets_[r + 1]};
   if (pair[0] > pair[1] || pair[1] > num_half_edges_ ||
       pair[1] - pair[0] > max_degree) {
     BadShard(manifest, index_,
@@ -402,9 +387,20 @@ MappedShard::Row MappedShard::ReadRow(const ShardManifest& manifest,
 
 void MappedShard::ReadList(const ShardManifest& manifest, Row row,
                            VertexId* out) const {
-  ReadBytes(manifest, out, row.degree * sizeof(VertexId),
-            snapshot::kHeaderBytes + (num_rows_ + 1) * sizeof(uint64_t) +
-                row.begin * sizeof(VertexId));
+  const uint64_t offset = snapshot::kHeaderBytes +
+                         (num_rows_ + 1) * sizeof(uint64_t) +
+                         row.begin * sizeof(VertexId);
+  const io::IoResult got =
+      io::ReadAt(file_.fd(), out, row.degree * sizeof(VertexId), offset);
+  if (got.status == io::IoResult::Status::kEof) {
+    BadShard(manifest, index_,
+             "file ends at byte " + std::to_string(offset + got.bytes) +
+                 " (truncated after open)");
+  }
+  if (!got.ok()) {
+    throw std::runtime_error("MapShard: " + manifest.ShardPath(index_) +
+                             ": read failed: " + std::strerror(got.error));
+  }
   for (uint32_t i = 0; i < row.degree; ++i) {
     if (out[i] >= manifest.total_nodes) {
       BadShard(manifest, index_,

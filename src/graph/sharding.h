@@ -158,9 +158,11 @@ uint64_t ShardContentChecksum(const ShardManifest& manifest);
 /// One mapped shard: validated header + CSR slices. Row r of the shard
 /// is global vertex first_node() + r; neighbors carry global ids.
 /// Produced by MapShard; owned by the shard store (sharded_access.h),
-/// which holds the mapping for its whole lifetime. Rows are read either
-/// through the mapping (Degree, Neighbors) or, without mapping a page,
-/// through the kept descriptor (ReadRow, ReadList).
+/// which holds the mapping for its whole lifetime. An unbounded store
+/// reads rows through the mapping (Degree, Neighbors). A bounded one
+/// reads a row's offsets pair through the mapping too (ReadRow), but its
+/// list through the kept descriptor (ReadList), so no page of the
+/// neighbors slice is mapped in.
 class MappedShard {
  public:
   uint32_t index() const { return index_; }
@@ -187,23 +189,22 @@ class MappedShard {
     uint64_t begin = 0;
     uint32_t degree = 0;
   };
-  /// Reads v's offsets pair through the kept descriptor (MapShard with
-  /// keep_descriptor) and bounds-checks it: monotone, inside the
-  /// neighbors slice, and no longer than `max_degree`. Throws
-  /// SnapshotCorruptError naming the shard otherwise, or if the file
-  /// ends early.
+  /// Reads v's offsets pair through the mapping and bounds-checks it:
+  /// monotone, inside the neighbors slice, and no longer than
+  /// `max_degree`. Throws SnapshotCorruptError naming the shard
+  /// otherwise. Makes no system call.
   Row ReadRow(const ShardManifest& manifest, VertexId v,
               uint64_t max_degree) const;
-  /// Reads the list ReadRow located into `out` (row.degree ids) through
-  /// the descriptor, and checks every id against the global node count.
+  /// Reads the list ReadRow located into `out` (row.degree ids) with
+  /// pread(2) through the kept descriptor (MapShard with
+  /// keep_descriptor), and checks every id against the global node
+  /// count. Throws SnapshotCorruptError naming the shard if the file
+  /// ends early.
   void ReadList(const ShardManifest& manifest, Row row, VertexId* out) const;
 
  private:
   friend MappedShard MapShard(const ShardManifest& manifest, uint32_t index,
                               bool verify_checksum, bool keep_descriptor);
-  // Reads `len` bytes at `offset` through the descriptor, or throws.
-  void ReadBytes(const ShardManifest& manifest, void* out, size_t len,
-                 uint64_t offset) const;
 
   MappedFile file_;
   uint32_t index_ = 0;

@@ -13,7 +13,8 @@
 //     controls;
 //   * chaos scenarios gated on fault::CompiledIn() — crash-safe
 //     SaveGraphBinary (a child process dies mid-write; the destination
-//     must never load), mmap truncation detection, and the headline
+//     must never load), mmap truncation detection, one pread(2) per
+//     bounded shard miss (counted at the short-read site), and the headline
 //     suite: 8 concurrent clients against a server with p=0.01 faults in
 //     the IO and scheduler layers, where every reply must be either the
 //     bit-identical estimate or a clean structured error.
@@ -637,6 +638,44 @@ TEST_F(FaultTest, ChaosEightClientsZeroWrongAnswers) {
     }
   }
   EXPECT_GT(io_calls, 0u);
+}
+
+// Calls io::ReadAt has made to the short-read site so far: one per
+// pread(2) while no fault is armed.
+uint64_t PreadCalls() {
+  for (const fault::SiteCounts& counts : fault::Snapshot()) {
+    if (counts.site == "io.pread.short") return counts.calls;
+  }
+  return 0;  // not reached yet
+}
+
+TEST_F(FaultTest, BoundedMissIsOnePread) {
+  if (!fault::CompiledIn()) {
+    GTEST_SKIP() << "needs -DGRW_FAULT_INJECTION=1 (chaos build)";
+  }
+  // A bounded miss reads the row's offsets pair from the shard mapping
+  // and only its list with pread(2): a single-thread run makes exactly
+  // one pread per fault it counts.
+  Rng rng(47);
+  const Graph g = LargestConnectedComponent(HolmeKim(400, 4, 0.5, rng));
+  const std::string dir = TempPath("grw_fault_one_pread");
+  fs::remove_all(dir);
+  ShardingOptions sharding;
+  sharding.num_shards = 4;
+  const ShardManifest manifest = WriteShardedGraph(g, dir, sharding);
+  const GraphSource source = GraphSource::Open(
+      dir, {.resident_budget_bytes = manifest.TotalShardBytes() / 4});
+  EngineOptions options;
+  options.chains = 4;
+  options.threads = 1;
+  options.max_steps = 4000;
+  // The constructor's probe reads too; count from after it.
+  EstimationEngine engine(source.shards(), {4, 2, true, false}, options);
+  const uint64_t before = PreadCalls();
+  const EngineResult run = engine.Run();
+  EXPECT_GT(run.shards.faults, 0u);
+  EXPECT_EQ(PreadCalls() - before, run.shards.faults);
+  fs::remove_all(dir);
 }
 
 TEST_F(FaultTest, CrawlFetchSiteChargesResilienceCounters) {

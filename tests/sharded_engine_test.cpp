@@ -59,6 +59,23 @@ ShardManifest ShardInto(const Graph& g, const std::string& dir,
   return WriteShardedGraph(g, dir, options);
 }
 
+// What a bounded store charges for shard `s` once a miss has read it:
+// the pages of its mapping through the end of its offsets region (the
+// header, then num_rows + 1 offsets).
+uint64_t OffsetsCharge(const ShardManifest& m, uint32_t s) {
+  const uint64_t page = PageBytes();
+  const uint64_t end =
+      snapshot::kHeaderBytes + (m.shards[s].num_rows + 1) * sizeof(uint64_t);
+  return (end + page - 1) / page * page;
+}
+
+// The same, for every shard of `m`.
+uint64_t OffsetsCharge(const ShardManifest& m) {
+  uint64_t bytes = 0;
+  for (uint32_t s = 0; s < m.NumShards(); ++s) bytes += OffsetsCharge(m, s);
+  return bytes;
+}
+
 TEST(ShardStoreTest, BoundedStoreKeepsNoShardResident) {
   // A bounded store reads through reader caches, never a shard mapping:
   // every Acquire re-checks its shard and counts a fault, and nothing is
@@ -174,6 +191,46 @@ TEST(ShardedAccessTest, FlippedOffsetsEntryThrowsInsteadOfReadingOutOfBounds) {
   fs::remove_all(dir);
 }
 
+TEST(ShardedAccessTest, ListTruncatedAfterOpenThrows) {
+  // A shard cut in place after open, inside its neighbors slice: its
+  // offsets region is intact, so the per-miss re-check passes and the
+  // offsets pair reads from the mapping, but the list pread(2) ends
+  // early for every row whose list lies past the cut. Rows before the
+  // cut still read correctly.
+  const Graph g = RegularGraph();
+  const std::string dir = TempDir("grw_access_truncated");
+  const ShardManifest m = ShardInto(g, dir, 4);
+  ShardStore::Options options;
+  options.resident_budget_bytes = 1;
+  const ShardStore store(LoadShardManifest(dir), options);
+  const ShardedAccess access(store);
+  // Every row has the same degree: cut after the first half's lists.
+  const uint64_t rows = m.shards[0].num_rows;
+  const VertexId kept = static_cast<VertexId>(rows / 2);
+  const uint64_t neighbors_at =
+      snapshot::kHeaderBytes + (rows + 1) * sizeof(uint64_t);
+  const uint64_t cut =
+      neighbors_at + uint64_t{kept} * g.Degree(0) * sizeof(VertexId);
+  fs::resize_file(m.ShardPath(0), cut);
+  try {
+    access.Neighbors(kept);
+    FAIL() << "expected the list read to end early";
+  } catch (const SnapshotCorruptError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated after open"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(access.Degree(static_cast<VertexId>(rows - 1)),
+               SnapshotCorruptError);
+  for (VertexId v = 0; v < kept; ++v) {
+    const auto got = access.Neighbors(v);
+    const auto want = g.Neighbors(v);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "node " << v;
+  }
+  fs::remove_all(dir);
+}
+
 TEST(ShardedAccessTest, ReadsMatchGraphEverywhere) {
   // Every accessor, every node, every budget: answers must be identical
   // to the monolithic Graph — including HasEdge's tie-breaking.
@@ -244,7 +301,9 @@ TEST(ShardedAccessTest, ReaderCacheIsTheSameAtEveryBudget) {
     const ShardStats own = access.stats();
     EXPECT_EQ(own.faults, first.faults);
     EXPECT_EQ(own.hits, first.hits + kKept);
-    EXPECT_EQ(store.stats().resident_bytes, own.peak_resident_bytes);
+    // The pass read every shard: the store also holds their offsets.
+    EXPECT_EQ(store.stats().resident_bytes,
+              own.peak_resident_bytes + OffsetsCharge(m));
     seen.push_back(own);
   }
   ExpectSameShardCounters(seen[1], seen[0]);
@@ -319,7 +378,7 @@ TEST(ShardedAccessTest, CachePagesStayWithinTheirCharge) {
   for (VertexId v = 0; v < 4000; ++v) edges.emplace_back(v * 4, kHub);
   const Graph g = FromEdges(kNodes, edges);
   const std::string dir = TempDir("grw_access_pages");
-  ShardInto(g, dir, 4);
+  const ShardManifest m = ShardInto(g, dir, 4);
   ShardStore::Options options;
   options.resident_budget_bytes = 64 * 1024;
   const ShardStore store(LoadShardManifest(dir), options);
@@ -339,7 +398,8 @@ TEST(ShardedAccessTest, CachePagesStayWithinTheirCharge) {
   EXPECT_LE(grown, stats.resident_bytes + 512 * 1024)
       << "charged " << stats.resident_bytes;
   readers.clear();
-  EXPECT_EQ(store.stats().resident_bytes, 0u);
+  // The readers read every shard; its offsets stay charged.
+  EXPECT_EQ(store.stats().resident_bytes, OffsetsCharge(m));
   fs::remove_all(dir);
 }
 
@@ -373,9 +433,14 @@ TEST(ShardedEngineTest, SingleThreadStatsUnchanged) {
   EXPECT_EQ(result.shards.hits, 340130u);
   EXPECT_EQ(result.shards.evictions, 9908u);
   // Each reader's cache: one page of index, and a ring of kKeptLists + 2
-  // entries at the manifest's degree bound, 2^7 - 1: 7280 bytes, two pages.
+  // entries at the manifest's degree bound, 2^7 - 1: 7280 bytes, two
+  // pages. The run read all 8 shards, whose header and offsets take a
+  // page each; the store keeps them charged after the run.
   ASSERT_EQ(std::bit_width(g.MaxDegree()), 7);
-  EXPECT_EQ(result.shards.peak_resident_bytes, 4 * 3 * PageBytes());
+  ASSERT_EQ(OffsetsCharge(m), 8 * PageBytes());
+  EXPECT_EQ(result.shards.peak_resident_bytes, (4 * 3 + 8) * PageBytes());
+  EXPECT_EQ(store.stats().peak_resident_bytes, (4 * 3 + 8) * PageBytes());
+  EXPECT_EQ(result.shards.resident_bytes, 8 * PageBytes());
   const EngineResult in_memory =
       EstimationEngine(g, config, BaseOptions(/*chains=*/4, 1)).Run();
   EXPECT_EQ(result.merged.weights, in_memory.merged.weights);
@@ -433,20 +498,21 @@ TEST(ShardedEngineTest, ConcurrentRunsReportWhatTheyReportAlone) {
   ExpectSameShardCounters(together.second.shards, alone.second.shards);
   EXPECT_EQ(together.first.merged.weights, alone.first.merged.weights);
   EXPECT_EQ(together.second.merged.weights, alone.second.merged.weights);
-  // The store's totals are the four runs' sums, and every reservation
-  // was given back.
+  // The store's totals are the four runs' sums, and every cache was
+  // given back: what stays charged is the offsets of the shards read.
   const ShardStats stats = store.stats();
   EXPECT_EQ(stats.faults, 2 * (alone.first.shards.faults +
                                alone.second.shards.faults));
-  EXPECT_EQ(stats.resident_bytes, 0u);
+  EXPECT_EQ(stats.resident_bytes, OffsetsCharge(m));
   fs::remove_all(dir);
 }
 
 TEST(ShardedEngineTest, BudgetBoundsChargedBytesAcrossEngines) {
   // Two 4-thread engines of 16 chains each on one store: whatever the
   // budget, the store's charge never exceeds one fixed cache per live
-  // reader, and a run's peak_resident_bytes is exactly its chains'
-  // caches.
+  // reader plus the offsets of the shards read, and a run's
+  // peak_resident_bytes is exactly its chains' caches plus those
+  // offsets.
   Rng rng(31);
   const Graph g = LargestConnectedComponent(HolmeKim(600, 4, 0.3, rng));
   const std::string dir = TempDir("grw_engine_budget");
@@ -457,14 +523,16 @@ TEST(ShardedEngineTest, BudgetBoundsChargedBytesAcrossEngines) {
 
   const TwoRuns runs = RunTwo(store, /*chains=*/16, /*threads=*/4, true);
   const ShardStats stats = store.stats();
-  EXPECT_EQ(stats.resident_bytes, 0u);
+  // Either run alone reads every shard.
+  const uint64_t offsets = OffsetsCharge(m);
+  EXPECT_EQ(stats.resident_bytes, offsets);
   const uint64_t cache = ShardedAccess(store).stats().peak_resident_bytes;
   EXPECT_GT(cache, 0u);
   const uint64_t readers = 2 * 16 + 2;  // chains, and each engine's probe
-  EXPECT_LE(stats.peak_resident_bytes, readers * cache);
-  EXPECT_EQ(runs.first.shards.peak_resident_bytes, 16 * cache);
-  EXPECT_EQ(runs.second.shards.peak_resident_bytes, 16 * cache);
-  EXPECT_GE(stats.peak_resident_bytes, 16 * cache);
+  EXPECT_LE(stats.peak_resident_bytes, readers * cache + offsets);
+  EXPECT_EQ(runs.first.shards.peak_resident_bytes, 16 * cache + offsets);
+  EXPECT_EQ(runs.second.shards.peak_resident_bytes, 16 * cache + offsets);
+  EXPECT_GE(stats.peak_resident_bytes, 16 * cache + offsets);
   EXPECT_GT(runs.first.shards.evictions, 0u);
   // The budget moved nothing but memory.
   const TwoRuns in_memory = [&] {
@@ -478,6 +546,36 @@ TEST(ShardedEngineTest, BudgetBoundsChargedBytesAcrossEngines) {
   }();
   EXPECT_EQ(runs.first.merged.weights, in_memory.first.merged.weights);
   EXPECT_EQ(runs.second.merged.weights, in_memory.second.merged.weights);
+  fs::remove_all(dir);
+}
+
+TEST(ShardedEngineTest, BoundedStoreChargesEachShardsOffsetsOnce) {
+  // A bounded miss reads the row's offsets pair from the shard mapping:
+  // the shard's first miss charges the header and offsets pages, once,
+  // for the store's lifetime. Two readers missing over and over in
+  // shard 0 charge their two caches and shard 0's offsets, no more.
+  const Graph g = RegularGraph();
+  const std::string dir = TempDir("grw_store_offsets");
+  const ShardManifest m = ShardInto(g, dir, 4);
+  ShardStore::Options options;
+  options.resident_budget_bytes = 1;
+  const ShardStore store(LoadShardManifest(dir), options);
+  const auto rows = static_cast<VertexId>(m.shards[0].num_rows);
+  {
+    const ShardedAccess a(store);
+    const ShardedAccess b(store);
+    for (VertexId v = 0; v < rows; ++v) {
+      ASSERT_EQ(a.Degree(v), g.Degree(v));
+      ASSERT_EQ(b.Degree(rows - 1 - v), g.Degree(rows - 1 - v));
+    }
+    ASSERT_EQ(a.stats().faults, rows);
+    ASSERT_EQ(b.stats().faults, rows);
+    EXPECT_EQ(store.stats().resident_bytes,
+              a.stats().peak_resident_bytes + b.stats().peak_resident_bytes +
+                  OffsetsCharge(m, 0));
+  }
+  EXPECT_EQ(store.stats().resident_bytes, OffsetsCharge(m, 0));
+  EXPECT_FALSE(store.Resident(0));
   fs::remove_all(dir);
 }
 
