@@ -3,6 +3,10 @@
 #include <bit>
 #include <cassert>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "graph/access.h"
 
 namespace grw {
@@ -27,16 +31,13 @@ bool MaskRowsConnected(const uint32_t* rows, int n) {
   return visited == all;
 }
 
-// |a ∩ b| of two sorted lists, by a merge. Branches, not branch-free
-// selects: walk states pair hubs with low-degree vertices, so runs of
-// steps on one list are long and predicted (branch-free measured 1.8x
-// slower on a Holme-Kim PSRW trajectory).
-uint64_t IntersectionSize(std::span<const VertexId> a,
-                          std::span<const VertexId> b) {
-  const VertexId* pa = a.data();
-  const VertexId* const ea = pa + a.size();
-  const VertexId* pb = b.data();
-  const VertexId* const eb = pb + b.size();
+// A pair whose longer list holds more than this many times the shorter
+// one's ids is counted by skipping through the longer list.
+constexpr size_t kSkewRatio = 8;
+
+// |[pa, ea) ∩ [pb, eb)| by a branching merge.
+uint64_t MergeIntersectionSize(const VertexId* pa, const VertexId* ea,
+                               const VertexId* pb, const VertexId* eb) {
   uint64_t common = 0;
   while (pa != ea && pb != eb) {
     if (*pa < *pb) {
@@ -61,13 +62,14 @@ constexpr int kKept[3][2] = {{1, 2}, {0, 2}, {0, 1}};
 //   holds x and y, and z iff z is adjacent to one of them.
 // - x !~ y: w must join them, so it is a common neighbor outside the
 //   state. The intersection holds z iff z is adjacent to both.
-// Reads each state vertex's list once; the adjacencies come from those
-// lists. Agrees with EnumerateGdNeighbors' count for every state, and
-// for a connected one reduces to d_x + d_y - |N(x) ∩ N(y)| - 3 and
-// |N(x) ∩ N(y)| - 1.
+// Reads each state vertex's list once, in state order; the adjacencies
+// come from those lists. The pair kept when carry.slot drops takes its
+// |N(x) ∩ N(y)| and adjacency from the carry instead. Agrees with
+// EnumerateGdNeighbors' count for every state, and for a connected one
+// reduces to d_x + d_y - |N(x) ∩ N(y)| - 3 and |N(x) ∩ N(y)| - 1.
 template <class G>
 uint64_t CountG3Neighbors(const G& g, std::span<const VertexId> state,
-                          G3Split& split) {
+                          const G3Carry& carry, G3Split& split) {
   assert(state.size() == 3);
   const std::span<const VertexId> lists[3] = {
       g.Neighbors(state[0]), g.Neighbors(state[1]), g.Neighbors(state[2])};
@@ -75,6 +77,10 @@ uint64_t CountG3Neighbors(const G& g, std::span<const VertexId> state,
   // of the two lists.
   bool edge[3];
   for (int z = 0; z < 3; ++z) {
+    if (z == carry.slot) {
+      edge[z] = carry.edge;
+      continue;
+    }
     int x = kKept[z][0];
     int y = kKept[z][1];
     if (lists[x].size() > lists[y].size()) std::swap(x, y);
@@ -84,9 +90,12 @@ uint64_t CountG3Neighbors(const G& g, std::span<const VertexId> state,
   for (int z = 0; z < 3; ++z) {
     const int x = kKept[z][0];
     const int y = kKept[z][1];
-    const uint64_t common = IntersectionSize(lists[x], lists[y]);
+    const uint64_t common = z == carry.slot
+                                ? carry.common
+                                : SortedIntersectionSize(lists[x], lists[y]);
     const bool z_to_x = edge[y];  // dropping y keeps the pair {x, z}
     const bool z_to_y = edge[x];
+    split.common[z] = common;
     split.count[z] = edge[z] ? lists[x].size() + lists[y].size() - common -
                                    2 - (z_to_x || z_to_y)
                              : common - (z_to_x && z_to_y);
@@ -142,6 +151,57 @@ VertexId LocateG3Vertex(std::span<const VertexId> nx,
 }
 
 }  // namespace
+
+// Replaying the pairs of a 320k-step PSRW trajectory on the e2e Holme-Kim
+// graph (n = 250k, degree cap 500; a 4-core Xeon VM with AVX2), the
+// merge alone took 600-780 ns a pair, skip-scan plus merge 430-510, and
+// skip-scan plus the SSE2 block compare 250-340. An AVX2 8x8 block
+// compare timed the same as SSE2 (235-330 ns), so there is none. Skew
+// ratios of 8 and 16 tied on walk.degree_ns; 32 was 16% slower.
+uint64_t SortedIntersectionSize(std::span<const VertexId> a,
+                                std::span<const VertexId> b) {
+  if (a.size() > b.size()) std::swap(a, b);
+  const VertexId* pa = a.data();
+  const VertexId* const ea = pa + a.size();
+  const VertexId* pb = b.data();
+  const VertexId* const eb = pb + b.size();
+  uint64_t common = 0;
+  if (b.size() > kSkewRatio * a.size()) {
+    // Skewed: each short-list id skips the long list 8 ids at a time,
+    // then steps to its place.
+    for (; pa != ea; ++pa) {
+      const VertexId v = *pa;
+      while (eb - pb >= 8 && pb[7] < v) pb += 8;
+      while (pb != eb && *pb < v) ++pb;
+      if (pb == eb) break;
+      common += *pb == v;
+    }
+    return common;
+  }
+#if defined(__SSE2__)
+  // Balanced: compare 4 ids of each list all-against-all (the b block
+  // under its 4 rotations), then advance the block(s) whose last id is
+  // smaller. Ids are distinct within a list, so each a lane matches at
+  // most one b lane and the mask's popcount is the block's match count.
+  while (ea - pa >= 4 && eb - pb >= 4) {
+    const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(pa));
+    const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(pb));
+    const __m128i vb1 = _mm_shuffle_epi32(vb, _MM_SHUFFLE(0, 3, 2, 1));
+    const __m128i vb2 = _mm_shuffle_epi32(vb, _MM_SHUFFLE(1, 0, 3, 2));
+    const __m128i vb3 = _mm_shuffle_epi32(vb, _MM_SHUFFLE(2, 1, 0, 3));
+    const __m128i eq = _mm_or_si128(
+        _mm_or_si128(_mm_cmpeq_epi32(va, vb), _mm_cmpeq_epi32(va, vb1)),
+        _mm_or_si128(_mm_cmpeq_epi32(va, vb2), _mm_cmpeq_epi32(va, vb3)));
+    common += std::popcount(
+        static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(eq))));
+    const VertexId a_last = pa[3];
+    const VertexId b_last = pb[3];
+    if (a_last <= b_last) pa += 4;
+    if (b_last <= a_last) pb += 4;
+  }
+#endif
+  return common + MergeIntersectionSize(pa, ea, pb, eb);
+}
 
 template <class G>
 bool InducedSubgraphConnected(const G& g, std::span<const VertexId> nodes) {
@@ -318,7 +378,7 @@ uint64_t SubgraphStateDegree(const G& g, std::span<const VertexId> state,
                              GdScratch& scratch) {
   if (state.size() == 3) {
     G3Split split;
-    return CountG3Neighbors(g, state, split);
+    return CountG3Neighbors(g, state, G3Carry{}, split);
   }
   return EnumerateGdNeighbors(g, state, nullptr, scratch);
 }
@@ -348,6 +408,7 @@ void SubgraphWalkT<G>::Reset(Rng& rng) {
   }
   std::sort(nodes_.begin(), nodes_.end());
   prev_.clear();
+  carry_ = {};
   degree_valid_ = false;
 }
 
@@ -355,7 +416,7 @@ template <class G>
 void SubgraphWalkT<G>::EnsureDegree() const {
   if (degree_valid_) return;
   if (d_ == 3) {
-    CountG3Neighbors(*g_, Nodes(), g3_);
+    CountG3Neighbors(*g_, Nodes(), carry_, g3_);
   } else {
     neighbors_.clear();
     EnumerateGdNeighbors(*g_, Nodes(), &neighbors_, scratch_);
@@ -364,21 +425,25 @@ void SubgraphWalkT<G>::EnsureDegree() const {
 }
 
 template <class G>
-void SubgraphWalkT<G>::Locate(uint64_t pick) {
+G3Carry SubgraphWalkT<G>::Locate(uint64_t pick) {
   if (d_ != 3) {
     next_.assign(neighbors_.begin() + pick * d_,
                  neighbors_.begin() + (pick + 1) * d_);
-    return;
+    return {};
   }
   int z = 0;
   while (pick >= g3_.count[z]) pick -= g3_.count[z++];
   const VertexId x = nodes_[kKept[z][0]];
   const VertexId y = nodes_[kKept[z][1]];
-  const VertexId w =
-      LocateG3Vertex(g_->Neighbors(x), g_->Neighbors(y),
-                     (g3_.pair_edges >> z) & 1u, Nodes(), pick);
+  const bool pair_edge = (g3_.pair_edges >> z) & 1u;
+  const VertexId w = LocateG3Vertex(g_->Neighbors(x), g_->Neighbors(y),
+                                    pair_edge, Nodes(), pick);
   next_ = {x, y};
-  next_.insert(std::lower_bound(next_.begin(), next_.end(), w), w);
+  const auto at = std::lower_bound(next_.begin(), next_.end(), w);
+  const int slot = static_cast<int>(at - next_.begin());
+  next_.insert(at, w);
+  // {x, y} is the pair the new state keeps when w drops.
+  return {slot, g3_.common[z], pair_edge};
 }
 
 template <class G>
@@ -386,14 +451,15 @@ void SubgraphWalkT<G>::Step(Rng& rng) {
   const uint64_t count = StateDegree();
   assert(count > 0 && "state with no G(d) neighbors in a connected graph");
 
-  Locate(rng.UniformInt(count));
+  G3Carry carry = Locate(rng.UniformInt(count));
   if (nb_ && !prev_.empty() && count >= 2) {
     // Uniform over neighbors excluding the previous state.
-    while (next_ == prev_) Locate(rng.UniformInt(count));
+    while (next_ == prev_) carry = Locate(rng.UniformInt(count));
   }
 
   prev_.swap(nodes_);
   nodes_.swap(next_);
+  carry_ = carry;
   degree_valid_ = false;
 }
 

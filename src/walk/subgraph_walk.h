@@ -16,12 +16,17 @@
 //   z and keep the pair x < y. If x ~ y, every vertex of N(x) ∪ N(y)
 //   outside the state is a valid w: d_x + d_y - |N(x) ∩ N(y)| - 3 of them
 //   when the state is connected. If x !~ y, w must join them: the
-//   |N(x) ∩ N(y)| - 1 common neighbors other than z. The degree is three
-//   intersection counts, and a step draws pick < degree, chooses z from
-//   the running per-z counts, and walks one merge of N(x) and N(y) to the
-//   pick-th qualifying w. No neighbor state is ever written out, and the
-//   order (z ascending, then w ascending) is the enumerator's, so the
-//   walk reaches the same state as a pick from the written-out list.
+//   |N(x) ∩ N(y)| - 1 common neighbors other than z. The degree needs
+//   one intersection count per kept pair, but only two are fresh: the
+//   move into a state kept one of its pairs, and carries that pair's
+//   count and adjacency over from the state before (G3Carry). The fresh
+//   counts go through SortedIntersectionSize, a skip-scan for skewed
+//   pairs and an SSE2 block compare for balanced ones. A step draws
+//   pick < degree, chooses z from the running per-z counts, and walks
+//   one merge of N(x) and N(y) to the pick-th qualifying w. No neighbor
+//   state is ever written out, and the order (z ascending, then w
+//   ascending) is the enumerator's, so the walk reaches the same state
+//   as a pick from the written-out list.
 // * d >= 4: enumerated. Each step writes out every neighbor state and
 //   picks one. The enumerator reuses a caller-owned GdScratch (zero
 //   allocations once warm): the state's internal adjacency mask is built
@@ -115,14 +120,36 @@ inline uint64_t SubgraphStateDegree(const G& g,
 template <class G>
 bool InducedSubgraphConnected(const G& g, std::span<const VertexId> nodes);
 
+/// |a ∩ b| of two strictly increasing id lists (neighbor lists), the
+/// count behind the closed-form G(3) degree. Size-adaptive: when the
+/// longer list holds more than 8x the shorter one's ids, each id of the
+/// shorter list skips the longer one 8 ids at a time; otherwise an SSE2
+/// 4x4 block compare, with a scalar merge for the tails (and for
+/// everything where SSE2 is unavailable). Never reads past either span.
+uint64_t SortedIntersectionSize(std::span<const VertexId> a,
+                                std::span<const VertexId> b);
+
 /// The G(3) degree of a 3-vertex state split by the vertex a move drops:
-/// count[z] neighbor states keep the other two vertices of the state, and
-/// bit z of pair_edges says whether those two are adjacent. Filled by the
-/// closed-form count in subgraph_walk.cpp.
+/// count[z] neighbor states keep the other two vertices x, y of the
+/// state, common[z] is their |N(x) ∩ N(y)|, and bit z of pair_edges says
+/// whether they are adjacent. Filled by the closed-form count in
+/// subgraph_walk.cpp: two fresh intersection counts and one carried (see
+/// G3Carry), or three fresh ones from SubgraphStateDegree.
 struct G3Split {
   std::array<uint64_t, 3> count = {};
+  std::array<uint64_t, 3> common = {};
   uint32_t pair_edges = 0;
   uint64_t Total() const { return count[0] + count[1] + count[2]; }
+};
+
+/// What a d = 3 move {x, y, z} -> {x, y, w} keeps of the old state's
+/// G3Split: the pair (x, y)'s |N(x) ∩ N(y)| and adjacency, filed under
+/// slot, w's position in the new sorted state (the position whose drop
+/// keeps x, y). slot < 0 carries nothing.
+struct G3Carry {
+  int slot = -1;
+  uint64_t common = 0;
+  bool edge = false;
 };
 
 /// Random walk on connected induced d-node subgraphs of G, d >= 3,
@@ -160,8 +187,9 @@ class SubgraphWalkT final : public StateWalker {
 
  private:
   void EnsureDegree() const;
-  // Writes the pick-th neighbor state (enumeration order) into next_.
-  void Locate(uint64_t pick);
+  // Writes the pick-th neighbor state (enumeration order) into next_;
+  // at d = 3, returns what that move keeps of this state's count.
+  G3Carry Locate(uint64_t pick);
 
   const G* g_;
   int d_;
@@ -170,6 +198,7 @@ class SubgraphWalkT final : public StateWalker {
   std::vector<VertexId> prev_;   // sorted; empty until first Step
   std::vector<VertexId> next_;   // the located move, before it is taken
   mutable bool degree_valid_ = false;
+  G3Carry carry_;                            // d == 3: into nodes_
   mutable G3Split g3_;                       // d == 3
   mutable std::vector<VertexId> neighbors_;  // d >= 4: flattened states
   mutable GdScratch scratch_;

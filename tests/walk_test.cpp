@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "graph/builder.h"
@@ -334,6 +338,115 @@ TEST(SubgraphWalkTest, ClosedFormG3OnHandBuiltStates) {
   // and left in enumeration order.
   ExpectG3StepsFollowEnumeration(g, /*nb=*/false, 5, 2000);
   ExpectG3StepsFollowEnumeration(g, /*nb=*/true, 6, 2000);
+}
+
+// n distinct ids from [lo, lo + range), ascending, in a vector of exactly
+// n elements: a read past the end is a read past the allocation, which
+// the sanitizer build reports.
+std::vector<VertexId> RandomSortedIds(Rng& rng, size_t n, uint64_t lo,
+                                      uint64_t range) {
+  std::set<VertexId> ids;
+  while (ids.size() < n) {
+    ids.insert(static_cast<VertexId>(lo + rng.UniformInt(range)));
+  }
+  return std::vector<VertexId>(ids.begin(), ids.end());
+}
+
+void ExpectKernelMatches(const std::vector<VertexId>& a,
+                         const std::vector<VertexId>& b) {
+  std::vector<VertexId> both;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(both));
+  EXPECT_EQ(SortedIntersectionSize(a, b), both.size())
+      << "|a| " << a.size() << " |b| " << b.size();
+  EXPECT_EQ(SortedIntersectionSize(b, a), both.size())
+      << "|a| " << b.size() << " |b| " << a.size();
+}
+
+TEST(SubgraphWalkTest, IntersectionKernelMatchesSetIntersection) {
+  Rng rng(4242);
+  constexpr uint64_t kTop = std::numeric_limits<VertexId>::max();
+  // Every length pair, block multiples of 4 or not, from a range the
+  // longer list half fills, so about half of the shorter list's ids are
+  // shared; once at the bottom of the id space and once with kTop itself
+  // in range.
+  for (size_t na = 0; na <= 67; ++na) {
+    for (size_t nb = 0; nb <= 67; ++nb) {
+      const uint64_t range = 2 * std::max(na, nb) + 4;
+      ExpectKernelMatches(RandomSortedIds(rng, na, 0, range),
+                          RandomSortedIds(rng, nb, 0, range));
+      ExpectKernelMatches(RandomSortedIds(rng, na, kTop - range + 1, range),
+                          RandomSortedIds(rng, nb, kTop - range + 1, range));
+    }
+  }
+  // Either side of the skew threshold: 8n - 1 and 8n ids take the block
+  // compare against n, 8n + 1 the skip-scan. The long list covers most
+  // of the range, so most short-list ids match.
+  for (size_t n = 1; n <= 40; ++n) {
+    for (const size_t m : {8 * n - 1, 8 * n, 8 * n + 1}) {
+      const uint64_t range = m + m / 4 + 1;
+      const std::vector<VertexId> longer = RandomSortedIds(rng, m, 0, range);
+      ExpectKernelMatches(RandomSortedIds(rng, n, 0, range), longer);
+      // Short ids drawn from the long list itself: every one matches.
+      std::vector<VertexId> subset(n);
+      std::sample(longer.begin(), longer.end(), subset.begin(), n, rng);
+      ExpectKernelMatches(subset, longer);
+    }
+  }
+  for (size_t n = 0; n <= 67; ++n) {
+    // Identical lists.
+    const std::vector<VertexId> same = RandomSortedIds(rng, n, 0, 3 * n + 1);
+    ExpectKernelMatches(same, std::vector<VertexId>(same));
+    // Interleaved and disjoint: evens against odds.
+    std::vector<VertexId> evens(n);
+    std::vector<VertexId> odds(n);
+    for (size_t i = 0; i < n; ++i) {
+      evens[i] = static_cast<VertexId>(2 * i);
+      odds[i] = static_cast<VertexId>(2 * i + 1);
+    }
+    ExpectKernelMatches(evens, odds);
+    // One list entirely below the other, the upper one ending at kTop.
+    std::vector<VertexId> high(n + 5);
+    for (size_t i = 0; i < high.size(); ++i) {
+      high[i] = static_cast<VertexId>(kTop - high.size() + 1 + i);
+    }
+    ExpectKernelMatches(evens, high);
+    ExpectKernelMatches(odds, high);
+  }
+}
+
+TEST(SubgraphWalkTest, CarriedPairCountNeverGoesStale) {
+  // A d = 3 step carries the kept pair's intersection count into the next
+  // state's degree. At every state that degree must equal a fresh count:
+  // after plain and NB steps, after a Reset partway through (which must
+  // drop the carry), and in a walker copied with a carry pending.
+  Rng rng(1618);
+  const Graph g = LargestConnectedComponent(HolmeKim(3000, 3, 0.5, rng));
+  const auto expect_fresh = [&g](const SubgraphWalk& walk, int s) {
+    const std::vector<VertexId> state(walk.Nodes().begin(),
+                                      walk.Nodes().end());
+    EXPECT_EQ(walk.StateDegree(), SubgraphStateDegree(g, state))
+        << "step " << s;
+  };
+  for (const bool nb : {false, true}) {
+    SCOPED_TRACE(nb ? "NB" : "plain");
+    SubgraphWalk walk(g, 3, nb);
+    Rng walk_rng(77 + nb);
+    walk.Reset(walk_rng);
+    for (int s = 0; s < 6000; ++s) {
+      if (s == 2000) walk.Reset(walk_rng);
+      if (s == 4000) {
+        SubgraphWalk copy = walk;
+        Rng copy_rng = walk_rng;
+        for (int c = 0; c < 1000; ++c) {
+          expect_fresh(copy, c);
+          copy.Step(copy_rng);
+        }
+      }
+      expect_fresh(walk, s);
+      walk.Step(walk_rng);
+    }
+  }
 }
 
 TEST(WalkGuardsTest, TooSmallGraphsAreRejected) {

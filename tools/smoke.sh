@@ -7,7 +7,7 @@
 #
 # BUILD_DIR must hold a Release build (-DCMAKE_BUILD_TYPE=Release) of:
 #   format_test loader_error_test access_test crawl_engine_test
-#   conformance_test adjacency_test serve_test flags_test grw_cli
+#   conformance_test adjacency_test walk_test serve_test flags_test grw_cli
 #   grw_serve bench_loader
 #   bench_micro_hasedge bench_access bench_serve bench_sharded
 # Every step runs inside BUILD_DIR and leaves its files there; the bench
@@ -19,13 +19,14 @@ cd "${1:-build}"
 
 step() { printf '\n=== %s\n' "$*"; }
 
-step "Release-mode access/snapshot/adjacency tests and the identity matrix"
+step "Release-mode access/snapshot/adjacency/walk tests and the identity matrix"
 ./format_test
 ./loader_error_test
 ./access_test
 ./crawl_engine_test
 ./conformance_test
 ./adjacency_test
+./walk_test
 
 step "Convert + crawl workflow smoke"
 ./grw_cli generate hk --n 20000 --param 4 --out smoke.edges
