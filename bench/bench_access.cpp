@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
     for (unsigned threads : {1u, 2u, 8u}) {
       grw::EngineOptions crawl_options = base;
       crawl_options.threads = threads;
-      crawl_options.crawl.enabled = true;
+      crawl_options.crawl.emplace();
       const grw::EngineResult crawled =
           grw::EstimationEngine(g, config, crawl_options).Run();
       const bool same = SameEstimate(full.merged, crawled.merged);

@@ -37,34 +37,22 @@ ShardStats ShardStatsOf(const CrawlAccessT<Base>& crawl) {
 // Base of every chain's failure-model seed ("fail" seed).
 constexpr uint64_t kFailSeed = 0x6661696c5eedULL;
 
-// Chain `chain`'s private crawler options. Everything chain-specific —
-// the budget share and the failure schedule — depends on the global
-// chain index alone, so no thread schedule can move either.
+// Chain `chain`'s private crawler options: the run's, with the total
+// budget replaced by the chain's fixed share (B >= chains was validated,
+// so a positive B gives every chain a positive share; 0 stays "none"). A
+// chain stops after the step that crosses its share, so the total can
+// overshoot B by at most one step's fetches per chain — reported
+// honestly in EngineResult::access. The share, like the failure seed,
+// depends on the chain's index within the run alone, so no thread
+// schedule can move either.
 CrawlOptions CrawlOptionsFor(const EngineOptions& opt, int chain) {
-  const EngineOptions::CrawlConfig& crawl = opt.crawl;
-  CrawlOptions options;
-  options.cache_entries = crawl.cache_entries;
-  options.latency_us = crawl.latency_us;
-  if (crawl.fail_prob > 0.0) {
-    options.failure.fail_prob = crawl.fail_prob;
-    options.failure.max_retries = crawl.fail_max_retries;
-    options.failure.backoff_base_us = crawl.fail_backoff_us;
-    options.failure.seed =
-        DeriveSeed(kFailSeed, static_cast<uint64_t>(chain));
-  }
-  if (crawl.budget_queries > 0) {
-    // Fixed share of the total budget (B >= chains was validated, so
-    // every share is positive). A chain stops after the step that
-    // crosses its share, so the total can overshoot B by at most one
-    // step's fetches per chain — reported honestly in
-    // EngineResult::access.
-    options.query_budget =
-        ChainBudgetShare(crawl.budget_queries, opt.chains, chain);
-  }
+  CrawlOptions options = *opt.crawl;
+  options.query_budget =
+      ChainBudgetShare(options.query_budget, opt.chains, chain);
   return options;
 }
 
-// The one chain type: global chain `chain` reading the graph through
+// The one chain type: the run's chain `chain` reading the graph through
 // access type A, a member of GRW_ACCESS_FAMILY (graph/access.h). The
 // chain owns its access (a reference for the in-memory Graph), built by
 // `make(chain)`. Its RNG stream is DeriveSeed(base_seed, chain_offset +
@@ -98,13 +86,13 @@ void ValidateEngine(const Source& source, const EstimatorConfig& config,
   if (opt.chains < 0) {
     throw std::invalid_argument("EstimationEngine: chains must be >= 0");
   }
-  if (opt.crawl.enabled && opt.crawl.budget_queries > 0 &&
-      opt.crawl.budget_queries < static_cast<uint64_t>(opt.chains)) {
+  if (opt.crawl && opt.crawl->query_budget > 0 &&
+      opt.crawl->query_budget < static_cast<uint64_t>(opt.chains)) {
     // A share of zero would mean "no budget" for that chain and the total
     // would silently overspend; refuse the degenerate split instead.
     throw std::invalid_argument(
-        "EstimationEngine: budget_queries must be >= chains (every chain "
-        "needs a positive distinct-query share)");
+        "EstimationEngine: crawl query_budget must be >= chains (every "
+        "chain needs a positive distinct-query share)");
   }
   if (opt.chains > 0) {
     // Validate the estimator configuration eagerly (and warm the
@@ -257,7 +245,7 @@ EngineResult RunLoop(const MakeAccess& make, const EstimatorConfig& config,
     // schedule can change, so the break lands on the same round at any
     // thread count.
     if constexpr (kAccessHasQueryBudget<A>) {
-      if (opt.crawl.budget_queries > 0) {
+      if (opt.crawl->query_budget > 0) {
         const bool all_spent = std::all_of(
             unit.begin(), unit.end(),
             [](const auto& u) { return u->access.BudgetExhausted(); });
@@ -303,15 +291,16 @@ template <class Source>
 EngineResult RunOn(const Source& source, const EstimatorConfig& config,
                    const EngineOptions& opt) {
   using Reader = std::remove_cvref_t<decltype(ReaderOf(source))>;
-  if (!opt.crawl.enabled) {
+  if (!opt.crawl) {
     return RunLoop<Reader>(
         [&](int) -> HeldAccess<Reader> { return ReaderOf(source); }, config,
         opt);
   }
   return RunLoop<CrawlAccessT<Reader>>(
       [&](int chain) {
-        return CrawlAccessT<Reader>(ReaderOf(source),
-                                    CrawlOptionsFor(opt, chain));
+        return CrawlAccessT<Reader>(
+            ReaderOf(source), CrawlOptionsFor(opt, chain),
+            DeriveSeed(kFailSeed, static_cast<uint64_t>(chain)));
       },
       config, opt);
 }

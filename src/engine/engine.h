@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "core/estimator.h"
@@ -95,34 +96,14 @@ struct EngineOptions {
     return rounds < 256 ? 256 : rounds;
   }
 
-  /// Restricted-access (crawl) simulation of the paper's OSN setting.
-  struct CrawlConfig {
-    /// Route every chain through its own crawl cache in front of the
-    /// source's reader. Estimates are bit-identical either way (gated in
-    /// CI by bench_access --check-identical); only cost accounting and
-    /// the budget stop are added.
-    bool enabled = false;
-    /// Total distinct neighbor-list fetches across all chains; 0 = no
-    /// budget. Split into fixed per-chain shares (remainder to the first
-    /// chains, floor of 1), so the stop point is thread-count invariant.
-    uint64_t budget_queries = 0;
-    /// Per-chain LRU capacity in cached lists; 0 = unbounded.
-    uint64_t cache_entries = 0;
-    /// Simulated API latency per fetch, microseconds (accumulated in
-    /// stats, never slept).
-    double latency_us = 0.0;
-    /// Transient-fetch-failure model (CrawlOptions::FailureModel):
-    /// per-attempt failure probability, bounded retries with exponential
-    /// backoff + jitter. Cost-only — estimates stay bit-identical; the
-    /// retries / giveups / backoff totals land in EngineResult::access.
-    /// Each chain gets a private failure RNG seeded from a fixed seed and
-    /// its global chain index: deterministic at any thread count, and the
-    /// walk RNG stream is never consumed.
-    double fail_prob = 0.0;
-    int fail_max_retries = 4;
-    double fail_backoff_us = 1000.0;
-  };
-  CrawlConfig crawl;
+  /// Restricted-access (crawl) simulation of the paper's OSN setting;
+  /// set = crawl mode: every chain reads through a private crawl cache
+  /// configured by a copy of these options. Estimates are bit-identical
+  /// either way (CI: bench_access --check-identical). Here query_budget
+  /// is the whole run's (0 = none), split into fixed per-chain shares
+  /// (ChainBudgetShare), and each chain's failure-model RNG is seeded from
+  /// the chain's index within the run: both are thread-count invariant.
+  std::optional<CrawlOptions> crawl;
 
   /// Invoked after every round with a progress snapshot.
   std::function<void(const EngineProgress&)> on_progress;
@@ -143,9 +124,10 @@ struct EngineOptions {
 
 /// Chain `chain`'s fixed share of a total distinct-query budget split
 /// across `chains` chains: floor(B/chains) each, remainder to the first
-/// B % chains chains. Depends on the chain's global index alone and the
-/// shares sum exactly to `budget_queries` over chain in [0, chains). The
-/// engine validates B >= chains, so every share is positive there.
+/// B % chains chains. Depends on the chain's index within the run, in
+/// [0, chains), alone (EngineOptions::chain_offset does not enter), and
+/// the shares sum exactly to `budget_queries` over that range. The engine
+/// validates B >= chains, so every share is positive there.
 uint64_t ChainBudgetShare(uint64_t budget_queries, int chains, int chain);
 
 /// Outcome of one engine run.

@@ -17,8 +17,9 @@ constexpr double kBackoffJitter = 0.5;
 
 }  // namespace
 
-CrawlCache::CrawlCache(VertexId num_nodes, const CrawlOptions& options)
-    : opt_(options), fail_rng_(options.failure.seed) {
+CrawlCache::CrawlCache(VertexId num_nodes, const CrawlOptions& options,
+                       uint64_t fail_seed)
+    : opt_(options), fail_rng_(fail_seed) {
   const uint64_t n = num_nodes;
   // 0 or oversize means "never evict": every node's list fits.
   capacity_ = static_cast<uint32_t>(

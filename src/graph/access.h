@@ -138,7 +138,9 @@ struct PageAllocator {
 template <class T>
 using PageVector = std::vector<T, PageAllocator<T>>;
 
-/// How a crawler is configured; CrawlAccessT<Base>::Options.
+/// How a crawler is configured; CrawlAccessT<Base>::Options. The engine
+/// takes the same type for a whole run (EngineOptions::crawl) and hands
+/// each chain a copy with its own query_budget share.
 struct CrawlOptions {
   /// LRU capacity in cached neighbor lists; 0 = unbounded (never evict).
   uint64_t cache_entries = 0;
@@ -155,7 +157,8 @@ struct CrawlOptions {
   /// Transient-fetch-failure model: real crawl APIs rate-limit and
   /// 5xx, and a crawler answers with bounded retries under
   /// exponential backoff plus a uniform jitter of up to half the wait,
-  /// drawn from the failure RNG. Like latency_us this is a COST
+  /// drawn from a private failure RNG (seeded by the crawler's
+  /// constructor, never the walk's). Like latency_us this is a COST
   /// model, not a data model: a failed attempt charges retries /
   /// giveups / backoff_latency_us in CrawlStats (after the retry
   /// budget the crawler is modeled as escalating to its slow reliable
@@ -169,13 +172,9 @@ struct CrawlOptions {
     int max_retries = 4;
     /// First backoff wait; doubles per retry: base * 2^attempt, capped
     /// at 1 s (also the modeled cost of the slow-path fallback after a
-    /// giveup).
+    /// giveup). A chaos-injected failure (fault builds) charges it once,
+    /// whether or not fail_prob is set.
     double backoff_base_us = 1000.0;
-    /// Seed of the PRIVATE failure RNG stream. The engine derives one
-    /// per chain from the chain's global index, so failure schedules
-    /// replay exactly at any thread count; the walk RNG is never
-    /// consumed (consuming it would perturb the walk itself).
-    uint64_t seed = 0;
   };
   FailureModel failure;
 };
@@ -186,7 +185,9 @@ struct CrawlOptions {
 /// sits in front of.
 class CrawlCache {
  public:
-  CrawlCache(VertexId num_nodes, const CrawlOptions& options);
+  /// `fail_seed` seeds the failure model's private RNG stream.
+  CrawlCache(VertexId num_nodes, const CrawlOptions& options,
+             uint64_t fail_seed = 0);
 
   /// True iff v's list is cached (a read of it would be a hit).
   bool Holds(VertexId v) const { return slot_of_[v] != kNoSlot; }
@@ -296,8 +297,10 @@ class CrawlAccessT {
  public:
   using Options = CrawlOptions;
 
-  CrawlAccessT(HeldAccess<Base> base, const Options& options)
-      : base_(std::move(base)), cache_(base_.NumNodes(), options) {}
+  CrawlAccessT(HeldAccess<Base> base, const Options& options,
+               uint64_t fail_seed = 0)
+      : base_(std::move(base)),
+        cache_(base_.NumNodes(), options, fail_seed) {}
 
   /// Number of nodes/edges. NOT available through real crawl APIs;
   /// exposed for walk seeding and constructor validation in simulations.

@@ -12,6 +12,10 @@ namespace grw::serve {
 
 namespace {
 
+// Longest accepted deadline_ms (24 h): a huge one would overflow the
+// clock arithmetic that arms it (1e13 ms read as already expired).
+constexpr int64_t kMaxDeadlineMs = 86'400'000;
+
 // Splits on runs of spaces. Tabs and other whitespace are NOT separators:
 // the protocol is spaces-only, and anything else lands inside a token
 // where the strict field parsing rejects it.
@@ -147,7 +151,10 @@ struct EstimateFields {
     } else if (key == "deadline_ms") {
       const std::optional<double> v = ParseDouble(value);
       if (!v.has_value()) return bad("number");
-      if (*v < 0.0) return "field deadline_ms: must be >= 0";
+      if (*v < 0.0 || *v > kMaxDeadlineMs) {
+        return "field deadline_ms: must be in [0, " +
+               std::to_string(kMaxDeadlineMs) + "]";
+      }
       req.deadline_ms = *v;
     } else if (key == "tenant") {
       if (value.empty()) return "field tenant: empty id";
@@ -241,9 +248,11 @@ EngineOptions ToEngineOptions(const EstimateRequest& req) {
   options.max_steps = req.max_steps;
   options.base_seed = req.seed;
   options.target_nrmse = req.target_nrmse;
-  options.crawl.enabled = req.crawl;
-  options.crawl.budget_queries = req.budget_queries;
-  options.crawl.cache_entries = req.cache_entries;
+  if (req.crawl) {
+    options.crawl.emplace();
+    options.crawl->query_budget = req.budget_queries;
+    options.crawl->cache_entries = req.cache_entries;
+  }
   // Pin the round slicing whenever convergence checking or multi-chain
   // merging is on, so stopping points (and thus estimates under
   // target_nrmse) never depend on whether progress is reported. A

@@ -26,10 +26,11 @@
 // here without request limits, the same line (EstimateRequestLine,
 // client.h), so a served estimate is bit-identical to the CLI run with
 // the same snapshot and flags by construction. `budget`/`cache`/`crawl`
-// switch the request onto the crawl accounting layer; `deadline_ms` arms
-// cooperative cancellation (EngineOptions::cancel) measured from
-// admission; `tenant` attributes the request to a per-tenant
-// distinct-query budget when the server enforces one.
+// switch the request onto the crawl accounting layer; `deadline_ms` (at
+// most 24 h = 86400000) arms cooperative cancellation
+// (EngineOptions::cancel) measured from admission; `tenant` attributes
+// the request to a per-tenant distinct-query budget when the server
+// enforces one.
 //
 // Parsing is *strict*, with the same full-string numeric rules as the
 // flag parser (util/flags.h ParseInt64/ParseDouble/ParseBool): unknown
@@ -108,11 +109,12 @@ ParsedRequest ParseRequestLine(std::string_view line,
                                const RequestLimits& limits);
 
 /// Engine options for a parsed request: chains/steps/seed/target plus the
-/// crawl block, with round_steps pinned whenever a target or several
-/// chains are set (so the batch structure never depends on progress
-/// reporting). A request with a deadline additionally pins round_steps
-/// so cancellation has round boundaries to land on; that never changes
-/// the merged estimate of a completed run. The caller wires pool/cancel.
+/// crawl options when the request crawls, with round_steps pinned
+/// whenever a target or several chains are set (so the batch structure
+/// never depends on progress reporting). A request with a deadline
+/// additionally pins round_steps so cancellation has round boundaries to
+/// land on; that never changes the merged estimate of a completed run.
+/// The caller wires pool/cancel.
 EngineOptions ToEngineOptions(const EstimateRequest& req);
 
 /// Response lines (all single-line JSON objects, no trailing newline,

@@ -15,6 +15,16 @@
 
 namespace grw::serve {
 
+constexpr int kBacklog = 64;
+// Cap on the longest accepted request line; longer input is answered
+// with an error and the connection closed (a non-protocol peer).
+constexpr size_t kMaxLineBytes = 1 << 16;
+// Bound on each response send. A client that stops draining its socket
+// would otherwise wedge its connection thread forever once the kernel
+// buffer fills; on timeout the response is dropped and the connection
+// closed.
+constexpr int kWriteTimeoutMs = 30'000;
+
 ServeServer::ServeServer(const SnapshotRegistry* registry,
                          ServerOptions options)
     : registry_(registry),
@@ -43,7 +53,7 @@ void ServeServer::Start() {
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, options_.backlog) != 0) {
+      ::listen(listen_fd_, kBacklog) != 0) {
     const std::string err = std::strerror(errno);
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -102,15 +112,15 @@ void ServeServer::Connection(int fd) {
       // Bounded send: a peer that stops draining gets its response
       // dropped and the connection closed instead of wedging this
       // thread forever on a full socket buffer.
-      if (!io::WriteAll(fd, response, options_.write_timeout_ms).ok()) {
+      if (!io::WriteAll(fd, response, kWriteTimeoutMs).ok()) {
         open = false;
       }
     }
-    if (buffer.size() > options_.max_line_bytes) {
+    if (buffer.size() > kMaxLineBytes) {
       // A peer streaming an endless unterminated "line" is not speaking
       // the protocol; answer once and hang up.
       io::WriteAll(fd, ErrorResponse("request line too long") + "\n",
-                   options_.write_timeout_ms);
+                   kWriteTimeoutMs);
       break;
     }
   }

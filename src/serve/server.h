@@ -37,15 +37,6 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   int port = 0;
-  int backlog = 64;
-  /// Cap on the longest accepted request line; longer input is answered
-  /// with an error and the connection closed (a non-protocol peer).
-  size_t max_line_bytes = 1 << 16;
-  /// Bound on each response send. A client that stops draining its socket
-  /// would otherwise wedge its connection thread forever once the kernel
-  /// buffer fills; on timeout the response is dropped and the connection
-  /// closed. -1 waits indefinitely.
-  int write_timeout_ms = 30'000;
   SchedulerOptions scheduler;
 };
 

@@ -38,8 +38,6 @@ class Table {
   /// Writes the table as CSV to `path`. Returns false on I/O failure.
   bool WriteCsv(const std::string& path) const;
 
-  size_t NumRows() const { return rows_.size(); }
-
   /// Read access for generic exporters (bench_common.h derives JSON
   /// metrics from the rendered table without each bench re-listing them).
   const std::vector<std::string>& header() const { return header_; }

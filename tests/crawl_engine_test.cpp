@@ -35,8 +35,7 @@ TEST(CrawlEngineTest, BudgetStopIsDeterministicAcrossThreadCounts) {
     options.max_steps = 100000;  // budget must stop the run well before
     options.base_seed = 5;
     options.round_steps = 256;
-    options.crawl.enabled = true;
-    options.crawl.budget_queries = kBudget;
+    options.crawl.emplace().query_budget = kBudget;
     const EngineResult run = EstimationEngine(g, config, options).Run();
 
     EXPECT_TRUE(run.budget_exhausted);
@@ -79,9 +78,9 @@ TEST(CrawlEngineTest, AccessStatsSumOverChains) {
   EngineOptions options;
   options.chains = 4;
   options.max_steps = 2000;
-  options.crawl.enabled = true;
-  options.crawl.cache_entries = 64;
-  options.crawl.latency_us = 50.0;
+  options.crawl.emplace();
+  options.crawl->cache_entries = 64;
+  options.crawl->latency_us = 50.0;
   const EngineResult run = EstimationEngine(g, config, options).Run();
 
   ASSERT_EQ(run.per_chain_access.size(), 4u);
@@ -102,14 +101,65 @@ TEST(CrawlEngineTest, AccessStatsSumOverChains) {
                    50.0 * static_cast<double>(run.access.fetches));
 }
 
+TEST(CrawlEngineTest, PerChainCrawlStatsArePinned) {
+  // Every crawl setting at once, budget-stopped: the per-chain budget
+  // shares (1203 over 4 chains: 301, 301, 301, 300) and the per-chain
+  // failure seeds fix these counts, so a change that moves either (or
+  // the LRU, or the failure model's draws) shows up here.
+  const Graph g = TestGraph();
+  EngineOptions options;
+  options.chains = 4;
+  options.threads = 2;
+  options.max_steps = 100000;
+  options.base_seed = 11;
+  options.round_steps = 256;
+  CrawlOptions& crawl = options.crawl.emplace();
+  crawl.cache_entries = 64;
+  crawl.latency_us = 50.0;
+  crawl.query_budget = 1203;
+  crawl.failure.fail_prob = 0.2;
+  crawl.failure.max_retries = 3;
+  crawl.failure.backoff_base_us = 100.0;
+  const EngineResult run =
+      EstimationEngine(g, {4, 2, true, false}, options).Run();
+
+  struct Pinned {
+    uint64_t fetches, distinct_fetches, cache_hits, evictions;
+    uint64_t transient_failures, retries, giveups;
+    double backoff_latency_us, simulated_latency_us;
+  };
+  const Pinned expected[] = {
+      {314, 301, 5388, 250, 100, 99, 1, 1016221.6320791552, 15700},
+      {311, 301, 5349, 247, 73, 73, 0, 12138.617116873324, 15550},
+      {322, 301, 5943, 258, 88, 88, 0, 13615.470115994136, 16100},
+      {345, 300, 6286, 281, 73, 72, 1, 1011534.897022314, 17250},
+  };
+  ASSERT_EQ(run.per_chain_access.size(), 4u);
+  for (size_t c = 0; c < 4; ++c) {
+    SCOPED_TRACE(c);
+    const CrawlStats& s = run.per_chain_access[c];
+    EXPECT_EQ(s.fetches, expected[c].fetches);
+    EXPECT_EQ(s.distinct_fetches, expected[c].distinct_fetches);
+    EXPECT_EQ(s.cache_hits, expected[c].cache_hits);
+    EXPECT_EQ(s.evictions, expected[c].evictions);
+    EXPECT_EQ(s.transient_failures, expected[c].transient_failures);
+    EXPECT_EQ(s.retries, expected[c].retries);
+    EXPECT_EQ(s.giveups, expected[c].giveups);
+    EXPECT_DOUBLE_EQ(s.backoff_latency_us, expected[c].backoff_latency_us);
+    EXPECT_DOUBLE_EQ(s.simulated_latency_us,
+                     expected[c].simulated_latency_us);
+  }
+  EXPECT_TRUE(run.budget_exhausted);
+  EXPECT_EQ(run.merged.steps, 1494u);
+}
+
 TEST(CrawlEngineTest, BudgetSmallerThanChainCountIsRejected) {
   // A zero per-chain share would mean "no budget" and silently overspend
   // the documented total; the engine refuses the degenerate split.
   const Graph g = KarateClub();
   EngineOptions options;
   options.chains = 8;
-  options.crawl.enabled = true;
-  options.crawl.budget_queries = 2;
+  options.crawl.emplace().query_budget = 2;
   EXPECT_THROW(EstimationEngine(g, {3, 1, false, false}, options),
                std::invalid_argument);
 }

@@ -209,15 +209,15 @@ TEST_F(FaultTest, CrawlFailureModelKeepsEstimatesBitIdentical) {
   EngineOptions clean;
   clean.chains = 4;
   clean.max_steps = 5000;
-  clean.crawl.enabled = true;
-  clean.crawl.cache_entries = 64;
+  clean.crawl.emplace();
+  clean.crawl->cache_entries = 64;
   const EngineResult reference =
       EstimationEngine(g, config, clean).Run();
 
   EngineOptions faulty = clean;
-  faulty.crawl.fail_prob = 0.2;
-  faulty.crawl.fail_max_retries = 3;
-  faulty.crawl.fail_backoff_us = 100.0;
+  faulty.crawl->failure.fail_prob = 0.2;
+  faulty.crawl->failure.max_retries = 3;
+  faulty.crawl->failure.backoff_base_us = 100.0;
 
   CrawlStats first_stats;
   for (const unsigned threads : {1u, 2u, 8u}) {
@@ -253,8 +253,8 @@ TEST_F(FaultTest, CrawlFailureModelKeepsEstimatesBitIdentical) {
   // Zero retries allowed: every failure streak becomes a giveup (the
   // slow-path fallback), still with bit-identical estimates.
   EngineOptions no_retries = faulty;
-  no_retries.crawl.fail_prob = 0.5;
-  no_retries.crawl.fail_max_retries = 0;
+  no_retries.crawl->failure.fail_prob = 0.5;
+  no_retries.crawl->failure.max_retries = 0;
   const EngineResult giveup_run =
       EstimationEngine(g, config, no_retries).Run();
   EXPECT_GT(giveup_run.access.giveups, 0u);
@@ -687,7 +687,7 @@ TEST_F(FaultTest, CrawlFetchSiteChargesResilienceCounters) {
   const EstimatorConfig config{3, 1, true, true};
   EngineOptions options;
   options.max_steps = 3000;
-  options.crawl.enabled = true;
+  options.crawl.emplace();
 
   const EngineResult reference = EstimationEngine(g, config, options).Run();
   fault::Configure("crawl.fetch=nth:5");

@@ -151,6 +151,8 @@ TEST(ProtocolTest, FuzzMalformedLinesAlwaysError) {
       "ESTIMATE graph=g k=4 target_nrmse=-1",
       "ESTIMATE graph=g k=4 target_nrmse=abc",
       "ESTIMATE graph=g k=4 deadline_ms=-5",
+      "ESTIMATE graph=g k=4 deadline_ms=1e13",   // clock overflow
+      "ESTIMATE graph=g k=4 deadline_ms=1e300",  // int64 overflow
       "ESTIMATE graph=g k=4 budget=99999999999999999999",  // int overflow
       "ESTIMATE graph=g k=4 chains=4 budget=2",  // budget < chains
       "PING extra",                          // PING takes no fields

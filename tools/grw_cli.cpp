@@ -488,32 +488,34 @@ int CmdEstimate(const grw::Flags& flags) {
   // starting at --fail-backoff-us (doubling, capped, plus jitter). Any of
   // them switches the run onto crawl accounting.
   grw::EngineOptions options = grw::serve::ToEngineOptions(request);
-  grw::EngineOptions::CrawlConfig& crawl = options.crawl;
   const int64_t threads = flags.GetInt("threads", 0);
-  crawl.latency_us = flags.GetDouble("latency-us", 0.0);
-  crawl.fail_prob = flags.GetDouble("fail-prob", 0.0);
-  crawl.fail_max_retries = flags.GetInt32("fail-retries", 4);
-  crawl.fail_backoff_us = flags.GetDouble("fail-backoff-us", 1000.0);
-  if (threads < 0 || crawl.latency_us < 0.0 || crawl.fail_max_retries < 0 ||
-      crawl.fail_backoff_us < 0.0) {
+  grw::CrawlOptions crawl = options.crawl.value_or(grw::CrawlOptions{});
+  grw::CrawlOptions::FailureModel& fail = crawl.failure;
+  crawl.latency_us = flags.GetDouble("latency-us", crawl.latency_us);
+  fail.fail_prob = flags.GetDouble("fail-prob", fail.fail_prob);
+  fail.max_retries = flags.GetInt32("fail-retries", fail.max_retries);
+  fail.backoff_base_us =
+      flags.GetDouble("fail-backoff-us", fail.backoff_base_us);
+  if (threads < 0 || crawl.latency_us < 0.0 || fail.max_retries < 0 ||
+      fail.backoff_base_us < 0.0) {
     throw std::runtime_error(
         "--threads / --latency-us / --fail-retries / --fail-backoff-us "
         "must be >= 0");
   }
-  if (crawl.fail_prob < 0.0 || crawl.fail_prob >= 1.0) {
+  if (fail.fail_prob < 0.0 || fail.fail_prob >= 1.0) {
     throw std::runtime_error("--fail-prob must be in [0, 1)");
   }
   options.threads = static_cast<unsigned>(threads);
-  crawl.enabled = crawl.enabled || flags.Has("latency-us") ||
-                  flags.Has("fail-prob") || flags.Has("fail-retries") ||
-                  flags.Has("fail-backoff-us");
-
-  const int64_t budget_mb = flags.GetInt("resident-budget-mb", 0);
-  if (budget_mb < 0) {
-    throw std::runtime_error("--resident-budget-mb must be >= 0");
+  if (flags.Has("latency-us") || flags.Has("fail-prob") ||
+      flags.Has("fail-retries") || flags.Has("fail-backoff-us")) {
+    options.crawl = crawl;
   }
+
   grw::OpenOptions open;
-  open.resident_budget_bytes = static_cast<uint64_t>(budget_mb) << 20;
+  open.resident_budget_bytes =
+      static_cast<uint64_t>(flags.GetIntInRange("resident-budget-mb", 0, 0,
+                                                (int64_t{1} << 44) - 1))
+      << 20;
   const grw::GraphSource source = OpenPositional(flags, 1, open);
   const bool sharded = source.sharded();
   if (counts && sharded) {
@@ -563,7 +565,7 @@ int CmdEstimate(const grw::Flags& flags) {
   if (options.target_nrmse > 0.0) {
     title += run.converged ? ", converged" : ", NOT converged";
   }
-  if (options.crawl.budget_queries > 0) {
+  if (options.crawl && options.crawl->query_budget > 0) {
     title += run.budget_exhausted ? ", budget exhausted" : ", under budget";
   }
   grw::Table table(title);
@@ -634,7 +636,7 @@ int CmdEstimate(const grw::Flags& flags) {
             (1024.0 * 1024.0),
         budget.c_str(), source.shards().NumShards());
   }
-  if (options.crawl.enabled && !quiet) {
+  if (options.crawl && !quiet) {
     const grw::CrawlStats& a = run.access;
     std::printf(
         "crawl cost: %llu distinct queries (%llu fetches, %llu re-fetches "
@@ -644,7 +646,8 @@ int CmdEstimate(const grw::Flags& flags) {
         static_cast<unsigned long long>(a.Refetches()),
         100.0 * a.HitRate(),
         static_cast<unsigned long long>(a.evictions));
-    if (options.crawl.fail_prob > 0.0 || a.transient_failures > 0) {
+    if (options.crawl->failure.fail_prob > 0.0 ||
+        a.transient_failures > 0) {
       std::printf(
           "crawl resilience: %llu transient failures -> %llu retries, "
           "%llu giveups (slow-path fallbacks), %.2fs simulated backoff\n",
@@ -653,7 +656,7 @@ int CmdEstimate(const grw::Flags& flags) {
           static_cast<unsigned long long>(a.giveups),
           a.backoff_latency_us / 1e6);
     }
-    if (options.crawl.latency_us > 0.0) {
+    if (options.crawl->latency_us > 0.0) {
       // Chains crawl concurrently, so simulated API latency amortizes
       // across them the way wall-clock does.
       const double sim_seconds =
@@ -662,20 +665,20 @@ int CmdEstimate(const grw::Flags& flags) {
       std::printf(
           "simulated latency: %.2fs/chain at %.0fus/query -> effective "
           "%.3fM steps/s\n",
-          sim_seconds, options.crawl.latency_us,
+          sim_seconds, options.crawl->latency_us,
           effective_seconds > 0.0
               ? static_cast<double>(run.merged.steps) / effective_seconds /
                     1e6
               : 0.0);
     }
-    if (options.crawl.budget_queries > 0) {
+    if (options.crawl->query_budget > 0) {
       std::printf("budget: %s — %llu of %llu budgeted distinct queries "
                   "spent, %llu total steps\n",
                   run.budget_exhausted ? "exhausted" : "not exhausted",
                   static_cast<unsigned long long>(
                       run.access.distinct_fetches),
                   static_cast<unsigned long long>(
-                      options.crawl.budget_queries),
+                      options.crawl->query_budget),
                   static_cast<unsigned long long>(run.merged.steps));
     }
   }

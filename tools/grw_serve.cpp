@@ -92,24 +92,28 @@ int main(int argc, char** argv) {
   options.host = flags.GetString("host", "127.0.0.1");
   options.port =
       static_cast<int>(flags.GetIntInRange("port", 7411, 0, 65535));
-  options.scheduler.workers = flags.GetInt32("workers", 4);
-  options.scheduler.queue_limit = flags.GetSize("queue", 64);
-  options.scheduler.engine_threads = flags.GetUnsigned("engine-threads", 0);
-  options.scheduler.tenant_budget =
-      flags.GetUInt64("tenant-budget", 0);
-  options.scheduler.limits.max_steps =
-      flags.GetUInt64("max-steps", 50000000);
-  options.scheduler.limits.max_chains =
-      flags.GetInt32("max-chains", 256);
+  // Flag defaults are the structs' own (SchedulerOptions, RequestLimits).
+  grw::serve::SchedulerOptions& sched = options.scheduler;
+  sched.workers = flags.GetInt32("workers", sched.workers);
+  sched.queue_limit = flags.GetSize("queue", sched.queue_limit);
+  sched.engine_threads =
+      flags.GetUnsigned("engine-threads", sched.engine_threads);
+  sched.tenant_budget = flags.GetUInt64("tenant-budget", sched.tenant_budget);
+  sched.limits.max_steps = flags.GetUInt64("max-steps", sched.limits.max_steps);
+  sched.limits.max_chains =
+      flags.GetInt32("max-chains", sched.limits.max_chains);
   // Backoff hint shed clients receive in RETRY_AFTER responses.
-  options.scheduler.retry_after_ms = flags.GetDouble("retry-after-ms", 50.0);
-  if (options.scheduler.retry_after_ms < 0.0) {
+  sched.retry_after_ms =
+      flags.GetDouble("retry-after-ms", sched.retry_after_ms);
+  if (sched.retry_after_ms < 0.0) {
     std::fprintf(stderr, "grw_serve: --retry-after-ms must be >= 0\n");
     return 2;
   }
   const bool verify = !flags.GetBool("no-verify");
   const uint64_t resident_budget_bytes =
-      flags.GetUInt64("resident-budget-mb", 0) << 20;
+      static_cast<uint64_t>(flags.GetIntInRange("resident-budget-mb", 0, 0,
+                                                (int64_t{1} << 44) - 1))
+      << 20;
 
   grw::serve::SnapshotRegistry registry;
   size_t quarantined = 0;

@@ -130,6 +130,15 @@ diff mono.txt sharded_crawl.txt
 ./grw_cli estimate big.shards --resident-budget-mb 2 --crawl --cache-size 256 \
   --k 4 --d 3 --steps 50000 --chains 4 --quiet --raw > sharded_crawl3.txt
 diff mono3.txt sharded_crawl3.txt
+# 2^44 MiB would wrap to 0 bytes (= unbounded): both tools must refuse it.
+if ./grw_cli estimate big.shards --resident-budget-mb 17592186044416 \
+    --k 4 --quiet --raw; then
+  echo "oversized --resident-budget-mb unexpectedly accepted"; exit 1
+fi
+if ! { timeout 10 ./grw_serve --port 0 --resident-budget-mb 17592186044416 \
+    s=big.shards; [ $? -eq 2 ]; }; then
+  echo "grw_serve must exit 2 on an oversized --resident-budget-mb"; exit 1
+fi
 
 step "bench_sharded identity gate across budget fractions"
 ./bench_sharded --n 8000 --steps 20000 --chains 8 \
