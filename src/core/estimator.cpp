@@ -111,12 +111,12 @@ void GraphletEstimatorT<G>::Reset(uint64_t seed) {
 
   walker_->Reset(rng_);
   window_.Clear();
-  window_.Push(walker_->Nodes(), 0);
+  window_.Push(walker_->Nodes(), 0, walker_->Known());
   // Fill the window: l states need l-1 transitions (Algorithm 1 line 3).
   for (int i = 1; i < l_; ++i) {
     window_.SetNewestDegree(walker_->StateDegree());
     walker_->Step(rng_);
-    window_.Push(walker_->Nodes(), 0);
+    window_.Push(walker_->Nodes(), 0, walker_->Known());
   }
 }
 
@@ -130,10 +130,11 @@ void GraphletEstimatorT<G>::Run(uint64_t steps) {
       if (g_->BudgetExhausted()) return;
     }
     // A state's G(d)-degree becomes known before we leave it; snapshot it,
-    // transition, then evaluate the new window.
+    // transition, then evaluate the new window, which probes only the
+    // adjacency the move did not reveal.
     window_.SetNewestDegree(walker_->StateDegree());
     walker_->Step(rng_);
-    window_.Push(walker_->Nodes(), 0);
+    window_.Push(walker_->Nodes(), 0, walker_->Known());
     ++steps_;
     Accumulate();
   }

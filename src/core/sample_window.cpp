@@ -1,14 +1,13 @@
 #include "core/sample_window.h"
 
-#include <algorithm>
-
 #include "graph/access.h"
 
 namespace grw {
 
 template <class G>
 void SampleWindowT<G>::Push(std::span<const VertexId> nodes,
-                            uint64_t state_degree) {
+                            uint64_t state_degree,
+                            const KnownAdjacency& known) {
   // Evict first so the registry never exceeds k vertices (any l-1
   // consecutive states cover at most d + l - 2 = k - 1 vertices).
   if (size_ == l_) {
@@ -24,13 +23,13 @@ void SampleWindowT<G>::Push(std::span<const VertexId> nodes,
   slot.degree = state_degree;
   for (size_t i = 0; i < nodes.size(); ++i) {
     slot.nodes[i] = nodes[i];
-    AddVertex(nodes[i]);
+    AddVertex(nodes[i], known);
   }
   ++size_;
 }
 
 template <class G>
-void SampleWindowT<G>::AddVertex(VertexId v) {
+void SampleWindowT<G>::AddVertex(VertexId v, const KnownAdjacency& known) {
   for (int i = 0; i < registry_size_; ++i) {
     if (registry_nodes_[i] == v) {
       ++registry_refs_[i];
@@ -42,13 +41,19 @@ void SampleWindowT<G>::AddVertex(VertexId v) {
   registry_nodes_[idx] = v;
   registry_refs_[idx] = 1;
   // The incremental step of paper Section 5: only the entering vertex's
-  // adjacency needs fresh queries (<= k-1 binary searches).
+  // adjacency is new, and only the pairs the walker did not reveal cost
+  // an edge query.
+  const int kv = known.Find(v);
+  uint32_t row = 0;
   for (int i = 0; i < idx; ++i) {
-    const bool has = g_->HasEdge(registry_nodes_[i], v);
-    adj_[i][idx] = has;
-    adj_[idx][i] = has;
+    const VertexId u = registry_nodes_[i];
+    const int ku = kv < 0 ? -1 : known.Find(u);
+    const uint32_t has = ku >= 0 ? (known.rows[kv] >> ku) & 1u
+                                 : static_cast<uint32_t>(g_->HasEdge(u, v));
+    row |= has << i;
+    registry_rows_[i] |= has << idx;
   }
-  adj_[idx][idx] = false;
+  registry_rows_[idx] = row;
 }
 
 template <class G>
@@ -56,22 +61,20 @@ void SampleWindowT<G>::ReleaseVertex(VertexId v) {
   for (int i = 0; i < registry_size_; ++i) {
     if (registry_nodes_[i] != v) continue;
     if (--registry_refs_[i] > 0) return;
-    // Remove row/column i, preserving first-appearance order of the rest.
+    // Remove vertex i, preserving first-appearance order of the rest: its
+    // row goes with it, and every other row drops bit i by shifting the
+    // bits above it down one.
     for (int r = i; r + 1 < registry_size_; ++r) {
       registry_nodes_[r] = registry_nodes_[r + 1];
       registry_refs_[r] = registry_refs_[r + 1];
-    }
-    for (int r = 0; r < registry_size_; ++r) {
-      for (int c = i; c + 1 < registry_size_; ++c) {
-        adj_[r][c] = adj_[r][c + 1];
-      }
-    }
-    for (int r = i; r + 1 < registry_size_; ++r) {
-      for (int c = 0; c < registry_size_; ++c) {
-        adj_[r][c] = adj_[r + 1][c];
-      }
+      registry_rows_[r] = registry_rows_[r + 1];
     }
     --registry_size_;
+    const uint32_t low = (1u << i) - 1u;
+    for (int r = 0; r < registry_size_; ++r) {
+      const uint32_t row = registry_rows_[r];
+      registry_rows_[r] = (row & low) | ((row >> 1) & ~low);
+    }
     return;
   }
   assert(false && "releasing vertex not in registry");
@@ -80,11 +83,11 @@ void SampleWindowT<G>::ReleaseVertex(VertexId v) {
 template <class G>
 uint32_t SampleWindowT<G>::Mask() const {
   assert(Valid());
+  // The packed layout lists row i's pairs (i, j > i) contiguously from
+  // PairIndex(k, i, i + 1), so each row's upper part lands in one shift.
   uint32_t mask = 0;
-  for (int i = 0; i < k_; ++i) {
-    for (int j = i + 1; j < k_; ++j) {
-      if (adj_[i][j]) mask = MaskWithEdge(mask, k_, i, j);
-    }
+  for (int i = 0; i + 1 < k_; ++i) {
+    mask |= (registry_rows_[i] >> (i + 1)) << PairIndex(k_, i, i + 1);
   }
   return mask;
 }

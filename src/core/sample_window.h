@@ -3,14 +3,19 @@
 //
 // Paper Section 5 ("Identify Graphlet Types"): because consecutive states
 // share d-1 nodes, at most one vertex enters the union per step, so its
-// adjacency against the <= k-1 retained vertices costs k-1 edge queries —
-// versus C(k,2) for rebuilding from scratch. Both paths are implemented;
-// tests assert they agree and the micro bench measures the gap. Each
-// query goes through the access policy's HasEdge: with full access
-// (SampleWindow = SampleWindowT<Graph>) that is Graph::HasEdge, a binary
-// search of the lower-degree endpoint's list; through a crawl cache the
-// same probes are answered from the crawler's cached neighbor lists and
-// charged API cost on a miss.
+// adjacency against the <= k-1 retained vertices costs at most k-1 edge
+// queries — versus C(k,2) for rebuilding from scratch. Fewer in practice:
+// the walker hands each push the adjacency its move already revealed
+// (KnownAdjacency, walk/walker.h), and only the pairs it leaves unknown
+// are probed: 1 of 2 per step for d = 1 at k = 3, 2 of 3 for d = 2 at
+// k = 4, 1 of 3 for d = 3 at k = 4. Both paths are implemented; tests
+// assert they agree and the micro bench measures the gap. Each query goes
+// through the access policy's HasEdge: with full access
+// (SampleWindow = SampleWindowT<Graph>) that is Graph::HasEdge, an inline
+// branchless search (SortedContains, graph/graph.h) of the lower-degree
+// endpoint's list; through a crawl cache the same probes are answered
+// from the crawler's cached neighbor lists and charged API cost on a
+// miss.
 //
 // The window also snapshots each state's G(d)-degree (provided by the
 // caller as states are pushed) because the expanded-chain weight of a
@@ -27,6 +32,7 @@
 #include "graph/access.h"
 #include "graph/graph.h"
 #include "graphlet/catalog.h"
+#include "walk/walker.h"
 
 namespace grw {
 
@@ -63,8 +69,11 @@ class SampleWindowT {
   /// Pushes the walker's new state (d node ids, any order); evicts the
   /// oldest state when the window is full. `state_degree` is the state's
   /// G(d)-degree if already known, or 0 to fill in later via
-  /// SetNewestDegree().
-  void Push(std::span<const VertexId> nodes, uint64_t state_degree);
+  /// SetNewestDegree(). `known` is what the walker's move revealed of
+  /// the adjacency (StateWalker::Known()); the pairs it covers are not
+  /// probed. The default knows nothing, so every pair is probed.
+  void Push(std::span<const VertexId> nodes, uint64_t state_degree,
+            const KnownAdjacency& known = {});
 
   /// Records the newest state's G(d)-degree once the walk knows it.
   void SetNewestDegree(uint64_t degree) {
@@ -101,7 +110,7 @@ class SampleWindowT {
  private:
   WindowState& StateAt(int i) { return states_[(head_ + i) % l_]; }
 
-  void AddVertex(VertexId v);
+  void AddVertex(VertexId v, const KnownAdjacency& known);
   void ReleaseVertex(VertexId v);
 
   const G* g_;
@@ -112,11 +121,14 @@ class SampleWindowT {
   int head_ = 0;
 
   // Union registry: vertices in first-appearance order with reference
-  // counts (number of window states containing each), plus the adjacency
-  // matrix in registry order. Union size never exceeds k = d + l - 1.
+  // counts (number of window states containing each), plus one adjacency
+  // bit row per vertex (bit j of registry_rows_[i]: vertex i ~ vertex j),
+  // in registry order. Union size never exceeds k = d + l - 1. Slots are
+  // not reused: UnionNodes() order decides which vertex each CSS term
+  // (CssTable::Eval) maps to, and so the order the weight sums them in.
   std::array<VertexId, kMaxGraphletSize> registry_nodes_ = {};
   std::array<uint8_t, kMaxGraphletSize> registry_refs_ = {};
-  std::array<std::array<bool, kMaxGraphletSize>, kMaxGraphletSize> adj_ = {};
+  std::array<uint32_t, kMaxGraphletSize> registry_rows_ = {};
   int registry_size_ = 0;
 };
 

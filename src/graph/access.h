@@ -27,7 +27,6 @@
 
 #pragma once
 
-#include <algorithm>
 #include <concepts>
 #include <cstdint>
 #include <span>
@@ -318,9 +317,9 @@ class CrawlAccessT {
   /// The i-th neighbor of v (0-based, sorted order).
   VertexId Neighbor(VertexId v, uint32_t i) const { return Fetch(v)[i]; }
 
-  /// Adjacency test, answered client-side by searching a fetched friend
-  /// list: free (a cache hit) when either endpoint's list is cached,
-  /// otherwise one API call for u's list. Identical result to
+  /// Adjacency test, answered client-side by SortedContains over a
+  /// fetched friend list: free (a cache hit) when either endpoint's list
+  /// is cached, otherwise one API call for u's list. Identical result to
   /// Graph::HasEdge for every input.
   bool HasEdge(VertexId u, VertexId v) const {
     VertexId probe = u;
@@ -329,8 +328,7 @@ class CrawlAccessT {
       probe = v;
       other = u;
     }
-    const std::span<const VertexId> list = Fetch(probe);
-    return std::binary_search(list.begin(), list.end(), other);
+    return SortedContains(Fetch(probe), other);
   }
 
   /// True once the distinct-fetch budget (if any) has been reached.

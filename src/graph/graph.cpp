@@ -31,17 +31,9 @@ Graph::Graph(std::vector<uint64_t> offsets, std::vector<VertexId> neighbors) {
   max_degree_ = std::make_shared<std::atomic<uint32_t>>(kUnknownDegree);
 }
 
-bool Graph::HasEdge(VertexId u, VertexId v) const {
+bool Graph::IndexedHasEdge(VertexId u, VertexId v) const {
   if (u >= NumNodes() || v >= NumNodes() || u == v) return false;
-  if (index_) return index_->HasEdge(u, v);
-  return HasEdgeBinarySearch(u, v);
-}
-
-bool Graph::HasEdgeBinarySearch(VertexId u, VertexId v) const {
-  if (u >= NumNodes() || v >= NumNodes() || u == v) return false;
-  if (Degree(u) > Degree(v)) std::swap(u, v);
-  const auto nbrs = Neighbors(u);
-  return std::binary_search(nbrs.begin(), nbrs.end(), v);
+  return index_->HasEdge(u, v);
 }
 
 void Graph::BuildAdjacencyIndex() { BuildAdjacencyIndex({}); }

@@ -1,12 +1,13 @@
 // Immutable undirected simple graph in CSR (compressed sparse row) form.
 //
 // This is the substrate every other module walks on. Design points:
-//  * Adjacency lists are sorted, so HasEdge is a binary search — the
+//  * Adjacency lists are sorted, so HasEdge is SortedContains, an inline
+//    branchless search of the lower-degree endpoint's list — the
 //    estimator's incremental sample-window maintenance (paper Section 5)
-//    performs k-1 such searches per random-walk step. Attaching an
-//    AdjacencyIndex (graph/adjacency.h) upgrades HasEdge to O(1) hub
-//    bitset tests and signature-filtered hybrid searches without changing
-//    any result.
+//    performs at most k-1 such searches per random-walk step, fewer where
+//    the walk already knows the answer. Attaching an AdjacencyIndex
+//    (graph/adjacency.h) upgrades HasEdge to O(1) hub bitset tests and
+//    signature-filtered hybrid searches without changing any result.
 //  * The structure is immutable after construction; all samplers share one
 //    const Graph& across threads without synchronization.
 //  * Node ids are dense uint32_t in [0, NumNodes()).
@@ -25,11 +26,29 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace grw {
 
 using VertexId = uint32_t;
+
+/// True iff `v` is in `list`, which must be strictly increasing (a
+/// neighbor list). Every membership test of the access family goes
+/// through it: a halving search whose step is a conditional move, not a
+/// branch, so a probe costs log2(size) dependent loads and no
+/// mispredicted jumps, finished by one compare.
+inline bool SortedContains(std::span<const VertexId> list, VertexId v) {
+  if (list.empty()) return false;
+  const VertexId* base = list.data();
+  size_t n = list.size();
+  while (n > 1) {
+    const size_t half = n / 2;
+    base = base[half] <= v ? base + half : base;
+    n -= half;
+  }
+  return *base == v;
+}
 
 class AdjacencyIndex;
 struct AdjacencyIndexOptions;
@@ -91,15 +110,22 @@ class Graph {
 
   /// True iff the undirected edge (u, v) exists. Routes through the
   /// attached AdjacencyIndex when one exists (O(1) for hub endpoints,
-  /// signature-filtered hybrid search otherwise); falls back to a binary
-  /// search over the lower-degree endpoint's list. Both paths return
-  /// identical results for every input.
-  bool HasEdge(VertexId u, VertexId v) const;
+  /// signature-filtered hybrid search otherwise); otherwise, inline,
+  /// SortedContains over the lower-degree endpoint's list. Both paths
+  /// return identical results for every input.
+  bool HasEdge(VertexId u, VertexId v) const {
+    if (index_) [[unlikely]] return IndexedHasEdge(u, v);
+    return HasEdgeBinarySearch(u, v);
+  }
 
-  /// The index-free reference path: binary search over the lower-degree
+  /// The index-free reference path: SortedContains over the lower-degree
   /// endpoint's sorted list, O(log Degree(min-side)). Used by the
   /// equivalence property tests and the HasEdge micro bench baseline.
-  bool HasEdgeBinarySearch(VertexId u, VertexId v) const;
+  bool HasEdgeBinarySearch(VertexId u, VertexId v) const {
+    if (u >= NumNodes() || v >= NumNodes() || u == v) return false;
+    if (Degree(u) > Degree(v)) std::swap(u, v);
+    return SortedContains(Neighbors(u), v);
+  }
 
   /// Builds and attaches an AdjacencyIndex (graph/adjacency.h) so every
   /// HasEdge caller takes the accelerated path. Call before sharing the
@@ -143,6 +169,9 @@ class Graph {
 
  private:
   static constexpr uint32_t kUnknownDegree = 0xFFFFFFFFu;
+
+  // HasEdge through the attached index; out of line, off the hot path.
+  bool IndexedHasEdge(VertexId u, VertexId v) const;
 
   std::shared_ptr<const Backing> backing_;
   std::span<const uint64_t> offsets_;

@@ -70,7 +70,6 @@
 
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -277,13 +276,12 @@ class ShardedAccess {
 
   VertexId Neighbor(VertexId v, uint32_t i) const { return Neighbors(v)[i]; }
 
-  /// Binary search over the lower-degree endpoint's list — the same
+  /// SortedContains over the lower-degree endpoint's list — the same
   /// tie-breaking as Graph::HasEdgeBinarySearch, and the same boolean
   /// as Graph::HasEdge for every input.
   bool HasEdge(VertexId u, VertexId v) const {
     if (Degree(u) > Degree(v)) std::swap(u, v);
-    const std::span<const VertexId> list = Neighbors(u);
-    return std::binary_search(list.begin(), list.end(), v);
+    return SortedContains(Neighbors(u), v);
   }
 
   /// This reader's counters: faults, hits, evictions, and (bounded) the

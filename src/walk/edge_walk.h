@@ -75,6 +75,11 @@ class EdgeWalkT final : public StateWalker {
            g_->Degree(nodes_[1]) - 2;
   }
 
+  /// The state is an edge.
+  KnownAdjacency Known() const override {
+    return {{nodes_[0], nodes_[1]}, {0b10, 0b01}, 2};
+  }
+
  private:
   // Draws a uniform neighbor state of (nodes_[0], nodes_[1]) into (*a, *b),
   // normalized so the retained endpoint is first... no normalization is

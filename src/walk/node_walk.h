@@ -54,6 +54,12 @@ class NodeWalkT final : public StateWalker {
 
   uint64_t StateDegree() const override { return g_->Degree(current_); }
 
+  /// The node stepped from is adjacent to the current one.
+  KnownAdjacency Known() const override {
+    if (!has_prev_) return {};
+    return {{prev_, current_}, {0b10, 0b01}, 2};
+  }
+
   VertexId Current() const { return current_; }
 
  private:

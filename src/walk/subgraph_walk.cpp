@@ -63,28 +63,29 @@ constexpr int kKept[3][2] = {{1, 2}, {0, 2}, {0, 1}};
 // - x !~ y: w must join them, so it is a common neighbor outside the
 //   state. The intersection holds z iff z is adjacent to both.
 // Reads each state vertex's list once, in state order; the adjacencies
-// come from those lists. The pair kept when carry.slot drops takes its
-// |N(x) ∩ N(y)| and adjacency from the carry instead. Agrees with
-// EnumerateGdNeighbors' count for every state, and for a connected one
-// reduces to d_x + d_y - |N(x) ∩ N(y)| - 3 and |N(x) ∩ N(y)| - 1.
+// come from those lists, or all three from the carry after a move. The
+// pair kept when carry.slot drops takes its |N(x) ∩ N(y)| from the
+// carry. Agrees with EnumerateGdNeighbors' count for every state, and for
+// a connected one reduces to d_x + d_y - |N(x) ∩ N(y)| - 3 and
+// |N(x) ∩ N(y)| - 1.
 template <class G>
 uint64_t CountG3Neighbors(const G& g, std::span<const VertexId> state,
                           const G3Carry& carry, G3Split& split) {
   assert(state.size() == 3);
   const std::span<const VertexId> lists[3] = {
       g.Neighbors(state[0]), g.Neighbors(state[1]), g.Neighbors(state[2])};
-  // edge[z]: the pair kept when z drops is adjacent. Searches the shorter
-  // of the two lists.
+  // edge[z]: the pair kept when z drops is adjacent. Carried after a
+  // move; otherwise searches the shorter of the two lists.
   bool edge[3];
   for (int z = 0; z < 3; ++z) {
-    if (z == carry.slot) {
-      edge[z] = carry.edge;
+    if (carry.slot >= 0) {
+      edge[z] = (carry.pair_edges >> z) & 1u;
       continue;
     }
     int x = kKept[z][0];
     int y = kKept[z][1];
     if (lists[x].size() > lists[y].size()) std::swap(x, y);
-    edge[z] = std::binary_search(lists[x].begin(), lists[x].end(), state[y]);
+    edge[z] = SortedContains(lists[x], state[y]);
   }
   split.pair_edges = 0;
   for (int z = 0; z < 3; ++z) {
@@ -104,11 +105,18 @@ uint64_t CountG3Neighbors(const G& g, std::span<const VertexId> state,
   return split.Total();
 }
 
+// A located vertex w and the lists it was found in: bit 0 of `lists`
+// for x's, bit 1 for y's, i.e. w's adjacency to x and to y.
+struct G3Vertex {
+  VertexId w;
+  uint32_t lists;
+};
+
 // The rank-th (0-based, ascending) vertex w outside `state` that makes
 // {x, y, w} a G(3) state, given x's and y's lists: any vertex of the
 // union when x ~ y, a common neighbor otherwise. One partial merge; the
 // caller guarantees rank < the pair's count.
-VertexId LocateG3Vertex(std::span<const VertexId> nx,
+G3Vertex LocateG3Vertex(std::span<const VertexId> nx,
                         std::span<const VertexId> ny, bool pair_edge,
                         std::span<const VertexId> state, uint64_t rank) {
   const auto in_state = [&state](VertexId w) {
@@ -126,7 +134,7 @@ VertexId LocateG3Vertex(std::span<const VertexId> nx,
         ++pb;
       } else {
         const VertexId w = *pa;
-        if (!in_state(w) && rank-- == 0) return w;
+        if (!in_state(w) && rank-- == 0) return {w, 0b11};
         ++pa;
         ++pb;
       }
@@ -134,19 +142,24 @@ VertexId LocateG3Vertex(std::span<const VertexId> nx,
   }
   while (pa != ea && pb != eb) {
     VertexId w;
+    uint32_t lists;
     if (*pa < *pb) {
       w = *pa++;
+      lists = 0b01;
     } else if (*pb < *pa) {
       w = *pb++;
+      lists = 0b10;
     } else {
       w = *pa++;
       ++pb;
+      lists = 0b11;
     }
-    if (!in_state(w) && rank-- == 0) return w;
+    if (!in_state(w) && rank-- == 0) return {w, lists};
   }
   // One list ran out: the rest of the other is all union.
+  const uint32_t lists = pa != ea ? 0b01 : 0b10;
   for (const VertexId* p = pa != ea ? pa : pb;; ++p) {
-    if (!in_state(*p) && rank-- == 0) return *p;
+    if (!in_state(*p) && rank-- == 0) return {*p, lists};
   }
 }
 
@@ -435,15 +448,37 @@ G3Carry SubgraphWalkT<G>::Locate(uint64_t pick) {
   while (pick >= g3_.count[z]) pick -= g3_.count[z++];
   const VertexId x = nodes_[kKept[z][0]];
   const VertexId y = nodes_[kKept[z][1]];
-  const bool pair_edge = (g3_.pair_edges >> z) & 1u;
-  const VertexId w = LocateG3Vertex(g_->Neighbors(x), g_->Neighbors(y),
-                                    pair_edge, Nodes(), pick);
+  const uint32_t pair_edge = (g3_.pair_edges >> z) & 1u;
+  const G3Vertex found = LocateG3Vertex(g_->Neighbors(x), g_->Neighbors(y),
+                                        pair_edge != 0, Nodes(), pick);
+  const VertexId w = found.w;
   next_ = {x, y};
   const auto at = std::lower_bound(next_.begin(), next_.end(), w);
   const int slot = static_cast<int>(at - next_.begin());
   next_.insert(at, w);
-  // {x, y} is the pair the new state keeps when w drops.
-  return {slot, g3_.common[z], pair_edge};
+  // The new state keeps {x, y} when w drops, {x, w} when y drops and
+  // {y, w} when x drops; x and y fill the two positions besides slot.
+  const int x_slot = slot == 0 ? 1 : 0;
+  const int y_slot = slot == 2 ? 1 : 2;
+  const uint32_t pair_edges = pair_edge << slot |
+                              (found.lists & 1u) << y_slot |
+                              (found.lists >> 1) << x_slot;
+  return {slot, g3_.common[z], pair_edges};
+}
+
+template <class G>
+KnownAdjacency SubgraphWalkT<G>::Known() const {
+  if (carry_.slot < 0) return {};
+  KnownAdjacency known{{nodes_[0], nodes_[1], nodes_[2]}, {}, 3};
+  for (int z = 0; z < 3; ++z) {
+    if ((carry_.pair_edges >> z) & 1u) {
+      const int x = kKept[z][0];
+      const int y = kKept[z][1];
+      known.rows[x] |= 1u << y;
+      known.rows[y] |= 1u << x;
+    }
+  }
+  return known;
 }
 
 template <class G>

@@ -142,14 +142,16 @@ struct G3Split {
   uint64_t Total() const { return count[0] + count[1] + count[2]; }
 };
 
-/// What a d = 3 move {x, y, z} -> {x, y, w} keeps of the old state's
-/// G3Split: the pair (x, y)'s |N(x) ∩ N(y)| and adjacency, filed under
-/// slot, w's position in the new sorted state (the position whose drop
-/// keeps x, y). slot < 0 carries nothing.
+/// What a d = 3 move {x, y, z} -> {x, y, w} carries into the new state:
+/// the pair (x, y)'s |N(x) ∩ N(y)| from the old state's G3Split, filed
+/// under slot, w's position in the new sorted state (the position whose
+/// drop keeps x, y); and the new state's whole adjacency in G3Split's
+/// pair_edges form: x ~ y from the old split, w's edges to x and y from
+/// the merge that found w. slot < 0 carries nothing.
 struct G3Carry {
   int slot = -1;
   uint64_t common = 0;
-  bool edge = false;
+  uint32_t pair_edges = 0;
 };
 
 /// Random walk on connected induced d-node subgraphs of G, d >= 3,
@@ -184,6 +186,10 @@ class SubgraphWalkT final : public StateWalker {
     EnsureDegree();
     return d_ == 3 ? g3_.Total() : neighbors_.size() / d_;
   }
+
+  /// At d = 3 after a Step(), the whole state's adjacency (the carry's
+  /// pair_edges); nothing otherwise.
+  KnownAdjacency Known() const override;
 
  private:
   void EnsureDegree() const;

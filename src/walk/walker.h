@@ -14,6 +14,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 
@@ -21,6 +22,31 @@
 #include "util/rng.h"
 
 namespace grw {
+
+/// Adjacency a walk learned making its last move, handed to the sample
+/// window (core/sample_window.h) so it does not probe those pairs again:
+/// the induced adjacency of up to three vertices, one bit row each. What
+/// each walk knows after a Step():
+///   d = 1: the node it stepped from is adjacent to the node it is on;
+///   d = 2: the state is an edge (also after Reset());
+///   d = 3: the whole state: the kept pair's bit is carried from the state
+///          before, and the merge that found the entering vertex saw which
+///          of the kept pair's lists it came from;
+///   d >= 4: nothing.
+struct KnownAdjacency {
+  std::array<VertexId, 3> nodes = {};
+  /// Bit j of rows[i]: nodes[i] ~ nodes[j].
+  std::array<uint8_t, 3> rows = {};
+  int size = 0;
+
+  /// Position of v among nodes, or -1.
+  int Find(VertexId v) const {
+    for (int i = 0; i < size; ++i) {
+      if (nodes[i] == v) return i;
+    }
+    return -1;
+  }
+};
 
 /// Abstract random walk over G(d).
 class StateWalker {
@@ -43,6 +69,10 @@ class StateWalker {
   /// O(1) for d <= 2; for d >= 3 this is the size of the enumerated
   /// neighbor set (computed lazily, cached until the state changes).
   virtual uint64_t StateDegree() const = 0;
+
+  /// What the last move revealed of the adjacency around the current
+  /// state (see KnownAdjacency); valid until the next Step()/Reset().
+  virtual KnownAdjacency Known() const { return {}; }
 };
 
 }  // namespace grw

@@ -105,7 +105,9 @@ TEST(CrawlEngineTest, PerChainCrawlStatsArePinned) {
   // Every crawl setting at once, budget-stopped: the per-chain budget
   // shares (1203 over 4 chains: 301, 301, 301, 300) and the per-chain
   // failure seeds fix these counts, so a change that moves either (or
-  // the LRU, or the failure model's draws) shows up here.
+  // the LRU, or the failure model's draws) shows up here. cache_hits
+  // also counts the sample window's edge probes, so it moves with the
+  // adjacency the walk hands the window (walk/walker.h KnownAdjacency).
   const Graph g = TestGraph();
   EngineOptions options;
   options.chains = 4;
@@ -129,10 +131,10 @@ TEST(CrawlEngineTest, PerChainCrawlStatsArePinned) {
     double backoff_latency_us, simulated_latency_us;
   };
   const Pinned expected[] = {
-      {314, 301, 5388, 250, 100, 99, 1, 1016221.6320791552, 15700},
-      {311, 301, 5349, 247, 73, 73, 0, 12138.617116873324, 15550},
-      {322, 301, 5943, 258, 88, 88, 0, 13615.470115994136, 16100},
-      {345, 300, 6286, 281, 73, 72, 1, 1011534.897022314, 17250},
+      {314, 301, 5037, 250, 100, 99, 1, 1016221.6320791552, 15700},
+      {311, 301, 5008, 247, 73, 73, 0, 12138.617116873324, 15550},
+      {322, 301, 5565, 258, 88, 88, 0, 13615.470115994136, 16100},
+      {345, 300, 5888, 281, 73, 72, 1, 1011534.897022314, 17250},
   };
   ASSERT_EQ(run.per_chain_access.size(), 4u);
   for (size_t c = 0; c < 4; ++c) {

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -88,6 +93,38 @@ TEST(GraphTest, EmptyGraph) {
 
 TEST(GraphTest, SummaryFormat) {
   EXPECT_EQ(Complete(4).Summary(), "n=4 m=6 dmax=3");
+}
+
+TEST(GraphTest, SortedContainsMatchesBinarySearch) {
+  constexpr VertexId kMax = std::numeric_limits<VertexId>::max();
+  const std::vector<VertexId> empty;
+  EXPECT_FALSE(SortedContains(empty, 0));
+  EXPECT_FALSE(SortedContains(empty, kMax));
+  Rng rng(41);
+  std::vector<VertexId> list;
+  std::vector<VertexId> queries;
+  for (size_t n = 1; n <= 600; ++n) {
+    SCOPED_TRACE(n);
+    // Gaps of at least 2 leave an absent id between every pair. Odd
+    // sizes start at id 0, even ones end at the largest id.
+    list.assign(n, 0);
+    list[0] = n % 2 == 1 ? 0 : 1 + static_cast<VertexId>(rng.UniformInt(5));
+    for (size_t i = 1; i < n; ++i) {
+      list[i] = list[i - 1] + 2 + static_cast<VertexId>(rng.UniformInt(1000));
+    }
+    if (n % 2 == 0) list[n - 1] = kMax;
+    queries.assign(list.begin(), list.end());  // every present position
+    queries.push_back(0);
+    queries.push_back(kMax);
+    if (list.front() > 0) queries.push_back(list.front() - 1);  // below
+    for (size_t i = 0; i + 1 < n; ++i) queries.push_back(list[i] + 1);
+    if (list.back() < kMax) queries.push_back(list.back() + 1);  // above
+    for (const VertexId v : queries) {
+      EXPECT_EQ(SortedContains(list, v),
+                std::binary_search(list.begin(), list.end(), v))
+          << "id " << v;
+    }
+  }
 }
 
 }  // namespace

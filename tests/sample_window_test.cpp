@@ -4,13 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <deque>
+#include <memory>
+#include <vector>
 
+#include "graph/access.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 #include "walk/edge_walk.h"
 #include "walk/node_walk.h"
+#include "walk/subgraph_walk.h"
 
 namespace grw {
 namespace {
@@ -135,6 +141,92 @@ TEST(SampleWindowTest, IncrementalMatchesNaiveUnderRandomWalks) {
       if (window.Valid()) {
         EXPECT_EQ(window.Mask(), window.MaskNaive());
       }
+    }
+  }
+}
+
+// Walks `walk` for `steps` steps, pushing every state with the walk's
+// known adjacency into a window that reads through an unbounded crawl
+// over g, where fetches + cache_hits counts the window's HasEdge calls.
+// Checks that each push probes at most the pairs the hint leaves unknown
+// (registry - 1 - known per entering vertex), that the hint knows what
+// each walk promises (walk/walker.h), and that every valid window's mask
+// equals the naive recomputation. Adds the probes the hint saved to
+// *saved.
+void CheckKnownAdjacencyWindow(const Graph& g, StateWalker& walk, int k,
+                               int steps, Rng& rng, uint64_t* saved) {
+  walk.Reset(rng);
+  const int d = static_cast<int>(walk.Nodes().size());
+  const int l = k - d + 1;
+  const int known_per_entry = d == 1 ? 1 : d - 1;
+  const CrawlAccess crawl(g, CrawlOptions{});
+  SampleWindowT<CrawlAccess> window(crawl, k, l);
+  std::deque<std::vector<VertexId>> retained;  // the last l-1 states
+  for (int s = 0; s <= steps; ++s) {
+    if (s > 0) walk.Step(rng);
+    const std::span<const VertexId> nodes = walk.Nodes();
+    const KnownAdjacency known = walk.Known();
+    std::vector<VertexId> entering;
+    for (const VertexId v : nodes) {
+      const bool held = std::any_of(
+          retained.begin(), retained.end(), [v](const auto& state) {
+            return std::find(state.begin(), state.end(), v) != state.end();
+          });
+      if (!held) entering.push_back(v);
+    }
+    const auto probes_before = [&crawl] {
+      return crawl.stats().fetches + crawl.stats().cache_hits;
+    };
+    const uint64_t before = probes_before();
+    window.Push(nodes, 0, known);
+    const uint64_t probes = probes_before() - before;
+
+    const std::span<const VertexId> registry = window.UnionNodes();
+    uint64_t bound = 0;
+    for (const VertexId v : entering) {
+      const auto idx = static_cast<uint64_t>(
+          std::find(registry.begin(), registry.end(), v) - registry.begin());
+      ASSERT_LT(idx, registry.size());
+      uint64_t known_pairs = 0;
+      for (uint64_t i = 0; i < idx; ++i) {
+        known_pairs += known.Find(v) >= 0 && known.Find(registry[i]) >= 0;
+      }
+      if (s > 0 && d <= 3) {
+        EXPECT_EQ(known_pairs, static_cast<uint64_t>(known_per_entry));
+      }
+      bound += idx - known_pairs;
+      *saved += known_pairs;
+    }
+    EXPECT_LE(probes, bound) << "step " << s;
+    if (window.Valid()) {
+      EXPECT_EQ(window.Mask(), window.MaskNaive()) << "step " << s;
+    }
+    retained.emplace_back(nodes.begin(), nodes.end());
+    if (static_cast<int>(retained.size()) > l - 1) retained.pop_front();
+  }
+}
+
+TEST(SampleWindowTest, KnownAdjacencySkipsProbesAndKeepsTheMask) {
+  Rng rng(321);
+  const Graph g = LargestConnectedComponent(HolmeKim(300, 3, 0.5, rng));
+  for (const bool nb : {false, true}) {
+    SCOPED_TRACE(nb ? "non-backtracking" : "simple");
+    struct Case {
+      std::unique_ptr<StateWalker> walk;
+      int d;
+      int k;
+    };
+    Case cases[] = {
+        {std::make_unique<NodeWalk>(g, nb), 1, 3},
+        {std::make_unique<EdgeWalk>(g, nb), 2, 4},
+        {std::make_unique<EdgeWalk>(g, nb), 2, 5},
+        {std::make_unique<SubgraphWalk>(g, 3, nb), 3, 4},
+    };
+    for (Case& c : cases) {
+      SCOPED_TRACE(::testing::Message() << "d=" << c.d << " k=" << c.k);
+      uint64_t saved = 0;
+      CheckKnownAdjacencyWindow(g, *c.walk, c.k, 5000, rng, &saved);
+      EXPECT_GT(saved, 0u);
     }
   }
 }

@@ -86,6 +86,13 @@ diff local.txt crawl.txt
 ./grw_cli estimate smoke.grwb --k 4 --d 3 --steps 50000 --chains 2 \
   --quiet --raw --crawl --cache-size 256 > crawl3.txt
 diff local3.txt crawl3.txt
+# And at k = 3 (d = 1, where the window takes the edge the walk stepped
+# along instead of probing it), through the same 256-list cache.
+./grw_cli estimate smoke.grwb --k 3 --steps 50000 --chains 2 \
+  --quiet --raw > local_k3.txt
+./grw_cli estimate smoke.grwb --k 3 --steps 50000 --chains 2 \
+  --quiet --raw --crawl --cache-size 256 > crawl_k3.txt
+diff local_k3.txt crawl_k3.txt
 
 # Malformed requests: error response (client exits 1), daemon stays
 # healthy.
@@ -122,6 +129,12 @@ diff mono.txt sharded.txt
 ./grw_cli estimate big.shards --resident-budget-mb 2 \
   --k 4 --d 3 --steps 50000 --chains 4 --quiet --raw > sharded3.txt
 diff mono3.txt sharded3.txt
+# And at k = 3 (d = 1).
+./grw_cli estimate big.grwb --k 3 --steps 50000 --chains 4 \
+  --quiet --raw > mono_k3.txt
+./grw_cli estimate big.shards --resident-budget-mb 2 \
+  --k 3 --steps 50000 --chains 4 --quiet --raw > sharded_k3.txt
+diff mono_k3.txt sharded_k3.txt
 # A crawl cache in front of the evicting shard readers: a 256-list cache
 # evicts and refetches, and neither layer may move the estimate.
 ./grw_cli estimate big.shards --resident-budget-mb 2 --crawl --cache-size 256 \
