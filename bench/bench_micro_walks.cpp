@@ -4,8 +4,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <span>
+#include <vector>
+
 #include "core/estimator.h"
 #include "eval/datasets.h"
+#include "graph/builder.h"
+#include "graph/generators.h"
 #include "util/rng.h"
 #include "walk/edge_walk.h"
 #include "walk/node_walk.h"
@@ -104,6 +110,52 @@ BENCHMARK(BM_EstimatorStep)
     ->Args({5, 2, 1, 0})
     ->Args({5, 4, 0, 0})
     ->Args({5, 4, 0, 1});
+
+// A Holme–Kim graph shaped like the e2e fixture (250k nodes, 5 edges per
+// node, triad probability 0.5, degree cap 500, degree-relabeled): its
+// CSR (about 12 MB) is far larger than a core's L2, so a step's reads
+// miss the cache. Built once.
+const grw::Graph& LargeBenchGraph() {
+  static const grw::Graph g = [] {
+    grw::Rng rng(7);
+    return grw::RelabelByDegree(grw::LargestConnectedComponent(
+        grw::HolmeKim(250000, 5, 0.5, rng, 500)));
+  }();
+  return g;
+}
+
+// Arg: group size G. Eight SRW2CSS chains at k = 4 on the large graph,
+// stepped G at a time as one interleaved group
+// (GraphletEstimatorT::RunGroup), as the engine steps a pool task's
+// block; G = 1 runs each chain alone. Every G walks the same eight
+// chains, so only the interleaving differs. per_step is the time per
+// chain step.
+void BM_EstimatorGroup(benchmark::State& state) {
+  const grw::Graph& g = LargeBenchGraph();
+  constexpr size_t kChains = 8;
+  const auto group_size = static_cast<size_t>(state.range(0));
+  std::vector<std::unique_ptr<grw::GraphletEstimator>> chains;
+  std::vector<grw::GraphletEstimator*> all;
+  for (size_t c = 0; c < kChains; ++c) {
+    chains.push_back(std::make_unique<grw::GraphletEstimator>(
+        g, grw::EstimatorConfig{4, 2, true, false}));
+    chains.back()->Reset(grw::DeriveSeed(5, c));
+    all.push_back(chains.back().get());
+  }
+  const std::span<grw::GraphletEstimator* const> span(all);
+  constexpr uint64_t kSteps = 1000;
+  for (auto _ : state) {
+    for (size_t first = 0; first < kChains; first += group_size) {
+      grw::GraphletEstimator::RunGroup(span.subspan(first, group_size),
+                                       kSteps);
+    }
+  }
+  state.counters["per_step"] = benchmark::Counter(
+      static_cast<double>(kSteps * kChains),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EstimatorGroup)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 }  // namespace
 

@@ -1,5 +1,7 @@
 #include "core/estimator.h"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <stdexcept>
 
@@ -122,22 +124,91 @@ void GraphletEstimatorT<G>::Reset(uint64_t seed) {
 
 template <class G>
 void GraphletEstimatorT<G>::Run(uint64_t steps) {
-  for (uint64_t i = 0; i < steps; ++i) {
-    // Crawl budget: stop before the next transition once the access has
-    // spent its distinct-query allowance. Static dispatch — for Graph
-    // this branch does not exist in the compiled loop.
-    if constexpr (kAccessHasQueryBudget<G>) {
-      if (g_->BudgetExhausted()) return;
+  GraphletEstimatorT* const self = this;
+  RunGroup({&self, 1}, steps);
+}
+
+// The most chains stepped as one interleaved group; a larger group runs
+// as consecutive sub-groups of this size.
+constexpr size_t kMaxGroupChains = 8;
+
+template <class G>
+void GraphletEstimatorT<G>::RunGroup(
+    std::span<GraphletEstimatorT* const> group, uint64_t steps) {
+  if (group.empty()) return;
+  const int d = group[0]->config_.d;
+  for (const GraphletEstimatorT* e : group) {
+    if (e->config_.d != d) {
+      throw std::invalid_argument(
+          "GraphletEstimator::RunGroup: chains must share d");
     }
-    // A state's G(d)-degree becomes known before we leave it; snapshot it,
-    // transition, then evaluate the new window, which probes only the
-    // adjacency the move did not reveal.
-    window_.SetNewestDegree(walker_->StateDegree());
-    walker_->Step(rng_);
-    window_.Push(walker_->Nodes(), 0, walker_->Known());
-    ++steps_;
-    Accumulate();
   }
+  // d fixes the walk type (MakeWalker), and each walk class is final, so
+  // stepping through the concrete type makes every walker call direct.
+  if (d == 1) return StepGroup<NodeWalkT<G>>(group, steps);
+  if (d == 2) return StepGroup<EdgeWalkT<G>>(group, steps);
+  StepGroup<SubgraphWalkT<G>>(group, steps);
+}
+
+template <class G>
+template <class W>
+void GraphletEstimatorT<G>::StepGroup(
+    std::span<GraphletEstimatorT* const> group, uint64_t steps) {
+  for (size_t first = 0; first < group.size(); first += kMaxGroupChains) {
+    const auto sub = group.subspan(
+        first, std::min(kMaxGroupChains, group.size() - first));
+    // Chains still stepping, as a prefix of `live`.
+    std::array<GraphletEstimatorT*, kMaxGroupChains> live;
+    std::copy(sub.begin(), sub.end(), live.begin());
+    size_t n = sub.size();
+    for (uint64_t i = 0; i < steps && n > 0; ++i) {
+      // Crawl budget: a chain stops before its next transition once its
+      // access has spent its distinct-query allowance. Static dispatch —
+      // for Graph this check does not exist in the compiled loop.
+      if constexpr (kAccessHasQueryBudget<G>) {
+        n = static_cast<size_t>(
+            std::remove_if(live.begin(), live.begin() + n,
+                           [](const GraphletEstimatorT* e) {
+                             return e->g_->BudgetExhausted();
+                           }) -
+            live.begin());
+      }
+      for (size_t c = 0; c < n; ++c) live[c]->template MoveStage<W>();
+      for (size_t c = 0; c < n; ++c) live[c]->template PushStage<W>();
+      for (size_t c = 0; c < n; ++c) live[c]->AccumulateStage();
+    }
+  }
+}
+
+// A state's G(d)-degree becomes known before we leave it; snapshot it,
+// transition, then evaluate the new window, which probes only the
+// adjacency the move did not reveal.
+template <class G>
+template <class W>
+void GraphletEstimatorT<G>::MoveStage() {
+  W& walker = static_cast<W&>(*walker_);
+  window_.SetNewestDegree(walker.StateDegree());
+  walker.Step(rng_);
+  if constexpr (kAccessReadsArePlainLoads<G>) {
+    for (const VertexId v : walker.Nodes()) g_->PrefetchRow(v);
+  }
+}
+
+template <class G>
+template <class W>
+void GraphletEstimatorT<G>::PushStage() {
+  const W& walker = static_cast<const W&>(*walker_);
+  window_.Push(walker.Nodes(), 0, walker.Known());
+  walker.PrefetchNext(rng_);
+}
+
+// Apart from the push: a push that misses on a probed list stalls, and
+// the next chain's push, not this chain's dependent classify and weight,
+// is then what the core can run ahead into.
+template <class G>
+void GraphletEstimatorT<G>::AccumulateStage() {
+  ++steps_;
+  Accumulate();
 }
 
 template <class G>

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -133,7 +134,27 @@ class GraphletEstimatorT {
   /// candidate sample per transition. With a crawl access policy the loop
   /// returns early once the access reports its distinct-query budget
   /// exhausted; with full access that check does not even compile in.
+  /// RunGroup of this chain alone.
   void Run(uint64_t steps);
+
+  /// Runs every chain of `group` as Run(steps) would, interleaved: each
+  /// step is three stages, and every chain finishes a stage before any
+  /// starts the next, so one chain's cache misses are in flight while
+  /// the others compute:
+  ///   1. move the walk, and prefetch the new state's offsets rows;
+  ///   2. push the new state into the sample window (its edge probes
+  ///      read those rows), and prefetch the slot the next move draws
+  ///      first (StateWalker::PrefetchNext);
+  ///   3. classify, weight and accumulate the sample.
+  /// Each chain runs the same operations on its own RNG stream, in its
+  /// own order, so its result equals a lone Reset + Run of the same
+  /// steps. A chain whose crawl budget runs out leaves the group at the
+  /// step where Run would have returned. At most 8 chains interleave; a
+  /// larger group runs as consecutive sub-groups of 8. The chains must
+  /// share d (std::invalid_argument otherwise) and must not share a
+  /// non-Graph access object (the engine gives each chain its own).
+  static void RunGroup(std::span<GraphletEstimatorT* const> group,
+                       uint64_t steps);
 
   /// Current estimates. Cheap; can be called repeatedly mid-run (used by
   /// the convergence experiments, paper Figure 6).
@@ -150,6 +171,16 @@ class GraphletEstimatorT {
                                  uint64_t steps, uint64_t seed);
 
  private:
+  // RunGroup's loop and its three stages, through the concrete walk type
+  // W (NodeWalkT, EdgeWalkT or SubgraphWalkT, as d selects).
+  template <class W>
+  static void StepGroup(std::span<GraphletEstimatorT* const> group,
+                        uint64_t steps);
+  template <class W>
+  void MoveStage();
+  template <class W>
+  void PushStage();
+  void AccumulateStage();
   void Accumulate();
   double SampleWeight(const MaskInfo& info) const;
 

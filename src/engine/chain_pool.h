@@ -9,9 +9,12 @@
 // per round.
 //
 // Determinism contract: indices are claimed dynamically, so *which worker*
-// runs chain i varies between runs, but the engine derives every chain's
-// RNG stream from (base_seed, chain index) alone and merges results in
-// index order — results are bit-identical at any thread count.
+// runs index i varies between runs. The engine's index is a block of
+// chains stepped as one interleaved group, whose size follows the thread
+// count; but a grouped chain computes exactly what it computes alone,
+// every chain's RNG stream derives from (base_seed, chain index) alone,
+// and results merge in chain order — so they are bit-identical at any
+// thread count.
 
 #pragma once
 

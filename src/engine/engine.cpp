@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -59,10 +60,11 @@ CrawlOptions CrawlOptionsFor(const EngineOptions& opt, int chain) {
 // chain), whichever pool thread runs it.
 //
 // Cache-line aligned: a chain's estimator writes its counters, RNG and
-// sample window every step, on whichever pool thread claimed it, while
-// neighbouring units are read and written by other threads. Unaligned,
-// adjacent units share lines; that cost crawl PSRW (16 chains on 4
-// threads, 4-core Xeon VM) 7–9% of its steps per CPU second.
+// sample window every step, on whichever pool thread claimed its block,
+// while the units of other blocks are read and written by other threads
+// at the same time (in-memory blocks step all their chains at once).
+// Unaligned, adjacent units share lines; that cost crawl PSRW (16 chains
+// on 4 threads, 4-core Xeon VM) 7–9% of its steps per CPU second.
 template <class A>
 struct alignas(64) ChainUnit {
   template <class MakeAccess>
@@ -152,6 +154,18 @@ EngineResult RunLoop(const MakeAccess& make, const EstimatorConfig& config,
       },
       opt.threads);
 
+  // Each pool task steps a contiguous block of chains as one interleaved
+  // group (GraphletEstimatorT::RunGroup): ceil(chains / threads) chains
+  // when reads are plain loads, else one. A chain computes the same
+  // whichever block it is in, so blocks change speed, never results.
+  std::vector<GraphletEstimatorT<A>*> estimators(chains);
+  for (int c = 0; c < chains; ++c) estimators[c] = &unit[c]->estimator;
+  const size_t threads = std::min<size_t>(
+      opt.threads == 0 ? pool.NumThreads() : opt.threads, pool.NumThreads());
+  const size_t block =
+      kAccessReadsArePlainLoads<A> ? (chains + threads - 1) / threads : 1;
+  const size_t blocks = (chains + block - 1) / block;
+
   out.per_chain.assign(chains, {});
   // Previous round's cumulative weights per chain, for batch diffs.
   std::vector<std::vector<double>> prev_weights(chains);
@@ -175,10 +189,15 @@ EngineResult RunLoop(const MakeAccess& make, const EstimatorConfig& config,
     const uint64_t left = opt.max_steps - done;
     const uint64_t delta = left / 2 >= round_steps ? round_steps : left;
     pool.ForEach(
-        static_cast<size_t>(chains),
-        [&](size_t c) {
-          unit[c]->estimator.Run(delta);
-          out.per_chain[c] = unit[c]->estimator.Result();
+        blocks,
+        [&](size_t b) {
+          const size_t first = b * block;
+          const size_t last = std::min(first + block, estimators.size());
+          GraphletEstimatorT<A>::RunGroup(
+              std::span(estimators).subspan(first, last - first), delta);
+          for (size_t c = first; c < last; ++c) {
+            out.per_chain[c] = estimators[c]->Result();
+          }
         },
         opt.threads);
     done += delta;

@@ -65,6 +65,16 @@ constexpr bool kAccessHasQueryBudget = requires(const G& g) {
   { g.BudgetExhausted() } -> std::convertible_to<bool>;
 };
 
+/// Whether access policy G's reads are plain loads from memory (the
+/// in-memory Graph). For such a reader a software prefetch is free of
+/// side effects and the order of reads across chains cannot matter, so
+/// the estimator prefetches through it and the engine steps a thread's
+/// chains as one interleaved group (core/estimator.h RunGroup). The
+/// other members count every read in caches whose contents depend on
+/// read order, so they get neither.
+template <class G>
+constexpr bool kAccessReadsArePlainLoads = std::is_same_v<G, Graph>;
+
 /// Crawl-cost accounting. Additive across independent crawlers (the engine
 /// merges per-chain stats in chain order).
 struct CrawlStats {

@@ -108,6 +108,21 @@ class Graph {
     return neighbors_[offsets_[v] + i];
   }
 
+  /// Starts loading v's offsets row, which Degree(v) and Neighbors(v)
+  /// read (the pair can straddle a line). A hint only, like the next one:
+  /// no result depends on it.
+  void PrefetchRow(VertexId v) const {
+    assert(v < NumNodes());
+    __builtin_prefetch(offsets_.data() + v);
+    __builtin_prefetch(offsets_.data() + v + 1);
+  }
+
+  /// Starts loading Neighbor(v, i)'s slot; reads v's offsets row.
+  void PrefetchNeighbor(VertexId v, uint32_t i) const {
+    assert(i < Degree(v));
+    __builtin_prefetch(neighbors_.data() + offsets_[v] + i);
+  }
+
   /// True iff the undirected edge (u, v) exists. Routes through the
   /// attached AdjacencyIndex when one exists (O(1) for hub endpoints,
   /// signature-filtered hybrid search otherwise); otherwise, inline,

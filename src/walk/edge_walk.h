@@ -18,6 +18,7 @@
 #include <array>
 #include <stdexcept>
 
+#include "graph/access.h"
 #include "walk/walker.h"
 
 namespace grw {
@@ -78,6 +79,18 @@ class EdgeWalkT final : public StateWalker {
   /// The state is an edge.
   KnownAdjacency Known() const override {
     return {{nodes_[0], nodes_[1]}, {0b10, 0b01}, 2};
+  }
+
+  /// The slot of the first neighbor the next Step() draws, drawn as
+  /// SampleNeighborState draws it.
+  void PrefetchNext(Rng rng) const override {
+    if constexpr (kAccessReadsArePlainLoads<G>) {
+      const uint64_t du = g_->Degree(nodes_[0]);
+      const uint64_t dv = g_->Degree(nodes_[1]);
+      const VertexId base = nodes_[rng.UniformInt(du + dv) >= du];
+      g_->PrefetchNeighbor(
+          base, static_cast<uint32_t>(rng.UniformInt(g_->Degree(base))));
+    }
   }
 
  private:

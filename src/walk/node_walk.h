@@ -12,6 +12,7 @@
 
 #include <stdexcept>
 
+#include "graph/access.h"
 #include "walk/walker.h"
 
 namespace grw {
@@ -58,6 +59,15 @@ class NodeWalkT final : public StateWalker {
   KnownAdjacency Known() const override {
     if (!has_prev_) return {};
     return {{prev_, current_}, {0b10, 0b01}, 2};
+  }
+
+  /// The slot of the first neighbor the next Step() draws.
+  void PrefetchNext(Rng rng) const override {
+    if constexpr (kAccessReadsArePlainLoads<G>) {
+      const uint32_t deg = g_->Degree(current_);
+      g_->PrefetchNeighbor(current_,
+                           static_cast<uint32_t>(rng.UniformInt(deg)));
+    }
   }
 
   VertexId Current() const { return current_; }

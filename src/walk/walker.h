@@ -73,6 +73,13 @@ class StateWalker {
   /// What the last move revealed of the adjacency around the current
   /// state (see KnownAdjacency); valid until the next Step()/Reset().
   virtual KnownAdjacency Known() const { return {}; }
+
+  /// Starts loading what the next Step() reads first, drawing its first
+  /// choice from `rng` by value, so the caller's stream does not move:
+  /// the drawn neighbor slot for d <= 2, nothing for d >= 3 or for a
+  /// reader whose reads are not plain loads (kAccessReadsArePlainLoads,
+  /// graph/access.h). A hint only: no result depends on it.
+  virtual void PrefetchNext(Rng rng) const { (void)rng; }
 };
 
 }  // namespace grw

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "core/estimator.h"
 #include "engine/chain_pool.h"
 #include "engine/engine.h"
+#include "graph/access.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -300,6 +303,123 @@ TEST(EngineTest, ConvergedStoppingIsThreadCountInvariant) {
   EXPECT_EQ(runs[0].converged, runs[1].converged);
   EXPECT_EQ(runs[0].steps_per_chain, runs[1].steps_per_chain);
   EXPECT_EQ(runs[0].merged.weights, runs[1].merged.weights);
+}
+
+// Every field a chain accumulates, compared exactly.
+void ExpectSameEstimate(const EstimateResult& a, const EstimateResult& b) {
+  EXPECT_EQ(a.weights, b.weights);
+  EXPECT_EQ(a.samples, b.samples);
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.valid_samples, b.valid_samples);
+}
+
+// ChainGroupsAreBitIdentical's crawl cell: a per-chain budget that stops
+// the chains at different steps of one round. The engine steps crawl
+// chains alone, so step them here as one interleaved group too: each
+// must stop where its lone Run stops and equal it, and the engine must
+// agree at every thread count.
+void CheckCrawlGroup(const Graph& g, ChainPool& pool) {
+  const EstimatorConfig config{4, 2, true, false};
+  constexpr int kChains = 7;
+  EngineOptions options;
+  options.chains = kChains;
+  options.max_steps = 100000;
+  options.base_seed = 13;
+  options.pool = &pool;
+  CrawlOptions& crawl = options.crawl.emplace();
+  crawl.cache_entries = 64;
+  crawl.query_budget = kChains * 100;
+
+  std::vector<std::unique_ptr<CrawlAccess>> access;
+  std::vector<std::unique_ptr<GraphletEstimatorT<CrawlAccess>>> chains;
+  std::vector<GraphletEstimatorT<CrawlAccess>*> group;
+  std::vector<EstimateResult> lone;
+  for (int c = 0; c < kChains; ++c) {
+    CrawlOptions share = crawl;
+    share.query_budget = ChainBudgetShare(crawl.query_budget, kChains, c);
+    const CrawlAccess alone(g, share);
+    GraphletEstimatorT<CrawlAccess> estimator(alone, config);
+    estimator.Reset(DeriveSeed(options.base_seed, c));
+    estimator.Run(options.max_steps);
+    lone.push_back(estimator.Result());
+    access.push_back(std::make_unique<CrawlAccess>(g, share));
+    chains.push_back(std::make_unique<GraphletEstimatorT<CrawlAccess>>(
+        *access.back(), config));
+    chains.back()->Reset(DeriveSeed(options.base_seed, c));
+    group.push_back(chains.back().get());
+  }
+  GraphletEstimatorT<CrawlAccess>::RunGroup(group, options.max_steps);
+  std::vector<uint64_t> stops;
+  for (int c = 0; c < kChains; ++c) {
+    SCOPED_TRACE(c);
+    ExpectSameEstimate(chains[c]->Result(), lone[c]);
+    EXPECT_LT(lone[c].steps, options.max_steps);
+    stops.push_back(lone[c].steps);
+  }
+  std::sort(stops.begin(), stops.end());
+  EXPECT_LT(stops.front(), stops.back());
+
+  for (const unsigned threads : {1u, 3u, 7u}) {
+    SCOPED_TRACE(threads);
+    options.threads = threads;
+    const EngineResult run = EstimationEngine(g, config, options).Run();
+    EXPECT_EQ(run.rounds, 1);
+    EXPECT_TRUE(run.budget_exhausted);
+    ASSERT_EQ(run.per_chain.size(), lone.size());
+    for (int c = 0; c < kChains; ++c) {
+      ExpectSameEstimate(run.per_chain[c], lone[c]);
+    }
+  }
+}
+
+TEST(EngineTest, ChainGroupsAreBitIdentical) {
+  // 7 chains at threads 1, 2, 3, 4 and 7 step in interleaved blocks of
+  // 7, 4, 3, 2 and 1 chains (GraphletEstimatorT::RunGroup). Whatever
+  // block a chain runs in, it must equal a lone Reset + Run of the same
+  // steps, and the merged result must not move with the thread count.
+  // The last cell is a crawl run (CheckCrawlGroup).
+  Rng rng(29);
+  const Graph g = LargestConnectedComponent(HolmeKim(400, 4, 0.5, rng));
+  constexpr int kChains = 7;
+  constexpr uint64_t kSteps = 3000;
+  ChainPool pool(kChains);
+  for (const bool nb : {false, true}) {
+    for (EstimatorConfig config : {EstimatorConfig{3, 1, false, false},
+                                   EstimatorConfig{4, 2, true, false},
+                                   EstimatorConfig{5, 2, true, false},
+                                   EstimatorConfig{4, 3, false, false}}) {
+      config.nb = nb;
+      SCOPED_TRACE(config.Name() + " k=" + std::to_string(config.k));
+      EngineOptions options;
+      options.chains = kChains;
+      options.max_steps = kSteps;
+      options.round_steps = 1000;
+      options.base_seed = 77;
+      options.pool = &pool;
+      std::vector<EstimateResult> lone;
+      for (int c = 0; c < kChains; ++c) {
+        GraphletEstimator estimator(g, config);
+        estimator.Reset(DeriveSeed(options.base_seed, c));
+        estimator.Run(kSteps);
+        lone.push_back(estimator.Result());
+      }
+      EngineResult first;
+      for (const unsigned threads : {1u, 2u, 3u, 4u, 7u}) {
+        SCOPED_TRACE(threads);
+        options.threads = threads;
+        const EngineResult run = EstimationEngine(g, config, options).Run();
+        ASSERT_EQ(run.per_chain.size(), lone.size());
+        for (int c = 0; c < kChains; ++c) {
+          ExpectSameEstimate(run.per_chain[c], lone[c]);
+        }
+        if (threads == 1) first = run;
+        ExpectSameEstimate(run.merged, first.merged);
+        EXPECT_EQ(run.merged.concentrations, first.merged.concentrations);
+      }
+    }
+  }
+  SCOPED_TRACE("crawl");
+  CheckCrawlGroup(g, pool);
 }
 
 TEST(EngineTest, TightTargetHitsStepCapUnconverged) {

@@ -35,6 +35,15 @@ step "Convert + crawl workflow smoke"
 ./grw_cli estimate smoke.grwb --k 4 --steps 50000 --quiet
 ./grw_cli estimate smoke.grwb --k 4 --budget-queries 5000 \
   --cache-size 4096 --latency-us 100 --chains 2 --max-steps 200000
+# Each pool thread steps its block of ceil(chains / threads) chains as
+# one interleaved group: with at least 4 hardware threads, 7 chains run
+# in blocks of 7, 3 and 2 here, and must give the same bytes.
+for t in 1 3 4; do
+  ./grw_cli estimate smoke.grwb --k 4 --steps 50000 --chains 7 \
+    --threads "$t" --quiet --raw > "group$t.txt"
+done
+diff group1.txt group3.txt
+diff group1.txt group4.txt
 
 step "Access bench (gated on bit-identical estimates)"
 ./bench_access --check-identical --json bench_access.json
