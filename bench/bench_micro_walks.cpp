@@ -10,6 +10,7 @@
 
 #include "core/estimator.h"
 #include "eval/datasets.h"
+#include "graph/access.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -156,6 +157,26 @@ void BM_EstimatorGroup(benchmark::State& state) {
           benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_EstimatorGroup)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// An engine answer in crawl mode builds one crawler per chain and drops
+// it at the end: 16 crawlers with 4096-list caches, as the e2e
+// crawl-psrw3 answer builds, over the 250k-node graph. A crawler holds
+// only what it fetches, so this must not grow with the graph.
+void BM_CrawlerSetup(benchmark::State& state) {
+  const grw::Graph& g = LargeBenchGraph();
+  grw::CrawlOptions options;
+  options.cache_entries = 4096;
+  constexpr size_t kCrawlers = 16;
+  for (auto _ : state) {
+    std::vector<grw::CrawlAccess> crawlers;
+    crawlers.reserve(kCrawlers);
+    for (size_t c = 0; c < kCrawlers; ++c) {
+      crawlers.emplace_back(g, options, grw::DeriveSeed(9, c));
+    }
+    benchmark::DoNotOptimize(crawlers.data());
+  }
+}
+BENCHMARK(BM_CrawlerSetup)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -27,11 +27,48 @@ CrawlCache::CrawlCache(VertexId num_nodes, const CrawlOptions& options,
           ? n
           : opt_.cache_entries);
   never_evicts_ = capacity_ == n;
-  slot_of_.assign(n, kNoSlot);
-  node_of_.assign(capacity_, 0);
-  prev_.assign(capacity_, kNoSlot);
-  next_.assign(capacity_, kNoSlot);
-  ever_fetched_.assign((n + 63) / 64, 0);
+}
+
+void CrawlCache::Admit(VertexId v, uint32_t at) {
+  ++stats_.fetches;
+  stats_.simulated_latency_us += opt_.latency_us;
+  // Cold branch off the miss path; fail_prob == 0.0 (the default) costs
+  // one predictable compare per miss. The chaos site is the literal
+  // `false` in normal builds (see util/fault.h).
+  if (opt_.failure.fail_prob > 0.0) SimulateTransientFailures();
+  if (GRW_FAULT("crawl.fetch")) RecordInjectedFailure();
+  const uint32_t s = used_ < capacity_ ? used_++ : tail_;
+  if (!never_evicts_) {
+    if (s == slots_.size()) {
+      slots_.push_back({v, kNoSlot, kNoSlot});
+    } else {
+      Unlink(s);
+      // The evicted node keeps its entry: a later miss on it is a
+      // re-fetch, not a distinct one. Clearing its slot moves no entry,
+      // so `at` stays valid.
+      index_[Find(slots_[s].node)].slot = kNoSlot;
+      slots_[s].node = v;
+      ++stats_.evictions;
+    }
+    PushFront(s);
+  }
+  Entry& e = index_[at];
+  e.slot = s;
+  if (e.node == kNoNode) {
+    e.node = v;
+    ++stats_.distinct_fetches;
+    if (2 * stats_.distinct_fetches > index_.size()) Grow();
+  }
+}
+
+void CrawlCache::Grow() {
+  std::vector<Entry> old(2 * index_.size());
+  old.swap(index_);
+  mask_ = static_cast<uint32_t>(index_.size() - 1);
+  --shift_;
+  for (const Entry& e : old) {
+    if (e.node != kNoNode) index_[Find(e.node)] = e;
+  }
 }
 
 void CrawlCache::SimulateTransientFailures() {

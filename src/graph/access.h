@@ -27,6 +27,7 @@
 
 #pragma once
 
+#include <bit>
 #include <concepts>
 #include <cstdint>
 #include <span>
@@ -35,7 +36,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/mapped_file.h"
 #include "graph/sharded_access.h"
 #include "util/fault.h"
 #include "util/rng.h"
@@ -124,29 +124,6 @@ struct CrawlStats {
   }
 };
 
-/// Allocator for CrawlAccess's per-node and per-slot tables: every block
-/// is its own mapping (MapPages, graph/mapped_file.h), unmapped on
-/// release. An engine answer builds one crawler per chain, each with
-/// tables sized by the graph (1 MiB of slots at 250k nodes), and frees
-/// them all when it returns. Through malloc, the first frees raise
-/// glibc's mmap threshold, later tables land in per-thread arenas, and
-/// answer-to-answer churn fragments them: peak RSS of a 16-chain crawl
-/// PSRW run on a 250k-node graph varied by up to a third between
-/// identical runs.
-template <class T>
-struct PageAllocator {
-  using value_type = T;
-  PageAllocator() = default;
-  template <class U>
-  PageAllocator(const PageAllocator<U>&) noexcept {}
-  T* allocate(size_t n) { return static_cast<T*>(MapPages(n * sizeof(T))); }
-  void deallocate(T* p, size_t n) noexcept { UnmapPages(p, n * sizeof(T)); }
-  friend bool operator==(PageAllocator, PageAllocator) { return true; }
-};
-
-template <class T>
-using PageVector = std::vector<T, PageAllocator<T>>;
-
 /// How a crawler is configured; CrawlAccessT<Base>::Options. The engine
 /// takes the same type for a whole run (EngineOptions::crawl) and hands
 /// each chain a copy with its own query_budget share.
@@ -192,55 +169,60 @@ struct CrawlOptions {
 /// nodes' lists it holds (a bounded LRU over slots), which it ever
 /// fetched, and what the fetches cost. The bytes come from the access it
 /// sits in front of.
+///
+/// Like a real crawler it knows only what it has fetched, and its memory
+/// grows with that, never with the graph: one open-addressing index
+/// (power-of-two, linear probing, doubled once more than half full) maps
+/// every node it ever fetched to the slot holding its list, or to none
+/// once evicted. A miss on a node with no entry is a distinct fetch. The
+/// LRU's slot table grows with the slots in use, up to the capacity; an
+/// unbounded cache, which never evicts, keeps no LRU at all.
 class CrawlCache {
  public:
-  /// `fail_seed` seeds the failure model's private RNG stream.
+  /// `num_nodes` only clamps the capacity (a cache of every node never
+  /// evicts); `fail_seed` seeds the failure model's private RNG stream.
   CrawlCache(VertexId num_nodes, const CrawlOptions& options,
              uint64_t fail_seed = 0);
 
-  /// True iff v's list is cached (a read of it would be a hit).
-  bool Holds(VertexId v) const { return slot_of_[v] != kNoSlot; }
+  /// Position of v's index entry, or of the empty cell a first fetch of
+  /// v would take. Valid until the next first fetch of any node.
+  uint32_t Find(VertexId v) const {
+    uint32_t at = static_cast<uint32_t>((v * kFibonacci) >> shift_);
+    while (index_[at].node != v && index_[at].node != kNoNode) {
+      at = (at + 1) & mask_;
+    }
+    return at;
+  }
+
+  /// True iff the node whose position Find returned has its list cached
+  /// (a read of it would be a hit).
+  bool HoldsAt(uint32_t at) const { return index_[at].slot != kNoSlot; }
+  bool Holds(VertexId v) const { return HoldsAt(Find(v)); }
 
   /// Reads v's list from `base` through the cache: a hit touches the
   /// LRU; a miss is a counted API fetch that inserts v, evicting the
   /// least-recently-used list when at capacity.
   template <class Base>
   std::span<const VertexId> Fetch(const Base& base, VertexId v) {
-    const uint32_t slot = slot_of_[v];
+    return Fetch(base, v, Find(v));
+  }
+
+  /// Fetch(base, v) for a caller that already holds at = Find(v).
+  template <class Base>
+  std::span<const VertexId> Fetch(const Base& base, VertexId v,
+                                  uint32_t at) {
+    const uint32_t slot = index_[at].slot;
     if (slot != kNoSlot) {
       ++stats_.cache_hits;
       // Recency order only matters if something can ever be evicted; the
-      // unbounded cache skips the list surgery on this hottest path.
+      // unbounded cache keeps no list.
       if (!never_evicts_ && head_ != slot) {
         Unlink(slot);
         PushFront(slot);
       }
-      return base.Neighbors(v);
-    }
-    ++stats_.fetches;
-    stats_.simulated_latency_us += opt_.latency_us;
-    // Cold branch off the miss path; fail_prob == 0.0 (the default)
-    // costs one predictable compare per miss. The chaos site is the
-    // literal `false` in normal builds (see util/fault.h).
-    if (opt_.failure.fail_prob > 0.0) SimulateTransientFailures();
-    if (GRW_FAULT("crawl.fetch")) RecordInjectedFailure();
-    const uint64_t bit = 1ULL << (v & 63u);
-    if ((ever_fetched_[v >> 6] & bit) == 0) {
-      ever_fetched_[v >> 6] |= bit;
-      ++stats_.distinct_fetches;
-    }
-    uint32_t s;
-    if (used_ < capacity_) {
-      s = used_++;
     } else {
-      s = tail_;
-      Unlink(s);
-      slot_of_[node_of_[s]] = kNoSlot;
-      ++stats_.evictions;
+      Admit(v, at);
     }
-    node_of_[s] = v;
-    slot_of_[v] = s;
-    PushFront(s);
     return base.Neighbors(v);
   }
 
@@ -253,8 +235,26 @@ class CrawlCache {
   const CrawlStats& stats() const { return stats_; }
 
  private:
+  static constexpr VertexId kNoNode = 0xFFFFFFFFu;  // above every node id
   static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
+  // 2^64 / golden ratio: Find hashes v to the top bits of v * kFibonacci.
+  static constexpr uint64_t kFibonacci = 0x9E3779B97F4A7C15ull;
 
+  struct Entry {
+    VertexId node = kNoNode;
+    uint32_t slot = kNoSlot;
+  };
+  struct Slot {
+    VertexId node;        // whose list the slot holds
+    uint32_t prev, next;  // LRU neighbors, toward head_ and tail_
+  };
+
+  // The miss path: one counted API fetch of v, whose index position is
+  // `at`. Takes a free slot or evicts the least recently used list, and
+  // gives v an index entry on its first fetch. Defined in access.cpp.
+  void Admit(VertexId v, uint32_t at);
+  // Doubles the index and reinserts every entry.
+  void Grow();
   // Rolls the failure model for one API fetch: draws per-attempt
   // failures from the private failure RNG, charging retries, backoff
   // waits and (past the retry budget) one giveup to stats_. Cold path,
@@ -264,16 +264,16 @@ class CrawlCache {
   void RecordInjectedFailure();
 
   void Unlink(uint32_t slot) {
-    const uint32_t p = prev_[slot];
-    const uint32_t n = next_[slot];
-    if (p != kNoSlot) next_[p] = n; else head_ = n;
-    if (n != kNoSlot) prev_[n] = p; else tail_ = p;
+    const uint32_t p = slots_[slot].prev;
+    const uint32_t n = slots_[slot].next;
+    if (p != kNoSlot) slots_[p].next = n; else head_ = n;
+    if (n != kNoSlot) slots_[n].prev = p; else tail_ = p;
   }
 
   void PushFront(uint32_t slot) {
-    prev_[slot] = kNoSlot;
-    next_[slot] = head_;
-    if (head_ != kNoSlot) prev_[head_] = slot; else tail_ = slot;
+    slots_[slot].prev = kNoSlot;
+    slots_[slot].next = head_;
+    if (head_ != kNoSlot) slots_[head_].prev = slot; else tail_ = slot;
     head_ = slot;
   }
 
@@ -281,13 +281,17 @@ class CrawlCache {
   uint32_t capacity_;
   bool never_evicts_ = false;  // capacity_ covers every node
   CrawlStats stats_;
-  PageVector<uint32_t> slot_of_;       // node -> cache slot
-  PageVector<VertexId> node_of_;       // slot -> node
-  PageVector<uint32_t> prev_, next_;   // LRU list over slots
-  uint32_t head_ = kNoSlot;            // most recently used
-  uint32_t tail_ = kNoSlot;            // least recently used
-  uint32_t used_ = 0;
-  PageVector<uint64_t> ever_fetched_;  // distinct-fetch bitset
+  // Node index: one entry per distinct fetch (stats_.distinct_fetches).
+  // A fresh crawler's index has 64 cells (512 bytes).
+  static constexpr uint32_t kInitialIndexSize = 64;
+  std::vector<Entry> index_ = std::vector<Entry>(kInitialIndexSize);
+  uint32_t mask_ = kInitialIndexSize - 1;  // index_.size() - 1
+  // 64 - log2(index_.size()): Find shifts the hash right by this.
+  int shift_ = 64 - std::countr_zero(kInitialIndexSize);
+  std::vector<Slot> slots_;  // LRU over the slots in use
+  uint32_t head_ = kNoSlot;  // most recently used
+  uint32_t tail_ = kNoSlot;  // least recently used
+  uint32_t used_ = 0;        // slots handed out
   // Private stream for the failure model.
   Rng fail_rng_;
 };
@@ -332,14 +336,19 @@ class CrawlAccessT {
   /// is cached, otherwise one API call for u's list. Identical result to
   /// Graph::HasEdge for every input.
   bool HasEdge(VertexId u, VertexId v) const {
-    VertexId probe = u;
-    VertexId other = v;
-    if (!cache_.Holds(u) && cache_.Holds(v)) {
-      probe = v;
-      other = u;
+    // Each endpoint is looked up in the cache's index once.
+    const uint32_t at_u = cache_.Find(u);
+    if (!cache_.HoldsAt(at_u)) {
+      const uint32_t at_v = cache_.Find(v);
+      if (cache_.HoldsAt(at_v)) {
+        return SortedContains(cache_.Fetch(base_, v, at_v), u);
+      }
     }
-    return SortedContains(Fetch(probe), other);
+    return SortedContains(cache_.Fetch(base_, u, at_u), v);
   }
+
+  /// True iff v's list is cached: reading it would fetch nothing.
+  bool Holds(VertexId v) const { return cache_.Holds(v); }
 
   /// True once the distinct-fetch budget (if any) has been reached.
   bool BudgetExhausted() const { return cache_.BudgetExhausted(); }

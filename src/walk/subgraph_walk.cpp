@@ -195,7 +195,9 @@ uint64_t SortedIntersectionSize(std::span<const VertexId> a,
   // Balanced: compare 4 ids of each list all-against-all (the b block
   // under its 4 rotations), then advance the block(s) whose last id is
   // smaller. Ids are distinct within a list, so each a lane matches at
-  // most one b lane and the mask's popcount is the block's match count.
+  // most one b lane and the 4-bit mask's popcount is the block's match
+  // count. It is read from a nibble table packed in one constant:
+  // without -mpopcnt, std::popcount is a libgcc call per block.
   while (ea - pa >= 4 && eb - pb >= 4) {
     const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(pa));
     const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(pb));
@@ -205,8 +207,9 @@ uint64_t SortedIntersectionSize(std::span<const VertexId> a,
     const __m128i eq = _mm_or_si128(
         _mm_or_si128(_mm_cmpeq_epi32(va, vb), _mm_cmpeq_epi32(va, vb1)),
         _mm_or_si128(_mm_cmpeq_epi32(va, vb2), _mm_cmpeq_epi32(va, vb3)));
-    common += std::popcount(
-        static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(eq))));
+    const unsigned mask =
+        static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(eq)));
+    common += (0x4332322132212110ull >> (4 * mask)) & 0xF;
     const VertexId a_last = pa[3];
     const VertexId b_last = pb[3];
     if (a_last <= b_last) pa += 4;

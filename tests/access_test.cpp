@@ -2,16 +2,21 @@
 // policy — LRU eviction order, hit/miss accounting under adversarial
 // revisit patterns (the paper's cost model charges only distinct
 // neighbor-list fetches), latency accumulation, and budget exhaustion.
-// What the cache holds is observed through stats() alone: re-reading a
-// cached list adds a hit, re-reading an evicted one adds a fetch.
+// What the cache holds is observed through stats() and Holds(): re-reading
+// a cached list adds a hit, re-reading an evicted one adds a fetch.
 
 #include "graph/access.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "graph/generators.h"
+#include "util/rng.h"
 
 namespace grw {
 namespace {
@@ -175,6 +180,119 @@ TEST(CrawlAccessTest, CacheSizeOneStillAnswersEverythingCorrectly) {
   for (VertexId u = 0; u < g.NumNodes(); ++u) {
     for (VertexId v = 0; v < g.NumNodes(); ++v) {
       ASSERT_EQ(crawl.HasEdge(u, v), g.HasEdge(u, v));
+    }
+  }
+}
+
+// The LRU a crawl cache must behave as, written the obvious way: a
+// recency list, a map from each cached node to its place in it, and the
+// set of nodes ever fetched.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(uint64_t capacity) : capacity_(capacity) {}
+
+  bool Holds(VertexId v) const { return place_.count(v) != 0; }
+
+  void Read(VertexId v) {
+    const auto it = place_.find(v);
+    if (it != place_.end()) {
+      ++hits;
+      order_.splice(order_.begin(), order_, it->second);
+      return;
+    }
+    ++fetches;
+    if (fetched_.insert(v).second) ++distinct_fetches;
+    if (capacity_ != 0 && order_.size() == capacity_) {
+      place_.erase(order_.back());
+      order_.pop_back();
+      ++evictions;
+    }
+    order_.push_front(v);
+    place_[v] = order_.begin();
+  }
+
+  // An adjacency test searches u's list unless only v's is cached.
+  void HasEdge(VertexId u, VertexId v) { Read(!Holds(u) && Holds(v) ? v : u); }
+
+  uint64_t hits = 0;
+  uint64_t fetches = 0;
+  uint64_t distinct_fetches = 0;
+  uint64_t evictions = 0;
+
+ private:
+  uint64_t capacity_;  // 0 = unbounded
+  std::list<VertexId> order_;  // most recently used first
+  std::unordered_map<VertexId, std::list<VertexId>::iterator> place_;
+  std::unordered_set<VertexId> fetched_;
+};
+
+TEST(CrawlAccessTest, MatchesAReferenceLru) {
+  Rng graph_rng(33);
+  const Graph g = HolmeKim(3000, 3, 0.5, graph_rng);
+  const VertexId n = g.NumNodes();
+  for (const uint64_t capacity : {1, 2, 3, 64, 0}) {
+    SCOPED_TRACE(capacity);
+    CrawlAccess::Options opt;
+    opt.cache_entries = capacity;
+    CrawlAccess crawl(g, opt);
+    ReferenceLru ref(capacity);
+    Rng rng(1000 + capacity);
+    // A walk with restarts reads through the crawler, as a chain does:
+    // mostly nodes near recent ones, sometimes anywhere in the graph.
+    VertexId at = 0;
+    std::vector<VertexId> recent(8, 0);
+    for (int read = 0; read < 100000; ++read) {
+      const auto nbrs = g.Neighbors(at);
+      at = nbrs.empty() || rng.Bernoulli(0.1)
+               ? static_cast<VertexId>(rng.UniformInt(n))
+               : nbrs[rng.UniformInt(nbrs.size())];
+      const VertexId other = rng.Bernoulli(0.5)
+                                 ? recent[rng.UniformInt(recent.size())]
+                                 : static_cast<VertexId>(rng.UniformInt(n));
+      recent[read % recent.size()] = at;
+      switch (rng.UniformInt(4)) {
+        case 0:
+          ASSERT_EQ(crawl.Degree(at), g.Degree(at));
+          ref.Read(at);
+          break;
+        case 1: {
+          const auto got = crawl.Neighbors(at);
+          const auto want = g.Neighbors(at);
+          ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
+                                 want.end()));
+          ref.Read(at);
+          break;
+        }
+        case 2:
+          ASSERT_EQ(crawl.HasEdge(at, other), g.HasEdge(at, other));
+          ref.HasEdge(at, other);
+          break;
+        default:
+          ASSERT_EQ(crawl.HasEdge(other, at), g.HasEdge(other, at));
+          ref.HasEdge(other, at);
+          break;
+      }
+      ASSERT_EQ(crawl.Holds(at), ref.Holds(at)) << "read " << read;
+      ASSERT_EQ(crawl.Holds(other), ref.Holds(other)) << "read " << read;
+      const CrawlStats& s = crawl.stats();
+      ASSERT_EQ(s.cache_hits, ref.hits) << "read " << read;
+      ASSERT_EQ(s.fetches, ref.fetches) << "read " << read;
+      ASSERT_EQ(s.distinct_fetches, ref.distinct_fetches) << "read " << read;
+      ASSERT_EQ(s.evictions, ref.evictions) << "read " << read;
+      if (read % 4096 == 0) {
+        for (VertexId v = 0; v < n; ++v) {
+          ASSERT_EQ(crawl.Holds(v), ref.Holds(v)) << "read " << read;
+        }
+      }
+    }
+    // Most of the graph was fetched, so the node index (64 cells at
+    // first) doubled many times; a bounded cache re-fetched evicted
+    // nodes over and over.
+    EXPECT_GT(ref.distinct_fetches, 2000u);
+    if (capacity != 0) {
+      EXPECT_GT(crawl.stats().Refetches(), 20000u);
+    } else {
+      EXPECT_EQ(crawl.stats().Refetches(), 0u);
     }
   }
 }

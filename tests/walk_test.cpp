@@ -413,6 +413,30 @@ TEST(SubgraphWalkTest, IntersectionKernelMatchesSetIntersection) {
     ExpectKernelMatches(evens, high);
     ExpectKernelMatches(odds, high);
   }
+  // Every mask of matched lanes the 4x4 block compare can produce. b
+  // keeps a's id in the lanes of `mask` and the next id up in the others;
+  // then the same matches move to the top of b, the lanes below them
+  // filled with ids under all of a's.
+  for (unsigned mask = 0; mask < 16; ++mask) {
+    std::vector<VertexId> a;
+    std::vector<VertexId> aligned;
+    std::vector<VertexId> matched;
+    for (unsigned lane = 0; lane < 4; ++lane) {
+      const VertexId id = 10 * (lane + 1);
+      const bool match = (mask >> lane & 1u) != 0;
+      a.push_back(id);
+      aligned.push_back(match ? id : id + 1);
+      if (match) matched.push_back(id);
+    }
+    std::vector<VertexId> shifted;
+    for (VertexId filler = 1; shifted.size() + matched.size() < 4; ++filler) {
+      shifted.push_back(filler);
+    }
+    shifted.insert(shifted.end(), matched.begin(), matched.end());
+    SCOPED_TRACE(mask);
+    ExpectKernelMatches(a, aligned);
+    ExpectKernelMatches(a, shifted);
+  }
 }
 
 TEST(SubgraphWalkTest, CarriedPairCountNeverGoesStale) {
