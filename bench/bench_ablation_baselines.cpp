@@ -14,9 +14,9 @@
 #include "baselines/hardiman_katzir.h"
 #include "bench_common.h"
 #include "core/estimator.h"
-#include "engine/chain_pool.h"
 #include "eval/experiment.h"
 #include "graphlet/catalog.h"
+#include "util/chain_pool.h"
 #include "util/rng.h"
 #include "util/timer.h"
 

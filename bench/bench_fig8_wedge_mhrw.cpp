@@ -12,9 +12,9 @@
 #include "baselines/wedge_mhrw.h"
 #include "bench_common.h"
 #include "core/estimator.h"
-#include "engine/chain_pool.h"
 #include "eval/experiment.h"
 #include "graphlet/catalog.h"
+#include "util/chain_pool.h"
 #include "util/rng.h"
 #include "util/stats.h"
 

@@ -40,9 +40,9 @@
 #include <vector>
 
 #include "core/estimator.h"
-#include "engine/chain_pool.h"
 #include "graph/access.h"
 #include "graph/graph.h"
+#include "util/chain_pool.h"
 
 namespace grw {
 

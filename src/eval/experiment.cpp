@@ -4,8 +4,8 @@
 #include <stdexcept>
 
 #include "core/rsize.h"
-#include "engine/chain_pool.h"
 #include "engine/engine.h"
+#include "util/chain_pool.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/timer.h"

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "util/parallel.h"
+#include "util/chain_pool.h"
 
 #if defined(GRW_SIMD_AVX2)
 #include <immintrin.h>
@@ -48,20 +48,27 @@ AdjacencyIndex::AdjacencyIndex(const Graph& g,
 
   // Per-node records: each node's signature depends only on its own
   // neighbor list, so the fan-out is race-free and the result identical
-  // at any thread count. Hub slots are filled in below.
-  ParallelFor(
-      n,
-      [&](size_t v) {
-        uint64_t sig = 0;
-        for (VertexId w : g.Neighbors(static_cast<VertexId>(v))) {
-          sig |= NeighborSignatureBit(w);
+  // at any thread count. A pool index is a block of nodes: claiming
+  // nodes one at a time from the shared counter made this pass about
+  // 15x slower on a 250k-node graph (4 cores). Hub slots are filled in
+  // below.
+  constexpr size_t kNodesPerBlock = 4096;
+  ChainPool::Shared().ForEach(
+      (n + kNodesPerBlock - 1) / kNodesPerBlock,
+      [&](size_t block) {
+        const size_t end = std::min<size_t>(n, (block + 1) * kNodesPerBlock);
+        for (size_t v = block * kNodesPerBlock; v < end; ++v) {
+          uint64_t sig = 0;
+          for (VertexId w : g.Neighbors(static_cast<VertexId>(v))) {
+            sig |= NeighborSignatureBit(w);
+          }
+          meta_[v].signature = sig;
+          if (!wide_offsets_) {
+            meta_[v].offset = static_cast<uint32_t>(offsets_[v]);
+          }
+          meta_[v].degree = static_cast<uint16_t>(std::min<uint32_t>(
+              g.Degree(static_cast<VertexId>(v)), kDegreeCap));
         }
-        meta_[v].signature = sig;
-        if (!wide_offsets_) {
-          meta_[v].offset = static_cast<uint32_t>(offsets_[v]);
-        }
-        meta_[v].degree = static_cast<uint16_t>(std::min<uint32_t>(
-            g.Degree(static_cast<VertexId>(v)), kDegreeCap));
       },
       options.threads);
 
@@ -101,7 +108,7 @@ AdjacencyIndex::AdjacencyIndex(const Graph& g,
 
   // Row fill: rows are disjoint slices of bits_, one per hub.
   bits_.assign(static_cast<size_t>(num_hubs_) * row_words_, 0);
-  ParallelFor(
+  ChainPool::Shared().ForEach(
       hubs.size(),
       [&](size_t slot) {
         uint64_t* row = bits_.data() + slot * row_words_;

@@ -91,7 +91,7 @@ struct AdjacencyIndexOptions {
   /// branch means no mispredict per probe. 0 disables the widening (the
   /// linear_cutoff policy applies unchanged); ignored without AVX2.
   uint32_t simd_scan_cutoff = 64;
-  /// Worker threads for construction; 0 = HardwareThreads().
+  /// Shared-pool threads for construction; 0 = every pool thread.
   unsigned threads = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "util/chain_pool.h"
 #include "util/parallel.h"
 
 namespace grw {
@@ -10,15 +11,15 @@ namespace grw {
 namespace {
 
 // Below this many half-edges the thread fan-out costs more than it saves;
-// everything runs on the calling thread (which ParallelSort/ParallelFor
-// already guarantee for small inputs, this just keeps the constant in one
-// place for the counting passes too).
+// everything runs on the calling thread (which ParallelSort already
+// guarantees for small inputs, this just keeps the constant in one place
+// for the counting passes too).
 constexpr size_t kParallelHalfEdgeCutoff = 1 << 16;
 
 // Shared CSR assembly: takes directed half-edges (both directions present),
 // sorts, dedupes, and emits the Graph. Sorting — the dominant cost on
 // multi-million-edge inputs — and the per-node counting / neighbor fill
-// passes fan out via util/parallel.h; the result is identical to the
+// passes fan out on the shared ChainPool; the result is identical to the
 // serial pipeline at any thread count.
 Graph AssembleCsr(VertexId num_nodes,
                   std::vector<std::pair<VertexId, VertexId>>& half_edges) {
@@ -34,7 +35,7 @@ Graph AssembleCsr(VertexId num_nodes,
     // finds its slice of the sorted half-edge array by binary search, and
     // counts into disjoint offsets entries — no atomics needed.
     const size_t chunks = std::min<size_t>(HardwareThreads(), num_nodes);
-    ParallelFor(chunks, [&](size_t c) {
+    ChainPool::Shared().ForEach(chunks, [&](size_t c) {
       const VertexId lo =
           static_cast<VertexId>(uint64_t{num_nodes} * c / chunks);
       const VertexId hi =
@@ -54,7 +55,7 @@ Graph AssembleCsr(VertexId num_nodes,
   // order per node by a linear pass; chunks are independent.
   const size_t fill_chunks =
       half_edges.size() < kParallelHalfEdgeCutoff ? 1 : HardwareThreads();
-  ParallelFor(fill_chunks, [&](size_t c) {
+  ChainPool::Shared().ForEach(fill_chunks, [&](size_t c) {
     const size_t lo = half_edges.size() * c / fill_chunks;
     const size_t hi = half_edges.size() * (c + 1) / fill_chunks;
     for (size_t i = lo; i < hi; ++i) neighbors[i] = half_edges[i].second;
@@ -86,7 +87,7 @@ Graph GraphBuilder::Build() {
   std::vector<std::pair<VertexId, VertexId>> half(raw * 2);
   const size_t chunks =
       raw < kParallelHalfEdgeCutoff / 2 ? 1 : HardwareThreads();
-  ParallelFor(chunks, [&](size_t c) {
+  ChainPool::Shared().ForEach(chunks, [&](size_t c) {
     const size_t lo = raw * c / chunks;
     const size_t hi = raw * (c + 1) / chunks;
     for (size_t i = lo; i < hi; ++i) {
@@ -200,7 +201,7 @@ Graph RelabelByDegree(const Graph& g) {
   // Each new node owns a disjoint slice; remap + per-list sort in parallel.
   const size_t chunks = std::min<size_t>(
       neighbors.size() < kParallelHalfEdgeCutoff ? 1 : HardwareThreads(), n);
-  ParallelFor(chunks, [&](size_t c) {
+  ChainPool::Shared().ForEach(chunks, [&](size_t c) {
     const VertexId lo = static_cast<VertexId>(uint64_t{n} * c / chunks);
     const VertexId hi = static_cast<VertexId>(uint64_t{n} * (c + 1) / chunks);
     for (VertexId i = lo; i < hi; ++i) {

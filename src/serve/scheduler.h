@@ -14,10 +14,11 @@
 //   fairness    admission hands out FIFO tickets; a job starts once its
 //               ticket is next and fewer than `workers` jobs are running.
 //               Every job runs its engine rounds on the ONE shared
-//               ChainPool (EngineOptions::pool), whose job submission is
-//               itself serialized — so R concurrent requests interleave
-//               at round granularity rather than one request
-//               monopolizing the machine until completion.
+//               ChainPool (EngineOptions::pool). Each round is a pool
+//               job of its own, drained by the job's thread and helped
+//               by idle workers, so R concurrent requests run side by
+//               side rather than one request monopolizing the machine
+//               until completion.
 //   tenants     optional per-tenant distinct-query budgets reusing the
 //               engine's crawl machinery (EngineOptions::crawl): each
 //               request of tenant T runs with a crawl budget capped by
@@ -50,9 +51,9 @@
 #include <string>
 #include <string_view>
 
-#include "engine/chain_pool.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
+#include "util/chain_pool.h"
 #include "util/sync.h"
 
 namespace grw::serve {

@@ -1,22 +1,17 @@
-// Parallel-for helper for one-shot fan-outs.
+// Hardware thread count and a parallel sort for one-shot fan-outs.
 //
-// Experiments run R independent Markov chains (paper: 100-1000 independent
-// simulations per data point); each chain is embarrassingly parallel, so a
-// simple static-chunked thread fan-out is all we need — no work stealing,
-// no shared queues. ParallelFor is a template over the callable so the body
-// is invoked directly (no std::function type erasure or heap allocation on
-// the fan-out path). Long-lived chain execution should prefer the
-// persistent pool in engine/chain_pool.h, which reuses its workers across
-// calls instead of spawning threads per invocation.
+// There is one fan-out primitive, ChainPool (util/chain_pool.h);
+// ParallelSort runs its chunk sorts and merges on the shared pool.
 
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "util/chain_pool.h"
 
 namespace grw {
 
@@ -26,36 +21,11 @@ inline unsigned HardwareThreads() {
   return n == 0 ? 1 : n;
 }
 
-/// Runs body(i) for i in [0, n) across up to `threads` std::threads.
-/// body must be safe to call concurrently for distinct i.
-/// threads == 0 means HardwareThreads().
-template <typename Body>
-void ParallelFor(size_t n, Body&& body, unsigned threads = 0) {
-  static_assert(std::is_invocable_v<Body&, size_t>,
-                "ParallelFor body must be callable as body(size_t)");
-  if (n == 0) return;
-  if (threads == 0) threads = HardwareThreads();
-  threads = static_cast<unsigned>(std::min<size_t>(threads, n));
-  if (threads <= 1) {
-    for (size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    workers.emplace_back([t, threads, n, &body] {
-      // Strided assignment keeps per-thread work balanced when later
-      // indices are systematically cheaper/more expensive.
-      for (size_t i = t; i < n; i += threads) body(i);
-    });
-  }
-  for (auto& w : workers) w.join();
-}
-
 /// Sorts [begin, end) with std::sort semantics, fanning out across up to
-/// `threads` std::threads: the range is cut into equal chunks, each chunk
-/// is sorted independently, and adjacent chunks are merged pairwise
-/// (log(chunks) rounds of std::inplace_merge, themselves parallel).
+/// `threads` threads of the shared pool: the range is cut into `threads`
+/// equal chunks, each chunk is sorted independently, and adjacent chunks
+/// are merged pairwise (log(chunks) rounds of std::inplace_merge,
+/// themselves parallel).
 /// Falls back to a plain std::sort below a size threshold where the
 /// fan-out cost would dominate.
 /// Determinism: like std::sort this is NOT stable. When `<` is a total
@@ -76,7 +46,8 @@ void ParallelSort(Iter begin, Iter end, unsigned threads = 0) {
   // Chunk boundaries; bounds.size() - 1 chunks, each sorted independently.
   std::vector<size_t> bounds(threads + 1);
   for (size_t c = 0; c <= threads; ++c) bounds[c] = n * c / threads;
-  ParallelFor(
+  ChainPool& pool = ChainPool::Shared();
+  pool.ForEach(
       threads,
       [&](size_t c) { std::sort(begin + bounds[c], begin + bounds[c + 1]); },
       threads);
@@ -85,7 +56,7 @@ void ParallelSort(Iter begin, Iter end, unsigned threads = 0) {
   while (bounds.size() > 2) {
     const size_t chunks = bounds.size() - 1;
     const size_t pairs = chunks / 2;
-    ParallelFor(
+    pool.ForEach(
         pairs,
         [&](size_t p) {
           std::inplace_merge(begin + bounds[2 * p], begin + bounds[2 * p + 1],

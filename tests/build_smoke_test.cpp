@@ -1,8 +1,8 @@
 // Build-seam smoke tests: the cross-layer contracts the CMake wiring
 // depends on — paper-style method naming from EstimatorConfig, the
 // d = k-1 (PSRW) end of the walk family constructing and running end to
-// end, config validation, and the Threads::Threads link through
-// util/parallel.h driving multi-chain estimation.
+// end, config validation, and the Threads::Threads link through the
+// shared ChainPool driving multi-chain estimation.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,7 @@
 #include "core/estimator.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
-#include "util/parallel.h"
+#include "util/chain_pool.h"
 #include "util/rng.h"
 
 namespace grw {
@@ -59,8 +59,8 @@ TEST(BuildSmokeTest, InvalidConfigsAreRejected) {
 }
 
 TEST(BuildSmokeTest, ParallelForDrivesIndependentChains) {
-  // The experiment runner's fan-out pattern in miniature: R chains across
-  // std::threads, deterministic per-chain seeds, identical to serial.
+  // The experiment runner's fan-out pattern in miniature: R chains on the
+  // shared pool, deterministic per-chain seeds, identical to serial.
   const Graph g = SmallGraph();
   const EstimatorConfig config{.k = 4, .d = 2, .css = true};
   constexpr size_t kChains = 8;
@@ -68,7 +68,7 @@ TEST(BuildSmokeTest, ParallelForDrivesIndependentChains) {
 
   std::vector<double> parallel_first(kChains, 0.0);
   std::atomic<size_t> ran{0};
-  ParallelFor(kChains, [&](size_t c) {
+  ChainPool::Shared().ForEach(kChains, [&](size_t c) {
     const auto r = GraphletEstimator::Estimate(g, config, kSteps, 100 + c);
     parallel_first[c] = r.concentrations[0];
     ran.fetch_add(1);

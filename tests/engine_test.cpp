@@ -7,19 +7,21 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/alpha.h"
 #include "core/estimator.h"
-#include "engine/chain_pool.h"
 #include "engine/engine.h"
 #include "graph/access.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "util/chain_pool.h"
 #include "util/rng.h"
 
 namespace grw {
@@ -27,11 +29,40 @@ namespace {
 
 // ---------------------------------------------------------------- pool --
 
+// ForEach is a template over the callable (no std::function on the
+// dispatch path): it must accept every callable kind, not just lambdas
+// convertible to std::function.
+namespace pool_callables {
+
+std::atomic<int> free_function_hits{0};
+void FreeFunction(size_t) { free_function_hits++; }
+
+struct Functor {
+  std::atomic<int>* hits;
+  void operator()(size_t) const { (*hits)++; }
+};
+
+}  // namespace pool_callables
+
 TEST(ChainPoolTest, CoversAllIndicesExactlyOnce) {
   ChainPool pool(4);
   std::vector<std::atomic<int>> hits(512);
   pool.ForEach(hits.size(), [&](size_t i) { hits[i]++; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+
+  pool_callables::free_function_hits = 0;
+  pool.ForEach(64, pool_callables::FreeFunction);
+  EXPECT_EQ(pool_callables::free_function_hits.load(), 64);
+
+  std::atomic<int> functor_hits{0};
+  pool.ForEach(64, pool_callables::Functor{&functor_hits});
+  EXPECT_EQ(functor_hits.load(), 64);
+
+  // Generic lambda: operator() is a template, impossible to wrap in a
+  // std::function without choosing a signature first.
+  std::atomic<int> generic_hits{0};
+  pool.ForEach(64, [&](auto) { generic_hits++; });
+  EXPECT_EQ(generic_hits.load(), 64);
 }
 
 TEST(ChainPoolTest, ReusableAcrossJobsAndEmptyJobs) {
@@ -42,6 +73,9 @@ TEST(ChainPoolTest, ReusableAcrossJobsAndEmptyJobs) {
     pool.ForEach(17, [&](size_t) { count++; });
     EXPECT_EQ(count.load(), 17);
   }
+  int single = 0;
+  pool.ForEach(1, [&](size_t) { ++single; }, /*max_threads=*/1);
+  EXPECT_EQ(single, 1);
 }
 
 TEST(ChainPoolTest, ThreadCapRespectedAndSerialFallback) {
@@ -52,6 +86,11 @@ TEST(ChainPoolTest, ThreadCapRespectedAndSerialFallback) {
       10, [&](size_t i) { order.push_back(i); }, /*max_threads=*/1);
   ASSERT_EQ(order.size(), 10u);
   for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+
+  // A cap beyond both the pool and the index count.
+  std::vector<std::atomic<int>> hits(7);
+  pool.ForEach(7, [&](size_t i) { hits[i]++; }, /*max_threads=*/64);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ChainPoolTest, PropagatesBodyExceptions) {
@@ -70,7 +109,8 @@ TEST(ChainPoolTest, PropagatesBodyExceptions) {
 
 TEST(ChainPoolTest, ReentrantForEachRunsInline) {
   // A body that fans out on the same pool must not deadlock: the nested
-  // job runs inline on the calling thread.
+  // job is the body's own, drained by the body's thread and possibly
+  // helped by idle workers.
   ChainPool pool(4);
   std::vector<std::atomic<int>> hits(8 * 16);
   pool.ForEach(8, [&](size_t outer) {
@@ -80,9 +120,9 @@ TEST(ChainPoolTest, ReentrantForEachRunsInline) {
 }
 
 TEST(ChainPoolTest, ReentrantForEachFromSerialPathsRunsInline) {
-  // The serial fallbacks (max_threads = 1, n = 1, worker-less pool)
-  // hold the submission lock while running bodies inline; nesting from
-  // there must not self-deadlock either.
+  // A job with no helper slot (max_threads = 1, n = 1, a worker-less
+  // pool) runs on the calling thread; a ForEach nested in it is just
+  // another job and must complete too.
   ChainPool pool(4);
   std::atomic<int> count{0};
   pool.ForEach(
@@ -97,6 +137,58 @@ TEST(ChainPoolTest, ReentrantForEachFromSerialPathsRunsInline) {
     single.ForEach(5, [&](size_t) { single_count++; });
   });
   EXPECT_EQ(single_count.load(), 15);
+}
+
+TEST(ChainPoolTest, ConcurrentSubmittersRunAtOnce) {
+  // Four threads each submit a one-index job whose body waits until all
+  // four bodies have started. Jobs from different submitters must run
+  // at once: a pool that ran one job at a time would leave each body
+  // alone until its bound expired.
+  constexpr int kSubmitters = 4;
+  ChainPool pool(kSubmitters);
+  std::atomic<int> started{0};
+  std::vector<int> seen(kSubmitters, 0);
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&, s] {
+      pool.ForEach(1, [&](size_t) {
+        started.fetch_add(1);
+        const auto bound =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (started.load() < kSubmitters &&
+               std::chrono::steady_clock::now() < bound) {
+          std::this_thread::yield();
+        }
+        seen[s] = started.load();
+      });
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  for (int s = 0; s < kSubmitters; ++s) {
+    EXPECT_EQ(seen[s], kSubmitters) << "submitter " << s;
+  }
+}
+
+TEST(ChainPoolTest, NestedForEachUnderConcurrentSubmitters) {
+  // Concurrent jobs whose bodies each submit a nested job: every nested
+  // index runs exactly once, whichever threads help.
+  constexpr int kSubmitters = 4;
+  constexpr size_t kOuter = 8;
+  constexpr size_t kInner = 16;
+  ChainPool pool(4);
+  std::vector<std::atomic<int>> hits(kSubmitters * kOuter * kInner);
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&, s] {
+      pool.ForEach(kOuter, [&, s](size_t outer) {
+        pool.ForEach(kInner, [&, s, outer](size_t inner) {
+          hits[(s * kOuter + outer) * kInner + inner]++;
+        });
+      });
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ChainPoolTest, SharedPoolIsAlive) {

@@ -14,14 +14,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <future>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/paper_ids.h"
-#include "engine/chain_pool.h"
 #include "engine/engine.h"
 #include "graph/builder.h"
 #include "graph/format.h"
@@ -33,6 +31,7 @@
 #include "serve/registry.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
+#include "util/chain_pool.h"
 #include "util/rng.h"
 
 namespace grw::serve {
@@ -431,37 +430,6 @@ TEST(SchedulerTest, DrainRefusesNewWorkAndIsIdempotent) {
   EXPECT_NE(after.find("server draining"), std::string::npos) << after;
 }
 
-// Holds `pool` busy until Open(): every engine job submitted to it in the
-// meantime blocks in ForEach, so a test can keep requests in flight for
-// exactly as long as it needs without sleeping.
-class PoolGate {
- public:
-  explicit PoolGate(ChainPool& pool)
-      : holder_([this, &pool] {
-          pool.ForEach(1, [this](size_t) {
-            held_.store(true);
-            opened_.wait();
-          });
-        }) {
-    while (!held_.load()) std::this_thread::yield();
-  }
-  ~PoolGate() { Open(); }
-  PoolGate(const PoolGate&) = delete;
-  PoolGate& operator=(const PoolGate&) = delete;
-
-  void Open() {
-    if (!holder_.joinable()) return;
-    open_.set_value();
-    holder_.join();
-  }
-
- private:
-  std::atomic<bool> held_{false};
-  std::promise<void> open_;
-  std::future<void> opened_ = open_.get_future();
-  std::thread holder_;  // last: starts after the members above exist
-};
-
 template <typename Pred>
 void WaitUntil(Pred pred) {
   while (!pred()) std::this_thread::yield();
@@ -479,6 +447,10 @@ TEST(SchedulerTest, AdmitsWorkersPlusQueueLimitInFlight) {
   ChainPool pool(2);
   const std::string request =
       "ESTIMATE graph=karate k=3 steps=1000 chains=2";
+  // Stays in flight for a long while (2M walk steps): the requests a
+  // test sends once it has been admitted find it still running.
+  const std::string held =
+      "ESTIMATE graph=karate k=3 steps=250000 chains=8";
   const auto ok = [](const std::string& reply) {
     return reply.find("\"ok\": true") != std::string::npos;
   };
@@ -488,15 +460,12 @@ TEST(SchedulerTest, AdmitsWorkersPlusQueueLimitInFlight) {
     options.queue_limit = 0;
     options.pool = &pool;
     ServeScheduler scheduler(&registry, options);
-    PoolGate gate(pool);
     std::vector<std::string> replies(4);
     std::vector<std::thread> clients;
     for (int i = 0; i < 4; ++i) {
       clients.emplace_back(
-          [&, i] { replies[i] = scheduler.HandleLine(request); });
+          [&, i] { replies[i] = scheduler.HandleLine(held); });
     }
-    WaitUntil([&] { return Decided(scheduler, 4); });
-    gate.Open();
     for (std::thread& client : clients) client.join();
     for (const std::string& reply : replies) EXPECT_TRUE(ok(reply)) << reply;
     EXPECT_EQ(scheduler.stats().rejected_queue, 0u);
@@ -507,12 +476,10 @@ TEST(SchedulerTest, AdmitsWorkersPlusQueueLimitInFlight) {
     options.queue_limit = 0;
     options.pool = &pool;
     ServeScheduler scheduler(&registry, options);
-    PoolGate gate(pool);
     std::string first;
-    std::thread client([&] { first = scheduler.HandleLine(request); });
+    std::thread client([&] { first = scheduler.HandleLine(held); });
     WaitUntil([&] { return Decided(scheduler, 1); });
     const std::string shed = scheduler.HandleLine(request);
-    gate.Open();
     client.join();
     EXPECT_TRUE(ok(first)) << first;
     EXPECT_NE(shed.find(kErrorCodeRetryAfter), std::string::npos) << shed;
@@ -525,12 +492,11 @@ TEST(SchedulerTest, AdmitsWorkersPlusQueueLimitInFlight) {
     options.queue_limit = 2;
     options.pool = &pool;
     ServeScheduler scheduler(&registry, options);
-    PoolGate gate(pool);
     std::string first;
     std::string second;
     std::string third;
     uint64_t completed_before_third = 0;
-    std::thread a([&] { first = scheduler.HandleLine(request); });
+    std::thread a([&] { first = scheduler.HandleLine(held); });
     WaitUntil([&] { return Decided(scheduler, 1); });
     std::thread b([&] {
       second = scheduler.HandleLine(
@@ -542,8 +508,6 @@ TEST(SchedulerTest, AdmitsWorkersPlusQueueLimitInFlight) {
       third = scheduler.HandleLine("ESTIMATE graph=ghost k=3");
       completed_before_third = scheduler.stats().completed;
     });
-    WaitUntil([&] { return Decided(scheduler, 3); });
-    gate.Open();
     a.join();
     b.join();
     c.join();

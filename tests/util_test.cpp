@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -137,56 +136,6 @@ TEST(FlagsTest, ParsesAllForms) {
   ASSERT_EQ(flags.positional().size(), 1u);
   EXPECT_EQ(flags.positional()[0], "pos1");
   EXPECT_EQ(flags.GetInt("missing", -7), -7);
-}
-
-TEST(ParallelTest, CoversAllIndicesExactlyOnce) {
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(1000, [&](size_t i) { hits[i]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelTest, ZeroAndOneElement) {
-  ParallelFor(0, [](size_t) { FAIL(); });
-  int count = 0;
-  ParallelFor(1, [&count](size_t) { ++count; }, 1);
-  EXPECT_EQ(count, 1);
-}
-
-// ParallelFor is a template over the callable (no std::function on the
-// fan-out path): it must accept arbitrary callable kinds, not just
-// lambdas convertible to std::function.
-namespace parallel_callables {
-
-std::atomic<int> free_function_hits{0};
-void FreeFunction(size_t) { free_function_hits++; }
-
-struct Functor {
-  std::atomic<int>* hits;
-  void operator()(size_t) const { (*hits)++; }
-};
-
-}  // namespace parallel_callables
-
-TEST(ParallelTest, AcceptsFunctionPointersAndFunctors) {
-  parallel_callables::free_function_hits = 0;
-  ParallelFor(64, parallel_callables::FreeFunction);
-  EXPECT_EQ(parallel_callables::free_function_hits.load(), 64);
-
-  std::atomic<int> hits{0};
-  ParallelFor(64, parallel_callables::Functor{&hits});
-  EXPECT_EQ(hits.load(), 64);
-
-  // Generic lambda: operator() is a template, impossible to wrap in a
-  // std::function without choosing a signature first.
-  std::atomic<int> generic_hits{0};
-  ParallelFor(64, [&](auto) { generic_hits++; });
-  EXPECT_EQ(generic_hits.load(), 64);
-}
-
-TEST(ParallelTest, ThreadCapBeyondElementCount) {
-  std::vector<std::atomic<int>> hits(7);
-  ParallelFor(7, [&](size_t i) { hits[i]++; }, /*threads=*/64);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelSortTest, MatchesStdSortAtAnyThreadCount) {

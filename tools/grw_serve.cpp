@@ -22,8 +22,9 @@
 //   --queue N         jobs allowed to wait beyond those (default 64); at
 //                     most N + --workers requests are in flight, the
 //                     rest are shed with RETRY_AFTER. 0 = no waiting.
-//   --engine-threads  pool threads per job, 0 = all (default 0: jobs
-//                     multiplex round-by-round on the shared ChainPool)
+//   --engine-threads  pool threads per job, 0 = all (default 0). Jobs
+//                     share one ChainPool and run side by side: each
+//                     drains its own rounds, helped by idle workers
 //   --tenant-budget B lifetime distinct-query allowance per tenant id
 //                     (0 = unlimited)
 //   --max-steps /     per-request caps enforced at parse time
