@@ -60,9 +60,10 @@ void BM_EdgeWalkStep(benchmark::State& state) {
 }
 BENCHMARK(BM_EdgeWalkStep)->Arg(0)->Arg(1);
 
-// Args: {d, indexed}. The indexed variant is the end-to-end SRW3/SRW4
-// steps/sec number with the AdjacencyIndex on (same RNG stream, same
-// trajectory — only the per-step enumeration cost moves).
+// Args: {d, indexed}. One G(d) move: rejection tries, each one neighbor
+// read and up to d - 2 edge probes, with no neighbor listing. The indexed
+// variant answers the probes through the AdjacencyIndex (same RNG stream,
+// same trajectory — only the probe cost moves).
 void BM_SubgraphWalkStep(benchmark::State& state) {
   const grw::Graph& g =
       state.range(1) != 0 ? IndexedBenchGraph() : BenchGraph();
@@ -74,7 +75,9 @@ void BM_SubgraphWalkStep(benchmark::State& state) {
     benchmark::DoNotOptimize(walk.Nodes().data());
   }
   state.SetLabel(std::string("SRW") + std::to_string(state.range(0)) +
-                 (state.range(1) != 0 ? " indexed" : " binary-search"));
+                 " rejection move, " +
+                 (state.range(1) != 0 ? "indexed" : "binary-search") +
+                 " probes");
 }
 BENCHMARK(BM_SubgraphWalkStep)
     ->Args({3, 0})

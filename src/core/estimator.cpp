@@ -101,6 +101,9 @@ GraphletEstimatorT<G>::GraphletEstimatorT(const G& g,
   if (config.css && config.d <= 2) {
     css_table_ = &CssTable::For(config.k, config.d);
   }
+  // Only the base weight reads window degrees, and only of interior
+  // states, which a window of l = 2 states does not have.
+  window_degrees_ = !config.css && l_ >= 3;
 }
 
 template <class G>
@@ -116,7 +119,7 @@ void GraphletEstimatorT<G>::Reset(uint64_t seed) {
   window_.Push(walker_->Nodes(), 0, walker_->Known());
   // Fill the window: l states need l-1 transitions (Algorithm 1 line 3).
   for (int i = 1; i < l_; ++i) {
-    window_.SetNewestDegree(walker_->StateDegree());
+    if (window_degrees_) window_.SetNewestDegree(walker_->StateDegree());
     walker_->Step(rng_);
     window_.Push(walker_->Nodes(), 0, walker_->Known());
   }
@@ -180,14 +183,15 @@ void GraphletEstimatorT<G>::StepGroup(
   }
 }
 
-// A state's G(d)-degree becomes known before we leave it; snapshot it,
-// transition, then evaluate the new window, which probes only the
-// adjacency the move did not reveal.
+// Snapshot the state's G(d)-degree before we leave it, if the weight
+// reads window degrees (the walk needs none to move); transition; then
+// the new window is evaluated, probing only the adjacency the move did
+// not reveal.
 template <class G>
 template <class W>
 void GraphletEstimatorT<G>::MoveStage() {
   W& walker = static_cast<W&>(*walker_);
-  window_.SetNewestDegree(walker.StateDegree());
+  if (window_degrees_) window_.SetNewestDegree(walker.StateDegree());
   walker.Step(rng_);
   if constexpr (kAccessReadsArePlainLoads<G>) {
     for (const VertexId v : walker.Nodes()) g_->PrefetchRow(v);

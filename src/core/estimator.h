@@ -191,6 +191,9 @@ class GraphletEstimatorT {
   const GraphletClassifier* classifier_;
   std::vector<int64_t> alpha_;
   const CssTable* css_table_ = nullptr;  // only when css && d <= 2
+  // Whether the weight reads window degrees (base weight, l >= 3): only
+  // then does the chain ask its walk for each state's degree.
+  bool window_degrees_ = false;
   std::unique_ptr<StateWalker> walker_;
   SampleWindowT<G> window_;
   Rng rng_;

@@ -53,114 +53,63 @@ uint64_t MergeIntersectionSize(const VertexId* pa, const VertexId* ea,
   return common;
 }
 
+// Fills rows[0..n) with the adjacency induced by `nodes` (n <= 32 of
+// them): C(n, 2) edge queries.
+template <class G>
+void InducedRows(const G& g, std::span<const VertexId> nodes,
+                 uint32_t* rows) {
+  const int n = static_cast<int>(nodes.size());
+  assert(n <= 32);
+  for (int i = 0; i < n; ++i) rows[i] = 0;
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      if (g.HasEdge(nodes[i], nodes[j])) {
+        rows[i] |= 1u << j;
+        rows[j] |= 1u << i;
+      }
+    }
+  }
+}
+
 // Positions (x, y) of a 3-vertex state that stay when position z drops.
 constexpr int kKept[3][2] = {{1, 2}, {0, 2}, {0, 1}};
 
 // The closed-form G(3) degree of a 3-vertex state (distinct vertices),
-// split by the dropped vertex z, with kept pair x, y:
+// summed over the dropped vertex z, with kept pair x, y:
 // - x ~ y: w is any vertex of N(x) ∪ N(y) outside the state. The union
 //   holds x and y, and z iff z is adjacent to one of them.
 // - x !~ y: w must join them, so it is a common neighbor outside the
 //   state. The intersection holds z iff z is adjacent to both.
-// Reads each state vertex's list once, in state order; the adjacencies
-// come from those lists, or all three from the carry after a move. The
-// pair kept when carry.slot drops takes its |N(x) ∩ N(y)| from the
-// carry. Agrees with EnumerateGdNeighbors' count for every state, and for
-// a connected one reduces to d_x + d_y - |N(x) ∩ N(y)| - 3 and
-// |N(x) ∩ N(y)| - 1.
+// Reads each state vertex's list once, in state order, and takes the
+// adjacencies from those lists. Agrees with EnumerateGdNeighbors' count
+// for every state, and for a connected one reduces to
+// d_x + d_y - |N(x) ∩ N(y)| - 3 and |N(x) ∩ N(y)| - 1 per z.
 template <class G>
-uint64_t CountG3Neighbors(const G& g, std::span<const VertexId> state,
-                          const G3Carry& carry, G3Split& split) {
+uint64_t CountG3Neighbors(const G& g, std::span<const VertexId> state) {
   assert(state.size() == 3);
   const std::span<const VertexId> lists[3] = {
       g.Neighbors(state[0]), g.Neighbors(state[1]), g.Neighbors(state[2])};
-  // edge[z]: the pair kept when z drops is adjacent. Carried after a
-  // move; otherwise searches the shorter of the two lists.
+  // edge[z]: the pair kept when z drops is adjacent; searches the shorter
+  // of the two lists.
   bool edge[3];
   for (int z = 0; z < 3; ++z) {
-    if (carry.slot >= 0) {
-      edge[z] = (carry.pair_edges >> z) & 1u;
-      continue;
-    }
     int x = kKept[z][0];
     int y = kKept[z][1];
     if (lists[x].size() > lists[y].size()) std::swap(x, y);
     edge[z] = SortedContains(lists[x], state[y]);
   }
-  split.pair_edges = 0;
+  uint64_t count = 0;
   for (int z = 0; z < 3; ++z) {
     const int x = kKept[z][0];
     const int y = kKept[z][1];
-    const uint64_t common = z == carry.slot
-                                ? carry.common
-                                : SortedIntersectionSize(lists[x], lists[y]);
+    const uint64_t common = SortedIntersectionSize(lists[x], lists[y]);
     const bool z_to_x = edge[y];  // dropping y keeps the pair {x, z}
     const bool z_to_y = edge[x];
-    split.common[z] = common;
-    split.count[z] = edge[z] ? lists[x].size() + lists[y].size() - common -
-                                   2 - (z_to_x || z_to_y)
-                             : common - (z_to_x && z_to_y);
-    split.pair_edges |= static_cast<uint32_t>(edge[z]) << z;
+    count += edge[z] ? lists[x].size() + lists[y].size() - common - 2 -
+                           (z_to_x || z_to_y)
+                     : common - (z_to_x && z_to_y);
   }
-  return split.Total();
-}
-
-// A located vertex w and the lists it was found in: bit 0 of `lists`
-// for x's, bit 1 for y's, i.e. w's adjacency to x and to y.
-struct G3Vertex {
-  VertexId w;
-  uint32_t lists;
-};
-
-// The rank-th (0-based, ascending) vertex w outside `state` that makes
-// {x, y, w} a G(3) state, given x's and y's lists: any vertex of the
-// union when x ~ y, a common neighbor otherwise. One partial merge; the
-// caller guarantees rank < the pair's count.
-G3Vertex LocateG3Vertex(std::span<const VertexId> nx,
-                        std::span<const VertexId> ny, bool pair_edge,
-                        std::span<const VertexId> state, uint64_t rank) {
-  const auto in_state = [&state](VertexId w) {
-    return w == state[0] || w == state[1] || w == state[2];
-  };
-  const VertexId* pa = nx.data();
-  const VertexId* const ea = pa + nx.size();
-  const VertexId* pb = ny.data();
-  const VertexId* const eb = pb + ny.size();
-  if (!pair_edge) {
-    while (true) {
-      if (*pa < *pb) {
-        ++pa;
-      } else if (*pb < *pa) {
-        ++pb;
-      } else {
-        const VertexId w = *pa;
-        if (!in_state(w) && rank-- == 0) return {w, 0b11};
-        ++pa;
-        ++pb;
-      }
-    }
-  }
-  while (pa != ea && pb != eb) {
-    VertexId w;
-    uint32_t lists;
-    if (*pa < *pb) {
-      w = *pa++;
-      lists = 0b01;
-    } else if (*pb < *pa) {
-      w = *pb++;
-      lists = 0b10;
-    } else {
-      w = *pa++;
-      ++pb;
-      lists = 0b11;
-    }
-    if (!in_state(w) && rank-- == 0) return {w, lists};
-  }
-  // One list ran out: the rest of the other is all union.
-  const uint32_t lists = pa != ea ? 0b01 : 0b10;
-  for (const VertexId* p = pa != ea ? pa : pb;; ++p) {
-    if (!in_state(*p) && rank-- == 0) return {*p, lists};
-  }
+  return count;
 }
 
 }  // namespace
@@ -221,19 +170,10 @@ uint64_t SortedIntersectionSize(std::span<const VertexId> a,
 
 template <class G>
 bool InducedSubgraphConnected(const G& g, std::span<const VertexId> nodes) {
-  const int n = static_cast<int>(nodes.size());
-  if (n <= 1) return true;
-  assert(n <= 32);
+  if (nodes.size() <= 1) return true;
   uint32_t rows[32] = {};
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      if (g.HasEdge(nodes[i], nodes[j])) {
-        rows[i] |= 1u << j;
-        rows[j] |= 1u << i;
-      }
-    }
-  }
-  return MaskRowsConnected(rows, n);
+  InducedRows(g, nodes, rows);
+  return MaskRowsConnected(rows, static_cast<int>(nodes.size()));
 }
 
 template <class G>
@@ -245,16 +185,8 @@ uint64_t EnumerateGdNeighbors(const G& g, std::span<const VertexId> state,
 
   // Internal adjacency of the current state, once per call: C(d,2) edge
   // queries that every evicted-vertex iteration below reuses.
-  uint32_t* srows = scratch.state_rows.data();
-  for (int i = 0; i < d; ++i) srows[i] = 0;
-  for (int i = 0; i < d; ++i) {
-    for (int j = i + 1; j < d; ++j) {
-      if (g.HasEdge(state[i], state[j])) {
-        srows[i] |= 1u << j;
-        srows[j] |= 1u << i;
-      }
-    }
-  }
+  const uint32_t* srows = scratch.state_rows.data();
+  InducedRows(g, state, scratch.state_rows.data());
 
   std::vector<VertexId>& base = scratch.base;
   std::vector<VertexId>& candidate = scratch.candidate;
@@ -392,10 +324,7 @@ void EnumerateGdNeighborsReference(const Graph& g,
 template <class G>
 uint64_t SubgraphStateDegree(const G& g, std::span<const VertexId> state,
                              GdScratch& scratch) {
-  if (state.size() == 3) {
-    G3Split split;
-    return CountG3Neighbors(g, state, G3Carry{}, split);
-  }
+  if (state.size() == 3) return CountG3Neighbors(g, state);
   return EnumerateGdNeighbors(g, state, nullptr, scratch);
 }
 
@@ -423,82 +352,80 @@ void SubgraphWalkT<G>::Reset(Rng& rng) {
     if (static_cast<int>(nodes_.size()) == d_) break;
   }
   std::sort(nodes_.begin(), nodes_.end());
-  prev_.clear();
-  carry_ = {};
-  degree_valid_ = false;
-}
-
-template <class G>
-void SubgraphWalkT<G>::EnsureDegree() const {
-  if (degree_valid_) return;
-  if (d_ == 3) {
-    CountG3Neighbors(*g_, Nodes(), carry_, g3_);
-  } else {
-    neighbors_.clear();
-    EnumerateGdNeighbors(*g_, Nodes(), &neighbors_, scratch_);
-  }
-  degree_valid_ = true;
-}
-
-template <class G>
-G3Carry SubgraphWalkT<G>::Locate(uint64_t pick) {
-  if (d_ != 3) {
-    next_.assign(neighbors_.begin() + pick * d_,
-                 neighbors_.begin() + (pick + 1) * d_);
-    return {};
-  }
-  int z = 0;
-  while (pick >= g3_.count[z]) pick -= g3_.count[z++];
-  const VertexId x = nodes_[kKept[z][0]];
-  const VertexId y = nodes_[kKept[z][1]];
-  const uint32_t pair_edge = (g3_.pair_edges >> z) & 1u;
-  const G3Vertex found = LocateG3Vertex(g_->Neighbors(x), g_->Neighbors(y),
-                                        pair_edge != 0, Nodes(), pick);
-  const VertexId w = found.w;
-  next_ = {x, y};
-  const auto at = std::lower_bound(next_.begin(), next_.end(), w);
-  const int slot = static_cast<int>(at - next_.begin());
-  next_.insert(at, w);
-  // The new state keeps {x, y} when w drops, {x, w} when y drops and
-  // {y, w} when x drops; x and y fill the two positions besides slot.
-  const int x_slot = slot == 0 ? 1 : 0;
-  const int y_slot = slot == 2 ? 1 : 2;
-  const uint32_t pair_edges = pair_edge << slot |
-                              (found.lists & 1u) << y_slot |
-                              (found.lists >> 1) << x_slot;
-  return {slot, g3_.common[z], pair_edges};
+  InducedRows(*g_, Nodes(), rows_.data());
+  left_ = kNone;
+  entered_ = kNone;
+  degree_ = 0;
 }
 
 template <class G>
 KnownAdjacency SubgraphWalkT<G>::Known() const {
-  if (carry_.slot < 0) return {};
-  KnownAdjacency known{{nodes_[0], nodes_[1], nodes_[2]}, {}, 3};
-  for (int z = 0; z < 3; ++z) {
-    if ((carry_.pair_edges >> z) & 1u) {
-      const int x = kKept[z][0];
-      const int y = kKept[z][1];
-      known.rows[x] |= 1u << y;
-      known.rows[y] |= 1u << x;
-    }
-  }
-  return known;
+  if (d_ != 3) return {};
+  return {{nodes_[0], nodes_[1], nodes_[2]},
+          {static_cast<uint8_t>(rows_[0]), static_cast<uint8_t>(rows_[1]),
+           static_cast<uint8_t>(rows_[2])},
+          3};
 }
 
 template <class G>
 void SubgraphWalkT<G>::Step(Rng& rng) {
-  const uint64_t count = StateDegree();
-  assert(count > 0 && "state with no G(d) neighbors in a connected graph");
-
-  G3Carry carry = Locate(rng.UniformInt(count));
-  if (nb_ && !prev_.empty() && count >= 2) {
-    // Uniform over neighbors excluding the previous state.
-    while (next_ == prev_) carry = Locate(rng.UniformInt(count));
+  const int d = d_;
+  uint32_t degrees[32] = {};
+  uint64_t total = 0;
+  for (int i = 0; i < d; ++i) {
+    degrees[i] = g_->Degree(nodes_[i]);
+    total += degrees[i];
   }
-
-  prev_.swap(nodes_);
-  nodes_.swap(next_);
-  carry_ = carry;
-  degree_valid_ = false;
+  uint32_t rows[32] = {};
+  int z = 0;
+  VertexId w = kNone;
+  while (true) {
+    // One try: the slot names u and its neighbor w, then z != u drops.
+    uint64_t slot = rng.UniformInt(total);
+    int u = 0;
+    while (slot >= degrees[u]) slot -= degrees[u++];
+    w = g_->Neighbor(nodes_[u], static_cast<uint32_t>(slot));
+    z = static_cast<int>(rng.UniformInt(d - 1));
+    z += z >= u;
+    if (std::find(nodes_.begin(), nodes_.end(), w) != nodes_.end()) continue;
+    // w's row among the kept vertices; u must be its first kept neighbor.
+    uint32_t w_row = 1u << u;
+    bool first = true;
+    for (int j = 0; j < d && first; ++j) {
+      if (j == u || j == z || !g_->HasEdge(nodes_[j], w)) continue;
+      first = j > u;
+      w_row |= 1u << j;
+    }
+    if (!first) continue;
+    // S - z + w with w in z's position.
+    for (int j = 0; j < d; ++j) {
+      rows[j] = (rows_[j] & ~(1u << z)) | ((w_row >> j) & 1u) << z;
+    }
+    rows[z] = w_row;
+    if (!MaskRowsConnected(rows, d)) continue;
+    // NB: not back to the previous state unless it is the only neighbor.
+    if (nb_ && w == left_ && nodes_[z] == entered_ && StateDegree() > 1) {
+      continue;
+    }
+    break;
+  }
+  left_ = nodes_[z];
+  entered_ = w;
+  nodes_[z] = w;
+  // Restore the sorted order: move w to its place one swap at a time,
+  // swapping the two positions' rows and their bits in every row.
+  const auto swap_with_next = [&](int i) {
+    std::swap(nodes_[i], nodes_[i + 1]);
+    std::swap(rows[i], rows[i + 1]);
+    for (int j = 0; j < d; ++j) {
+      const uint32_t pair = rows[j] >> i & 3u;
+      rows[j] = (rows[j] & ~(3u << i)) | ((pair >> 1 | pair << 1) & 3u) << i;
+    }
+  };
+  for (; z > 0 && nodes_[z - 1] > w; --z) swap_with_next(z - 1);
+  for (; z + 1 < d && nodes_[z + 1] < w; ++z) swap_with_next(z);
+  std::copy(rows, rows + d, rows_.begin());
+  degree_ = 0;
 }
 
 // Instantiating here keeps the hot path out of every includer while still

@@ -5,40 +5,36 @@
 //
 // This is the walk behind SRW3 and SRW4 — i.e. PSRW (Wang et al.) when
 // d = k-1 — kept as the paper's main comparison method. Per Section 5,
-// drawing a uniform neighbor of a state means generating all of its
-// neighbors, O(d^2 |E|/|V|) per step, which is why the paper argues for
-// walking with small d; our Table 6 bench reproduces the resulting
-// runtime gap. At d = 3 the listing can be skipped but the list work
-// cannot: a step still merges the state vertices' neighbor lists, so the
-// argument holds with a smaller constant. The two regimes:
+// drawing a uniform neighbor by writing out all of a state's neighbors
+// costs O(d^2 |E|/|V|) per step, which is why the paper argues for walking
+// with small d; the Table 6 bench times that listing in its own column.
 //
-// * d = 3: counted in closed form. For the sorted state {s0, s1, s2}, drop
-//   z and keep the pair x < y. If x ~ y, every vertex of N(x) ∪ N(y)
-//   outside the state is a valid w: d_x + d_y - |N(x) ∩ N(y)| - 3 of them
-//   when the state is connected. If x !~ y, w must join them: the
-//   |N(x) ∩ N(y)| - 1 common neighbors other than z. The degree needs
-//   one intersection count per kept pair, but only two are fresh: the
-//   move into a state kept one of its pairs, and carries that pair's
-//   count and adjacency over from the state before (G3Carry). The fresh
-//   counts go through SortedIntersectionSize, a skip-scan for skewed
-//   pairs and an SSE2 block compare for balanced ones. A step draws
-//   pick < degree, chooses z from the running per-z counts, and walks
-//   one merge of N(x) and N(y) to the pick-th qualifying w. No neighbor
-//   state is ever written out, and the order (z ascending, then w
-//   ascending) is the enumerator's, so the walk reaches the same state
-//   as a pick from the written-out list.
-// * d >= 4: enumerated. Each step writes out every neighbor state and
-//   picks one. The enumerator reuses a caller-owned GdScratch (zero
-//   allocations once warm): the state's internal adjacency mask is built
-//   once per call with C(d,2) edge queries, each evicted vertex derives
-//   its base mask by bit surgery, and candidates come from a (d-1)-way
-//   sorted merge of the base vertices' neighbor lists, so each distinct
-//   v_in arrives in ascending order with its base-adjacency mask already
-//   assembled and costs zero edge queries, just an O(d) bitmask BFS.
-//   EnumerateGdNeighbors serves every d and is the test oracle for the
-//   closed form; the pre-optimization path is preserved as
-//   EnumerateGdNeighborsReference for the equivalence tests and the
-//   micro-bench baseline.
+// The walk draws its move by rejection instead, one rule for every d. For
+// the sorted state S = {s_0 < ... < s_{d-1}} a try draws a slot of the
+// concatenated lists N(s_0) ++ ... ++ N(s_{d-1}), which names a state
+// vertex u and its neighbor w, and a vertex z uniformly from the other
+// d - 1. It accepts iff w is outside S, no kept vertex before u in state
+// order is adjacent to w, and S - z + w is connected. Each neighbor state
+// (z, w) has exactly one accepting draw (u is w's first kept neighbor), so
+// each has probability 1 / ((d - 1) * sum d_i) per try and the accepted
+// move is exactly uniform. The walk carries its state's internal
+// adjacency rows, so connectivity is a bitmask BFS over them plus w's row,
+// which the test has just probed. Moving needs no G(d) degree: the walk
+// counts it only when asked (StateDegree), and a non-backtracking walk
+// asks only when a try returns to the previous state.
+//
+// The degree itself (SubgraphStateDegree) is a closed form at d = 3, three
+// intersection counts, and the count of EnumerateGdNeighbors at d >= 4.
+// The enumerator reuses a caller-owned GdScratch (zero allocations once
+// warm): the state's internal adjacency mask is built once per call with
+// C(d,2) edge queries, each evicted vertex derives its base mask by bit
+// surgery, and candidates come from a (d-1)-way sorted merge of the base
+// vertices' neighbor lists, so each distinct v_in arrives in ascending
+// order with its base-adjacency mask already assembled and costs zero edge
+// queries, just an O(d) bitmask BFS. It is the test oracle for the closed
+// form and for the walk's moves; the pre-optimization path is preserved
+// as EnumerateGdNeighborsReference for the equivalence tests and the
+// micro-bench baseline.
 //
 // Everything here is templated on the graph access policy and explicitly
 // instantiated in subgraph_walk.cpp for every member of the access family
@@ -129,32 +125,7 @@ bool InducedSubgraphConnected(const G& g, std::span<const VertexId> nodes);
 uint64_t SortedIntersectionSize(std::span<const VertexId> a,
                                 std::span<const VertexId> b);
 
-/// The G(3) degree of a 3-vertex state split by the vertex a move drops:
-/// count[z] neighbor states keep the other two vertices x, y of the
-/// state, common[z] is their |N(x) ∩ N(y)|, and bit z of pair_edges says
-/// whether they are adjacent. Filled by the closed-form count in
-/// subgraph_walk.cpp: two fresh intersection counts and one carried (see
-/// G3Carry), or three fresh ones from SubgraphStateDegree.
-struct G3Split {
-  std::array<uint64_t, 3> count = {};
-  std::array<uint64_t, 3> common = {};
-  uint32_t pair_edges = 0;
-  uint64_t Total() const { return count[0] + count[1] + count[2]; }
-};
-
-/// What a d = 3 move {x, y, z} -> {x, y, w} carries into the new state:
-/// the pair (x, y)'s |N(x) ∩ N(y)| from the old state's G3Split, filed
-/// under slot, w's position in the new sorted state (the position whose
-/// drop keeps x, y); and the new state's whole adjacency in G3Split's
-/// pair_edges form: x ~ y from the old split, w's edges to x and y from
-/// the merge that found w. slot < 0 carries nothing.
-struct G3Carry {
-  int slot = -1;
-  uint64_t common = 0;
-  uint32_t pair_edges = 0;
-};
-
-/// Random walk on connected induced d-node subgraphs of G, d >= 3,
+/// Random walk on connected induced d-node subgraphs of G, 3 <= d <= 32,
 /// through access policy G.
 template <class G = Graph>
 class SubgraphWalkT final : public StateWalker {
@@ -164,12 +135,11 @@ class SubgraphWalkT final : public StateWalker {
     if (d < 3) {
       throw std::invalid_argument("SubgraphWalk: use NodeWalk/EdgeWalk");
     }
+    if (d > 32) throw std::invalid_argument("SubgraphWalk: d above 32");
     if (g.NumNodes() < static_cast<VertexId>(d + 1)) {
       throw std::invalid_argument("SubgraphWalk: graph too small");
     }
     nodes_.reserve(d);
-    prev_.reserve(d);
-    next_.reserve(d);
   }
 
   void Reset(Rng& rng) override;
@@ -180,33 +150,30 @@ class SubgraphWalkT final : public StateWalker {
     return {nodes_.data(), nodes_.size()};
   }
 
-  /// Number of neighbor states, computed once per state: the closed-form
-  /// per-z counts at d = 3, the written-out neighbor list at d >= 4.
+  /// Number of neighbor states, counted by SubgraphStateDegree on the
+  /// first call at each state and cached until the state changes.
   uint64_t StateDegree() const override {
-    EnsureDegree();
-    return d_ == 3 ? g3_.Total() : neighbors_.size() / d_;
+    if (degree_ == 0) degree_ = SubgraphStateDegree(*g_, Nodes(), scratch_);
+    return degree_;
   }
 
-  /// At d = 3 after a Step(), the whole state's adjacency (the carry's
-  /// pair_edges); nothing otherwise.
+  /// At d = 3, the whole state's adjacency (the carried rows); nothing
+  /// otherwise.
   KnownAdjacency Known() const override;
 
  private:
-  void EnsureDegree() const;
-  // Writes the pick-th neighbor state (enumeration order) into next_;
-  // at d = 3, returns what that move keeps of this state's count.
-  G3Carry Locate(uint64_t pick);
+  static constexpr VertexId kNone = ~VertexId{0};  // above every node id
 
   const G* g_;
   int d_;
   bool nb_;
   std::vector<VertexId> nodes_;  // sorted
-  std::vector<VertexId> prev_;   // sorted; empty until first Step
-  std::vector<VertexId> next_;   // the located move, before it is taken
-  mutable bool degree_valid_ = false;
-  G3Carry carry_;                            // d == 3: into nodes_
-  mutable G3Split g3_;                       // d == 3
-  mutable std::vector<VertexId> neighbors_;  // d >= 4: flattened states
+  // Bit j of rows_[i]: nodes_[i] ~ nodes_[j].
+  std::array<uint32_t, 32> rows_ = {};
+  // The vertices the last move dropped and added; kNone after Reset.
+  VertexId left_ = kNone;
+  VertexId entered_ = kNone;
+  mutable uint64_t degree_ = 0;  // 0 until StateDegree counts it
   mutable GdScratch scratch_;
 };
 

@@ -10,7 +10,8 @@
 // Degree accounting: the expanded-chain stationary weight of a window needs
 // the G(d)-degree of each *interior* state (Theorem 2). Degrees are exposed
 // via StateDegree() for the current state; the estimator snapshots them as
-// the window slides.
+// the window slides when its weight reads them (the base weight with
+// l >= 3 states per window). No walk needs its degree to move.
 
 #pragma once
 
@@ -29,9 +30,9 @@ namespace grw {
 /// each walk knows after a Step():
 ///   d = 1: the node it stepped from is adjacent to the node it is on;
 ///   d = 2: the state is an edge (also after Reset());
-///   d = 3: the whole state: the kept pair's bit is carried from the state
-///          before, and the merge that found the entering vertex saw which
-///          of the kept pair's lists it came from;
+///   d = 3: the whole state (also after Reset()): the walk carries its
+///          state's adjacency rows, and each move updates them from the
+///          entering vertex's row, which the move's acceptance test probed;
 ///   d >= 4: nothing.
 struct KnownAdjacency {
   std::array<VertexId, 3> nodes = {};
@@ -66,8 +67,9 @@ class StateWalker {
   virtual std::span<const VertexId> Nodes() const = 0;
 
   /// Degree of the current state in G(d): number of neighboring states.
-  /// O(1) for d <= 2; for d >= 3 this is the size of the enumerated
-  /// neighbor set (computed lazily, cached until the state changes).
+  /// O(1) for d <= 2; for d >= 3 counted on the first call at each state
+  /// (closed form at d = 3, the enumerator's count above) and cached
+  /// until the state changes.
   virtual uint64_t StateDegree() const = 0;
 
   /// What the last move revealed of the adjacency around the current

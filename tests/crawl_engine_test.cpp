@@ -107,7 +107,9 @@ TEST(CrawlEngineTest, PerChainCrawlStatsArePinned) {
   // failure seeds fix these counts, so a change that moves either (or
   // the LRU, or the failure model's draws) shows up here. cache_hits
   // also counts the sample window's edge probes, so it moves with the
-  // adjacency the walk hands the window (walk/walker.h KnownAdjacency).
+  // adjacency the walk hands the window (walk/walker.h KnownAdjacency),
+  // and the walk's own degree reads, so it moves with whether the chain
+  // asks for state degrees (SRW2CSS does not).
   const Graph g = TestGraph();
   EngineOptions options;
   options.chains = 4;
@@ -131,10 +133,10 @@ TEST(CrawlEngineTest, PerChainCrawlStatsArePinned) {
     double backoff_latency_us, simulated_latency_us;
   };
   const Pinned expected[] = {
-      {314, 301, 5037, 250, 100, 99, 1, 1016221.6320791552, 15700},
-      {311, 301, 5008, 247, 73, 73, 0, 12138.617116873324, 15550},
-      {322, 301, 5565, 258, 88, 88, 0, 13615.470115994136, 16100},
-      {345, 300, 5888, 281, 73, 72, 1, 1011534.897022314, 17250},
+      {314, 301, 4317, 250, 100, 99, 1, 1016221.6320791552, 15700},
+      {311, 301, 4304, 247, 73, 73, 0, 12138.617116873324, 15550},
+      {322, 301, 4795, 258, 88, 88, 0, 13615.470115994136, 16100},
+      {345, 300, 5078, 281, 73, 72, 1, 1011534.897022314, 17250},
   };
   ASSERT_EQ(run.per_chain_access.size(), 4u);
   for (size_t c = 0; c < 4; ++c) {

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -311,53 +312,88 @@ TEST(SubgraphWalkDistributionTest, StationaryChiSquare) {
                           /*seed=*/3007, /*samples=*/24000);
 }
 
-TEST(SubgraphWalkDistributionTest, TransitionsUniformOverGdNeighbors) {
-  // From state s the walk picks uniformly among deg_{G(3)}(s) neighbor
-  // states; pool per-state chi-squares over frequently visited states.
-  // Every observed next state must be a G(3) neighbor of s.
-  const Graph g = Lollipop(5, 2);
-  SubgraphWalk walk(g, /*d=*/3);
-  Rng rng(3005);
+// Pooled chi-square of the G(d) walk's moves against uniform over each
+// state's neighbor states, over cells visited often enough; every move
+// must land on an allowed neighbor. Under NB the cells are keyed by
+// (previous state, state): the move is uniform over the neighbors other
+// than the previous state, and is the previous state when that is the
+// only neighbor. Returns the G(d)-degrees of the states left.
+std::set<size_t> CheckGdTransitions(const Graph& g, int d, bool nb,
+                                    uint64_t seed, uint64_t steps) {
+  SubgraphWalk walk(g, d, nb);
+  Rng rng(seed);
   walk.Reset(rng);
   using State = std::vector<VertexId>;
-  std::map<State, std::map<State, double>> transitions;
-  std::map<State, double> visits;
+  // (previous state, empty when unkeyed or unknown; state)
+  using Key = std::pair<State, State>;
+  std::map<Key, std::map<State, double>> transitions;
+  State before;
   State prev(walk.Nodes().begin(), walk.Nodes().end());
-  const uint64_t steps = 120000;
   for (uint64_t s = 0; s < steps; ++s) {
     walk.Step(rng);
     State cur(walk.Nodes().begin(), walk.Nodes().end());
-    transitions[prev][cur] += 1.0;
-    visits[prev] += 1.0;
+    transitions[{nb ? before : State{}, prev}][cur] += 1.0;
+    before = std::move(prev);
     prev = std::move(cur);
   }
   double stat = 0.0;
   int df = 0;
+  std::set<size_t> degrees;
   std::vector<VertexId> neighbors;
-  for (const auto& [state, outs] : transitions) {
+  for (const auto& [key, outs] : transitions) {
+    const auto& [previous, state] = key;
     neighbors.clear();
     EnumerateGdNeighbors(g, state, &neighbors);
-    std::vector<State> valid;
+    std::vector<State> allowed;
     for (size_t i = 0; i < neighbors.size(); i += state.size()) {
-      valid.emplace_back(neighbors.begin() + i,
-                         neighbors.begin() + i + state.size());
+      allowed.emplace_back(neighbors.begin() + i,
+                           neighbors.begin() + i + state.size());
     }
+    degrees.insert(allowed.size());
+    if (allowed.size() >= 2) std::erase(allowed, previous);
+    double visits = 0.0;
     for (const auto& [next, count] : outs) {
-      ASSERT_NE(std::find(valid.begin(), valid.end(), next), valid.end())
-          << "walk moved to a state that is not a G(3) neighbor";
+      EXPECT_NE(std::find(allowed.begin(), allowed.end(), next),
+                allowed.end())
+          << "d=" << d << " nb=" << nb << ": a move the walk may not make";
+      visits += count;
     }
-    const double deg = static_cast<double>(valid.size());
-    if (visits[state] < 5.0 * deg) continue;
+    const double cells = static_cast<double>(allowed.size());
+    if (allowed.size() < 2 || visits < 5.0 * cells) continue;
     std::vector<double> obs;
     for (const auto& [next, count] : outs) obs.push_back(count);
     // Unvisited neighbor states are zero-count cells.
-    while (obs.size() < valid.size()) obs.push_back(0.0);
-    const std::vector<double> expected(obs.size(), visits[state] / deg);
+    while (obs.size() < allowed.size()) obs.push_back(0.0);
+    const std::vector<double> expected(obs.size(), visits / cells);
     stat += ChiSquareStatistic(obs, expected);
-    df += static_cast<int>(deg) - 1;
+    df += static_cast<int>(allowed.size()) - 1;
   }
-  ASSERT_GT(df, 0);
-  EXPECT_LT(stat, ChiSquareCriticalValue(df, kTailZ)) << "df=" << df;
+  EXPECT_GT(df, 0) << "d=" << d << " nb=" << nb;
+  EXPECT_LT(stat, ChiSquareCriticalValue(df, kTailZ))
+      << "d=" << d << " nb=" << nb << " df=" << df;
+  return degrees;
+}
+
+TEST(SubgraphWalkDistributionTest, TransitionsUniformOverGdNeighbors) {
+  // Plain and NB walks at d = 3 and 4 on two fixtures. The lollipop's
+  // states recur often. K4 with a 5-edge tail 3-4-5-6-7-8 has, at both
+  // d, a tail-end state of G(d)-degree 1, which NB must leave by
+  // backtracking, and one of degree 2, where NB must go on to the
+  // neighbor it did not come from.
+  const Graph lollipop = Lollipop(5, 2);
+  const Graph tail = FromEdges(9, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3},
+                                   {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7},
+                                   {7, 8}});
+  for (const int d : {3, 4}) {
+    for (const bool nb : {false, true}) {
+      const uint64_t seed = 3005 + 10 * d + nb;
+      CheckGdTransitions(lollipop, d, nb, seed, /*steps=*/120000);
+      const std::set<size_t> degrees =
+          CheckGdTransitions(tail, d, nb, seed, /*steps=*/120000);
+      EXPECT_TRUE(degrees.contains(1) && degrees.contains(2))
+          << "d=" << d << ": the tail fixture lost its degree-1 or -2 state";
+    }
+  }
 }
 
 }  // namespace

@@ -44,6 +44,23 @@ for t in 1 3 4; do
 done
 diff group1.txt group3.txt
 diff group1.txt group4.txt
+# The same for the G(d) walk's rejection move: d = 3 plain and
+# non-backtracking, and d = 4, each in memory and through a 256-list
+# crawl cache.
+walks=("--k 4 --d 3" "--k 4 --d 3 --nb 1" "--k 5 --d 4")
+for w in 0 1 2; do
+  for c in 0 1; do
+    access=""
+    [ "$c" = 1 ] && access="--crawl --cache-size 256"
+    for t in 1 3 4; do
+      # shellcheck disable=SC2086
+      ./grw_cli estimate smoke.grwb ${walks[$w]} $access --steps 50000 \
+        --chains 7 --threads "$t" --quiet --raw > "group_w${w}_c${c}_$t.txt"
+    done
+    diff "group_w${w}_c${c}_1.txt" "group_w${w}_c${c}_3.txt"
+    diff "group_w${w}_c${c}_1.txt" "group_w${w}_c${c}_4.txt"
+  done
+done
 
 step "Access bench (gated on bit-identical estimates)"
 ./bench_access --check-identical --json bench_access.json
@@ -88,7 +105,7 @@ diff local.txt served.txt
 ./grw_cli estimate smoke.grwb --k 4 --steps 50000 --chains 2 \
   --quiet --raw --crawl --cache-size 0 > crawl.txt
 diff local.txt crawl.txt
-# The same at d = 3 (PSRW: closed-form G(3) degrees and moves), through a
+# The same at d = 3 (PSRW: the G(d) walk's rejection move), through a
 # 256-list cache: about 5% of the graph, so the crawl evicts and refetches.
 ./grw_cli estimate smoke.grwb --k 4 --d 3 --steps 50000 --chains 2 \
   --quiet --raw > local3.txt
