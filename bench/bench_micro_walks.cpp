@@ -181,6 +181,42 @@ void BM_CrawlerSetup(benchmark::State& state) {
 }
 BENCHMARK(BM_CrawlerSetup)->Unit(benchmark::kMicrosecond);
 
+// The same 16 crawlers, each then fetching 2,700 distinct nodes, about
+// what a crawl-psrw3 chain fetches in one answer. Each crawler's nodes
+// are drawn once, uniformly from the graph, so the time is the node
+// index's inserts (and any rehash), not the walk.
+void BM_CrawlerFill(benchmark::State& state) {
+  const grw::Graph& g = LargeBenchGraph();
+  grw::CrawlOptions options;
+  options.cache_entries = 4096;
+  constexpr size_t kCrawlers = 16;
+  constexpr size_t kFetches = 2700;
+  std::vector<std::vector<grw::VertexId>> nodes(kCrawlers);
+  for (size_t c = 0; c < kCrawlers; ++c) {
+    grw::Rng rng(grw::DeriveSeed(10, c));
+    std::vector<bool> seen(g.NumNodes());
+    while (nodes[c].size() < kFetches) {
+      const auto v = static_cast<grw::VertexId>(rng.UniformInt(g.NumNodes()));
+      if (!seen[v]) {
+        seen[v] = true;
+        nodes[c].push_back(v);
+      }
+    }
+  }
+  for (auto _ : state) {
+    std::vector<grw::CrawlAccess> crawlers;
+    crawlers.reserve(kCrawlers);
+    uint64_t degrees = 0;
+    for (size_t c = 0; c < kCrawlers; ++c) {
+      const grw::CrawlAccess& crawler =
+          crawlers.emplace_back(g, options, grw::DeriveSeed(9, c));
+      for (const grw::VertexId v : nodes[c]) degrees += crawler.Degree(v);
+    }
+    benchmark::DoNotOptimize(degrees);
+  }
+}
+BENCHMARK(BM_CrawlerFill)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

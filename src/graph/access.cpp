@@ -1,5 +1,7 @@
 #include "graph/access.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/fault.h"
@@ -14,6 +16,8 @@ constexpr double kBackoffMaxUs = 1e6;
 // Uniform extra wait fraction in [0, kBackoffJitter) per backoff
 // (decorrelates retry storms).
 constexpr double kBackoffJitter = 0.5;
+// The fewest cells a crawler's node index has.
+constexpr uint64_t kMinIndexSize = 64;
 
 }  // namespace
 
@@ -27,6 +31,20 @@ CrawlCache::CrawlCache(VertexId num_nodes, const CrawlOptions& options,
           ? n
           : opt_.cache_entries);
   never_evicts_ = capacity_ == n;
+  // A bounded crawler starts with the index its capacity fills to half,
+  // so it rehashes only once it has fetched more than capacity_ distinct
+  // nodes. An unbounded one starts at 64 cells (512 bytes) and grows with
+  // what it fetches. The cap keeps mask_ in 32 bits. (Reserving the LRU
+  // table to capacity_ as well measured no faster, with a larger peak
+  // RSS.)
+  uint64_t cells = kMinIndexSize;
+  if (!never_evicts_) {
+    cells = std::min(std::bit_ceil(std::max(2 * uint64_t{capacity_}, cells)),
+                     uint64_t{1} << 32);
+  }
+  index_.resize(cells);
+  mask_ = static_cast<uint32_t>(cells - 1);
+  shift_ = 64 - std::countr_zero(cells);
 }
 
 void CrawlCache::Admit(VertexId v, uint32_t at) {

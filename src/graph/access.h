@@ -67,11 +67,13 @@ constexpr bool kAccessHasQueryBudget = requires(const G& g) {
 
 /// Whether access policy G's reads are plain loads from memory (the
 /// in-memory Graph). For such a reader a software prefetch is free of
-/// side effects and the order of reads across chains cannot matter, so
-/// the estimator prefetches through it and the engine steps a thread's
-/// chains as one interleaved group (core/estimator.h RunGroup). The
-/// other members count every read in caches whose contents depend on
-/// read order, so they get neither.
+/// side effects, so the estimator prefetches through it and the engine
+/// steps a thread's chains as one interleaved group (core/estimator.h
+/// RunGroup). The other members count every read in caches, and a
+/// prefetch through them would count as a read. A crawl cache belongs
+/// to one chain, so interleaving chains could not change its read
+/// order; crawl chains step alone because groups of them, with a
+/// prefetch through the base Graph, measured slower.
 template <class G>
 constexpr bool kAccessReadsArePlainLoads = std::is_same_v<G, Graph>;
 
@@ -174,9 +176,12 @@ struct CrawlOptions {
 /// grows with that, never with the graph: one open-addressing index
 /// (power-of-two, linear probing, doubled once more than half full) maps
 /// every node it ever fetched to the slot holding its list, or to none
-/// once evicted. A miss on a node with no entry is a distinct fetch. The
-/// LRU's slot table grows with the slots in use, up to the capacity; an
-/// unbounded cache, which never evicts, keeps no LRU at all.
+/// once evicted. A miss on a node with no entry is a distinct fetch. A
+/// bounded cache of capacity C sizes its index once, when it is built,
+/// at bit_ceil(max(2C, 64)) cells, so it doubles only once more than C
+/// distinct nodes were fetched. The LRU's slot table grows with the
+/// slots in use, up to C. An unbounded cache, which never evicts, starts
+/// its index at 64 cells (512 bytes) and keeps no LRU at all.
 class CrawlCache {
  public:
   /// `num_nodes` only clamps the capacity (a cache of every node never
@@ -281,13 +286,12 @@ class CrawlCache {
   uint32_t capacity_;
   bool never_evicts_ = false;  // capacity_ covers every node
   CrawlStats stats_;
-  // Node index: one entry per distinct fetch (stats_.distinct_fetches).
-  // A fresh crawler's index has 64 cells (512 bytes).
-  static constexpr uint32_t kInitialIndexSize = 64;
-  std::vector<Entry> index_ = std::vector<Entry>(kInitialIndexSize);
-  uint32_t mask_ = kInitialIndexSize - 1;  // index_.size() - 1
+  // Node index: one entry per distinct fetch (stats_.distinct_fetches),
+  // sized by the constructor.
+  std::vector<Entry> index_;
+  uint32_t mask_ = 0;  // index_.size() - 1
   // 64 - log2(index_.size()): Find shifts the hash right by this.
-  int shift_ = 64 - std::countr_zero(kInitialIndexSize);
+  int shift_ = 0;
   std::vector<Slot> slots_;  // LRU over the slots in use
   uint32_t head_ = kNoSlot;  // most recently used
   uint32_t tail_ = kNoSlot;  // least recently used

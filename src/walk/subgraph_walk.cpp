@@ -353,6 +353,7 @@ void SubgraphWalkT<G>::Reset(Rng& rng) {
   }
   std::sort(nodes_.begin(), nodes_.end());
   InducedRows(*g_, Nodes(), rows_.data());
+  degrees_.fill(0);
   left_ = kNone;
   entered_ = kNone;
   degree_ = 0;
@@ -370,11 +371,12 @@ KnownAdjacency SubgraphWalkT<G>::Known() const {
 template <class G>
 void SubgraphWalkT<G>::Step(Rng& rng) {
   const int d = d_;
-  uint32_t degrees[32] = {};
+  // Only the vertex the last move added has no degree yet (every vertex
+  // after Reset); a state vertex has at least one neighbor, so 0 is unset.
   uint64_t total = 0;
   for (int i = 0; i < d; ++i) {
-    degrees[i] = g_->Degree(nodes_[i]);
-    total += degrees[i];
+    if (degrees_[i] == 0) degrees_[i] = g_->Degree(nodes_[i]);
+    total += degrees_[i];
   }
   uint32_t rows[32] = {};
   int z = 0;
@@ -383,7 +385,7 @@ void SubgraphWalkT<G>::Step(Rng& rng) {
     // One try: the slot names u and its neighbor w, then z != u drops.
     uint64_t slot = rng.UniformInt(total);
     int u = 0;
-    while (slot >= degrees[u]) slot -= degrees[u++];
+    while (slot >= degrees_[u]) slot -= degrees_[u++];
     w = g_->Neighbor(nodes_[u], static_cast<uint32_t>(slot));
     z = static_cast<int>(rng.UniformInt(d - 1));
     z += z >= u;
@@ -412,10 +414,12 @@ void SubgraphWalkT<G>::Step(Rng& rng) {
   left_ = nodes_[z];
   entered_ = w;
   nodes_[z] = w;
+  degrees_[z] = 0;
   // Restore the sorted order: move w to its place one swap at a time,
-  // swapping the two positions' rows and their bits in every row.
+  // swapping the two positions' rows, degrees and bits in every row.
   const auto swap_with_next = [&](int i) {
     std::swap(nodes_[i], nodes_[i + 1]);
+    std::swap(degrees_[i], degrees_[i + 1]);
     std::swap(rows[i], rows[i + 1]);
     for (int j = 0; j < d; ++j) {
       const uint32_t pair = rows[j] >> i & 3u;

@@ -19,9 +19,12 @@
 // each has probability 1 / ((d - 1) * sum d_i) per try and the accepted
 // move is exactly uniform. The walk carries its state's internal
 // adjacency rows, so connectivity is a bitmask BFS over them plus w's row,
-// which the test has just probed. Moving needs no G(d) degree: the walk
-// counts it only when asked (StateDegree), and a non-backtracking walk
-// asks only when a try returns to the previous state.
+// which the test has just probed. It also carries its state vertices'
+// degrees (the slot draw's weights), so a step reads one degree, the
+// entering vertex's, not d; after Reset the first step reads all d.
+// Moving needs no G(d) degree: the walk counts it only when asked
+// (StateDegree), and a non-backtracking walk asks only when a try returns
+// to the previous state.
 //
 // The degree itself (SubgraphStateDegree) is a closed form at d = 3, three
 // intersection counts, and the count of EnumerateGdNeighbors at d >= 4.
@@ -170,6 +173,8 @@ class SubgraphWalkT final : public StateWalker {
   std::vector<VertexId> nodes_;  // sorted
   // Bit j of rows_[i]: nodes_[i] ~ nodes_[j].
   std::array<uint32_t, 32> rows_ = {};
+  // degrees_[i]: Degree(nodes_[i]), or 0 until Step reads it.
+  std::array<uint32_t, 32> degrees_ = {};
   // The vertices the last move dropped and added; kNone after Reset.
   VertexId left_ = kNone;
   VertexId entered_ = kNone;

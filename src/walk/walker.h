@@ -69,7 +69,9 @@ class StateWalker {
   /// Degree of the current state in G(d): number of neighboring states.
   /// O(1) for d <= 2; for d >= 3 counted on the first call at each state
   /// (closed form at d = 3, the enumerator's count above) and cached
-  /// until the state changes.
+  /// until the state changes. Not the graph degrees of the state's
+  /// vertices: a d >= 3 walk carries those itself and reads only the
+  /// entering vertex's per step.
   virtual uint64_t StateDegree() const = 0;
 
   /// What the last move revealed of the adjacency around the current
@@ -78,9 +80,11 @@ class StateWalker {
 
   /// Starts loading what the next Step() reads first, drawing its first
   /// choice from `rng` by value, so the caller's stream does not move:
-  /// the drawn neighbor slot for d <= 2, nothing for d >= 3 or for a
-  /// reader whose reads are not plain loads (kAccessReadsArePlainLoads,
-  /// graph/access.h). A hint only: no result depends on it.
+  /// the drawn neighbor slot for d <= 2; nothing for d >= 3, whose first
+  /// read is the entering vertex's degree (the kept vertices' are
+  /// carried), or for a reader whose reads are not plain loads
+  /// (kAccessReadsArePlainLoads, graph/access.h). A hint only: no result
+  /// depends on it.
   virtual void PrefetchNext(Rng rng) const { (void)rng; }
 };
 

@@ -230,7 +230,7 @@ TEST(CrawlAccessTest, MatchesAReferenceLru) {
   Rng graph_rng(33);
   const Graph g = HolmeKim(3000, 3, 0.5, graph_rng);
   const VertexId n = g.NumNodes();
-  for (const uint64_t capacity : {1, 2, 3, 64, 0}) {
+  for (const uint64_t capacity : {1, 2, 3, 64, 1024, 0}) {
     SCOPED_TRACE(capacity);
     CrawlAccess::Options opt;
     opt.cache_entries = capacity;
@@ -285,9 +285,11 @@ TEST(CrawlAccessTest, MatchesAReferenceLru) {
         }
       }
     }
-    // Most of the graph was fetched, so the node index (64 cells at
-    // first) doubled many times; a bounded cache re-fetched evicted
-    // nodes over and over.
+    // Most of the graph was fetched, so every node index doubled: a
+    // bounded one once it passed C distinct fetches (it starts at
+    // bit_ceil(max(2C, 64)) cells: 64 for C <= 32, 128 for C = 64 and
+    // 2048 for C = 1024), the unbounded one (64 cells at first) many
+    // times. A bounded cache re-fetched evicted nodes over and over.
     EXPECT_GT(ref.distinct_fetches, 2000u);
     if (capacity != 0) {
       EXPECT_GT(crawl.stats().Refetches(), 20000u);

@@ -1,11 +1,13 @@
 // Tests for the restricted-access (crawl) estimation path: the engine's
 // distinct-query budget stop must land on the same step at any thread
-// count, per-chain crawl accounting must sum to the run's, and degenerate
-// budgets are refused. That crawl runs match full access is checked by
+// count, per-chain crawl accounting must sum to the run's, the G(d) walk
+// must read each list where it always did, and degenerate budgets are
+// refused. That crawl runs match full access is checked by
 // tests/conformance_test.cpp.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "core/estimator.h"
@@ -155,6 +157,73 @@ TEST(CrawlEngineTest, PerChainCrawlStatsArePinned) {
   }
   EXPECT_TRUE(run.budget_exhausted);
   EXPECT_EQ(run.merged.steps, 1494u);
+}
+
+TEST(CrawlEngineTest, GdWalkReadsOnlyTheEnteringDegree) {
+  // PSRW at d = 3 and 4, plain and NB: the G(d) walk carries its state
+  // vertices' degrees, so after the first step it reads one degree per
+  // step (the entering vertex's), not d. The pins are the counts of a
+  // walk that read all d. Every list it reads is read at the same point
+  // of the run, so fetches, distinct fetches and evictions keep those
+  // pins, and each transition after a chain's first makes d - 1 fewer
+  // cache hits. That holds down to a cache of d + 1 lists, the state
+  // plus the entering vertex, the smallest pinned here. Below it the
+  // skipped reads no longer keep the state's lists recent, and fetches
+  // move (distinct fetches never do): at d = 3 and 3 lists they rise
+  // from 7,476 to 13,914 for chain 0, at d = 4 and 4 lists from 7,058
+  // to 13,803.
+  const Graph g = TestGraph();
+  struct Counts {
+    uint64_t fetches, distinct_fetches, cache_hits, evictions;
+  };
+  struct Case {
+    int d;
+    bool nb;
+    uint64_t cache;
+    std::array<Counts, 2> chains;
+  };
+  const Case cases[] = {
+      {3, false, 4, {{{4966, 1483, 26986, 4962}, {4960, 1513, 27181, 4956}}}},
+      {3, false, 64, {{{4110, 1483, 27842, 4046}, {3994, 1513, 28147, 3930}}}},
+      {3, false, 256, {{{3377, 1483, 28575, 3121}, {3272, 1513, 28869, 3016}}}},
+      {3, true, 4, {{{4983, 1527, 27177, 4979}, {4977, 1567, 27277, 4973}}}},
+      {3, true, 64, {{{4164, 1527, 27996, 4100}, {4031, 1567, 28223, 3967}}}},
+      {3, true, 256, {{{3445, 1527, 28715, 3189}, {3357, 1567, 28897, 3101}}}},
+      {4, false, 5, {{{4978, 1264, 53711, 4973}, {4977, 1434, 54455, 4972}}}},
+      {4, false, 64, {{{4064, 1264, 54625, 4000}, {3930, 1434, 55502, 3866}}}},
+      {4, false, 256, {{{2794, 1264, 55895, 2538}, {2887, 1434, 56545, 2631}}}},
+      {4, true, 5, {{{4988, 1367, 54361, 4983}, {4998, 1428, 54475, 4993}}}},
+      {4, true, 64, {{{4045, 1367, 55304, 3981}, {3945, 1428, 55528, 3881}}}},
+      {4, true, 256, {{{2970, 1367, 56379, 2714}, {2951, 1428, 56522, 2695}}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "d=" << c.d << " nb=" << c.nb
+                                    << " cache=" << c.cache);
+    EngineOptions options;
+    options.chains = 2;
+    options.threads = 1;
+    options.max_steps = 5000;
+    options.base_seed = 3;
+    options.round_steps = 256;
+    options.crawl.emplace().cache_entries = c.cache;
+    const EngineResult run =
+        EstimationEngine(g, {c.d + 1, c.d, false, c.nb}, options).Run();
+    ASSERT_EQ(run.per_chain_access.size(), 2u);
+    for (size_t chain = 0; chain < 2; ++chain) {
+      SCOPED_TRACE(chain);
+      const CrawlStats& s = run.per_chain_access[chain];
+      const Counts& want = c.chains[chain];
+      EXPECT_EQ(s.fetches, want.fetches);
+      EXPECT_EQ(s.distinct_fetches, want.distinct_fetches);
+      EXPECT_EQ(s.evictions, want.evictions);
+      // A window of l = 2 states: Reset takes one Step, then one per
+      // counted step, and every Step but the first reads d - 1 fewer
+      // degrees.
+      const uint64_t steps = run.per_chain[chain].steps;
+      EXPECT_EQ(steps, options.max_steps);
+      EXPECT_EQ(s.cache_hits, want.cache_hits - (c.d - 1) * steps);
+    }
+  }
 }
 
 TEST(CrawlEngineTest, BudgetSmallerThanChainCountIsRejected) {

@@ -113,13 +113,17 @@ diff local.txt crawl.txt
   --quiet --raw --crawl --cache-size 256 > crawl3.txt
 diff local3.txt crawl3.txt
 # Each chain crawls through its own cache, so the merged crawl cost must
-# not depend on how chains are spread over threads.
-for t in 1 4; do
-  ./grw_cli estimate smoke.grwb --k 4 --d 3 --steps 50000 --chains 2 \
-    --crawl --cache-size 256 --threads "$t" 2> "crawl_cost$t.err" \
-    | grep '^crawl cost:' > "crawl_cost$t.txt"
+# not depend on how chains are spread over threads: at d = 3 and at
+# k = 5, d = 4.
+for w in "--k 4 --d 3" "--k 5 --d 4"; do
+  for t in 1 4; do
+    # shellcheck disable=SC2086
+    ./grw_cli estimate smoke.grwb $w --steps 50000 --chains 2 \
+      --crawl --cache-size 256 --threads "$t" 2> "crawl_cost$t.err" \
+      | grep '^crawl cost:' > "crawl_cost$t.txt"
+  done
+  diff crawl_cost1.txt crawl_cost4.txt
 done
-diff crawl_cost1.txt crawl_cost4.txt
 # And at k = 3 (d = 1, where the window takes the edge the walk stepped
 # along instead of probing it), through the same 256-list cache.
 ./grw_cli estimate smoke.grwb --k 3 --steps 50000 --chains 2 \
