@@ -6,14 +6,16 @@
 // run that reads through the chains' small neighbor-list caches
 // produces bit-identical concentrations to the in-memory run, and pays
 // only in shard reads. This bench measures that price: steps/s and
-// NRMSE at budget fractions {100%, 50%, 25%} of the total shard bytes,
-// against the monolithic in-memory engine as the baseline. Every budget
-// above 0 gives each reader the same fixed-size cache, so the three
-// budget rows charge the same bytes.
+// NRMSE for an unbounded store (budget 0, reading the shard mappings in
+// place) and at budget fractions {100%, 50%, 25%} of the total shard
+// bytes, against the monolithic in-memory engine as the baseline. Every
+// budget above 0 gives each reader the same fixed-size cache, so the
+// three budget rows charge the same bytes.
 // With --reps R every configuration runs R times, in alternating order;
-// the table reports medians, and budget100_vs_monolithic is the median
-// over repetitions of the budget-100% / monolithic steps/s ratio, with
-// its interquartile range as the spread.
+// the table reports medians, and unbounded_vs_monolithic and
+// budget100_vs_monolithic are the medians over repetitions of the
+// unbounded / monolithic and budget-100% / monolithic steps/s ratios,
+// each with its interquartile range as the spread.
 //
 // Flags:
 //   --n N              Holme-Kim nodes (default 20000 -> ~80K edges)
@@ -60,7 +62,8 @@ namespace {
 
 struct RunPoint {
   std::string name;
-  double fraction = 1.0;    // of total shard bytes; <= 0 means monolithic
+  double fraction = 1.0;    // of total shard bytes; 0 = unbounded,
+                            // < 0 = monolithic
   double seconds = 0.0;
   double steps_per_s = 0.0;  // median over repetitions
   std::vector<double> rep_steps_per_s;
@@ -149,22 +152,25 @@ int main(int argc, char** argv) {
   options.max_steps = steps;
   options.base_seed = 20240808;
 
-  // Monolithic in-memory baseline, then sharded runs at shrinking
-  // budgets; with --reps, every configuration once per repetition.
-  std::vector<RunPoint> points(4);
+  // Monolithic in-memory baseline, an unbounded sharded run, then
+  // sharded runs at shrinking budgets; with --reps, every configuration
+  // once per repetition.
+  std::vector<RunPoint> points(5);
   points[0].name = "monolithic (in-memory)";
   points[0].fraction = -1.0;
+  points[1].name = "sharded unbounded";
+  points[1].fraction = 0.0;
   const double fractions[] = {1.0, 0.5, 0.25};
-  for (size_t i = 1; i < points.size(); ++i) {
-    points[i].fraction = fractions[i - 1];
+  for (size_t i = 2; i < points.size(); ++i) {
+    points[i].fraction = fractions[i - 2];
     points[i].name = "sharded " +
-                     grw::Table::Num(fractions[i - 1] * 100.0, 0) +
+                     grw::Table::Num(fractions[i - 2] * 100.0, 0) +
                      "% budget";
   }
   for (int rep = 0; rep < reps; ++rep) {
     for (RunPoint& p : points) {
       std::optional<grw::ShardStore> store;
-      if (p.fraction > 0.0) {
+      if (p.fraction >= 0.0) {
         grw::ShardStore::Options store_opt;
         store_opt.resident_budget_bytes = static_cast<uint64_t>(
             p.fraction * static_cast<double>(total_bytes));
@@ -195,7 +201,7 @@ int main(int argc, char** argv) {
   table.SetHeader({"configuration", "steps/s", "slowdown", "NRMSE",
                    "hit rate", "evictions", "peak MiB"});
   for (const RunPoint& p : points) {
-    const bool sharded = p.fraction > 0.0;
+    const bool sharded = p.fraction >= 0.0;
     table.AddRow(
         {p.name, grw::Table::Num(p.steps_per_s, 0),
          grw::Table::Num(base.steps_per_s / p.steps_per_s, 2) + "x",
@@ -218,7 +224,9 @@ int main(int argc, char** argv) {
   for (size_t i = 1; i < points.size(); ++i) {
     const RunPoint& p = points[i];
     const std::string prefix =
-        "budget" + grw::Table::Num(p.fraction * 100.0, 0) + "_";
+        p.fraction == 0.0
+            ? std::string("unbounded_")
+            : "budget" + grw::Table::Num(p.fraction * 100.0, 0) + "_";
     metrics.push_back({prefix + "steps_per_s", p.steps_per_s, "1/s"});
     metrics.push_back({prefix + "nrmse", p.nrmse, ""});
     metrics.push_back({prefix + "hit_rate", p.shards.HitRate(), ""});
@@ -230,19 +238,23 @@ int main(int argc, char** argv) {
              (1024.0 * 1024.0),
          "MiB"});
   }
-  // Pairs of one repetition: budget 100% against the monolithic run.
-  std::vector<double> ratios;
-  for (int rep = 0; rep < reps; ++rep) {
-    ratios.push_back(points[1].rep_steps_per_s[rep] /
-                     base.rep_steps_per_s[rep]);
-  }
-  const double ratio_iqr = Quantile(ratios, 0.75) - Quantile(ratios, 0.25);
-  std::printf("budget100 / monolithic steps/s: %.3f (IQR %.3f over %d "
-              "rep(s))\n",
-              Quantile(ratios, 0.5), ratio_iqr, reps);
-  metrics.push_back(
-      {"budget100_vs_monolithic", Quantile(ratios, 0.5), "x"});
-  metrics.push_back({"budget100_vs_monolithic_iqr", ratio_iqr, "x"});
+  // Pairs of one repetition: a sharded run against the monolithic run,
+  // as the median ratio and its interquartile range.
+  const auto vs_monolithic = [&](const std::string& label,
+                                 const RunPoint& p) {
+    std::vector<double> ratios;
+    for (int rep = 0; rep < reps; ++rep) {
+      ratios.push_back(p.rep_steps_per_s[rep] / base.rep_steps_per_s[rep]);
+    }
+    const double median = Quantile(ratios, 0.5);
+    const double iqr = Quantile(ratios, 0.75) - Quantile(ratios, 0.25);
+    std::printf("%s / monolithic steps/s: %.3f (IQR %.3f over %d rep(s))\n",
+                label.c_str(), median, iqr, reps);
+    metrics.push_back({label + "_vs_monolithic", median, "x"});
+    metrics.push_back({label + "_vs_monolithic_iqr", iqr, "x"});
+  };
+  vs_monolithic("unbounded", points[1]);
+  vs_monolithic("budget100", points[2]);
   grw::bench::MaybeWriteJson(flags, "sharded", g.Summary(), metrics);
 
   if (!flags.GetBool("keep")) {

@@ -351,15 +351,10 @@ EngineResult EstimationEngine::Run() {
   EngineResult result = RunOn(*store_, config_, options_);
   const ShardStats store = store_->stats();
   result.shards.resident_bytes = store.resident_bytes;
-  result.shards.resident_shards = store.resident_shards;
   result.shards.budget_bytes = store.budget_bytes;
-  // Unbounded, the run's "cache" is the store's shared mappings; bounded,
-  // it also read through the store's shared header and offsets pages.
-  if (!store_->bounded()) {
-    result.shards.peak_resident_bytes = store.peak_resident_bytes;
-  } else {
-    result.shards.peak_resident_bytes += store_->offsets_bytes();
-  }
+  // The run's readers' caches (none when unbounded), plus what the store
+  // charged at open, which every run reads through.
+  result.shards.peak_resident_bytes += store_->open_bytes();
   return result;
 }
 

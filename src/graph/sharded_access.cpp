@@ -36,6 +36,19 @@ uint64_t MaxDegree(const ShardManifest& manifest) {
   return 0;
 }
 
+// ShardStore::open_bytes().
+uint64_t OpenBytes(const ShardManifest& manifest, bool bounded) {
+  if (!bounded) return manifest.TotalShardBytes();
+  const uint64_t page = PageBytes();
+  uint64_t bytes = 0;
+  for (const ShardInfo& shard : manifest.shards) {
+    const uint64_t end =
+        snapshot::kHeaderBytes + (shard.num_rows + 1) * sizeof(uint64_t);
+    bytes += (end + page - 1) / page * page;
+  }
+  return bytes;
+}
+
 // Ring offsets are 32-bit words.
 constexpr uint64_t kMaxRingWords = uint64_t{1} << 31;
 
@@ -61,10 +74,8 @@ ShardStore::ShardStore(ShardManifest manifest, const Options& options)
     : manifest_(std::move(manifest)),
       options_(options),
       shards_(MapAllShards(manifest_, bounded())),
-      resident_(
-          std::make_unique<std::atomic<bool>[]>(manifest_.NumShards())),
-      offsets_charged_(
-          std::make_unique<std::atomic<bool>[]>(manifest_.NumShards())) {
+      open_bytes_(OpenBytes(manifest_, bounded())) {
+  Charge(open_bytes_);
   if (!bounded()) return;
   max_degree_ = MaxDegree(manifest_);
   const uint64_t page = PageBytes();
@@ -91,53 +102,10 @@ const MappedShard& ShardStore::Recheck(uint32_t s) const {
   return shards_[s];
 }
 
-const MappedShard& ShardStore::RecheckForMiss(uint32_t s) const {
-  const MappedShard& shard = Recheck(s);
-  // Two readers may both see the flag clear; the one that flips it
-  // charges.
-  if (!offsets_charged_[s].load(std::memory_order_acquire) &&
-      !offsets_charged_[s].exchange(true, std::memory_order_acq_rel)) {
-    Charge(OffsetsPages(s));
-  }
-  return shard;
-}
-
-uint64_t ShardStore::OffsetsPages(uint32_t s) const {
-  const uint64_t page = PageBytes();
-  const uint64_t end = snapshot::kHeaderBytes +
-                       (manifest_.shards[s].num_rows + 1) * sizeof(uint64_t);
-  return (end + page - 1) / page * page;
-}
-
-uint64_t ShardStore::offsets_bytes() const {
-  uint64_t bytes = 0;
-  for (uint32_t s = 0; s < NumShards(); ++s) {
-    if (offsets_charged_[s].load(std::memory_order_acquire)) {
-      bytes += OffsetsPages(s);
-    }
-  }
-  return bytes;
-}
-
-bool ShardStore::Admit(uint32_t s) const {
-  if (resident_[s].load(std::memory_order_acquire)) return false;
-  Recheck(s);
-  // Two readers may both check; the one that flips the flag charges.
-  if (resident_[s].exchange(true, std::memory_order_acq_rel)) return false;
-  Charge(shards_[s].bytes());
-  counters_.resident_shards.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
 const MappedShard* ShardStore::Acquire(uint32_t s) const {
-  if (bounded()) {
-    Recheck(s);
-  } else if (!Admit(s)) {
-    counters_.hits.fetch_add(1, std::memory_order_relaxed);
-    return &shards_[s];
-  }
+  const MappedShard& shard = Recheck(s);
   counters_.faults.fetch_add(1, std::memory_order_relaxed);
-  return &shards_[s];
+  return &shard;
 }
 
 void ShardStore::Charge(uint64_t bytes) const {
@@ -166,8 +134,6 @@ ShardStats ShardStore::stats() const {
   s.evictions = counters_.evictions.load(std::memory_order_relaxed);
   s.resident_bytes = counters_.charged.load(std::memory_order_relaxed);
   s.peak_resident_bytes = counters_.peak.load(std::memory_order_relaxed);
-  s.resident_shards =
-      counters_.resident_shards.load(std::memory_order_relaxed);
   s.budget_bytes = options_.resident_budget_bytes;
   return s;
 }
@@ -221,15 +187,8 @@ void ShardedAccess::Publish() const {
   published_ = now;
 }
 
-void ShardedAccess::Admit(uint32_t s) const {
-  if (store_->Admit(s)) {
-    ++own_.faults;
-    Publish();
-  }
-}
-
 std::span<const VertexId> ShardedAccess::Miss(VertexId v) const {
-  const MappedShard& shard = store_->RecheckForMiss(store_->ShardOf(v));
+  const MappedShard& shard = store_->Recheck(store_->ShardOf(v));
   const MappedShard::Row row =
       shard.ReadRow(store_->manifest(), v, store_->max_degree_);
   shard.ReadList(store_->manifest(), row, Reserve(row.degree));

@@ -5,19 +5,17 @@
 // Two layers, mirroring the engine's sharing model:
 //
 //   ShardStore    — ONE per graph, thread-safe, lock-free. Owns the
-//                   manifest and one mapping per shard, made and
-//                   header-checked at open and held for the store's
-//                   lifetime, plus the store-wide byte budget and
-//                   counters (ShardStats).
+//                   manifest and one mapping per shard, made, checked
+//                   and charged once, at open, plus the store-wide byte
+//                   budget and counters (ShardStats).
 //   ShardedAccess — one per chain, NOT thread-safe. Mirrors the Graph
 //                   read API (NumNodes/Degree/Neighbors/Neighbor/HasEdge).
 //
 // How a reader reads depends on the store's budget:
 //
 //   * Unbounded (budget 0): straight from the held mappings, like a
-//     monolithic `.grwb`; the kernel decides which pages stay resident.
-//     A shard's first read re-checks its bytes (one atomic flag per
-//     shard, no lock) and charges the shard's file size; nothing is ever
+//     monolithic `.grwb`; a read touches no shared state and is a hit.
+//     The kernel decides which pages stay resident; nothing is ever
 //     evicted, so a span stays valid for the store's lifetime.
 //   * Bounded: through a neighbor-list cache the reader owns. A miss
 //     reads the row's offsets pair from the held mapping, then the list
@@ -27,10 +25,11 @@
 //     CheckShardBytes on the shard (header against the manifest, first
 //     and last offset), and the reader bounds-checks the offsets pair and
 //     the ids it read: a shard damaged after open fails with
-//     SnapshotCorruptError instead of reading out of bounds. A shard's
-//     first miss charges the pages of its mapping that misses read — the
-//     header and the offsets region, rounded up to pages — once, for the
-//     store's lifetime (one atomic flag per shard, no lock).
+//     SnapshotCorruptError instead of reading out of bounds.
+//
+// At open the store charges, for its lifetime, what its readers read in
+// place (ShardStore::open_bytes): every shard file when unbounded, every
+// shard's header and offsets pages when bounded.
 //
 // Past 0 the budget's value changes nothing: every reader's cache has one
 // fixed size, computed from the manifest when the store opens. (The
@@ -87,29 +86,24 @@ namespace grw {
 
 /// Shard-store accounting. ShardStore::stats() reports the store's
 /// lifetime totals; an engine run reports its own readers' counters
-/// (EngineResult::shards). A live bounded reader adds its faults, hits
-/// and evictions to the store's totals every 64 faults and when it is
+/// (EngineResult::shards). A live reader adds its faults, hits and
+/// evictions to the store's totals every 64 faults and when it is
 /// destroyed, so the store's totals lag behind its live readers.
 struct ShardStats {
-  /// Reads that reached a shard file: a cache miss (bounded), a shard's
-  /// first read (unbounded), or an Acquire() that re-checked a shard.
+  /// Reads that reached a shard file: a cache miss (bounded) or an
+  /// Acquire() that re-checked a shard. An unbounded read never faults.
   uint64_t faults = 0;
-  /// Reads answered without one: from a reader's cache (bounded) or a
-  /// checked mapping (unbounded).
+  /// Reads answered without one: from a reader's cache (bounded) or the
+  /// shard mappings checked at open (unbounded: every read).
   uint64_t hits = 0;
   /// Lists dropped from reader caches to make room.
   uint64_t evictions = 0;
-  /// Bytes currently charged to the store. Bounded: live readers' caches,
-  /// plus the header and offsets pages of every shard a miss has read
-  /// (charged once, kept for the store's lifetime). Unbounded: the shard
-  /// files read so far.
+  /// Bytes charged to the store now: ShardStore::open_bytes, plus its
+  /// live bounded readers' caches.
   uint64_t resident_bytes = 0;
-  /// High-water mark of the charged bytes. For a run on a bounded store,
-  /// the sum of its readers' caches, each of the store's one fixed size,
-  /// plus the store's header and offsets pages, which every run shares.
+  /// High-water mark of the charged bytes. For a run, its readers'
+  /// caches (none when unbounded) plus the store's open_bytes.
   uint64_t peak_resident_bytes = 0;
-  /// Shards an unbounded store reads in place (checked); 0 if bounded.
-  uint64_t resident_shards = 0;
   /// The configured budget (0 = unbounded), echoed for reporting.
   uint64_t budget_bytes = 0;
 
@@ -133,10 +127,11 @@ class ShardStore {
 
   /// Takes a validated manifest (LoadShardManifest). Eagerly maps and
   /// header-checks every shard once (catching missing/stale shards at
-  /// open, like the monolithic loader's eager header validation) and
-  /// keeps the mappings — and, for a bounded store, their descriptors —
-  /// for the store's lifetime. Throws std::invalid_argument if a bounded
-  /// reader's ring would not fit 32-bit offsets (a degree over ~2^27).
+  /// open, like the monolithic loader's eager header validation), charges
+  /// open_bytes(), and keeps the mappings — and, for a bounded store,
+  /// their descriptors — for the store's lifetime. Throws
+  /// std::invalid_argument if a bounded reader's ring would not fit
+  /// 32-bit offsets (a degree over ~2^27).
   ShardStore(ShardManifest manifest, const Options& options);
 
   ShardStore(const ShardStore&) = delete;
@@ -152,38 +147,23 @@ class ShardStore {
 
   uint32_t ShardOf(VertexId v) const { return manifest_.ShardOf(v); }
 
-  /// Re-validates shard s and counts a fault, unless s is resident (a
-  /// hit). Only an unbounded store keeps shards resident: its first
-  /// Acquire of s makes s resident. The pointer stays valid for the
-  /// store's lifetime. Throws SnapshotCorruptError, counting nothing, if
-  /// the shard was damaged since it was opened.
+  /// Re-validates shard s and counts a fault, on either kind of store.
+  /// The pointer stays valid for the store's lifetime. Throws
+  /// SnapshotCorruptError, counting nothing, if the shard was damaged
+  /// since it was opened.
   const MappedShard* Acquire(uint32_t s) const;
-
-  /// True iff shard s is resident (checked and read in place).
-  bool Resident(uint32_t s) const {
-    return resident_[s].load(std::memory_order_acquire);
-  }
 
   ShardStats stats() const;
   const Options& options() const { return options_; }
-  /// Bounded: the header and offsets pages charged so far, for every
-  /// shard a miss has read. 0 for an unbounded store.
-  uint64_t offsets_bytes() const;
+  /// Charged at open for the store's lifetime: every shard file if
+  /// unbounded, else every shard's header and offsets pages.
+  uint64_t open_bytes() const { return open_bytes_; }
 
  private:
   friend class ShardedAccess;
 
   // Re-runs CheckShardBytes on shard s, then returns it.
   const MappedShard& Recheck(uint32_t s) const;
-  // Bounded: Recheck for a miss in shard s, and on s's first miss charge
-  // OffsetsPages(s).
-  const MappedShard& RecheckForMiss(uint32_t s) const;
-  // The pages of shard s's mapping that a bounded miss reads: its header
-  // and offsets region, rounded up to pages.
-  uint64_t OffsetsPages(uint32_t s) const;
-  // Unbounded: checks shard s on its first use and charges its bytes.
-  // True iff this call did so (the read that counts the fault).
-  bool Admit(uint32_t s) const;
   // Adds `bytes` to the charge and raises the peak to match.
   void Charge(uint64_t bytes) const;
   void Release(uint64_t bytes) const;
@@ -194,9 +174,7 @@ class ShardStore {
   const Options options_;
   // Every shard, mapped once at open; never resized.
   const std::vector<MappedShard> shards_;
-  const std::unique_ptr<std::atomic<bool>[]> resident_;
-  // Bounded: shards whose header and offsets pages are charged.
-  const std::unique_ptr<std::atomic<bool>[]> offsets_charged_;
+  const uint64_t open_bytes_;
   // Bounded readers' cache, fixed at open: the longest list any row may
   // claim (from the manifest's degree histogram), and the bytes of every
   // reader's ring and index.
@@ -212,7 +190,6 @@ class ShardStore {
     std::atomic<uint64_t> faults{0};
     std::atomic<uint64_t> hits{0};
     std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> resident_shards{0};
   };
   mutable Counters counters_;
 };
@@ -261,10 +238,8 @@ class ShardedAccess {
   /// is unbounded).
   std::span<const VertexId> Neighbors(VertexId v) const {
     if (!store_->bounded()) {
-      const uint32_t s = store_->ShardOf(v);
-      if (!store_->Resident(s)) Admit(s);
       ++reads_;
-      return store_->shards_[s].Neighbors(v);
+      return store_->shards_[store_->ShardOf(v)].Neighbors(v);
     }
     const uint32_t slot = Find(v);
     if (slot == kNoSlot) return Miss(v);
@@ -334,7 +309,6 @@ class ShardedAccess {
   }
 
   // Cold paths, out of line.
-  void Admit(uint32_t s) const;
   std::span<const VertexId> Miss(VertexId v) const;
   std::span<const VertexId> Renew(uint32_t slot) const;
   // Makes room for a list of `degree` ids at the ring's head and returns

@@ -147,7 +147,7 @@ wait "$SERVE_PID"
 trap - EXIT
 grep "drained" serve.log
 
-step "Out-of-core estimate is bit-identical under 25% budget"
+step "Out-of-core estimate is bit-identical unbounded and under a budget"
 ./grw_cli generate hk --n 200000 --param 5 --out big.edges
 ./grw_cli convert big.edges big.grwb
 ./grw_cli shard big.grwb big.shards --shards 8
@@ -173,6 +173,18 @@ diff mono3.txt sharded3.txt
 ./grw_cli estimate big.shards --resident-budget-mb 2 \
   --k 3 --steps 50000 --chains 4 --quiet --raw > sharded_k3.txt
 diff mono_k3.txt sharded_k3.txt
+# With no budget the store reads its shard mappings in place, checked and
+# charged once at open: the same estimates, and not one read faults.
+./grw_cli estimate big.shards \
+  --k 4 --steps 50000 --chains 4 --quiet --raw > unbounded.txt
+diff mono.txt unbounded.txt
+./grw_cli estimate big.shards \
+  --k 4 --d 3 --steps 50000 --chains 4 --quiet --raw > unbounded3.txt
+diff mono3.txt unbounded3.txt
+./grw_cli estimate big.shards --k 4 --steps 50000 --chains 4 2> /dev/null \
+  | grep '^shard reads:' > unbounded_reads.txt
+cat unbounded_reads.txt
+grep -q '^shard reads: 0 faults,' unbounded_reads.txt
 # A crawl cache in front of the evicting shard readers: a 256-list cache
 # evicts and refetches, and neither layer may move the estimate.
 ./grw_cli estimate big.shards --resident-budget-mb 2 --crawl --cache-size 256 \
@@ -191,7 +203,7 @@ if ! { timeout 10 ./grw_serve --port 0 --resident-budget-mb 17592186044416 \
   echo "grw_serve must exit 2 on an oversized --resident-budget-mb"; exit 1
 fi
 
-step "bench_sharded identity gate across budget fractions"
+step "bench_sharded identity gate, unbounded and across budget fractions"
 ./bench_sharded --n 8000 --steps 20000 --chains 8 \
   --check-identical --json BENCH_SHARDED.json
 
