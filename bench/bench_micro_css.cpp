@@ -1,5 +1,6 @@
-// Micro benchmarks: CSS weight evaluation — the compiled interior-
-// coefficient tables vs the direct Algorithm-3 enumeration they replace.
+// Micro benchmarks: CSS weight evaluation through the compiled interior-
+// coefficient tables, at d <= 2 (closed-form state degrees) and d >= 3
+// (counted G(d) state degrees).
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include "eval/datasets.h"
 #include "graphlet/classifier.h"
 #include "util/rng.h"
+#include "walk/subgraph_walk.h"
 
 namespace {
 
@@ -59,35 +61,21 @@ void BM_CssTableEval(benchmark::State& state) {
   const grw::GraphletClassifier& classifier =
       grw::GraphletClassifier::ForSize(k);
   const auto samples = MakeSamples(g, k, 256);
+  grw::GdScratch scratch;
   size_t i = 0;
   for (auto _ : state) {
     const Sample& s = samples[i++ & 255];
     benchmark::DoNotOptimize(
-        table.Eval(classifier.Info(s.mask), s.nodes, g, false));
+        table.Eval(classifier.Info(s.mask), s.nodes, g, false, scratch));
   }
 }
-BENCHMARK(BM_CssTableEval)->Args({3, 1})->Args({4, 2})->Args({5, 2});
-
-void BM_CssDirectEval(benchmark::State& state) {
-  const grw::Graph& g = BenchGraph();
-  const int k = static_cast<int>(state.range(0));
-  const int d = static_cast<int>(state.range(1));
-  const grw::GraphletClassifier& classifier =
-      grw::GraphletClassifier::ForSize(k);
-  const auto samples = MakeSamples(g, k, 256);
-  const auto probe = [&g](std::span<const grw::VertexId> nodes) -> uint64_t {
-    if (nodes.size() == 1) return g.Degree(nodes[0]);
-    return static_cast<uint64_t>(g.Degree(nodes[0])) + g.Degree(nodes[1]) -
-           2;
-  };
-  size_t i = 0;
-  for (auto _ : state) {
-    const Sample& s = samples[i++ & 255];
-    benchmark::DoNotOptimize(grw::CssWeightDirect(
-        k, d, classifier.Info(s.mask), s.nodes, probe, false));
-  }
-}
-BENCHMARK(BM_CssDirectEval)->Args({3, 1})->Args({4, 2})->Args({5, 2});
+BENCHMARK(BM_CssTableEval)
+    ->Args({3, 1})
+    ->Args({4, 2})
+    ->Args({5, 2})
+    ->Args({5, 3})
+    ->Args({6, 3})
+    ->Args({6, 4});
 
 }  // namespace
 

@@ -18,6 +18,7 @@
 #include "graphlet/classifier.h"
 #include "util/flags.h"
 #include "util/table.h"
+#include "walk/subgraph_walk.h"
 
 namespace {
 
@@ -71,12 +72,13 @@ int main(int argc, char** argv) {
   // symbolic, so the JSON mirror carries the spot-check values instead.
   std::vector<grw::bench::JsonMetric> metrics;
   const grw::Graph k5 = grw::Complete(5);
+  grw::GdScratch scratch;
   {
     // g32 = triangle, SRW1: published 2|R| p / 2 = 1/d1 + 1/d2 + 1/d3.
     uint32_t mask = grw::MaskFromEdges(3, {{0, 1}, {1, 2}, {0, 2}});
     const auto& info = grw::GraphletClassifier::ForSize(3).Info(mask);
     const grw::VertexId nodes[3] = {0, 1, 2};
-    const double got = css31.Eval(info, {nodes, 3}, k5, false);
+    const double got = css31.Eval(info, {nodes, 3}, k5, false, scratch);
     const double want = 2.0 * 3.0 / 4.0;
     const bool ok = std::abs(got - want) < 1e-9;
     std::printf("check triangle/SRW1 on K5: %.6f (closed form %.6f) %s\n",
@@ -93,7 +95,7 @@ int main(int argc, char** argv) {
     }
     const auto& info = grw::GraphletClassifier::ForSize(4).Info(mask);
     const grw::VertexId nodes[4] = {0, 1, 2, 3};
-    const double got = css42.Eval(info, {nodes, 4}, k5, false);
+    const double got = css42.Eval(info, {nodes, 4}, k5, false, scratch);
     const double want = 2.0 * 4.0 * 6.0 / 6.0;
     const bool ok = std::abs(got - want) < 1e-9;
     std::printf("check 4-clique/SRW2 on K5: %.6f (closed form %.6f) %s\n",

@@ -40,7 +40,9 @@ int main(int argc, char** argv) {
   grw::EstimatorConfig config;
   config.k = k;
   config.d = d;
-  config.css = d <= 2;  // CSS tables exist for d <= 2 (cheap path)
+  // CSS at d <= 2, where its state degrees are closed forms (as grw_serve
+  // defaults); at d >= 3 each table entry counts a G(d) state degree.
+  config.css = d <= 2;
   grw::GraphletEstimator estimator(graph, config);
   estimator.Reset(/*seed=*/42);
 

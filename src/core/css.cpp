@@ -11,27 +11,57 @@
 #include "core/alpha.h"
 #include "graph/access.h"
 #include "graphlet/catalog.h"
+#include "walk/subgraph_walk.h"
 
 namespace grw {
 
 namespace {
 
+// Sorts the first n entries of `a` in place. (std::sort on a dynamic
+// prefix of a fixed array trips GCC's -O3 value-range analysis into
+// -Warray-bounds false positives; an insertion sort over <= 6 entries is
+// just as clear.)
+template <class T, size_t N>
+void SortPrefix(std::array<T, N>& a, int n) {
+  for (int i = 1; i < n; ++i) {
+    const T x = a[i];
+    int j = i;
+    while (j > 0 && a[j - 1] > x) {
+      a[j] = a[j - 1];
+      --j;
+    }
+    a[j] = x;
+  }
+}
+
 // Degree in G(d) of the state given by canonical-label bitmask `state`,
-// mapped onto the sample's real vertices. Only d <= 2 (closed forms).
-// Degree reads go through the access policy G.
+// mapped onto the sample's real vertices: closed forms at d <= 2, counted
+// by SubgraphStateDegree (with `scratch`) at d >= 3. Degree reads go
+// through the access policy G.
 template <class G>
 uint64_t MappedStateDegree(uint16_t state, int d, const MaskInfo& info,
-                           std::span<const VertexId> nodes, const G& g) {
+                           std::span<const VertexId> nodes, const G& g,
+                           GdScratch& scratch) {
   if (d == 1) {
     const int c = std::countr_zero(state);
     return g.Degree(nodes[info.position_of[c]]);
   }
-  assert(d == 2);
-  const int c1 = std::countr_zero(state);
-  const int c2 = std::countr_zero(static_cast<uint16_t>(state & (state - 1)));
-  const uint64_t du = g.Degree(nodes[info.position_of[c1]]);
-  const uint64_t dv = g.Degree(nodes[info.position_of[c2]]);
-  return du + dv - 2;
+  if (d == 2) {
+    const int c1 = std::countr_zero(state);
+    const int c2 =
+        std::countr_zero(static_cast<uint16_t>(state & (state - 1)));
+    const uint64_t du = g.Degree(nodes[info.position_of[c1]]);
+    const uint64_t dv = g.Degree(nodes[info.position_of[c2]]);
+    return du + dv - 2;
+  }
+  std::array<VertexId, kMaxGraphletSize> members;
+  int n = 0;
+  for (uint32_t rest = state; rest != 0; rest &= rest - 1) {
+    members[n++] = nodes[info.position_of[std::countr_zero(rest)]];
+  }
+  SortPrefix(members, n);
+  return SubgraphStateDegree(g, std::span<const VertexId>(members.data(), n),
+                             scratch);
 }
 
 uint64_t NominalDegree(uint64_t deg, bool nb) {
@@ -42,7 +72,7 @@ uint64_t NominalDegree(uint64_t deg, bool nb) {
 }  // namespace
 
 CssTable::CssTable(int k, int d) : k_(k), d_(d) {
-  assert(d >= 1 && d <= 2 && d < k);
+  assert(d >= 1 && d < k);
   const GraphletCatalog& catalog = GraphletCatalog::ForSize(k);
   const int l = k - d + 1;
   entries_.resize(catalog.NumTypes());
@@ -54,19 +84,7 @@ CssTable::CssTable(int k, int d) : k_(k), d_(d) {
     for (const StateSequence& seq : sequences) {
       std::array<uint16_t, 4> key = {};
       for (int t = 1; t + 1 < l; ++t) key[t - 1] = seq[t];
-      // Insertion sort over the <= 4 interior entries. (std::sort on the
-      // dynamic prefix trips GCC's -O3 value-range analysis into
-      // -Warray-bounds false positives; this is just as clear.)
-      const int interior = std::max(0, l - 2);
-      for (int i = 1; i < interior; ++i) {
-        const uint16_t x = key[i];
-        int j = i;
-        while (j > 0 && key[j - 1] > x) {
-          key[j] = key[j - 1];
-          --j;
-        }
-        key[j] = x;
-      }
+      SortPrefix(key, std::max(0, l - 2));
       groups[key]++;
     }
     for (const auto& [key, count] : groups) {
@@ -81,67 +99,39 @@ CssTable::CssTable(int k, int d) : k_(k), d_(d) {
 
 template <class G>
 double CssTable::Eval(const MaskInfo& info, std::span<const VertexId> nodes,
-                      const G& g, bool nb) const {
+                      const G& g, bool nb, GdScratch& scratch) const {
   assert(info.type >= 0);
   double total = 0.0;
   for (const CssEntry& entry : entries_[info.type]) {
     double denom = 1.0;
     for (int t = 0; t < entry.num_interior; ++t) {
       denom *= static_cast<double>(NominalDegree(
-          MappedStateDegree(entry.interior[t], d_, info, nodes, g), nb));
+          MappedStateDegree(entry.interior[t], d_, info, nodes, g, scratch),
+          nb));
     }
     total += static_cast<double>(entry.count) / denom;
   }
   return total;
 }
 
-#define GRW_INSTANTIATE(G)                                        \
-  template double CssTable::Eval<G>(                              \
-      const MaskInfo&, std::span<const VertexId>, const G&, bool) const;
+#define GRW_INSTANTIATE(G)                                         \
+  template double CssTable::Eval<G>(const MaskInfo&,               \
+                                    std::span<const VertexId>,     \
+                                    const G&, bool, GdScratch&) const;
 GRW_ACCESS_FAMILY(GRW_INSTANTIATE)
 #undef GRW_INSTANTIATE
 
 const CssTable& CssTable::For(int k, int d) {
-  // k in [3, kMaxGraphletSize], d in {1, 2}.
-  if (k < 3 || k > kMaxGraphletSize || (d != 1 && d != 2)) {
+  if (k < 3 || k > kMaxGraphletSize || d < 1 || d >= k) {
     throw std::invalid_argument("CssTable::For: bad (k, d)");
   }
-  static std::once_flag flags[kMaxGraphletSize + 1][3];
-  static std::unique_ptr<CssTable> tables[kMaxGraphletSize + 1][3];
+  static std::once_flag flags[kMaxGraphletSize + 1][kMaxGraphletSize];
+  static std::unique_ptr<CssTable> tables[kMaxGraphletSize + 1]
+                                         [kMaxGraphletSize];
   std::call_once(flags[k][d], [k, d] {
     tables[k][d] = std::unique_ptr<CssTable>(new CssTable(k, d));
   });
   return *tables[k][d];
-}
-
-double CssWeightDirect(
-    int k, int d, const MaskInfo& info, std::span<const VertexId> nodes,
-    const std::function<uint64_t(std::span<const VertexId>)>& state_degree,
-    bool nb) {
-  assert(info.type >= 0 && d >= 1 && d < k);
-  const Graphlet& g = GraphletCatalog::ForSize(k).Get(info.type);
-  const auto sequences = CorrespondingSequences(g, d);
-  const int l = k - d + 1;
-  double total = 0.0;
-  std::vector<VertexId> state_nodes;
-  for (const StateSequence& seq : sequences) {
-    double denom = 1.0;
-    for (int t = 1; t + 1 < l; ++t) {
-      state_nodes.clear();
-      for (int c = 0; c < k; ++c) {
-        if ((seq[t] >> c) & 1u) {
-          state_nodes.push_back(nodes[info.position_of[c]]);
-        }
-      }
-      std::sort(state_nodes.begin(), state_nodes.end());
-      uint64_t deg = state_degree(state_nodes);
-      if (nb && deg > 1) deg -= 1;
-      if (deg == 0) deg = 1;
-      denom *= static_cast<double>(deg);
-    }
-    total += 1.0 / denom;
-  }
-  return total;
 }
 
 }  // namespace grw

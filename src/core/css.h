@@ -20,15 +20,15 @@
 // paper Table 4; for SRW2/k=5 it is a <=100-term sum — a handful of
 // multiply-adds per step instead of a path enumeration.
 //
-// For d >= 3 the interior state degrees are G(d)-degrees of subgraph
-// states, which require on-the-fly neighbor enumeration; CssWeightDirect
-// implements this (the "SRW3CSS" the paper deems too expensive to bench).
+// The table exists for every d < k. At d <= 2 an interior state's degree
+// is a closed form over vertex degrees; at d >= 3 it is counted by
+// SubgraphStateDegree (the "SRW3CSS" the paper deems too expensive to
+// bench), once per entry rather than once per sequence.
 
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -36,6 +36,8 @@
 #include "graphlet/classifier.h"
 
 namespace grw {
+
+struct GdScratch;  // walk/subgraph_walk.h
 
 /// One group of corresponding sequences sharing an interior state multiset.
 struct CssEntry {
@@ -49,8 +51,7 @@ struct CssEntry {
 /// Compiled CSS weights for all graphlets of one size under one walk.
 class CssTable {
  public:
-  /// Builds the table for k-node graphlets under a walk on G(d), d <= 2.
-  /// (d >= 3 weights need per-state degree probes; use CssWeightDirect.)
+  /// Builds the table for k-node graphlets under a walk on G(d), d < k.
   CssTable(int k, int d);
 
   int k() const { return k_; }
@@ -65,11 +66,12 @@ class CssTable {
   /// (from GraphletClassifier) whose window vertices are `nodes` (the
   /// order the mask was built in). `nb` applies the non-backtracking
   /// nominal degree d' = max(d-1, 1). Degree reads go through the access
-  /// policy G (a crawl cache charges/caches them); defined in css.cpp
-  /// for every GRW_ACCESS_FAMILY member (graph/access.h).
+  /// policy G (a crawl cache charges/caches them); at d >= 3 each interior
+  /// state's G(d)-degree is counted with `scratch` as workspace. Defined
+  /// in css.cpp for every GRW_ACCESS_FAMILY member (graph/access.h).
   template <class G>
   double Eval(const MaskInfo& info, std::span<const VertexId> nodes,
-              const G& g, bool nb) const;
+              const G& g, bool nb, GdScratch& scratch) const;
 
   /// Shared singleton per (k, d); thread-safe.
   static const CssTable& For(int k, int d);
@@ -79,14 +81,5 @@ class CssTable {
   int d_;
   std::vector<std::vector<CssEntry>> entries_;  // per catalog id
 };
-
-/// Direct Algorithm-3 evaluation of 2|R(d)| * p(X) for any d, using a
-/// caller-supplied G(d)-degree probe for interior states (node ids of the
-/// real graph). Expensive for d >= 3; exact for all d (used to cross-check
-/// CssTable in tests).
-double CssWeightDirect(
-    int k, int d, const MaskInfo& info, std::span<const VertexId> nodes,
-    const std::function<uint64_t(std::span<const VertexId>)>& state_degree,
-    bool nb);
 
 }  // namespace grw

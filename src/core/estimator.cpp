@@ -49,18 +49,10 @@ double WindowSampleWeight(const G& g, const EstimatorConfig& config, int l,
                           const std::vector<int64_t>& alpha,
                           const SampleWindowT<G>& window,
                           const MaskInfo& info, GdScratch& scratch) {
-  if (css_table != nullptr) {
-    // CSS, d <= 2: compiled interior-coefficient tables.
-    return 1.0 / css_table->Eval(info, window.UnionNodes(), g, config.nb);
-  }
   if (config.css) {
-    // CSS, d >= 3: direct Algorithm-3 evaluation with per-state G(d)
-    // degree probes (expensive — the paper's "SRW3CSS" caveat).
-    const auto probe = [&g, &scratch](std::span<const VertexId> state) {
-      return SubgraphStateDegree(g, state, scratch);
-    };
-    return 1.0 / CssWeightDirect(config.k, config.d, info,
-                                 window.UnionNodes(), probe, config.nb);
+    assert(css_table != nullptr && "CSS needs its table");
+    return 1.0 / css_table->Eval(info, window.UnionNodes(), g, config.nb,
+                                 scratch);
   }
   // Base estimator: 1 / (alpha^k_i * ~pi_e(X)) with
   // ~pi_e = prod over interior states of 1/degree (Theorem 2; nominal
@@ -98,9 +90,7 @@ GraphletEstimatorT<G>::GraphletEstimatorT(const G& g,
       window_(g, config.k, l_) {
   weights_.assign(num_types_, 0.0);
   samples_.assign(num_types_, 0);
-  if (config.css && config.d <= 2) {
-    css_table_ = &CssTable::For(config.k, config.d);
-  }
+  if (config.css) css_table_ = &CssTable::For(config.k, config.d);
   // Only the base weight reads window degrees, and only of interior
   // states, which a window of l = 2 states does not have.
   window_degrees_ = !config.css && l_ >= 3;

@@ -99,11 +99,12 @@ EstimateResult MergeResults(const std::vector<EstimateResult>& parts);
 std::vector<double> CountEstimatesFromResult(const EstimateResult& result,
                                              uint64_t relationship_edges);
 
-/// The weight of one valid window sample: CSS table evaluation for
-/// css && d <= 2, direct Algorithm-3 CSS with G(d) degree probes (through
-/// `scratch`) for css && d >= 3, else the base interior-degree-product / alpha weight of
-/// Theorem 2 (nominal degrees under NB). `css_table` may be null unless
-/// css && d <= 2; `alpha` is the AlphaTable(k, d) column.
+/// The weight of one valid window sample: 1 / CssTable::Eval for css
+/// (G(d)-degrees of d >= 3 interior states counted through `scratch`),
+/// else the base interior-degree-product / alpha weight of Theorem 2
+/// (nominal degrees under NB). `css_table` is CssTable::For(k, d) when
+/// css, else unused and may be null; `alpha` is the AlphaTable(k, d)
+/// column.
 template <class G>
 double WindowSampleWeight(const G& g, const EstimatorConfig& config, int l,
                           const CssTable* css_table,
@@ -190,15 +191,15 @@ class GraphletEstimatorT {
   int num_types_;
   const GraphletClassifier* classifier_;
   std::vector<int64_t> alpha_;
-  const CssTable* css_table_ = nullptr;  // only when css && d <= 2
+  const CssTable* css_table_ = nullptr;  // only when css
   // Whether the weight reads window degrees (base weight, l >= 3): only
   // then does the chain ask its walk for each state's degree.
   bool window_degrees_ = false;
   std::unique_ptr<StateWalker> walker_;
   SampleWindowT<G> window_;
   Rng rng_;
-  // Reused by the CSS d >= 3 degree probes (SampleWeight is const but the
-  // scratch is pure workspace — no observable state).
+  // Workspace of the CSS weight's d >= 3 state degrees (SampleWeight is
+  // const, but the scratch holds no observable state).
   mutable GdScratch gd_scratch_;
 
   std::vector<double> weights_;

@@ -1,11 +1,13 @@
 // Tests for CSS weighting: compiled tables vs direct Algorithm-3
-// evaluation, and the closed forms of paper Table 4.
+// evaluation (a test-local oracle), and the closed forms of paper Table 4.
 
 #include "core/css.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <vector>
 
 #include "core/alpha.h"
 #include "graph/builder.h"
@@ -30,7 +32,8 @@ const MaskInfo& InfoFor(const Graph& g, std::span<const VertexId> nodes,
   return GraphletClassifier::ForSize(k).Info(mask);
 }
 
-// G(d) degree probe for d = 1 and d = 2 closed forms.
+// G(d) degree of a sorted state: the closed forms at d = 1 and d = 2,
+// SubgraphStateDegree at d >= 3.
 uint64_t ClosedFormStateDegree(const Graph& g,
                                std::span<const VertexId> state) {
   if (state.size() == 1) return g.Degree(state[0]);
@@ -41,6 +44,35 @@ uint64_t ClosedFormStateDegree(const Graph& g,
   return SubgraphStateDegree(g, state);
 }
 
+// The oracle: Algorithm 3 as the paper states it. Enumerates every
+// corresponding sequence of the sample's type and sums the product of its
+// interior states' inverse (nominal) degrees, one sequence at a time.
+double CssWeightDirect(int k, int d, const MaskInfo& info,
+                       std::span<const VertexId> nodes, const Graph& g,
+                       bool nb) {
+  const Graphlet& graphlet = GraphletCatalog::ForSize(k).Get(info.type);
+  const int l = k - d + 1;
+  double total = 0.0;
+  std::vector<VertexId> state_nodes;
+  for (const StateSequence& seq : CorrespondingSequences(graphlet, d)) {
+    double denom = 1.0;
+    for (int t = 1; t + 1 < l; ++t) {
+      state_nodes.clear();
+      for (int c = 0; c < k; ++c) {
+        if ((seq[t] >> c) & 1u) {
+          state_nodes.push_back(nodes[info.position_of[c]]);
+        }
+      }
+      std::sort(state_nodes.begin(), state_nodes.end());
+      uint64_t deg = ClosedFormStateDegree(g, state_nodes);
+      if (nb && deg > 1) deg -= 1;
+      denom *= static_cast<double>(deg);
+    }
+    total += 1.0 / denom;
+  }
+  return total;
+}
+
 TEST(CssTest, TriangleClosedFormTable4Srw1) {
   // Paper Table 4: for g32 under SRW1, 2|R| * p / 2 = 1/d1 + 1/d2 + 1/d3.
   // Build a graph where a triangle's corners have distinct degrees.
@@ -48,6 +80,7 @@ TEST(CssTest, TriangleClosedFormTable4Srw1) {
   const Graph g = LargestConnectedComponent(HolmeKim(64, 3, 0.8, rng));
   const GraphletCatalog& c3 = GraphletCatalog::ForSize(3);
   const CssTable& table = CssTable::For(3, 1);
+  GdScratch scratch;
   bool found = false;
   for (VertexId u = 0; u < g.NumNodes() && !found; ++u) {
     for (VertexId v : g.Neighbors(u)) {
@@ -60,7 +93,8 @@ TEST(CssTest, TriangleClosedFormTable4Srw1) {
         const double expected = 2.0 * (1.0 / g.Degree(u) +
                                        1.0 / g.Degree(v) +
                                        1.0 / g.Degree(w));
-        EXPECT_NEAR(table.Eval(info, nodes, g, false), expected, 1e-12);
+        EXPECT_NEAR(table.Eval(info, nodes, g, false, scratch), expected,
+                    1e-12);
         found = true;
         break;
       }
@@ -76,7 +110,9 @@ TEST(CssTest, WedgeClosedFormTable4Srw1) {
   const std::array<VertexId, 3> nodes = {1, 0, 2};  // wedge 1-0-2
   const MaskInfo& info = InfoFor(g, nodes, 3);
   const CssTable& table = CssTable::For(3, 1);
-  EXPECT_NEAR(table.Eval(info, nodes, g, false), 2.0 * (1.0 / 4.0), 1e-12);
+  GdScratch scratch;
+  EXPECT_NEAR(table.Eval(info, nodes, g, false, scratch), 2.0 * (1.0 / 4.0),
+              1e-12);
 }
 
 TEST(CssTest, FourCliqueClosedFormTable4Srw2) {
@@ -86,21 +122,20 @@ TEST(CssTest, FourCliqueClosedFormTable4Srw2) {
   const MaskInfo& info = InfoFor(g, nodes, 4);
   const CssTable& table = CssTable::For(4, 2);
   const double de = 6.0;  // every edge state has degree 4 + 4 - 2 = 6
+  GdScratch scratch;
   // Table 4 lists 2|R| p / 2 = 4 * sum over the 6 edges of 1/d_e.
-  EXPECT_NEAR(table.Eval(info, nodes, g, false), 2.0 * 4.0 * (6.0 / de),
-              1e-12);
+  EXPECT_NEAR(table.Eval(info, nodes, g, false, scratch),
+              2.0 * 4.0 * (6.0 / de), 1e-12);
 }
 
 TEST(CssTest, TableMatchesDirectEvaluationRandomSamples) {
   Rng rng(41);
   const Graph g = LargestConnectedComponent(HolmeKim(120, 4, 0.6, rng));
-  const auto probe = [&g](std::span<const VertexId> state) {
-    return ClosedFormStateDegree(g, state);
-  };
-  // Sample random connected k-sets via short walks and compare the
-  // compiled table against direct enumeration for d = 1, 2.
-  for (int k = 3; k <= 5; ++k) {
-    for (int d = 1; d <= 2; ++d) {
+  GdScratch scratch;  // reused across samples: catches stale-state bugs
+  // Sample random connected k-sets and compare the compiled table against
+  // direct enumeration for every d < k.
+  for (int k = 3; k <= kMaxGraphletSize; ++k) {
+    for (int d = 1; d < k; ++d) {
       const CssTable& table = CssTable::For(k, d);
       int checked = 0;
       for (int attempt = 0; attempt < 400 && checked < 60; ++attempt) {
@@ -118,16 +153,12 @@ TEST(CssTest, TableMatchesDirectEvaluationRandomSamples) {
         }
         const MaskInfo& info = InfoFor(g, nodes, k);
         ASSERT_GE(info.type, 0);
-        const double from_table = table.Eval(info, nodes, g, false);
-        const double direct = CssWeightDirect(k, d, info, nodes, probe,
-                                              false);
-        EXPECT_NEAR(from_table, direct, 1e-9 * (1.0 + direct))
-            << "k=" << k << " d=" << d;
-        // Non-backtracking variant too.
-        EXPECT_NEAR(table.Eval(info, nodes, g, true),
-                    CssWeightDirect(k, d, info, nodes, probe, true),
-                    1e-9)
-            << "k=" << k << " d=" << d << " (nb)";
+        for (const bool nb : {false, true}) {
+          const double from_table = table.Eval(info, nodes, g, nb, scratch);
+          const double direct = CssWeightDirect(k, d, info, nodes, g, nb);
+          EXPECT_NEAR(from_table, direct, 1e-12 * direct)
+              << "k=" << k << " d=" << d << " nb=" << nb;
+        }
         ++checked;
       }
       EXPECT_GE(checked, 30) << "k=" << k << " d=" << d;
@@ -138,8 +169,8 @@ TEST(CssTest, TableMatchesDirectEvaluationRandomSamples) {
 TEST(CssTest, EntryCountsSumToAlpha) {
   // Summing the group counts over all entries recovers alpha (every
   // corresponding sequence is in exactly one interior group).
-  for (int k = 3; k <= 5; ++k) {
-    for (int d = 1; d <= 2; ++d) {
+  for (int k = 3; k <= kMaxGraphletSize; ++k) {
+    for (int d = 1; d < k; ++d) {
       const CssTable& table = CssTable::For(k, d);
       const GraphletCatalog& catalog = GraphletCatalog::ForSize(k);
       for (int id = 0; id < catalog.NumTypes(); ++id) {
@@ -157,15 +188,19 @@ TEST(CssTest, EntryCountsSumToAlpha) {
 TEST(CssTest, PsrwDegenerateCaseEqualsAlpha) {
   // For l = 2 (d = k-1) there are no interior states: p equals alpha and
   // CSS coincides with the base estimator, matching the paper's footnote
-  // that CSS requires l > 2.
-  const Graph g = Complete(5);
-  const std::array<VertexId, 3> nodes = {0, 1, 2};
-  const MaskInfo& info = InfoFor(g, nodes, 3);
-  const CssTable& table = CssTable::For(3, 2);
-  const GraphletCatalog& c3 = GraphletCatalog::ForSize(3);
-  EXPECT_DOUBLE_EQ(table.Eval(info, nodes, g, false),
-                   static_cast<double>(
-                       Alpha(c3.Get(c3.IdByName("triangle")), 2)));
+  // that CSS requires l > 2. On a clique the sample is the k-clique.
+  const Graph g = Complete(6);
+  const std::array<VertexId, 5> nodes = {0, 1, 2, 3, 4};
+  GdScratch scratch;
+  for (int k = 3; k <= 5; ++k) {
+    const std::span<const VertexId> sample(nodes.data(), k);
+    const MaskInfo& info = InfoFor(g, sample, k);
+    const CssTable& table = CssTable::For(k, k - 1);
+    const GraphletCatalog& catalog = GraphletCatalog::ForSize(k);
+    EXPECT_DOUBLE_EQ(table.Eval(info, sample, g, false, scratch),
+                     static_cast<double>(Alpha(catalog.Get(info.type), k - 1)))
+        << "k=" << k;
+  }
 }
 
 }  // namespace

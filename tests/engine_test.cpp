@@ -578,7 +578,7 @@ TEST(EngineTest, AcceptsExactlyTheEstimableKdPairs) {
       for (int64_t a : AlphaTable(k, d)) has_zero = has_zero || a == 0;
       EXPECT_EQ(has_zero, !estimable);
       for (const bool css : {false, true}) {
-        const EstimatorConfig config{k, d, css && d <= 2, false};
+        const EstimatorConfig config{k, d, css, false};
         if (estimable) {
           EXPECT_NO_THROW(EstimationEngine(g, config, options));
           continue;

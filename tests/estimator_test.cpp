@@ -85,10 +85,10 @@ INSTANTIATE_TEST_SUITE_P(
         EstimatorConfig{4, 1, false, false}, EstimatorConfig{4, 1, true, true},
         EstimatorConfig{4, 2, false, false}, EstimatorConfig{4, 2, true, false},
         EstimatorConfig{4, 2, false, true}, EstimatorConfig{4, 2, true, true},
-        EstimatorConfig{4, 3, false, false},
-        // 5-node: d = 2 (recommended) and the PSRW end d = 4.
+        EstimatorConfig{4, 3, false, false}, EstimatorConfig{4, 3, true, false},
+        // 5-node: d = 2 (recommended), SRW3CSS and the PSRW end d = 4.
         EstimatorConfig{5, 2, false, false}, EstimatorConfig{5, 2, true, false},
-        EstimatorConfig{5, 4, false, false}),
+        EstimatorConfig{5, 3, true, false}, EstimatorConfig{5, 4, false, false}),
     [](const ::testing::TestParamInfo<EstimatorConfig>& info) {
       return "k" + std::to_string(info.param.k) + info.param.Name();
     });

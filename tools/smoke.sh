@@ -45,10 +45,10 @@ done
 diff group1.txt group3.txt
 diff group1.txt group4.txt
 # The same for the G(d) walk's rejection move: d = 3 plain and
-# non-backtracking, and d = 4, each in memory and through a 256-list
-# crawl cache.
-walks=("--k 4 --d 3" "--k 4 --d 3 --nb 1" "--k 5 --d 4")
-for w in 0 1 2; do
+# non-backtracking, d = 4, and SRW3CSS (the CSS table's counted G(3)
+# state degrees), each in memory and through a 256-list crawl cache.
+walks=("--k 4 --d 3" "--k 4 --d 3 --nb 1" "--k 5 --d 4" "--k 5 --d 3 --css 1")
+for w in "${!walks[@]}"; do
   for c in 0 1; do
     access=""
     [ "$c" = 1 ] && access="--crawl --cache-size 256"
