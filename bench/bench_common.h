@@ -21,7 +21,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -51,14 +50,7 @@ inline std::vector<BenchGraph> LoadBenchGraphs(const Flags& flags,
   if (!path.empty()) {
     BenchGraph bg;
     bg.name = path;
-    const GraphSource source = GraphSource::Open(path);
-    if (source.sharded()) {
-      throw std::runtime_error(
-          "--graph " + path +
-          " is a sharded manifest; the table harnesses need the whole "
-          "graph resident — use bench_sharded for out-of-core runs");
-    }
-    bg.graph = source.graph();
+    bg.graph = GraphSource::Open(path).graph();
     // Real files get a key derived from their shape.
     bg.cache_key = "file_n" + std::to_string(bg.graph.NumNodes()) + "_m" +
                    std::to_string(bg.graph.NumEdges());

@@ -6,11 +6,12 @@
 // run that reads through the chains' small neighbor-list caches
 // produces bit-identical concentrations to the in-memory run, and pays
 // only in shard reads. This bench measures that price: steps/s and
-// NRMSE for an unbounded store (budget 0, reading the shard mappings in
-// place) and at budget fractions {100%, 50%, 25%} of the total shard
-// bytes, against the monolithic in-memory engine as the baseline. Every
-// budget above 0 gives each reader the same fixed-size cache, so the
-// three budget rows charge the same bytes.
+// NRMSE for an unbounded open (budget 0: GraphSource::Open copies the
+// shards into one in-memory Graph, so it has no shard statistics) and at
+// budget fractions {100%, 50%, 25%} of the total shard bytes, against
+// the monolithic in-memory engine as the baseline. Every budget above 0
+// gives each reader the same fixed-size cache, so the three budget rows
+// charge the same bytes.
 // With --reps R every configuration runs R times, in alternating order;
 // the table reports medians, and unbounded_vs_monolithic and
 // budget100_vs_monolithic are the medians over repetitions of the
@@ -41,7 +42,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,6 +52,7 @@
 #include "graph/generators.h"
 #include "graph/sharded_access.h"
 #include "graph/sharding.h"
+#include "graph/source.h"
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -68,7 +69,7 @@ struct RunPoint {
   double steps_per_s = 0.0;  // median over repetitions
   std::vector<double> rep_steps_per_s;
   double nrmse = 0.0;
-  grw::ShardStats shards;   // zeros for the monolithic baseline
+  grw::ShardStats shards;   // zeros unless read through a shard store
   std::vector<double> concentrations;
 };
 
@@ -169,16 +170,17 @@ int main(int argc, char** argv) {
   }
   for (int rep = 0; rep < reps; ++rep) {
     for (RunPoint& p : points) {
-      std::optional<grw::ShardStore> store;
+      grw::GraphSource source = grw::GraphSource::FromGraph(g);
       if (p.fraction >= 0.0) {
-        grw::ShardStore::Options store_opt;
-        store_opt.resident_budget_bytes = static_cast<uint64_t>(
+        grw::OpenOptions open;
+        open.resident_budget_bytes = static_cast<uint64_t>(
             p.fraction * static_cast<double>(total_bytes));
-        store.emplace(manifest, store_opt);
+        source = grw::GraphSource::Open(shard_dir, open);
       }
       grw::EstimationEngine engine =
-          store ? grw::EstimationEngine(*store, config, options)
-                : grw::EstimationEngine(g, config, options);
+          source.sharded()
+              ? grw::EstimationEngine(source.shards(), config, options)
+              : grw::EstimationEngine(source.graph(), config, options);
       grw::WallTimer t;
       const grw::EngineResult result = engine.Run();
       p.seconds = t.Seconds();
@@ -201,7 +203,7 @@ int main(int argc, char** argv) {
   table.SetHeader({"configuration", "steps/s", "slowdown", "NRMSE",
                    "hit rate", "evictions", "peak MiB"});
   for (const RunPoint& p : points) {
-    const bool sharded = p.fraction >= 0.0;
+    const bool sharded = p.fraction > 0.0;
     table.AddRow(
         {p.name, grw::Table::Num(p.steps_per_s, 0),
          grw::Table::Num(base.steps_per_s / p.steps_per_s, 2) + "x",
@@ -229,6 +231,7 @@ int main(int argc, char** argv) {
             : "budget" + grw::Table::Num(p.fraction * 100.0, 0) + "_";
     metrics.push_back({prefix + "steps_per_s", p.steps_per_s, "1/s"});
     metrics.push_back({prefix + "nrmse", p.nrmse, ""});
+    if (p.fraction == 0.0) continue;  // no shard store, no shard stats
     metrics.push_back({prefix + "hit_rate", p.shards.HitRate(), ""});
     metrics.push_back({prefix + "evictions",
                        static_cast<double>(p.shards.evictions), ""});

@@ -352,8 +352,8 @@ EngineResult EstimationEngine::Run() {
   const ShardStats store = store_->stats();
   result.shards.resident_bytes = store.resident_bytes;
   result.shards.budget_bytes = store.budget_bytes;
-  // The run's readers' caches (none when unbounded), plus what the store
-  // charged at open, which every run reads through.
+  // The run's readers' caches, plus what the store charged at open,
+  // which every run reads through.
   result.shards.peak_resident_bytes += store_->open_bytes();
   return result;
 }

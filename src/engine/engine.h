@@ -156,14 +156,13 @@ struct EngineResult {
   /// chain order), and the per-chain breakdown. Empty/zero otherwise.
   CrawlStats access;
   std::vector<CrawlStats> per_chain_access;
-  /// Sharded storage only, crawl mode or not: faults, hits and evictions
+  /// ShardStore runs only, crawl mode or not: faults, hits and evictions
   /// are this run's own readers' counters, summed in chain order, so
   /// runs sharing one store (grw_serve requests on one registration)
-  /// never see each other's; an unbounded run counts no faults.
-  /// peak_resident_bytes is the sum of the run's readers' fixed-size
-  /// caches (none when unbounded) plus ShardStore::open_bytes, which every
-  /// run shares; resident_bytes and budget_bytes are the store's state at
-  /// the end of the run. All-zero otherwise.
+  /// never see each other's. peak_resident_bytes is the sum of the
+  /// run's readers' fixed-size caches plus ShardStore::open_bytes, which
+  /// every run shares; resident_bytes and budget_bytes are the store's
+  /// state at the end of the run. All-zero otherwise.
   ShardStats shards;
   int rounds = 0;
   /// Lockstep schedule position at the stop (budget-stalled chains may

@@ -13,20 +13,6 @@ namespace grw {
 
 namespace {
 
-// Catch missing files, torn shards and stale manifests at open time —
-// the store's analogue of the monolithic loader's eager header
-// validation — instead of minutes into a walk.
-std::vector<MappedShard> MapAllShards(const ShardManifest& manifest,
-                                      bool keep_descriptors) {
-  std::vector<MappedShard> shards;
-  shards.reserve(manifest.NumShards());
-  for (uint32_t s = 0; s < manifest.NumShards(); ++s) {
-    shards.push_back(MapShard(manifest, s, /*verify_checksum=*/false,
-                              keep_descriptors));
-  }
-  return shards;
-}
-
 // The longest list any row may claim: bucket b of the manifest's degree
 // histogram holds degrees of bit-width b.
 uint64_t MaxDegree(const ShardManifest& manifest) {
@@ -37,8 +23,7 @@ uint64_t MaxDegree(const ShardManifest& manifest) {
 }
 
 // ShardStore::open_bytes().
-uint64_t OpenBytes(const ShardManifest& manifest, bool bounded) {
-  if (!bounded) return manifest.TotalShardBytes();
+uint64_t OpenBytes(const ShardManifest& manifest) {
   const uint64_t page = PageBytes();
   uint64_t bytes = 0;
   for (const ShardInfo& shard : manifest.shards) {
@@ -52,8 +37,8 @@ uint64_t OpenBytes(const ShardManifest& manifest, bool bounded) {
 // Ring offsets are 32-bit words.
 constexpr uint64_t kMaxRingWords = uint64_t{1} << 31;
 
-// A bounded reader adds its counters to the store's every this many
-// faults, not on each: the store's counters share one cache line.
+// A reader adds its counters to the store's every this many faults, not
+// on each: the store's counters share one cache line.
 constexpr uint64_t kPublishEvery = 64;
 
 // Ring words a cache needs so that making room never reaches its kept
@@ -73,10 +58,9 @@ std::unique_ptr<T[], PageUnmapper> MapArray(uint64_t bytes) {
 ShardStore::ShardStore(ShardManifest manifest, const Options& options)
     : manifest_(std::move(manifest)),
       options_(options),
-      shards_(MapAllShards(manifest_, bounded())),
-      open_bytes_(OpenBytes(manifest_, bounded())) {
+      shards_(MapAllShards(manifest_)),
+      open_bytes_(OpenBytes(manifest_)) {
   Charge(open_bytes_);
-  if (!bounded()) return;
   max_degree_ = MaxDegree(manifest_);
   const uint64_t page = PageBytes();
   const uint64_t words = FloorWords(ShardedAccess::kEntryHeader + max_degree_);
@@ -84,7 +68,7 @@ ShardStore::ShardStore(ShardManifest manifest, const Options& options)
   if (ring_bytes_ / sizeof(uint32_t) > kMaxRingWords) {
     throw std::invalid_argument(
         "ShardStore: degree " + std::to_string(max_degree_) +
-        " is too large for a bounded store's list cache");
+        " is too large for a shard store's list cache");
   }
   // Twice as many slots as the ring holds entries of the mean list, and
   // at least a page of them: a power of two.
@@ -141,7 +125,6 @@ ShardStats ShardStore::stats() const {
 // ------------------------------------------------------------ reader --
 
 ShardedAccess::ShardedAccess(const ShardStore& store) : store_(&store) {
-  if (!store.bounded()) return;
   Cache& c = cache_;
   store.Charge(store.ring_bytes_ + store.index_bytes_);
   try {
@@ -188,7 +171,7 @@ void ShardedAccess::Publish() const {
 }
 
 std::span<const VertexId> ShardedAccess::Miss(VertexId v) const {
-  const MappedShard& shard = store_->Recheck(store_->ShardOf(v));
+  const MappedShard& shard = store_->Recheck(store_->manifest().ShardOf(v));
   const MappedShard::Row row =
       shard.ReadRow(store_->manifest(), v, store_->max_degree_);
   shard.ReadList(store_->manifest(), row, Reserve(row.degree));

@@ -1,57 +1,46 @@
 // Out-of-core reads of a sharded graph (graph/sharding.h), and the
 // storage member of the static-dispatch access-policy family
-// (graph/access.h).
+// (graph/access.h), for sharded graphs opened with a resident budget
+// (without one, GraphSource::Open copies them into a Graph).
 //
-// Two layers, mirroring the engine's sharing model:
-//
-//   ShardStore    — ONE per graph, thread-safe, lock-free. Owns the
-//                   manifest and one mapping per shard, made, checked
-//                   and charged once, at open, plus the store-wide byte
-//                   budget and counters (ShardStats).
+//   ShardStore    — ONE per graph, thread-safe, lock-free. Maps, checks
+//                   and charges every shard once, at open, and keeps the
+//                   mappings and their descriptors, the budget and the
+//                   counters (ShardStats) for its lifetime.
 //   ShardedAccess — one per chain, NOT thread-safe. Mirrors the Graph
 //                   read API (NumNodes/Degree/Neighbors/Neighbor/HasEdge).
 //
-// How a reader reads depends on the store's budget:
+// A reader reads through a neighbor-list cache it owns. A miss reads the
+// row's offsets pair from the held mapping, then the list with one
+// pread(2) through the shard's descriptor into a FIFO ring of
+// page-mapped memory; no page of a neighbors slice is mapped in. Before
+// every miss the store re-runs CheckShardBytes on the shard (header
+// against the manifest, first and last offset), and the reader
+// bounds-checks the offsets pair and the ids it read: a shard damaged
+// after open fails with SnapshotCorruptError instead of reading out of
+// bounds. At open the store charges, for its lifetime, every shard's
+// header and offsets pages (ShardStore::open_bytes).
 //
-//   * Unbounded (budget 0): straight from the held mappings, like a
-//     monolithic `.grwb`; a read touches no shared state and is a hit.
-//     The kernel decides which pages stay resident; nothing is ever
-//     evicted, so a span stays valid for the store's lifetime.
-//   * Bounded: through a neighbor-list cache the reader owns. A miss
-//     reads the row's offsets pair from the held mapping, then the list
-//     with one pread(2) through the descriptor the shard was mapped from,
-//     into a FIFO ring of page-mapped memory; no page of a neighbors
-//     slice is mapped in. Before every miss the store re-runs
-//     CheckShardBytes on the shard (header against the manifest, first
-//     and last offset), and the reader bounds-checks the offsets pair and
-//     the ids it read: a shard damaged after open fails with
-//     SnapshotCorruptError instead of reading out of bounds.
-//
-// At open the store charges, for its lifetime, what its readers read in
-// place (ShardStore::open_bytes): every shard file when unbounded, every
-// shard's header and offsets pages when bounded.
-//
-// Past 0 the budget's value changes nothing: every reader's cache has one
-// fixed size, computed from the manifest when the store opens. (The
-// budget is only the ceiling that a store-wide list tier will spend.) A
-// cache's ring and index are page mappings, mapped and charged to the
-// store once, when the reader is made, and given back when it is
-// destroyed; the ring wraps inside its mapping, so a reader never writes
-// a page it has not charged. The ring holds kKeptLists + 2 entries of the
-// longest list the manifest allows, so making room — the cache evicts its
-// own oldest list while its index is half full or the next list does not
-// fit — never reaches the newest kKeptLists lists. A span a reader
-// returns stays valid for at least the next kHeldReads reads — the G(d)
-// merge holds up to d - 1 lists at once — because a hit on a list older
-// than the last kRecentLists insertions first copies it to the ring's
-// head.
+// The budget's value changes nothing (0 is no ceiling): every reader's
+// cache has one fixed size, computed from the manifest when the store
+// opens. (The budget is only the ceiling that a store-wide list tier
+// will spend.) A cache's ring and index are page mappings, mapped and
+// charged to the store once, when the reader is made, and given back
+// when it is destroyed; the ring wraps inside its mapping, so a reader
+// never writes a page it has not charged. The ring holds kKeptLists + 2
+// entries of the longest list the manifest allows, so making room — the
+// cache evicts its own oldest list while its index is half full or the
+// next list does not fit — never reaches the newest kKeptLists lists. A
+// span a reader returns stays valid for at least the next kHeldReads
+// reads — the G(d) merge holds up to d - 1 lists at once — because a hit
+// on a list older than the last kRecentLists insertions first copies it
+// to the ring's head.
 //
 // Every accessor returns byte-identical answers to the same read against
 // the monolithic Graph — the CSR slices ARE the same arrays, partitioned
 // — so estimates through ShardedAccess are bit-identical to full-access
 // runs at any budget and any thread count (tests/conformance_test.cpp
-// gates this). The budget changes only where a list is read from, never
-// what it contains.
+// gates this).
 //
 // Like a monolithic `.grwb` mapping, the held mappings read the shard
 // generation that was opened: writers replace shards by rename, never by
@@ -62,10 +51,9 @@
 // offsets region, a read of the mapping past the file's end faults
 // (SIGBUS) — the per-miss re-check reads that region through the mapping
 // already, so reading the offsets pair there adds no new way to fault.
-// Each shard costs one mapping for the store's lifetime, so the kernel's
-// per-process map limit (vm.max_map_count, 65530 by default) bounds the
-// shard count per store; a bounded store also keeps each shard's
-// descriptor open, so the open-file limit (ulimit -n) bounds it too.
+// Each shard costs one mapping and one descriptor for the store's
+// lifetime, so vm.max_map_count (65530 by default) and the open-file
+// limit (ulimit -n) bound the shard count per store.
 
 #pragma once
 
@@ -90,21 +78,20 @@ namespace grw {
 /// evictions to the store's totals every 64 faults and when it is
 /// destroyed, so the store's totals lag behind its live readers.
 struct ShardStats {
-  /// Reads that reached a shard file: a cache miss (bounded) or an
-  /// Acquire() that re-checked a shard. An unbounded read never faults.
+  /// Reads that reached a shard file: a cache miss or an Acquire() that
+  /// re-checked a shard.
   uint64_t faults = 0;
-  /// Reads answered without one: from a reader's cache (bounded) or the
-  /// shard mappings checked at open (unbounded: every read).
+  /// Reads answered from a reader's cache.
   uint64_t hits = 0;
   /// Lists dropped from reader caches to make room.
   uint64_t evictions = 0;
   /// Bytes charged to the store now: ShardStore::open_bytes, plus its
-  /// live bounded readers' caches.
+  /// live readers' caches.
   uint64_t resident_bytes = 0;
   /// High-water mark of the charged bytes. For a run, its readers'
-  /// caches (none when unbounded) plus the store's open_bytes.
+  /// caches plus the store's open_bytes.
   uint64_t peak_resident_bytes = 0;
-  /// The configured budget (0 = unbounded), echoed for reporting.
+  /// The configured budget (0 = no ceiling), echoed for reporting.
   uint64_t budget_bytes = 0;
 
   double HitRate() const {
@@ -119,19 +106,17 @@ struct ShardStats {
 class ShardStore {
  public:
   struct Options {
-    /// 0 = unbounded (read the shard mappings in place); any other value
-    /// reads through per-reader list caches of a fixed size. Reported as
-    /// ShardStats::budget_bytes.
+    /// The ceiling a store-wide list tier will spend (0 = none); reader
+    /// caches have one fixed size whatever it is. ShardStats::budget_bytes.
     uint64_t resident_budget_bytes = 0;
   };
 
   /// Takes a validated manifest (LoadShardManifest). Eagerly maps and
   /// header-checks every shard once (catching missing/stale shards at
   /// open, like the monolithic loader's eager header validation), charges
-  /// open_bytes(), and keeps the mappings — and, for a bounded store,
-  /// their descriptors — for the store's lifetime. Throws
-  /// std::invalid_argument if a bounded reader's ring would not fit
-  /// 32-bit offsets (a degree over ~2^27).
+  /// open_bytes(), and keeps the mappings and their descriptors for the
+  /// store's lifetime. Throws std::invalid_argument if a reader's ring
+  /// would not fit 32-bit offsets (a degree over ~2^27).
   ShardStore(ShardManifest manifest, const Options& options);
 
   ShardStore(const ShardStore&) = delete;
@@ -143,20 +128,16 @@ class ShardStore {
   uint64_t NumEdges() const { return manifest_.total_half_edges / 2; }
   uint32_t NumShards() const { return manifest_.NumShards(); }
   const ShardManifest& manifest() const { return manifest_; }
-  bool bounded() const { return options_.resident_budget_bytes > 0; }
 
-  uint32_t ShardOf(VertexId v) const { return manifest_.ShardOf(v); }
-
-  /// Re-validates shard s and counts a fault, on either kind of store.
-  /// The pointer stays valid for the store's lifetime. Throws
-  /// SnapshotCorruptError, counting nothing, if the shard was damaged
-  /// since it was opened.
+  /// Re-validates shard s and counts a fault; the pointer stays valid for
+  /// the store's lifetime. Throws SnapshotCorruptError, counting nothing,
+  /// if the shard was damaged since it was opened.
   const MappedShard* Acquire(uint32_t s) const;
 
   ShardStats stats() const;
   const Options& options() const { return options_; }
-  /// Charged at open for the store's lifetime: every shard file if
-  /// unbounded, else every shard's header and offsets pages.
+  /// Charged at open for the store's lifetime: every shard's header and
+  /// offsets pages.
   uint64_t open_bytes() const { return open_bytes_; }
 
  private:
@@ -175,8 +156,8 @@ class ShardStore {
   // Every shard, mapped once at open; never resized.
   const std::vector<MappedShard> shards_;
   const uint64_t open_bytes_;
-  // Bounded readers' cache, fixed at open: the longest list any row may
-  // claim (from the manifest's degree histogram), and the bytes of every
+  // Readers' cache, fixed at open: the longest list any row may claim
+  // (from the manifest's degree histogram), and the bytes of every
   // reader's ring and index.
   uint64_t max_degree_ = 0;
   uint64_t ring_bytes_ = 0;
@@ -197,8 +178,8 @@ class ShardStore {
 /// Per-chain read facade over a ShardStore, shaped exactly like Graph's
 /// read API so the templated estimation stack (walkers, sample window,
 /// CSS, estimator) accepts it via static dispatch. NOT thread-safe: one
-/// instance per chain, like CrawlAccess. Move-only: a bounded reader owns
-/// its cache's pages and their charge until destroyed.
+/// instance per chain, like CrawlAccess. Move-only: a reader owns its
+/// cache's pages and their charge until destroyed.
 class ShardedAccess {
  public:
   /// Reads a returned span survives.
@@ -212,7 +193,7 @@ class ShardedAccess {
   /// Words of a cache entry ahead of its list: vertex, degree, stamp.
   static constexpr uint32_t kEntryHeader = 3;
 
-  /// Bounded, maps the cache and charges it to the store.
+  /// Maps the cache and charges it to the store.
   explicit ShardedAccess(const ShardStore& store);
   ShardedAccess(ShardedAccess&& other) noexcept;
   ShardedAccess(const ShardedAccess&) = delete;
@@ -224,8 +205,8 @@ class ShardedAccess {
   VertexId NumNodes() const { return store_->NumNodes(); }
   uint64_t NumEdges() const { return store_->NumEdges(); }
 
-  /// Bounded, a miss caches v's whole list, because walks usually read a
-  /// new node's list right after its degree. Answering Degree from the
+  /// A miss caches v's whole list, because walks usually read a new
+  /// node's list right after its degree. Answering Degree from the
   /// offsets pair in the mapping, with no system call and no list cached,
   /// still lost on the e2e sharded-half workload (seed 7): 400-419k
   /// against 453-467k steps per CPU second (4-core x86 VM).
@@ -234,13 +215,8 @@ class ShardedAccess {
   }
 
   /// Sorted neighbors of v (global ids). The span stays valid across at
-  /// least the next kHeldReads reads (for the store's lifetime when it
-  /// is unbounded).
+  /// least the next kHeldReads reads.
   std::span<const VertexId> Neighbors(VertexId v) const {
-    if (!store_->bounded()) {
-      ++reads_;
-      return store_->shards_[store_->ShardOf(v)].Neighbors(v);
-    }
     const uint32_t slot = Find(v);
     if (slot == kNoSlot) return Miss(v);
     const uint32_t* entry = cache_.arena.get() + cache_.index[slot].at;
@@ -259,8 +235,8 @@ class ShardedAccess {
     return SortedContains(Neighbors(u), v);
   }
 
-  /// This reader's counters: faults, hits, evictions, and (bounded) the
-  /// bytes of its cache as peak_resident_bytes.
+  /// This reader's counters: faults, hits, evictions, and the bytes of
+  /// its cache as peak_resident_bytes.
   ShardStats stats() const;
 
  private:
@@ -275,7 +251,7 @@ class ShardedAccess {
   static constexpr uint32_t kNoWrap = 0xFFFFFFFFu;
   static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
 
-  // The bounded cache: a FIFO ring of entries [vertex, degree, stamp,
+  // The cache: a FIFO ring of entries [vertex, degree, stamp,
   // list...] in `arena`, found through a linear-probing `index`; both are
   // page mappings charged in full to the store. Live entries sit in
   // [tail, head), or [tail, wrap) then [0, head) once the ring has

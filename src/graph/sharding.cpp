@@ -116,9 +116,10 @@ std::vector<uint64_t> PlanCuts(std::span<const uint64_t> offsets, uint64_t n,
           offsets.begin() + 1 + static_cast<ptrdiff_t>(n), target);
       uint64_t cut = static_cast<uint64_t>(it - offsets.begin());
       // Keep the partition monotone with >= 1 row here and >= 1 row for
-      // each remaining shard.
+      // each remaining shard; the last ends at n, past isolated rows.
       cut = std::max(cut, start + 1);
       cut = std::min(cut, n - (shards - s - 1));
+      if (s + 1 == shards) cut = n;
       cuts.push_back(cut);
       start = cut;
     }
@@ -340,11 +341,7 @@ ShardManifest LoadShardManifest(const std::string& path, bool verify_shards) {
                            std::to_string(manifest.total_half_edges));
   }
 
-  if (verify_shards) {
-    for (uint32_t s = 0; s < manifest.NumShards(); ++s) {
-      (void)MapShard(manifest, s, /*verify_checksum=*/true);
-    }
-  }
+  if (verify_shards) (void)MapAllShards(manifest, /*verify_checksum=*/true);
   return manifest;
 }
 
@@ -456,7 +453,7 @@ void CheckShardBytes(const ShardManifest& manifest, uint32_t index,
 }
 
 MappedShard MapShard(const ShardManifest& manifest, uint32_t index,
-                     bool verify_checksum, bool keep_descriptor) {
+                     bool verify_checksum) {
   const std::string path = manifest.ShardPath(index);
   std::error_code ec;
   if (!std::filesystem::exists(path, ec)) {
@@ -464,7 +461,7 @@ MappedShard MapShard(const ShardManifest& manifest, uint32_t index,
              "missing shard file (manifest " + manifest.path + " names " +
                  std::to_string(manifest.NumShards()) + " shards)");
   }
-  MappedFile file = MappedFile::Open(path, keep_descriptor);
+  MappedFile file = MappedFile::Open(path, /*keep_descriptor=*/true);
   CheckShardBytes(manifest, index, file, verify_checksum);
 
   // Every field below was just checked against the manifest entry.
@@ -478,6 +475,43 @@ MappedShard MapShard(const ShardManifest& manifest, uint32_t index,
   shard.neighbors_ = snapshot::CsrNeighbors(file, info.num_rows);
   shard.file_ = std::move(file);
   return shard;
+}
+
+std::vector<MappedShard> MapAllShards(const ShardManifest& manifest,
+                                      bool verify_checksum) {
+  std::vector<MappedShard> shards;
+  shards.reserve(manifest.NumShards());
+  for (uint32_t s = 0; s < manifest.NumShards(); ++s) {
+    shards.push_back(MapShard(manifest, s, verify_checksum));
+  }
+  return shards;
+}
+
+Graph CopyShardsToGraph(const ShardManifest& manifest) {
+  // Every shard is checked before anything is allocated, so the totals
+  // are the shard files' own.
+  const std::vector<MappedShard> shards = MapAllShards(manifest);
+  std::vector<uint64_t> offsets;
+  std::vector<VertexId> neighbors;
+  offsets.reserve(manifest.total_nodes + 1);
+  neighbors.reserve(manifest.total_half_edges);
+  for (const MappedShard& shard : shards) {
+    // MapShard checked the first and last offset; this keeps every row
+    // inside the shard's slice.
+    const std::span<const uint64_t> rows = shard.RawOffsets();
+    const uint64_t base = neighbors.size();
+    for (size_t r = 0; r + 1 < rows.size(); ++r) {
+      if (rows[r] > rows[r + 1]) {
+        BadShard(manifest, shard.index(),
+                 "shard offsets not monotone at row " + std::to_string(r));
+      }
+      offsets.push_back(base + rows[r]);
+    }
+    neighbors.insert(neighbors.end(), shard.RawNeighbors().begin(),
+                     shard.RawNeighbors().end());
+  }
+  offsets.push_back(neighbors.size());
+  return Graph(std::move(offsets), std::move(neighbors));
 }
 
 }  // namespace grw

@@ -72,8 +72,7 @@ struct ShardInfo {
   /// Neighbor entries stored in this shard (its slice of the global
   /// neighbors array).
   uint64_t num_half_edges = 0;
-  /// Total shard file size — header + offsets + neighbors — which is
-  /// also what an unbounded store charges once it reads the shard.
+  /// Total shard file size — header + offsets + neighbors.
   uint64_t file_bytes = 0;
   /// FNV-1a over the shard's rebased offsets then neighbors; must match
   /// the shard header's own data_checksum (a mismatch means the shard
@@ -157,31 +156,24 @@ uint64_t ShardContentChecksum(const ShardManifest& manifest);
 
 /// One mapped shard: validated header + CSR slices. Row r of the shard
 /// is global vertex first_node() + r; neighbors carry global ids.
-/// Produced by MapShard; owned by the shard store (sharded_access.h),
-/// which holds the mapping for its whole lifetime. An unbounded store
-/// reads rows through the mapping (Degree, Neighbors). A bounded one
-/// reads a row's offsets pair through the mapping too (ReadRow), but its
-/// list through the kept descriptor (ReadList), so no page of the
-/// neighbors slice is mapped in.
+/// Produced by MapShard. The shard store (sharded_access.h) holds one
+/// per shard for its lifetime: a miss reads a row's offsets pair through
+/// the mapping (ReadRow) and its list through the kept descriptor
+/// (ReadList), so no page of the neighbors slice is mapped in.
 class MappedShard {
  public:
   uint32_t index() const { return index_; }
   VertexId first_node() const { return static_cast<VertexId>(first_node_); }
-  VertexId end_node() const {
-    return static_cast<VertexId>(first_node_ + num_rows_);
-  }
-  /// The whole mapped file's size.
-  uint64_t bytes() const { return file_.size(); }
   /// The underlying mapping (CheckShardBytes re-validates it).
   const MappedFile& file() const { return file_; }
 
-  uint32_t Degree(VertexId v) const {
-    const uint64_t r = v - first_node_;
-    return static_cast<uint32_t>(offsets_[r + 1] - offsets_[r]);
+  /// The mapped CSR slices: num_rows + 1 offsets rebased to start at 0,
+  /// and the rows' (global) neighbor ids.
+  std::span<const uint64_t> RawOffsets() const {
+    return {offsets_, num_rows_ + 1};
   }
-  std::span<const VertexId> Neighbors(VertexId v) const {
-    const uint64_t r = v - first_node_;
-    return {neighbors_ + offsets_[r], neighbors_ + offsets_[r + 1]};
+  std::span<const VertexId> RawNeighbors() const {
+    return {neighbors_, num_half_edges_};
   }
 
   /// Where v's list sits in the shard's neighbors slice.
@@ -196,15 +188,14 @@ class MappedShard {
   Row ReadRow(const ShardManifest& manifest, VertexId v,
               uint64_t max_degree) const;
   /// Reads the list ReadRow located into `out` (row.degree ids) with
-  /// pread(2) through the kept descriptor (MapShard with
-  /// keep_descriptor), and checks every id against the global node
-  /// count. Throws SnapshotCorruptError naming the shard if the file
-  /// ends early.
+  /// pread(2) through the kept descriptor, and checks every id against
+  /// the global node count. Throws SnapshotCorruptError naming the shard
+  /// if the file ends early.
   void ReadList(const ShardManifest& manifest, Row row, VertexId* out) const;
 
  private:
   friend MappedShard MapShard(const ShardManifest& manifest, uint32_t index,
-                              bool verify_checksum, bool keep_descriptor);
+                              bool verify_checksum);
 
   MappedFile file_;
   uint32_t index_ = 0;
@@ -225,12 +216,23 @@ class MappedShard {
 void CheckShardBytes(const ShardManifest& manifest, uint32_t index,
                      const MappedFile& file, bool verify_checksum);
 
-/// Maps shard `index` of `manifest` and validates it (CheckShardBytes).
-/// Throws SnapshotCorruptError naming the shard path, also when the
-/// shard file is missing. `keep_descriptor` keeps the file open for
-/// MappedShard::ReadRow / ReadList.
+/// Maps shard `index` of `manifest`, keeping its descriptor open for
+/// MappedShard::ReadList, and validates it (CheckShardBytes). Throws
+/// SnapshotCorruptError naming the shard path, also when the shard file
+/// is missing.
 MappedShard MapShard(const ShardManifest& manifest, uint32_t index,
-                     bool verify_checksum = false,
-                     bool keep_descriptor = false);
+                     bool verify_checksum = false);
+
+/// MapShard on every shard, in order: missing files, torn shards and
+/// stale manifests fail at open, not minutes into a walk.
+std::vector<MappedShard> MapAllShards(const ShardManifest& manifest,
+                                      bool verify_checksum = false);
+
+/// The whole sharded graph as one in-memory CSR, byte-identical to the
+/// `.grwb` it was sharded from: MapAllShards, then each shard's neighbors
+/// slice copied whole (its ids are global) and its offsets rebased to
+/// global positions, each checked not to decrease. The mappings are
+/// released on return. O(size) time and anonymous memory.
+Graph CopyShardsToGraph(const ShardManifest& manifest);
 
 }  // namespace grw

@@ -19,10 +19,14 @@ GraphSource GraphSource::Open(const std::string& path,
     ShardManifest manifest = LoadShardManifest(path, options.verify);
     source.checksum_ = ShardContentChecksum(manifest);
     source.relabeled_ = manifest.DegreeRelabeled();
-    ShardStore::Options store_options;
-    store_options.resident_budget_bytes = options.resident_budget_bytes;
-    source.store_ =
-        std::make_shared<ShardStore>(std::move(manifest), store_options);
+    source.num_shards_ = manifest.NumShards();
+    if (options.resident_budget_bytes == 0) {
+      source.graph_ = CopyShardsToGraph(manifest);
+    } else {
+      source.store_ = std::make_shared<ShardStore>(
+          std::move(manifest),
+          ShardStore::Options{options.resident_budget_bytes});
+    }
     return source;
   }
 
@@ -46,19 +50,19 @@ GraphSource GraphSource::FromGraph(Graph g, const std::string& label) {
 }
 
 const Graph& GraphSource::graph() const {
-  if (kind_ == GraphSourceKind::kSharded) {
+  if (sharded()) {
     throw std::logic_error(
         "GraphSource::graph(): '" + path_ +
         "' is a sharded out-of-core graph; read it through shards() / "
-        "ShardedAccess (or re-materialize it with `grw convert`)");
+        "ShardedAccess (or open it with no resident budget)");
   }
   return graph_;
 }
 
 const ShardStore& GraphSource::shards() const {
-  if (kind_ != GraphSourceKind::kSharded) {
+  if (!sharded()) {
     throw std::logic_error("GraphSource::shards(): '" + path_ +
-                           "' is not a sharded graph");
+                           "' is not read through a shard store");
   }
   return *store_;
 }
@@ -82,7 +86,7 @@ std::string GraphSource::Summary() const {
       out += " kind=grwb";
       break;
     case GraphSourceKind::kSharded:
-      out += " kind=sharded shards=" + std::to_string(store_->NumShards());
+      out += " kind=sharded shards=" + std::to_string(num_shards_);
       break;
   }
   return out;

@@ -1,23 +1,21 @@
-// GraphSource: the ONE way to open a graph, whatever is on disk.
-//
-// Before this existed the codebase had three divergent open paths — the
-// CLI's LoadGraph, the serve registry's inline snapshot logic, and the
-// bench harness's LoadBenchGraphs — each with its own flag plumbing and
-// none aware of more than one storage layout. GraphSource::Open collapses
-// them: it sniffs the path and dispatches to
+// GraphSource: the ONE way to open a graph, whatever is on disk. The CLI,
+// the serve registry and the bench harnesses all open through
+// GraphSource::Open, which sniffs the path and dispatches to
 //
 //   text edge list       -> LoadEdgeList (optionally largest CC) — an
 //                           in-memory Graph;
 //   monolithic `.grwb`   -> one mapping, validated once — a zero-copy
 //                           mmap'd Graph;
-//   sharded manifest     -> LoadShardManifest + a ShardStore with the
-//      (file or its dir)    requested resident-byte budget — an
-//                           out-of-core graph served shard by shard.
+//   sharded manifest     -> LoadShardManifest, then with no budget one
+//      (file or its dir)    in-memory Graph copied from every shard
+//                           (O(size) time and anonymous memory at open,
+//                           so a graph larger than RAM needs a budget),
+//                           or with one a ShardStore read out of core.
 //
-// The first two kinds expose a Graph (graph()); the sharded kind exposes
-// a ShardStore (shards()) that the engine drives through ShardedAccess.
-// kind() says which; call sites that cannot serve out-of-core graphs
-// reject sharded() sources with their own message instead of crashing.
+// kind() names the storage; sharded() says reads go through shards()
+// (which the engine drives through ShardedAccess), not graph(). Call
+// sites that cannot serve out-of-core graphs reject sharded() sources
+// with their own message instead of crashing.
 //
 // GraphSource is a cheap value: copies share the underlying mapping /
 // store (shared_ptr), exactly like copying a Graph. Corruption anywhere
@@ -42,7 +40,7 @@ namespace grw {
 enum class GraphSourceKind {
   kText,     // parsed edge list, in-memory CSR
   kBinary,   // monolithic .grwb, zero-copy mmap
-  kSharded,  // manifest + shard files, read in place or through caches
+  kSharded,  // manifest + shard files, copied at open or read through caches
 };
 
 /// Knobs of GraphSource::Open. Fields apply to the kinds noted; the rest
@@ -61,8 +59,9 @@ struct OpenOptions {
   /// walk theory assumes a connected graph). Snapshots were simplified
   /// at convert time.
   bool largest_cc = true;
-  /// Sharded kind only (ShardStore::Options): > 0 reads through
-  /// fixed-size per-reader list caches; 0 = unbounded.
+  /// Sharded kind only: > 0 reads through a ShardStore with this budget;
+  /// 0 copies every shard into one in-memory Graph at open, in O(size)
+  /// time and anonymous memory.
   uint64_t resident_budget_bytes = 0;
 };
 
@@ -85,14 +84,15 @@ class GraphSource {
   static GraphSource FromGraph(Graph g, const std::string& label = "<memory>");
 
   GraphSourceKind kind() const { return kind_; }
-  bool sharded() const { return kind_ == GraphSourceKind::kSharded; }
+  /// True iff reads go through shards(): sharded, opened with a budget.
+  bool sharded() const { return store_ != nullptr; }
 
-  /// The resident graph. Throws std::logic_error for sharded sources —
+  /// The resident graph. Throws std::logic_error for sharded() sources —
   /// there is deliberately no "load it all anyway" escape hatch here;
   /// out-of-core callers go through shards().
   const Graph& graph() const;
 
-  /// The shard store (sharded kind only; std::logic_error otherwise).
+  /// The shard store (sharded() only; std::logic_error otherwise).
   const ShardStore& shards() const;
 
   VertexId NumNodes() const;
@@ -123,8 +123,9 @@ class GraphSource {
   std::string path_;
   uint64_t checksum_ = 0;
   bool relabeled_ = false;
-  Graph graph_;                        // text/binary kinds
-  std::shared_ptr<ShardStore> store_;  // sharded kind
+  uint32_t num_shards_ = 0;            // sharded kind
+  Graph graph_;                        // all but sharded() sources
+  std::shared_ptr<ShardStore> store_;  // sharded() only
 };
 
 }  // namespace grw

@@ -9,11 +9,14 @@ namespace {
 
 // Content identity BEFORE the (possibly expensive) load: one header read
 // for `.grwb`, one manifest read for sharded, empty for text (parsed
-// content has no stored checksum and is never shared by key).
-std::string ContentKey(const std::string& path) {
+// content has no stored checksum and is never shared by key). A sharded
+// key names the budget too: it decides what the open builds.
+std::string ContentKey(const std::string& path,
+                       uint64_t resident_budget_bytes) {
   if (IsShardManifestPath(path)) {
     const uint64_t checksum = ShardContentChecksum(LoadShardManifest(path));
-    return path + '\0' + std::to_string(checksum);
+    return path + '\0' + std::to_string(checksum) + '\0' +
+           std::to_string(resident_budget_bytes);
   }
   if (IsGraphBinaryFile(path)) {
     const uint64_t checksum = InspectGraphBinary(path).data_checksum;
@@ -33,7 +36,7 @@ const GraphSource* SnapshotRegistry::FindResidentLocked(
 void SnapshotRegistry::Register(const std::string& id,
                                 const std::string& path, bool verify,
                                 uint64_t resident_budget_bytes) {
-  const std::string content_key = ContentKey(path);
+  const std::string content_key = ContentKey(path, resident_budget_bytes);
 
   {
     MutexLock lock(mu_);

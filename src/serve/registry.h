@@ -6,16 +6,15 @@
 // open path shared with the CLI and benches — so the registry serves all
 // three storage kinds with the same code: text edge lists (parsed once),
 // monolithic `.grwb` snapshots (one mmap, pages fault on demand), and
-// sharded out-of-core graphs (a ShardStore whose readers, under a
-// budget above 0, read through fixed-size neighbor-list caches).
-// Resident state is shared:
+// sharded graphs (copied into one in-memory Graph with no budget, or a
+// ShardStore whose readers read through fixed-size neighbor-list caches
+// under a budget above 0). Resident state is shared:
 //
-//   * bindings are keyed by (path, content checksum): two ids registered
-//     over the same bytes share ONE GraphSource — one mapping for
-//     `.grwb`, one ShardStore (one budget and one charge across every
-//     request's readers) for sharded — so multi-tenant aliases of a popular graph
-//     cost nothing extra. For a shared sharded graph the FIRST
-//     registration's budget wins;
+//   * bindings are keyed by (path, content checksum, sharded budget):
+//     two ids registered over the same bytes share ONE GraphSource — one
+//     mapping, one copy or one ShardStore (one charge across every
+//     request's readers) — so multi-tenant aliases of a popular graph
+//     cost nothing extra;
 //   * lookups return a GraphSource *copy* (shared backing): a request
 //     keeps its graph alive even if the id is replaced mid-run.
 //
@@ -41,9 +40,9 @@ class SnapshotRegistry {
  public:
   /// Opens `path` via GraphSource::Open and registers it under `id`,
   /// replacing any previous binding of the id. Re-registering unchanged
-  /// content (same path + checksum) reuses the resident source and its
-  /// mapping/store; changed content loads fresh. Text edge lists
-  /// have checksum 0 and are never shared by key.
+  /// content (same path, checksum and sharded budget) reuses the resident
+  /// source; changed content loads fresh. Text edge lists have checksum 0
+  /// and are never shared by key.
   ///
   /// With `verify` (the default), snapshot payloads are fully validated
   /// at registration — data checksums, offsets monotonicity, neighbor-id
@@ -51,10 +50,9 @@ class SnapshotRegistry {
   /// estimates from a silently corrupted snapshot; a mismatch throws
   /// SnapshotCorruptError naming the offending file and the id stays
   /// unbound (the caller quarantines: skip the binding, keep the file
-  /// for inspection). `resident_budget_bytes` > 0 reads a sharded graph
-  /// through fixed-size per-chain list caches, 0 reads its shard
-  /// mappings in place (ignored for monolithic kinds). Throws
-  /// std::runtime_error on other load failures.
+  /// for inspection). `resident_budget_bytes` is OpenOptions' (0 copies
+  /// a sharded graph into memory, in O(size) time and anonymous memory).
+  /// Throws std::runtime_error on other load failures.
   void Register(const std::string& id, const std::string& path,
                 bool verify = true, uint64_t resident_budget_bytes = 0)
       GRW_EXCLUDES(mu_);
@@ -66,8 +64,8 @@ class SnapshotRegistry {
 
   /// The source bound to `id`, as a cheap copy sharing its mapping or
   /// store; nullopt for unknown ids. The scheduler dispatches on
-  /// kind(): monolithic sources run the full-access engine, sharded
-  /// sources the out-of-core one.
+  /// sharded(): sources read through a Graph run the full-access engine,
+  /// sources read through a ShardStore the out-of-core one.
   std::optional<GraphSource> FindSource(const std::string& id) const
       GRW_EXCLUDES(mu_);
 
@@ -77,7 +75,7 @@ class SnapshotRegistry {
   size_t size() const GRW_EXCLUDES(mu_);
 
  private:
-  /// The resident source for a (path, checksum) content key, nullptr if
+  /// The resident source for a ContentKey (registry.cpp), nullptr if
   /// none. REQUIRES-checked so the register paths — which already hold
   /// mu_ when they consult residency — cannot re-lock (grw::Mutex is
   /// non-recursive; a second Lock() would be a self-deadlock, caught at
@@ -91,9 +89,9 @@ class SnapshotRegistry {
   mutable Mutex mu_;
   std::map<std::string, GraphSource> entries_
       GRW_GUARDED_BY(mu_);  // id -> binding
-  // (path + '\0' + checksum) -> resident source, for cross-id sharing of
-  // identical snapshots. Never pruned: entries are one shared-backing
-  // copy each and a daemon registers a bounded set of graphs.
+  // ContentKey -> resident source, for cross-id sharing of identical
+  // snapshots. Never pruned: entries are one shared-backing copy each and
+  // a daemon registers a bounded set of graphs.
   std::map<std::string, GraphSource> by_content_ GRW_GUARDED_BY(mu_);
 };
 

@@ -88,9 +88,10 @@ const Config kConfigs[] = {
 };
 
 // How the chains read the graph: a crawl cache (unbounded, or one list),
-// the shard store (unbounded, or one shard's bytes), both (the crawl cache
-// in front of the shard store; an evicting cell evicts from both), or
-// neither.
+// the shard directory (with no budget, copied into one in-memory Graph
+// at open; with one shard's bytes, the shard store), both (the crawl
+// cache in front of the shard copy or store; an evicting cell evicts
+// from both), or neither.
 struct Access {
   const char* name;
   const char* crawl_flags;
@@ -146,8 +147,10 @@ CliRun RunCli(const Config& config, const Access& access, unsigned threads) {
           ? GraphSource::Open(TheFixture().shard_dir,
                               {.resident_budget_bytes = ShardBudget(access)})
           : GraphSource::FromGraph(TheFixture().graph);
+  // Only a budget puts a shard store under the run.
+  EXPECT_EQ(source.sharded(), ShardBudget(access) > 0);
   EstimationEngine engine =
-      access.sharded
+      source.sharded()
           ? EstimationEngine(source.shards(), run.request.config, options)
           : EstimationEngine(source.graph(), run.request.config, options);
   run.result = engine.Run();
@@ -214,18 +217,16 @@ TEST_P(ConformanceTest, MatchesFullAccessReference) {
                 static_cast<double>(
                     Reference(config, kCrawl).result.access.distinct_fetches));
     }
-    if (access.sharded) {
-      const JsonValue* shards = json->Find("shards");
+    // A bounded reader misses; an unbounded open reads an in-memory
+    // copy, so its reply has no shard accounting.
+    const JsonValue* shards = json->Find("shards");
+    if (ShardBudget(access) > 0) {
       ASSERT_NE(shards, nullptr) << response;
-      // A bounded reader misses; an unbounded one reads in place, all hits.
-      if (ShardBudget(access) > 0) {
-        EXPECT_GT(shards->Find("faults")->number, 0.0);
-      } else {
-        EXPECT_EQ(shards->Find("faults")->number, 0.0);
-        EXPECT_GT(shards->Find("hits")->number, 0.0);
-      }
+      EXPECT_GT(shards->Find("faults")->number, 0.0);
       EXPECT_EQ(shards->Find("budget_bytes")->number,
                 static_cast<double>(ShardBudget(access)));
+    } else {
+      EXPECT_EQ(shards, nullptr) << response;
     }
     return;
   }
@@ -266,17 +267,15 @@ TEST_P(ConformanceTest, MatchesFullAccessReference) {
       EXPECT_EQ(run.access.evictions, 0u);
     }
   }
-  if (access.sharded) {
-    if (ShardBudget(access) > 0) {
-      EXPECT_GT(run.shards.faults, 0u);
-    } else {
-      EXPECT_EQ(run.shards.faults, 0u);
-      EXPECT_GT(run.shards.hits, 0u);
-    }
+  if (ShardBudget(access) > 0) {
+    EXPECT_GT(run.shards.faults, 0u);
+    EXPECT_GT(run.shards.evictions, 0u);
     EXPECT_EQ(run.shards.budget_bytes, ShardBudget(access));
-    if (access.evicting) {
-      EXPECT_GT(run.shards.evictions, 0u);
-    }
+  } else {
+    // No shard store: no shard accounting.
+    EXPECT_EQ(run.shards.faults + run.shards.hits + run.shards.evictions +
+                  run.shards.peak_resident_bytes + run.shards.budget_bytes,
+              0u);
   }
 }
 

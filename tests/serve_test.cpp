@@ -342,10 +342,38 @@ std::vector<std::string> RawConcentrations(const std::string& response) {
   return out;
 }
 
+TEST(RegistryTest, ShardedSourcesAreSharedPerBudget) {
+  // The budget decides what a sharded open builds, so it is part of the
+  // content key: one directory at budget 0 and at budget X is two
+  // sources, an in-memory copy and a shard store with budget X, and a
+  // second registration at either budget shares the first one's source.
+  const ShardedCopy copy("serve_reg_budget");
+  constexpr uint64_t kBudget = 4096;
+  SnapshotRegistry registry;
+  registry.Register("copied", copy.dir.string());
+  registry.Register("stored", copy.dir.string(), /*verify=*/true, kBudget);
+  registry.Register("copied2", copy.dir.string());
+  registry.Register("stored2", copy.dir.string(), /*verify=*/true, kBudget);
+
+  const std::optional<GraphSource> copied = registry.FindSource("copied");
+  const std::optional<GraphSource> stored = registry.FindSource("stored");
+  ASSERT_TRUE(copied.has_value() && stored.has_value());
+  EXPECT_FALSE(copied->sharded());
+  EXPECT_EQ(copied->graph().RawNeighbors().size(),
+            copy.graph.RawNeighbors().size());
+  ASSERT_TRUE(stored->sharded());
+  EXPECT_EQ(stored->shards().options().resident_budget_bytes, kBudget);
+
+  EXPECT_EQ(registry.FindSource("copied2")->graph().RawNeighbors().data(),
+            copied->graph().RawNeighbors().data());
+  EXPECT_EQ(&registry.FindSource("stored2")->shards(), &stored->shards());
+}
+
 TEST(SchedulerTest, ShardedRegistrationAnswersCrawlAndRefusesBatch) {
   const ShardedCopy copy("serve_sharded_modes");
   SnapshotRegistry registry;
-  registry.Register("s", copy.dir.string());
+  registry.Register("s", copy.dir.string(), /*verify=*/true,
+                    /*resident_budget_bytes=*/1);
   ServeScheduler scheduler(&registry, SmallScheduler(1));
 
   // crawl=1, budget= and cache= put a crawl cache in front of the shard
@@ -373,11 +401,12 @@ TEST(SchedulerTest, ShardedRegistrationAnswersCrawlAndRefusesBatch) {
 }
 
 // Tenant requests run as crawl requests, so on a sharded registration
-// they take the crawl cache in front of the shard store.
+// under a budget they take the crawl cache in front of the shard store.
 TEST(SchedulerTest, TenantRequestOnShardedRegistrationIsAnsweredAndCharged) {
   const ShardedCopy copy("serve_sharded_tenant");
   SnapshotRegistry registry;
-  registry.Register("s", copy.dir.string());
+  registry.Register("s", copy.dir.string(), /*verify=*/true,
+                    /*resident_budget_bytes=*/1);
   registry.RegisterGraph("flat", copy.graph);
   const std::string request = "ESTIMATE k=3 steps=2000 chains=1";
 

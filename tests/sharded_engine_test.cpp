@@ -76,16 +76,16 @@ uint64_t OffsetsCharge(const ShardManifest& m) {
   return bytes;
 }
 
-TEST(ShardStoreTest, BoundedStoreKeepsNoShardResident) {
-  // A bounded store reads lists through reader caches, never a shard's
-  // neighbors slice: it charges only every shard's header and offsets
-  // pages, at open, and every Acquire re-checks its shard and counts a
-  // fault, charging nothing more.
+// A store reads lists through reader caches, never a shard's neighbors
+// slice: it charges only every shard's header and offsets pages, at open,
+// and every Acquire re-checks its shard and counts a fault, charging and
+// evicting nothing, whatever its budget.
+void ExpectStoreKeepsNoShardResident(uint64_t budget, const std::string& name) {
   const Graph g = RegularGraph();
-  const std::string dir = TempDir("grw_store_bounded");
+  const std::string dir = TempDir(name);
   const ShardManifest m = ShardInto(g, dir, 4);
   ShardStore::Options options;
-  options.resident_budget_bytes = 1;
+  options.resident_budget_bytes = budget;
   const ShardStore store(LoadShardManifest(dir), options);
   EXPECT_EQ(store.stats().resident_bytes, OffsetsCharge(m));
 
@@ -94,24 +94,20 @@ TEST(ShardStoreTest, BoundedStoreKeepsNoShardResident) {
   const ShardStats stats = store.stats();
   EXPECT_EQ(stats.faults, m.NumShards() + 1u);
   EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
   EXPECT_EQ(stats.resident_bytes, OffsetsCharge(m));
-  EXPECT_EQ(stats.budget_bytes, 1u);
+  EXPECT_EQ(stats.budget_bytes, budget);
   fs::remove_all(dir);
 }
 
+TEST(ShardStoreTest, BoundedStoreKeepsNoShardResident) {
+  ExpectStoreKeepsNoShardResident(1, "grw_store_bounded");
+}
+
 TEST(ShardStoreTest, UnboundedBudgetNeverEvicts) {
-  const Graph g = RegularGraph();
-  const std::string dir = TempDir("grw_store_unbounded");
-  const ShardManifest m = ShardInto(g, dir, 4);
-  const ShardStore store(LoadShardManifest(dir), {});
-  // Every shard file is charged at open, before any read.
-  EXPECT_EQ(store.stats().resident_bytes, m.TotalShardBytes());
-  for (uint32_t s = 0; s < m.NumShards(); ++s) store.Acquire(s);
-  const ShardStats stats = store.stats();
-  EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_EQ(stats.resident_bytes, m.TotalShardBytes());
-  EXPECT_EQ(stats.budget_bytes, 0u);
-  fs::remove_all(dir);
+  // Budget 0 is no ceiling, and the store is no different: it charges
+  // the offsets pages at open, and its Acquires charge and evict nothing.
+  ExpectStoreKeepsNoShardResident(0, "grw_store_unbounded");
 }
 
 // Flips one byte of `path` in place: same inode, no rename, so a live
@@ -129,12 +125,11 @@ void FlipByteInPlace(const std::string& path, uint64_t offset) {
 }
 
 TEST(ShardStoreTest, ReadmissionRechecksShard) {
-  // Every read that reaches a shard file — a bounded miss, or an Acquire
-  // on either kind of store — re-runs the open-time header checks first:
-  // a shard damaged while the store is open fails its next such read,
-  // which charges nothing, while lists already cached and other shards
-  // stay readable. An unbounded reader reads the mappings checked at
-  // open and re-checks nothing.
+  // Every read that reaches a shard file — a miss, or an Acquire —
+  // re-runs the open-time header checks first: a shard damaged while the
+  // store is open fails its next such read, which charges nothing, while
+  // lists already cached and other shards stay readable, at budget 0 as
+  // at any other.
   const Graph g = RegularGraph();
   for (const uint64_t budget : {uint64_t{0}, uint64_t{1}}) {
     SCOPED_TRACE("budget " + std::to_string(budget));
@@ -148,19 +143,13 @@ TEST(ShardStoreTest, ReadmissionRechecksShard) {
     const VertexId other = static_cast<VertexId>(m.shards[0].num_rows - 1);
     const VertexId next_shard = static_cast<VertexId>(m.shards[1].first_node);
 
-    if (budget > 0) {
-      ASSERT_EQ(access.Degree(first), g.Degree(first));
-    }
+    ASSERT_EQ(access.Degree(first), g.Degree(first));
     const uint64_t charged = store.stats().resident_bytes;
     FlipByteInPlace(m.ShardPath(0), 8);  // a header byte
-    if (budget > 0) {
-      EXPECT_THROW(access.Neighbors(other), SnapshotCorruptError);
-    }
+    EXPECT_THROW(access.Neighbors(other), SnapshotCorruptError);
     EXPECT_THROW(store.Acquire(0), SnapshotCorruptError);
     EXPECT_EQ(store.stats().resident_bytes, charged);
-    if (budget > 0) {
-      EXPECT_EQ(access.Degree(first), g.Degree(first));
-    }
+    EXPECT_EQ(access.Degree(first), g.Degree(first));
     EXPECT_EQ(access.Degree(next_shard), g.Degree(next_shard));
     fs::remove_all(dir);
   }
@@ -270,19 +259,19 @@ void ExpectSameShardCounters(const ShardStats& a, const ShardStats& b) {
 }
 
 TEST(ShardedAccessTest, ReaderCacheIsTheSameAtEveryBudget) {
-  // A bounded reader's cache has one size, fixed by the manifest: from a
-  // budget of one byte to 64 times the graph's bytes it charges the same
-  // and counts the same faults, hits and evictions. One pass over every
-  // node evicts, and the lists still in the ring — at least the newest
-  // kKeptLists — are hits when read again.
+  // A reader's cache has one size, fixed by the manifest: with no budget
+  // (0), or one from one byte to 64 times the graph's bytes, it charges
+  // the same and counts the same faults, hits and evictions. One pass
+  // over every node evicts, and the lists still in the ring — at least
+  // the newest kKeptLists — are hits when read again.
   Rng rng(5);
   const Graph g = LargestConnectedComponent(HolmeKim(300, 4, 0.4, rng));
   const std::string dir = TempDir("grw_access_fixed");
   const ShardManifest m = ShardInto(g, dir, 5);
   constexpr uint32_t kKept = ShardedAccess::kKeptLists;
   std::vector<ShardStats> seen;
-  for (const uint64_t budget :
-       {uint64_t{1}, m.TotalShardBytes(), 64 * m.TotalShardBytes()}) {
+  for (const uint64_t budget : {uint64_t{0}, uint64_t{1}, m.TotalShardBytes(),
+                                64 * m.TotalShardBytes()}) {
     SCOPED_TRACE("budget " + std::to_string(budget));
     ShardStore::Options options;
     options.resident_budget_bytes = budget;
@@ -305,8 +294,9 @@ TEST(ShardedAccessTest, ReaderCacheIsTheSameAtEveryBudget) {
               own.peak_resident_bytes + OffsetsCharge(m));
     seen.push_back(own);
   }
-  ExpectSameShardCounters(seen[1], seen[0]);
-  ExpectSameShardCounters(seen[2], seen[0]);
+  for (size_t i = 1; i < seen.size(); ++i) {
+    ExpectSameShardCounters(seen[i], seen[0]);
+  }
   fs::remove_all(dir);
 }
 
@@ -582,28 +572,30 @@ TEST(ShardedEngineTest, BoundedStoreChargesEachShardsOffsetsOnce) {
 }
 
 TEST(ShardedEngineTest, ShardStatsCoverOnlyTheirOwnRun) {
-  // Two identical runs on one unbounded store: the store checked and
-  // charged every shard at open, so neither run faults, and each counts
-  // its own reads (same seeds, same walk, same count) as hits.
+  // Two identical runs, one after the other, on one bounded store: each
+  // counts its own readers' reads (same seeds, same walk, same counts),
+  // not the store's running totals, and its peak is its own caches plus
+  // the offsets the store charged at open.
   Rng rng(37);
   const Graph g = LargestConnectedComponent(HolmeKim(400, 4, 0.3, rng));
   const std::string dir = TempDir("grw_engine_stats_delta");
   const ShardManifest m = ShardInto(g, dir, 8);
-  const ShardStore store(LoadShardManifest(dir), {});
+  ShardStore::Options store_options;
+  store_options.resident_budget_bytes = m.TotalShardBytes() / 4;
+  const ShardStore store(LoadShardManifest(dir), store_options);
   const EstimatorConfig config{4, 2, true, false};
   EngineOptions options = BaseOptions(/*chains=*/2, /*threads=*/1);
   options.max_steps = 2000;
 
   const EngineResult first = EstimationEngine(store, config, options).Run();
   const EngineResult second = EstimationEngine(store, config, options).Run();
-  EXPECT_EQ(first.shards.faults, 0u);
-  EXPECT_EQ(second.shards.faults, 0u);
+  EXPECT_GT(first.shards.faults, 0u);
   EXPECT_GT(first.shards.hits, 0u);
-  EXPECT_EQ(second.shards.hits, first.shards.hits);
-  EXPECT_EQ(second.shards.evictions, 0u);
-  // An unbounded run's peak is what the store charged at open.
-  EXPECT_EQ(first.shards.peak_resident_bytes, m.TotalShardBytes());
-  EXPECT_EQ(second.shards.peak_resident_bytes, m.TotalShardBytes());
+  EXPECT_GT(first.shards.evictions, 0u);
+  ExpectSameShardCounters(second.shards, first.shards);
+  EXPECT_EQ(store.stats().faults, 2 * first.shards.faults);
+  const uint64_t cache = ShardedAccess(store).stats().peak_resident_bytes;
+  EXPECT_EQ(first.shards.peak_resident_bytes, 2 * cache + OffsetsCharge(m));
   fs::remove_all(dir);
 }
 

@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -71,17 +72,23 @@ TEST_F(SourceTest, OpenAutoDetectsAllThreeKinds) {
             InspectGraphBinary(binary_).data_checksum);
   EXPECT_NE(binary.content_checksum(), 0u);
 
-  // Both the directory and the manifest file open the sharded graph.
+  // Both the directory and the manifest file open the sharded graph:
+  // with no budget as an in-memory copy, with one as a shard store.
+  OpenOptions bounded = options;
+  bounded.resident_budget_bytes = 1;
+  const uint64_t checksum =
+      ShardContentChecksum(LoadShardManifest(sharded_));
+  EXPECT_NE(checksum, 0u);
   for (const std::string& path :
        {sharded_, sharded_ + "/" + kShardManifestName}) {
-    const GraphSource sharded = GraphSource::Open(path, options);
-    EXPECT_EQ(sharded.kind(), GraphSourceKind::kSharded);
-    EXPECT_TRUE(sharded.sharded());
-    EXPECT_EQ(sharded.NumNodes(), g_.NumNodes());
-    EXPECT_EQ(sharded.NumEdges(), g_.NumEdges());
-    EXPECT_EQ(sharded.content_checksum(),
-              ShardContentChecksum(sharded.shards().manifest()));
-    EXPECT_NE(sharded.content_checksum(), 0u);
+    for (const OpenOptions& open : {options, bounded}) {
+      const GraphSource sharded = GraphSource::Open(path, open);
+      EXPECT_EQ(sharded.kind(), GraphSourceKind::kSharded);
+      EXPECT_EQ(sharded.sharded(), open.resident_budget_bytes > 0);
+      EXPECT_EQ(sharded.NumNodes(), g_.NumNodes());
+      EXPECT_EQ(sharded.NumEdges(), g_.NumEdges());
+      EXPECT_EQ(sharded.content_checksum(), checksum);
+    }
   }
 }
 
@@ -89,9 +96,46 @@ TEST_F(SourceTest, KindMismatchedAccessorsThrowLogicError) {
   const GraphSource binary = GraphSource::Open(binary_);
   EXPECT_NO_THROW(binary.graph());
   EXPECT_THROW(binary.shards(), std::logic_error);
-  const GraphSource sharded = GraphSource::Open(sharded_);
-  EXPECT_NO_THROW(sharded.shards());
-  EXPECT_THROW(sharded.graph(), std::logic_error);
+  // With no budget a shard directory reads through graph(), with one
+  // through shards().
+  const GraphSource copied = GraphSource::Open(sharded_);
+  EXPECT_NO_THROW(copied.graph());
+  EXPECT_THROW(copied.shards(), std::logic_error);
+  const GraphSource stored =
+      GraphSource::Open(sharded_, {.resident_budget_bytes = 1});
+  EXPECT_NO_THROW(stored.shards());
+  EXPECT_THROW(stored.graph(), std::logic_error);
+}
+
+TEST_F(SourceTest, UnboundedShardOpenIsTheGrwbsCsr) {
+  // The copy is the `.grwb`'s CSR element for element: at one shard, at
+  // several, and with isolated rows (empty lists at a shard's edges and
+  // inside it).
+  const auto expect_same_csr = [&](const std::string& grwb,
+                                   uint32_t shards) {
+    SCOPED_TRACE(grwb + ", " + std::to_string(shards) + " shard(s)");
+    const Graph want = GraphSource::Open(grwb).graph();
+    const std::string dir = dir_ + "/copy.shards";
+    ShardingOptions sharding;
+    sharding.num_shards = shards;
+    WriteShardedGraph(want, dir, sharding);
+    const Graph got = GraphSource::Open(dir).graph();
+    const auto equal = [](auto a, auto b) {
+      return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    };
+    EXPECT_TRUE(equal(got.RawOffsets(), want.RawOffsets()));
+    EXPECT_TRUE(equal(got.RawNeighbors(), want.RawNeighbors()));
+    fs::remove_all(dir);
+  };
+  for (const uint32_t shards : {1u, 3u, 8u}) expect_same_csr(binary_, shards);
+  // Nodes 0, 4, 5 and 9 are isolated.
+  const std::string isolated = dir_ + "/isolated.grwb";
+  SaveGraphBinary(
+      FromEdges(10, {{1, 2}, {2, 3}, {1, 3}, {6, 7}, {7, 8}, {3, 6}}),
+      isolated);
+  for (const uint32_t shards : {1u, 4u, 10u}) {
+    expect_same_csr(isolated, shards);
+  }
 }
 
 TEST_F(SourceTest, OpenMatchesDeprecatedAliases) {
@@ -127,22 +171,32 @@ TEST_F(SourceTest, OpenOptionsPlumbing) {
 }
 
 TEST_F(SourceTest, CopiesShareTheBacking) {
-  const GraphSource original = GraphSource::Open(sharded_);
+  const GraphSource original =
+      GraphSource::Open(sharded_, {.resident_budget_bytes = 1});
   const GraphSource copy = original;
   // Same store object, not a second mmap of the graph.
   EXPECT_EQ(&copy.shards(), &original.shards());
-  const GraphSource mono = GraphSource::Open(binary_);
-  const GraphSource mono_copy = mono;
-  EXPECT_EQ(mono_copy.graph().RawNeighbors().data(),
-            mono.graph().RawNeighbors().data());
+  // The same arrays, not a second copy of the shards or the mapping.
+  for (const std::string& path : {sharded_, binary_}) {
+    const GraphSource resident = GraphSource::Open(path);
+    const GraphSource resident_copy = resident;
+    EXPECT_EQ(resident_copy.graph().RawNeighbors().data(),
+              resident.graph().RawNeighbors().data());
+  }
 }
 
 TEST_F(SourceTest, SummaryNamesTheKind) {
   EXPECT_NE(GraphSource::Open(binary_).Summary().find("n="),
             std::string::npos);
-  const std::string sharded_summary = GraphSource::Open(sharded_).Summary();
-  EXPECT_NE(sharded_summary.find("sharded"), std::string::npos)
-      << sharded_summary;
+  // The kind names the storage, budget or not.
+  for (const uint64_t budget : {uint64_t{0}, uint64_t{1}}) {
+    const std::string sharded_summary =
+        GraphSource::Open(sharded_, {.resident_budget_bytes = budget})
+            .Summary();
+    EXPECT_NE(sharded_summary.find("kind=sharded shards=3"),
+              std::string::npos)
+        << sharded_summary;
+  }
 }
 
 TEST_F(SourceTest, FromGraphWrapsInMemoryGraphs) {
@@ -174,14 +228,31 @@ TEST_F(SourceTest, CorruptionThrowsTypedErrorForEveryKind) {
   EXPECT_THROW(GraphSource::Open(binary_, verify), SnapshotCorruptError);
 
   // Sharded: flip a payload byte in shard 2; the eager per-shard probe
-  // at store construction does not read payloads, so only verify=true
-  // catches it at open.
+  // at open does not read payloads, so only verify=true catches it at
+  // open, with or without a budget.
   const ShardManifest m = LoadShardManifest(sharded_);
   flip(m.ShardPath(2), 64 + (m.shards[2].num_rows + 1) * 8 + 1);
   EXPECT_THROW(GraphSource::Open(sharded_, verify), SnapshotCorruptError);
+  OpenOptions verify_bounded = verify;
+  verify_bounded.resident_budget_bytes = 1;
+  EXPECT_THROW(GraphSource::Open(sharded_, verify_bounded),
+               SnapshotCorruptError);
 
-  // Sharded with a missing shard fails even without verify: the store's
-  // eager header probe requires every named shard to exist.
+  // Sharded with an offsets entry of shard 0 pushed past its neighbors
+  // slice (its top byte flipped): the copy made by an open with no
+  // budget checks every offset it rebases, without verify.
+  const uint64_t row = m.shards[0].num_rows / 2;
+  flip(m.ShardPath(0), 64 + row * 8 + 7);
+  try {
+    GraphSource::Open(sharded_);
+    ADD_FAILURE() << "expected the copy to refuse shard 0's offsets";
+  } catch (const SnapshotCorruptError& e) {
+    EXPECT_NE(std::string(e.what()).find("not monotone"), std::string::npos)
+        << e.what();
+  }
+
+  // Sharded with a missing shard fails even without verify: the eager
+  // header probe at open requires every named shard to exist.
   fs::remove(m.ShardPath(1));
   EXPECT_THROW(GraphSource::Open(sharded_), SnapshotCorruptError);
 }

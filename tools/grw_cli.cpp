@@ -50,16 +50,18 @@
 //       land in the crawl-cost report. Estimates are bit-identical to
 //       the full-access run; only cost and stopping change.
 //       --raw swaps the table for machine-readable `label value` lines
-//       (%.17g), diffable against `grw query --raw`. On a sharded graph
-//       (a `grw shard` directory or its MANIFEST.grws) the engine runs
-//       out-of-core: with --resident-budget-mb M > 0 each chain reads
-//       the neighbor lists it needs into its own cache, of one size set
-//       by the graph's degree bound whatever M is (0 = unbounded: read
-//       the shard mappings in place). Estimates under any budget are bit-identical to the
-//       monolithic run; a shard-read report follows the table. Crawl flags put each chain's crawl cache in
-//       front of the shard store. --counts needs the monolithic graph and
-//       is rejected on sharded inputs. The other flags build the request
-//       `grw query` sends, parsed by the server's parser.
+//       (%.17g), diffable against `grw query --raw`. A sharded graph
+//       (a `grw shard` directory or its MANIFEST.grws) with no
+//       --resident-budget-mb is copied into memory at open and runs as
+//       a `.grwb` would. With --resident-budget-mb M > 0 the engine runs
+//       out-of-core: each chain reads the neighbor lists it needs into
+//       its own cache, of one size set by the graph's degree bound
+//       whatever M is, and a shard-read report follows the table.
+//       Estimates under any budget are bit-identical to the monolithic
+//       run. Crawl flags put each chain's crawl cache in front of the
+//       shard store. --counts needs the resident graph and is rejected
+//       under a budget. The other flags build the request `grw query`
+//       sends, parsed by the server's parser.
 //   grw query <id> [--host H] [--port P] [--raw] [--send 'LINE']
 //       [estimation flags as in `estimate`] [--deadline-ms MS]
 //       [--tenant NAME]
@@ -140,10 +142,10 @@ int Usage() {
       "                                   model; estimates unchanged)\n"
       "           [--raw]                  `label value` lines instead of\n"
       "                                   the table (diffable vs query)\n"
-      "           [--resident-budget-mb M] sharded graphs run out-of-core;\n"
-      "                                   M > 0 reads through fixed-size\n"
-      "                                   per-chain list caches (0 =\n"
-      "                                   unbounded: read shards in place)\n"
+      "           [--resident-budget-mb M] sharded graphs: M > 0 runs\n"
+      "                                   out-of-core through fixed-size\n"
+      "                                   per-chain list caches (0 = copy\n"
+      "                                   the shards into memory at open)\n"
       "  query <id> [--host H] [--port P] [--raw] [--send 'LINE']\n"
       "           [estimation flags] [--deadline-ms MS] [--tenant NAME]\n"
       "                                   query a running grw_serve daemon;\n"
@@ -176,21 +178,6 @@ grw::GraphSource OpenPositional(const grw::Flags& flags, size_t index,
                                        path);
   }
   return grw::GraphSource::Open(path, options);
-}
-
-// The resident-graph variant for commands that need the whole CSR
-// (exact enumeration, global statistics). Rejects sharded sources with
-// a pointer at the commands that do serve them.
-grw::Graph LoadPositional(const grw::Flags& flags, size_t index) {
-  const grw::GraphSource source = OpenPositional(flags, index);
-  if (source.sharded()) {
-    throw std::runtime_error(
-        "'" + flags.positional()[index] +
-        "' is sharded (out-of-core); this command needs the whole graph "
-        "resident. Use `grw estimate` / `grw_serve` on sharded graphs, "
-        "or `grw convert` the original input to a monolithic .grwb.");
-  }
-  return source.graph();
 }
 
 int CmdDatasets() {
@@ -255,7 +242,7 @@ grw::Graph LoadForWrite(const grw::Flags& flags, const std::string& in,
     grw::OpenOptions open;
     open.largest_cc = flags.GetBool("lcc", true);
     const grw::GraphSource source = grw::GraphSource::Open(in, open);
-    if (source.sharded()) {
+    if (source.kind() == grw::GraphSourceKind::kSharded) {
       throw std::runtime_error(
           "'" + in + "' is already sharded; start from the edge list or "
           "monolithic .grwb it was built from");
@@ -439,7 +426,7 @@ int CmdInfo(const grw::Flags& flags) {
 }
 
 int CmdExact(const grw::Flags& flags) {
-  const grw::Graph g = LoadPositional(flags, 1);
+  const grw::Graph g = OpenPositional(flags, 1).graph();
   const int k = static_cast<int>(
       flags.GetIntInRange("k", 4, 3, grw::kMaxGraphletSize));
   grw::WallTimer timer;
@@ -520,8 +507,8 @@ int CmdEstimate(const grw::Flags& flags) {
   const bool sharded = source.sharded();
   if (counts && sharded) {
     throw std::runtime_error(
-        "--counts needs |R(d)| from the resident graph; sharded sources "
-        "report concentrations only");
+        "--counts needs |R(d)| from the resident graph; a sharded graph "
+        "under --resident-budget-mb reports concentrations only");
   }
   grw::Graph g;  // resident path only; stays empty for sharded sources
   if (!sharded) g = source.graph();
@@ -617,16 +604,10 @@ int CmdEstimate(const grw::Flags& flags) {
   }
   if (sharded && !quiet) {
     const grw::ShardStats& s = run.shards;
-    std::string budget = "unbounded budget";
-    if (s.budget_bytes > 0) {
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "%.1f MiB budget",
-                    static_cast<double>(s.budget_bytes) / (1024.0 * 1024.0));
-      budget = buf;
-    }
     std::printf(
         "shard reads: %llu faults, %llu hits (%.1f%% hit rate), "
-        "%llu evictions; peak %.1f of %.1f MiB charged (%s, %u shards)\n",
+        "%llu evictions; peak %.1f of %.1f MiB charged (%.1f MiB budget, "
+        "%u shards)\n",
         static_cast<unsigned long long>(s.faults),
         static_cast<unsigned long long>(s.hits), 100.0 * s.HitRate(),
         static_cast<unsigned long long>(s.evictions),
@@ -634,7 +615,8 @@ int CmdEstimate(const grw::Flags& flags) {
         static_cast<double>(
             source.shards().manifest().TotalShardBytes()) /
             (1024.0 * 1024.0),
-        budget.c_str(), source.shards().NumShards());
+        static_cast<double>(s.budget_bytes) / (1024.0 * 1024.0),
+        source.shards().NumShards());
   }
   if (options.crawl && !quiet) {
     const grw::CrawlStats& a = run.access;

@@ -7,9 +7,9 @@
 //
 // Loads every <id>=<graph> binding into a resident SnapshotRegistry
 // through GraphSource::Open (`.grwb` snapshots mmap in microseconds and
-// share one mapping across ids; sharded out-of-core graphs —
-// a `grw shard` output directory or its MANIFEST.grws — serve out of
-// core, per --resident-budget-mb; text edge lists and registry
+// share one mapping across ids; sharded graphs — a `grw shard` output
+// directory or its MANIFEST.grws — are copied into memory, or served
+// out of core under --resident-budget-mb; text edge lists and registry
 // dataset names work too), then answers the line/JSON protocol of
 // src/serve/protocol.h on a
 // TCP socket until SIGTERM/SIGINT, which triggers a graceful drain:
@@ -34,8 +34,8 @@
 //                     quarantined at startup unless --no-verify
 //   --resident-budget-mb  > 0: each sharded binding's chains read
 //                     through fixed-size neighbor-list caches (the
-//                     size does not depend on the value); 0 = read
-//                     the shard mappings in place. Monolithic
+//                     size does not depend on the value); 0 = copy
+//                     the shards into memory at startup. Monolithic
 //                     bindings ignore it. Corrupt shards quarantine the
 //                     whole binding, exactly like corrupt .grwb files.
 //
@@ -70,9 +70,9 @@ int Usage() {
       "                 <id>=<graph> [<id>=<graph> ...]\n"
       "  <graph> is a .grwb snapshot (preferred: zero-copy mmap), a\n"
       "  sharded graph (a `grw shard` output dir or its MANIFEST.grws;\n"
-      "  served out-of-core; --resident-budget-mb M > 0 reads them\n"
-      "  through fixed-size per-chain list caches), a text edge\n"
-      "  list, or a dataset name from `grw datasets`.\n"
+      "  copied into memory, or with --resident-budget-mb M > 0 served\n"
+      "  out-of-core through fixed-size per-chain list caches), a text\n"
+      "  edge list, or a dataset name from `grw datasets`.\n"
       "  Snapshot payloads are checksum-verified at registration; corrupt\n"
       "  snapshots/shards are quarantined (skipped with a log line).\n"
       "  --no-verify trusts the files and skips the full read.\n"
