@@ -11,7 +11,7 @@
 // budget fractions {100%, 50%, 25%} of the total shard bytes, against
 // the monolithic in-memory engine as the baseline. Every budget above 0
 // gives each reader the same fixed-size cache, so the three budget rows
-// charge the same bytes.
+// report the same peak bytes.
 // With --reps R every configuration runs R times, in alternating order;
 // the table reports medians, and unbounded_vs_monolithic and
 // budget100_vs_monolithic are the medians over repetitions of the

@@ -349,10 +349,8 @@ EstimationEngine::EstimationEngine(const ShardStore& store,
 EngineResult EstimationEngine::Run() {
   if (store_ == nullptr) return RunOn(*g_, config_, options_);
   EngineResult result = RunOn(*store_, config_, options_);
-  const ShardStats store = store_->stats();
-  result.shards.resident_bytes = store.resident_bytes;
-  result.shards.budget_bytes = store.budget_bytes;
-  // The run's readers' caches, plus what the store charged at open,
+  result.shards.budget_bytes = store_->options().resident_budget_bytes;
+  // The run's readers' caches, plus what the store mapped at open,
   // which every run reads through.
   result.shards.peak_resident_bytes += store_->open_bytes();
   return result;

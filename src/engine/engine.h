@@ -161,8 +161,8 @@ struct EngineResult {
   /// runs sharing one store (grw_serve requests on one registration)
   /// never see each other's. peak_resident_bytes is the sum of the
   /// run's readers' fixed-size caches plus ShardStore::open_bytes, which
-  /// every run shares; resident_bytes and budget_bytes are the store's
-  /// state at the end of the run. All-zero otherwise.
+  /// every run shares; budget_bytes echoes the store's budget. All-zero
+  /// otherwise.
   ShardStats shards;
   int rounds = 0;
   /// Lockstep schedule position at the stop (budget-stalled chains may

@@ -7,7 +7,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <new>
 #include <stdexcept>
 #include <utility>
 
@@ -23,15 +22,6 @@ namespace {
 }
 
 }  // namespace
-
-void* MapPages(size_t bytes) {
-  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (p == MAP_FAILED) throw std::bad_alloc();
-  return p;
-}
-
-void UnmapPages(void* p, size_t bytes) noexcept { ::munmap(p, bytes); }
 
 size_t PageBytes() {
   static const size_t bytes = static_cast<size_t>(::sysconf(_SC_PAGESIZE));

@@ -5,8 +5,7 @@
 // snapshot costs a handful of page faults instead of a full parse, and the
 // page cache is shared across processes benchmarking the same dataset.
 // POSIX-only (mmap/munmap), which matches the toolchain this project
-// targets; the wrapper is the single place a port would touch. The
-// anonymous-page helpers below live here for the same reason.
+// targets; the wrapper is the single place a port would touch.
 
 #pragma once
 
@@ -15,19 +14,8 @@
 
 namespace grw {
 
-/// Maps `bytes` of zeroed private memory straight from the OS (throws
-/// std::bad_alloc on failure); UnmapPages gives it back. Pages cost
-/// memory only once touched.
-void* MapPages(size_t bytes);
-void UnmapPages(void* p, size_t bytes) noexcept;
-/// The OS page size: the unit MapPages memory is held in.
+/// The OS page size: the unit a mapping is held in.
 size_t PageBytes();
-
-/// unique_ptr deleter for a MapPages block of `bytes`.
-struct PageUnmapper {
-  size_t bytes = 0;
-  void operator()(void* p) const noexcept { UnmapPages(p, bytes); }
-};
 
 /// Movable, non-copyable read-only file mapping. The mapping lives until
 /// destruction; spans handed out by the loader must not outlive it (the

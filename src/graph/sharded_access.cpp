@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "graph/mapped_file.h"
+
 namespace grw {
 
 namespace {
@@ -48,11 +50,6 @@ uint64_t FloorWords(uint64_t longest) {
   return (ShardedAccess::kKeptLists + 2) * longest;
 }
 
-template <class T>
-std::unique_ptr<T[], PageUnmapper> MapArray(uint64_t bytes) {
-  return {static_cast<T*>(MapPages(bytes)), PageUnmapper{bytes}};
-}
-
 }  // namespace
 
 ShardStore::ShardStore(ShardManifest manifest, const Options& options)
@@ -60,7 +57,6 @@ ShardStore::ShardStore(ShardManifest manifest, const Options& options)
       options_(options),
       shards_(MapAllShards(manifest_)),
       open_bytes_(OpenBytes(manifest_)) {
-  Charge(open_bytes_);
   max_degree_ = MaxDegree(manifest_);
   const uint64_t page = PageBytes();
   const uint64_t words = FloorWords(ShardedAccess::kEntryHeader + max_degree_);
@@ -82,7 +78,7 @@ ShardStore::ShardStore(ShardManifest manifest, const Options& options)
 }
 
 const MappedShard& ShardStore::Recheck(uint32_t s) const {
-  CheckShardBytes(manifest_, s, shards_[s].file(), /*verify_checksum=*/false);
+  shards_[s].CheckUnchanged(manifest_);
   return shards_[s];
 }
 
@@ -90,19 +86,6 @@ const MappedShard* ShardStore::Acquire(uint32_t s) const {
   const MappedShard& shard = Recheck(s);
   counters_.faults.fetch_add(1, std::memory_order_relaxed);
   return &shard;
-}
-
-void ShardStore::Charge(uint64_t bytes) const {
-  const uint64_t now =
-      counters_.charged.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  uint64_t peak = counters_.peak.load(std::memory_order_relaxed);
-  while (peak < now && !counters_.peak.compare_exchange_weak(
-                           peak, now, std::memory_order_relaxed)) {
-  }
-}
-
-void ShardStore::Release(uint64_t bytes) const {
-  counters_.charged.fetch_sub(bytes, std::memory_order_relaxed);
 }
 
 void ShardStore::Publish(const ShardStats& delta) const {
@@ -116,8 +99,6 @@ ShardStats ShardStore::stats() const {
   s.faults = counters_.faults.load(std::memory_order_relaxed);
   s.hits = counters_.hits.load(std::memory_order_relaxed);
   s.evictions = counters_.evictions.load(std::memory_order_relaxed);
-  s.resident_bytes = counters_.charged.load(std::memory_order_relaxed);
-  s.peak_resident_bytes = counters_.peak.load(std::memory_order_relaxed);
   s.budget_bytes = options_.resident_budget_bytes;
   return s;
 }
@@ -126,16 +107,10 @@ ShardStats ShardStore::stats() const {
 
 ShardedAccess::ShardedAccess(const ShardStore& store) : store_(&store) {
   Cache& c = cache_;
-  store.Charge(store.ring_bytes_ + store.index_bytes_);
-  try {
-    c.arena = MapArray<uint32_t>(store.ring_bytes_);
-    c.index = MapArray<Slot>(store.index_bytes_);
-  } catch (...) {
-    store.Release(store.ring_bytes_ + store.index_bytes_);
-    throw;
-  }
   const uint64_t slots = store.index_bytes_ / sizeof(Slot);
   c.capacity = static_cast<uint32_t>(store.ring_bytes_ / sizeof(uint32_t));
+  c.arena = std::make_unique_for_overwrite<uint32_t[]>(c.capacity);
+  c.index = std::make_unique<Slot[]>(slots);  // every key 0: empty
   c.mask = static_cast<uint32_t>(slots - 1);
   c.shift = 32 - static_cast<uint32_t>(std::countr_zero(slots));
 }
@@ -150,13 +125,12 @@ ShardedAccess::ShardedAccess(ShardedAccess&& other) noexcept
 ShardedAccess::~ShardedAccess() {
   if (store_ == nullptr) return;  // moved from
   Publish();
-  store_->Release(cache_.bytes());
 }
 
 ShardStats ShardedAccess::stats() const {
   ShardStats s = own_;
   s.hits = reads_ - own_.faults;
-  s.peak_resident_bytes = cache_.bytes();
+  s.peak_resident_bytes = store_->ring_bytes_ + store_->index_bytes_;
   return s;
 }
 

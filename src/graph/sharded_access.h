@@ -3,31 +3,31 @@
 // (graph/access.h), for sharded graphs opened with a resident budget
 // (without one, GraphSource::Open copies them into a Graph).
 //
-//   ShardStore    — ONE per graph, thread-safe, lock-free. Maps, checks
-//                   and charges every shard once, at open, and keeps the
-//                   mappings and their descriptors, the budget and the
-//                   counters (ShardStats) for its lifetime.
+//   ShardStore    — ONE per graph, thread-safe, lock-free. Maps and checks
+//                   every shard once, at open, and keeps the mappings and
+//                   their descriptors, the cache size it computed, the
+//                   budget and the counters (ShardStats) for its lifetime.
 //   ShardedAccess — one per chain, NOT thread-safe. Mirrors the Graph
 //                   read API (NumNodes/Degree/Neighbors/Neighbor/HasEdge).
 //
 // A reader reads through a neighbor-list cache it owns. A miss reads the
 // row's offsets pair from the held mapping, then the list with one
-// pread(2) through the shard's descriptor into a FIFO ring of
-// page-mapped memory; no page of a neighbors slice is mapped in. Before
-// every miss the store re-runs CheckShardBytes on the shard (header
-// against the manifest, first and last offset), and the reader
-// bounds-checks the offsets pair and the ids it read: a shard damaged
-// after open fails with SnapshotCorruptError instead of reading out of
-// bounds. At open the store charges, for its lifetime, every shard's
-// header and offsets pages (ShardStore::open_bytes).
+// pread(2) through the shard's descriptor into a FIFO ring on the heap;
+// no page of a neighbors slice is mapped in. Before every miss the store
+// compares the shard's mapped header with the bytes it validated at open
+// and re-reads the first and last offset (MappedShard::CheckUnchanged),
+// and the reader bounds-checks the offsets pair and the ids it read: a
+// shard damaged after open fails with SnapshotCorruptError instead of
+// reading out of bounds.
 //
 // The budget's value changes nothing (0 is no ceiling): every reader's
 // cache has one fixed size, computed from the manifest when the store
 // opens. (The budget is only the ceiling that a store-wide list tier
-// will spend.) A cache's ring and index are page mappings, mapped and
-// charged to the store once, when the reader is made, and given back
-// when it is destroyed; the ring wraps inside its mapping, so a reader
-// never writes a page it has not charged. The ring holds kKeptLists + 2
+// will spend; such a tier must bring its own accounting.) A cache's ring
+// and index are arrays the reader allocates when it is made and frees
+// when it is destroyed. The store keeps no ledger of them: a run's
+// memory is its readers' cache bytes plus the store's open_bytes
+// (EngineResult::shards). The ring holds kKeptLists + 2
 // entries of the longest list the manifest allows, so making room — the
 // cache evicts its own oldest list while its index is half full or the
 // next list does not fit — never reaches the newest kKeptLists lists. A
@@ -49,8 +49,9 @@
 // inside its neighbors slice, a miss on a list past the cut throws
 // SnapshotCorruptError ("truncated after open"); cut into its header or
 // offsets region, a read of the mapping past the file's end faults
-// (SIGBUS) — the per-miss re-check reads that region through the mapping
-// already, so reading the offsets pair there adds no new way to fault.
+// (SIGBUS) — the per-miss re-check reads the header and the last offset
+// through the mapping already, so reading the offsets pair there adds no
+// new way to fault.
 // Each shard costs one mapping and one descriptor for the store's
 // lifetime, so vm.max_map_count (65530 by default) and the open-file
 // limit (ulimit -n) bound the shard count per store.
@@ -66,14 +67,13 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/mapped_file.h"
 #include "graph/sharding.h"
 #include "graphlet/catalog.h"
 
 namespace grw {
 
 /// Shard-store accounting. ShardStore::stats() reports the store's
-/// lifetime totals; an engine run reports its own readers' counters
+/// lifetime read counters; an engine run reports its own readers'
 /// (EngineResult::shards). A live reader adds its faults, hits and
 /// evictions to the store's totals every 64 faults and when it is
 /// destroyed, so the store's totals lag behind its live readers.
@@ -85,11 +85,8 @@ struct ShardStats {
   uint64_t hits = 0;
   /// Lists dropped from reader caches to make room.
   uint64_t evictions = 0;
-  /// Bytes charged to the store now: ShardStore::open_bytes, plus its
-  /// live readers' caches.
-  uint64_t resident_bytes = 0;
-  /// High-water mark of the charged bytes. For a run, its readers'
-  /// caches plus the store's open_bytes.
+  /// Per run and per reader only (0 in ShardStore::stats()): a reader's
+  /// cache bytes; a run's readers' caches plus ShardStore::open_bytes.
   uint64_t peak_resident_bytes = 0;
   /// The configured budget (0 = no ceiling), echoed for reporting.
   uint64_t budget_bytes = 0;
@@ -113,10 +110,10 @@ class ShardStore {
 
   /// Takes a validated manifest (LoadShardManifest). Eagerly maps and
   /// header-checks every shard once (catching missing/stale shards at
-  /// open, like the monolithic loader's eager header validation), charges
-  /// open_bytes(), and keeps the mappings and their descriptors for the
-  /// store's lifetime. Throws std::invalid_argument if a reader's ring
-  /// would not fit 32-bit offsets (a degree over ~2^27).
+  /// open, like the monolithic loader's eager header validation), and
+  /// keeps the mappings and their descriptors for the store's lifetime.
+  /// Throws std::invalid_argument if a reader's ring would not fit 32-bit
+  /// offsets (a degree over ~2^27).
   ShardStore(ShardManifest manifest, const Options& options);
 
   ShardStore(const ShardStore&) = delete;
@@ -136,18 +133,15 @@ class ShardStore {
 
   ShardStats stats() const;
   const Options& options() const { return options_; }
-  /// Charged at open for the store's lifetime: every shard's header and
-  /// offsets pages.
+  /// What every run reads through for the store's lifetime: every
+  /// shard's header and offsets pages, page-rounded.
   uint64_t open_bytes() const { return open_bytes_; }
 
  private:
   friend class ShardedAccess;
 
-  // Re-runs CheckShardBytes on shard s, then returns it.
+  // Checks shard s is unchanged since open, then returns it.
   const MappedShard& Recheck(uint32_t s) const;
-  // Adds `bytes` to the charge and raises the peak to match.
-  void Charge(uint64_t bytes) const;
-  void Release(uint64_t bytes) const;
   // Adds a reader's counters to the store's totals.
   void Publish(const ShardStats& delta) const;
 
@@ -163,11 +157,9 @@ class ShardStore {
   uint64_t ring_bytes_ = 0;
   uint64_t index_bytes_ = 0;
 
-  // Written by every reader's misses; on its own cache line so the
-  // read-only fields above never bounce.
+  // Written by readers' publishes and by Acquire; on its own cache line
+  // so the read-only fields above never bounce.
   struct alignas(64) Counters {
-    std::atomic<uint64_t> charged{0};
-    std::atomic<uint64_t> peak{0};
     std::atomic<uint64_t> faults{0};
     std::atomic<uint64_t> hits{0};
     std::atomic<uint64_t> evictions{0};
@@ -179,7 +171,7 @@ class ShardStore {
 /// read API so the templated estimation stack (walkers, sample window,
 /// CSS, estimator) accepts it via static dispatch. NOT thread-safe: one
 /// instance per chain, like CrawlAccess. Move-only: a reader owns its
-/// cache's pages and their charge until destroyed.
+/// cache until destroyed.
 class ShardedAccess {
  public:
   /// Reads a returned span survives.
@@ -193,13 +185,13 @@ class ShardedAccess {
   /// Words of a cache entry ahead of its list: vertex, degree, stamp.
   static constexpr uint32_t kEntryHeader = 3;
 
-  /// Maps the cache and charges it to the store.
+  /// Allocates the cache at the store's fixed size.
   explicit ShardedAccess(const ShardStore& store);
   ShardedAccess(ShardedAccess&& other) noexcept;
   ShardedAccess(const ShardedAccess&) = delete;
   ShardedAccess& operator=(const ShardedAccess&) = delete;
   ShardedAccess& operator=(ShardedAccess&&) = delete;
-  /// Gives the cache's pages and their charge back.
+  /// Adds its unpublished counters to the store's.
   ~ShardedAccess();
 
   VertexId NumNodes() const { return store_->NumNodes(); }
@@ -252,13 +244,12 @@ class ShardedAccess {
   static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
 
   // The cache: a FIFO ring of entries [vertex, degree, stamp,
-  // list...] in `arena`, found through a linear-probing `index`; both are
-  // page mappings charged in full to the store. Live entries sit in
-  // [tail, head), or [tail, wrap) then [0, head) once the ring has
-  // wrapped.
+  // list...] in `arena`, found through a linear-probing `index`. Live
+  // entries sit in [tail, head), or [tail, wrap) then [0, head) once the
+  // ring has wrapped.
   struct Cache {
-    std::unique_ptr<uint32_t[], PageUnmapper> arena;
-    std::unique_ptr<Slot[], PageUnmapper> index;
+    std::unique_ptr<uint32_t[]> arena;
+    std::unique_ptr<Slot[]> index;
     uint32_t capacity = 0;  // ring words
     uint32_t mask = 0;      // index slots - 1
     uint32_t shift = 0;     // 32 - log2(index slots)
@@ -267,10 +258,6 @@ class ShardedAccess {
     uint32_t wrap = kNoWrap;
     uint32_t entries = 0;  // in the ring, including unindexed copies
     uint32_t stamp = 0;    // insertions so far
-
-    uint64_t bytes() const {
-      return arena.get_deleter().bytes + index.get_deleter().bytes;
-    }
   };
   static uint32_t Home(const Cache& c, VertexId v) {
     return (v * 0x9E3779B1u) >> c.shift;

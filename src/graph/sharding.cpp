@@ -408,8 +408,24 @@ void MappedShard::ReadList(const ShardManifest& manifest, Row row,
   }
 }
 
-void CheckShardBytes(const ShardManifest& manifest, uint32_t index,
-                     const MappedFile& file, bool verify_checksum) {
+void MappedShard::CheckUnchanged(const ShardManifest& manifest) const {
+  if (std::memcmp(file_.data(), header_.data(), header_.size()) != 0) {
+    BadShard(manifest, index_,
+             "header changed since open (shard damaged in place)");
+  }
+  if (offsets_[0] != 0 || offsets_[num_rows_] != num_half_edges_) {
+    BadShard(manifest, index_,
+             "shard offsets inconsistent with header (shard damaged in "
+             "place since open)");
+  }
+}
+
+namespace {
+
+// MapShard's check of shard `index` as mapped in `file`; returns the
+// header it validated. O(1) without `verify_checksum`.
+GrwsShardHeader CheckShardBytes(const ShardManifest& manifest, uint32_t index,
+                                const MappedFile& file, bool verify_checksum) {
   GrwsShardHeader h;
   if (auto why = snapshot::ReadHeader(file, kGrwsMagic, kGrwsVersion,
                                       ".grws shard", h)) {
@@ -450,7 +466,10 @@ void CheckShardBytes(const ShardManifest& manifest, uint32_t index,
                                      "shard payload"})) {
     BadShard(manifest, index, *why);
   }
+  return h;
 }
+
+}  // namespace
 
 MappedShard MapShard(const ShardManifest& manifest, uint32_t index,
                      bool verify_checksum) {
@@ -462,11 +481,14 @@ MappedShard MapShard(const ShardManifest& manifest, uint32_t index,
                  std::to_string(manifest.NumShards()) + " shards)");
   }
   MappedFile file = MappedFile::Open(path, /*keep_descriptor=*/true);
-  CheckShardBytes(manifest, index, file, verify_checksum);
+  const GrwsShardHeader h =
+      CheckShardBytes(manifest, index, file, verify_checksum);
 
   // Every field below was just checked against the manifest entry.
   const ShardInfo& info = manifest.shards[index];
   MappedShard shard;
+  static_assert(sizeof h == sizeof shard.header_);
+  std::memcpy(shard.header_.data(), &h, sizeof h);
   shard.index_ = index;
   shard.first_node_ = info.first_node;
   shard.num_rows_ = info.num_rows;

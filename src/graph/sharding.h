@@ -157,15 +157,14 @@ uint64_t ShardContentChecksum(const ShardManifest& manifest);
 /// One mapped shard: validated header + CSR slices. Row r of the shard
 /// is global vertex first_node() + r; neighbors carry global ids.
 /// Produced by MapShard. The shard store (sharded_access.h) holds one
-/// per shard for its lifetime: a miss reads a row's offsets pair through
-/// the mapping (ReadRow) and its list through the kept descriptor
-/// (ReadList), so no page of the neighbors slice is mapped in.
+/// per shard for its lifetime: a miss re-checks it (CheckUnchanged),
+/// then reads a row's offsets pair through the mapping (ReadRow) and its
+/// list through the kept descriptor (ReadList), so no page of the
+/// neighbors slice is mapped in.
 class MappedShard {
  public:
   uint32_t index() const { return index_; }
   VertexId first_node() const { return static_cast<VertexId>(first_node_); }
-  /// The underlying mapping (CheckShardBytes re-validates it).
-  const MappedFile& file() const { return file_; }
 
   /// The mapped CSR slices: num_rows + 1 offsets rebased to start at 0,
   /// and the rows' (global) neighbor ids.
@@ -181,6 +180,13 @@ class MappedShard {
     uint64_t begin = 0;
     uint32_t degree = 0;
   };
+  /// Compares the mapped header with the 64 bytes MapShard validated, and
+  /// the first and last offset with 0 and the half-edge count: the only
+  /// facts of MapShard's check that can change while the mapping lives
+  /// (its size cannot). Throws SnapshotCorruptError naming the shard if
+  /// the shard was damaged in place since. O(1), makes no system call,
+  /// and builds no string unless it throws.
+  void CheckUnchanged(const ShardManifest& manifest) const;
   /// Reads v's offsets pair through the mapping and bounds-checks it:
   /// monotone, inside the neighbors slice, and no longer than
   /// `max_degree`. Throws SnapshotCorruptError naming the shard
@@ -198,6 +204,7 @@ class MappedShard {
                               bool verify_checksum);
 
   MappedFile file_;
+  std::array<unsigned char, snapshot::kHeaderBytes> header_{};  // validated
   uint32_t index_ = 0;
   uint64_t first_node_ = 0;
   uint64_t num_rows_ = 0;
@@ -206,18 +213,11 @@ class MappedShard {
   const VertexId* neighbors_ = nullptr;  // global ids
 };
 
-/// Validates the bytes of shard `index` of `manifest`, as mapped in
-/// `file`: its header against the manifest entry (a disagreement is the
-/// "stale manifest" corruption class), then snapshot::CheckCsr with the
-/// global node count as the id bound. O(1) without `verify_checksum`,
-/// and builds no string unless it throws SnapshotCorruptError naming the
-/// shard path. MapShard runs it at open, and the shard store re-runs it
-/// before every read that reaches a shard file.
-void CheckShardBytes(const ShardManifest& manifest, uint32_t index,
-                     const MappedFile& file, bool verify_checksum);
-
 /// Maps shard `index` of `manifest`, keeping its descriptor open for
-/// MappedShard::ReadList, and validates it (CheckShardBytes). Throws
+/// MappedShard::ReadList, and validates it: its header against the
+/// manifest entry (a disagreement is the "stale manifest" corruption
+/// class), then snapshot::CheckCsr with the global node count as the id
+/// bound (a full payload scan with `verify_checksum`). Throws
 /// SnapshotCorruptError naming the shard path, also when the shard file
 /// is missing.
 MappedShard MapShard(const ShardManifest& manifest, uint32_t index,

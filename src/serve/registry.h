@@ -12,9 +12,9 @@
 //
 //   * bindings are keyed by (path, content checksum, sharded budget):
 //     two ids registered over the same bytes share ONE GraphSource — one
-//     mapping, one copy or one ShardStore (one charge across every
-//     request's readers) — so multi-tenant aliases of a popular graph
-//     cost nothing extra;
+//     mapping, one copy or one ShardStore (one set of shard mappings
+//     under every request's readers) — so multi-tenant aliases of a
+//     popular graph cost nothing extra;
 //   * lookups return a GraphSource *copy* (shared backing): a request
 //     keeps its graph alive even if the id is replaced mid-run.
 //

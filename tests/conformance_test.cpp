@@ -70,9 +70,12 @@ const Fixture& TheFixture() {
 }
 
 // Estimation flags, as a user types them. One config per walk dimension
-// and weight path: CSS on and off, NB on, and the closed-form G(3) walk at
-// k = 4 and 5. Every run takes several 256-step rounds, the last one
-// longer by the remainder; the costlier d = 3 steps get fewer of them.
+// and weight path: CSS on and off, NB on, the closed-form G(3) walk at
+// k = 4 and 5, and a G(4) walk at k = 6, whose weight reads the middle
+// state's G(4) degree (its neighbor enumeration holds d - 1 = 3 lists at
+// once, the bounded reader's deepest span guarantee). Every run takes several 256-step
+// rounds, the last one longer by the remainder; the costlier d >= 3
+// steps get fewer of them.
 struct Config {
   const char* name;
   const char* flags;
@@ -85,6 +88,7 @@ const Config kConfigs[] = {
     {"PSRWNB_k4", "--k=4 --d=3 --nb=1 --steps=600"},
     {"SRW3_k5", "--k=5 --d=3 --steps=600"},
     {"SRW3CSS_k5", "--k=5 --d=3 --css=1 --steps=600"},
+    {"SRW4_k6", "--k=6 --d=4 --steps=600"},
 };
 
 // How the chains read the graph: a crawl cache (unbounded, or one list),

@@ -30,6 +30,10 @@ Checks (each is a function named check_*; `--list` prints them):
                     goes through grw::io (EINTR retry, partial-write
                     loops, timeouts, fault-injection sites) so no call
                     path silently skips the hardening.
+  raw-mmap          no ::mmap / ::munmap / ::madvise / ::mremap outside
+                    src/graph/mapped_file.cpp — file mappings go through
+                    MappedFile (its truncation check, its RAII unmap), and
+                    buffers are heap arrays, not anonymous mappings.
   adjacency-index-owner
                     no Graph::BuildAdjacencyIndex() call outside
                     src/graph/, the index's own test and its two micro
@@ -51,6 +55,7 @@ CODE_DIRS = ["src", "tests", "bench", "tools", "examples"]
 CODE_EXTENSIONS = {".h", ".cpp"}
 SYNC_HEADER = os.path.join("src", "util", "sync.h")
 POSIX_IO_IMPL = os.path.join("src", "util", "posix_io.cpp")
+MAPPED_FILE_IMPL = os.path.join("src", "graph", "mapped_file.cpp")
 
 RAW_SYNC_RE = re.compile(
     r"std::(?:mutex|condition_variable(?:_any)?|recursive_mutex|"
@@ -63,6 +68,7 @@ TEST_MACRO_RE = re.compile(r"\b(?:TEST|TEST_F|TEST_P|TYPED_TEST)\s*\(")
 GBENCH_INCLUDE_RE = re.compile(r'#include\s+[<"]benchmark/benchmark\.h[>"]')
 DOC_REF_RE = re.compile(r"`((?:src|tests|bench|tools|docs|examples)/[^`]+)`")
 RAW_POSIX_IO_RE = re.compile(r"::(?:p?read|write|send|recv|connect)\s*\(")
+RAW_MMAP_RE = re.compile(r"::(?:mmap|munmap|madvise|mremap)\s*\(")
 BUILD_INDEX_RE = re.compile(r"\bBuildAdjacencyIndex\s*\(")
 INDEX_OWNER_DIR = os.path.join("src", "graph") + os.sep
 INDEX_OWNERS = (
@@ -238,6 +244,14 @@ def check_raw_posix_io(root):
         exclude=(POSIX_IO_IMPL,))
 
 
+def check_raw_mmap(root):
+    return grep_rule(
+        root, RAW_MMAP_RE,
+        "raw ::mmap/::munmap/::madvise/::mremap — map files through "
+        "MappedFile (graph/mapped_file.h); allocate buffers on the heap",
+        exclude=(MAPPED_FILE_IMPL,))
+
+
 def check_adjacency_index_owner(root):
     exclude = tuple(rel for rel in iter_source_files(root)
                     if rel.startswith(INDEX_OWNER_DIR)) + INDEX_OWNERS
@@ -257,6 +271,7 @@ ALL_CHECKS = [
     ("bench-json", check_bench_json),
     ("doc-refs", check_doc_refs),
     ("raw-posix-io", check_raw_posix_io),
+    ("raw-mmap", check_raw_mmap),
     ("adjacency-index-owner", check_adjacency_index_owner),
 ]
 
@@ -283,6 +298,9 @@ def _make_clean_tree(root):
     _write(root, POSIX_IO_IMPL,
            "// the one legitimate home for raw syscalls\n"
            "ssize_t n = ::read(fd, buf, cap);\n")
+    _write(root, MAPPED_FILE_IMPL,
+           "// the one legitimate home for mappings\n"
+           "void* p = ::mmap(nullptr, n, PROT_READ, MAP_PRIVATE, fd, 0);\n")
     _write(root, "src/a.cpp",
            "// comment mentioning std::mutex and static_cast<int>(f.GetInt(\n"
            "int x = f.GetInt32(\"n\", 1);\n")
@@ -327,6 +345,9 @@ def self_test():
              "- see `src/ghost_file.cpp` for details\n"),
             ("raw-posix-io", "src/bad_io.cpp",
              "ssize_t n = ::write(fd, data, len);\n"),
+            ("raw-mmap", "src/graph/bad_cache.cpp",
+             "void* p = ::mmap(nullptr, n, PROT_READ | PROT_WRITE, "
+             "MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);\n"),
             ("adjacency-index-owner", "tools/bad_index.cpp",
              "g.BuildAdjacencyIndex();\n"),
             ("adjacency-index-owner", "src/exact/esu.cpp",
