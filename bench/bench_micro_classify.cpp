@@ -1,7 +1,7 @@
 // Micro benchmarks: graphlet-type identification — the incremental
 // window maintenance of paper Section 5 (at most k-1 edge probes per
 // step, fewer where the walk's move already revealed the adjacency) vs
-// naive C(k,2) recomputation, plus raw classifier lookup cost.
+// naive C(k,2) recomputation, plus raw classifier lookup and build cost.
 
 #include <benchmark/benchmark.h>
 
@@ -88,6 +88,18 @@ void BM_ClassifierLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClassifierLookup)->Arg(3)->Arg(4)->Arg(5);
+
+void BM_ClassifierBuild(benchmark::State& state) {
+  // One-time set-up of the per-mask table (2^C(k,2) masks), with the
+  // catalog already cached.
+  const int k = static_cast<int>(state.range(0));
+  grw::GraphletCatalog::ForSize(k);
+  for (auto _ : state) {
+    grw::GraphletClassifier classifier(k);
+    benchmark::DoNotOptimize(classifier.Type(0));
+  }
+}
+BENCHMARK(BM_ClassifierBuild)->Arg(5)->Arg(6)->Unit(benchmark::kMillisecond);
 
 void BM_CanonicalizationFromScratch(benchmark::State& state) {
   // What classification would cost without the precomputed table:

@@ -3,6 +3,8 @@
 #include <bit>
 #include <cassert>
 
+#include "core/css.h"
+
 namespace grw {
 
 namespace {
@@ -88,12 +90,7 @@ int64_t Alpha(const Graphlet& g, int d) {
 }
 
 std::vector<int64_t> AlphaTable(int k, int d) {
-  const GraphletCatalog& catalog = GraphletCatalog::ForSize(k);
-  std::vector<int64_t> table(catalog.NumTypes());
-  for (int id = 0; id < catalog.NumTypes(); ++id) {
-    table[id] = Alpha(catalog.Get(id), d);
-  }
-  return table;
+  return CssTable::For(k, d).alpha();
 }
 
 }  // namespace grw

@@ -13,7 +13,7 @@
 //
 // The same enumeration drives the CSS sampling probability (core/css.h):
 // CSS groups the sequences by their interior states instead of merely
-// counting them.
+// counting them; its table records alpha, which AlphaTable reads.
 
 #pragma once
 
@@ -37,7 +37,8 @@ std::vector<StateSequence> CorrespondingSequences(const Graphlet& g, int d);
 /// SRW1, Table 2).
 int64_t Alpha(const Graphlet& g, int d);
 
-/// Alpha for every graphlet of size k, indexed by catalog id.
+/// Alpha for every graphlet of size k, indexed by catalog id: a copy of
+/// CssTable::For(k, d).alpha() (3 <= k).
 std::vector<int64_t> AlphaTable(int k, int d);
 
 }  // namespace grw

@@ -76,8 +76,10 @@ CssTable::CssTable(int k, int d) : k_(k), d_(d) {
   const GraphletCatalog& catalog = GraphletCatalog::ForSize(k);
   const int l = k - d + 1;
   entries_.resize(catalog.NumTypes());
+  alpha_.resize(catalog.NumTypes());
   for (int id = 0; id < catalog.NumTypes(); ++id) {
     const auto sequences = CorrespondingSequences(catalog.Get(id), d);
+    alpha_[id] = static_cast<int64_t>(sequences.size());
     // Group sequences by sorted interior-state tuple; the expanded-chain
     // weight is a product, so order within the interior is irrelevant.
     std::map<std::array<uint16_t, 4>, uint32_t> groups;

@@ -20,6 +20,9 @@
 // paper Table 4; for SRW2/k=5 it is a <=100-term sum — a handful of
 // multiply-adds per step instead of a path enumeration.
 //
+// The table also records each type's alpha^k_i (core/alpha.h): it is the
+// one enumeration of the sequences per (k, d) per process.
+//
 // The table exists for every d < k. At d <= 2 an interior state's degree
 // is a closed form over vertex degrees; at d >= 3 it is counted by
 // SubgraphStateDegree (the "SRW3CSS" the paper deems too expensive to
@@ -62,6 +65,9 @@ class CssTable {
     return entries_[type];
   }
 
+  /// alpha^k_i per catalog id: each type's entry counts summed.
+  const std::vector<int64_t>& alpha() const { return alpha_; }
+
   /// Evaluates 2|R(d)| * p(X) for a sample with classification `info`
   /// (from GraphletClassifier) whose window vertices are `nodes` (the
   /// order the mask was built in). `nb` applies the non-backtracking
@@ -80,6 +86,7 @@ class CssTable {
   int k_;
   int d_;
   std::vector<std::vector<CssEntry>> entries_;  // per catalog id
+  std::vector<int64_t> alpha_;                  // per catalog id
 };
 
 }  // namespace grw

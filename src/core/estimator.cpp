@@ -5,7 +5,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "core/alpha.h"
 #include "graph/access.h"
 #include "walk/edge_walk.h"
 #include "walk/node_walk.h"
@@ -85,12 +84,9 @@ GraphletEstimatorT<G>::GraphletEstimatorT(const G& g,
       l_(config.k - config.d + 1),
       num_types_(GraphletCatalog::ForSize(config.k).NumTypes()),
       classifier_(&GraphletClassifier::ForSize(config.k)),
-      alpha_(AlphaTable(config.k, config.d)),
+      table_(&CssTable::For(config.k, config.d)),
       walker_(MakeWalker(g, config.d, config.nb)),
       window_(g, config.k, l_) {
-  weights_.assign(num_types_, 0.0);
-  samples_.assign(num_types_, 0);
-  if (config.css) css_table_ = &CssTable::For(config.k, config.d);
   // Only the base weight reads window degrees, and only of interior
   // states, which a window of l = 2 states does not have.
   window_degrees_ = !config.css && l_ >= 3;
@@ -99,8 +95,8 @@ GraphletEstimatorT<G>::GraphletEstimatorT(const G& g,
 template <class G>
 void GraphletEstimatorT<G>::Reset(uint64_t seed) {
   rng_.Seed(seed);
-  std::fill(weights_.begin(), weights_.end(), 0.0);
-  std::fill(samples_.begin(), samples_.end(), 0);
+  weights_.fill(0.0);
+  samples_.fill(0);
   steps_ = 0;
   valid_samples_ = 0;
 
@@ -219,15 +215,15 @@ void GraphletEstimatorT<G>::Accumulate() {
 
 template <class G>
 double GraphletEstimatorT<G>::SampleWeight(const MaskInfo& info) const {
-  return WindowSampleWeight(*g_, config_, l_, css_table_, alpha_, window_,
-                            info, gd_scratch_);
+  return WindowSampleWeight(*g_, config_, l_, table_, table_->alpha(),
+                            window_, info, gd_scratch_);
 }
 
 template <class G>
 EstimateResult GraphletEstimatorT<G>::Result() const {
   EstimateResult result;
-  result.weights = weights_;
-  result.samples = samples_;
+  result.weights.assign(weights_.begin(), weights_.begin() + num_types_);
+  result.samples.assign(samples_.begin(), samples_.begin() + num_types_);
   result.steps = steps_;
   result.valid_samples = valid_samples_;
   FinalizeConcentrations(result);

@@ -29,6 +29,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -162,8 +163,8 @@ class GraphletEstimatorT {
   EstimateResult Result() const;
 
   const EstimatorConfig& config() const { return config_; }
-  /// AlphaTable(k, d): alpha^k_i per catalog id.
-  const std::vector<int64_t>& alpha() const { return alpha_; }
+  /// CssTable::For(k, d).alpha(): alpha^k_i per catalog id, one object.
+  const std::vector<int64_t>& alpha() const { return table_->alpha(); }
   int NumTypes() const { return num_types_; }
   uint64_t Steps() const { return steps_; }
 
@@ -190,8 +191,8 @@ class GraphletEstimatorT {
   int l_;
   int num_types_;
   const GraphletClassifier* classifier_;
-  std::vector<int64_t> alpha_;
-  const CssTable* css_table_ = nullptr;  // only when css
+  // CssTable::For(k, d): the CSS weight's entries when css, and alpha.
+  const CssTable* table_;
   // Whether the weight reads window degrees (base weight, l >= 3): only
   // then does the chain ask its walk for each state's degree.
   bool window_degrees_ = false;
@@ -202,8 +203,10 @@ class GraphletEstimatorT {
   // const, but the scratch holds no observable state).
   mutable GdScratch gd_scratch_;
 
-  std::vector<double> weights_;
-  std::vector<uint64_t> samples_;
+  // Inline, like the window's states: a chain's per-step writes stay in
+  // its own cache-line-aligned unit (engine.cpp's ChainUnit) and walker.
+  std::array<double, kMaxGraphletTypes> weights_ = {};
+  std::array<uint64_t, kMaxGraphletTypes> samples_ = {};
   uint64_t steps_ = 0;
   uint64_t valid_samples_ = 0;
 };

@@ -64,15 +64,16 @@ std::vector<int> BuildPaperOrder(int k) {
       throw std::logic_error("paper Table 3 columns not distinguishable");
     }
   }
+  const std::vector<int64_t> alpha1 = AlphaTable(5, 1);
+  const std::vector<int64_t> alpha2 = AlphaTable(5, 2);
   std::vector<int> order(21, -1);
   for (int id = 0; id < catalog.NumTypes(); ++id) {
-    const Graphlet& g = catalog.Get(id);
-    const auto key = std::make_pair(Alpha(g, 1) / 2, Alpha(g, 2) / 2);
+    const auto key = std::make_pair(alpha1[id] / 2, alpha2[id] / 2);
     const auto it = column_of.find(key);
     if (it == column_of.end()) {
       throw std::logic_error(
           "computed alpha pair for a 5-node graphlet matches no paper "
-          "column: " + g.name);
+          "column: " + catalog.Get(id).name);
     }
     if (order[it->second] != -1) {
       throw std::logic_error("two graphlets matched paper column " +

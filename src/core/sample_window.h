@@ -27,7 +27,6 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "graph/access.h"
 #include "graph/graph.h"
@@ -56,7 +55,6 @@ class SampleWindowT {
   SampleWindowT(const G& g, int k, int l)
       : g_(&g), k_(k), l_(l) {
     assert(l >= 2 && k >= 3 && k <= kMaxGraphletSize);
-    states_.resize(l);
   }
 
   /// Clears the window (new chain).
@@ -116,7 +114,7 @@ class SampleWindowT {
   const G* g_;
   int k_;
   int l_;
-  std::vector<WindowState> states_;
+  std::array<WindowState, kMaxGraphletSize> states_ = {};  // l <= k
   int size_ = 0;
   int head_ = 0;
 

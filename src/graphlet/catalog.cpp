@@ -1,12 +1,13 @@
 #include "graphlet/catalog.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <bit>
 #include <cassert>
+#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 
 namespace grw {
 
@@ -70,25 +71,19 @@ uint32_t CanonicalMask(uint32_t mask, int k, int* canon_perm) {
 namespace {
 
 // Standard names for the small graphlets, in paper Figure 2 terminology.
-std::string GraphletName(int k, uint32_t canonical_mask, int num_edges,
-                         int index_within_size) {
-  if (k == 3) return num_edges == 2 ? "wedge" : "triangle";
-  if (k == 4) {
+std::string GraphletName(const Graphlet& g, int index_within_size) {
+  if (g.k == 3) return g.num_edges == 2 ? "wedge" : "triangle";
+  if (g.k == 4) {
     // Distinguish by degree multiset.
-    int deg[4] = {0, 0, 0, 0};
-    for (int i = 0; i < 4; ++i) {
-      for (int j = 0; j < 4; ++j) {
-        if (i != j && MaskHasEdge(canonical_mask, 4, i, j)) deg[i]++;
-      }
-    }
-    std::sort(deg, deg + 4);
-    if (num_edges == 3) return deg[3] == 3 ? "3-star" : "4-path";
-    if (num_edges == 4) return deg[0] == 2 ? "4-cycle" : "tailed-triangle";
-    if (num_edges == 5) return "chordal-cycle";
+    const auto [min_deg, max_deg] =
+        std::minmax_element(g.degree.begin(), g.degree.begin() + 4);
+    if (g.num_edges == 3) return *max_deg == 3 ? "3-star" : "4-path";
+    if (g.num_edges == 4) return *min_deg == 2 ? "4-cycle" : "tailed-triangle";
+    if (g.num_edges == 5) return "chordal-cycle";
     return "4-clique";
   }
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "k%d-e%d-%d", k, num_edges,
+  std::snprintf(buf, sizeof(buf), "k%d-e%d-%d", g.k, g.num_edges,
                 index_within_size);
   return buf;
 }
@@ -99,27 +94,27 @@ GraphletCatalog::GraphletCatalog(int k) : k_(k) {
   if (k < 2 || k > kMaxGraphletSize) {
     throw std::invalid_argument("GraphletCatalog: k out of range");
   }
-  const int bits = NumPairBits(k);
-  const uint32_t num_masks = 1u << bits;
-  canonical_to_id_.assign(num_masks, -1);
+  const uint32_t num_masks = 1u << NumPairBits(k);
 
-  // Enumerate all masks; record each connected canonical form once.
+  // Masks are scanned in ascending order, so the first mask reached of
+  // each relabeling orbit is its minimum: the canonical form. Marking the
+  // whole orbit seen skips its other members.
   std::vector<uint32_t> canon_masks;
   std::vector<char> seen(num_masks, 0);
+  int perm[kMaxGraphletSize];
   for (uint32_t mask = 0; mask < num_masks; ++mask) {
-    if (!MaskIsConnected(mask, k)) continue;
-    const uint32_t canon = CanonicalMask(mask, k);
-    if (!seen[canon]) {
-      seen[canon] = 1;
-      canon_masks.push_back(canon);
-    }
+    if (seen[mask]) continue;
+    std::iota(perm, perm + k, 0);
+    do {
+      seen[ApplyPermutation(mask, k, perm)] = 1;
+    } while (std::next_permutation(perm, perm + k));
+    if (MaskIsConnected(mask, k)) canon_masks.push_back(mask);
   }
-  std::sort(canon_masks.begin(), canon_masks.end(),
-            [](uint32_t a, uint32_t b) {
-              const int ea = std::popcount(a);
-              const int eb = std::popcount(b);
-              return ea != eb ? ea < eb : a < b;
-            });
+  // Ids order by (edge count, canonical mask); the masks are ascending.
+  std::stable_sort(canon_masks.begin(), canon_masks.end(),
+                   [](uint32_t a, uint32_t b) {
+                     return std::popcount(a) < std::popcount(b);
+                   });
 
   int index_within_edge_count = 0;
   int prev_edges = -1;
@@ -140,15 +135,9 @@ GraphletCatalog::GraphletCatalog(int k) : k_(k) {
     index_within_edge_count =
         g.num_edges == prev_edges ? index_within_edge_count + 1 : 0;
     prev_edges = g.num_edges;
-    g.name = GraphletName(k, canon, g.num_edges, index_within_edge_count);
-    canonical_to_id_[canon] = static_cast<int16_t>(graphlets_.size());
+    g.name = GraphletName(g, index_within_edge_count);
     graphlets_.push_back(std::move(g));
   }
-}
-
-int GraphletCatalog::IdForCanonicalMask(uint32_t canonical_mask) const {
-  if (canonical_mask >= canonical_to_id_.size()) return -1;
-  return canonical_to_id_[canonical_mask];
 }
 
 int GraphletCatalog::IdByName(const std::string& name) const {
@@ -156,10 +145,6 @@ int GraphletCatalog::IdByName(const std::string& name) const {
     if (graphlets_[id].name == name) return static_cast<int>(id);
   }
   return -1;
-}
-
-int GraphletCatalog::Classify(uint32_t mask) const {
-  return IdForCanonicalMask(CanonicalMask(mask, k_));
 }
 
 const GraphletCatalog& GraphletCatalog::ForSize(int k) {

@@ -3,9 +3,10 @@
 //
 // A k-node graph is represented as an adjacency bitmask over the C(k,2)
 // unordered vertex pairs; the canonical form of a graph is the minimum mask
-// over all k! vertex relabelings. The catalog enumerates every connected
-// canonical mask once: 2 graphlets for k=3, 6 for k=4, 21 for k=5 and 112
-// for k=6, matching the counts quoted in the paper (Section 2.1).
+// of its orbit (its k! vertex relabelings). Scanning masks in ascending
+// order, the catalog records each connected mask of an orbit not yet seen:
+// 2 graphlets for k=3, 6 for k=4, 21 for k=5 and 112 for k=6, matching the
+// counts quoted in the paper (Section 2.1).
 //
 // Catalog ids are ordered by (edge count, canonical mask) — deterministic
 // but not the paper's pictorial order; core/paper_ids.h recovers the
@@ -24,6 +25,8 @@ namespace grw {
 /// Maximum graphlet size supported by the catalog (k! canonicalization and
 /// 2^C(k,2) enumeration stay trivial through k = 6).
 inline constexpr int kMaxGraphletSize = 6;
+/// Number of graphlets of size kMaxGraphletSize, the largest catalog.
+inline constexpr int kMaxGraphletTypes = 112;
 
 /// Index of unordered pair (i, j), i < j < k, in the packed upper-triangle
 /// bit layout. Pairs are ordered (0,1),(0,2),...,(0,k-1),(1,2),...
@@ -65,8 +68,9 @@ bool MaskIsConnected(uint32_t mask, int k);
 uint32_t ApplyPermutation(uint32_t mask, int k, const int* perm);
 
 /// Canonical (minimum) mask over all relabelings, and optionally the
-/// permutation achieving it (vertex i of the input gets canonical label
-/// canon_perm[i]).
+/// first permutation in next_permutation order achieving it (vertex i of
+/// the input gets canonical label canon_perm[i]). Brute force over k!
+/// relabelings: the reference the tests check GraphletClassifier against.
 uint32_t CanonicalMask(uint32_t mask, int k, int* canon_perm = nullptr);
 
 /// One connected non-isomorphic pattern.
@@ -96,25 +100,16 @@ class GraphletCatalog {
   int k() const { return k_; }
   int NumTypes() const { return static_cast<int>(graphlets_.size()); }
   const Graphlet& Get(int id) const { return graphlets_[id]; }
-  const std::vector<Graphlet>& All() const { return graphlets_; }
-
-  /// Catalog id for a canonical mask; -1 if not a connected pattern.
-  int IdForCanonicalMask(uint32_t canonical_mask) const;
 
   /// Catalog id by graphlet name (e.g. "triangle", "4-path"); -1 if no
   /// such name.
   int IdByName(const std::string& name) const;
-
-  /// Catalog id for an arbitrary mask (canonicalizes first); -1 if
-  /// disconnected.
-  int Classify(uint32_t mask) const;
 
  private:
   explicit GraphletCatalog(int k);
 
   int k_;
   std::vector<Graphlet> graphlets_;
-  std::vector<int16_t> canonical_to_id_;  // indexed by canonical mask
 };
 
 }  // namespace grw

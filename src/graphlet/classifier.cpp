@@ -1,9 +1,10 @@
 #include "graphlet/classifier.h"
 
-#include <cassert>
-#include <stdexcept>
+#include <algorithm>
 #include <memory>
 #include <mutex>
+#include <numeric>
+#include <stdexcept>
 
 namespace grw {
 
@@ -12,18 +13,22 @@ GraphletClassifier::GraphletClassifier(int k) : k_(k) {
     throw std::invalid_argument("GraphletClassifier: k out of range");
   }
   const GraphletCatalog& catalog = GraphletCatalog::ForSize(k);
-  const uint32_t num_masks = 1u << NumPairBits(k);
-  table_.resize(num_masks);
-  for (uint32_t mask = 0; mask < num_masks; ++mask) {
-    MaskInfo& info = table_[mask];
-    if (!MaskIsConnected(mask, k)) continue;
-    int perm[kMaxGraphletSize];
-    const uint32_t canon = CanonicalMask(mask, k, perm);
-    info.type = static_cast<int16_t>(catalog.IdForCanonicalMask(canon));
-    assert(info.type >= 0);
-    for (int i = 0; i < k; ++i) {
-      info.position_of[perm[i]] = static_cast<uint8_t>(i);
-    }
+  table_.resize(1u << NumPairBits(k));
+  // Mask p^-1(canonical) is filled by the first permutation p, in
+  // next_permutation order, that carries it to canonical form: the one
+  // CanonicalMask picks.
+  int perm[kMaxGraphletSize];
+  int inverse[kMaxGraphletSize];
+  for (int id = 0; id < catalog.NumTypes(); ++id) {
+    const uint32_t canonical = catalog.Get(id).canonical_mask;
+    std::iota(perm, perm + k, 0);
+    do {
+      for (int i = 0; i < k; ++i) inverse[perm[i]] = i;
+      MaskInfo& info = table_[ApplyPermutation(canonical, k, inverse)];
+      if (info.type >= 0) continue;
+      info.type = static_cast<int16_t>(id);
+      std::copy(inverse, inverse + k, info.position_of.begin());
+    } while (std::next_permutation(perm, perm + k));
   }
 }
 

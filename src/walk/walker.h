@@ -49,8 +49,9 @@ struct KnownAdjacency {
   }
 };
 
-/// Abstract random walk over G(d).
-class StateWalker {
+/// Abstract random walk over G(d). Cache-line aligned: a walk writes its
+/// state every step, and must share no line with another thread's data.
+class alignas(64) StateWalker {
  public:
   virtual ~StateWalker() = default;
 

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/estimator.h"
 #include "core/paper_ids.h"
+#include "graph/generators.h"
 #include "graphlet/catalog.h"
 
 namespace grw {
@@ -117,7 +119,7 @@ TEST(AlphaTest, PaperTable3Srw4ErrataDocumented) {
 }
 
 TEST(AlphaTest, AlphaTableMatchesPerGraphletCalls) {
-  for (int k = 3; k <= 5; ++k) {
+  for (int k = 3; k <= kMaxGraphletSize; ++k) {
     for (int d = 1; d < k; ++d) {
       const auto table = AlphaTable(k, d);
       const GraphletCatalog& catalog = GraphletCatalog::ForSize(k);
@@ -125,6 +127,21 @@ TEST(AlphaTest, AlphaTableMatchesPerGraphletCalls) {
       for (int id = 0; id < catalog.NumTypes(); ++id) {
         EXPECT_EQ(table[id], Alpha(catalog.Get(id), d));
       }
+    }
+  }
+}
+
+TEST(AlphaTest, EstimatorsOfOneWalkShareOneAlphaTable) {
+  // alpha is read from the shared per-(k, d) table, not enumerated per
+  // estimator: every chain of a (k, d), with or without CSS, holds the
+  // same object.
+  const Graph g = Complete(8);
+  for (int k = 3; k <= kMaxGraphletSize; ++k) {
+    for (int d = 1; d < k; ++d) {
+      const GraphletEstimator plain(g, EstimatorConfig{k, d, false, false});
+      const GraphletEstimator css(g, EstimatorConfig{k, d, true, false});
+      EXPECT_EQ(&plain.alpha(), &css.alpha()) << "k=" << k << " d=" << d;
+      EXPECT_EQ(plain.alpha(), AlphaTable(k, d)) << "k=" << k << " d=" << d;
     }
   }
 }

@@ -9,6 +9,8 @@
 #include <numeric>
 #include <set>
 
+#include "graphlet/classifier.h"
+
 namespace grw {
 namespace {
 
@@ -100,11 +102,11 @@ TEST(CatalogTest, EdgeCountsAreOrderedAndStructuresConsistent) {
 
 TEST(CatalogTest, ClassifyAgreesWithCanonicalLookup) {
   const GraphletCatalog& catalog = GraphletCatalog::ForSize(4);
+  const GraphletClassifier& classifier = GraphletClassifier::ForSize(4);
   const uint32_t cycle_relabelled =
       MaskFromEdges(4, {{0, 2}, {2, 1}, {1, 3}, {3, 0}});
-  EXPECT_EQ(catalog.Classify(cycle_relabelled),
-            catalog.IdByName("4-cycle"));
-  EXPECT_EQ(catalog.Classify(MaskFromEdges(4, {{0, 1}})), -1);
+  EXPECT_EQ(classifier.Type(cycle_relabelled), catalog.IdByName("4-cycle"));
+  EXPECT_EQ(classifier.Type(MaskFromEdges(4, {{0, 1}})), -1);
 }
 
 }  // namespace

@@ -15,14 +15,30 @@ namespace grw {
 namespace {
 
 TEST(ClassifierTest, EveryConnectedMaskGetsItsCatalogId) {
-  for (int k = 3; k <= 5; ++k) {
+  // The whole table against brute force: CanonicalMask's permutation, and
+  // the catalog id of the canonical mask it reaches.
+  for (int k = 3; k <= kMaxGraphletSize; ++k) {
     const GraphletClassifier& classifier = GraphletClassifier::ForSize(k);
     const GraphletCatalog& catalog = GraphletCatalog::ForSize(k);
+    std::map<uint32_t, int> id_of;
+    for (int id = 0; id < catalog.NumTypes(); ++id) {
+      id_of[catalog.Get(id).canonical_mask] = id;
+    }
     const uint32_t num_masks = 1u << NumPairBits(k);
     for (uint32_t mask = 0; mask < num_masks; ++mask) {
-      const int expected =
-          MaskIsConnected(mask, k) ? catalog.Classify(mask) : -1;
-      EXPECT_EQ(classifier.Type(mask), expected) << "k=" << k;
+      const MaskInfo& info = classifier.Info(mask);
+      if (!MaskIsConnected(mask, k)) {
+        ASSERT_EQ(info.type, -1) << "k=" << k << " mask=" << mask;
+        continue;
+      }
+      int perm[kMaxGraphletSize];
+      const uint32_t canonical = CanonicalMask(mask, k, perm);
+      ASSERT_EQ(id_of.count(canonical), 1u) << "k=" << k;
+      ASSERT_EQ(info.type, id_of[canonical]) << "k=" << k << " mask=" << mask;
+      for (int i = 0; i < k; ++i) {
+        ASSERT_EQ(info.position_of[perm[i]], i)
+            << "k=" << k << " mask=" << mask << " vertex=" << i;
+      }
     }
   }
 }

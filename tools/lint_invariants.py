@@ -38,6 +38,13 @@ Checks (each is a function named check_*; `--list` prints them):
                     no Graph::BuildAdjacencyIndex() call outside
                     src/graph/, the index's own test and its two micro
                     benches: every product path reads by binary search.
+  canonical-mask-reference
+                    no CanonicalMask() call under src/ or tools/ (its
+                    declaration and its definition in
+                    src/graphlet/catalog.cpp are not calls): the brute-force
+                    k! canonicalization is the reference tests/ and bench/
+                    check GraphletClassifier against; product code reads
+                    the classifier's table.
 
 Usage:
   tools/lint_invariants.py [--root DIR]   lint the tree (exit 1 on findings)
@@ -70,6 +77,10 @@ DOC_REF_RE = re.compile(r"`((?:src|tests|bench|tools|docs|examples)/[^`]+)`")
 RAW_POSIX_IO_RE = re.compile(r"::(?:p?read|write|send|recv|connect)\s*\(")
 RAW_MMAP_RE = re.compile(r"::(?:mmap|munmap|madvise|mremap)\s*\(")
 BUILD_INDEX_RE = re.compile(r"\bBuildAdjacencyIndex\s*\(")
+CANONICAL_MASK_RE = re.compile(r"\bCanonicalMask\s*\(")
+# `uint32_t CanonicalMask(` declares or defines it; every other use calls it.
+CANONICAL_MASK_DECL_RE = re.compile(r"\buint32_t\s+CanonicalMask\s*\(")
+CANONICAL_MASK_DIRS = ("src", "tools")
 INDEX_OWNER_DIR = os.path.join("src", "graph") + os.sep
 INDEX_OWNERS = (
     os.path.join("tests", "adjacency_test.cpp"),
@@ -262,6 +273,21 @@ def check_adjacency_index_owner(root):
         exclude=exclude)
 
 
+def check_canonical_mask_reference(root):
+    findings = []
+    for rel in iter_source_files(root):
+        if rel.split(os.sep)[0] not in CANONICAL_MASK_DIRS:
+            continue
+        for lineno, line in enumerate(read_code_lines(root, rel), start=1):
+            if (CANONICAL_MASK_RE.search(line) and
+                    not CANONICAL_MASK_DECL_RE.search(line)):
+                findings.append(
+                    (rel, lineno,
+                     "CanonicalMask call outside tests/ and bench/ — "
+                     "classify through GraphletClassifier's table"))
+    return findings
+
+
 ALL_CHECKS = [
     ("raw-sync", check_raw_sync),
     ("detach", check_detach),
@@ -273,6 +299,7 @@ ALL_CHECKS = [
     ("raw-posix-io", check_raw_posix_io),
     ("raw-mmap", check_raw_mmap),
     ("adjacency-index-owner", check_adjacency_index_owner),
+    ("canonical-mask-reference", check_canonical_mask_reference),
 ]
 
 
@@ -317,6 +344,15 @@ def _make_clean_tree(root):
     _write(root, "src/x.cpp", "\n")
     _write(root, "ROADMAP.md", "see `tests/a_test.cpp`\n")
     _write(root, "src/graph/source.cpp", "g.BuildAdjacencyIndex();\n")
+    _write(root, "src/graphlet/catalog.h",
+           "uint32_t CanonicalMask(uint32_t mask, int k, int* p = nullptr);\n")
+    _write(root, "src/graphlet/catalog.cpp",
+           "uint32_t CanonicalMask(uint32_t mask, int k, int* p) {}\n")
+    _write(root, "tests/catalog_test.cpp",
+           "TEST(C, M) { EXPECT_EQ(CanonicalMask(m, 4), c); }\n")
+    _write(root, "bench/bench_micro_c.cpp",
+           "#include <benchmark/benchmark.h>\n"
+           "void B() { grw::CanonicalMask(m, k); }\n")
 
 
 def self_test():
@@ -352,6 +388,8 @@ def self_test():
              "g.BuildAdjacencyIndex();\n"),
             ("adjacency-index-owner", "src/exact/esu.cpp",
              "g.BuildAdjacencyIndex();\n"),
+            ("canonical-mask-reference", "src/graphlet/bad_classify.cpp",
+             "const uint32_t canon = CanonicalMask(mask, k, perm);\n"),
         ]
         for rule, rel, content in seeds:
             with tempfile.TemporaryDirectory() as seeded:
