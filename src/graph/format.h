@@ -108,9 +108,31 @@ inline constexpr uint64_t kHeaderBytes = 64;
 inline constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
 inline constexpr uint64_t kFnvPrime = 0x100000001b3ull;
 
-/// FNV-1a over `bytes` bytes, continuing from `seed`.
+/// Inputs at least this long run the bit-sliced kernel, when active.
+inline constexpr size_t kFnv1aKernelMinBytes = 512;
+
+/// FNV-1a over `bytes` bytes, continuing from `seed`: for every input it
+/// equals Fnv1aBytewise, so files verify across builds and CPUs. On a CPU
+/// with AVX-512 F/BW/DQ/VBMI, GFNI and VPCLMULQDQ (Fnv1aKernelActive),
+/// each whole 512-byte chunk of an input of at least kFnv1aKernelMinBytes
+/// goes through a bit-sliced kernel, and the rest through the byte loop.
+/// The kernel rests on h_(i+1) = (h_i + δ_i)·P, where L_i = h_i mod 256
+/// and δ_i = (L_i ⊕ b_i) − L_i, so h_n = P^n·h_0 + Σ_i P^(n−i)·δ_i. The
+/// low byte obeys L_(i+1) = 0xB3·(L_i ⊕ b_i) mod 256 (0xB3 = P mod 256),
+/// a T-function: bit j of L_(i+1) is bit j of L_i ⊕ b_i plus terms from
+/// the bits below j. So L runs bit plane by bit plane, each plane an
+/// exclusive prefix XOR over the chunk, and the δ_i then enter 64
+/// independent multiply-add lanes in place of one serial multiply chain.
 uint64_t Fnv1a(const void* data, size_t bytes,
                uint64_t seed = kFnvOffsetBasis);
+
+/// The byte loop Fnv1a reproduces: h ^= byte, h *= kFnvPrime. Fnv1a's
+/// fallback and the tests' oracle; call Fnv1a instead.
+uint64_t Fnv1aBytewise(const void* data, size_t bytes,
+                       uint64_t seed = kFnvOffsetBasis);
+
+/// True iff this CPU runs Fnv1a's kernel; decided once per process.
+bool Fnv1aKernelActive();
 
 /// FNV-1a over the offsets bytes, continued over the neighbor bytes.
 uint64_t DataChecksum(std::span<const uint64_t> offsets,

@@ -129,6 +129,22 @@ TEST(FormatTest, InspectReportsHeaderFields) {
   std::filesystem::remove(path);
 }
 
+TEST(FormatTest, SnapshotChecksumIsStable) {
+  // A fixed generated graph's data_checksum, computed by the byte loop
+  // before the checksum kernel existed: files written by earlier builds
+  // must keep verifying, and files written now must verify there.
+  Rng rng(2016);
+  const Graph g = HolmeKim(6000, 4, 0.3, rng);
+  ASSERT_GE(g.RawOffsets().size_bytes() + g.RawNeighbors().size_bytes(),
+            100u * 1000u);
+  const std::string path = TempPath("grw_format_stable." +
+                                    std::to_string(::getpid()) + ".grwb");
+  SaveGraphBinary(g, path);
+  EXPECT_EQ(InspectGraphBinary(path).data_checksum, 0xc3713560e7cb6e61ull);
+  EXPECT_NO_THROW(OpenGrwb(path, /*verify=*/true));
+  std::filesystem::remove(path);
+}
+
 class FormatCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -251,6 +267,32 @@ TEST_F(FormatCorruptionTest, VerifyRejectsOutOfRangeNeighborId) {
   Poke(data_start + 2, 0xFF);  // neighbor id becomes >= num_nodes
   EXPECT_THROW(OpenGrwb(path_, /*verify=*/true),
                std::runtime_error);
+}
+
+TEST_F(FormatCorruptionTest, VerifyNamesTheFirstBadIndexPastTheFirstBlock) {
+  // The verify scans screen whole blocks before they look at single
+  // entries; two defects inside one whole block past the first still
+  // report the first of them.
+  Rng rng(5);
+  const Graph g = HolmeKim(3000, 3, 0.3, rng);
+  ASSERT_GT(g.RawNeighbors().size(), 5100u);
+  SaveGraphBinary(g, path_);
+  Poke(64 + 8 * 1500 + 6, 0x7F);  // offsets[1500] > offsets[1501]
+  Poke(64 + 8 * 1100 + 6, 0x7F);  // offsets[1100] > offsets[1101]
+  std::string msg = CorruptionMessage(
+      [&] { OpenGrwb(path_, /*verify=*/true); });
+  EXPECT_NE(msg.find("offsets array not monotone at node 1100"),
+            std::string::npos)
+      << msg;
+
+  SaveGraphBinary(g, path_);
+  const uint64_t ids_start = 64 + (uint64_t{g.NumNodes()} + 1) * 8;
+  Poke(ids_start + 4 * 5100 + 3, 0xFF);  // ids >= 2^24 > num_nodes
+  Poke(ids_start + 4 * 5000 + 3, 0xFF);
+  msg = CorruptionMessage([&] { OpenGrwb(path_, /*verify=*/true); });
+  EXPECT_NE(msg.find("neighbor id out of range at index 5000"),
+            std::string::npos)
+      << msg;
 }
 
 TEST_F(FormatCorruptionTest, ChecksumCatchesFlippedDataByte) {
@@ -477,6 +519,63 @@ TEST(RelabelByDegreeTest, RoundTripsThroughSnapshot) {
   ExpectIdenticalCsr(r, loaded);
   EXPECT_TRUE(InspectGraphBinary(path).DegreeRelabeled());
   std::filesystem::remove(path);
+}
+
+TEST(ChecksumTest, KnownVectors) {
+  // The published FNV-1a-64 test vectors.
+  const struct {
+    const char* text;
+    uint64_t hash;
+  } kVectors[] = {{"", 0xcbf29ce484222325ull},
+                  {"a", 0xaf63dc4c8601ec8cull},
+                  {"foobar", 0x85944171f73967e8ull}};
+  for (const auto& v : kVectors) {
+    const size_t n = std::strlen(v.text);
+    EXPECT_EQ(snapshot::Fnv1a(v.text, n), v.hash) << '"' << v.text << '"';
+    EXPECT_EQ(snapshot::Fnv1aBytewise(v.text, n), v.hash)
+        << '"' << v.text << '"';
+  }
+}
+
+TEST(ChecksumTest, KernelMatchesBytewise) {
+  if (snapshot::Fnv1aKernelActive()) {
+    std::printf("[ checksum ] Fnv1a path: bit-sliced kernel for inputs of "
+                ">= %zu bytes\n",
+                snapshot::kFnv1aKernelMinBytes);
+  } else {
+    std::printf("[ checksum ] Fnv1a path: byte loop only (no kernel on "
+                "this CPU)\n");
+  }
+  // Every length up to four chunks and a tail, at every start offset in a
+  // cache line, over all-zero, all-0xFF and random bytes in rotation,
+  // continuing from the offset basis or a random seed.
+  constexpr size_t kMaxLength = 2100;
+  constexpr size_t kOffsets = 64;
+  Rng rng(48);
+  std::vector<unsigned char> random(kMaxLength + kOffsets);
+  for (unsigned char& b : random) b = static_cast<unsigned char>(rng());
+  const std::vector<unsigned char> zeros(random.size(), 0x00);
+  const std::vector<unsigned char> ones(random.size(), 0xFF);
+  const std::vector<unsigned char>* patterns[] = {&zeros, &ones, &random};
+  const uint64_t seeds[] = {snapshot::kFnvOffsetBasis, rng(), rng(), 0,
+                            ~uint64_t{0}};
+  size_t cases = 0;
+  for (size_t length = 0; length <= kMaxLength; ++length) {
+    for (size_t offset = 0; offset < kOffsets; ++offset, ++cases) {
+      const unsigned char* data = patterns[cases % 3]->data() + offset;
+      const uint64_t seed = seeds[cases % std::size(seeds)];
+      ASSERT_EQ(snapshot::Fnv1a(data, length, seed),
+                snapshot::Fnv1aBytewise(data, length, seed))
+          << "length " << length << " offset " << offset << " pattern "
+          << cases % 3 << " seed " << seed;
+    }
+  }
+  // One buffer far past the chunk sizes, at an odd start.
+  std::vector<unsigned char> big((5u << 20) + 7);
+  for (unsigned char& b : big) b = static_cast<unsigned char>(rng());
+  const uint64_t seed = rng();
+  EXPECT_EQ(snapshot::Fnv1a(big.data() + 3, big.size() - 3, seed),
+            snapshot::Fnv1aBytewise(big.data() + 3, big.size() - 3, seed));
 }
 
 }  // namespace

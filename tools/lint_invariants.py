@@ -45,6 +45,12 @@ Checks (each is a function named check_*; `--list` prints them):
                     k! canonicalization is the reference tests/ and bench/
                     check GraphletClassifier against; product code reads
                     the classifier's table.
+  checksum-reference
+                    no Fnv1aBytewise() call under src/ or tools/ outside
+                    src/graph/format.cpp, where Fnv1a dispatches to it (its
+                    declaration is not a call): the byte loop is Fnv1a's
+                    fallback and the tests' oracle, and product code
+                    checksums through Fnv1a, which runs the kernel.
 
 Usage:
   tools/lint_invariants.py [--root DIR]   lint the tree (exit 1 on findings)
@@ -80,7 +86,11 @@ BUILD_INDEX_RE = re.compile(r"\bBuildAdjacencyIndex\s*\(")
 CANONICAL_MASK_RE = re.compile(r"\bCanonicalMask\s*\(")
 # `uint32_t CanonicalMask(` declares or defines it; every other use calls it.
 CANONICAL_MASK_DECL_RE = re.compile(r"\buint32_t\s+CanonicalMask\s*\(")
-CANONICAL_MASK_DIRS = ("src", "tools")
+REFERENCE_DIRS = ("src", "tools")
+FNV_BYTEWISE_RE = re.compile(r"\bFnv1aBytewise\s*\(")
+# `uint64_t Fnv1aBytewise(` declares or defines it.
+FNV_BYTEWISE_DECL_RE = re.compile(r"\buint64_t\s+Fnv1aBytewise\s*\(")
+FNV_DISPATCH = os.path.join("src", "graph", "format.cpp")
 INDEX_OWNER_DIR = os.path.join("src", "graph") + os.sep
 INDEX_OWNERS = (
     os.path.join("tests", "adjacency_test.cpp"),
@@ -273,19 +283,31 @@ def check_adjacency_index_owner(root):
         exclude=exclude)
 
 
-def check_canonical_mask_reference(root):
+def reference_rule(root, call_re, decl_re, message, exclude=()):
+    """Calls matching call_re under REFERENCE_DIRS, minus declarations."""
     findings = []
     for rel in iter_source_files(root):
-        if rel.split(os.sep)[0] not in CANONICAL_MASK_DIRS:
+        if rel.split(os.sep)[0] not in REFERENCE_DIRS or rel in exclude:
             continue
         for lineno, line in enumerate(read_code_lines(root, rel), start=1):
-            if (CANONICAL_MASK_RE.search(line) and
-                    not CANONICAL_MASK_DECL_RE.search(line)):
-                findings.append(
-                    (rel, lineno,
-                     "CanonicalMask call outside tests/ and bench/ — "
-                     "classify through GraphletClassifier's table"))
+            if call_re.search(line) and not decl_re.search(line):
+                findings.append((rel, lineno, message))
     return findings
+
+
+def check_canonical_mask_reference(root):
+    return reference_rule(
+        root, CANONICAL_MASK_RE, CANONICAL_MASK_DECL_RE,
+        "CanonicalMask call outside tests/ and bench/ — classify through "
+        "GraphletClassifier's table")
+
+
+def check_checksum_reference(root):
+    return reference_rule(
+        root, FNV_BYTEWISE_RE, FNV_BYTEWISE_DECL_RE,
+        "Fnv1aBytewise call outside Fnv1a's dispatch, tests/ and bench/ "
+        "— checksum through snapshot::Fnv1a",
+        exclude=(FNV_DISPATCH,))
 
 
 ALL_CHECKS = [
@@ -300,6 +322,7 @@ ALL_CHECKS = [
     ("raw-mmap", check_raw_mmap),
     ("adjacency-index-owner", check_adjacency_index_owner),
     ("canonical-mask-reference", check_canonical_mask_reference),
+    ("checksum-reference", check_checksum_reference),
 ]
 
 
@@ -353,6 +376,17 @@ def _make_clean_tree(root):
     _write(root, "bench/bench_micro_c.cpp",
            "#include <benchmark/benchmark.h>\n"
            "void B() { grw::CanonicalMask(m, k); }\n")
+    _write(root, "src/graph/format.h",
+           "uint64_t Fnv1aBytewise(const void* data, size_t bytes,\n")
+    _write(root, FNV_DISPATCH,
+           "uint64_t Fnv1aBytewise(const void* data, size_t bytes, "
+           "uint64_t seed) {}\n"
+           "return Fnv1aBytewise(p + done, bytes - done, seed);\n")
+    _write(root, "tests/format_test.cpp",
+           "TEST(C, K) { EXPECT_EQ(snapshot::Fnv1aBytewise(d, n), h); }\n")
+    _write(root, "bench/bench_loader.cpp",
+           "int main() { snapshot::Fnv1aBytewise(d, n);\n"
+           "grw::bench::MaybeWriteJson(flags, \"a\", c, m); }\n")
 
 
 def self_test():
@@ -390,6 +424,10 @@ def self_test():
              "g.BuildAdjacencyIndex();\n"),
             ("canonical-mask-reference", "src/graphlet/bad_classify.cpp",
              "const uint32_t canon = CanonicalMask(mask, k, perm);\n"),
+            ("checksum-reference", "src/graph/bad_verify.cpp",
+             "if (snapshot::Fnv1aBytewise(p, n) != want) return false;\n"),
+            ("checksum-reference", "tools/bad_info.cpp",
+             "const uint64_t h = grw::snapshot::Fnv1aBytewise(p, n);\n"),
         ]
         for rule, rel, content in seeds:
             with tempfile.TemporaryDirectory() as seeded:
