@@ -18,6 +18,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -79,6 +80,16 @@ inline int SimCount(const Flags& flags, int default_sims,
 }
 
 /// Writes the CSV mirror if --csv was given.
+/// Linearly interpolated q-quantile of a non-empty sample (q = 0.5 is
+/// the median, 0.25 / 0.75 the quartiles).
+inline double Quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
 inline void MaybeWriteCsv(const Flags& flags, const Table& table) {
   const std::string csv = flags.GetString("csv", "");
   if (!csv.empty()) {

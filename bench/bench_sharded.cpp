@@ -85,15 +85,6 @@ double NrmseOfDominantType(const grw::EngineResult& result,
   return grw::Nrmse(estimates, truth[static_cast<size_t>(type)]);
 }
 
-// The q-quantile of `v` by linear interpolation (v non-empty).
-double Quantile(std::vector<double> v, double q) {
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, v.size() - 1);
-  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -191,7 +182,9 @@ int main(int argc, char** argv) {
       p.concentrations = result.merged.concentrations;
     }
   }
-  for (RunPoint& p : points) p.steps_per_s = Quantile(p.rep_steps_per_s, 0.5);
+  for (RunPoint& p : points) {
+    p.steps_per_s = grw::bench::Quantile(p.rep_steps_per_s, 0.5);
+  }
 
   const RunPoint& base = points.front();
   grw::Table table("sharded bench: " + g.Summary() + ", " +
@@ -249,8 +242,9 @@ int main(int argc, char** argv) {
     for (int rep = 0; rep < reps; ++rep) {
       ratios.push_back(p.rep_steps_per_s[rep] / base.rep_steps_per_s[rep]);
     }
-    const double median = Quantile(ratios, 0.5);
-    const double iqr = Quantile(ratios, 0.75) - Quantile(ratios, 0.25);
+    const double median = grw::bench::Quantile(ratios, 0.5);
+    const double iqr = grw::bench::Quantile(ratios, 0.75) -
+                       grw::bench::Quantile(ratios, 0.25);
     std::printf("%s / monolithic steps/s: %.3f (IQR %.3f over %d rep(s))\n",
                 label.c_str(), median, iqr, reps);
     metrics.push_back({label + "_vs_monolithic", median, "x"});

@@ -62,7 +62,8 @@ CrawlOptions CrawlOptionsFor(const EngineOptions& opt, int chain) {
 // Cache-line aligned: a chain's estimator writes its counters, RNG and
 // sample window every step, on whichever pool thread claimed its block,
 // while the units of other blocks are read and written by other threads
-// at the same time (in-memory blocks step all their chains at once).
+// at the same time (an in-memory block interleaves its chains; every
+// other block is one chain).
 // Unaligned, adjacent units share lines; that cost crawl PSRW (16 chains
 // on 4 threads, 4-core Xeon VM) 7–9% of its steps per CPU second.
 template <class A>
@@ -145,6 +146,9 @@ EngineResult RunLoop(const MakeAccess& make, const EstimatorConfig& config,
   }
 
   WallTimer timer;
+  // Held for the whole run: every fan-out below uses at most the run's
+  // share of the pool (util/chain_pool.h).
+  const ChainPool::Share share(pool);
   std::vector<std::unique_ptr<ChainUnit<A>>> unit(chains);
   pool.ForEach(
       static_cast<size_t>(chains),
@@ -152,19 +156,10 @@ EngineResult RunLoop(const MakeAccess& make, const EstimatorConfig& config,
         unit[c] = std::make_unique<ChainUnit<A>>(make, config, opt,
                                                  static_cast<int>(c));
       },
-      opt.threads);
+      share.Threads(opt.threads));
 
-  // Each pool task steps a contiguous block of chains as one interleaved
-  // group (GraphletEstimatorT::RunGroup): ceil(chains / threads) chains
-  // when reads are plain loads, else one. A chain computes the same
-  // whichever block it is in, so blocks change speed, never results.
   std::vector<GraphletEstimatorT<A>*> estimators(chains);
   for (int c = 0; c < chains; ++c) estimators[c] = &unit[c]->estimator;
-  const size_t threads = std::min<size_t>(
-      opt.threads == 0 ? pool.NumThreads() : opt.threads, pool.NumThreads());
-  const size_t block =
-      kAccessReadsArePlainLoads<A> ? (chains + threads - 1) / threads : 1;
-  const size_t blocks = (chains + block - 1) / block;
 
   out.per_chain.assign(chains, {});
   // Previous round's cumulative weights per chain, for batch diffs.
@@ -188,8 +183,17 @@ EngineResult RunLoop(const MakeAccess& make, const EstimatorConfig& config,
     // no batch is shorter than a round (a runt batch inflates the SE).
     const uint64_t left = opt.max_steps - done;
     const uint64_t delta = left / 2 >= round_steps ? round_steps : left;
+    // Each pool task steps a contiguous block of chains as one
+    // interleaved group (GraphletEstimatorT::RunGroup): ceil(chains /
+    // threads) chains for the round's share of threads when reads are
+    // plain loads, else one. A chain computes the same whichever block it
+    // is in, so blocks change speed, never results.
+    const unsigned threads = share.Threads(opt.threads);
+    const size_t block = kAccessReadsArePlainLoads<A>
+                             ? (estimators.size() + threads - 1) / threads
+                             : 1;
     pool.ForEach(
-        blocks,
+        (estimators.size() + block - 1) / block,
         [&](size_t b) {
           const size_t first = b * block;
           const size_t last = std::min(first + block, estimators.size());
@@ -199,7 +203,7 @@ EngineResult RunLoop(const MakeAccess& make, const EstimatorConfig& config,
             out.per_chain[c] = estimators[c]->Result();
           }
         },
-        opt.threads);
+        threads);
     done += delta;
     ++out.rounds;
 
@@ -222,8 +226,7 @@ EngineResult RunLoop(const MakeAccess& make, const EstimatorConfig& config,
           out.per_chain[c].weights, prev_weights[c]));
     }
 
-    // NaN while no type has weight (blocks stopping), +inf before two
-    // batches exist.
+    // NaN while no type has weight, +inf before two batches exist.
     out.max_rel_error = accumulator.MaxRelativeError(
         out.merged.concentrations, kMinConcentration);
     out.seconds = timer.Seconds();

@@ -70,7 +70,8 @@ struct EngineProgress {
 struct EngineOptions {
   /// Number of independent chains.
   int chains = 1;
-  /// Concurrency cap; 0 = every thread of the pool.
+  /// A cap (0 = none); each fan-out uses at most the run's share of the
+  /// pool (ChainPool::Share, util/chain_pool.h).
   unsigned threads = 0;
   /// Per-chain step cap (the paper's sample budget n).
   uint64_t max_steps = 100000;

@@ -13,12 +13,13 @@
 //               no service.
 //   fairness    admission hands out FIFO tickets; a job starts once its
 //               ticket is next and fewer than `workers` jobs are running.
-//               Every job runs its engine rounds on the ONE shared
-//               ChainPool (EngineOptions::pool). Each round is a pool
-//               job of its own, drained by the job's thread and helped
-//               by idle workers, so R concurrent requests run side by
-//               side rather than one request monopolizing the machine
-//               until completion.
+//               Every job runs its engine on the ONE shared ChainPool
+//               (EngineOptions::pool) and holds a ChainPool::Share for
+//               the run, so each fan-out of R running jobs uses about
+//               1/R of the pool's threads (util/chain_pool.h): a
+//               request of few chains steps them as one interleaved
+//               group on its own thread, and no request monopolizes
+//               the machine.
 //   tenants     optional per-tenant distinct-query budgets reusing the
 //               engine's crawl machinery (EngineOptions::crawl): each
 //               request of tenant T runs with a crawl budget capped by
@@ -73,7 +74,8 @@ struct SchedulerOptions {
   /// (0 = unlimited). Requests naming a tenant consume it via crawl
   /// accounting; anonymous requests are exempt.
   uint64_t tenant_budget = 0;
-  /// Threads each job may occupy on the shared pool (0 = all).
+  /// Cap on each job's threads on the shared pool (0 = none); a job
+  /// never takes more than its share (ChainPool::Share).
   unsigned engine_threads = 0;
   /// Field caps applied at parse time.
   RequestLimits limits;

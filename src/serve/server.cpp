@@ -81,13 +81,24 @@ void ServeServer::AcceptLoop() {
     if (fd < 0) continue;
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    MutexLock lock(conn_mu_);
-    if (stopping_.load()) {
-      ::close(fd);
-      break;
+    std::vector<std::thread> finished;
+    {
+      MutexLock lock(conn_mu_);
+      if (stopping_.load()) {
+        ::close(fd);
+        break;
+      }
+      conn_fds_.insert(fd);
+      // The new thread's exit path takes conn_mu_, so it cannot look
+      // itself up before it is in the map.
+      std::thread thread([this, fd] { Connection(fd); });
+      const std::thread::id id = thread.get_id();
+      conn_threads_.emplace(id, std::move(thread));
+      finished.swap(finished_threads_);
     }
-    conn_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { Connection(fd); });
+    // These threads have left Connection(); each join only waits for
+    // its return.
+    for (std::thread& t : finished) t.join();
   }
 }
 
@@ -124,9 +135,13 @@ void ServeServer::Connection(int fd) {
       break;
     }
   }
-  ::close(fd);
   MutexLock lock(conn_mu_);
+  // Closed under the lock: once closed, accept may hand the same number
+  // to a new connection, whose entry this erase must not remove.
   conn_fds_.erase(fd);
+  ::close(fd);
+  auto self = conn_threads_.extract(std::this_thread::get_id());
+  if (!self.empty()) finished_threads_.push_back(std::move(self.mapped()));
 }
 
 void ServeServer::Stop() {
@@ -142,17 +157,19 @@ void ServeServer::Stop() {
     {
       // Half-close every connection: their read() returns 0, the threads
       // finish the request in hand (write side intact) and exit. The
-      // accept thread is joined, so the vector can only shrink — swap it
-      // out under the lock and join outside it (a connection thread's
-      // exit path takes conn_mu_ to erase its fd; joining while holding
-      // the lock would deadlock).
+      // accept thread is joined, so no thread is added any more — move
+      // every handle out under the lock and join outside it (a
+      // connection thread's exit path takes conn_mu_ to erase its fd;
+      // joining while holding the lock would deadlock).
       MutexLock lock(conn_mu_);
       for (int fd : conn_fds_) ::shutdown(fd, SHUT_RD);
-      to_join.swap(conn_threads_);
+      to_join.swap(finished_threads_);
+      for (auto& [id, thread] : conn_threads_) {
+        to_join.push_back(std::move(thread));
+      }
+      conn_threads_.clear();
     }
-    for (std::thread& t : to_join) {
-      if (t.joinable()) t.join();
-    }
+    for (std::thread& t : to_join) t.join();
     scheduler_->Drain();
     if (listen_fd_ >= 0) {
       ::close(listen_fd_);
@@ -164,6 +181,11 @@ void ServeServer::Stop() {
 
 ServeScheduler::Stats ServeServer::stats() const {
   return scheduler_->stats();
+}
+
+size_t ServeServer::connection_threads() const {
+  MutexLock lock(conn_mu_);
+  return conn_threads_.size() + finished_threads_.size();
 }
 
 }  // namespace grw::serve

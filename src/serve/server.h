@@ -19,6 +19,7 @@
 #pragma once
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -67,6 +68,10 @@ class ServeServer {
   /// shutdown report and tests.
   ServeScheduler::Stats stats() const;
 
+  /// Connection threads not yet joined: the live ones plus those that
+  /// finished since the last accepted connection, which joins them.
+  size_t connection_threads() const GRW_EXCLUDES(conn_mu_);
+
  private:
   void AcceptLoop() GRW_EXCLUDES(conn_mu_);
   void Connection(int fd) GRW_EXCLUDES(conn_mu_);
@@ -84,11 +89,16 @@ class ServeServer {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
 
-  Mutex conn_mu_;
-  // Connection threads, owned by the accept loop until Stop() swaps the
-  // vector out (under conn_mu_) and joins outside the lock — joining
-  // under it would deadlock with a connection thread's exit bookkeeping.
-  std::vector<std::thread> conn_threads_ GRW_GUARDED_BY(conn_mu_);
+  mutable Mutex conn_mu_;
+  // Live connection threads by id. A finishing thread moves its own
+  // handle to finished_threads_; the accept loop joins those as the next
+  // connection arrives, so a long-lived daemon keeps no stack of a
+  // finished connection. Stop() swaps both out (under conn_mu_) and joins
+  // outside the lock — joining under it would deadlock with a connection
+  // thread's exit bookkeeping.
+  std::map<std::thread::id, std::thread> conn_threads_
+      GRW_GUARDED_BY(conn_mu_);
+  std::vector<std::thread> finished_threads_ GRW_GUARDED_BY(conn_mu_);
   std::set<int> conn_fds_ GRW_GUARDED_BY(conn_mu_);
   std::once_flag stop_once_;
 };

@@ -46,6 +46,13 @@ ChainPool& ChainPool::Shared() {
   return pool;
 }
 
+unsigned ChainPool::Share::Threads(unsigned cap) const {
+  const unsigned threads = pool_.NumThreads();
+  // runs() counts this share, so it is at least 1.
+  const unsigned fair = std::max(1u, threads / pool_.runs());
+  return std::min(cap == 0 ? threads : cap, fair);
+}
+
 void ChainPool::Drain(Job& job) {
   for (size_t i = job.next.fetch_add(1, std::memory_order_relaxed); i < job.n;
        i = job.next.fetch_add(1, std::memory_order_relaxed)) {

@@ -10,16 +10,27 @@
 // their own indices on the calling thread, while idle workers help the
 // oldest job that still has a free helper slot.
 //
+// Share contract: a run (an engine run, one served request) holds a
+// ChainPool::Share for its whole length, and the pool counts the shares
+// alive. Each of the run's fan-outs uses at most Share::Threads(cap) =
+// min(cap or NumThreads(), max(1, NumThreads() / runs)) threads, read
+// when the fan-out starts. A lone run gets every thread; R concurrent
+// runs split the pool about evenly, so a run of few chains steps them as
+// one interleaved group on its own thread instead of publishing a job
+// per round. The count is read without a lock and may be momentarily
+// stale: it moves speed, never results.
+//
 // Determinism contract: indices are claimed dynamically, so *which
 // thread* runs index i varies between runs. The engine's index is a
 // block of chains stepped as one interleaved group, whose size follows
-// the thread count; but a grouped chain computes exactly what it
+// the run's share; but a grouped chain computes exactly what it
 // computes alone, every chain's RNG stream derives from (base_seed,
 // chain index) alone, and results merge in chain order — so they are
-// bit-identical at any thread count.
+// bit-identical at any thread count and any number of concurrent runs.
 
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <thread>
 #include <type_traits>
@@ -71,6 +82,28 @@ class ChainPool {
     }
   }
 
+  /// One run's claim on the pool (the share contract above): counted in
+  /// runs() from construction to destruction.
+  class Share {
+   public:
+    explicit Share(ChainPool& pool) : pool_(pool) {
+      pool_.runs_.fetch_add(1, std::memory_order_relaxed);
+    }
+    ~Share() { pool_.runs_.fetch_sub(1, std::memory_order_relaxed); }
+    Share(const Share&) = delete;
+    Share& operator=(const Share&) = delete;
+
+    /// The threads one fan-out of this run may use now:
+    /// min(cap or NumThreads(), max(1, NumThreads() / runs())).
+    unsigned Threads(unsigned cap = 0) const;
+
+   private:
+    ChainPool& pool_;
+  };
+
+  /// Shares alive now (the runs sharing the pool).
+  unsigned runs() const { return runs_.load(std::memory_order_relaxed); }
+
   /// Process-wide pool at hardware concurrency, created on first use.
   static ChainPool& Shared();
 
@@ -93,6 +126,7 @@ class ChainPool {
   // Jobs with a free helper slot, oldest first.
   std::vector<Job*> open_ GRW_GUARDED_BY(mu_);
   bool shutdown_ GRW_GUARDED_BY(mu_) = false;
+  std::atomic<unsigned> runs_{0};  // Shares alive
 };
 
 }  // namespace grw

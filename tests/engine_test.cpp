@@ -198,6 +198,57 @@ TEST(ChainPoolTest, SharedPoolIsAlive) {
   EXPECT_GE(ChainPool::Shared().NumThreads(), 1u);
 }
 
+TEST(ChainPoolTest, SharesCountRuns) {
+  // A lone share gets every thread, capped by its argument. Eight runs
+  // then take shares at once: every share read stays within
+  // [1, NumThreads()], it is 1 while all eight are held, and the count
+  // returns to 0 once they are released.
+  constexpr int kRuns = 8;
+  ChainPool pool(4);
+  {
+    const ChainPool::Share lone(pool);
+    EXPECT_EQ(pool.runs(), 1u);
+    EXPECT_EQ(lone.Threads(), 4u);
+    EXPECT_EQ(lone.Threads(3), 3u);
+    EXPECT_EQ(lone.Threads(9), 4u);
+  }
+  EXPECT_EQ(pool.runs(), 0u);
+
+  // Spins until `count` reaches kRuns (bounded, so a broken pool fails
+  // instead of hanging).
+  const auto await_all = [](const std::atomic<int>& count) {
+    const auto bound =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (count.load() < kRuns && std::chrono::steady_clock::now() < bound) {
+      std::this_thread::yield();
+    }
+  };
+  std::atomic<int> held{0};
+  std::atomic<int> done{0};
+  std::atomic<int> out_of_range{0};
+  std::vector<unsigned> all_held(kRuns);
+  std::vector<std::thread> runs;
+  for (int r = 0; r < kRuns; ++r) {
+    runs.emplace_back([&, r] {
+      for (int i = 0; i < 100; ++i) {
+        const ChainPool::Share share(pool);
+        const unsigned threads = share.Threads();
+        if (threads < 1 || threads > pool.NumThreads()) ++out_of_range;
+      }
+      const ChainPool::Share share(pool);
+      held.fetch_add(1);
+      await_all(held);
+      all_held[r] = share.Threads();
+      done.fetch_add(1);
+      await_all(done);
+    });
+  }
+  for (std::thread& t : runs) t.join();
+  EXPECT_EQ(out_of_range.load(), 0);
+  for (int r = 0; r < kRuns; ++r) EXPECT_EQ(all_held[r], 1u) << "run " << r;
+  EXPECT_EQ(pool.runs(), 0u);
+}
+
 // --------------------------------------------------------------- merge --
 
 EstimateResult MakeResult(std::vector<double> weights,
@@ -512,6 +563,84 @@ TEST(EngineTest, ChainGroupsAreBitIdentical) {
   }
   SCOPED_TRACE("crawl");
   CheckCrawlGroup(g, pool);
+}
+
+TEST(EngineTest, FairShareKeepsChainsBitIdentical) {
+  // Other runs' shares on a 4-thread pool shrink this run's share: with
+  // 0, 1, 3 and 7 of them held it steps in-memory chains on 4, 2, 1 and
+  // 1 threads, in blocks to match, and caps a crawl run's helpers
+  // alike. Whatever the share, every chain must equal a lone Reset + Run
+  // and the merged result must equal the run with no other shares.
+  Rng rng(31);
+  const Graph g = LargestConnectedComponent(HolmeKim(400, 4, 0.5, rng));
+  constexpr uint64_t kSteps = 3000;
+  ChainPool pool(4);
+  struct Cell {
+    EstimatorConfig config;
+    int chains;
+    bool crawl;
+  };
+  for (const Cell& cell : {Cell{{3, 1, true, true}, 1, false},
+                           Cell{{4, 2, true, false}, 2, false},
+                           Cell{{4, 2, true, false}, 7, false},
+                           Cell{{4, 2, true, false}, 3, true}}) {
+    SCOPED_TRACE(cell.config.Name() + " k=" + std::to_string(cell.config.k) +
+                 " chains=" + std::to_string(cell.chains) +
+                 (cell.crawl ? " crawl" : ""));
+    EngineOptions options;
+    options.chains = cell.chains;
+    options.max_steps = kSteps;
+    options.round_steps = 1000;
+    options.base_seed = 91;
+    options.pool = &pool;
+    if (cell.crawl) {
+      CrawlOptions& crawl = options.crawl.emplace();
+      crawl.cache_entries = 64;
+      crawl.query_budget = static_cast<uint64_t>(cell.chains) * 150;
+    }
+    std::vector<EstimateResult> lone;
+    for (int c = 0; c < cell.chains; ++c) {
+      if (cell.crawl) {
+        CrawlOptions share = *options.crawl;
+        share.query_budget =
+            ChainBudgetShare(share.query_budget, cell.chains, c);
+        const CrawlAccess alone(g, share);
+        GraphletEstimatorT<CrawlAccess> estimator(alone, cell.config);
+        estimator.Reset(DeriveSeed(options.base_seed, c));
+        estimator.Run(kSteps);
+        lone.push_back(estimator.Result());
+      } else {
+        GraphletEstimator estimator(g, cell.config);
+        estimator.Reset(DeriveSeed(options.base_seed, c));
+        estimator.Run(kSteps);
+        lone.push_back(estimator.Result());
+      }
+    }
+    EngineResult first;
+    for (const unsigned extra : {0u, 1u, 3u, 7u}) {
+      SCOPED_TRACE(extra);
+      std::vector<std::unique_ptr<ChainPool::Share>> others;
+      for (unsigned i = 0; i < extra; ++i) {
+        others.push_back(std::make_unique<ChainPool::Share>(pool));
+      }
+      // The run holds its own share for its whole length.
+      unsigned runs_seen = 0;
+      options.on_progress = [&](const EngineProgress&) {
+        runs_seen = pool.runs();
+      };
+      const EngineResult run =
+          EstimationEngine(g, cell.config, options).Run();
+      EXPECT_EQ(runs_seen, extra + 1);
+      ASSERT_EQ(run.per_chain.size(), lone.size());
+      for (int c = 0; c < cell.chains; ++c) {
+        ExpectSameEstimate(run.per_chain[c], lone[c]);
+      }
+      if (extra == 0) first = run;
+      ExpectSameEstimate(run.merged, first.merged);
+      EXPECT_EQ(run.merged.concentrations, first.merged.concentrations);
+    }
+    EXPECT_EQ(pool.runs(), 0u);
+  }
 }
 
 TEST(EngineTest, TightTargetHitsStepCapUnconverged) {

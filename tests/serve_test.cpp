@@ -661,6 +661,23 @@ TEST_F(ServeEndToEndTest, SixNodeRequestIsAnsweredAndServerStaysUp) {
   EXPECT_TRUE(next.has_value() && next->Find("ok")->IsTrue());
 }
 
+TEST_F(ServeEndToEndTest, FinishedConnectionThreadsAreJoined) {
+  // A long-lived daemon must not keep every finished connection's thread
+  // (and its stack) until shutdown: the accept loop joins finished ones
+  // as new connections arrive, so 200 connections opened and closed one
+  // after another leave a handful unjoined, not 200.
+  constexpr int kConnections = 200;
+  for (int i = 0; i < kConnections; ++i) {
+    QueryClient client("127.0.0.1", server_->port());
+    const auto pong = ParseJson(client.RoundTrip("PING"));
+    ASSERT_TRUE(pong.has_value());
+    EXPECT_TRUE(pong->Find("ok")->IsTrue());
+  }
+  EXPECT_LE(server_->connection_threads(), 16u);
+  server_->Stop();
+  EXPECT_EQ(server_->connection_threads(), 0u);
+}
+
 TEST_F(ServeEndToEndTest, StopDrainsGracefullyWithClientsConnected) {
   QueryClient client("127.0.0.1", server_->port());
   const auto before =

@@ -22,9 +22,10 @@
 //   --queue N         jobs allowed to wait beyond those (default 64); at
 //                     most N + --workers requests are in flight, the
 //                     rest are shed with RETRY_AFTER. 0 = no waiting.
-//   --engine-threads  pool threads per job, 0 = all (default 0). Jobs
-//                     share one ChainPool and run side by side: each
-//                     drains its own rounds, helped by idle workers
+//   --engine-threads  cap on each job's pool threads, 0 = none (default
+//                     0). Jobs share one ChainPool, and each takes at
+//                     most its share: about 1/R of the threads while R
+//                     jobs run (ChainPool::Share)
 //   --tenant-budget B lifetime distinct-query allowance per tenant id
 //                     (0 = unlimited)
 //   --max-steps /     per-request caps enforced at parse time
@@ -78,7 +79,10 @@ int Usage() {
       "  --no-verify trusts the files and skips the full read.\n"
       "  At most --workers (default 4) requests run at once and --queue\n"
       "  (default 64) more wait; the rest are shed with RETRY_AFTER.\n"
-      "  --queue 0 means no waiting, not no service.\n",
+      "  --queue 0 means no waiting, not no service.\n"
+      "  Each running request steps its chains on its share of one pool,\n"
+      "  about 1/R of its threads while R requests run; --engine-threads\n"
+      "  T (default 0 = none) caps that share further.\n",
       stderr);
   return 2;
 }

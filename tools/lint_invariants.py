@@ -51,6 +51,11 @@ Checks (each is a function named check_*; `--list` prints them):
                     declaration is not a call): the byte loop is Fnv1a's
                     fallback and the tests' oracle, and product code
                     checksums through Fnv1a, which runs the kernel.
+  engine-pool-share no ForEach( under src/engine/ whose thread cap (its
+                    last argument) is missing or is opt.threads /
+                    options.threads: every engine fan-out is capped by the
+                    run's ChainPool::Share, so concurrent runs split the
+                    pool instead of each taking all of it.
 
 Usage:
   tools/lint_invariants.py [--root DIR]   lint the tree (exit 1 on findings)
@@ -91,6 +96,10 @@ FNV_BYTEWISE_RE = re.compile(r"\bFnv1aBytewise\s*\(")
 # `uint64_t Fnv1aBytewise(` declares or defines it.
 FNV_BYTEWISE_DECL_RE = re.compile(r"\buint64_t\s+Fnv1aBytewise\s*\(")
 FNV_DISPATCH = os.path.join("src", "graph", "format.cpp")
+ENGINE_DIR = os.path.join("src", "engine") + os.sep
+FOR_EACH_RE = re.compile(r"\bForEach\s*\(")
+# A cap that bypasses the run's share: the caller's option as is.
+UNSHARED_CAP_RE = re.compile(r"^(?:opt|options)\s*(?:\.|->)\s*threads$")
 INDEX_OWNER_DIR = os.path.join("src", "graph") + os.sep
 INDEX_OWNERS = (
     os.path.join("tests", "adjacency_test.cpp"),
@@ -310,6 +319,42 @@ def check_checksum_reference(root):
         exclude=(FNV_DISPATCH,))
 
 
+def _call_arguments(text, open_paren):
+    """Top-level arguments of the call whose '(' is at open_paren."""
+    args, depth, start = [], 0, open_paren + 1
+    for i in range(open_paren, len(text)):
+        c = text[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+            if depth == 0:
+                args.append(text[start:i])
+                return [a.strip() for a in args]
+        elif c == "," and depth == 1:
+            args.append(text[start:i])
+            start = i + 1
+    return [a.strip() for a in args]
+
+
+def check_engine_pool_share(root):
+    findings = []
+    for rel in iter_source_files(root):
+        if not rel.startswith(ENGINE_DIR):
+            continue
+        text = "\n".join(read_code_lines(root, rel))
+        for match in FOR_EACH_RE.finditer(text):
+            args = _call_arguments(text, match.end() - 1)
+            if len(args) >= 3 and not UNSHARED_CAP_RE.match(args[-1]):
+                continue
+            lineno = text.count("\n", 0, match.start()) + 1
+            findings.append((
+                rel, lineno,
+                "engine ForEach capped by the caller's threads (or not at "
+                "all) — cap it with the run's ChainPool::Share"))
+    return findings
+
+
 ALL_CHECKS = [
     ("raw-sync", check_raw_sync),
     ("detach", check_detach),
@@ -323,6 +368,7 @@ ALL_CHECKS = [
     ("adjacency-index-owner", check_adjacency_index_owner),
     ("canonical-mask-reference", check_canonical_mask_reference),
     ("checksum-reference", check_checksum_reference),
+    ("engine-pool-share", check_engine_pool_share),
 ]
 
 
@@ -384,6 +430,10 @@ def _make_clean_tree(root):
            "return Fnv1aBytewise(p + done, bytes - done, seed);\n")
     _write(root, "tests/format_test.cpp",
            "TEST(C, K) { EXPECT_EQ(snapshot::Fnv1aBytewise(d, n), h); }\n")
+    _write(root, "src/engine/engine.cpp",
+           "const ChainPool::Share share(pool);\n"
+           "pool.ForEach(\n    n, [&](size_t c) { f(c, g(1, 2)); },\n"
+           "    share.Threads(opt.threads));\n")
     _write(root, "bench/bench_loader.cpp",
            "int main() { snapshot::Fnv1aBytewise(d, n);\n"
            "grw::bench::MaybeWriteJson(flags, \"a\", c, m); }\n")
@@ -428,6 +478,14 @@ def self_test():
              "if (snapshot::Fnv1aBytewise(p, n) != want) return false;\n"),
             ("checksum-reference", "tools/bad_info.cpp",
              "const uint64_t h = grw::snapshot::Fnv1aBytewise(p, n);\n"),
+            ("engine-pool-share", "src/engine/bad_round.cpp",
+             "pool.ForEach(\n    blocks, [&](size_t b) { Step(b, 2); },\n"
+             "    opt.threads);\n"),
+            ("engine-pool-share", "src/engine/bad_build.cpp",
+             "pool.ForEach(n, [&](size_t c) { Build(c); }, "
+             "options.threads);\n"),
+            ("engine-pool-share", "src/engine/bad_uncapped.cpp",
+             "pool.ForEach(n, [&](size_t c) { Build(c); });\n"),
         ]
         for rule, rel, content in seeds:
             with tempfile.TemporaryDirectory() as seeded:
