@@ -29,6 +29,7 @@
 #include "eval/ground_truth.h"
 #include "graph/graph.h"
 #include "graph/source.h"
+#include "serve/json.h"
 #include "util/flags.h"
 #include "util/table.h"
 
@@ -117,43 +118,10 @@ inline bool WriteBenchJson(const std::string& path, const std::string& bench,
                            const std::vector<JsonMetric>& metrics) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  auto escape = [](const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      switch (c) {
-        case '"':
-        case '\\':
-          out += '\\';
-          out += c;
-          break;
-        case '\n':
-          out += "\\n";
-          break;
-        case '\t':
-          out += "\\t";
-          break;
-        case '\r':
-          out += "\\r";
-          break;
-        default:
-          // Remaining control characters (a stray control byte in a
-          // graph path ends up in the context string) get proper \u00XX
-          // escapes — dropping them would silently mangle the field.
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char esc[8];
-            std::snprintf(esc, sizeof(esc), "\\u%04x",
-                          static_cast<unsigned>(static_cast<unsigned char>(c)));
-            out += esc;
-          } else {
-            out += c;
-          }
-      }
-    }
-    return out;
-  };
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"context\": \"%s\",\n"
+  std::fprintf(f, "{\n  \"bench\": %s,\n  \"context\": %s,\n"
                "  \"metrics\": [\n",
-               escape(bench).c_str(), escape(context).c_str());
+               serve::JsonQuote(bench).c_str(),
+               serve::JsonQuote(context).c_str());
   for (size_t i = 0; i < metrics.size(); ++i) {
     // inf/nan are not valid JSON numbers; emit null so a division blowup
     // in one metric cannot make the whole trajectory file unparseable.
@@ -163,10 +131,9 @@ inline bool WriteBenchJson(const std::string& path, const std::string& bench,
     } else {
       std::snprintf(value, sizeof(value), "null");
     }
-    std::fprintf(f, "    {\"name\": \"%s\", \"value\": %s, "
-                 "\"unit\": \"%s\"}%s\n",
-                 escape(metrics[i].name).c_str(), value,
-                 escape(metrics[i].unit).c_str(),
+    std::fprintf(f, "    {\"name\": %s, \"value\": %s, \"unit\": %s}%s\n",
+                 serve::JsonQuote(metrics[i].name).c_str(), value,
+                 serve::JsonQuote(metrics[i].unit).c_str(),
                  i + 1 < metrics.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

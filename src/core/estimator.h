@@ -26,6 +26,10 @@
 // cache/accounting layer and stops early once the access's distinct-query
 // budget is exhausted (the budget check compiles away entirely for the
 // uncached readers).
+//
+// Estimators share no mutable state: the graph, catalog, classifier and
+// coefficient tables they read are immutable after construction, so
+// chains step on any threads without a lock.
 
 #pragma once
 

@@ -207,7 +207,9 @@ bool CsrSizeMatches(uint64_t file_bytes, const CsrFields& fields);
 /// The bounds check of `file`'s CSR payload: its size and the offsets'
 /// end points; with `verify`, also offsets monotonicity, neighbor-id
 /// bounds and the data checksum. Returns what failed, or nullopt. O(1)
-/// without verify, and builds no string on success.
+/// without verify, and builds no string on success. The two verify scans
+/// screen whole blocks with branch-free reductions and rescan only a
+/// flagged block, so a message still names the first bad index.
 std::optional<std::string> CheckCsr(const MappedFile& file,
                                     const CsrFields& fields, bool verify,
                                     const CsrWords& words);

@@ -61,6 +61,8 @@ struct JsonValue {
 };
 
 /// Parses one complete JSON document; trailing non-whitespace rejects.
+/// Strict: leading-zero numbers, \u surrogate escapes, non-finite
+/// numbers and nesting deeper than 32 levels reject too.
 std::optional<JsonValue> ParseJson(std::string_view text);
 
 }  // namespace grw::serve

@@ -137,7 +137,12 @@ inline constexpr std::string_view kErrorCodeRetryAfter = "RETRY_AFTER";
 std::string OverloadedResponse(std::string_view error, double retry_after_ms);
 
 /// {"ok":true,...,"labels":[...],"concentrations":[...]} with the
-/// concentrations in paper order, %.17g (bit-exact round trip).
+/// concentrations in paper order, %.17g (bit-exact round trip), after
+/// the steps, rounds and the converged / cancelled / budget_exhausted
+/// flags. A crawl request adds distinct_queries and fetches. A run read
+/// through a ShardStore adds a "shards" block of the run's own
+/// EngineResult::shards: faults, hits, evictions, peak_resident_bytes and
+/// budget_bytes.
 std::string EstimateResponse(const EstimateRequest& req,
                              const EngineResult& result);
 

@@ -40,6 +40,23 @@
 // FaultSite objects register themselves in a global list so the chaos
 // suite can enumerate coverage (`fault::Snapshot()`) and assert every
 // registered site actually fired during a run.
+//
+// The sites, by layer:
+//
+//   io.read.eintr / io.read.fail        spurious EINTR / hard EIO on read
+//   io.write.eintr / .fail / .short     EINTR, EIO, or a partial write
+//   io.connect.fail / io.fsync.fail     ECONNREFUSED on connect, EIO on fsync
+//   io.pread.eintr / io.pread.short     EINTR, or a one-byte read, in ReadAt
+//                                       (bounded shard reads)
+//   snapshot.save.open / .write /       temp-file open / write / final
+//     .rename                           rename fails (.grwb, shards, manifest)
+//   snapshot.save.crash                 _exit(137) before the last part is
+//                                       written: a real crash
+//   mmap.shrink                         the file looks truncated between
+//                                       stat and mmap
+//   crawl.fetch                         one transient crawl fetch failure
+//   serve.admit / serve.job             admission-time load shed /
+//                                       in-flight job failure
 
 #pragma once
 

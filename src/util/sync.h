@@ -27,8 +27,10 @@
 //     want; the predicate overload below is for unguarded test plumbing).
 //
 // Lock ordering (see docs/ARCHITECTURE.md "Concurrency invariants"):
-// scheduler mutex -> registry mutex -> pool mutexes; a Job's completion
-// mutex is a leaf. Never acquire in the opposite direction.
+// scheduler mutex -> registry mutex -> pool mutex. Never acquire in the
+// opposite direction. No object holds two of its own locks at once; one
+// that must declares the order with GRW_ACQUIRED_BEFORE, which the
+// analysis checks.
 
 #pragma once
 
@@ -153,6 +155,13 @@ class GRW_SCOPED_CAPABILITY MutexLock {
 /// operates on, so the analysis checks the caller actually holds it —
 /// the classic wait-without-lock bug cannot compile under
 /// GRW_THREAD_SAFETY.
+///
+/// A CondVar whose waiter may destroy it on wakeup (a destructor draining
+/// until nothing is in flight, a stack-local handshake) must be notified
+/// inside the critical section that sets the condition: notified after
+/// the unlock, the waiter can return and free it first, and NotifyOne
+/// signals freed memory. Only a CondVar whose owner outlives every waiter
+/// may be notified after the unlock.
 class CondVar {
  public:
   CondVar() = default;

@@ -8,12 +8,12 @@
 //       Write a synthetic graph as an edge list. <dataset-or-model> is a
 //       registry name (e.g. epinion-sim) or one of: er, ba, hk, ws.
 //   grw convert <input> <output.grwb> [--relabel-degree] [--lcc 0|1]
-//       [--verify 0|1]
+//       [--verify 0|1] [--scale S]
 //       Convert an edge list (or registry dataset name) to a `.grwb`
 //       binary CSR snapshot that loads zero-copy via mmap. Convert once,
 //       then point every other command and bench at the snapshot.
 //   grw shard <graph> <out-dir> [--shards N | --target-shard-mb M]
-//       [--relabel-degree] [--lcc 0|1]
+//       [--relabel-degree] [--lcc 0|1] [--scale S]
 //       Partition a graph into a sharded out-of-core snapshot
 //       (graph/sharding.h): <out-dir>/MANIFEST.grws plus checksummed
 //       shard-NNNNN.grws files, every file written crash-safe. Balanced
@@ -76,8 +76,12 @@
 //       loop: transport failures reconnect + resend, RETRY_AFTER load
 //       sheds honor the server's backoff hint, other errors are final.
 //
-// Every place a <graph> is taken, text edge lists, `.grwb` snapshots, and
-// registry dataset names are all accepted (format auto-detected).
+// Every place a <graph> is taken, text edge lists, `.grwb` snapshots,
+// sharded manifests (a `grw shard` directory or its MANIFEST.grws) and
+// registry dataset names are all accepted (GraphSource::Open, format
+// auto-detected). `exact` reads a sharded graph through its in-memory
+// copy; `convert` and `shard` refuse sharded input (start from the edge
+// list or `.grwb` it was built from).
 // Every command accepts --help-free flag forms --name value / --name=value.
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant linter: greppable project rules, enforced in CI.
 
-Checks (each is a function named check_*; `--list` prints them):
+Checks (each is a function named check_*; `--list` prints this list):
 
   raw-sync          no std::mutex / std::condition_variable (or recursive/
                     shared variants) outside src/util/sync.h — all locking
@@ -22,9 +22,18 @@ Checks (each is a function named check_*; `--list` prints them):
                     it can emit the BENCH_*.json perf-trajectory format
                     (Google Benchmark harnesses are exempt: they have
                     --benchmark_format=json).
-  doc-refs          backtick-quoted repo paths in CHANGES.md / ROADMAP.md
-                    (src/, tests/, bench/, tools/, docs/, examples/
-                    prefixes) must resolve — stale references rot fast.
+  doc-refs          backtick-quoted repo paths in the tracked docs (src/,
+                    tests/, bench/, tools/, docs/, examples/ prefixes)
+                    must resolve — stale references rot fast. Only the
+                    first word of a quoted command is a path. The docs
+                    are every tracked .md file but the top-level ones
+                    outside TOP_LEVEL_DOCS.
+  doc-numbers       no timing-, size- or ratio-shaped number (ns, us, ms,
+                    s, KiB/MiB/GiB, %, or 2.9x) in the docs outside
+                    NUMBER_HOMES: measured numbers live in
+                    CHANGES.md, ROADMAP.md, BENCH_*.json and the bench
+                    READMEs; other docs name a tuned constant, not its
+                    value.
   raw-posix-io      no ::read / ::pread / ::write / ::send / ::recv /
                     ::connect outside src/util/posix_io.cpp — socket and file IO
                     goes through grw::io (EINTR retry, partial-write
@@ -66,6 +75,7 @@ Usage:
 import argparse
 import os
 import re
+import subprocess
 import sys
 import tempfile
 
@@ -85,6 +95,16 @@ UNCHECKED_CAST_RE = re.compile(
 TEST_MACRO_RE = re.compile(r"\b(?:TEST|TEST_F|TEST_P|TYPED_TEST)\s*\(")
 GBENCH_INCLUDE_RE = re.compile(r'#include\s+[<"]benchmark/benchmark\.h[>"]')
 DOC_REF_RE = re.compile(r"`((?:src|tests|bench|tools|docs|examples)/[^`]+)`")
+# Of the top-level markdown only these are the project's own docs; the
+# others are working and reference texts that quote other work.
+TOP_LEVEL_DOCS = ("README.md", "CHANGES.md", "ROADMAP.md")
+NUMBER_HOMES = ("CHANGES.md", "ROADMAP.md",
+                os.path.join("bench", "README.md"),
+                os.path.join("e2ebench", "README.md"))
+# A number with a timing or size unit, a percentage, or an "x" ratio
+# written flush against it ("2.9x"; "4x4" and "0x1f" are not ratios).
+DOC_NUMBER_RE = re.compile(
+    r"\d(?:[\s\u00a0]?(?:ns|[u\u00b5]s|ms|s|KiB|MiB|GiB|KB|MB|GB)\b|%|x\b)")
 RAW_POSIX_IO_RE = re.compile(r"::(?:p?read|write|send|recv|connect)\s*\(")
 RAW_MMAP_RE = re.compile(r"::(?:mmap|munmap|madvise|mremap)\s*\(")
 BUILD_INDEX_RE = re.compile(r"\bBuildAdjacencyIndex\s*\(")
@@ -246,20 +266,67 @@ def _ref_resolves(root, ref):
     return True
 
 
+def _tracked_markdown(root):
+    """`git ls-files '*.md'` of a checkout rooted at root, or None."""
+    if not os.path.exists(os.path.join(root, ".git")):
+        return None
+    try:
+        out = subprocess.run(["git", "-C", root, "ls-files", "-z", "*.md"],
+                             capture_output=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None  # no git, or a checkout git refuses to read
+    return [p for p in out.decode().split("\0") if p]
+
+
+def iter_markdown(root):
+    """(relative path, lines) of the docs to lint: a checkout's tracked
+    markdown, or, where git cannot list it, every .md file outside hidden
+    and build directories; at the top level, only TOP_LEVEL_DOCS."""
+    rels = _tracked_markdown(root)
+    if rels is None:
+        rels = []
+        for dirpath, dirs, names in os.walk(root):
+            dirs[:] = [d for d in dirs
+                       if not d.startswith((".", "build"))]
+            rels += [os.path.relpath(os.path.join(dirpath, n), root)
+                     for n in names if n.endswith(".md")]
+    for rel in sorted(rels):
+        full = os.path.join(root, rel)
+        if (not os.path.dirname(rel) and rel not in TOP_LEVEL_DOCS
+                or not os.path.isfile(full)):
+            continue
+        with open(full, encoding="utf-8", errors="replace") as f:
+            yield rel, f.read().splitlines()
+
+
 def check_doc_refs(root):
     findings = []
-    for doc in ("CHANGES.md", "ROADMAP.md"):
-        doc_path = os.path.join(root, doc)
-        if not os.path.exists(doc_path):
+    for doc, lines in iter_markdown(root):
+        for lineno, line in enumerate(lines, start=1):
+            for ref in DOC_REF_RE.findall(line):
+                # `tools/smoke.sh build` names the script, not "build".
+                if not _ref_resolves(root, ref.split()[0]):
+                    findings.append(
+                        (doc, lineno,
+                         f"reference `{ref}` does not resolve to a "
+                         "file or directory"))
+    return findings
+
+
+def check_doc_numbers(root):
+    findings = []
+    for doc, lines in iter_markdown(root):
+        if doc in NUMBER_HOMES:
             continue
-        with open(doc_path, encoding="utf-8", errors="replace") as f:
-            for lineno, line in enumerate(f, start=1):
-                for ref in DOC_REF_RE.findall(line):
-                    if not _ref_resolves(root, ref):
-                        findings.append(
-                            (doc, lineno,
-                             f"reference `{ref}` does not resolve to a "
-                             "file or directory"))
+        for lineno, line in enumerate(lines, start=1):
+            match = DOC_NUMBER_RE.search(line)
+            if match:
+                number = line[max(0, match.start() - 8):match.end()]
+                findings.append(
+                    (doc, lineno,
+                     f"measured number '{number.strip()}' — it belongs in "
+                     "CHANGES.md, ROADMAP.md or a BENCH_*.json; name a "
+                     "tuned constant instead of quoting it"))
     return findings
 
 
@@ -363,6 +430,7 @@ ALL_CHECKS = [
     ("tests-registered", check_tests_registered),
     ("bench-json", check_bench_json),
     ("doc-refs", check_doc_refs),
+    ("doc-numbers", check_doc_numbers),
     ("raw-posix-io", check_raw_posix_io),
     ("raw-mmap", check_raw_mmap),
     ("adjacency-index-owner", check_adjacency_index_owner),
@@ -411,7 +479,12 @@ def _make_clean_tree(root):
            "- touched `src/a.cpp` and `src/x.{h,cpp}` and `tools/t`\n")
     _write(root, "src/x.h", "\n")
     _write(root, "src/x.cpp", "\n")
-    _write(root, "ROADMAP.md", "see `tests/a_test.cpp`\n")
+    _write(root, "ROADMAP.md", "see `tests/a_test.cpp`; ran at 3.2x\n")
+    _write(root, "src/graph/README.md",
+           "# graph/\n\n* `src/x.h` - a 64-byte header; run "
+           "`tools/t.cpp --check-identical`\n")
+    _write(root, "bench/README.md", "* `bench/bench_a.cpp` - 4.2 ms, 97%\n")
+    _write(root, "PAPER.md", "Ran 2.9x faster than `src/their_code.cpp`.\n")
     _write(root, "src/graph/source.cpp", "g.BuildAdjacencyIndex();\n")
     _write(root, "src/graphlet/catalog.h",
            "uint32_t CanonicalMask(uint32_t mask, int k, int* p = nullptr);\n")
@@ -463,6 +536,12 @@ def self_test():
             ("bench-json", "bench/bench_nojson.cpp", "int main() {}\n"),
             ("doc-refs", "CHANGES.md",
              "- see `src/ghost_file.cpp` for details\n"),
+            ("doc-refs", "src/walk/README.md",
+             "* **ghost.h** - read `src/walk/ghost.h` first\n"),
+            ("doc-numbers", "src/walk/README.md",
+             "The d = 3 walk runs at 3.2x the enumerator's speed.\n"),
+            ("doc-numbers", "tools/README.md",
+             "A verified open takes 4.2 ms, 12 MiB.\n"),
             ("raw-posix-io", "src/bad_io.cpp",
              "ssize_t n = ::write(fd, data, len);\n"),
             ("raw-mmap", "src/graph/bad_cache.cpp",
@@ -513,12 +592,11 @@ def main():
     parser.add_argument("--self-test", action="store_true",
                         help="verify every rule detects a seeded violation")
     parser.add_argument("--list", action="store_true",
-                        help="list check names and exit")
+                        help="list the checks and exit")
     args = parser.parse_args()
 
     if args.list:
-        for name, _ in ALL_CHECKS:
-            print(name)
+        print(__doc__.split("\n\n", 2)[2].split("Usage:")[0].rstrip())
         return 0
     if args.self_test:
         return self_test()
